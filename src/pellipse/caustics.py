@@ -102,25 +102,6 @@ def _p6_full(a, b):
     return out
 
 
-def _p6_expansion(a, b):
-    """The same degree-8 polynomial as :func:`_p6_full`, expanded."""
-    return [
-        3 * a**8 * b**8,
-        8 * a**7 * b**7 * (a - b),
-        -4 * a**6 * b**6 * (a + 3 * b) * (3 * a + b),
-        -72 * a**5 * b**5 * (a - b) * (a + b) ** 2,
-        -10 * a**4 * b**4 * (11 * a**2 - 18 * a * b + 11 * b**2) * (a + b) ** 2,
-        -8 * a**3 * b**3 * (a - b) * (9 * a**2 - 14 * a * b + 9 * b**2) * (a + b) ** 2,
-        -4
-        * a**2
-        * b**2
-        * (3 * a**4 - 24 * a**3 * b + 10 * a**2 * b**2 - 24 * a * b**3 + 3 * b**4)
-        * (a + b) ** 2,
-        8 * a * b * (a - b) * (a + b) ** 6,
-        (3 * a - b) * (a - 3 * b) * (a + b) ** 6,
-    ]
-
-
 def _p7(a, b):
     """7-periodic condition (degree 12)."""
     return [

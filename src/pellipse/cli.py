@@ -406,6 +406,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # argparse turns an error raised by a type function into a usage
+        # message, so non-finite scalars are rejected here, with JSON
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DomainError(f"--{name} must be finite, got {value}")
         return args.func(args)
     except DomainError as exc:
         _emit({"error": "DomainError", "message": str(exc)})

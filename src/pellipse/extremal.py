@@ -81,16 +81,6 @@ def chebyshev(n: int) -> list[int]:
     return t1
 
 
-def _chebyshev_u(n: int) -> list[int]:
-    """Coefficients (ascending) of the second-kind polynomial ``U_n``."""
-    u0, u1 = [1], [0, 2]
-    if n == 0:
-        return u0
-    for _ in range(n - 1):
-        u0, u1 = u1, polys.psub(polys.pmul([0, 2], u1), u0)
-    return u1
-
-
 # ---------------------------------------------------------------------------
 # Toeplitz systems on the series coefficients
 # ---------------------------------------------------------------------------

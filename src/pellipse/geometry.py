@@ -162,6 +162,8 @@ class BoundaryEllipse:
     def __post_init__(self) -> None:
         if not (self.a > 0 and self.b > 0):
             raise DomainError(f"squared semi-axes must be positive, got ({self.a}, {self.b})")
+        if math.inf in (self.a, self.b):
+            raise DomainError(f"squared semi-axes must be finite, got ({self.a}, {self.b})")
 
     def boundary_residual(self, P: MVec2):
         """``x**2/a + y**2/b - 1`` (zero on the boundary)."""

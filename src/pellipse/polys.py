@@ -3,15 +3,21 @@
 Polynomials are plain lists of coefficients in **ascending** order
 (``[c0, c1, ...]`` represents ``c0 + c1 x + ...``).  All arithmetic is
 scalar-generic: it works uniformly for ``int``/``Fraction`` (exact),
-``decimal.Decimal`` and ``float``.  Exact real-root isolation uses Sturm
-chains over ``Fraction``; resultants and discriminants use a Sylvester
-matrix with fraction-free Bareiss elimination over the integers.
+``decimal.Decimal`` and ``float``.  Resultants and discriminants use a
+Sylvester matrix with fraction-free Bareiss elimination over the integers.
+
+Exact real roots: the square-free part and its Sturm chain are computed
+once over ``Fraction``, then each is replaced by the primitive integer
+polynomial that is a positive multiple of it, which has the same signs.
+Isolation bisects the Cauchy bound by Sturm counts, and refinement bisects
+each isolating interval; every sign test ``sign p(num/den)`` is an integer
+homogeneous Horner sum, with no ``Fraction`` arithmetic per step.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 from typing import Callable, Sequence
 
 from .errors import DomainError
@@ -201,18 +207,8 @@ def poly_sqrt(q: Poly, sqrt: Callable | None = None) -> list:
 def _to_int_poly(c: Poly) -> tuple[list[int], int]:
     """Scale a rational polynomial to integers; return (poly, multiplier)."""
     fracs = [Fraction(a) for a in c]
-    lcm = 1
-    for f in fracs:
-        d = f.denominator
-        g = _gcd(lcm, d)
-        lcm = lcm // g * d
-    return [int(f * lcm) for f in fracs], lcm
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
+    m = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (m // f.denominator) for f in fracs], m
 
 
 def _bareiss_det(m: list[list[int]]) -> int:
@@ -274,7 +270,7 @@ def discriminant(c: Poly) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Sturm isolation and refinement over Fraction
+# Sturm isolation and refinement on integer sign evaluation
 # ---------------------------------------------------------------------------
 
 
@@ -306,9 +302,7 @@ def squarefree_part(c: Poly) -> list[Fraction]:
     return trim(q)
 
 
-def sturm_chain(c: Poly) -> list[list[Fraction]]:
-    """Sturm chain of the square-free part of ``c``."""
-    p = squarefree_part(c)
+def _sturm(p: list[Fraction]) -> list[list[Fraction]]:
     chain = [p, trim(pderiv(p))]
     while degree(chain[-1]) > 0:
         _, r = pdivmod(chain[-2], chain[-1])
@@ -319,44 +313,68 @@ def sturm_chain(c: Poly) -> list[list[Fraction]]:
     return chain
 
 
-def _variations(chain: list[list[Fraction]], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = peval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+def sturm_chain(c: Poly) -> list[list[Fraction]]:
+    """Sturm chain of the square-free part of ``c``."""
+    return _sturm(squarefree_part(c))
+
+
+def _int_poly(c: Poly) -> list[int]:
+    """The primitive integer polynomial that is a positive multiple of ``c``."""
+    ci, _ = _to_int_poly(c)
+    g = gcd(*ci) or 1
+    return [a // g for a in ci]
+
+
+def _int_chain(p: list[Fraction]) -> list[list[int]]:
+    """Sturm chain of the square-free ``p``, each member as :func:`_int_poly`."""
+    return [_int_poly(q) for q in _sturm(p)]
+
+
+def _sign_at(p: list[int], x: Fraction) -> int:
+    """Sign of ``p(x)`` by homogeneous Horner.
+
+    With ``x = num/den``, ``den > 0``, the integer
+    ``den**d * p(x) = sum(p[i] * num**i * den**(d-i))`` has the sign of ``p(x)``.
+    """
+    num, den = x.numerator, x.denominator
+    acc = 0
+    dpow = 1
+    for a in reversed(p):
+        acc = acc * num + a * dpow
+        dpow *= den
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(chain: list[list[int]], x: Fraction) -> int:
+    signs = [s for s in (_sign_at(p, x) for p in chain) if s]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
 def count_real_roots(chain: list[list[Fraction]], lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots in ``(lo, hi]`` by Sturm's theorem."""
-    return _variations(chain, lo) - _variations(chain, hi)
+    ints = [_int_poly(p) for p in chain]
+    return _variations(ints, Fraction(lo)) - _variations(ints, Fraction(hi))
 
 
-def _cauchy_bound(p: list[Fraction]) -> Fraction:
-    lead = abs(p[-1])
-    m = max(abs(a) for a in p[:-1]) if len(p) > 1 else Fraction(0)
-    return 1 + m / lead
-
-
-def isolate_real_roots(c: Poly) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint open intervals each containing exactly one real root."""
-    p = squarefree_part(c)
-    if degree(p) == 0:
+def _isolate(chain: list[list[int]]) -> list[tuple[Fraction, Fraction]]:
+    """Isolating intervals of the roots of ``chain[0]``, an integer Sturm chain."""
+    p = chain[0]
+    if len(p) == 1:
         return []
-    chain = sturm_chain(p)
-    bound = _cauchy_bound(p)
+    # Cauchy bound 1 + max|p_i| / |p_d|, strict
+    bound = 1 + Fraction(max(abs(a) for a in p[:-1]), abs(p[-1]))
     lo, hi = -bound, bound
     # Nudge endpoints off roots (Cauchy bound is strict, but be safe).
-    while peval(p, lo) == 0:
+    while _sign_at(p, lo) == 0:
         lo -= 1
-    while peval(p, hi) == 0:
+    while _sign_at(p, hi) == 0:
         hi += 1
-    total = count_real_roots(chain, lo, hi)
     out: list[tuple[Fraction, Fraction]] = []
-    stack = [(lo, hi, total)]
+    # (a, b, variations at a, variations at b); the root count is their difference
+    stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
     while stack:
-        a, b, k = stack.pop()
+        a, b, va, vb = stack.pop()
+        k = va - vb
         if k == 0:
             continue
         if k == 1:
@@ -364,46 +382,83 @@ def isolate_real_roots(c: Poly) -> list[tuple[Fraction, Fraction]]:
             continue
         mid = (a + b) / 2
         shift = (b - a) / 4
-        while peval(p, mid) == 0:
+        while _sign_at(p, mid) == 0:
             # the midpoint hit a root exactly; step off it by a strictly
             # decreasing offset (stays inside (a, b), and a polynomial has
             # only finitely many roots, so this terminates)
             mid += shift
             shift /= 2
-        kl = count_real_roots(chain, a, mid)
-        stack.append((a, mid, kl))
-        stack.append((mid, b, k - kl))
+        vm = _variations(chain, mid)
+        stack.append((a, mid, va, vm))
+        stack.append((mid, b, vm, vb))
     out.sort(key=lambda ab: ab[0])
     return out
 
 
-def refine_root(c: Poly, lo: Fraction, hi: Fraction, digits: int = 60) -> Fraction:
-    """Bisect a sign-changing bracket down to ``10**-digits`` width."""
-    p = squarefree_part(c)
-    flo = peval(p, lo)
-    if flo == 0:
+def isolate_real_roots(c: Poly) -> list[tuple[Fraction, Fraction]]:
+    """Disjoint open intervals each containing exactly one real root."""
+    return _isolate(_int_chain(squarefree_part(c)))
+
+
+def _refine(p: list[int], lo, hi, digits: int) -> Fraction:
+    """Bisect a root of the square-free integer polynomial ``p`` in ``[lo, hi]``.
+
+    After ``k`` steps the bracket is ``[L, H] / (den * 2**k)``: integer
+    numerators over a doubling denominator, so the width numerator ``H - L``
+    never changes.  With ``q_i = p_i * den**(d-i)`` the sign of
+    ``p(x / (den * 2**k))`` is the sign of ``sum(q_i * x**i * 2**(k*(d-i)))``,
+    a homogeneous Horner sum whose powers of two are shifts.
+    """
+    flo, fhi = Fraction(lo), Fraction(hi)
+    slo = _sign_at(p, flo)
+    if slo == 0:
         return lo
-    fhi = peval(p, hi)
-    if fhi == 0:
+    shi = _sign_at(p, fhi)
+    if shi == 0:
         return hi
-    if (flo > 0) == (fhi > 0):
+    if shi == slo:
         raise DomainError("refine_root requires a sign change on the bracket")
-    tol = Fraction(1, 10**digits) * max(Fraction(1), abs(lo), abs(hi))
-    while hi - lo > tol:
-        mid = (lo + hi) / 2
-        fm = peval(p, mid)
-        if fm == 0:
-            return mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
+    tol = Fraction(max(1, abs(flo), abs(fhi)), 10**digits)
+    den = lcm(flo.denominator, fhi.denominator)
+    L = flo.numerator * (den // flo.denominator)
+    H = fhi.numerator * (den // fhi.denominator)
+    d = len(p) - 1
+    q = [a * den ** (d - i) for i, a in enumerate(p)]
+    width, limit = (H - L) * tol.denominator, tol.numerator * den
+    k = 0
+    while width > limit << k:
+        mid = L + H
+        L, H, k = 2 * L, 2 * H, k + 1
+        acc, shift = 0, 0
+        for a in reversed(q):
+            acc = acc * mid + (a << shift)
+            shift += k
+        if acc == 0:
+            return Fraction(mid, den << k)
+        if (acc > 0) == (slo > 0):
+            L = mid
         else:
-            hi = mid
-    return (lo + hi) / 2
+            H = mid
+    return Fraction(L + H, den << (k + 1))
+
+
+def refine_root(c: Poly, lo: Fraction, hi: Fraction, digits: int = 60) -> Fraction:
+    """Bisect a sign-changing bracket down to ``10**-digits`` width.
+
+    The stopping width is ``10**-digits * max(1, |lo|, |hi|)`` of the
+    bracket as given.
+    """
+    return _refine(_int_poly(squarefree_part(c)), lo, hi, digits)
 
 
 def real_roots(c: Poly, digits: int = 60) -> list[Fraction]:
-    """All distinct real roots, refined to ``10**-digits``, ascending."""
-    return [refine_root(c, a, b, digits) for a, b in isolate_real_roots(c)]
+    """All distinct real roots, refined to ``10**-digits``, ascending.
+
+    The square-free part is computed once and shared by isolation and
+    every refinement.
+    """
+    chain = _int_chain(squarefree_part(c))
+    return [_refine(chain[0], a, b, digits) for a, b in _isolate(chain)]
 
 
 def rationalize_root(c: Poly, approx: Fraction, max_den: int = 10**9) -> Fraction | None:

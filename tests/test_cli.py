@@ -1,6 +1,7 @@
 """End-to-end command-line interface behaviour."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +47,37 @@ def test_solve_output_is_byte_stable(capsys):
     _, out1 = run(capsys, "solve", "--n", "5", "--a", "6", "--b", "4")
     _, out2 = run(capsys, "solve", "--n", "5", "--a", "6", "--b", "4")
     assert out1 == out2
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("solve-n5-int", "solve --n 5 --a 6 --b 4"),
+        ("solve-n4-fraction", "solve --n 4 --a 4/3 --b 2"),
+        ("solve-n5-decimal", "solve --n 5 --a 2.3 --b 10.4"),
+        ("solve-n7-scaled", "solve --n 7 --a 7/1000 --b 3/1000"),
+        ("solve-elliptic-n5", "solve --elliptic --n 5 --a 5 --b 6"),
+    ],
+)
+def test_solve_output_matches_golden(capsys, name, argv):
+    # tests/golden holds the recorded stdout of each command: solve output
+    # must not change by a single byte
+    rc, out = run(capsys, *argv.split())
+    assert rc == 0
+    assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+@pytest.mark.parametrize("option", ["--a", "--b"])
+def test_non_finite_scalar_exits_2(capsys, option, value):
+    args = {"--a": "3", "--b": "2", option: value}
+    rc, out = run(capsys, "solve", "--n", "3", *(f"{k}={v}" for k, v in args.items()))
+    assert rc == 2
+    doc = json.loads(out)
+    assert doc["error"] == "DomainError" and "finite" in doc["message"]
 
 
 def test_scalar_fraction_parsing(capsys):

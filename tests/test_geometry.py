@@ -116,3 +116,9 @@ def test_line_through():
     assert abs(L.p * P.x + L.q * P.y - L.r) < 1e-12
     Q = MVec2(P.x + 2 * d.x, P.y + 2 * d.y)
     assert abs(L.p * Q.x + L.q * Q.y - L.r) < 1e-12
+
+
+@pytest.mark.parametrize("a, b", [(math.inf, 2), (3, math.inf), (math.nan, 2), (-math.inf, 2)])
+def test_boundary_ellipse_rejects_non_finite(a, b):
+    with pytest.raises(DomainError):
+        BoundaryEllipse(a, b)

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from pellipse import polys
 from pellipse.errors import DomainError
@@ -71,6 +73,157 @@ def test_real_root_isolation_and_refinement():
     assert len(roots) == 3
     for r, want in zip(sorted(roots), (1, 2, 3)):
         assert abs(r - want) < F(1, 10**40)
+
+
+# -- reference root finder: Sturm isolation and bisection on Fraction/peval --
+
+
+def _ref_sign(p, x):
+    v = polys.peval(p, x)
+    return (v > 0) - (v < 0)
+
+
+def _ref_variations(chain, x):
+    signs = [s for s in (_ref_sign(q, x) for q in chain) if s]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def _ref_isolate(c):
+    p = polys.squarefree_part(c)
+    if polys.degree(p) == 0:
+        return []
+    chain = polys.sturm_chain(p)
+    bound = 1 + max(abs(a) for a in p[:-1]) / abs(p[-1])  # strict: no root at +-bound
+    out, stack = [], [(-bound, bound)]
+    while stack:
+        a, b = stack.pop()
+        k = _ref_variations(chain, a) - _ref_variations(chain, b)
+        if k == 1:
+            out.append((a, b))
+        elif k > 1:
+            mid, shift = (a + b) / 2, (b - a) / 4
+            while polys.peval(p, mid) == 0:
+                mid += shift
+                shift /= 2
+            stack += [(a, mid), (mid, b)]
+    return sorted(out)
+
+
+def _ref_refine(c, lo, hi, digits):
+    p = polys.squarefree_part(c)
+    flo, fhi = polys.peval(p, lo), polys.peval(p, hi)
+    if flo == 0:
+        return lo
+    if fhi == 0:
+        return hi
+    if (flo > 0) == (fhi > 0):
+        raise DomainError("no sign change")
+    tol = Fraction(1, 10**digits) * max(Fraction(1), abs(lo), abs(hi))
+    while hi - lo > tol:
+        mid = (lo + hi) / 2
+        fm = polys.peval(p, mid)
+        if fm == 0:
+            return mid
+        if (fm > 0) == (flo > 0):
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2
+
+
+# Rational roots with multiplicities (dyadic denominators make exact
+# midpoint hits likely), times an optional factor with irrational or no
+# real roots.
+_roots = st.lists(
+    st.tuples(st.integers(-12, 12), st.sampled_from([1, 2, 3, 4, 8]), st.integers(1, 3)),
+    min_size=1,
+    max_size=4,
+)
+_EXTRA_REAL_ROOTS = {(1,): 0, (-2, 0, 1): 2, (3, 0, 1): 0, (-5, 1, 1): 2}
+_extra = st.sampled_from(sorted(_EXTRA_REAL_ROOTS))
+
+
+def _from_roots(lead, roots, extra):
+    p = [F(lead)]
+    for num, den, mult in roots:
+        for _ in range(mult):
+            p = polys.pmul(p, [F(-num), F(den)])
+    return polys.pmul(p, [F(a) for a in extra])
+
+
+@given(
+    lead=st.sampled_from([1, -1, 3, -7, F(2, 9)]),
+    roots=_roots,
+    extra=_extra,
+    digits=st.sampled_from([10, 30, 60]),
+)
+@example(lead=1, roots=[(3, 4, 2), (-5, 1, 1)], extra=(1,), digits=60)
+def test_real_roots_match_reference(lead, roots, extra, digits):
+    p = _from_roots(lead, roots, extra)
+    want = [_ref_refine(p, a, b, digits) for a, b in _ref_isolate(p)]
+    assert polys.isolate_real_roots(p) == _ref_isolate(p)
+    assert polys.real_roots(p, digits) == want
+    assert len(want) == len({F(num, den) for num, den, _ in roots}) + _EXTRA_REAL_ROOTS[extra]
+
+
+_dyadic = st.builds(lambda m, j: F(m, 2**j), st.integers(-40, 40), st.integers(0, 4))
+
+
+@given(
+    roots=_roots,
+    extra=_extra,
+    lo=_dyadic,
+    width=_dyadic.filter(lambda w: w > 0),
+    on_root=st.sampled_from([None, "lo", "hi"]),
+    digits=st.sampled_from([10, 60]),
+)
+@example(roots=[(3, 4, 1), (-5, 1, 2)], extra=(1,), lo=F(0), width=F(1), on_root=None, digits=60)
+@example(roots=[(3, 4, 1)], extra=(3, 0, 1), lo=F(0), width=F(5, 4), on_root="lo", digits=60)
+@example(roots=[(3, 4, 1)], extra=(3, 0, 1), lo=F(0), width=F(5, 4), on_root="hi", digits=60)
+def test_refine_root_matches_reference(roots, extra, lo, width, on_root, digits):
+    p = _from_roots(1, roots, extra)
+    hi = lo + width
+    root = F(roots[0][0], roots[0][1])
+    if on_root == "lo":
+        lo, hi = root, max(hi, root + 1)
+    elif on_root == "hi":
+        lo, hi = min(lo, root - 1), root
+    try:
+        want = _ref_refine(p, lo, hi, digits)
+    except DomainError:
+        with pytest.raises(DomainError):
+            polys.refine_root(p, lo, hi, digits)
+        return
+    assert polys.refine_root(p, lo, hi, digits) == want
+
+
+def test_refine_root_exact_hits_and_bracket_ends():
+    p = polys.pmul([F(-3), F(4)], [F(5), F(1)])  # roots 3/4 and -5
+    assert polys.refine_root(p, F(0), F(1)) == F(3, 4)  # second midpoint
+    assert polys.refine_root(p, F(3, 4), F(2)) == F(3, 4)
+    assert polys.refine_root(p, F(-7), F(-5)) == F(-5)
+
+
+def test_refine_root_requires_sign_change():
+    p = [F(-2), F(0), F(1)]  # roots +-sqrt(2)
+    with pytest.raises(DomainError):
+        polys.refine_root(p, F(-2), F(2))
+    with pytest.raises(DomainError):
+        polys.refine_root(p, F(2), F(3))
+
+
+def test_squarefree_part_runs_once_per_real_roots(monkeypatch):
+    calls = []
+    inner = polys.squarefree_part
+
+    def counting(c):
+        calls.append(1)
+        return inner(c)
+
+    monkeypatch.setattr(polys, "squarefree_part", counting)
+    p = polys.pmul(polys.pmul([F(-1), F(1)], [F(-1), F(1)]), [F(-6), F(11), F(-6), F(1)])
+    assert len(polys.real_roots(p)) == 3
+    assert len(calls) == 1
 
 
 def test_rationalize_root():
