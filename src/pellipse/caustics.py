@@ -23,6 +23,7 @@ from fractions import Fraction
 
 from . import polys
 from .cayley import (
+    _elliptic_candidates,
     _hankel_scale,
     case_symmetry,
     cubic_sqrt_series,
@@ -319,7 +320,7 @@ def closed_form_caustics(E: BoundaryEllipse, n: int) -> list:
         g2 = -a * b * (b - a + 2 * r) / (a + b) ** 2
         return sorted([g1, g2])
     if n == 4:
-        exact = isinstance(E.a, (int, Fraction)) and isinstance(E.b, (int, Fraction))
+        exact = polys.is_exact(E.a, E.b)
         a = Fraction(E.a) if exact else Fraction(float(E.a))
         b = Fraction(E.b) if exact else Fraction(float(E.b))
         vals = [-a * b / (a + b), a * b / (a + b)]
@@ -455,29 +456,6 @@ def periodic_caustics(
 # ---------------------------------------------------------------------------
 
 
-def _elliptic_case(ladder: str, parity: str, gamma_f: float, E: BoundaryEllipse) -> str | None:
-    conic = classify_conic(gamma_f, E)
-    is_ell = conic is ConicClass.EllipseOfFamily
-    is_hyp = conic in (ConicClass.HyperbolaXMajor, ConicClass.HyperbolaYMajor)
-    if parity == "even":
-        if ladder == "D" and is_ell and gamma_f > 0:
-            return "a"
-        if ladder == "E" and is_ell and gamma_f < 0:
-            return "b"
-        if ladder == "C" and is_hyp:
-            return "c"
-    else:
-        if ladder == "E" and is_ell and gamma_f > 0:
-            return "a"
-        if ladder == "E" and is_hyp:
-            return "d"
-        if ladder == "D" and is_ell and gamma_f < 0:
-            return "b"
-        if ladder == "D" and is_hyp:
-            return "e"
-    return None
-
-
 def elliptic_caustics(
     E: BoundaryEllipse,
     n: int,
@@ -498,7 +476,6 @@ def elliptic_caustics(
         raise DomainError(f"elliptic closure polynomials cover n in 2..5, got n={n}")
     rng = random.Random(0) if rng is None else rng
     a, b = Fraction(E.a), Fraction(E.b)
-    parity = "even" if n % 2 == 0 else "odd"
     results: list[CausticResult] = []
     for ladder, builder in _ELLIPTIC_POLYS[n]:
         for refined, exact in _root_list(builder(a, b)):
@@ -507,7 +484,9 @@ def elliptic_caustics(
             if reason is not None:
                 _record_discard(discarded, gamma_f, reason)
                 continue
-            case = _elliptic_case(ladder, parity, gamma_f, E)
+            case = next(
+                (c for c, lad in _elliptic_candidates(E, gamma_f, n) if lad == ladder), None
+            )
             if case is None:
                 _record_discard(
                     discarded,

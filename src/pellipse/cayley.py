@@ -18,22 +18,23 @@ ladders ``C``, ``D`` and ``E`` used by the closure conditions:
   determinant of ``D``, ``E`` or ``C`` vanishes, the ladder depending on
   the parity, the sign of ``gamma`` and the conic type of the caustic.
 
-Exact inputs (``int``/``Fraction``) are processed in exact rational
-arithmetic; ``decimal.Decimal`` inputs run at 50 significant digits;
-otherwise standard ``float`` arithmetic is used.
+The series run in the common field of ``(a, b, gamma)``
+(:func:`pellipse.polys.to_field`): exact rational arithmetic for
+``int``/``Fraction`` inputs, 50 significant digits when any input is a
+``decimal.Decimal``, ``float`` otherwise.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 from . import polys
 from .config import resolve_epsilon
 from .errors import DomainError, InsufficientOrder
 from .geometry import BoundaryEllipse, ConicClass, classify_conic
+from .polys import DECIMAL_PRECISION
 
 __all__ = [
     "TruncatedSeries",
@@ -49,11 +50,12 @@ __all__ = [
     "case_symmetry",
 ]
 
-#: Significant digits used for ``decimal.Decimal`` series arithmetic.
-DECIMAL_PRECISION = 50
-
 #: Divisor keyword accepted by :func:`divided_series` for each ladder.
 _DIVISORS = {"gamma-x": "C", "a-x": "D", "b+x": "E"}
+
+#: Ladder -> (index of its divisor ``c`` in ``(a, b, gamma)``, ``sign``),
+#: where ``bhat[k] = c*out[k] - sign*out[k-1]``.
+_LADDERS = {"C": (2, 1), "D": (0, 1), "E": (1, -1)}
 
 #: Elliptic closure cases: (parity, case letter) -> series ladder.
 ELLIPTIC_CASES = {
@@ -66,13 +68,14 @@ ELLIPTIC_CASES = {
     ("odd", "e"): "D",
 }
 
-#: Axial symmetry of the half-period closure for each elliptic case.
-_CASE_SYMMETRY = {
-    "a": "flip-x",
-    "b": "flip-y",
-    "c": "flip-both",
-    "d": "flip-x",
-    "e": "flip-y",
+#: Each elliptic case: its caustic (an ellipse with ``gamma`` of one sign,
+#: or a hyperbola) and the axial symmetry of its half-period closure.
+_CASES = {
+    "a": ("ellipse>0", "flip-x"),
+    "b": ("ellipse<0", "flip-y"),
+    "c": ("hyperbola", "flip-both"),
+    "d": ("hyperbola", "flip-x"),
+    "e": ("hyperbola", "flip-y"),
 }
 
 
@@ -84,38 +87,33 @@ def case_symmetry(case: str) -> str:
     reflection through the origin.
     """
     try:
-        return _CASE_SYMMETRY[case]
+        return _CASES[case][1]
     except KeyError as exc:
         raise DomainError(f"unknown elliptic case {case!r}") from exc
 
 
+def _elliptic_candidates(E: BoundaryEllipse, gamma, n: int) -> list[tuple[str, str]]:
+    """The ``(case, ladder)`` pairs open to the caustic ``gamma`` at period ``n``.
+
+    They follow from the parity of ``n``, the conic class of the caustic
+    and the sign of ``gamma``, in the order :func:`elliptic_case_test`
+    tries them.
+    """
+    if classify_conic(gamma, E) is not ConicClass.EllipseOfFamily:
+        caustic = "hyperbola"
+    else:
+        caustic = "ellipse>0" if float(gamma) > 0 else "ellipse<0"
+    parity = "even" if n % 2 == 0 else "odd"
+    return [
+        (case, ladder)
+        for (p, case), ladder in ELLIPTIC_CASES.items()
+        if p == parity and _CASES[case][0] == caustic
+    ]
+
+
 # ---------------------------------------------------------------------------
-# scalar field dispatch
+# series recurrences
 # ---------------------------------------------------------------------------
-
-
-def _decimal_context() -> Context:
-    return Context(prec=DECIMAL_PRECISION)
-
-
-def _coerce_field(a, b, gamma):
-    """Pick the common arithmetic for the three scalars: exact, decimal or float."""
-    values = (a, b, gamma)
-    if any(isinstance(v, Decimal) for v in values):
-        def conv(v):
-            if isinstance(v, Decimal):
-                return v
-            if isinstance(v, int):
-                return Decimal(v)
-            if isinstance(v, Fraction):
-                with localcontext(_decimal_context()):
-                    return Decimal(v.numerator) / Decimal(v.denominator)
-            return Decimal(v)  # float converts exactly
-
-        return "decimal", tuple(conv(v) for v in values)
-    if all(isinstance(v, (int, Fraction)) for v in values):
-        return "fraction", tuple(Fraction(v) for v in values)
-    return "float", tuple(float(v) for v in values)
 
 
 def _scaled_sqrt(a, b, gamma, order: int) -> list:
@@ -140,8 +138,10 @@ def _scaled_sqrt(a, b, gamma, order: int) -> list:
     return out
 
 
-def _divided(bhat: list, c, sign: int) -> list:
-    """Ladder ``out`` with ``bhat[k] = c*out[k] - sign*out[k-1]``."""
+def _divided(bhat: list, letter: str, field: tuple) -> list:
+    """Ladder ``letter`` of ``bhat`` for the scalars ``field = (a, b, gamma)``."""
+    index, sign = _LADDERS[letter]
+    c = field[index]
     out = [bhat[0] / c]
     for k in range(1, len(bhat)):
         out.append((bhat[k] + sign * out[k - 1]) / c)
@@ -150,16 +150,10 @@ def _divided(bhat: list, c, sign: int) -> list:
 
 def _ladder(a, b, gamma, variant: str, order: int) -> list:
     """Scaled series for any of the four variants in the given field."""
+    if variant != "B" and variant not in _LADDERS:
+        raise DomainError(f"unknown series variant {variant!r}")
     bh = _scaled_sqrt(a, b, gamma, order)
-    if variant == "B":
-        return bh
-    if variant == "C":
-        return _divided(bh, gamma, 1)
-    if variant == "D":
-        return _divided(bh, a, 1)
-    if variant == "E":
-        return _divided(bh, b, -1)
-    raise DomainError(f"unknown series variant {variant!r}")
+    return bh if variant == "B" else _divided(bh, variant, (a, b, gamma))
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +208,9 @@ class EllipticVerdict:
 def _check_gamma(E: BoundaryEllipse, gamma, eps: float) -> None:
     if isinstance(gamma, float) and (math.isinf(gamma) or math.isnan(gamma)):
         raise DomainError(f"gamma={gamma} is degenerate")
+    exact = polys.is_exact(gamma)
     for v in (0, E.a, -E.b):
-        if isinstance(gamma, (int, Fraction)) and isinstance(v, (int, Fraction)):
+        if exact and polys.is_exact(v):
             hit = gamma == v
         else:
             hit = abs(float(gamma) - float(v)) <= eps * max(1.0, abs(float(v)))
@@ -233,11 +228,8 @@ def cubic_sqrt_series(E: BoundaryEllipse, gamma, order: int, eps: float | None =
         raise DomainError(f"order must be non-negative, got {order}")
     e = resolve_epsilon(eps)
     _check_gamma(E, gamma, e)
-    mode, (a, b, g) = _coerce_field(E.a, E.b, gamma)
-    if mode == "decimal":
-        with localcontext(_decimal_context()):
-            scaled = _scaled_sqrt(a, b, g, order)
-    else:
+    a, b, g = polys.to_field(E.a, E.b, gamma)
+    with polys.field_context(g):
         scaled = _scaled_sqrt(a, b, g, order)
     return TruncatedSeries("B", tuple(scaled), order, E.a, E.b, gamma)
 
@@ -251,15 +243,11 @@ def divided_series(B: TruncatedSeries, divisor: str) -> TruncatedSeries:
     if B.variant != "B":
         raise DomainError("divided_series expects the base sqrt series (variant B)")
     letter = _DIVISORS.get(divisor, divisor)
-    if letter not in ("C", "D", "E"):
+    if letter not in _LADDERS:
         raise DomainError(f"unknown divisor {divisor!r}")
-    mode, (a, b, g) = _coerce_field(B.a, B.b, B.gamma)
-    spec = {"C": (g, 1), "D": (a, 1), "E": (b, -1)}[letter]
-    if mode == "decimal":
-        with localcontext(_decimal_context()):
-            scaled = _divided(list(B.scaled), *spec)
-    else:
-        scaled = _divided(list(B.scaled), *spec)
+    field = polys.to_field(B.a, B.b, B.gamma)
+    with polys.field_context(field[2]):
+        scaled = _divided(B.scaled, letter, field)
     return TruncatedSeries(letter, tuple(scaled), B.order, B.a, B.b, B.gamma)
 
 
@@ -309,10 +297,8 @@ def hankel_test(S: TruncatedSeries, n: int, eps: float | None = None):
             f"series order {S.order} < {need} required for variant {S.variant}, n={n}"
         )
     m = [[S.scaled[start + i + j] for j in range(size)] for i in range(size)]
-    if isinstance(m[0][0], Decimal):
-        with localcontext(_decimal_context()):
-            return polys.det(m)
-    return polys.det(m)
+    with polys.field_context(m[0][0]):
+        return polys.det(m)
 
 
 def _hankel_scale(S: TruncatedSeries, n: int) -> float:
@@ -337,7 +323,7 @@ def _hankel_scale(S: TruncatedSeries, n: int) -> float:
 
 
 def _det_is_zero(S: TruncatedSeries, n: int, value, eps: float) -> bool:
-    if isinstance(value, (int, Fraction)):
+    if polys.is_exact(value):
         return value == 0
     return abs(float(value)) <= eps * _hankel_scale(S, n)
 
@@ -386,22 +372,9 @@ def elliptic_case_test(E: BoundaryEllipse, gamma, n: int, eps: float | None = No
         pv = is_periodic(E, gamma, n, eps)
         if pv.periodic:
             return EllipticVerdict("none", pv.determinant_value)
-    conic = classify_conic(gamma, E)
-    ellipse = conic is ConicClass.EllipseOfFamily
-    positive = float(gamma) > 0
-    if n % 2 == 0:
-        if ellipse:
-            candidates = [("a", "D")] if positive else [("b", "E")]
-        else:
-            candidates = [("c", "C")]
-    else:
-        if ellipse:
-            candidates = [("a", "E")] if positive else [("b", "D")]
-        else:
-            candidates = [("d", "E"), ("e", "D")]
     B = cubic_sqrt_series(E, gamma, 2 * n + 2, eps)
     best: EllipticVerdict | None = None
-    for case, letter in candidates:
+    for case, letter in _elliptic_candidates(E, gamma, n):
         S = divided_series(B, letter)
         value = hankel_test(S, n)
         if _det_is_zero(S, n, value, e):

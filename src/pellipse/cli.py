@@ -11,7 +11,8 @@ indent) on stdout:
                    for a caustic
 * ``checks``    -- self-contained verification suites
 
-Exit codes: 0 success; 2 invalid arguments or domain errors; 3 simulation
+Exit codes: 0 success; 2 invalid arguments or domain errors (usage
+errors included, each with the ``DomainError`` JSON); 3 simulation
 failure (the JSON carries the failing step); 4 no certificate exists;
 5 a certificate failed verification; 6 a checks suite failed.
 
@@ -55,6 +56,7 @@ from .extremal import (
     zolotarev3_consistency,
 )
 from .geometry import BoundaryEllipse, MVec2
+from .polys import is_exact
 from .svgfig import render_trajectory_svg
 
 __all__ = ["main", "build_parser"]
@@ -72,9 +74,19 @@ def _parse_scalar(text: str):
         except (ValueError, ZeroDivisionError) as exc:
             raise argparse.ArgumentTypeError(f"invalid fraction {text!r}: {exc}") from exc
     try:
-        return float(t)
+        value = float(t)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors raise :class:`DomainError`."""
+
+    def error(self, message: str):
+        raise DomainError(message)
 
 
 def _emit(doc: dict) -> None:
@@ -156,7 +168,7 @@ def _snap_gamma(E: BoundaryEllipse, gamma, n: int):
     root (the exact rational one when available).  Exact rational inputs
     are passed through untouched.
     """
-    if not isinstance(gamma, float) or not 3 <= n <= 8:
+    if is_exact(gamma) or not 3 <= n <= 8:
         return gamma
     try:
         candidates = periodic_caustics(E, n)
@@ -362,7 +374,7 @@ def cmd_checks(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pellipse",
         description="Periodic billiard trajectories in a Minkowski-plane ellipse.",
     )
@@ -403,14 +415,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        # argparse turns an error raised by a type function into a usage
-        # message, so non-finite scalars are rejected here, with JSON
-        for name, value in vars(args).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise DomainError(f"--{name} must be finite, got {value}")
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except DomainError as exc:
         _emit({"error": "DomainError", "message": str(exc)})

@@ -27,20 +27,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
 from . import polys
-from .cayley import (
-    ELLIPTIC_CASES,
-    _coerce_field,
-    _decimal_context,
-    _ladder,
-    elliptic_case_test,
-    is_periodic,
-)
+from .cayley import ELLIPTIC_CASES, _ladder, elliptic_case_test, is_periodic
 from .config import resolve_epsilon
 from .dynamics import partition_counts, simulate, start_on_caustic
 from .errors import CertificateInvalid, DomainError, NoCertificate, PellipseError
@@ -103,7 +97,7 @@ def _periodic_layout(n: int) -> tuple[str, int, int, int]:
     return "C", m + 1, m, m
 
 
-def _elliptic_layout(n: int, ladder: str) -> tuple[int, int, int, int]:
+def _elliptic_layout(n: int) -> tuple[int, int, int, int]:
     """(start, size, d1, d2) of the elliptic certificate system."""
     m = n // 2
     if n % 2 == 0:
@@ -148,6 +142,25 @@ def _newton_polish(a: Decimal, b: Decimal, g0: Decimal, order: int, variant: str
     return g
 
 
+def _polished_field(E: BoundaryEllipse, gamma, ladder: str, start: int, size: int, order: int):
+    """``(a, b, gamma)`` in the field of the certificate, or ``None``.
+
+    Exact inputs stay rational.  Otherwise the values become 50-digit
+    ``Decimal`` (a float exactly) and ``gamma`` is Newton-polished onto the
+    nearest root of the Toeplitz determinant of ``ladder``; ``None`` means
+    that root is more than ``1e-6`` (relative) away from ``gamma``.
+    """
+    a, b, g = polys.to_field(E.a, E.b, gamma)
+    if polys.is_exact(g):
+        return a, b, g
+    a, b, g = Decimal(a), Decimal(b), Decimal(g)
+    with polys.field_context(g):
+        dg = _newton_polish(a, b, g, order, ladder, start, size)
+        if abs(dg - g) > Decimal("1e-6") * max(Decimal(1), abs(dg)):
+            return None
+    return a, b, dg
+
+
 # ---------------------------------------------------------------------------
 # Pell pair construction
 # ---------------------------------------------------------------------------
@@ -160,7 +173,8 @@ class PellPair:
     ``p`` and ``q`` are float coefficient tuples (ascending).  The exact
     squares ``p**2``, ``p q``, ``q**2`` — rational polynomials even when
     ``p`` itself carries an irrational scale — are kept internally for the
-    lossless lift to the full certificate.
+    lossless lift to the full certificate, with the values ``(a, b,
+    gamma)`` they were computed from, in their field.
     """
 
     p: tuple[float, ...]
@@ -171,8 +185,7 @@ class PellPair:
     p2: tuple = field(repr=False)
     pq: tuple = field(repr=False)
     q2: tuple = field(repr=False)
-    gamma_exact: object = field(repr=False)
-    mode: str = field(repr=False)
+    values: tuple = field(repr=False)
 
     def __iter__(self):
         yield list(self.p)
@@ -240,23 +253,18 @@ def pell_construct(E: BoundaryEllipse, gamma, n: int, eps: float | None = None) 
         )
     variant, start, size, m = _periodic_layout(n)
     order = 2 * n + 6
-    mode, (fa, fb, fg) = _coerce_field(E.a, E.b, gamma)
-    if mode == "fraction":
-        return _construct_exact(E, fa, fb, fg, n, variant, start, size, m, mode)
-    with localcontext(_decimal_context()):
-        if mode == "float":
-            fa, fb, fg = Decimal(fa), Decimal(fb), Decimal(fg)
-        dg = _newton_polish(fa, fb, fg, order, variant, start, size)
-        if abs(dg - fg) > Decimal("1e-6") * max(Decimal(1), abs(dg)):
-            raise NoCertificate(
-                f"gamma={gamma!r} is not within polishing range of a period-{n} caustic"
-            )
-        return _construct_exact(E, fa, fb, dg, n, variant, start, size, m, "decimal")
+    values = _polished_field(E, gamma, variant, start, size, order)
+    if values is None:
+        raise NoCertificate(
+            f"gamma={gamma!r} is not within polishing range of a period-{n} caustic"
+        )
+    with polys.field_context(values[2]):
+        return _construct_exact(E, values, n, variant, start, size, m, order)
 
 
-def _construct_exact(E, a, b, g, n, variant, start, size, m, mode) -> PellPair:
+def _construct_exact(E, values, n, variant, start, size, m, order) -> PellPair:
     """Shared exact/decimal pipeline once the scalar field is fixed."""
-    order = 2 * n + 6
+    a, b, g = values
     S = _ladder(a, b, g, variant, order)
     v = polys.nullspace_vector(_toeplitz(S, start, size, size))
     d2 = len(v) - 1
@@ -272,7 +280,7 @@ def _construct_exact(E, a, b, g, n, variant, start, size, m, mode) -> PellPair:
     qq = [c / lead2 for c in polys.pmul(rev_q, rev_q)]
     if n % 2 == 0:
         p2, pq, q2 = pp, pq_, qq
-        scale_p = 1 / abs(_to_float(lead))
+        scale_p = 1 / abs(float(lead))
         scale_q = scale_p
     else:
         eps_sign = 1 if g > 0 else -1
@@ -280,29 +288,24 @@ def _construct_exact(E, a, b, g, n, variant, start, size, m, mode) -> PellPair:
         p2 = [c * g_abs for c in pp]
         pq = [c * eps_sign for c in pq_]
         q2 = [c / g_abs for c in qq]
-        sg = math.sqrt(abs(_to_float(g)))
-        scale_p = sg / abs(_to_float(lead))
-        scale_q = 1 / (sg * abs(_to_float(lead)))
-        if _to_float(g) < 0:
+        sg = math.sqrt(abs(float(g)))
+        scale_p = sg / abs(float(lead))
+        scale_q = 1 / (sg * abs(float(lead)))
+        if float(g) < 0:
             scale_p = -scale_p  # p = rev_p * g / (sqrt|g| |lead|)
-    p_float = tuple(_to_float(c) * scale_p for c in rev_p)
-    q_float = tuple(_to_float(c) * scale_q for c in rev_q)
+    p_float = tuple(float(c) * scale_p for c in rev_p)
+    q_float = tuple(float(c) * scale_q for c in rev_q)
     return PellPair(
         p=p_float,
         q=q_float,
         n=n,
-        gamma=_to_float(g),
+        gamma=float(g),
         ellipse=E,
         p2=tuple(p2),
         pq=tuple(pq),
         q2=tuple(q2),
-        gamma_exact=g,
-        mode=mode,
+        values=values,
     )
-
-
-def _to_float(x) -> float:
-    return float(x)
 
 
 def pell_lift(
@@ -322,14 +325,9 @@ def pell_lift(
     derived from the band counts.
     """
     n = pair.n
-    g = pair.gamma_exact
+    a, b, g = pair.values
     one = g / g
-    if pair.mode == "decimal":
-        ctx = localcontext(_decimal_context())
-    else:
-        ctx = _nullcontext()
-    with ctx:
-        ia, ib = _field_like(pair.ellipse.a, g), _field_like(pair.ellipse.b, g)
+    with polys.field_context(g):
         if n % 2 == 0:
             ph = polys.padd(polys.pscale(pair.p2, 2), [-one])
         else:
@@ -339,8 +337,8 @@ def pell_lift(
             )
         qh = polys.pscale(pair.pq, 2)
         e4 = polys.pmul(
-            polys.pmul([0 * one, one], [-1 / ia, one]),
-            polys.pmul([1 / ib, one], [-1 / g, one]),
+            polys.pmul([0 * one, one], [-1 / a, one]),
+            polys.pmul([1 / b, one], [-1 / g, one]),
         )
         res_poly = polys.psub(
             polys.psub(polys.pmul(ph, ph), polys.pmul(e4, polys.pmul(qh, qh))), [one]
@@ -351,8 +349,7 @@ def pell_lift(
         raise CertificateInvalid(
             f"Pell identity residual {float(residual):.3e} exceeds {tol:.1e}"
         )
-    a, b = float(pair.ellipse.a), float(pair.ellipse.b)
-    cs = _band_endpoints(a, b, pair.gamma)
+    cs = _band_endpoints(float(pair.ellipse.a), float(pair.ellipse.b), pair.gamma)
     ph_f = [float(c) for c in ph]
     qh_f = [float(c) for c in qh]
     tau1, tau2, eq_points = _bands_and_equioscillation(ph_f, qh_f, cs)
@@ -366,28 +363,12 @@ def pell_lift(
         c=cs,
         p_hat=tuple(ph_f),
         q_hat=tuple(qh_f),
-        residual=residual if isinstance(residual, Fraction) else float(residual),
+        residual=residual if polys.is_exact(residual) else float(residual),
         tau1=tau1,
         tau2=tau2,
         partition=(n, n1),
         equioscillation=tuple(eq_points),
     )
-
-
-class _nullcontext:
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
-
-
-def _field_like(x, template):
-    if isinstance(template, Fraction):
-        return Fraction(x)
-    if isinstance(template, Decimal):
-        return Decimal(float(x))
-    return float(x)
 
 
 def _bands_and_equioscillation(
@@ -465,86 +446,53 @@ def elliptic_pell_check(E: BoundaryEllipse, gamma, n: int, case: str, eps: float
             f"case mismatch: gamma={float(gamma)!r} tests as {verdict.case!r}, not {case!r}"
         )
     ladder = ELLIPTIC_CASES[(parity, case)]
-    start, size, d1, d2 = _elliptic_layout(n, ladder)
+    start, size, d1, d2 = _elliptic_layout(n)
     order = 2 * n + 6
-    mode, (fa, fb, fg) = _coerce_field(E.a, E.b, gamma)
-    if mode == "fraction":
-        return _elliptic_residual(fa, fb, fg, n, case, ladder, start, size, d1, d2, order)
-    with localcontext(_decimal_context()):
-        if mode == "float":
-            fa, fb, fg = Decimal(fa), Decimal(fb), Decimal(fg)
-        dg = _newton_polish(fa, fb, fg, order, ladder, start, size)
-        if abs(dg - fg) > Decimal("1e-6") * max(Decimal(1), abs(dg)):
-            raise DomainError(
-                f"gamma={gamma!r} is not within polishing range of the case-{case} condition"
-            )
-        res = _elliptic_residual(fa, fb, dg, n, case, ladder, start, size, d1, d2, order)
-    return float(res)
+    values = _polished_field(E, gamma, ladder, start, size, order)
+    if values is None:
+        raise DomainError(
+            f"gamma={gamma!r} is not within polishing range of the case-{case} condition"
+        )
+    with polys.field_context(values[2]):
+        res = _elliptic_residual(*values, parity, ladder, start, size, d1, d2, order)
+    return res if polys.is_exact(res) else float(res)
 
 
-def _elliptic_residual(a, b, g, n, case, ladder, start, size, d1, d2, order):
+#: The elliptic case identities ``P p**2 - Q q**2 = target`` by (parity,
+#: ladder): the squared scales of ``p`` and ``q`` (rational in ``a, b,
+#: gamma``), the factors of ``P`` and of ``Q`` as letters for ``s``,
+#: ``A = s - 1/a``, ``B = s + 1/b`` and ``G = s - 1/gamma``, and the target.
+_CASE_IDENTITIES = {
+    ("even", "D"): (lambda a, b, g: (a * a * b * g, b * g), "sA", "BG", 1),
+    ("even", "E"): (lambda a, b, g: (-(b * b) * a * g, -(a * g)), "sB", "AG", 1),
+    ("even", "C"): (lambda a, b, g: (g * g * a * b, a * b), "sG", "AB", 1),
+    ("odd", "E"): (lambda a, b, g: (b, 1 / b), "B", "sAG", 1),
+    ("odd", "D"): (lambda a, b, g: (a, 1 / a), "A", "sBG", -1),
+}
+
+
+def _elliptic_residual(a, b, g, parity, ladder, start, size, d1, d2, order):
     one = a / a
     S = _ladder(a, b, g, ladder, order)
     v = polys.nullspace_vector(_toeplitz(S, start, size, size))
     ph = _trunc_product(v, S, d1)
     rev_p = [ph[d1 - i] for i in range(d1 + 1)]
     rev_q = [v[d2 - i] for i in range(d2 + 1)]
-    if n % 2 == 0:
-        lead = v[d2]
-    else:
-        lead = ph[d1]
+    lead = v[d2] if parity == "even" else ph[d1]
     if lead == 0:
         raise CertificateInvalid("degenerate elliptic certificate: zero normalizer")
     l2 = lead * lead
     pp = [c / l2 for c in polys.pmul(rev_p, rev_p)]
     qq = [c / l2 for c in polys.pmul(rev_q, rev_q)]
-    # squared scale factors (rational): p2 = sp2 * pp, q2 = sq2 * qq
-    if n % 2 == 0:
-        if case == "a":
-            sp2, sq2 = a * a * b * g, b * g
-        elif case == "b":
-            sp2, sq2 = -(b * b) * a * g, -(a * g)
-        else:  # case c
-            sp2, sq2 = g * g * a * b, a * b
-    else:
-        if ladder == "E":
-            sp2, sq2 = b, 1 / b
-        else:
-            sp2, sq2 = a, 1 / a
+    scales, p_factors, q_factors, target = _CASE_IDENTITIES[(parity, ladder)]
+    sp2, sq2 = scales(a, b, g)
     p2 = [c * sp2 for c in pp]
     q2 = [c * sq2 for c in qq]
-    A = [-1 / a, one]
-    Bp = [1 / b, one]
-    G = [-1 / g, one]
-    s_ = [0 * one, one]
-    if n % 2 == 0:
-        if case == "a":
-            lhs = polys.psub(
-                polys.pmul(polys.pmul(s_, A), p2), polys.pmul(polys.pmul(Bp, G), q2)
-            )
-            target = [one]
-        elif case == "b":
-            lhs = polys.psub(
-                polys.pmul(polys.pmul(s_, Bp), p2), polys.pmul(polys.pmul(A, G), q2)
-            )
-            target = [one]
-        else:
-            lhs = polys.psub(
-                polys.pmul(polys.pmul(s_, G), p2), polys.pmul(polys.pmul(A, Bp), q2)
-            )
-            target = [one]
-    else:
-        if ladder == "E":
-            lhs = polys.psub(
-                polys.pmul(Bp, p2), polys.pmul(polys.pmul(s_, polys.pmul(A, G)), q2)
-            )
-            target = [one]
-        else:
-            lhs = polys.psub(
-                polys.pmul(A, p2), polys.pmul(polys.pmul(s_, polys.pmul(Bp, G)), q2)
-            )
-            target = [-one]
-    defect = polys.psub(lhs, target)
+    factor = {"s": [0 * one, one], "A": [-1 / a, one], "B": [1 / b, one], "G": [-1 / g, one]}
+    P = reduce(polys.pmul, (factor[f] for f in p_factors))
+    Q = reduce(polys.pmul, (factor[f] for f in q_factors))
+    lhs = polys.psub(polys.pmul(P, p2), polys.pmul(Q, q2))
+    defect = polys.psub(lhs, [target * one])
     return max(abs(c) for c in defect)
 
 
@@ -760,7 +708,7 @@ def akhiezer_p4(E: BoundaryEllipse, case: str, eps: float | None = None) -> tupl
     else:
         raise DomainError(f"unknown Akhiezer regime {case!r}")
     p4 = polys.padd(polys.pscale(polys.pmul(w, w), 2.0), [-1.0])
-    if isinstance(E.a, (int, Fraction)) and isinstance(E.b, (int, Fraction)):
+    if polys.is_exact(E.a, E.b):
         gamma = _AKHIEZER_GAMMAS[case](E.a, E.b)
     else:
         gamma = float(_AKHIEZER_GAMMAS[case](Fraction(a), Fraction(b)))
@@ -815,13 +763,9 @@ def lightlike_pell_check(E: BoundaryEllipse, m: int, eps: float | None = None):
     """
     if m < 1:
         raise DomainError(f"lightlike_pell_check requires m >= 1, got {m}")
-    exact = isinstance(E.a, (int, Fraction)) and isinstance(E.b, (int, Fraction))
-    if exact:
-        a, b = Fraction(E.a), Fraction(E.b)
-        one = Fraction(1)
-    else:
-        a, b = float(E.a), float(E.b)
-        one = 1.0
+    exact = polys.is_exact(E.a, E.b)
+    a, b = (Fraction(E.a), Fraction(E.b)) if exact else (float(E.a), float(E.b))
+    one = a / a
     h = [(a - b) / (a + b), 2 * a * b / (a + b)]
     ph = polys.pcompose([one * c for c in chebyshev(m)], h)
     num = polys.psub(polys.pmul(ph, ph), [one])

@@ -21,6 +21,7 @@ from typing import Iterator
 
 from .config import resolve_epsilon
 from .errors import DomainError
+from .polys import is_exact
 
 __all__ = [
     "MVec2",
@@ -42,10 +43,6 @@ __all__ = [
     "tangent_line_at",
     "line_through",
 ]
-
-
-def _is_exact(*values) -> bool:
-    return all(isinstance(v, (int, Fraction)) for v in values)
 
 
 @dataclass(frozen=True)
@@ -169,10 +166,6 @@ class BoundaryEllipse:
         """``x**2/a + y**2/b - 1`` (zero on the boundary)."""
         return P.x * P.x / self.a + P.y * P.y / self.b - 1
 
-    def on_boundary(self, P: MVec2, eps: float | None = None) -> bool:
-        """Membership test with absolute tolerance on the residual."""
-        return abs(self.boundary_residual(P)) <= resolve_epsilon(eps)
-
     def touch_x(self) -> float:
         """Abscissa threshold ``a / sqrt(a + b)`` separating the arc types."""
         return float(self.a) / math.sqrt(float(self.a) + float(self.b))
@@ -215,7 +208,7 @@ def vector_type(v: MVec2, eps: float | None = None) -> VectorType:
     if v.x == 0 and v.y == 0:
         raise DomainError("vector_type of the zero vector is undefined")
     q = minkowski_dot(v, v)
-    if _is_exact(v.x, v.y):
+    if is_exact(v.x, v.y):
         if q == 0:
             return VectorType.LightLike
         return VectorType.SpaceLike if q > 0 else VectorType.TimeLike
@@ -294,7 +287,7 @@ def caustic_of_line(L: LineImplicit, E: BoundaryEllipse, eps: float | None = Non
     p, q, r = L.p, L.q, L.r
     num = r * r - E.a * p * p - E.b * q * q
     den = q * q - p * p
-    if _is_exact(p, q, r, E.a, E.b):
+    if is_exact(p, q, r, E.a, E.b):
         if den == 0:
             return ALL_CONICS if num == 0 else math.inf
         return num / den
@@ -316,7 +309,7 @@ def boundary_arc_class(P: MVec2, E: BoundaryEllipse, eps: float | None = None) -
     e = resolve_epsilon(eps)
     if abs(float(E.boundary_residual(P))) > e:
         raise DomainError(f"point ({P.x}, {P.y}) is not on the boundary ellipse")
-    if _is_exact(P.x, P.y, E.a, E.b):
+    if is_exact(P.x, P.y, E.a, E.b):
         s = P.x * P.x * (E.a + E.b) - E.a * E.a
         if s == 0:
             return ArcClass.TouchPoint
@@ -347,7 +340,7 @@ def tangent_line_at(P: MVec2, E: BoundaryEllipse, gamma=0, eps: float | None = N
     res = P.x * P.x / A + P.y * P.y / B - 1
     if abs(float(res)) > e * max(1.0, abs(float(P.x * P.x / A)), abs(float(P.y * P.y / B))):
         raise DomainError(f"point ({P.x}, {P.y}) is not on the conic gamma={gamma}")
-    return LineImplicit(P.x / A, P.y / B, 1 if _is_exact(P.x, P.y, A, B) else 1.0)
+    return LineImplicit(P.x / A, P.y / B, 1 if is_exact(P.x, P.y, A, B) else 1.0)
 
 
 def line_through(P: MVec2, d: MVec2, eps: float | None = None) -> LineImplicit:
@@ -359,7 +352,7 @@ def line_through(P: MVec2, d: MVec2, eps: float | None = None) -> LineImplicit:
     if d.x == 0 and d.y == 0:
         raise DomainError("line direction must be nonzero")
     c = d.y * P.x - d.x * P.y
-    if _is_exact(P.x, P.y, d.x, d.y):
+    if is_exact(P.x, P.y, d.x, d.y):
         if c == 0:
             return LineImplicit(d.y, -d.x, 0)
         return LineImplicit(d.y / c, -d.x / c, 1)

@@ -6,6 +6,13 @@ scalar-generic: it works uniformly for ``int``/``Fraction`` (exact),
 ``decimal.Decimal`` and ``float``.  Resultants and discriminants use a
 Sylvester matrix with fraction-free Bareiss elimination over the integers.
 
+Scalar field: :func:`to_field` puts the scalars of one computation in a
+common field, and :func:`field_context` gives the decimal context to run
+it in.  Exact ``int``/``Fraction`` values stay rational; when any value is
+a ``Decimal`` all of them become 50-digit ``Decimal`` (a ``Fraction`` as
+its 50-digit quotient, a ``float`` exactly); otherwise all become
+``float``.
+
 Exact real roots: the square-free part and its Sturm chain are computed
 once over ``Fraction``, then each is replaced by the primitive integer
 polynomial that is a positive multiple of it, which has the same signs.
@@ -16,6 +23,9 @@ homogeneous Horner sum, with no ``Fraction`` arithmetic per step.
 
 from __future__ import annotations
 
+import math
+from contextlib import nullcontext
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from typing import Callable, Sequence
@@ -23,6 +33,10 @@ from typing import Callable, Sequence
 from .errors import DomainError
 
 __all__ = [
+    "DECIMAL_PRECISION",
+    "is_exact",
+    "to_field",
+    "field_context",
     "trim",
     "degree",
     "padd",
@@ -49,6 +63,46 @@ __all__ = [
 ]
 
 Poly = Sequence
+
+#: Significant digits of ``decimal.Decimal`` arithmetic.
+DECIMAL_PRECISION = 50
+
+_DECIMAL = Context(prec=DECIMAL_PRECISION)
+_NO_CONTEXT = nullcontext()
+
+
+# ---------------------------------------------------------------------------
+# scalar field
+# ---------------------------------------------------------------------------
+
+
+def is_exact(*values) -> bool:
+    """True when every value is an exact rational (``int`` or ``Fraction``)."""
+    for v in values:
+        if not isinstance(v, (int, Fraction)):
+            return False
+    return True
+
+
+def to_field(*values) -> tuple:
+    """The values in their common field: ``Decimal``, ``Fraction`` or ``float``."""
+    for v in values:
+        if isinstance(v, Decimal):
+            with localcontext(_DECIMAL):
+                return tuple(
+                    Decimal(x.numerator) / Decimal(x.denominator)
+                    if isinstance(x, Fraction)
+                    else Decimal(x)
+                    for x in values
+                )
+    if is_exact(*values):
+        return tuple(map(Fraction, values))
+    return tuple(map(float, values))
+
+
+def field_context(x):
+    """Context for arithmetic in the field of ``x``: 50 digits for ``Decimal``."""
+    return localcontext(_DECIMAL) if isinstance(x, Decimal) else _NO_CONTEXT
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +235,7 @@ def poly_sqrt(q: Poly, sqrt: Callable | None = None) -> list:
     if d2 % 2 != 0:
         raise DomainError("perfect-square polynomial must have even degree")
     if sqrt is None:
-        if isinstance(q[-1], Fraction) or isinstance(q[-1], int):
-            sqrt = lambda x: frac_sqrt(Fraction(x))  # noqa: E731
-        else:
-            import math
-
-            sqrt = math.sqrt
+        sqrt = (lambda x: frac_sqrt(Fraction(x))) if is_exact(q[-1]) else math.sqrt
     d = d2 // 2
     c = [0 * q[0]] * (d + 1)
     c[d] = sqrt(q[d2])

@@ -1,6 +1,7 @@
 """Taylor-series and Hankel-determinant periodicity conditions."""
 
 import math
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
@@ -125,3 +126,36 @@ def test_series_variants_agree_on_prefix():
     S12 = cubic_sqrt_series(E, 1.2, 12)
     for a, b in zip(S8.coeffs, S12.coeffs):
         assert a == pytest.approx(b, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "a, b, gamma, kind",
+    [
+        (3, F(2), F(4, 3), Fraction),
+        (F(7, 3), 2, 5, Fraction),
+        (3.0, 2.0, 1.2, float),
+        (3, F(2), 1.2, float),
+        (F(7, 3), 2, Decimal("1.2"), Decimal),
+        (Decimal(3), 2.0, F(4, 3), Decimal),
+    ],
+)
+def test_series_field_follows_the_inputs(a, b, gamma, kind):
+    # exact inputs stay rational, any Decimal input switches to Decimal,
+    # and anything else (a float among them) runs in float
+    B = cubic_sqrt_series(BoundaryEllipse(a, b), gamma, 8)
+    for S in (B, *(divided_series(B, letter) for letter in "CDE")):
+        assert all(type(c) is kind for c in S.scaled), S.variant
+
+
+def test_decimal_series_run_at_50_digits_with_fraction_axes_exact():
+    # a Fraction axis enters the Decimal field as num/den at 50 digits, not
+    # through float, and the series arithmetic keeps all 50 digits
+    B = cubic_sqrt_series(BoundaryEllipse(F(7, 3), 2), Decimal("1.2"), 8)
+    D = divided_series(B, "a-x")
+    with localcontext(Context(prec=50)):
+        a = Decimal(7) / Decimal(3)
+        c1 = (-(1 / a) + 1 / Decimal(2) - 1 / Decimal("1.2")) / 2
+        d0 = 1 / a
+        via_float = 1 / Decimal(7 / 3)
+    assert B.scaled[1] == c1 and D.scaled[0] == d0
+    assert len(d0.as_tuple().digits) == 50 and d0 != via_float

@@ -60,11 +60,16 @@ GOLDEN = Path(__file__).parent / "golden"
         ("solve-n5-decimal", "solve --n 5 --a 2.3 --b 10.4"),
         ("solve-n7-scaled", "solve --n 7 --a 7/1000 --b 3/1000"),
         ("solve-elliptic-n5", "solve --elliptic --n 5 --a 5 --b 6"),
+        ("certify-n3-exact", "certify --a 13 --b 120 --gamma=4680/361 --n 3"),
+        ("certify-n5-snap", "certify --a 74/7 --b 25/9 --gamma=-2.778 --n 5"),
+        # the residual 4.38e-44 holds only if the Pell lift reuses the
+        # Decimal values of the Newton polish, which converted via float
+        ("certify-n9-polish", "certify --a 88/9 --b 16/9 --gamma=0.2140695596515073 --n 9"),
     ],
 )
 def test_solve_output_matches_golden(capsys, name, argv):
-    # tests/golden holds the recorded stdout of each command: solve output
-    # must not change by a single byte
+    # tests/golden holds the recorded stdout of each command: solve and
+    # certify output must not change by a single byte
     rc, out = run(capsys, *argv.split())
     assert rc == 0
     assert out == (GOLDEN / f"{name}.json").read_text()
@@ -78,6 +83,31 @@ def test_non_finite_scalar_exits_2(capsys, option, value):
     assert rc == 2
     doc = json.loads(out)
     assert doc["error"] == "DomainError" and "finite" in doc["message"]
+
+
+@pytest.mark.parametrize(
+    "command, rest",
+    [
+        ("solve", ["--n", "3"]),
+        ("certify", ["--n", "3", "--gamma", "2.3323"]),
+        ("simulate", ["--x0", "1", "--y0", "1", "--dx", "1", "--dy", "0", "--steps", "3"]),
+    ],
+    ids=["solve", "certify", "simulate"],
+)
+@pytest.mark.parametrize(
+    "axes",
+    [
+        ["--a", "-inf", "--b", "2"],
+        ["--a", "1/0", "--b", "2"],
+        ["--a", "abc", "--b", "2"],
+        ["--a", "3"],
+    ],
+    ids=["-inf-token", "zero-denominator", "not-a-number", "missing-option"],
+)
+def test_usage_error_exits_2_with_json(capsys, command, rest, axes):
+    rc, out = run(capsys, command, *axes, *rest)
+    assert rc == 2
+    assert json.loads(out)["error"] == "DomainError"
 
 
 def test_scalar_fraction_parsing(capsys):

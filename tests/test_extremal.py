@@ -1,6 +1,7 @@
 """Pell certificates, rotation numbers and extremal-polynomial identities."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -40,12 +41,24 @@ def test_chebyshev_coefficients_and_identity():
 def test_pell_rational_mode_exact():
     E = BoundaryEllipse(F(2), F(4))
     pair = pell_construct(E, F(4, 3), 4)
-    assert pair.mode == "fraction" and pair.gamma_exact == F(4, 3)
+    assert pair.values == (2, 4, F(4, 3))
+    assert all(type(v) is Fraction for v in pair.values)
     cert = pell_lift(pair)
     assert cert.residual == 0 and isinstance(cert.residual, Fraction)
     assert cert.partition == (4, 2)
     assert (cert.tau1, cert.tau2) == (1, 1)
     assert len(cert.equioscillation) == cert.n + 2
+
+
+def test_pell_lift_reuses_the_decimal_values_of_the_construction():
+    # Fraction axes with a Decimal gamma enter the 50-digit field as exact
+    # quotients; a lift that re-converted them through float would leave a
+    # residual near 1e-13 instead of the 50-digit one
+    E = BoundaryEllipse(F(88, 9), F(16, 9))
+    pair = pell_construct(E, Decimal("0.2140695596515073"), 9)
+    assert all(type(v) is Decimal for v in pair.values)
+    cert = pell_lift(pair, validate_partition=False)
+    assert cert.residual <= 1e-40 and cert.partition == (9, 2)
 
 
 def test_pell_float_mode_odd_period():
