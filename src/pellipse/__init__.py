@@ -18,7 +18,6 @@ cross-validated along at least two of the three routes.
 from .caustics import (
     DISCRIMINANT_IDENTITIES,
     CausticResult,
-    ScanGrid,
     closed_form_caustics,
     discriminant_identity_check,
     elliptic_caustics,
@@ -121,7 +120,6 @@ __all__ = [
     "PellipseError",
     "PeriodicityVerdict",
     "ReflectionUndefined",
-    "ScanGrid",
     "Trajectory",
     "TruncatedSeries",
     "VectorType",

@@ -3,11 +3,17 @@
 For each small period the closure condition on the caustic parameter
 ``gamma`` reduces to a polynomial with coefficients polynomial in the
 squared semi-axes ``(a, b)``.  This module carries those polynomials in
-exact rational arithmetic, isolates their real roots with Sturm sequences,
-filters out spurious roots (degenerate conics, parity violations, lower
-periods) and cross-validates every surviving caustic twice: through the
-Hankel-determinant test and through an actual simulated trajectory that
-must close geometrically.
+exact rational arithmetic (periodic ``n = 3..8``, elliptic ``n = 2..5``).
+All solvers share one path from root to result:
+
+1. a root source yields candidates: the exact real roots of a table
+   (Sturm isolation) or, for other periods, the float scan's roots;
+2. every candidate passes the spurious-root filter (degenerate conics,
+   parity violations) and its source's filter: table roots are
+   deduplicated, scan roots are deduplicated first and lose lower
+   periods, elliptic roots get a case letter; discards keep a reason;
+3. each survivor is cross-validated twice, by the Hankel-determinant (or
+   case) test and by an actual simulated trajectory that must close.
 
 The discriminants of the condition polynomials factor into strikingly
 small closed forms in ``(a, b)``; :func:`discriminant_identity_check`
@@ -20,6 +26,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import polys
 from .cayley import (
@@ -32,16 +39,15 @@ from .cayley import (
     hankel_test,
     is_periodic,
 )
-from .config import resolve_epsilon
-from .dynamics import closure_status, partition_counts, simulate, start_on_caustic
-from .errors import DomainError, PellipseError
+from .dynamics import ClosureStatus, closure_status, retry_on_caustic
+from .errors import DomainError
 from .geometry import ArcClass, BoundaryEllipse, ConicClass, classify_conic
 
 __all__ = [
     "CausticResult",
-    "ScanGrid",
     "closed_form_caustics",
     "periodic_caustics",
+    "table_roots",
     "elliptic_caustics",
     "generic_caustic_scan",
     "discriminant_identity_check",
@@ -285,20 +291,6 @@ class CausticResult:
         }
 
 
-@dataclass(frozen=True)
-class ScanGrid:
-    """Sampling grid for :func:`generic_caustic_scan`.
-
-    ``points`` samples are spread over the admissible ``gamma`` ranges;
-    ``span`` bounds the hyperbola branches (default ``4 (a + b)``).  Roots
-    where the normalized determinant touches zero without changing sign
-    (double roots) are invisible to the sign scan.
-    """
-
-    points: int = 4000
-    span: float | None = None
-
-
 # ---------------------------------------------------------------------------
 # closed forms
 # ---------------------------------------------------------------------------
@@ -332,37 +324,95 @@ def closed_form_caustics(E: BoundaryEllipse, n: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# shared validation helpers
+# root sources: the tables and the float scan
+# ---------------------------------------------------------------------------
+
+#: Sample points of the float scan over the admissible ``gamma`` ranges.
+_SCAN_POINTS = 4000
+
+#: Bound of the scanned hyperbola branches, in units of ``a + b``.
+_SCAN_SPAN = 4.0
+
+
+def _table_roots(E: BoundaryEllipse, factors):
+    """Yield ``(gamma, exact or None, ladder)`` per real root of ``(ladder, builder)`` factors."""
+    a, b = Fraction(E.a), Fraction(E.b)
+    for ladder, builder in factors:
+        coeffs = polys.trim(builder(a, b))
+        if polys.degree(coeffs) >= 1:
+            for root in polys.real_roots(coeffs):
+                yield float(root), polys.rationalize_root(coeffs, root), ladder
+
+
+def _normalized_det(E: BoundaryEllipse, gamma_f: float, n: int) -> float:
+    B = cubic_sqrt_series(E, gamma_f, 2 * n + 2)
+    S = divided_series(B, "C") if n % 2 == 1 else B
+    value = hankel_test(S, n)
+    scale = _hankel_scale(S, n)
+    return float(value) / scale if scale > 0 else float(value)
+
+
+def _scan_roots(E: BoundaryEllipse, n: int):
+    """Yield ``(gamma, None, None)`` per sign change of the normalized determinant."""
+    a, b = float(E.a), float(E.b)
+    span = _SCAN_SPAN * (a + b)
+    delta = 1e-4 * (a + b)
+    segments = [(-b + delta, -delta), (delta, a - delta)]
+    if n % 2 == 0:
+        segments += [(-span, -b - delta), (a + delta, span)]
+    per_seg = max(64, _SCAN_POINTS // len(segments))
+    for lo, hi in segments:
+        if hi <= lo:
+            continue
+        step = (hi - lo) / per_seg
+        prev_x, prev_f = lo, _normalized_det(E, lo, n)
+        for i in range(1, per_seg + 1):
+            x = lo + i * step
+            f = _normalized_det(E, x, n)
+            if prev_f == 0.0:
+                yield prev_x, None, None
+            elif f * prev_f < 0:
+                yield _bisect_det(E, n, prev_x, x, prev_f), None, None
+            prev_x, prev_f = x, f
+
+
+def _bisect_det(E: BoundaryEllipse, n: int, lo: float, hi: float, flo: float) -> float:
+    for _ in range(90):
+        mid = (lo + hi) / 2
+        if mid == lo or mid == hi:
+            break
+        fm = _normalized_det(E, mid, n)
+        if fm == 0.0:
+            return mid
+        if fm * flo < 0:
+            hi = mid
+        else:
+            lo, flo = mid, fm
+    return (lo + hi) / 2
+
+
+# ---------------------------------------------------------------------------
+# candidate filters
 # ---------------------------------------------------------------------------
 
 
-def _sim_closure(E, gamma_f, n, rng, want_sigma=None):
-    """Simulate n steps from a random caustic tangent; classify the closure.
+def _record_discard(discarded, gamma_f: float, reason: str) -> None:
+    if discarded is not None:
+        discarded.append({"gamma": gamma_f, "reason": reason})
 
-    Returns ``(ok, n1, n2)``.  ``want_sigma=None`` demands full periodicity;
-    otherwise the trajectory must close onto the ``want_sigma`` mirror image.
-    Retries a few times: a random start can land too close to a touch point.
-    """
-    for _ in range(6):
-        try:
-            P0, d0 = start_on_caustic(E, gamma_f, rng)
-            T = simulate(P0, d0, n, E)
-            status = closure_status(T, n, 1e-6)
-        except PellipseError:
-            continue
-        if want_sigma is None:
-            if status.tag == "Periodic":
-                n1, n2 = partition_counts(T, n, 1e-6)
-                return True, n1, n2
+
+def _screen(candidates, reason, discarded):
+    """Yield the candidates ``reason`` passes (None); record why the others fail."""
+    for cand in candidates:
+        why = reason(cand[0])
+        if why is None:
+            yield cand
         else:
-            if status.tag == "EllipticPeriodic" and status.sigma == want_sigma:
-                n1 = sum(1 for c in T.arc_classes[:n] if c is ArcClass.RelativisticEllipseArc)
-                n2 = sum(1 for c in T.arc_classes[:n] if c is ArcClass.RelativisticHyperbolaArc)
-                return True, n1, n2
-    return False, None, None
+            _record_discard(discarded, cand[0], why)
 
 
-def _spurious_reason(gamma_f: float, E: BoundaryEllipse, n: int) -> str | None:
+def _spurious_reason(E: BoundaryEllipse, n: int, gamma_f: float) -> str | None:
+    """The spurious-root filter; ``n = 0`` skips the odd-period rule."""
     a, b = float(E.a), float(E.b)
     tol = 1e-9
     if abs(gamma_f) <= tol:
@@ -376,24 +426,99 @@ def _spurious_reason(gamma_f: float, E: BoundaryEllipse, n: int) -> str | None:
     return None
 
 
-def _record_discard(discarded, gamma_f: float, reason: str) -> None:
-    if discarded is not None:
-        discarded.append({"gamma": gamma_f, "reason": reason})
+def _distinct(candidates, rel: float):
+    """Candidates farther than ``rel`` (relative) from every earlier one."""
+    seen: list[float] = []
+    for cand in candidates:
+        if not any(abs(cand[0] - s) <= rel * max(1.0, abs(s)) for s in seen):
+            seen.append(cand[0])
+            yield cand
 
 
-def _root_list(coeffs) -> list[tuple[Fraction, Fraction | None]]:
-    """Real roots of a rational polynomial as (60-digit refinement, exact-or-None)."""
-    coeffs = polys.trim(coeffs)
-    if polys.degree(coeffs) < 1:
-        return []
-    out = []
-    for root in polys.real_roots(coeffs):
-        out.append((root, polys.rationalize_root(coeffs, root)))
-    return out
+def _lower_period(E: BoundaryEllipse, n: int, eps, gamma_f: float) -> str | None:
+    for d in range(3, n):
+        if n % d == 0 and is_periodic(E, gamma_f, d, eps).periodic:
+            return f"already periodic with period {d}"
+    return None
+
+
+def _with_case(E: BoundaryEllipse, n: int, candidates, discarded):
+    """Yield elliptic candidates with the case their ladder admits; discard the rest."""
+    for gamma_f, exact, ladder in candidates:
+        case = next(
+            (c for c, lad in _elliptic_candidates(E, gamma_f, n) if lad == ladder), None
+        )
+        if case is None:
+            reason = f"no elliptic case for a {ladder}-ladder root of this conic class"
+            _record_discard(discarded, gamma_f, reason)
+        else:
+            yield gamma_f, exact, case
 
 
 # ---------------------------------------------------------------------------
-# periodic caustics from the condition polynomials
+# verdict and simulated closure
+# ---------------------------------------------------------------------------
+
+
+def _sim_closure(E, gamma_f, n, rng, want_sigma=None):
+    """Simulate n steps from a random caustic tangent; classify the closure.
+
+    Returns ``(ok, n1, n2)``.  ``want_sigma=None`` demands full periodicity;
+    otherwise the trajectory must close onto the ``want_sigma`` mirror image.
+    """
+    if want_sigma is None:
+        want = ClosureStatus.periodic(n)
+    else:
+        want = ClosureStatus.elliptic(n, want_sigma)
+
+    def counts(T):
+        if closure_status(T, n, 1e-6) != want:
+            return None
+        arcs = T.arc_classes[:n]
+        return arcs.count(ArcClass.RelativisticEllipseArc), arcs.count(
+            ArcClass.RelativisticHyperbolaArc
+        )
+
+    found, _ = retry_on_caustic(E, gamma_f, n, rng, counts)
+    return (False, None, None) if found is None else (True, *found)
+
+
+def _results(E, n, candidates, eps, rng) -> list[CausticResult]:
+    """Verdict and simulated closure of each ``(gamma, exact, case)`` candidate.
+
+    A periodic candidate (``case`` None) needs the Hankel test at period
+    ``n`` and a full closure; an elliptic one needs
+    :func:`~pellipse.cayley.elliptic_case_test` to confirm its case and a
+    closure onto its mirror image under exactly the case symmetry.
+    """
+    rng = random.Random(0) if rng is None else rng
+    results = []
+    for gamma_f, exact, case in candidates:
+        if case is None:
+            verdict, sigma = is_periodic(E, gamma_f, n, eps).periodic, None
+        else:
+            sigma = case_symmetry(case)
+            verdict = elliptic_case_test(E, gamma_f, n, eps).case == case
+        ok, n1, n2 = _sim_closure(E, gamma_f, n, rng, want_sigma=sigma)
+        results.append(
+            CausticResult(
+                gamma=gamma_f,
+                conic=classify_conic(gamma_f, E),
+                n=n,
+                n1=n1,
+                n2=n2,
+                validated=bool(verdict and ok),
+                kind="periodic" if case is None else "elliptic",
+                case=case,
+                sigma=sigma,
+                gamma_exact=exact,
+            )
+        )
+    return sorted(results, key=lambda r: r.gamma)
+
+
+# ---------------------------------------------------------------------------
+# the three solvers
 # ---------------------------------------------------------------------------
 
 
@@ -404,56 +529,35 @@ def periodic_caustics(
     rng: random.Random | None = None,
     discarded: list | None = None,
 ) -> list[CausticResult]:
-    """All new ``n``-periodic caustics, 3 <= n <= 8, doubly validated.
+    """All new ``n``-periodic caustics, any ``n >= 3``, doubly validated.
 
-    Roots of the period-``n`` condition polynomial are isolated exactly;
-    spurious roots (degenerate conic values; hyperbola parameters at odd
-    periods) are dropped, with reasons appended to ``discarded`` when a
-    list is supplied.  Every returned caustic carries the outcome of the
-    Hankel test *and* of an ``n``-step simulated closure (tolerance
-    ``1e-6``) in ``validated``; results are sorted by ``gamma``.  Factors
-    already accounting for shorter periods (the 3-periodic factor inside
-    the period-6 condition, the 4-periodic one inside period 8) are
-    excluded, as is the period-6 factor without real roots.
+    For ``3 <= n <= 8`` the roots of the period-``n`` condition
+    polynomials are isolated exactly; other periods go to
+    :func:`generic_caustic_scan`.  Spurious roots (degenerate conic
+    values; hyperbola parameters at odd periods) are dropped, with
+    reasons appended to ``discarded`` when a list is supplied.  Every
+    returned caustic carries the outcome of the Hankel test *and* of an
+    ``n``-step simulated closure (tolerance ``1e-6``) in ``validated``;
+    results are sorted by ``gamma``.  Factors already accounting for
+    shorter periods (the 3-periodic factor inside the period-6 condition,
+    the 4-periodic one inside period 8) are excluded, as is the period-6
+    factor without real roots.
     """
     if n not in _PERIODIC_NEW:
-        raise DomainError(
-            f"period n={n} out of the closed-form range 3..8; use generic_caustic_scan"
-        )
-    rng = random.Random(0) if rng is None else rng
-    a, b = Fraction(E.a), Fraction(E.b)
-    results: list[CausticResult] = []
-    seen: list[float] = []
-    for builder in _PERIODIC_NEW[n]:
-        for refined, exact in _root_list(builder(a, b)):
-            gamma_f = float(refined)
-            reason = _spurious_reason(gamma_f, E, n)
-            if reason is not None:
-                _record_discard(discarded, gamma_f, reason)
-                continue
-            if any(abs(gamma_f - s) <= 1e-9 * max(1.0, abs(s)) for s in seen):
-                continue
-            seen.append(gamma_f)
-            verdict = is_periodic(E, gamma_f, n, eps)
-            ok, n1, n2 = _sim_closure(E, gamma_f, n, rng)
-            results.append(
-                CausticResult(
-                    gamma=gamma_f,
-                    conic=classify_conic(gamma_f, E),
-                    n=n,
-                    n1=n1,
-                    n2=n2,
-                    validated=bool(verdict.periodic and ok),
-                    kind="periodic",
-                    gamma_exact=exact,
-                )
-            )
-    return sorted(results, key=lambda r: r.gamma)
+        return generic_caustic_scan(E, n, eps=eps, rng=rng, discarded=discarded)
+    return _results(E, n, table_roots(E, n, discarded), eps, rng)
 
 
-# ---------------------------------------------------------------------------
-# elliptic-periodic caustics
-# ---------------------------------------------------------------------------
+def table_roots(E: BoundaryEllipse, n: int, discarded: list | None = None):
+    """Yield the ``(gamma, exact, None)`` candidates :func:`periodic_caustics` validates.
+
+    They are the period-``n`` table roots that pass the spurious-root
+    filter, deduplicated, in table order, found without a Hankel test or
+    a simulation; there are none when ``n`` has no table.
+    """
+    roots = _table_roots(E, [(None, builder) for builder in _PERIODIC_NEW.get(n, ())])
+    roots = _screen(roots, partial(_spurious_reason, E, n), discarded)
+    return _distinct(roots, 1e-9)
 
 
 def elliptic_caustics(
@@ -474,67 +578,14 @@ def elliptic_caustics(
     """
     if n not in _ELLIPTIC_POLYS:
         raise DomainError(f"elliptic closure polynomials cover n in 2..5, got n={n}")
-    rng = random.Random(0) if rng is None else rng
-    a, b = Fraction(E.a), Fraction(E.b)
-    results: list[CausticResult] = []
-    for ladder, builder in _ELLIPTIC_POLYS[n]:
-        for refined, exact in _root_list(builder(a, b)):
-            gamma_f = float(refined)
-            reason = _spurious_reason(gamma_f, E, 0)
-            if reason is not None:
-                _record_discard(discarded, gamma_f, reason)
-                continue
-            case = next(
-                (c for c, lad in _elliptic_candidates(E, gamma_f, n) if lad == ladder), None
-            )
-            if case is None:
-                _record_discard(
-                    discarded,
-                    gamma_f,
-                    f"no elliptic case for a {ladder}-ladder root of this conic class",
-                )
-                continue
-            sigma = case_symmetry(case)
-            verdict = elliptic_case_test(E, gamma_f, n, eps)
-            ok, n1, n2 = _sim_closure(E, gamma_f, n, rng, want_sigma=sigma)
-            results.append(
-                CausticResult(
-                    gamma=gamma_f,
-                    conic=classify_conic(gamma_f, E),
-                    n=n,
-                    n1=n1,
-                    n2=n2,
-                    validated=bool(verdict.case == case and ok),
-                    kind="elliptic",
-                    case=case,
-                    sigma=sigma,
-                    gamma_exact=exact,
-                )
-            )
-    return sorted(results, key=lambda r: r.gamma)
-
-
-# ---------------------------------------------------------------------------
-# generic scan for periods beyond the closed-form tables
-# ---------------------------------------------------------------------------
-
-
-def _normalized_det(E: BoundaryEllipse, gamma_f: float, n: int) -> float:
-    B = cubic_sqrt_series(E, gamma_f, 2 * n + 2)
-    S = divided_series(B, "C") if n % 2 == 1 else B
-    value = hankel_test(S, n)
-    scale = _hankel_scale(S, n)
-    return float(value) / scale if scale > 0 else float(value)
-
-
-def _proper_divisors(n: int) -> list[int]:
-    return [d for d in range(3, n) if n % d == 0]
+    roots = _table_roots(E, _ELLIPTIC_POLYS[n])
+    roots = _screen(roots, partial(_spurious_reason, E, 0), discarded)
+    return _results(E, n, _with_case(E, n, roots, discarded), eps, rng)
 
 
 def generic_caustic_scan(
     E: BoundaryEllipse,
     n: int,
-    grid: ScanGrid | None = None,
     eps: float | None = None,
     rng: random.Random | None = None,
     discarded: list | None = None,
@@ -542,82 +593,18 @@ def generic_caustic_scan(
     """Scan the admissible ``gamma`` ranges for ``n``-periodic caustics.
 
     Floating-point fallback for periods outside the polynomial tables: the
-    row-norm-normalized Hankel determinant is sampled on a grid, sign
-    changes are bisected to roots, and roots belonging to proper-divisor
-    periods are removed.  Survivors are validated like
-    :func:`periodic_caustics`.  Sign scanning cannot see double roots.
+    row-norm-normalized Hankel determinant is sampled at 4000 points (the
+    hyperbola branches up to ``4 (a + b)``), sign changes are bisected to
+    roots, and roots belonging to proper-divisor periods are removed.
+    Survivors are validated like :func:`periodic_caustics`.  Sign scanning
+    cannot see double roots.
     """
     if n < 3:
-        raise DomainError(f"caustic scan requires n >= 3, got {n}")
-    grid = grid if grid is not None else ScanGrid()
-    rng = random.Random(0) if rng is None else rng
-    a, b = float(E.a), float(E.b)
-    span = grid.span if grid.span is not None else 4.0 * (a + b)
-    delta = 1e-4 * (a + b)
-    segments = [(-b + delta, -delta), (delta, a - delta)]
-    if n % 2 == 0:
-        segments += [(-span, -b - delta), (a + delta, span)]
-    per_seg = max(64, grid.points // len(segments))
-    roots: list[float] = []
-    for lo, hi in segments:
-        if hi <= lo:
-            continue
-        step = (hi - lo) / per_seg
-        prev_x, prev_f = lo, _normalized_det(E, lo, n)
-        for i in range(1, per_seg + 1):
-            x = lo + i * step
-            f = _normalized_det(E, x, n)
-            if prev_f == 0.0:
-                roots.append(prev_x)
-            elif f * prev_f < 0:
-                roots.append(_bisect_det(E, n, prev_x, x, prev_f))
-            prev_x, prev_f = x, f
-    out: list[CausticResult] = []
-    seen: list[float] = []
-    for gamma_f in roots:
-        if any(abs(gamma_f - s) <= 1e-7 * max(1.0, abs(s)) for s in seen):
-            continue
-        seen.append(gamma_f)
-        reason = _spurious_reason(gamma_f, E, n)
-        if reason is not None:
-            _record_discard(discarded, gamma_f, reason)
-            continue
-        lower = next(
-            (d for d in _proper_divisors(n) if is_periodic(E, gamma_f, d, eps).periodic),
-            None,
-        )
-        if lower is not None:
-            _record_discard(discarded, gamma_f, f"already periodic with period {lower}")
-            continue
-        verdict = is_periodic(E, gamma_f, n, eps)
-        ok, n1, n2 = _sim_closure(E, gamma_f, n, rng)
-        out.append(
-            CausticResult(
-                gamma=gamma_f,
-                conic=classify_conic(gamma_f, E),
-                n=n,
-                n1=n1,
-                n2=n2,
-                validated=bool(verdict.periodic and ok),
-                kind="periodic",
-            )
-        )
-    return sorted(out, key=lambda r: r.gamma)
-
-
-def _bisect_det(E: BoundaryEllipse, n: int, lo: float, hi: float, flo: float) -> float:
-    for _ in range(90):
-        mid = (lo + hi) / 2
-        if mid == lo or mid == hi:
-            break
-        fm = _normalized_det(E, mid, n)
-        if fm == 0.0:
-            return mid
-        if fm * flo < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return (lo + hi) / 2
+        raise DomainError(f"periodic caustics require n >= 3, got n={n}")
+    roots = _distinct(_scan_roots(E, n), 1e-7)
+    roots = _screen(roots, partial(_spurious_reason, E, n), discarded)
+    roots = _screen(roots, partial(_lower_period, E, n, eps), discarded)
+    return _results(E, n, roots, eps, rng)
 
 
 # ---------------------------------------------------------------------------

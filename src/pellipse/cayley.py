@@ -328,6 +328,15 @@ def _det_is_zero(S: TruncatedSeries, n: int, value, eps: float) -> bool:
     return abs(float(value)) <= eps * _hankel_scale(S, n)
 
 
+def _periodic_verdict(E: BoundaryEllipse, gamma, n: int, B: TruncatedSeries, e: float) -> PeriodicityVerdict:
+    """Hankel verdict at period ``n`` from the base series ``B`` of order ``2n+2``."""
+    S, variant = (divided_series(B, "C"), "C") if n % 2 == 1 else (B, "B")
+    value = hankel_test(S, n)
+    zero = _det_is_zero(S, n, value, e)
+    structural = n % 2 == 0 or classify_conic(gamma, E) is ConicClass.EllipseOfFamily
+    return PeriodicityVerdict(bool(zero and structural), value, variant, n)
+
+
 def is_periodic(E: BoundaryEllipse, gamma, n: int, eps: float | None = None) -> PeriodicityVerdict:
     """Hankel test for an ``n``-periodic trajectory with caustic ``gamma``.
 
@@ -337,20 +346,8 @@ def is_periodic(E: BoundaryEllipse, gamma, n: int, eps: float | None = None) -> 
     """
     if n < 3:
         raise DomainError(f"periodicity test requires n >= 3, got {n}")
-    e = resolve_epsilon(eps)
-    _check_gamma(E, gamma, e)
-    conic = classify_conic(gamma, E)
     B = cubic_sqrt_series(E, gamma, 2 * n + 2, eps)
-    if n % 2 == 1:
-        S = divided_series(B, "C")
-        variant = "C"
-    else:
-        S = B
-        variant = "B"
-    value = hankel_test(S, n)
-    zero = _det_is_zero(S, n, value, e)
-    structural = n % 2 == 0 or conic is ConicClass.EllipseOfFamily
-    return PeriodicityVerdict(bool(zero and structural), value, variant, n)
+    return _periodic_verdict(E, gamma, n, B, resolve_epsilon(eps))
 
 
 def elliptic_case_test(E: BoundaryEllipse, gamma, n: int, eps: float | None = None) -> EllipticVerdict:
@@ -363,16 +360,17 @@ def elliptic_case_test(E: BoundaryEllipse, gamma, n: int, eps: float | None = No
     ``b`` (ellipse, ``gamma < 0``, ladder ``D``) and the hyperbola cases
     ``d`` (ladder ``E``) and ``e`` (ladder ``D``).  A ``gamma`` that is
     fully ``n``-periodic reports ``none``, as does one matching no case.
+    One series of order ``2n+2`` serves the periodicity test and every
+    ladder.
     """
     if n < 2:
         raise DomainError(f"elliptic closure test requires n >= 2, got {n}")
     e = resolve_epsilon(eps)
-    _check_gamma(E, gamma, e)
+    B = cubic_sqrt_series(E, gamma, 2 * n + 2, eps)
     if n >= 3:
-        pv = is_periodic(E, gamma, n, eps)
+        pv = _periodic_verdict(E, gamma, n, B, e)
         if pv.periodic:
             return EllipticVerdict("none", pv.determinant_value)
-    B = cubic_sqrt_series(E, gamma, 2 * n + 2, eps)
     best: EllipticVerdict | None = None
     for case, letter in _elliptic_candidates(E, gamma, n):
         S = divided_series(B, letter)

@@ -35,8 +35,8 @@ from .caustics import (
     DISCRIMINANT_IDENTITIES,
     discriminant_identity_check,
     elliptic_caustics,
-    generic_caustic_scan,
     periodic_caustics,
+    table_roots,
 )
 from .dynamics import closure_status, simulate
 from .errors import (
@@ -101,22 +101,15 @@ def _emit(doc: dict) -> None:
 def cmd_solve(args: argparse.Namespace) -> int:
     E = BoundaryEllipse(args.a, args.b)
     discarded: list = []
-    if args.elliptic:
-        results = elliptic_caustics(E, args.n, discarded=discarded)
-        kind = "elliptic"
-    elif args.n <= 8:
-        results = periodic_caustics(E, args.n, discarded=discarded)
-        kind = "periodic"
-    else:
-        results = generic_caustic_scan(E, args.n, discarded=discarded)
-        kind = "periodic"
+    solver = elliptic_caustics if args.elliptic else periodic_caustics
+    results = solver(E, args.n, discarded=discarded)
     _emit(
         {
             "command": "solve",
             "a": float(E.a),
             "b": float(E.b),
             "n": args.n,
-            "kind": kind,
+            "kind": "elliptic" if args.elliptic else "periodic",
             "caustics": [r.to_jsonable() for r in results],
             "discarded": discarded,
         }
@@ -160,23 +153,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _snap_gamma(E: BoundaryEllipse, gamma, n: int):
-    """Snap an inexact gamma to the nearest known caustic root.
+    """Snap an inexact gamma to a root of the period-``n`` condition.
 
     Floating-point inputs are typically 4-digit figure captions; the
     construction itself needs the root to full precision, so an input
-    within 1e-3 (relative) of a period-``n`` root is replaced by that
-    root (the exact rational one when available).  Exact rational inputs
-    are passed through untouched.
+    within 1e-3 (relative) of a period-``n`` table root is replaced by
+    that root (the exact rational one when available).  The roots are
+    tried in ascending order and the first within tolerance wins, which
+    need not be the nearest one.  They come from
+    :func:`~pellipse.caustics.table_roots`, without a Hankel test or a
+    simulation.  Exact rational inputs, and periods without a table, are
+    passed through untouched.
     """
-    if is_exact(gamma) or not 3 <= n <= 8:
+    if is_exact(gamma):
         return gamma
-    try:
-        candidates = periodic_caustics(E, n)
-    except DomainError:
-        return gamma
-    for r in candidates:
-        if abs(gamma - r.gamma) <= 1e-3 * max(1.0, abs(r.gamma)):
-            return r.gamma_exact if r.gamma_exact is not None else r.gamma
+    for root, exact, _ in sorted(table_roots(E, n), key=lambda c: c[0]):
+        if abs(gamma - root) <= 1e-3 * max(1.0, abs(root)):
+            return root if exact is None else exact
     return gamma
 
 

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .config import resolve_epsilon
-from .errors import CausticDrift, DegenerateChord, DomainError, ReflectionUndefined
+from .errors import CausticDrift, DegenerateChord, DomainError, PellipseError, ReflectionUndefined
 from .geometry import (
     ALL_CONICS,
     ArcClass,
@@ -44,6 +44,7 @@ __all__ = [
     "closure_status",
     "partition_counts",
     "start_on_caustic",
+    "retry_on_caustic",
 ]
 
 #: Names of the three axial symmetries used by elliptic closure.
@@ -367,3 +368,24 @@ def start_on_caustic(
             continue  # too close to a touch point for stable reflection
         return P0, MVec2(P1.x - P0.x, P1.y - P0.y)
     raise DomainError(f"no admissible tangent line found for gamma={gamma}")
+
+
+def retry_on_caustic(E: BoundaryEllipse, gamma, n: int, rng: random.Random, read):
+    """``(value, last_error)`` of up to 6 tries to ``read`` an ``n``-step trajectory.
+
+    Each try starts on a fresh random tangent of the caustic ``gamma``.
+    ``read`` returns ``None``, or raises :class:`PellipseError`, to try
+    again (a random start can land too close to a touch point); the value
+    is ``None`` when every try failed.
+    """
+    last = None
+    for _ in range(6):
+        try:
+            P0, d0 = start_on_caustic(E, gamma, rng)
+            value = read(simulate(P0, d0, n, E))
+        except PellipseError as exc:
+            last = exc
+            continue
+        if value is not None:
+            return value, last
+    return None, last

@@ -36,8 +36,8 @@ import numpy as np
 from . import polys
 from .cayley import ELLIPTIC_CASES, _ladder, elliptic_case_test, is_periodic
 from .config import resolve_epsilon
-from .dynamics import partition_counts, simulate, start_on_caustic
-from .errors import CertificateInvalid, DomainError, NoCertificate, PellipseError
+from .dynamics import partition_counts, retry_on_caustic
+from .errors import CertificateInvalid, DomainError, NoCertificate
 from .geometry import BoundaryEllipse
 
 __all__ = [
@@ -400,19 +400,14 @@ def _bands_and_equioscillation(
 
 
 def _simulated_partition(E: BoundaryEllipse, gamma: float, n: int, seed: int) -> int:
-    rng = random.Random(seed)
-    last: Exception | None = None
-    for _ in range(6):
-        try:
-            P0, d0 = start_on_caustic(E, gamma, rng)
-            T = simulate(P0, d0, n, E)
-            n1, _ = partition_counts(T, n, 1e-6)
-            return n1
-        except PellipseError as exc:  # retry with a fresh tangent line
-            last = exc
-    raise CertificateInvalid(
-        f"validation trajectory failed to close for gamma={gamma}: {last}"
+    n1, last = retry_on_caustic(
+        E, gamma, n, random.Random(seed), lambda T: partition_counts(T, n, 1e-6)[0]
     )
+    if n1 is None:
+        raise CertificateInvalid(
+            f"validation trajectory failed to close for gamma={gamma}: {last}"
+        )
+    return n1
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,6 @@ from pellipse import (
     BoundaryEllipse,
     ConicClass,
     DISCRIMINANT_IDENTITIES,
-    ScanGrid,
     closed_form_caustics,
     discriminant_identity_check,
     elliptic_caustics,

@@ -17,7 +17,7 @@ from pellipse import (
     case_symmetry,
 )
 from pellipse.errors import DomainError, InsufficientOrder
-from pellipse import polys
+from pellipse import cayley, polys
 
 F = Fraction
 
@@ -103,6 +103,24 @@ def test_elliptic_case_test_odd_fixture():
     r = 0.8 * math.sqrt(6)
     assert elliptic_case_test(E, -1.2 - r, 3).case == "d"
     assert elliptic_case_test(E, -1.2 + r, 3).case == "a"
+
+
+def test_elliptic_case_test_builds_one_series(monkeypatch):
+    # the periodicity test and every ladder share one order-2n+2 series,
+    # and gamma is checked against the degenerate values once
+    calls = {"series": 0, "check": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(cayley, "cubic_sqrt_series", counted("series", cayley.cubic_sqrt_series))
+    monkeypatch.setattr(cayley, "_check_gamma", counted("check", cayley._check_gamma))
+    assert elliptic_case_test(BoundaryEllipse(6, 3), -1.2 - 0.8 * math.sqrt(6), 3).case == "d"
+    assert calls == {"series": 1, "check": 1}
 
 
 def test_fully_periodic_is_not_elliptic():

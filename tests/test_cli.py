@@ -1,10 +1,12 @@
 """End-to-end command-line interface behaviour."""
 
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from pellipse import BoundaryEllipse, caustics, cli
 from pellipse.cli import main
 
 
@@ -60,6 +62,12 @@ GOLDEN = Path(__file__).parent / "golden"
         ("solve-n5-decimal", "solve --n 5 --a 2.3 --b 10.4"),
         ("solve-n7-scaled", "solve --n 7 --a 7/1000 --b 3/1000"),
         ("solve-elliptic-n5", "solve --elliptic --n 5 --a 5 --b 6"),
+        # the float scan: "already periodic with period 3" discards
+        ("solve-n9-scan", "solve --n 9 --a 3 --b 2"),
+        # the float scan at an even period: hyperbola caustics
+        ("solve-n10-hyperbola", "solve --n 10 --a 41/7 --b 7/2"),
+        # elliptic hyperbola cases d and e
+        ("solve-elliptic-n3", "solve --elliptic --n 3 --a 6 --b 3"),
         ("certify-n3-exact", "certify --a 13 --b 120 --gamma=4680/361 --n 3"),
         ("certify-n5-snap", "certify --a 74/7 --b 25/9 --gamma=-2.778 --n 5"),
         # the residual 4.38e-44 holds only if the Pell lift reuses the
@@ -73,6 +81,31 @@ def test_solve_output_matches_golden(capsys, name, argv):
     rc, out = run(capsys, *argv.split())
     assert rc == 0
     assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_snap_needs_no_validation(monkeypatch):
+    # the snap only needs the roots of the condition polynomial: no
+    # Hankel test and no simulated closure
+    calls = []
+
+    def counted(name):
+        fn = getattr(caustics, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(caustics, name, wrapper)
+
+    counted("_sim_closure")
+    counted("is_periodic")
+    E = BoundaryEllipse(Fraction(74, 7), Fraction(25, 9))
+    snapped = cli._snap_gamma(E, -2.778, 5)
+    assert calls == []
+    assert snapped == pytest.approx(-2.778, abs=1e-3) and snapped != -2.778
+    # periods without a table and exact inputs pass through
+    assert cli._snap_gamma(E, -2.778, 9) == -2.778
+    assert cli._snap_gamma(E, Fraction(-2778, 1000), 5) == Fraction(-2778, 1000)
 
 
 @pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from pellipse import BoundaryEllipse, MVec2, periodic_caustics, simulate
-from pellipse.extremal import start_on_caustic
+from pellipse.dynamics import start_on_caustic
 from pellipse.svgfig import render_trajectory_svg
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
