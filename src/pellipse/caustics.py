@@ -32,9 +32,9 @@ from . import polys
 from .cayley import (
     _elliptic_candidates,
     _hankel_scale,
+    _periodic_series,
     case_symmetry,
     cubic_sqrt_series,
-    divided_series,
     elliptic_case_test,
     hankel_test,
     is_periodic,
@@ -346,7 +346,7 @@ def _table_roots(E: BoundaryEllipse, factors):
 
 def _normalized_det(E: BoundaryEllipse, gamma_f: float, n: int) -> float:
     B = cubic_sqrt_series(E, gamma_f, 2 * n + 2)
-    S = divided_series(B, "C") if n % 2 == 1 else B
+    S = _periodic_series(B, n)
     value = hankel_test(S, n)
     scale = _hankel_scale(S, n)
     return float(value) / scale if scale > 0 else float(value)

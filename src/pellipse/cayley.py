@@ -256,29 +256,38 @@ def divided_series(B: TruncatedSeries, divisor: str) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 
 
+def _periodic_ladder(n: int) -> str:
+    """The ladder whose Hankel block tests ``n``-periodicity: ``C`` for odd ``n``, else ``B``."""
+    return "C" if n % 2 == 1 else "B"
+
+
+def _periodic_series(B: TruncatedSeries, n: int) -> TruncatedSeries:
+    """The series on the periodic ladder at ``n``, from the base series ``B``."""
+    ladder = _periodic_ladder(n)
+    return B if ladder == "B" else divided_series(B, ladder)
+
+
 def _hankel_layout(variant: str, n: int) -> tuple[int, int]:
-    """(start, size) of the Hankel block testing closure at period ``n``."""
+    """(start, size) of the closure block at period ``n``; certificates share it."""
     if variant == "B":
         if n % 2 != 0 or n < 4:
             raise DomainError("variant B tests even periods n >= 4")
         return 3, n // 2 - 1
-    if variant == "C":
-        if n % 2 == 1:
-            if n < 3:
-                raise DomainError("variant C tests odd periods n >= 3")
-            return 2, (n - 1) // 2
-        if n < 2:
-            raise DomainError("variant C (elliptic) tests even n >= 2")
-        return 1, n // 2
-    if variant in ("D", "E"):
-        if n % 2 == 0:
-            if n < 2:
-                raise DomainError("elliptic ladders test n >= 2")
-            return 1, n // 2
-        if n < 3:
-            raise DomainError("elliptic ladders test odd n >= 3")
-        return 2, (n - 1) // 2
-    raise DomainError(f"unknown series variant {variant!r}")
+    if variant not in _LADDERS:
+        raise DomainError(f"unknown series variant {variant!r}")
+    if n < 2:
+        raise DomainError(f"ladder {variant} tests periods n >= 2")
+    return 1 + n % 2, n // 2
+
+
+def _hankel_block(scaled, ladder: str, n: int) -> list[list]:
+    """The Hankel block ``M[i][j] = scaled[start + i + j]`` of ``ladder`` at period ``n``."""
+    start, size = _hankel_layout(ladder, n)
+    if len(scaled) < n:  # every block ends at coefficient n - 1
+        raise InsufficientOrder(
+            f"series order {len(scaled) - 1} < {n - 1} required for variant {ladder}, n={n}"
+        )
+    return [[scaled[start + i + j] for j in range(size)] for i in range(size)]
 
 
 def hankel_test(S: TruncatedSeries, n: int, eps: float | None = None):
@@ -290,13 +299,7 @@ def hankel_test(S: TruncatedSeries, n: int, eps: float | None = None):
     the zero locus is identical.  Raises :class:`InsufficientOrder` when
     the series is shorter than ``n - 1``.
     """
-    start, size = _hankel_layout(S.variant, n)
-    need = start + 2 * (size - 1)
-    if S.order < need:
-        raise InsufficientOrder(
-            f"series order {S.order} < {need} required for variant {S.variant}, n={n}"
-        )
-    m = [[S.scaled[start + i + j] for j in range(size)] for i in range(size)]
+    m = _hankel_block(S.scaled, S.variant, n)
     with polys.field_context(m[0][0]):
         return polys.det(m)
 
@@ -330,11 +333,11 @@ def _det_is_zero(S: TruncatedSeries, n: int, value, eps: float) -> bool:
 
 def _periodic_verdict(E: BoundaryEllipse, gamma, n: int, B: TruncatedSeries, e: float) -> PeriodicityVerdict:
     """Hankel verdict at period ``n`` from the base series ``B`` of order ``2n+2``."""
-    S, variant = (divided_series(B, "C"), "C") if n % 2 == 1 else (B, "B")
+    S = _periodic_series(B, n)
     value = hankel_test(S, n)
     zero = _det_is_zero(S, n, value, e)
     structural = n % 2 == 0 or classify_conic(gamma, E) is ConicClass.EllipseOfFamily
-    return PeriodicityVerdict(bool(zero and structural), value, variant, n)
+    return PeriodicityVerdict(bool(zero and structural), value, S.variant, n)
 
 
 def is_periodic(E: BoundaryEllipse, gamma, n: int, eps: float | None = None) -> PeriodicityVerdict:

@@ -28,7 +28,15 @@ class DomainError(PellipseError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class ReflectionUndefined(PellipseError):
+class _StepError(PellipseError):
+    """A failure at step ``step`` (``None`` if unknown) of a simulated trajectory."""
+
+    def __init__(self, message: str, step: int | None = None) -> None:
+        super().__init__(message)
+        self.step = step
+
+
+class ReflectionUndefined(_StepError):
     """Reflection attempted across a light-like mirror line.
 
     The Minkowski reflection ``v' = 2 <v,d>/<d,d> d - v`` has the squared
@@ -38,12 +46,8 @@ class ReflectionUndefined(PellipseError):
     four boundary points whose tangent line is light-like.
     """
 
-    def __init__(self, message: str, step: int | None = None) -> None:
-        super().__init__(message)
-        self.step = step
 
-
-class DegenerateChord(PellipseError):
+class DegenerateChord(_StepError):
     """A chord of the boundary ellipse degenerates to a point.
 
     Raised when the forward ray from a boundary point immediately leaves
@@ -51,22 +55,14 @@ class DegenerateChord(PellipseError):
     second intersection exists.
     """
 
-    def __init__(self, message: str, step: int | None = None) -> None:
-        super().__init__(message)
-        self.step = step
 
-
-class CausticDrift(PellipseError):
+class CausticDrift(_StepError):
     """A simulated trajectory's segment left the initial caustic.
 
     Every segment of a billiard trajectory must stay tangent to the conic
     confocal with the boundary that the first segment touches; drift beyond
     the configured relative tolerance indicates numerical breakdown.
     """
-
-    def __init__(self, message: str, step: int | None = None) -> None:
-        super().__init__(message)
-        self.step = step
 
 
 class NoCertificate(PellipseError):

@@ -6,8 +6,9 @@ polynomial Pell equation ``ph**2 - E4 * qh**2 = 1`` where
     E4(s) = s (s - 1/a) (s + 1/b) (s - 1/gamma),
 
 ``deg ph = n`` and ``deg qh = n - 2``.  The pair ``(ph, qh)`` is built from
-a null vector of a Toeplitz system on the Taylor coefficients of the
-square-root series, then lifted by the Chebyshev doubling
+a null vector of the certificate system, which is the closure block of
+:mod:`pellipse.cayley` (the Hankel block of the periodicity test) with its
+columns reversed, then lifted by the Chebyshev doubling
 ``ph = 2 p**2 - 1`` (even ``n``) or ``ph = 2 (s - 1/gamma) p**2 + sign(gamma)``
 (odd ``n``).  ``ph`` equioscillates between the band endpoints
 ``c1 < c2 < c3 < c4 = sorted {0, 1/a, -1/b, 1/gamma}``: together with the
@@ -34,7 +35,15 @@ from functools import reduce
 import numpy as np
 
 from . import polys
-from .cayley import ELLIPTIC_CASES, _ladder, elliptic_case_test, is_periodic
+from .cayley import (
+    ELLIPTIC_CASES,
+    _hankel_block,
+    _hankel_layout,
+    _ladder,
+    _periodic_ladder,
+    elliptic_case_test,
+    is_periodic,
+)
 from .config import resolve_epsilon
 from .dynamics import partition_counts, retry_on_caustic
 from .errors import CertificateInvalid, DomainError, NoCertificate
@@ -76,59 +85,46 @@ def chebyshev(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Toeplitz systems on the series coefficients
+# the certificate core: cayley's closure block, one null vector, one defect
 # ---------------------------------------------------------------------------
 
 
-def _toeplitz(S: list, start: int, rows: int, cols: int) -> list[list]:
-    zero = 0 * S[0]
-    return [
-        [S[start + i - j] if 0 <= start + i - j < len(S) else zero for j in range(cols)]
-        for i in range(rows)
-    ]
+def _toeplitz(S: list, ladder: str, n: int) -> list[list]:
+    """The closure block of ``ladder`` at period ``n`` with its columns reversed.
+
+    Row ``i`` holds ``S[top + i - j]``, where ``S[top]`` is the block's
+    top-right entry, so a null vector ``v`` of this Toeplitz system makes
+    coefficients ``top .. top + size - 1`` of ``v(x) S(x)`` vanish.
+    """
+    return [row[::-1] for row in _hankel_block(S, ladder, n)]
 
 
-def _periodic_layout(n: int) -> tuple[str, int, int, int]:
-    """(variant, start, size, m): the square system whose null vector is q*."""
-    if n % 2 == 0:
-        m = n // 2
-        return "B", m + 1, m - 1, m
-    m = (n - 1) // 2
-    return "C", m + 1, m, m
+def _certificate_pair(a, b, g, ladder: str, n: int) -> tuple[list, list]:
+    """The unnormalized certificate pair ``(p, q)``, highest coefficient first.
+
+    ``q`` is the null vector of the closure block and ``p`` the part of
+    ``q(x) S(x)`` below the coefficients the block forces to zero.  The
+    block reads the series up to index ``n - 1``.
+    """
+    S = _ladder(a, b, g, ladder, n - 1)
+    v = polys.nullspace_vector(_toeplitz(S, ladder, n))
+    start, size = _hankel_layout(ladder, n)
+    top = start + size - 1
+    return polys.pmul(v, S[:top])[:top][::-1], v[::-1]
 
 
-def _elliptic_layout(n: int) -> tuple[int, int, int, int]:
-    """(start, size, d1, d2) of the elliptic certificate system."""
-    m = n // 2
-    if n % 2 == 0:
-        return m, m, m - 1, m - 1
-    return m + 1, m, m, m - 1
+def _newton_polish(a: Decimal, b: Decimal, g0: Decimal, ladder: str, n: int) -> Decimal:
+    """Polish ``gamma`` so the closure block of ``ladder`` at ``n`` is singular.
 
-
-def _trunc_product(v: list, S: list, upto: int) -> list:
-    """Coefficients ``0..upto`` of ``(sum v_j x^j) * (sum S_k x^k)``."""
-    out = []
-    for k in range(upto + 1):
-        s = 0 * S[0]
-        for j in range(min(k, len(v) - 1) + 1):
-            s = s + v[j] * S[k - j]
-        out.append(s)
-    return out
-
-
-def _newton_polish(a: Decimal, b: Decimal, g0: Decimal, order: int, variant: str, start: int, size: int) -> Decimal:
-    """Polish ``gamma`` so the square Toeplitz determinant vanishes.
-
-    Central-difference Newton iteration in 50-digit decimal arithmetic;
-    converges quadratically from a double-precision seed for the simple
-    roots of the closure conditions.
+    Central-difference Newton iteration in 50-digit decimal arithmetic on
+    the determinant of :func:`_toeplitz`; converges quadratically from a
+    double-precision seed for the simple roots of the closure conditions.
     """
     h = Decimal(10) ** -30
     tol = Decimal(10) ** -42
 
     def f(g: Decimal) -> Decimal:
-        S = _ladder(a, b, g, variant, order)
-        return polys.det(_toeplitz(S, start, size, size))
+        return polys.det(_toeplitz(_ladder(a, b, g, ladder, n - 1), ladder, n))
 
     g = g0
     for _ in range(60):
@@ -142,12 +138,12 @@ def _newton_polish(a: Decimal, b: Decimal, g0: Decimal, order: int, variant: str
     return g
 
 
-def _polished_field(E: BoundaryEllipse, gamma, ladder: str, start: int, size: int, order: int):
+def _polished_field(E: BoundaryEllipse, gamma, ladder: str, n: int):
     """``(a, b, gamma)`` in the field of the certificate, or ``None``.
 
     Exact inputs stay rational.  Otherwise the values become 50-digit
     ``Decimal`` (a float exactly) and ``gamma`` is Newton-polished onto the
-    nearest root of the Toeplitz determinant of ``ladder``; ``None`` means
+    nearest root of the closure determinant of ``ladder``; ``None`` means
     that root is more than ``1e-6`` (relative) away from ``gamma``.
     """
     a, b, g = polys.to_field(E.a, E.b, gamma)
@@ -155,10 +151,25 @@ def _polished_field(E: BoundaryEllipse, gamma, ladder: str, start: int, size: in
         return a, b, g
     a, b, g = Decimal(a), Decimal(b), Decimal(g)
     with polys.field_context(g):
-        dg = _newton_polish(a, b, g, order, ladder, start, size)
+        dg = _newton_polish(a, b, g, ladder, n)
         if abs(dg - g) > Decimal("1e-6") * max(Decimal(1), abs(dg)):
             return None
     return a, b, dg
+
+
+def _factors(a, b, g=None) -> dict:
+    """``E4``'s factors by letter: s, A = s - 1/a, B = s + 1/b and, given g, G = s - 1/g."""
+    one = a / a
+    f = {"s": [0 * one, one], "A": [-1 / a, one], "B": [1 / b, one]}
+    if g is not None:
+        f["G"] = [-1 / g, one]
+    return f
+
+
+def _pell_defect(P: list, p2: list, Q: list, q2: list, target):
+    """The largest absolute coefficient of ``P p2 - Q q2 - target``."""
+    defect = polys.psub(polys.psub(polys.pmul(P, p2), polys.pmul(Q, q2)), [target])
+    return max(abs(c) for c in defect)
 
 
 # ---------------------------------------------------------------------------
@@ -251,29 +262,23 @@ def pell_construct(E: BoundaryEllipse, gamma, n: int, eps: float | None = None) 
             f"no Pell certificate: Hankel test rejects gamma={float(gamma)!r} at n={n} "
             f"(determinant {float(verdict.determinant_value):.3e}; null space trivial)"
         )
-    variant, start, size, m = _periodic_layout(n)
-    order = 2 * n + 6
-    values = _polished_field(E, gamma, variant, start, size, order)
+    ladder = _periodic_ladder(n)
+    values = _polished_field(E, gamma, ladder, n)
     if values is None:
         raise NoCertificate(
             f"gamma={gamma!r} is not within polishing range of a period-{n} caustic"
         )
     with polys.field_context(values[2]):
-        return _construct_exact(E, values, n, variant, start, size, m, order)
+        return _construct_exact(E, values, n, ladder)
 
 
-def _construct_exact(E, values, n, variant, start, size, m, order) -> PellPair:
+def _construct_exact(E, values, n, ladder) -> PellPair:
     """Shared exact/decimal pipeline once the scalar field is fixed."""
     a, b, g = values
-    S = _ladder(a, b, g, variant, order)
-    v = polys.nullspace_vector(_toeplitz(S, start, size, size))
-    d2 = len(v) - 1
-    ph = _trunc_product(v, S, m)
-    lead = ph[m]
+    rev_p, rev_q = _certificate_pair(a, b, g, ladder, n)
+    lead = rev_p[0]
     if lead == 0:
         raise NoCertificate("degenerate certificate: leading coefficient vanished")
-    rev_p = [ph[m - i] for i in range(m + 1)]
-    rev_q = [v[d2 - i] for i in range(d2 + 1)]
     lead2 = lead * lead
     pp = [c / lead2 for c in polys.pmul(rev_p, rev_p)]
     pq_ = [c / lead2 for c in polys.pmul(rev_p, rev_q)]
@@ -328,26 +333,21 @@ def pell_lift(
     a, b, g = pair.values
     one = g / g
     with polys.field_context(g):
+        f = _factors(a, b, g)
         if n % 2 == 0:
             ph = polys.padd(polys.pscale(pair.p2, 2), [-one])
         else:
             eps_sign = one if g > 0 else -one
-            ph = polys.padd(
-                polys.pscale(polys.pmul([-1 / g, one], list(pair.p2)), 2), [eps_sign]
-            )
+            ph = polys.padd(polys.pscale(polys.pmul(f["G"], list(pair.p2)), 2), [eps_sign])
         qh = polys.pscale(pair.pq, 2)
-        e4 = polys.pmul(
-            polys.pmul([0 * one, one], [-1 / a, one]),
-            polys.pmul([1 / b, one], [-1 / g, one]),
-        )
-        res_poly = polys.psub(
-            polys.psub(polys.pmul(ph, ph), polys.pmul(e4, polys.pmul(qh, qh))), [one]
-        )
-        residual = max(abs(c) for c in res_poly)
+        e4 = polys.pmul(polys.pmul(f["s"], f["A"]), polys.pmul(f["B"], f["G"]))
+        residual = _pell_defect([one], polys.pmul(ph, ph), e4, polys.pmul(qh, qh), 1)
+    exact = polys.is_exact(residual)
     tol = max(resolve_epsilon(eps), 1e-8)
-    if float(residual) > tol:
+    if (residual != 0) if exact else (float(residual) > tol):
         raise CertificateInvalid(
-            f"Pell identity residual {float(residual):.3e} exceeds {tol:.1e}"
+            f"Pell identity residual {float(residual):.3e} "
+            + ("is not exactly 0" if exact else f"exceeds {tol:.1e}")
         )
     cs = _band_endpoints(float(pair.ellipse.a), float(pair.ellipse.b), pair.gamma)
     ph_f = [float(c) for c in ph]
@@ -363,7 +363,7 @@ def pell_lift(
         c=cs,
         p_hat=tuple(ph_f),
         q_hat=tuple(qh_f),
-        residual=residual if polys.is_exact(residual) else float(residual),
+        residual=residual if exact else float(residual),
         tau1=tau1,
         tau2=tau2,
         partition=(n, n1),
@@ -441,15 +441,13 @@ def elliptic_pell_check(E: BoundaryEllipse, gamma, n: int, case: str, eps: float
             f"case mismatch: gamma={float(gamma)!r} tests as {verdict.case!r}, not {case!r}"
         )
     ladder = ELLIPTIC_CASES[(parity, case)]
-    start, size, d1, d2 = _elliptic_layout(n)
-    order = 2 * n + 6
-    values = _polished_field(E, gamma, ladder, start, size, order)
+    values = _polished_field(E, gamma, ladder, n)
     if values is None:
         raise DomainError(
             f"gamma={gamma!r} is not within polishing range of the case-{case} condition"
         )
     with polys.field_context(values[2]):
-        res = _elliptic_residual(*values, parity, ladder, start, size, d1, d2, order)
+        res = _elliptic_residual(*values, parity, ladder, n)
     return res if polys.is_exact(res) else float(res)
 
 
@@ -466,14 +464,9 @@ _CASE_IDENTITIES = {
 }
 
 
-def _elliptic_residual(a, b, g, parity, ladder, start, size, d1, d2, order):
-    one = a / a
-    S = _ladder(a, b, g, ladder, order)
-    v = polys.nullspace_vector(_toeplitz(S, start, size, size))
-    ph = _trunc_product(v, S, d1)
-    rev_p = [ph[d1 - i] for i in range(d1 + 1)]
-    rev_q = [v[d2 - i] for i in range(d2 + 1)]
-    lead = v[d2] if parity == "even" else ph[d1]
+def _elliptic_residual(a, b, g, parity, ladder, n):
+    rev_p, rev_q = _certificate_pair(a, b, g, ladder, n)
+    lead = rev_q[0] if parity == "even" else rev_p[0]
     if lead == 0:
         raise CertificateInvalid("degenerate elliptic certificate: zero normalizer")
     l2 = lead * lead
@@ -481,14 +474,10 @@ def _elliptic_residual(a, b, g, parity, ladder, start, size, d1, d2, order):
     qq = [c / l2 for c in polys.pmul(rev_q, rev_q)]
     scales, p_factors, q_factors, target = _CASE_IDENTITIES[(parity, ladder)]
     sp2, sq2 = scales(a, b, g)
-    p2 = [c * sp2 for c in pp]
-    q2 = [c * sq2 for c in qq]
-    factor = {"s": [0 * one, one], "A": [-1 / a, one], "B": [1 / b, one], "G": [-1 / g, one]}
-    P = reduce(polys.pmul, (factor[f] for f in p_factors))
-    Q = reduce(polys.pmul, (factor[f] for f in q_factors))
-    lhs = polys.psub(polys.pmul(P, p2), polys.pmul(Q, q2))
-    defect = polys.psub(lhs, [target * one])
-    return max(abs(c) for c in defect)
+    f = _factors(a, b, g)
+    P = reduce(polys.pmul, (f[c] for c in p_factors))
+    Q = reduce(polys.pmul, (f[c] for c in q_factors))
+    return _pell_defect(P, [c * sp2 for c in pp], Q, [c * sq2 for c in qq], target)
 
 
 # ---------------------------------------------------------------------------
@@ -763,8 +752,10 @@ def lightlike_pell_check(E: BoundaryEllipse, m: int, eps: float | None = None):
     one = a / a
     h = [(a - b) / (a + b), 2 * a * b / (a + b)]
     ph = polys.pcompose([one * c for c in chebyshev(m)], h)
-    num = polys.psub(polys.pmul(ph, ph), [one])
-    d2 = polys.pmul([-1 / a, one], [1 / b, one])
+    f = _factors(a, b)
+    d2 = polys.pmul(f["A"], f["B"])
+    ph2 = polys.pmul(ph, ph)
+    num = polys.psub(ph2, [one])
     quot, rem = polys.pdivmod(num, d2)
     scale = max(abs(float(c)) for c in num)
     rem_max = max(abs(float(c)) for c in rem) if rem else 0.0
@@ -774,8 +765,7 @@ def lightlike_pell_check(E: BoundaryEllipse, m: int, eps: float | None = None):
             f"p_hat**2 - 1 is not divisible by (s - 1/a)(s + 1/b): remainder {rem_max:.3e}"
         )
     qh = polys.poly_sqrt(quot)
-    defect = polys.psub(polys.psub(polys.pmul(ph, ph), polys.pmul(d2, polys.pmul(qh, qh))), [one])
-    residual = max(abs(c) for c in defect)
+    residual = _pell_defect([one], ph2, d2, polys.pmul(qh, qh), 1)
     if float(residual) > (0 if exact else tol):
         raise CertificateInvalid(
             f"light-like Pell identity residual {float(residual):.3e} exceeds tolerance"

@@ -60,6 +60,29 @@ def test_insufficient_order():
         hankel_test(S, 8)
 
 
+def test_hankel_layout_is_two_rules():
+    # B tests even periods n >= 4; C, D and E share one block at every
+    # n >= 2; every block ends at the series coefficient n - 1
+    for n in range(2, 17):
+        layouts = {ladder: cayley._hankel_layout(ladder, n) for ladder in "CDE"}
+        assert set(layouts.values()) == {(1 + n % 2, n // 2)}
+        if n % 2 == 0 and n >= 4:
+            layouts["B"] = cayley._hankel_layout("B", n)
+            assert layouts["B"] == (3, n // 2 - 1)
+        for start, size in layouts.values():
+            assert start + 2 * (size - 1) == n - 1
+
+
+def test_hankel_test_rejects_periods_without_a_block():
+    B = cubic_sqrt_series(BoundaryEllipse(F(3), F(2)), F(4, 3), 12)
+    for ladder in "CDE":
+        with pytest.raises(DomainError):
+            hankel_test(divided_series(B, ladder), 1)
+    for n in (2, 3, 5, 7):
+        with pytest.raises(DomainError):
+            hankel_test(B, n)
+
+
 def test_is_periodic_exact_rational_root():
     E = BoundaryEllipse(F(2), F(4))
     verdict = is_periodic(E, F(4, 3), 4)

@@ -73,11 +73,17 @@ GOLDEN = Path(__file__).parent / "golden"
         # the residual 4.38e-44 holds only if the Pell lift reuses the
         # Decimal values of the Newton polish, which converted via float
         ("certify-n9-polish", "certify --a 88/9 --b 16/9 --gamma=0.2140695596515073 --n 9"),
+        # the README example: an even period, exact
+        ("certify-n4-exact", "certify --a 5 --b 3 --gamma 15/8 --n 4"),
+        # an even-period Newton polish on a hyperbola caustic
+        ("certify-n10-polish", "certify --a 41/7 --b 7/2 --gamma=-4.4169013303521005 --n 10"),
+        # the light-like suite: the Pell identity on float axes
+        ("checks-lightlike", "checks --suite lightlike"),
     ],
 )
 def test_solve_output_matches_golden(capsys, name, argv):
-    # tests/golden holds the recorded stdout of each command: solve and
-    # certify output must not change by a single byte
+    # tests/golden holds the recorded stdout of each command: solve,
+    # certify and checks output must not change by a single byte
     rc, out = run(capsys, *argv.split())
     assert rc == 0
     assert out == (GOLDEN / f"{name}.json").read_text()

@@ -1,5 +1,6 @@
 """Pell certificates, rotation numbers and extremal-polynomial identities."""
 
+import dataclasses
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -22,7 +23,8 @@ from pellipse import (
     periodic_caustics,
     zolotarev3_consistency,
 )
-from pellipse.errors import DomainError, NoCertificate
+from pellipse import cayley, extremal
+from pellipse.errors import CertificateInvalid, DomainError, NoCertificate
 
 F = Fraction
 
@@ -48,6 +50,27 @@ def test_pell_rational_mode_exact():
     assert cert.partition == (4, 2)
     assert (cert.tau1, cert.tau2) == (1, 1)
     assert len(cert.equioscillation) == cert.n + 2
+
+
+def test_pell_lift_rejects_a_nonzero_exact_residual():
+    pair = pell_construct(BoundaryEllipse(F(2), F(4)), F(4, 3), 4)
+    bent = dataclasses.replace(pair, p2=(pair.p2[0] + F(1, 10**12),) + pair.p2[1:])
+    with pytest.raises(CertificateInvalid):
+        pell_lift(bent, validate_partition=False)
+
+
+def test_certificate_system_is_the_closure_block_reversed():
+    # distinct entries expose any misplaced index
+    S = list(range(100, 140))
+    for n in range(2, 17):
+        for ladder in "BCDE" if n % 2 == 0 and n >= 4 else "CDE":
+            start, size = cayley._hankel_layout(ladder, n)
+            H = cayley._hankel_block(S, ladder, n)
+            assert H == [[S[start + i + j] for j in range(size)] for i in range(size)]
+            T = extremal._toeplitz(S, ladder, n)
+            assert T == [row[::-1] for row in H]
+            top = start + size - 1
+            assert T == [[S[top + i - j] for j in range(size)] for i in range(size)]
 
 
 def test_pell_lift_reuses_the_decimal_values_of_the_construction():
