@@ -30,9 +30,7 @@ import random
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from functools import reduce
-
-import numpy as np
+from functools import lru_cache, reduce
 
 from . import polys
 from .cayley import (
@@ -324,7 +322,8 @@ def pell_lift(
     Builds ``p_hat``/``q_hat`` by Chebyshev doubling, checks
     ``p_hat**2 - E4 * q_hat**2 - 1 = 0`` (exactly in rational mode, to
     ``max(eps, 1e-8)`` otherwise; :class:`CertificateInvalid` on failure),
-    counts the ``q_hat`` root bands and records the equioscillation points.
+    proves the root counts of ``q_hat`` in the bands (:func:`_band_roots`)
+    and records the equioscillation points.
     The partition ``(n, n1)`` is measured on an independent simulated
     trajectory unless ``validate_partition`` is false, in which case it is
     derived from the band counts.
@@ -352,7 +351,8 @@ def pell_lift(
     cs = _band_endpoints(float(pair.ellipse.a), float(pair.ellipse.b), pair.gamma)
     ph_f = [float(c) for c in ph]
     qh_f = [float(c) for c in qh]
-    tau1, tau2, eq_points = _bands_and_equioscillation(ph_f, qh_f, cs)
+    tau1, tau2, roots = _band_roots(qh, qh_f, pair.values)
+    eq_points = sorted(list(cs) + roots)
     if validate_partition:
         n1 = _simulated_partition(pair.ellipse, pair.gamma, n, seed)
     else:
@@ -371,32 +371,67 @@ def pell_lift(
     )
 
 
-def _bands_and_equioscillation(
-    ph: list[float], qh: list[float], cs: tuple[float, float, float, float]
-) -> tuple[int, int, list[float]]:
-    c1, c2, c3, c4 = cs
-    span = c4 - c1
-    buf = 1e-9 * span
-    coeffs = list(qh)
-    top = max(abs(c) for c in coeffs)
-    while len(coeffs) > 1 and abs(coeffs[-1]) <= 1e-13 * top:
-        coeffs.pop()
-    roots: list[float] = []
-    if len(coeffs) > 1:
-        for z in np.roots(list(reversed(coeffs))):
-            if abs(z.imag) <= 1e-7 * (1 + abs(z)):
-                roots.append(float(z.real))
-    tau2 = sum(1 for r in roots if c1 - buf <= r <= c2 + buf)
-    tau1 = sum(1 for r in roots if c3 - buf <= r <= c4 + buf)
-    scale = max(abs(c) for c in ph)
-    interior = [
-        r
-        for r in roots
-        if (c1 - buf <= r <= c2 + buf or c3 - buf <= r <= c4 + buf)
-        and abs(abs(polys.peval(ph, r)) - 1) <= 1e-6 * max(1.0, scale)
-    ]
-    eq_points = sorted(list(cs) + interior)
-    return tau1, tau2, eq_points
+def _band_roots(qh: list, qh_f: list[float], values: tuple) -> tuple[int, int, list[float]]:
+    """Proven root counts of ``q_hat`` in ``[c3, c4]`` and ``[c1, c2]``, and the roots.
+
+    The float ``q_hat`` is sampled on an arcsine grid of each band, and
+    each sign change is confirmed by the exact sign of the primitive
+    integer ``q_hat`` at both ends of its bracket.  As many disjoint
+    confirmed brackets as ``deg q_hat`` locate every root; otherwise the
+    counts come from the Sturm chain.  The roots, the interior points where
+    ``|p_hat| = 1``, are bisected in floats.
+    """
+    a, b, g = map(Fraction, values)
+    c1, c2, c3, c4 = sorted([Fraction(0), 1 / a, -1 / b, 1 / g])
+    p = polys._int_poly(polys.trim(qh))
+    points = 4 * (len(p) - 1) + 8
+    inner = _band_brackets(p, qh_f, c1, c2, points)
+    outer = _band_brackets(p, qh_f, c3, c4, points)
+    if len(inner) + len(outer) == len(p) - 1:
+        return len(outer), len(inner), [_bisect(qh_f, lo, hi) for lo, hi in inner + outer]
+    chain = polys.sturm_chain(qh)
+    roots = [float(r) for r in polys.real_roots(qh, 20) if c1 < r <= c2 or c3 < r <= c4]
+    return polys.count_real_roots(chain, c3, c4), polys.count_real_roots(chain, c1, c2), roots
+
+
+def _band_brackets(p: list[int], qf: list[float], lo: Fraction, hi: Fraction, points: int):
+    """Disjoint float brackets in ``[lo, hi]`` across which ``p`` changes sign exactly.
+
+    Candidates are the sign changes of ``qf`` on ``points`` arcsine-spaced
+    intervals; a candidate counts only if ``p`` has opposite nonzero signs
+    at its ends, clamped into ``[lo, hi]``.
+    """
+    mid, half = float(lo + hi) / 2, float(hi - lo) / 2
+    out = []
+    x0 = s0 = None
+    for k in range(points + 1):
+        x = mid - half * math.cos(math.pi * k / points)
+        v = polys.peval(qf, x)
+        s = (v > 0) - (v < 0)
+        if not s:
+            continue
+        if s0 is not None and s != s0:
+            ea, eb = (min(max(Fraction(t), lo), hi) for t in (x0, x))
+            if polys._sign_at(p, ea) * polys._sign_at(p, eb) < 0:
+                out.append((x0, x))
+        x0, s0 = x, s
+    return out
+
+
+def _bisect(qf: list[float], lo: float, hi: float) -> float:
+    """A root of ``qf`` in the float bracket ``(lo, hi)``, bisected to the last bit."""
+    slo = polys.peval(qf, lo) > 0
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return mid
+        v = polys.peval(qf, mid)
+        if v == 0:
+            return mid
+        if (v > 0) == slo:
+            lo = mid
+        else:
+            hi = mid
 
 
 def _simulated_partition(E: BoundaryEllipse, gamma: float, n: int, seed: int) -> int:
@@ -485,8 +520,41 @@ def _elliptic_residual(a, b, g, parity, ladder, n):
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _legendre_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Nodes (ascending) and weights of the ``n``-point Gauss-Legendre rule.
+
+    Newton's method on the three-term recurrence of ``P_n``, started at
+    ``cos(pi (i - 1/4) / (n + 1/2))``; the weights are
+    ``2 / ((1 - x**2) P_n'(x)**2)``.  The positive half is mirrored, so the
+    rule is exactly symmetric.
+    """
+
+    def legendre(x: float) -> tuple[float, float]:
+        p0, p1 = 1.0, x
+        for k in range(2, n + 1):
+            p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
+        return p1, n * (p0 - x * p1) / (1 - x * x)
+
+    half = []
+    for i in range(1, (n + 1) // 2 + 1):
+        x = math.cos(math.pi * (i - 0.25) / (n + 0.5))
+        for _ in range(100):
+            p, dp = legendre(x)
+            dx = p / dp
+            x -= dx
+            if abs(dx) <= 1e-15:
+                break
+        _, dp = legendre(x)
+        half.append((x, 2 / ((1 - x * x) * dp * dp)))
+    if n % 2:
+        half[-1] = (0.0, half[-1][1])
+    rule = [(-x, w) for x, w in half[: n // 2]] + half[::-1]
+    return tuple(x for x, _ in rule), tuple(w for _, w in rule)
+
+
 def _gauss_composite(f, lo: float, hi: float, nodes: int, panels: int) -> float:
-    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = _legendre_rule(nodes)
     width = (hi - lo) / panels
     total = 0.0
     for ip in range(panels):
@@ -520,7 +588,11 @@ def kln_partition(
     ``[c4, infinity)``; for an ``(n, n1)``-periodic caustic the ratio
     equals ``n1/n``.  Both integrals are regularized by trigonometric /
     rational substitutions and evaluated by composite Gauss-Legendre
-    quadrature.
+    quadrature: ``panels`` panels of one ``nodes``-point rule, which
+    :func:`_legendre_rule` builds in pure Python once per process.  Near
+    ``c3 = c4`` (``gamma`` close to ``a``) the regularized ``I2`` integrand
+    loses accuracy and the ratio drifts from ``n1/n``; Carlson's ``R_F``
+    closed form would remove that error.
     """
     e = resolve_epsilon(eps)
     a, b, g = float(E.a), float(E.b), float(gamma)

@@ -1,11 +1,15 @@
 """End-to-end command-line interface behaviour."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import pellipse
 from pellipse import BoundaryEllipse, caustics, cli
 from pellipse.cli import main
 
@@ -13,6 +17,20 @@ from pellipse.cli import main
 def run(capsys, *argv):
     rc = main(list(argv))
     return rc, capsys.readouterr().out
+
+
+def test_import_needs_only_the_standard_library():
+    src = str(Path(pellipse.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    probe = 'import sys, pellipse, pellipse.cli; print("numpy" in sys.modules)'
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 def test_solve_closed_form_values(capsys):

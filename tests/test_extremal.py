@@ -23,7 +23,7 @@ from pellipse import (
     periodic_caustics,
     zolotarev3_consistency,
 )
-from pellipse import cayley, extremal
+from pellipse import cayley, extremal, polys
 from pellipse.errors import CertificateInvalid, DomainError, NoCertificate
 
 F = Fraction
@@ -132,6 +132,110 @@ def test_kln_ratio_and_convergents():
     ratio5, conv5 = kln_partition(E, r.gamma)
     assert ratio5 == pytest.approx(4 / 5, abs=1e-6)
     assert (4, 5) in conv5
+
+
+def test_legendre_rule_is_symmetric_and_exact_to_degree_159():
+    x, w = extremal._legendre_rule(80)
+    assert len(x) == len(w) == 80
+    assert list(x) == sorted(x)
+    assert x == tuple(-t for t in reversed(x)) and w == tuple(reversed(w))
+    assert abs(math.fsum(w) - 2) <= 1e-14
+    for k in range(80):
+        moment = math.fsum(wi * xi ** (2 * k) for xi, wi in zip(x, w))
+        assert abs(moment - 2 / (2 * k + 1)) <= 1e-13, 2 * k
+
+
+def test_legendre_rule_is_built_once_per_process():
+    extremal._legendre_rule.cache_clear()
+    E = BoundaryEllipse(F(2), F(4))
+    kln_partition(E, F(4, 3))
+    kln_partition(E, F(4, 3))
+    info = extremal._legendre_rule.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+@pytest.mark.parametrize("a, b, gamma, n, n1", [(2, 4, F(4, 3), 4, 2), (5, 3, F(15, 8), 4, 2)])
+def test_kln_ratio_is_n1_over_n_on_well_conditioned_caustics(a, b, gamma, n, n1):
+    ratio, _ = kln_partition(BoundaryEllipse(F(a), F(b)), gamma)
+    assert abs(ratio - n1 / n) <= 1e-12
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="c3 ~ c4: the regularized I2 quadrature loses accuracy as gamma "
+    "approaches a; needs Carlson's R_F closed form (DLMF 19.29(i))",
+)
+def test_kln_ratio_near_coalescing_band_ends():
+    E = BoundaryEllipse(F(3, 4), F(3, 2))
+    r = next(r for r in periodic_caustics(E, 7) if r.n1 == 6)
+    assert r.gamma == pytest.approx(0.7499961, abs=1e-7)
+    ratio, _ = kln_partition(E, r.gamma)
+    assert abs(ratio - 6 / 7) <= 1e-9
+
+
+#: Float caustics of period 9..12 on integer and fraction axes: (a, b, gamma, n).
+_POLISHED_CAUSTICS = [
+    (7, 11, 3.4107975309245173, 9),
+    (F(9, 4), F(20, 3), -1.23482096932741, 9),
+    (4, 12, -0.3592790371440906, 10),
+    (F(41, 6), F(14, 9), -1.6406694409872125, 10),
+    (10, 12, -2.66493995879208, 11),
+    (F(17, 4), F(18, 5), 2.3684802608308635, 11),
+    (8, 3, 8.175424283273948, 12),
+    (F(17, 6), F(75, 8), 0.28786538086947544, 12),
+]
+
+
+def _pell_pairs():
+    """Pell pairs for n = 3..12: exact and polished, on int and fraction axes."""
+    for a, b in ((6, 4), (F(41, 7), F(7, 2))):
+        E = BoundaryEllipse(a, b)
+        for n in range(3, 9):
+            for r in periodic_caustics(E, n):
+                gamma = r.gamma if r.gamma_exact is None else r.gamma_exact
+                yield pell_construct(E, gamma, n)
+    for a, b, gamma, n in [(2, 4, F(4, 3), 4), (13, 120, F(4680, 361), 3)]:
+        yield pell_construct(BoundaryEllipse(F(a), F(b)), gamma, n)
+    for a, b, gamma, n in _POLISHED_CAUSTICS:
+        yield pell_construct(BoundaryEllipse(a, b), gamma, n)
+
+
+def _sturm_band_counts(pair):
+    """Exact Sturm counts ``(tau1, tau2)`` of the roots of ``q_hat`` in the bands."""
+    qh = polys.pscale(pair.pq, 2)
+    a, b, g = map(F, pair.values)
+    c1, c2, c3, c4 = sorted([F(0), 1 / a, -1 / b, 1 / g])
+    chain = polys.sturm_chain(qh)
+    return polys.count_real_roots(chain, c3, c4), polys.count_real_roots(chain, c1, c2)
+
+
+@pytest.fixture(scope="module")
+def pell_pairs():
+    pairs = list(_pell_pairs())
+    assert {p.n for p in pairs} == set(range(3, 13))
+    assert {polys.is_exact(p.values[2]) for p in pairs} == {True, False}
+    return pairs
+
+
+def test_band_brackets_prove_the_sturm_counts(pell_pairs, monkeypatch):
+    sturm_chain = polys.sturm_chain
+    monkeypatch.setattr(polys, "sturm_chain", lambda c: pytest.fail("Sturm fallback taken"))
+    certs = [pell_lift(p, validate_partition=False) for p in pell_pairs]
+    monkeypatch.setattr(polys, "sturm_chain", sturm_chain)
+    for pair, cert in zip(pell_pairs, certs):
+        assert (cert.tau1, cert.tau2) == _sturm_band_counts(pair)
+        assert cert.tau1 + cert.tau2 == pair.n - 2
+        assert len(cert.equioscillation) == pair.n + 2
+
+
+def test_band_count_fallback_matches_the_brackets(pell_pairs, monkeypatch):
+    certs = [pell_lift(p, validate_partition=False) for p in pell_pairs]
+    monkeypatch.setattr(extremal, "_band_brackets", lambda *args: [])
+    for pair, cert in zip(pell_pairs, certs):
+        forced = pell_lift(pair, validate_partition=False)
+        assert (forced.tau1, forced.tau2) == (cert.tau1, cert.tau2)
+        assert len(forced.equioscillation) == pair.n + 2
+        assert forced.equioscillation == pytest.approx(cert.equioscillation, rel=1e-9, abs=1e-12)
 
 
 def test_complete_K_values():
