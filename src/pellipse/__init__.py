@@ -35,7 +35,6 @@ from .cayley import (
     hankel_test,
     is_periodic,
 )
-from .config import DEFAULT_EPSILON, default_epsilon, resolve_epsilon
 from .dynamics import (
     ClosureStatus,
     Trajectory,
@@ -105,7 +104,6 @@ __all__ = [
     "CertificateInvalid",
     "ClosureStatus",
     "ConicClass",
-    "DEFAULT_EPSILON",
     "DISCRIMINANT_IDENTITIES",
     "DegenerateChord",
     "DomainError",
@@ -135,7 +133,6 @@ __all__ = [
     "closure_status",
     "complete_K",
     "cubic_sqrt_series",
-    "default_epsilon",
     "discriminant_identity_check",
     "divided_series",
     "elliptic_case_test",
@@ -159,7 +156,6 @@ __all__ = [
     "periodic_caustics",
     "reflect",
     "render_trajectory_svg",
-    "resolve_epsilon",
     "simulate",
     "start_on_caustic",
     "tangent_line_at",

@@ -39,6 +39,7 @@ from .cayley import (
     hankel_test,
     is_periodic,
 )
+from .config import CLOSURE, DEGENERATE
 from .dynamics import ClosureStatus, closure_status, retry_on_caustic
 from .errors import DomainError
 from .geometry import ArcClass, BoundaryEllipse, ConicClass, classify_conic
@@ -414,12 +415,11 @@ def _screen(candidates, reason, discarded):
 def _spurious_reason(E: BoundaryEllipse, n: int, gamma_f: float) -> str | None:
     """The spurious-root filter; ``n = 0`` skips the odd-period rule."""
     a, b = float(E.a), float(E.b)
-    tol = 1e-9
-    if abs(gamma_f) <= tol:
+    if abs(gamma_f) <= DEGENERATE:
         return "degenerate conic (gamma = 0)"
-    if abs(gamma_f - a) <= tol * (1 + a):
+    if abs(gamma_f - a) <= DEGENERATE * (1 + a):
         return "degenerate conic (gamma = a)"
-    if abs(gamma_f + b) <= tol * (1 + b):
+    if abs(gamma_f + b) <= DEGENERATE * (1 + b):
         return "degenerate conic (gamma = -b)"
     if n % 2 == 1 and not (-b < gamma_f < a):
         return "odd period requires an ellipse caustic"
@@ -435,9 +435,9 @@ def _distinct(candidates, rel: float):
             yield cand
 
 
-def _lower_period(E: BoundaryEllipse, n: int, eps, gamma_f: float) -> str | None:
+def _lower_period(E: BoundaryEllipse, n: int, gamma_f: float) -> str | None:
     for d in range(3, n):
-        if n % d == 0 and is_periodic(E, gamma_f, d, eps).periodic:
+        if n % d == 0 and is_periodic(E, gamma_f, d).periodic:
             return f"already periodic with period {d}"
     return None
 
@@ -472,7 +472,7 @@ def _sim_closure(E, gamma_f, n, rng, want_sigma=None):
         want = ClosureStatus.elliptic(n, want_sigma)
 
     def counts(T):
-        if closure_status(T, n, 1e-6) != want:
+        if closure_status(T, n, CLOSURE) != want:
             return None
         arcs = T.arc_classes[:n]
         return arcs.count(ArcClass.RelativisticEllipseArc), arcs.count(
@@ -483,7 +483,7 @@ def _sim_closure(E, gamma_f, n, rng, want_sigma=None):
     return (False, None, None) if found is None else (True, *found)
 
 
-def _results(E, n, candidates, eps, rng) -> list[CausticResult]:
+def _results(E, n, candidates, rng) -> list[CausticResult]:
     """Verdict and simulated closure of each ``(gamma, exact, case)`` candidate.
 
     A periodic candidate (``case`` None) needs the Hankel test at period
@@ -495,10 +495,10 @@ def _results(E, n, candidates, eps, rng) -> list[CausticResult]:
     results = []
     for gamma_f, exact, case in candidates:
         if case is None:
-            verdict, sigma = is_periodic(E, gamma_f, n, eps).periodic, None
+            verdict, sigma = is_periodic(E, gamma_f, n).periodic, None
         else:
             sigma = case_symmetry(case)
-            verdict = elliptic_case_test(E, gamma_f, n, eps).case == case
+            verdict = elliptic_case_test(E, gamma_f, n).case == case
         ok, n1, n2 = _sim_closure(E, gamma_f, n, rng, want_sigma=sigma)
         results.append(
             CausticResult(
@@ -525,7 +525,6 @@ def _results(E, n, candidates, eps, rng) -> list[CausticResult]:
 def periodic_caustics(
     E: BoundaryEllipse,
     n: int,
-    eps: float | None = None,
     rng: random.Random | None = None,
     discarded: list | None = None,
 ) -> list[CausticResult]:
@@ -537,15 +536,15 @@ def periodic_caustics(
     values; hyperbola parameters at odd periods) are dropped, with
     reasons appended to ``discarded`` when a list is supplied.  Every
     returned caustic carries the outcome of the Hankel test *and* of an
-    ``n``-step simulated closure (tolerance ``1e-6``) in ``validated``;
+    ``n``-step simulated closure (tolerance ``CLOSURE``) in ``validated``;
     results are sorted by ``gamma``.  Factors already accounting for
     shorter periods (the 3-periodic factor inside the period-6 condition,
     the 4-periodic one inside period 8) are excluded, as is the period-6
     factor without real roots.
     """
     if n not in _PERIODIC_NEW:
-        return generic_caustic_scan(E, n, eps=eps, rng=rng, discarded=discarded)
-    return _results(E, n, table_roots(E, n, discarded), eps, rng)
+        return generic_caustic_scan(E, n, rng=rng, discarded=discarded)
+    return _results(E, n, table_roots(E, n, discarded), rng)
 
 
 def table_roots(E: BoundaryEllipse, n: int, discarded: list | None = None):
@@ -563,7 +562,6 @@ def table_roots(E: BoundaryEllipse, n: int, discarded: list | None = None):
 def elliptic_caustics(
     E: BoundaryEllipse,
     n: int,
-    eps: float | None = None,
     rng: random.Random | None = None,
     discarded: list | None = None,
 ) -> list[CausticResult]:
@@ -580,13 +578,12 @@ def elliptic_caustics(
         raise DomainError(f"elliptic closure polynomials cover n in 2..5, got n={n}")
     roots = _table_roots(E, _ELLIPTIC_POLYS[n])
     roots = _screen(roots, partial(_spurious_reason, E, 0), discarded)
-    return _results(E, n, _with_case(E, n, roots, discarded), eps, rng)
+    return _results(E, n, _with_case(E, n, roots, discarded), rng)
 
 
 def generic_caustic_scan(
     E: BoundaryEllipse,
     n: int,
-    eps: float | None = None,
     rng: random.Random | None = None,
     discarded: list | None = None,
 ) -> list[CausticResult]:
@@ -603,8 +600,8 @@ def generic_caustic_scan(
         raise DomainError(f"periodic caustics require n >= 3, got n={n}")
     roots = _distinct(_scan_roots(E, n), 1e-7)
     roots = _screen(roots, partial(_spurious_reason, E, n), discarded)
-    roots = _screen(roots, partial(_lower_period, E, n, eps), discarded)
-    return _results(E, n, roots, eps, rng)
+    roots = _screen(roots, partial(_lower_period, E, n), discarded)
+    return _results(E, n, roots, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
-from .config import resolve_epsilon
+from .config import DEGENERATE, HANKEL_ZERO
 from .errors import DomainError, InsufficientOrder
 from .geometry import BoundaryEllipse, ConicClass, classify_conic
 from .polys import DECIMAL_PRECISION
@@ -205,7 +205,7 @@ class EllipticVerdict:
     determinant_value: object
 
 
-def _check_gamma(E: BoundaryEllipse, gamma, eps: float) -> None:
+def _check_gamma(E: BoundaryEllipse, gamma) -> None:
     if isinstance(gamma, float) and (math.isinf(gamma) or math.isnan(gamma)):
         raise DomainError(f"gamma={gamma} is degenerate")
     exact = polys.is_exact(gamma)
@@ -213,12 +213,12 @@ def _check_gamma(E: BoundaryEllipse, gamma, eps: float) -> None:
         if exact and polys.is_exact(v):
             hit = gamma == v
         else:
-            hit = abs(float(gamma) - float(v)) <= eps * max(1.0, abs(float(v)))
+            hit = abs(float(gamma) - float(v)) <= DEGENERATE * max(1.0, abs(float(v)))
         if hit:
             raise DomainError(f"gamma={gamma} coincides with degenerate value {v}")
 
 
-def cubic_sqrt_series(E: BoundaryEllipse, gamma, order: int, eps: float | None = None) -> TruncatedSeries:
+def cubic_sqrt_series(E: BoundaryEllipse, gamma, order: int) -> TruncatedSeries:
     """Truncated series of ``sqrt(eps (a-x)(b+x)(gamma-x))`` at ``x = 0``.
 
     ``gamma`` must avoid the degenerate values ``{0, a, -b}``.  ``order``
@@ -226,8 +226,7 @@ def cubic_sqrt_series(E: BoundaryEllipse, gamma, order: int, eps: float | None =
     """
     if order < 0:
         raise DomainError(f"order must be non-negative, got {order}")
-    e = resolve_epsilon(eps)
-    _check_gamma(E, gamma, e)
+    _check_gamma(E, gamma)
     a, b, g = polys.to_field(E.a, E.b, gamma)
     with polys.field_context(g):
         scaled = _scaled_sqrt(a, b, g, order)
@@ -290,7 +289,7 @@ def _hankel_block(scaled, ladder: str, n: int) -> list[list]:
     return [[scaled[start + i + j] for j in range(size)] for i in range(size)]
 
 
-def hankel_test(S: TruncatedSeries, n: int, eps: float | None = None):
+def hankel_test(S: TruncatedSeries, n: int):
     """Closure-condition Hankel determinant of the series ``S`` at period ``n``.
 
     Built on the scaled coefficients ``M[i][j] = scaled[start + i + j]``
@@ -325,22 +324,22 @@ def _hankel_scale(S: TruncatedSeries, n: int) -> float:
     return prod
 
 
-def _det_is_zero(S: TruncatedSeries, n: int, value, eps: float) -> bool:
+def _det_is_zero(S: TruncatedSeries, n: int, value) -> bool:
     if polys.is_exact(value):
         return value == 0
-    return abs(float(value)) <= eps * _hankel_scale(S, n)
+    return abs(float(value)) <= HANKEL_ZERO * _hankel_scale(S, n)
 
 
-def _periodic_verdict(E: BoundaryEllipse, gamma, n: int, B: TruncatedSeries, e: float) -> PeriodicityVerdict:
+def _periodic_verdict(E: BoundaryEllipse, gamma, n: int, B: TruncatedSeries) -> PeriodicityVerdict:
     """Hankel verdict at period ``n`` from the base series ``B`` of order ``2n+2``."""
     S = _periodic_series(B, n)
     value = hankel_test(S, n)
-    zero = _det_is_zero(S, n, value, e)
+    zero = _det_is_zero(S, n, value)
     structural = n % 2 == 0 or classify_conic(gamma, E) is ConicClass.EllipseOfFamily
     return PeriodicityVerdict(bool(zero and structural), value, S.variant, n)
 
 
-def is_periodic(E: BoundaryEllipse, gamma, n: int, eps: float | None = None) -> PeriodicityVerdict:
+def is_periodic(E: BoundaryEllipse, gamma, n: int) -> PeriodicityVerdict:
     """Hankel test for an ``n``-periodic trajectory with caustic ``gamma``.
 
     Uses the ``C`` ladder for odd ``n`` and the base series for even ``n``;
@@ -349,11 +348,10 @@ def is_periodic(E: BoundaryEllipse, gamma, n: int, eps: float | None = None) -> 
     """
     if n < 3:
         raise DomainError(f"periodicity test requires n >= 3, got {n}")
-    B = cubic_sqrt_series(E, gamma, 2 * n + 2, eps)
-    return _periodic_verdict(E, gamma, n, B, resolve_epsilon(eps))
+    return _periodic_verdict(E, gamma, n, cubic_sqrt_series(E, gamma, 2 * n + 2))
 
 
-def elliptic_case_test(E: BoundaryEllipse, gamma, n: int, eps: float | None = None) -> EllipticVerdict:
+def elliptic_case_test(E: BoundaryEllipse, gamma, n: int) -> EllipticVerdict:
     """Test closure of an ``n``-step trajectory onto a mirror image of itself.
 
     Returns the matched case letter: for even ``n`` the cases are ``a``
@@ -368,17 +366,16 @@ def elliptic_case_test(E: BoundaryEllipse, gamma, n: int, eps: float | None = No
     """
     if n < 2:
         raise DomainError(f"elliptic closure test requires n >= 2, got {n}")
-    e = resolve_epsilon(eps)
-    B = cubic_sqrt_series(E, gamma, 2 * n + 2, eps)
+    B = cubic_sqrt_series(E, gamma, 2 * n + 2)
     if n >= 3:
-        pv = _periodic_verdict(E, gamma, n, B, e)
+        pv = _periodic_verdict(E, gamma, n, B)
         if pv.periodic:
             return EllipticVerdict("none", pv.determinant_value)
     best: EllipticVerdict | None = None
     for case, letter in _elliptic_candidates(E, gamma, n):
         S = divided_series(B, letter)
         value = hankel_test(S, n)
-        if _det_is_zero(S, n, value, e):
+        if _det_is_zero(S, n, value):
             return EllipticVerdict(case, value)
         if best is None or abs(float(value)) < abs(float(best.determinant_value)):
             best = EllipticVerdict("none", value)

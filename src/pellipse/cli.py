@@ -18,13 +18,12 @@ failure (the JSON carries the failing step); 4 no certificate exists;
 
 Scalar options accept integers, fractions (``7/2``) and decimals; the
 fraction form keeps the computation in exact rational arithmetic.
-The ``PELLIPSE_EPSILON`` environment variable overrides the default
-floating-point tolerance.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -38,6 +37,7 @@ from .caustics import (
     periodic_caustics,
     table_roots,
 )
+from .config import CLOSURE
 from .dynamics import closure_status, simulate
 from .errors import (
     CausticDrift,
@@ -290,7 +290,7 @@ def _suite_lightlike() -> tuple[bool, dict]:
         # mirror closure at n/2 is expected for light-like polygons; only an
         # earlier full period would contradict minimality
         early = any(
-            closure_status(T, m, 1e-6).tag == "Periodic" for m in range(1, n)
+            closure_status(T, m, CLOSURE).tag == "Periodic" for m in range(1, n)
         )
         _, q0 = lightlike_pell_check(E, n // 2)
         good = detected == (n, k) and closed and not early and abs(float(q0)) <= 1e-10
@@ -366,7 +366,9 @@ def cmd_checks(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by :func:`main`."""
     parser = _Parser(
         prog="pellipse",
         description="Periodic billiard trajectories in a Minkowski-plane ellipse.",

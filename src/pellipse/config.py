@@ -1,50 +1,33 @@
-"""Tolerance configuration.
+"""Named tolerances: one constant per role, the only place their values live.
 
-A single absolute tolerance ``epsilon`` (default ``1e-9``) governs boundary
-membership, zero tests on floating determinants and light-like guards; the
-environment variable ``PELLIPSE_EPSILON`` overrides the default at call
-time.  Functions that take an optional ``eps`` argument resolve ``None``
-through :func:`resolve_epsilon`.
+The floating-point paths of the package test closure three ways (the
+Hankel zero test, the Pell residual and the simulated closure) and guard
+the geometry around them.  Each test reads the constant of its role
+below; exact (``int``/``Fraction``) inputs compare with zero exactly and
+read none of them.  Tolerances are fixed: nothing reads the environment.
 """
 
-from __future__ import annotations
+#: Absolute: a point lies on the boundary ellipse or on a confocal conic
+#: (``|x**2/a + y**2/b - 1|``), and two vertices of one trajectory coincide.
+BOUNDARY = 1e-9
 
-import os
+#: Relative: a vector, a line or a boundary touch point is light-like.
+LIGHTLIKE = 1e-9
 
-from .errors import DomainError
+#: Relative: ``gamma`` meets a degenerate value ``0``, ``a`` or ``-b``, a
+#: chord has zero length, or a line passes through the origin.
+DEGENERATE = 1e-9
 
-__all__ = ["DEFAULT_EPSILON", "default_epsilon", "resolve_epsilon"]
+#: Relative to the row scales of the block: a float Hankel determinant is zero.
+HANKEL_ZERO = 1e-9
 
-#: Package-wide default absolute tolerance.
-DEFAULT_EPSILON = 1e-9
+#: Relative: the caustic of every segment of a simulated trajectory
+#: matches the caustic of the first one.
+DRIFT = 1e-6
 
-#: Environment variable consulted for a tolerance override.
-ENV_VAR = "PELLIPSE_EPSILON"
+#: Absolute, on vertices and unit directions: a simulated trajectory closes
+#: when it validates a caustic or measures a partition.
+CLOSURE = 1e-6
 
-
-def default_epsilon() -> float:
-    """Return the configured default tolerance.
-
-    Reads ``PELLIPSE_EPSILON`` from the environment on every call so tests
-    and subprocesses can adjust it without re-importing the package.
-    """
-    raw = os.environ.get(ENV_VAR)
-    if raw is None:
-        return DEFAULT_EPSILON
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise DomainError(f"{ENV_VAR} must be a positive float, got {raw!r}") from exc
-    if not value > 0.0:
-        raise DomainError(f"{ENV_VAR} must be positive, got {value!r}")
-    return value
-
-
-def resolve_epsilon(eps: float | None) -> float:
-    """Return ``eps`` if given, otherwise the configured default."""
-    if eps is None:
-        return default_epsilon()
-    value = float(eps)
-    if not value > 0.0:
-        raise DomainError(f"epsilon must be positive, got {eps!r}")
-    return value
+#: Largest coefficient of a float Pell identity ``p_hat**2 - E4 q_hat**2 - 1``.
+PELL_RESIDUAL = 1e-8

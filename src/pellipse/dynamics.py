@@ -14,7 +14,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .config import resolve_epsilon
+from .config import BOUNDARY, DEGENERATE, DRIFT, LIGHTLIKE
 from .errors import CausticDrift, DegenerateChord, DomainError, PellipseError, ReflectionUndefined
 from .geometry import (
     ALL_CONICS,
@@ -139,7 +139,7 @@ class Trajectory:
         return doc
 
 
-def reflect(v: MVec2, L: LineImplicit, eps: float | None = None) -> MVec2:
+def reflect(v: MVec2, L: LineImplicit) -> MVec2:
     """Minkowski reflection of ``v`` across the line ``L``.
 
     Raises :class:`ReflectionUndefined` when the line direction is
@@ -148,13 +148,13 @@ def reflect(v: MVec2, L: LineImplicit, eps: float | None = None) -> MVec2:
     d = L.direction()
     dd = minkowski_dot(d, d)
     scale = float(d.x) * float(d.x) + float(d.y) * float(d.y)
-    if dd == 0 or abs(float(dd)) <= resolve_epsilon(eps) * scale:
+    if dd == 0 or abs(float(dd)) <= LIGHTLIKE * scale:
         raise ReflectionUndefined("mirror line is light-like; reflection undefined")
     s = minkowski_dot(v, d) / dd
     return MVec2(2 * s * d.x - v.x, 2 * s * d.y - v.y)
 
 
-def next_boundary_hit(P: MVec2, d: MVec2, E: BoundaryEllipse, eps: float | None = None) -> MVec2:
+def next_boundary_hit(P: MVec2, d: MVec2, E: BoundaryEllipse) -> MVec2:
     """Second intersection of the ray ``P + t d  (t > 0)`` with the boundary.
 
     ``P`` must lie on the boundary within tolerance.  The start root of the
@@ -163,15 +163,14 @@ def next_boundary_hit(P: MVec2, d: MVec2, E: BoundaryEllipse, eps: float | None 
     non-positive ``t`` means the chord degenerates (tangent ray or ray
     leaving the ellipse) and raises :class:`DegenerateChord`.
     """
-    e = resolve_epsilon(eps)
-    if abs(float(E.boundary_residual(P))) > e:
+    if abs(float(E.boundary_residual(P))) > BOUNDARY:
         raise DomainError(f"chord start ({P.x}, {P.y}) is not on the boundary")
     if d.x == 0 and d.y == 0:
         raise DomainError("chord direction must be nonzero")
     A = d.x * d.x / E.a + d.y * d.y / E.b
     B = 2 * (P.x * d.x / E.a + P.y * d.y / E.b)
     t = -B / A
-    if float(t) * d.euclid_norm() <= e * E.scale():
+    if float(t) * d.euclid_norm() <= DEGENERATE * E.scale():
         raise DegenerateChord(
             "degenerate chord: direction tangent at the start point"
             if float(t) >= 0
@@ -180,52 +179,44 @@ def next_boundary_hit(P: MVec2, d: MVec2, E: BoundaryEllipse, eps: float | None 
     return MVec2(P.x + t * d.x, P.y + t * d.y)
 
 
-def simulate(
-    P0: MVec2,
-    d0: MVec2,
-    steps: int,
-    E: BoundaryEllipse,
-    eps: float | None = None,
-) -> Trajectory:
+def simulate(P0: MVec2, d0: MVec2, steps: int, E: BoundaryEllipse) -> Trajectory:
     """Simulate ``steps`` reflections from boundary point ``P0`` along ``d0``.
 
     Enforces the caustic invariant (every segment tangent to the conic of
-    the first segment, relative drift tolerance ``max(eps, 1e-6)``) and
+    the first segment, relative drift tolerance ``DRIFT``) and
     aborts with :class:`ReflectionUndefined` when a vertex lands within
     tolerance of a touch point, where the tangent line is light-like.
     Errors carry the 1-based index of the offending step.
     """
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
-    e = resolve_epsilon(eps)
-    if abs(float(E.boundary_residual(P0))) > e:
+    if abs(float(E.boundary_residual(P0))) > BOUNDARY:
         raise DomainError(f"start point ({P0.x}, {P0.y}) is not on the boundary")
-    seg_type = vector_type(d0, eps)
-    gamma0 = caustic_of_line(line_through(P0, d0, eps), E, eps)
-    drift_tol = max(e, 1e-6)
+    seg_type = vector_type(d0)
+    gamma0 = caustic_of_line(line_through(P0, d0), E)
 
     vertices = [P0]
     directions = [d0]
-    arcs = [boundary_arc_class(P0, E, max(e, 1e-12))]
+    arcs = [boundary_arc_class(P0, E)]
     P, v = P0, d0
     for i in range(1, steps + 1):
-        gamma_i = caustic_of_line(line_through(P, v, eps), E, eps)
-        if not _same_caustic(gamma0, gamma_i, drift_tol):
+        gamma_i = caustic_of_line(line_through(P, v), E)
+        if not _same_caustic(gamma0, gamma_i):
             raise CausticDrift(
                 f"segment {i} caustic {gamma_i} drifted from {gamma0}", step=i
             )
         try:
-            Q = next_boundary_hit(P, v, E, eps)
+            Q = next_boundary_hit(P, v, E)
         except DegenerateChord as exc:
             raise DegenerateChord(str(exc), step=i) from None
-        arc = boundary_arc_class(Q, E, max(e, 1e-12))
+        arc = boundary_arc_class(Q, E)
         if arc is ArcClass.TouchPoint:
             raise ReflectionUndefined(
                 f"vertex {i} landed on a touch point; tangent line is light-like",
                 step=i,
             )
         try:
-            v = reflect(v, tangent_line_at(Q, E, 0, max(e, 1e-9)), eps)
+            v = reflect(v, tangent_line_at(Q, E))
         except ReflectionUndefined as exc:
             raise ReflectionUndefined(str(exc), step=i) from None
         vertices.append(Q)
@@ -242,7 +233,7 @@ def simulate(
     )
 
 
-def _same_caustic(g0, g1, tol: float) -> bool:
+def _same_caustic(g0, g1) -> bool:
     # a common tangent is tangent to every conic of the family, so the
     # sentinel is consistent with any recorded caustic (it only arises for
     # chords passing within tolerance of a touch point)
@@ -251,7 +242,7 @@ def _same_caustic(g0, g1, tol: float) -> bool:
     f0, f1 = float(g0), float(g1)
     if math.isinf(f0) or math.isinf(f1):
         return math.isinf(f0) and math.isinf(f1)
-    return abs(f1 - f0) <= tol * max(1.0, abs(f0), abs(f1))
+    return abs(f1 - f0) <= DRIFT * max(1.0, abs(f0), abs(f1))
 
 
 def _unit(v: MVec2) -> MVec2:
@@ -263,19 +254,25 @@ def _close(u: MVec2, v: MVec2, tol: float) -> bool:
     return max(abs(float(u.x) - float(v.x)), abs(float(u.y) - float(v.y))) <= tol
 
 
-def closure_status(T: Trajectory, n: int, eps: float | None = None) -> ClosureStatus:
+def closure_status(T: Trajectory, n: int, tol: float = BOUNDARY) -> ClosureStatus:
     """Closure verdict after ``n`` steps of the trajectory.
 
     Compares vertex ``n`` and the outgoing direction there against the
     start data, directly (``Periodic``) and under each axial symmetry
-    (``EllipticPeriodic``); ``eps`` is an absolute tolerance on vertex
+    (``EllipticPeriodic``); ``tol`` is an absolute tolerance on vertex
     coordinates and on unit direction components.  Exact periodicity takes
     precedence; an elliptic verdict requires exactly one matching symmetry.
     """
     if n < 1 or n > T.steps:
         raise DomainError(f"closure test needs 1 <= n <= {T.steps}, got {n}")
-    tol = resolve_epsilon(eps)
     v0, vn = T.vertices[0], T.vertices[n]
+    # the start and its mirror images are (+-x0, +-y0): unless |xn| and |yn|
+    # are within tol of |x0| and |y0|, no direction or symmetry can match
+    if (
+        abs(abs(float(vn.x)) - abs(float(v0.x))) > tol
+        or abs(abs(float(vn.y)) - abs(float(v0.y))) > tol
+    ):
+        return ClosureStatus.open_()
     d0, dn = _unit(T.directions[0]), _unit(T.directions[n])
     if _close(vn, v0, tol) and _close(dn, d0, tol):
         return ClosureStatus.periodic(n)
@@ -289,16 +286,17 @@ def closure_status(T: Trajectory, n: int, eps: float | None = None) -> ClosureSt
     return ClosureStatus.open_()
 
 
-def partition_counts(T: Trajectory, n: int | None = None, eps: float | None = None) -> tuple[int, int]:
+def partition_counts(T: Trajectory, n: int | None = None, tol: float = BOUNDARY) -> tuple[int, int]:
     """Counts ``(n1, n2)`` of bounce types over one period.
 
     ``n1`` counts vertices on relativistic-ellipse arcs and ``n2`` those on
     relativistic-hyperbola arcs among the first ``n`` vertices.  The
-    trajectory must close (``Periodic``) at ``n`` (default: all its steps).
+    trajectory must close (``Periodic``) at ``n`` (default: all its steps)
+    within ``tol`` (see :func:`closure_status`).
     """
     if n is None:
         n = T.steps
-    status = closure_status(T, n, eps)
+    status = closure_status(T, n, tol)
     if status.tag != "Periodic":
         raise DomainError(f"partition counts need a closed trajectory, got {status.tag}")
     n1 = sum(1 for arc in T.arc_classes[:n] if arc is ArcClass.RelativisticEllipseArc)
@@ -307,18 +305,15 @@ def partition_counts(T: Trajectory, n: int | None = None, eps: float | None = No
 
 
 def start_on_caustic(
-    E: BoundaryEllipse,
-    gamma,
-    rng: random.Random | None = None,
-    eps: float | None = None,
-    clearance: float = 0.02,
+    E: BoundaryEllipse, gamma, rng: random.Random | None = None
 ) -> tuple[MVec2, MVec2]:
     """Random admissible start ``(P0, d0)`` whose first segment touches ``gamma``.
 
     Samples a tangent line of the caustic, intersects it with the boundary
     and rejects lines that miss the ellipse or whose endpoints come within
-    ``clearance`` (relative) of a touch point.  Raises :class:`DomainError`
-    for degenerate caustics or when no admissible tangent is found.
+    ``0.02 (1 + xt)`` in ``|x|`` of a touch point ``(+-xt, +-yt)``.  Raises
+    :class:`DomainError` for degenerate caustics or when no admissible
+    tangent is found.
     """
     if rng is None:
         rng = random.Random()
@@ -363,7 +358,7 @@ def start_on_caustic(
         P0 = MVec2(foot.x + t1 * q, foot.y - t1 * p)
         P1 = MVec2(foot.x + t2 * q, foot.y - t2 * p)
         if any(
-            abs(abs(float(P.x)) - xt) < clearance * (1 + xt) for P in (P0, P1)
+            abs(abs(float(P.x)) - xt) < 0.02 * (1 + xt) for P in (P0, P1)
         ):
             continue  # too close to a touch point for stable reflection
         return P0, MVec2(P1.x - P0.x, P1.y - P0.y)

@@ -42,7 +42,7 @@ from .cayley import (
     elliptic_case_test,
     is_periodic,
 )
-from .config import resolve_epsilon
+from .config import CLOSURE, DEGENERATE, LIGHTLIKE, PELL_RESIDUAL
 from .dynamics import partition_counts, retry_on_caustic
 from .errors import CertificateInvalid, DomainError, NoCertificate
 from .geometry import BoundaryEllipse
@@ -244,7 +244,7 @@ def _band_endpoints(a: float, b: float, g: float) -> tuple[float, float, float, 
     return cs[0], cs[1], cs[2], cs[3]
 
 
-def pell_construct(E: BoundaryEllipse, gamma, n: int, eps: float | None = None) -> PellPair:
+def pell_construct(E: BoundaryEllipse, gamma, n: int) -> PellPair:
     """Construct the primitive Pell pair for an ``n``-periodic caustic.
 
     ``gamma`` must pass the Hankel periodicity test at period ``n``
@@ -254,7 +254,7 @@ def pell_construct(E: BoundaryEllipse, gamma, n: int, eps: float | None = None) 
     """
     if n < 3:
         raise DomainError(f"Pell construction requires n >= 3, got {n}")
-    verdict = is_periodic(E, float(gamma), n, eps)
+    verdict = is_periodic(E, float(gamma), n)
     if not verdict.periodic:
         raise NoCertificate(
             f"no Pell certificate: Hankel test rejects gamma={float(gamma)!r} at n={n} "
@@ -311,17 +311,12 @@ def _construct_exact(E, values, n, ladder) -> PellPair:
     )
 
 
-def pell_lift(
-    pair: PellPair,
-    eps: float | None = None,
-    validate_partition: bool = True,
-    seed: int = 0,
-) -> PellCertificate:
+def pell_lift(pair: PellPair, validate_partition: bool = True) -> PellCertificate:
     """Lift a Pell pair to the full certificate and verify the identity.
 
     Builds ``p_hat``/``q_hat`` by Chebyshev doubling, checks
     ``p_hat**2 - E4 * q_hat**2 - 1 = 0`` (exactly in rational mode, to
-    ``max(eps, 1e-8)`` otherwise; :class:`CertificateInvalid` on failure),
+    ``PELL_RESIDUAL`` otherwise; :class:`CertificateInvalid` on failure),
     proves the root counts of ``q_hat`` in the bands (:func:`_band_roots`)
     and records the equioscillation points.
     The partition ``(n, n1)`` is measured on an independent simulated
@@ -342,11 +337,10 @@ def pell_lift(
         e4 = polys.pmul(polys.pmul(f["s"], f["A"]), polys.pmul(f["B"], f["G"]))
         residual = _pell_defect([one], polys.pmul(ph, ph), e4, polys.pmul(qh, qh), 1)
     exact = polys.is_exact(residual)
-    tol = max(resolve_epsilon(eps), 1e-8)
-    if (residual != 0) if exact else (float(residual) > tol):
+    if (residual != 0) if exact else (float(residual) > PELL_RESIDUAL):
         raise CertificateInvalid(
             f"Pell identity residual {float(residual):.3e} "
-            + ("is not exactly 0" if exact else f"exceeds {tol:.1e}")
+            + ("is not exactly 0" if exact else f"exceeds {PELL_RESIDUAL:.1e}")
         )
     cs = _band_endpoints(float(pair.ellipse.a), float(pair.ellipse.b), pair.gamma)
     ph_f = [float(c) for c in ph]
@@ -354,7 +348,7 @@ def pell_lift(
     tau1, tau2, roots = _band_roots(qh, qh_f, pair.values)
     eq_points = sorted(list(cs) + roots)
     if validate_partition:
-        n1 = _simulated_partition(pair.ellipse, pair.gamma, n, seed)
+        n1 = _simulated_partition(pair.ellipse, pair.gamma, n)
     else:
         n1 = tau2 + 1
     return PellCertificate(
@@ -434,9 +428,9 @@ def _bisect(qf: list[float], lo: float, hi: float) -> float:
             hi = mid
 
 
-def _simulated_partition(E: BoundaryEllipse, gamma: float, n: int, seed: int) -> int:
+def _simulated_partition(E: BoundaryEllipse, gamma: float, n: int) -> int:
     n1, last = retry_on_caustic(
-        E, gamma, n, random.Random(seed), lambda T: partition_counts(T, n, 1e-6)[0]
+        E, gamma, n, random.Random(0), lambda T: partition_counts(T, n, CLOSURE)[0]
     )
     if n1 is None:
         raise CertificateInvalid(
@@ -450,7 +444,7 @@ def _simulated_partition(E: BoundaryEllipse, gamma: float, n: int, seed: int) ->
 # ---------------------------------------------------------------------------
 
 
-def elliptic_pell_check(E: BoundaryEllipse, gamma, n: int, case: str, eps: float | None = None):
+def elliptic_pell_check(E: BoundaryEllipse, gamma, n: int, case: str):
     """Residual of the case identity for an elliptic ``n``-periodic caustic.
 
     Verifies that ``gamma`` matches ``case`` (raising :class:`DomainError`
@@ -470,7 +464,7 @@ def elliptic_pell_check(E: BoundaryEllipse, gamma, n: int, case: str, eps: float
     parity = "even" if n % 2 == 0 else "odd"
     if (parity, case) not in ELLIPTIC_CASES:
         raise DomainError(f"unknown elliptic case {case!r} for n={n}")
-    verdict = elliptic_case_test(E, float(gamma), n, eps)
+    verdict = elliptic_case_test(E, float(gamma), n)
     if verdict.case != case:
         raise DomainError(
             f"case mismatch: gamma={float(gamma)!r} tests as {verdict.case!r}, not {case!r}"
@@ -553,22 +547,24 @@ def _legendre_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(x for x, _ in rule), tuple(w for _, w in rule)
 
 
-def _gauss_composite(f, lo: float, hi: float, nodes: int, panels: int) -> float:
-    x, w = _legendre_rule(nodes)
-    width = (hi - lo) / panels
+def _gauss_composite(f, lo: float, hi: float) -> float:
+    """``f`` integrated over ``[lo, hi]`` by 8 panels of the 80-point rule."""
+    x, w = _legendre_rule(80)
+    width = (hi - lo) / 8
     total = 0.0
-    for ip in range(panels):
+    for ip in range(8):
         mid = lo + ip * width + width / 2
         half = width / 2
         total += half * sum(wi * f(mid + half * xi) for xi, wi in zip(x, w))
     return total
 
 
-def _convergents(x: float, max_den: int = 1000, max_terms: int = 25) -> list[tuple[int, int]]:
+def _convergents(x: float) -> list[tuple[int, int]]:
+    """Up to 25 continued-fraction convergents of ``x``, stopping past denominator 1000."""
     p0, q0, p1, q1 = 1, 0, int(math.floor(x)), 1
     out = [(p1, q1)]
     frac = x - math.floor(x)
-    while len(out) < max_terms and frac > 1e-15 and q1 <= max_den:
+    while len(out) < 25 and frac > 1e-15 and q1 <= 1000:
         x = 1.0 / frac
         aa = int(math.floor(x))
         frac = x - aa
@@ -578,9 +574,7 @@ def _convergents(x: float, max_den: int = 1000, max_terms: int = 25) -> list[tup
     return out
 
 
-def kln_partition(
-    E: BoundaryEllipse, gamma, nodes: int = 80, panels: int = 8, eps: float | None = None
-) -> tuple[float, list[tuple[int, int]]]:
+def kln_partition(E: BoundaryEllipse, gamma) -> tuple[float, list[tuple[int, int]]]:
     """Rotation-number ratio ``I2/I1`` and its continued-fraction convergents.
 
     With band endpoints ``c1 < c2 < c3 < c4`` of ``E4``, ``I1`` integrates
@@ -588,15 +582,14 @@ def kln_partition(
     ``[c4, infinity)``; for an ``(n, n1)``-periodic caustic the ratio
     equals ``n1/n``.  Both integrals are regularized by trigonometric /
     rational substitutions and evaluated by composite Gauss-Legendre
-    quadrature: ``panels`` panels of one ``nodes``-point rule, which
+    quadrature: 8 panels of one 80-point rule, which
     :func:`_legendre_rule` builds in pure Python once per process.  Near
     ``c3 = c4`` (``gamma`` close to ``a``) the regularized ``I2`` integrand
     loses accuracy and the ratio drifts from ``n1/n``; Carlson's ``R_F``
     closed form would remove that error.
     """
-    e = resolve_epsilon(eps)
     a, b, g = float(E.a), float(E.b), float(gamma)
-    if not (abs(g) > e and abs(g - a) > e and abs(g + b) > e):
+    if not (abs(g) > DEGENERATE and abs(g - a) > DEGENERATE and abs(g + b) > DEGENERATE):
         raise DomainError(f"gamma={gamma} is degenerate")
     c1, c2, c3, c4 = _band_endpoints(a, b, g)
 
@@ -611,8 +604,8 @@ def kln_partition(
         n3 = (c4 - c3) * w + (c4 - c3) * (1 - w)
         return 2.0 * math.sqrt(c4 - c3) / math.sqrt(n1 * n2 * n3)
 
-    i1 = _gauss_composite(f1, 0.0, math.pi / 2, nodes, panels)
-    i2 = _gauss_composite(f2, 0.0, 1.0, nodes, panels)
+    i1 = _gauss_composite(f1, 0.0, math.pi / 2)
+    i2 = _gauss_composite(f2, 0.0, 1.0)
     ratio = i2 / i1
     return ratio, _convergents(ratio)
 
@@ -738,7 +731,7 @@ _AKHIEZER_GAMMAS = {
 }
 
 
-def akhiezer_p4(E: BoundaryEllipse, case: str, eps: float | None = None) -> tuple[float, ...]:
+def akhiezer_p4(E: BoundaryEllipse, case: str) -> tuple[float, ...]:
     """Degree-4 least-deviation polynomial ``T2(w(s))`` for one regime.
 
     ``case`` selects the regime: ``t2`` (hyperbola caustic, ``b > a``),
@@ -768,7 +761,7 @@ def akhiezer_p4(E: BoundaryEllipse, case: str, eps: float | None = None) -> tupl
         gamma = _AKHIEZER_GAMMAS[case](E.a, E.b)
     else:
         gamma = float(_AKHIEZER_GAMMAS[case](Fraction(a), Fraction(b)))
-    cert = pell_lift(pell_construct(E, gamma, 4, eps), eps, validate_partition=False)
+    cert = pell_lift(pell_construct(E, gamma, 4), validate_partition=False)
     ph = [float(c) for c in cert.p_hat]
     k_star = max(range(len(ph)), key=lambda i: abs(ph[i]))
     r = p4[k_star] / ph[k_star]
@@ -786,15 +779,14 @@ def akhiezer_p4(E: BoundaryEllipse, case: str, eps: float | None = None) -> tupl
 # ---------------------------------------------------------------------------
 
 
-def lightlike_periodic(E: BoundaryEllipse, max_n: int, eps: float | None = None) -> tuple[int, int] | None:
+def lightlike_periodic(E: BoundaryEllipse, max_n: int) -> tuple[int, int] | None:
     """Smallest light-like period ``(n, k)`` with ``n <= max_n``, if any.
 
     A light-like billiard closes in ``n`` steps (necessarily even, ``n = 2m``)
     iff ``a/b = cot(k pi / n)**2`` with ``gcd(k, m) = 1``; the angle
     ``theta = atan(sqrt(b/a))`` is compared against the grid to tolerance
-    ``eps``.
+    ``LIGHTLIKE``.
     """
-    e = resolve_epsilon(eps)
     theta = math.atan(math.sqrt(float(E.b) / float(E.a)))
     for n in range(4, max_n + 1, 2):
         k = round(n * theta / math.pi)
@@ -802,12 +794,12 @@ def lightlike_periodic(E: BoundaryEllipse, max_n: int, eps: float | None = None)
             continue
         if math.gcd(k, n // 2) != 1:
             continue
-        if abs(theta - k * math.pi / n) <= e:
+        if abs(theta - k * math.pi / n) <= LIGHTLIKE:
             return n, k
     return None
 
 
-def lightlike_pell_check(E: BoundaryEllipse, m: int, eps: float | None = None):
+def lightlike_pell_check(E: BoundaryEllipse, m: int):
     """Chebyshev Pell data for the light-like period ``n = 2m``.
 
     Computes ``p_hat = T_m(h)`` with
@@ -831,7 +823,7 @@ def lightlike_pell_check(E: BoundaryEllipse, m: int, eps: float | None = None):
     quot, rem = polys.pdivmod(num, d2)
     scale = max(abs(float(c)) for c in num)
     rem_max = max(abs(float(c)) for c in rem) if rem else 0.0
-    tol = max(resolve_epsilon(eps), 1e-9) * max(1.0, scale)
+    tol = LIGHTLIKE * max(1.0, scale)
     if rem_max > (0 if exact else tol):
         raise CertificateInvalid(
             f"p_hat**2 - 1 is not divisible by (s - 1/a)(s + 1/b): remainder {rem_max:.3e}"

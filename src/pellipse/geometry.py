@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .config import resolve_epsilon
+from .config import BOUNDARY, DEGENERATE, LIGHTLIKE
 from .errors import DomainError
 from .polys import is_exact
 
@@ -199,10 +199,10 @@ def minkowski_dist(P: MVec2, Q: MVec2) -> complex:
     return complex(0.0, math.sqrt(-s))
 
 
-def vector_type(v: MVec2, eps: float | None = None) -> VectorType:
+def vector_type(v: MVec2) -> VectorType:
     """Causal character of ``v``; the zero vector is rejected.
 
-    The light-like test is *relative*: ``|<v,v>| <= eps * (x**2 + y**2)``,
+    The light-like test is *relative*: ``|<v,v>| <= LIGHTLIKE * (x**2 + y**2)``,
     so scaling a vector never changes its type.
     """
     if v.x == 0 and v.y == 0:
@@ -212,10 +212,9 @@ def vector_type(v: MVec2, eps: float | None = None) -> VectorType:
         if q == 0:
             return VectorType.LightLike
         return VectorType.SpaceLike if q > 0 else VectorType.TimeLike
-    e = resolve_epsilon(eps)
     qf = float(q)
     scale = float(v.x) * float(v.x) + float(v.y) * float(v.y)
-    if abs(qf) <= e * scale:
+    if abs(qf) <= LIGHTLIKE * scale:
         return VectorType.LightLike
     return VectorType.SpaceLike if qf > 0 else VectorType.TimeLike
 
@@ -239,7 +238,7 @@ def classify_conic(gamma, E: BoundaryEllipse) -> ConicClass:
     return ConicClass.EllipseOfFamily
 
 
-def elliptic_coordinates(P: MVec2, E: BoundaryEllipse, eps: float | None = None) -> EllipticCoords:
+def elliptic_coordinates(P: MVec2, E: BoundaryEllipse) -> EllipticCoords:
     """Elliptic coordinates of a point of the closed elliptical domain.
 
     The parameters are the two roots of
@@ -247,11 +246,10 @@ def elliptic_coordinates(P: MVec2, E: BoundaryEllipse, eps: float | None = None)
     for admissible points they satisfy ``-b <= lambda1 <= 0 <= lambda2 <= a``.
     Points outside the closed domain (beyond tolerance) are rejected.
     """
-    e = resolve_epsilon(eps)
     a, b = float(E.a), float(E.b)
     x, y = float(P.x), float(P.y)
     r = x * x / a + y * y / b
-    if r > 1 + e:
+    if r > 1 + BOUNDARY:
         raise DomainError(f"point ({P.x}, {P.y}) lies outside the boundary ellipse")
     B = x * x - y * y - a + b
     C = x * x * b + y * y * a - a * b
@@ -260,14 +258,14 @@ def elliptic_coordinates(P: MVec2, E: BoundaryEllipse, eps: float | None = None)
     else:
         disc = B * B - 4 * C
         if disc < 0:
-            if disc < -e * (B * B + 4 * abs(C) + 1):
+            if disc < -BOUNDARY * (B * B + 4 * abs(C) + 1):
                 raise DomainError("elliptic coordinates are complex; point inadmissible")
             disc = 0.0
         root = math.sqrt(disc)
         m = (-B - root) / 2 if B >= 0 else (-B + root) / 2
         roots = sorted((m, C / m)) if m != 0 else [0.0, 0.0]
     lam1, lam2 = roots
-    span = (a + b) * e
+    span = (a + b) * BOUNDARY
     lam1 = min(0.0, max(-b, lam1)) if -b - span <= lam1 <= span else lam1
     lam2 = min(a, max(0.0, lam2)) if -span <= lam2 <= a + span else lam2
     if not (-b <= lam1 <= 0 <= lam2 <= a):
@@ -277,7 +275,7 @@ def elliptic_coordinates(P: MVec2, E: BoundaryEllipse, eps: float | None = None)
     return EllipticCoords(lam1, lam2)
 
 
-def caustic_of_line(L: LineImplicit, E: BoundaryEllipse, eps: float | None = None):
+def caustic_of_line(L: LineImplicit, E: BoundaryEllipse):
     """Parameter of the confocal conic tangent to the line ``p x + q y = r``.
 
     Returns the scalar ``(r**2 - a p**2 - b q**2) / (q**2 - p**2)``; for a
@@ -291,23 +289,21 @@ def caustic_of_line(L: LineImplicit, E: BoundaryEllipse, eps: float | None = Non
         if den == 0:
             return ALL_CONICS if num == 0 else math.inf
         return num / den
-    e = resolve_epsilon(eps)
     pf, qf, rf = float(p), float(q), float(r)
     nscale = rf * rf + float(E.a) * pf * pf + float(E.b) * qf * qf
-    if abs(float(den)) <= e * (pf * pf + qf * qf):
-        return ALL_CONICS if abs(float(num)) <= e * nscale else math.inf
+    if abs(float(den)) <= LIGHTLIKE * (pf * pf + qf * qf):
+        return ALL_CONICS if abs(float(num)) <= LIGHTLIKE * nscale else math.inf
     return num / den
 
 
-def boundary_arc_class(P: MVec2, E: BoundaryEllipse, eps: float | None = None) -> ArcClass:
-    """Arc type of a boundary point (pre: ``P`` on the boundary within ``eps``).
+def boundary_arc_class(P: MVec2, E: BoundaryEllipse) -> ArcClass:
+    """Arc type of a boundary point (pre: ``P`` on the boundary within ``BOUNDARY``).
 
     The tangent line at ``P`` is space-like iff ``|x| < a/sqrt(a+b)``
     (relativistic-ellipse arc), time-like iff ``|x|`` exceeds the threshold
     (relativistic-hyperbola arc) and light-like at the four touch points.
     """
-    e = resolve_epsilon(eps)
-    if abs(float(E.boundary_residual(P))) > e:
+    if abs(float(E.boundary_residual(P))) > BOUNDARY:
         raise DomainError(f"point ({P.x}, {P.y}) is not on the boundary ellipse")
     if is_exact(P.x, P.y, E.a, E.b):
         s = P.x * P.x * (E.a + E.b) - E.a * E.a
@@ -318,12 +314,12 @@ def boundary_arc_class(P: MVec2, E: BoundaryEllipse, eps: float | None = None) -
         )
     xt = E.touch_x()
     dx = abs(float(P.x)) - xt
-    if abs(dx) <= e * (1 + xt):
+    if abs(dx) <= LIGHTLIKE * (1 + xt):
         return ArcClass.TouchPoint
     return ArcClass.RelativisticHyperbolaArc if dx > 0 else ArcClass.RelativisticEllipseArc
 
 
-def tangent_line_at(P: MVec2, E: BoundaryEllipse, gamma=0, eps: float | None = None) -> LineImplicit:
+def tangent_line_at(P: MVec2, E: BoundaryEllipse, gamma=0) -> LineImplicit:
     """Tangent line of the confocal conic with parameter ``gamma`` at ``P``.
 
     With ``A = a - gamma`` and ``B = b + gamma`` the tangent at a point of
@@ -336,14 +332,13 @@ def tangent_line_at(P: MVec2, E: BoundaryEllipse, gamma=0, eps: float | None = N
     B = E.b + gamma
     if A == 0 or B == 0:
         raise DomainError(f"gamma={gamma} is a degenerate member of the family")
-    e = resolve_epsilon(eps)
     res = P.x * P.x / A + P.y * P.y / B - 1
-    if abs(float(res)) > e * max(1.0, abs(float(P.x * P.x / A)), abs(float(P.y * P.y / B))):
+    if abs(float(res)) > BOUNDARY * max(1.0, abs(float(P.x * P.x / A)), abs(float(P.y * P.y / B))):
         raise DomainError(f"point ({P.x}, {P.y}) is not on the conic gamma={gamma}")
     return LineImplicit(P.x / A, P.y / B, 1 if is_exact(P.x, P.y, A, B) else 1.0)
 
 
-def line_through(P: MVec2, d: MVec2, eps: float | None = None) -> LineImplicit:
+def line_through(P: MVec2, d: MVec2) -> LineImplicit:
     """Implicit form of the line through ``P`` with direction ``d``.
 
     Normalized to ``r = 1`` whenever the line misses the origin; lines
@@ -356,8 +351,7 @@ def line_through(P: MVec2, d: MVec2, eps: float | None = None) -> LineImplicit:
         if c == 0:
             return LineImplicit(d.y, -d.x, 0)
         return LineImplicit(d.y / c, -d.x / c, 1)
-    e = resolve_epsilon(eps)
     scale = abs(float(d.y) * float(P.x)) + abs(float(d.x) * float(P.y))
-    if abs(float(c)) <= e * scale:
+    if abs(float(c)) <= DEGENERATE * scale:
         return LineImplicit(float(d.y), -float(d.x), 0.0)
     return LineImplicit(d.y / c, -d.x / c, 1.0)

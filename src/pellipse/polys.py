@@ -28,7 +28,7 @@ from contextlib import nullcontext
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .errors import DomainError
 
@@ -220,25 +220,23 @@ def frac_sqrt(q: Fraction) -> Fraction:
     return Fraction(rn, rd)
 
 
-def poly_sqrt(q: Poly, sqrt: Callable | None = None) -> list:
+def poly_sqrt(q: Poly) -> list:
     """Square root of a perfect-square polynomial, leading coefficient > 0.
 
     Coefficients are recovered top-down from the leading term, which keeps
     the recurrence well-posed even when the constant term vanishes.  The
-    ``sqrt`` callable extracts the scalar root of the leading coefficient
-    (defaults to :func:`frac_sqrt` for ``Fraction`` input, ``math.sqrt``
-    otherwise).  The reconstruction is *not* verified here; callers should
-    check ``q - root**2`` themselves when the input may fail to be square.
+    leading coefficient's root is :func:`frac_sqrt` for exact input and
+    ``math.sqrt`` otherwise.  The reconstruction is *not* verified here;
+    callers should check ``q - root**2`` themselves when the input may fail
+    to be square.
     """
     q = trim(q)
     d2 = len(q) - 1
     if d2 % 2 != 0:
         raise DomainError("perfect-square polynomial must have even degree")
-    if sqrt is None:
-        sqrt = (lambda x: frac_sqrt(Fraction(x))) if is_exact(q[-1]) else math.sqrt
     d = d2 // 2
     c = [0 * q[0]] * (d + 1)
-    c[d] = sqrt(q[d2])
+    c[d] = frac_sqrt(Fraction(q[d2])) if is_exact(q[d2]) else math.sqrt(q[d2])
     for j in range(1, d + 1):
         s = q[d2 - j]
         for i in range(1, j):
@@ -510,10 +508,10 @@ def real_roots(c: Poly, digits: int = 60) -> list[Fraction]:
     return [_refine(chain[0], a, b, digits) for a, b in _isolate(chain)]
 
 
-def rationalize_root(c: Poly, approx: Fraction, max_den: int = 10**9) -> Fraction | None:
-    """Return the exact rational root near ``approx`` if one exists."""
+def rationalize_root(c: Poly, approx: Fraction) -> Fraction | None:
+    """The exact rational root near ``approx``, denominator at most ``10**9``, if any."""
     p = _frac_poly(c)
-    cand = Fraction(approx).limit_denominator(max_den)
+    cand = Fraction(approx).limit_denominator(10**9)
     if peval(p, cand) == 0:
         return cand
     return None

@@ -18,6 +18,9 @@ __all__ = ["render_trajectory_svg"]
 
 _F = "%.3f"
 
+#: Width and height of the canvas in pixels.
+_SIZE = 600
+
 
 def _fmt(x: float) -> str:
     s = _F % x
@@ -25,12 +28,11 @@ def _fmt(x: float) -> str:
 
 
 class _Frame:
-    """World-to-pixel transform for a centered square canvas."""
+    """World-to-pixel transform for the centered square canvas."""
 
-    def __init__(self, half_extent: float, size: int):
-        self.size = size
-        self.scale = (size / 2) / half_extent
-        self.center = size / 2
+    def __init__(self, half_extent: float):
+        self.scale = (_SIZE / 2) / half_extent
+        self.center = _SIZE / 2
 
     def to_px(self, x: float, y: float) -> tuple[float, float]:
         return self.center + self.scale * x, self.center - self.scale * y
@@ -84,7 +86,7 @@ def _caustic_elements(E: BoundaryEllipse, gamma, frame: _Frame, half: float) -> 
     return []
 
 
-def render_trajectory_svg(T: Trajectory, size: int = 600) -> str:
+def render_trajectory_svg(T: Trajectory) -> str:
     """Render the trajectory with its ellipse and caustic as an SVG document."""
     E = T.ellipse
     a, b = float(E.a), float(E.b)
@@ -92,12 +94,12 @@ def render_trajectory_svg(T: Trajectory, size: int = 600) -> str:
     for P in T.vertices:
         extent = max(extent, abs(float(P.x)), abs(float(P.y)))
     half = extent * 1.12
-    frame = _Frame(half, size)
+    frame = _Frame(half)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{size}" '
-        f'height="{size}" viewBox="0 0 {size} {size}">',
-        f'<rect width="{size}" height="{size}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{_SIZE}" '
+        f'height="{_SIZE}" viewBox="0 0 {_SIZE} {_SIZE}">',
+        f'<rect width="{_SIZE}" height="{_SIZE}" fill="white"/>',
     ]
     # common light-like tangents x +- y = +- sqrt(a+b)
     c = math.sqrt(a + b)

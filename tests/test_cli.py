@@ -1,5 +1,6 @@
 """End-to-end command-line interface behaviour."""
 
+import inspect
 import json
 import os
 import subprocess
@@ -105,6 +106,36 @@ def test_solve_output_matches_golden(capsys, name, argv):
     rc, out = run(capsys, *argv.split())
     assert rc == 0
     assert out == (GOLDEN / f"{name}.json").read_text()
+
+
+def test_tolerances_ignore_the_environment(capsys, monkeypatch):
+    # the tolerances are named constants: no environment variable moves
+    # them, and none can make a command fail
+    monkeypatch.setenv("PELLIPSE_EPSILON", "junk")
+    rc, out = run(capsys, *"solve --n 5 --a 6 --b 4".split())
+    assert rc == 0
+    assert out == (GOLDEN / "solve-n5-int.json").read_text()
+
+
+def test_no_public_callable_takes_eps():
+    for name in pellipse.__all__:
+        obj = getattr(pellipse, name)
+        if not callable(obj):
+            continue
+        try:
+            params = inspect.signature(obj).parameters
+        except (TypeError, ValueError):  # no signature to inspect
+            continue
+        assert "eps" not in params, name
+
+
+def test_main_builds_the_parser_once(capsys):
+    cli.build_parser.cache_clear()
+    for _ in range(2):
+        rc, _ = run(capsys, "checks", "--suite", "zolotarev3")
+        assert rc == 0
+    info = cli.build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
 
 
 def test_snap_needs_no_validation(monkeypatch):

@@ -22,6 +22,7 @@ from pellipse import (
     start_on_caustic,
     vector_type,
 )
+from pellipse import dynamics
 from pellipse.errors import DomainError, ReflectionUndefined
 
 F = Fraction
@@ -88,6 +89,20 @@ def test_closure_status_elliptic_with_symmetry():
     T = simulate(P0, d0, 2, E)
     st = closure_status(T, 2)
     assert st.tag == "EllipticPeriodic" and st.sigma == "flip-y"
+
+
+def test_closure_status_tests_the_vertex_first(monkeypatch):
+    # a vertex away from the start and from its mirror images is Open
+    # before any direction is normalised or any symmetry is tried
+    E = BoundaryEllipse(3, 2)
+    T = simulate(*start_on_caustic(E, 0.9, rng=random.Random(4)), 5, E)
+
+    def fail(*args):
+        raise AssertionError("the vertex test should have decided")
+
+    monkeypatch.setattr(dynamics, "_unit", fail)
+    monkeypatch.setattr(dynamics, "apply_sigma", fail)
+    assert [closure_status(T, m).tag for m in range(1, 6)] == ["Open"] * 5
 
 
 def test_partition_counts_requires_closure():
