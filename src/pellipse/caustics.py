@@ -30,13 +30,11 @@ from functools import partial
 
 from . import polys
 from .cayley import (
+    _closure_blocks,
     _elliptic_candidates,
-    _hankel_scale,
-    _periodic_series,
+    _periodic_ladder,
     case_symmetry,
-    cubic_sqrt_series,
     elliptic_case_test,
-    hankel_test,
     is_periodic,
 )
 from .config import CLOSURE, DEGENERATE
@@ -346,10 +344,8 @@ def _table_roots(E: BoundaryEllipse, factors):
 
 
 def _normalized_det(E: BoundaryEllipse, gamma_f: float, n: int) -> float:
-    B = cubic_sqrt_series(E, gamma_f, 2 * n + 2)
-    S = _periodic_series(B, n)
-    value = hankel_test(S, n)
-    scale = _hankel_scale(S, n)
+    """The periodic closure determinant at ``gamma_f`` over its row scale."""
+    ((value, scale),) = _closure_blocks(E, gamma_f, n, [_periodic_ladder(n)])
     return float(value) / scale if scale > 0 else float(value)
 
 
@@ -362,34 +358,20 @@ def _scan_roots(E: BoundaryEllipse, n: int):
     if n % 2 == 0:
         segments += [(-span, -b - delta), (a + delta, span)]
     per_seg = max(64, _SCAN_POINTS // len(segments))
+    det = partial(_normalized_det, E, n=n)
     for lo, hi in segments:
         if hi <= lo:
             continue
         step = (hi - lo) / per_seg
-        prev_x, prev_f = lo, _normalized_det(E, lo, n)
+        prev_x, prev_f = lo, det(lo)
         for i in range(1, per_seg + 1):
             x = lo + i * step
-            f = _normalized_det(E, x, n)
+            f = det(x)
             if prev_f == 0.0:
                 yield prev_x, None, None
             elif f * prev_f < 0:
-                yield _bisect_det(E, n, prev_x, x, prev_f), None, None
+                yield polys.bisect_float(det, prev_x, x, prev_f), None, None
             prev_x, prev_f = x, f
-
-
-def _bisect_det(E: BoundaryEllipse, n: int, lo: float, hi: float, flo: float) -> float:
-    for _ in range(90):
-        mid = (lo + hi) / 2
-        if mid == lo or mid == hi:
-            break
-        fm = _normalized_det(E, mid, n)
-        if fm == 0.0:
-            return mid
-        if fm * flo < 0:
-            hi = mid
-        else:
-            lo, flo = mid, fm
-    return (lo + hi) / 2
 
 
 # ---------------------------------------------------------------------------

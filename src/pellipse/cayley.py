@@ -18,6 +18,10 @@ ladders ``C``, ``D`` and ``E`` used by the closure conditions:
   determinant of ``D``, ``E`` or ``C`` vanishes, the ladder depending on
   the parity, the sign of ``gamma`` and the conic type of the caustic.
 
+Every closure block at period ``n`` ends at coefficient ``n - 1``, and the
+row scale of its floating-point zero test reads coefficient ``n``, so the
+verdicts build the base series up to coefficient ``n`` and no further.
+
 The series run in the common field of ``(a, b, gamma)``
 (:func:`pellipse.polys.to_field`): exact rational arithmetic for
 ``int``/``Fraction`` inputs, 50 significant digits when any input is a
@@ -260,12 +264,6 @@ def _periodic_ladder(n: int) -> str:
     return "C" if n % 2 == 1 else "B"
 
 
-def _periodic_series(B: TruncatedSeries, n: int) -> TruncatedSeries:
-    """The series on the periodic ladder at ``n``, from the base series ``B``."""
-    ladder = _periodic_ladder(n)
-    return B if ladder == "B" else divided_series(B, ladder)
-
-
 def _hankel_layout(variant: str, n: int) -> tuple[int, int]:
     """(start, size) of the closure block at period ``n``; certificates share it."""
     if variant == "B":
@@ -303,7 +301,7 @@ def hankel_test(S: TruncatedSeries, n: int):
         return polys.det(m)
 
 
-def _hankel_scale(S: TruncatedSeries, n: int) -> float:
+def _hankel_scale(scaled, start: int, size: int) -> float:
     """Product of per-row magnitude scales of the Hankel block (zero test).
 
     Each row contributes its Euclidean norm, floored by the geometric mean
@@ -311,32 +309,54 @@ def _hankel_scale(S: TruncatedSeries, n: int) -> float:
     row consists of coefficients that themselves vanish at the closure
     condition (1 x 1 blocks in particular): the flanking coefficients give
     the natural magnitude the row would have away from the root, so the
-    relative zero test remains meaningful there.
+    relative zero test remains meaningful there.  The last right flank is
+    coefficient ``start + 2 size - 1``, one past the end of the block.
     """
-    start, size = _hankel_layout(S.variant, n)
     prod = 1.0
-    for i in range(size):
-        norm = math.sqrt(sum(float(S.scaled[start + i + j]) ** 2 for j in range(size)))
-        left = abs(float(S.scaled[start + i - 1]))
-        right_idx = start + i + size
-        right = abs(float(S.scaled[right_idx])) if right_idx < len(S.scaled) else left
+    for i in range(start, start + size):
+        norm = math.sqrt(sum(float(c) ** 2 for c in scaled[i : i + size]))
+        left = abs(float(scaled[i - 1]))
+        right = abs(float(scaled[i + size]))
         prod *= max(norm, math.sqrt(left * right))
     return prod
 
 
-def _det_is_zero(S: TruncatedSeries, n: int, value) -> bool:
-    if polys.is_exact(value):
+def _closure_blocks(E: BoundaryEllipse, gamma, n: int, ladders: list[str]) -> list[tuple]:
+    """``(determinant, row scale)`` of the closure block of each ladder at period ``n``.
+
+    ``gamma`` is checked and the field resolved once, and one base series
+    serves every ladder.  It is built up to coefficient ``n``: each block
+    ends at coefficient ``n - 1`` and the row scale of its zero test reads
+    coefficient ``n``.  The scale is ``None`` in an exact field, where a
+    determinant is zero only when it is ``0``.
+    """
+    _check_gamma(E, gamma)
+    field = polys.to_field(E.a, E.b, gamma)
+    exact = polys.is_exact(field[2])
+    blocks = []
+    with polys.field_context(field[2]):
+        bhat = _scaled_sqrt(*field, n)
+        for ladder in ladders:
+            scaled = bhat if ladder == "B" else _divided(bhat, ladder, field)
+            value = polys.det(_hankel_block(scaled, ladder, n))
+            scale = None if exact else _hankel_scale(scaled, *_hankel_layout(ladder, n))
+            blocks.append((value, scale))
+    return blocks
+
+
+def _det_is_zero(value, scale: float | None) -> bool:
+    if scale is None:
         return value == 0
-    return abs(float(value)) <= HANKEL_ZERO * _hankel_scale(S, n)
+    return abs(float(value)) <= HANKEL_ZERO * scale
 
 
-def _periodic_verdict(E: BoundaryEllipse, gamma, n: int, B: TruncatedSeries) -> PeriodicityVerdict:
-    """Hankel verdict at period ``n`` from the base series ``B`` of order ``2n+2``."""
-    S = _periodic_series(B, n)
-    value = hankel_test(S, n)
-    zero = _det_is_zero(S, n, value)
+def _periodic_verdict(E: BoundaryEllipse, gamma, n: int, block: tuple) -> PeriodicityVerdict:
+    """Hankel verdict at period ``n`` from the periodic ladder's closure block."""
+    value, scale = block
     structural = n % 2 == 0 or classify_conic(gamma, E) is ConicClass.EllipseOfFamily
-    return PeriodicityVerdict(bool(zero and structural), value, S.variant, n)
+    return PeriodicityVerdict(
+        bool(_det_is_zero(value, scale) and structural), value, _periodic_ladder(n), n
+    )
 
 
 def is_periodic(E: BoundaryEllipse, gamma, n: int) -> PeriodicityVerdict:
@@ -348,7 +368,8 @@ def is_periodic(E: BoundaryEllipse, gamma, n: int) -> PeriodicityVerdict:
     """
     if n < 3:
         raise DomainError(f"periodicity test requires n >= 3, got {n}")
-    return _periodic_verdict(E, gamma, n, cubic_sqrt_series(E, gamma, 2 * n + 2))
+    (block,) = _closure_blocks(E, gamma, n, [_periodic_ladder(n)])
+    return _periodic_verdict(E, gamma, n, block)
 
 
 def elliptic_case_test(E: BoundaryEllipse, gamma, n: int) -> EllipticVerdict:
@@ -360,24 +381,21 @@ def elliptic_case_test(E: BoundaryEllipse, gamma, n: int) -> EllipticVerdict:
     for odd ``n`` they are ``a`` (ellipse, ``gamma > 0``, ladder ``E``),
     ``b`` (ellipse, ``gamma < 0``, ladder ``D``) and the hyperbola cases
     ``d`` (ladder ``E``) and ``e`` (ladder ``D``).  A ``gamma`` that is
-    fully ``n``-periodic reports ``none``, as does one matching no case.
-    One series of order ``2n+2`` serves the periodicity test and every
-    ladder.
+    fully ``n``-periodic reports ``none``, as does one matching no case;
+    the latter carries the determinant of least magnitude.  One series,
+    up to coefficient ``n``, serves the periodicity test and every ladder.
     """
     if n < 2:
         raise DomainError(f"elliptic closure test requires n >= 2, got {n}")
-    B = cubic_sqrt_series(E, gamma, 2 * n + 2)
-    if n >= 3:
-        pv = _periodic_verdict(E, gamma, n, B)
+    cases = _elliptic_candidates(E, gamma, n)
+    periodic = [_periodic_ladder(n)] if n >= 3 else []
+    blocks = _closure_blocks(E, gamma, n, periodic + [ladder for _, ladder in cases])
+    if periodic:
+        pv = _periodic_verdict(E, gamma, n, blocks.pop(0))
         if pv.periodic:
             return EllipticVerdict("none", pv.determinant_value)
-    best: EllipticVerdict | None = None
-    for case, letter in _elliptic_candidates(E, gamma, n):
-        S = divided_series(B, letter)
-        value = hankel_test(S, n)
-        if _det_is_zero(S, n, value):
+    for (case, _), (value, scale) in zip(cases, blocks):
+        if _det_is_zero(value, scale):
             return EllipticVerdict(case, value)
-        if best is None or abs(float(value)) < abs(float(best.determinant_value)):
-            best = EllipticVerdict("none", value)
-    assert best is not None
-    return best
+    least = min((value for value, _ in blocks), key=lambda v: abs(float(v)))
+    return EllipticVerdict("none", least)

@@ -371,8 +371,10 @@ def retry_on_caustic(E: BoundaryEllipse, gamma, n: int, rng: random.Random, read
     Each try starts on a fresh random tangent of the caustic ``gamma``.
     ``read`` returns ``None``, or raises :class:`PellipseError`, to try
     again (a random start can land too close to a touch point); the value
-    is ``None`` when every try failed.
+    is ``None`` when every try failed.  The trajectories run on the float
+    image of ``E``: the starts are floats whatever the field of the axes.
     """
+    E = BoundaryEllipse(float(E.a), float(E.b))
     last = None
     for _ in range(6):
         try:

@@ -30,7 +30,7 @@ import random
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 
 from . import polys
 from .cayley import (
@@ -382,7 +382,9 @@ def _band_roots(qh: list, qh_f: list[float], values: tuple) -> tuple[int, int, l
     inner = _band_brackets(p, qh_f, c1, c2, points)
     outer = _band_brackets(p, qh_f, c3, c4, points)
     if len(inner) + len(outer) == len(p) - 1:
-        return len(outer), len(inner), [_bisect(qh_f, lo, hi) for lo, hi in inner + outer]
+        f = partial(polys.peval, qh_f)
+        roots = [polys.bisect_float(f, lo, hi, f(lo)) for lo, hi in inner + outer]
+        return len(outer), len(inner), roots
     chain = polys.sturm_chain(qh)
     roots = [float(r) for r in polys.real_roots(qh, 20) if c1 < r <= c2 or c3 < r <= c4]
     return polys.count_real_roots(chain, c3, c4), polys.count_real_roots(chain, c1, c2), roots
@@ -410,22 +412,6 @@ def _band_brackets(p: list[int], qf: list[float], lo: Fraction, hi: Fraction, po
                 out.append((x0, x))
         x0, s0 = x, s
     return out
-
-
-def _bisect(qf: list[float], lo: float, hi: float) -> float:
-    """A root of ``qf`` in the float bracket ``(lo, hi)``, bisected to the last bit."""
-    slo = polys.peval(qf, lo) > 0
-    while True:
-        mid = (lo + hi) / 2
-        if mid in (lo, hi):
-            return mid
-        v = polys.peval(qf, mid)
-        if v == 0:
-            return mid
-        if (v > 0) == slo:
-            lo = mid
-        else:
-            hi = mid
 
 
 def _simulated_partition(E: BoundaryEllipse, gamma: float, n: int) -> int:

@@ -55,6 +55,7 @@ __all__ = [
     "count_real_roots",
     "isolate_real_roots",
     "refine_root",
+    "bisect_float",
     "real_roots",
     "rationalize_root",
     "det",
@@ -496,6 +497,27 @@ def refine_root(c: Poly, lo: Fraction, hi: Fraction, digits: int = 60) -> Fracti
     bracket as given.
     """
     return _refine(_int_poly(squarefree_part(c)), lo, hi, digits)
+
+
+def bisect_float(f, lo: float, hi: float, f_lo: float) -> float:
+    """A root of ``f`` between the floats ``lo`` and ``hi``, bisected to adjacent floats.
+
+    ``f_lo`` is ``f(lo)``, passed in because callers have it, and ``f``
+    changes sign on the bracket.  A midpoint where ``f`` is exactly zero
+    is returned at once.
+    """
+    up = f_lo > 0
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return mid
+        v = f(mid)
+        if v == 0:
+            return mid
+        if (v > 0) == up:
+            lo = mid
+        else:
+            hi = mid
 
 
 def real_roots(c: Poly, digits: int = 60) -> list[Fraction]:

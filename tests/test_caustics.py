@@ -1,6 +1,7 @@
 """Condition-polynomial caustic solvers and discriminant identities."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -102,6 +103,25 @@ def test_generic_scan_matches_closed_forms():
     got = sorted(r.gamma for r in generic_caustic_scan(E, 6))
     want = sorted(r.gamma for r in periodic_caustics(E, 6))
     assert got == pytest.approx(want, rel=1e-6)
+
+
+def test_decimal_axes_solve_like_their_fractions():
+    # the validation trajectories run on the float image of the axes, so
+    # Decimal axes give the Fraction results; the scan at n = 9 runs its
+    # determinants in 50 digits and moves the roots in their last bits
+    dec = BoundaryEllipse(Decimal("2.3"), Decimal("10.4"))
+    frac = BoundaryEllipse(F(23, 10), F(52, 5))
+
+    def rows(solver, E, n):
+        return [(r.gamma, r.n1, r.n2, r.validated, r.case) for r in solver(E, n)]
+
+    for solver, n in ((periodic_caustics, 5), (elliptic_caustics, 3), (elliptic_caustics, 4)):
+        assert rows(solver, dec, n) == rows(solver, frac, n)
+    got, want = rows(periodic_caustics, dec, 9), rows(periodic_caustics, frac, 9)
+    assert len(got) == len(want) == 5
+    for g, w in zip(got, want):
+        assert g[1:] == w[1:]
+        assert g[0] == pytest.approx(w[0], rel=1e-9)
 
 
 def test_discriminant_spot_value():

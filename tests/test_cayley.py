@@ -16,6 +16,7 @@ from pellipse import (
     is_periodic,
     case_symmetry,
 )
+from pellipse.config import HANKEL_ZERO
 from pellipse.errors import DomainError, InsufficientOrder
 from pellipse import cayley, polys
 
@@ -129,21 +130,89 @@ def test_elliptic_case_test_odd_fixture():
 
 
 def test_elliptic_case_test_builds_one_series(monkeypatch):
-    # the periodicity test and every ladder share one order-2n+2 series,
-    # and gamma is checked against the degenerate values once
-    calls = {"series": 0, "check": 0}
+    # the periodicity test and every ladder share one base series, built
+    # up to coefficient n, and gamma is checked against the degenerate
+    # values once; the verdicts build the series without cubic_sqrt_series,
+    # so the builds are counted, with their orders, at _scaled_sqrt
+    orders, checks = [], []
+    scaled_sqrt, check_gamma = cayley._scaled_sqrt, cayley._check_gamma
 
-    def counted(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
+    def counted_series(a, b, gamma, order):
+        orders.append(order)
+        return scaled_sqrt(a, b, gamma, order)
 
-        return wrapper
+    def counted_check(E, gamma):
+        checks.append(gamma)
+        return check_gamma(E, gamma)
 
-    monkeypatch.setattr(cayley, "cubic_sqrt_series", counted("series", cayley.cubic_sqrt_series))
-    monkeypatch.setattr(cayley, "_check_gamma", counted("check", cayley._check_gamma))
-    assert elliptic_case_test(BoundaryEllipse(6, 3), -1.2 - 0.8 * math.sqrt(6), 3).case == "d"
-    assert calls == {"series": 1, "check": 1}
+    monkeypatch.setattr(cayley, "_scaled_sqrt", counted_series)
+    monkeypatch.setattr(cayley, "_check_gamma", counted_check)
+    gamma = -1.2 - 0.8 * math.sqrt(6)
+    assert elliptic_case_test(BoundaryEllipse(6, 3), gamma, 3).case == "d"
+    assert orders == [3] and checks == [gamma]
+
+
+def _applicable_ladders(n):
+    return "BCDE" if n % 2 == 0 and n >= 4 else "CDE"
+
+
+def _reference_row_scale(scaled, start, size):
+    # the row scale as read off a series that runs well past the block
+    prod = 1.0
+    for i in range(size):
+        norm = math.sqrt(sum(float(scaled[start + i + j]) ** 2 for j in range(size)))
+        flank = abs(float(scaled[start + i - 1])) * abs(float(scaled[start + i + size]))
+        prod *= max(norm, math.sqrt(flank))
+    return prod
+
+
+def test_closure_blocks_match_a_2n_plus_2_reference():
+    # the evaluator's series ends at coefficient n; its determinants, row
+    # scales and zero verdicts equal those read off a series of order
+    # 2n + 2, with zero and nonzero verdicts in each field
+    cases = [
+        (BoundaryEllipse(F(3), F(2)), F(4, 3)),
+        (BoundaryEllipse(F(2), F(4)), F(4, 3)),  # exactly 4-periodic
+        (BoundaryEllipse(F(5), F(3)), F(-15, 2)),  # exact elliptic case c at n = 2
+        (BoundaryEllipse(3, 2), 2.3322714928995234),  # 3-periodic
+        (BoundaryEllipse(6, 3), -1.2 - 0.8 * math.sqrt(6)),  # elliptic case d at n = 3
+        (BoundaryEllipse(F(7, 3), 2), Decimal("1.2")),
+        (BoundaryEllipse(Decimal(2), Decimal(4)), Decimal(4) / Decimal(3)),  # 4-periodic
+    ]
+    seen = set()
+    for E, gamma in cases:
+        for n in range(2, 13):
+            ladders = _applicable_ladders(n)
+            blocks = cayley._closure_blocks(E, gamma, n, list(ladders))
+            B = cubic_sqrt_series(E, gamma, 2 * n + 2)
+            for ladder, (value, scale) in zip(ladders, blocks):
+                S = B if ladder == "B" else divided_series(B, ladder)
+                ref = hankel_test(S, n)
+                assert type(value) is type(ref) and value == ref, (E, gamma, n, ladder)
+                if polys.is_exact(ref):
+                    assert scale is None
+                    ref_zero = ref == 0
+                else:
+                    layout = cayley._hankel_layout(ladder, n)
+                    assert scale == _reference_row_scale(S.scaled, *layout)
+                    ref_zero = abs(float(ref)) <= HANKEL_ZERO * scale
+                assert cayley._det_is_zero(value, scale) == ref_zero, (E, gamma, n, ladder)
+                seen.add((type(ref), ref_zero))
+    assert seen == {(kind, zero) for kind in (Fraction, float, Decimal) for zero in (True, False)}
+
+
+def test_closure_block_and_row_scale_end_at_coefficient_n():
+    # n + 1 distinct entries, coefficients 0..n, carry the block and its
+    # row scale at every n; without coefficient n the row scale fails
+    for n in range(2, 17):
+        scaled = list(range(1, n + 2))
+        for ladder in _applicable_ladders(n):
+            start, size = cayley._hankel_layout(ladder, n)
+            block = cayley._hankel_block(scaled, ladder, n)
+            assert block[-1][-1] == scaled[n - 1]
+            assert cayley._hankel_scale(scaled, start, size) > 0
+            with pytest.raises(IndexError):
+                cayley._hankel_scale(scaled[:n], start, size)
 
 
 def test_fully_periodic_is_not_elliptic():

@@ -1,5 +1,6 @@
 """Exact polynomial and linear-algebra kernel tests."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -224,6 +225,18 @@ def test_squarefree_part_runs_once_per_real_roots(monkeypatch):
     p = polys.pmul(polys.pmul([F(-1), F(1)], [F(-1), F(1)]), [F(-6), F(11), F(-6), F(1)])
     assert len(polys.real_roots(p)) == 3
     assert len(calls) == 1
+
+
+def test_bisect_float_ends_on_adjacent_floats():
+    # x**2 - 2 on [1, 2]: the last bracket is two adjacent floats, one of
+    # them the correctly rounded sqrt(2); a midpoint root returns at once
+    f = lambda x: x * x - 2  # noqa: E731
+    root = polys.bisect_float(f, 1.0, 2.0, f(1.0))
+    assert abs(root - math.sqrt(2)) <= math.ulp(math.sqrt(2))
+    assert polys.bisect_float(lambda x: 2 - x * x, 1.0, 2.0, 1.0) == root
+    calls = []
+    assert polys.bisect_float(lambda x: calls.append(x) or x - 1.5, 1.0, 2.0, -0.5) == 1.5
+    assert calls == [1.5]
 
 
 def test_rationalize_root():
