@@ -86,7 +86,6 @@ from .geometry import (
     classify_conic,
     elliptic_coordinates,
     line_through,
-    minkowski_dist,
     minkowski_dot,
     tangent_line_at,
     vector_type,
@@ -147,7 +146,6 @@ __all__ = [
     "lightlike_pell_check",
     "lightlike_periodic",
     "line_through",
-    "minkowski_dist",
     "minkowski_dot",
     "next_boundary_hit",
     "partition_counts",

@@ -12,12 +12,14 @@ indent) on stdout:
 * ``checks``    -- self-contained verification suites
 
 Exit codes: 0 success; 2 invalid arguments or domain errors (usage
-errors included, each with the ``DomainError`` JSON); 3 simulation
-failure (the JSON carries the failing step); 4 no certificate exists;
-5 a certificate failed verification; 6 a checks suite failed.
+errors and an unwritable ``--svg`` path included, each with the
+``DomainError`` JSON); 3 simulation failure (the JSON carries the failing
+step); 4 no certificate exists; 5 a certificate failed verification; 6 a
+checks suite failed.
 
 Scalar options accept integers, fractions (``7/2``) and decimals; the
-fraction form keeps the computation in exact rational arithmetic.
+fraction form keeps the closure conditions in exact rational arithmetic,
+while trajectories run in floats.
 """
 
 from __future__ import annotations
@@ -140,8 +142,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     doc = T.to_jsonable(closure)
     doc["command"] = "simulate"
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(render_trajectory_svg(T))
+        try:
+            with open(args.svg, "w", encoding="utf-8") as fh:
+                fh.write(render_trajectory_svg(T))
+        except OSError as exc:
+            raise DomainError(f"cannot write SVG file {args.svg!r}: {exc.strerror}") from None
         doc["svg"] = args.svg
     _emit(doc)
     return 0

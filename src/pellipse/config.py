@@ -3,8 +3,9 @@
 The floating-point paths of the package test closure three ways (the
 Hankel zero test, the Pell residual and the simulated closure) and guard
 the geometry around them.  Each test reads the constant of its role
-below; exact (``int``/``Fraction``) inputs compare with zero exactly and
-read none of them.  Tolerances are fixed: nothing reads the environment.
+below; exact (``int``/``Fraction``) inputs to the closure conditions
+compare with zero exactly and read none of them.  Tolerances are fixed:
+nothing reads the environment.
 """
 
 #: Absolute: a point lies on the boundary ellipse or on a confocal conic

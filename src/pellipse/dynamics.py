@@ -148,7 +148,7 @@ def reflect(v: MVec2, L: LineImplicit) -> MVec2:
     d = L.direction()
     dd = minkowski_dot(d, d)
     scale = float(d.x) * float(d.x) + float(d.y) * float(d.y)
-    if dd == 0 or abs(float(dd)) <= LIGHTLIKE * scale:
+    if abs(float(dd)) <= LIGHTLIKE * scale:
         raise ReflectionUndefined("mirror line is light-like; reflection undefined")
     s = minkowski_dot(v, d) / dd
     return MVec2(2 * s * d.x - v.x, 2 * s * d.y - v.y)
@@ -182,23 +182,31 @@ def next_boundary_hit(P: MVec2, d: MVec2, E: BoundaryEllipse) -> MVec2:
 def simulate(P0: MVec2, d0: MVec2, steps: int, E: BoundaryEllipse) -> Trajectory:
     """Simulate ``steps`` reflections from boundary point ``P0`` along ``d0``.
 
-    Enforces the caustic invariant (every segment tangent to the conic of
-    the first segment, relative drift tolerance ``DRIFT``) and
-    aborts with :class:`ReflectionUndefined` when a vertex lands within
-    tolerance of a touch point, where the tangent line is light-like.
-    Errors carry the 1-based index of the offending step.
+    The trajectory runs in floats: ``E``, ``P0`` and ``d0`` are replaced by
+    their float images on entry, whatever their field (``int``,
+    ``Fraction``, ``float`` or ``Decimal``), so the vertices, directions,
+    caustic and ellipse of the result are floats.  Enforces the caustic
+    invariant (every segment tangent to the conic of the first segment,
+    relative drift tolerance ``DRIFT``) and aborts with
+    :class:`ReflectionUndefined` when a vertex lands within tolerance of a
+    touch point, where the tangent line is light-like.  Errors carry the
+    1-based index of the offending step.
     """
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
-    if abs(float(E.boundary_residual(P0))) > BOUNDARY:
+    try:
+        E = BoundaryEllipse(float(E.a), float(E.b))
+        P, v = MVec2(float(P0.x), float(P0.y)), MVec2(float(d0.x), float(d0.y))
+    except OverflowError:
+        raise DomainError("simulate needs axes and start data within the float range") from None
+    if abs(E.boundary_residual(P)) > BOUNDARY:
         raise DomainError(f"start point ({P0.x}, {P0.y}) is not on the boundary")
-    seg_type = vector_type(d0)
-    gamma0 = caustic_of_line(line_through(P0, d0), E)
+    seg_type = vector_type(v)
+    gamma0 = caustic_of_line(line_through(P, v), E)
 
-    vertices = [P0]
-    directions = [d0]
-    arcs = [boundary_arc_class(P0, E)]
-    P, v = P0, d0
+    vertices = [P]
+    directions = [v]
+    arcs = [boundary_arc_class(P, E)]
     for i in range(1, steps + 1):
         gamma_i = caustic_of_line(line_through(P, v), E)
         if not _same_caustic(gamma0, gamma_i):
@@ -371,10 +379,10 @@ def retry_on_caustic(E: BoundaryEllipse, gamma, n: int, rng: random.Random, read
     Each try starts on a fresh random tangent of the caustic ``gamma``.
     ``read`` returns ``None``, or raises :class:`PellipseError`, to try
     again (a random start can land too close to a touch point); the value
-    is ``None`` when every try failed.  The trajectories run on the float
-    image of ``E``: the starts are floats whatever the field of the axes.
+    is ``None`` when every try failed.  The starts are floats and
+    :func:`simulate` runs on the float image of ``E``, so any field of the
+    axes will do.
     """
-    E = BoundaryEllipse(float(E.a), float(E.b))
     last = None
     for _ in range(6):
         try:

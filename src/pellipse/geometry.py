@@ -7,8 +7,10 @@ The confocal family is ``x**2/(a - t) + y**2/(b + t) = 1``: ellipses for
 ``t`` in ``(-b, a)``, hyperbolas outside, with degenerate members at
 ``t = a``, ``t = -b`` and ``t = infinity``.
 
-Scalars may be ``float`` or exact (``int``/``Fraction``); exact inputs are
-processed exactly wherever the quantity itself is rational.
+Scalars may be ``float`` or exact (``int``/``Fraction``).  The light-like,
+touch-point and through-the-origin tests are float tests with the relative
+tolerances of :mod:`pellipse.config` for every input; trajectories run in
+floats (:func:`pellipse.dynamics.simulate`).
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ from typing import Iterator
 
 from .config import BOUNDARY, DEGENERATE, LIGHTLIKE
 from .errors import DomainError
-from .polys import is_exact
 
 __all__ = [
     "MVec2",
@@ -34,7 +35,6 @@ __all__ = [
     "AllConics",
     "ALL_CONICS",
     "minkowski_dot",
-    "minkowski_dist",
     "vector_type",
     "classify_conic",
     "elliptic_coordinates",
@@ -186,19 +186,6 @@ def minkowski_dot(u: MVec2, v: MVec2):
     return u.x * v.x - u.y * v.y
 
 
-def minkowski_dist(P: MVec2, Q: MVec2) -> complex:
-    """Minkowski distance ``sqrt(<P-Q, P-Q>)`` as a complex number.
-
-    Real and non-negative for space-like separation, positive-imaginary for
-    time-like separation, zero for light-like separation.
-    """
-    d = P - Q
-    s = float(minkowski_dot(d, d))
-    if s >= 0:
-        return complex(math.sqrt(s), 0.0)
-    return complex(0.0, math.sqrt(-s))
-
-
 def vector_type(v: MVec2) -> VectorType:
     """Causal character of ``v``; the zero vector is rejected.
 
@@ -207,12 +194,7 @@ def vector_type(v: MVec2) -> VectorType:
     """
     if v.x == 0 and v.y == 0:
         raise DomainError("vector_type of the zero vector is undefined")
-    q = minkowski_dot(v, v)
-    if is_exact(v.x, v.y):
-        if q == 0:
-            return VectorType.LightLike
-        return VectorType.SpaceLike if q > 0 else VectorType.TimeLike
-    qf = float(q)
+    qf = float(minkowski_dot(v, v))
     scale = float(v.x) * float(v.x) + float(v.y) * float(v.y)
     if abs(qf) <= LIGHTLIKE * scale:
         return VectorType.LightLike
@@ -285,10 +267,6 @@ def caustic_of_line(L: LineImplicit, E: BoundaryEllipse):
     p, q, r = L.p, L.q, L.r
     num = r * r - E.a * p * p - E.b * q * q
     den = q * q - p * p
-    if is_exact(p, q, r, E.a, E.b):
-        if den == 0:
-            return ALL_CONICS if num == 0 else math.inf
-        return num / den
     pf, qf, rf = float(p), float(q), float(r)
     nscale = rf * rf + float(E.a) * pf * pf + float(E.b) * qf * qf
     if abs(float(den)) <= LIGHTLIKE * (pf * pf + qf * qf):
@@ -305,13 +283,6 @@ def boundary_arc_class(P: MVec2, E: BoundaryEllipse) -> ArcClass:
     """
     if abs(float(E.boundary_residual(P))) > BOUNDARY:
         raise DomainError(f"point ({P.x}, {P.y}) is not on the boundary ellipse")
-    if is_exact(P.x, P.y, E.a, E.b):
-        s = P.x * P.x * (E.a + E.b) - E.a * E.a
-        if s == 0:
-            return ArcClass.TouchPoint
-        return (
-            ArcClass.RelativisticHyperbolaArc if s > 0 else ArcClass.RelativisticEllipseArc
-        )
     xt = E.touch_x()
     dx = abs(float(P.x)) - xt
     if abs(dx) <= LIGHTLIKE * (1 + xt):
@@ -319,23 +290,14 @@ def boundary_arc_class(P: MVec2, E: BoundaryEllipse) -> ArcClass:
     return ArcClass.RelativisticHyperbolaArc if dx > 0 else ArcClass.RelativisticEllipseArc
 
 
-def tangent_line_at(P: MVec2, E: BoundaryEllipse, gamma=0) -> LineImplicit:
-    """Tangent line of the confocal conic with parameter ``gamma`` at ``P``.
+def tangent_line_at(P: MVec2, E: BoundaryEllipse) -> LineImplicit:
+    """Tangent line ``(x0/a) x + (y0/b) y = 1`` of the boundary at ``P``.
 
-    With ``A = a - gamma`` and ``B = b + gamma`` the tangent at a point of
-    ``x**2/A + y**2/B = 1`` is ``(x0/A) x + (y0/B) y = 1``.  ``gamma`` must
-    be non-degenerate and ``P`` must lie on the conic within tolerance.
+    ``P`` must lie on the boundary within ``BOUNDARY``.
     """
-    if isinstance(gamma, float) and math.isinf(gamma):
-        raise DomainError("tangent line undefined for the degenerate conic at infinity")
-    A = E.a - gamma
-    B = E.b + gamma
-    if A == 0 or B == 0:
-        raise DomainError(f"gamma={gamma} is a degenerate member of the family")
-    res = P.x * P.x / A + P.y * P.y / B - 1
-    if abs(float(res)) > BOUNDARY * max(1.0, abs(float(P.x * P.x / A)), abs(float(P.y * P.y / B))):
-        raise DomainError(f"point ({P.x}, {P.y}) is not on the conic gamma={gamma}")
-    return LineImplicit(P.x / A, P.y / B, 1 if is_exact(P.x, P.y, A, B) else 1.0)
+    if abs(float(E.boundary_residual(P))) > BOUNDARY:
+        raise DomainError(f"point ({P.x}, {P.y}) is not on the boundary ellipse")
+    return LineImplicit(P.x / E.a, P.y / E.b, 1.0)
 
 
 def line_through(P: MVec2, d: MVec2) -> LineImplicit:
@@ -347,10 +309,6 @@ def line_through(P: MVec2, d: MVec2) -> LineImplicit:
     if d.x == 0 and d.y == 0:
         raise DomainError("line direction must be nonzero")
     c = d.y * P.x - d.x * P.y
-    if is_exact(P.x, P.y, d.x, d.y):
-        if c == 0:
-            return LineImplicit(d.y, -d.x, 0)
-        return LineImplicit(d.y / c, -d.x / c, 1)
     scale = abs(float(d.y) * float(P.x)) + abs(float(d.x) * float(P.y))
     if abs(float(c)) <= DEGENERATE * scale:
         return LineImplicit(float(d.y), -float(d.x), 0.0)

@@ -45,7 +45,7 @@ def _polyline(points: list[tuple[float, float]], style: str) -> str:
 
 def _caustic_elements(E: BoundaryEllipse, gamma, frame: _Frame, half: float) -> list[str]:
     style = 'fill="none" stroke="#1f6fc4" stroke-width="1.2" stroke-dasharray="6 4"'
-    if gamma is ALL_CONICS or gamma is None:
+    if gamma is ALL_CONICS:
         return []
     g = float(gamma)
     if math.isinf(g):
@@ -59,31 +59,22 @@ def _caustic_elements(E: BoundaryEllipse, gamma, frame: _Frame, half: float) -> 
         return [
             f'<ellipse cx="{_fmt(cx)}" cy="{_fmt(cy)}" rx="{_fmt(rx)}" ry="{_fmt(ry)}" {style}/>'
         ]
+    if conic not in (ConicClass.HyperbolaXMajor, ConicClass.HyperbolaYMajor):
+        return []
+    # x**2/(a-g) + y**2/(b+g) = 1 with semi-axes sqrt|a-g| and sqrt|b+g|: two
+    # branches opening left/right (XMajor) or up/down (YMajor), one per sign
+    x_major = conic is ConicClass.HyperbolaXMajor
+    ax, ay = math.sqrt(abs(a - g)), math.sqrt(abs(b + g))
+    umax = math.asinh(half / min(ax, ay) + 1.0)
     out = []
-    if conic is ConicClass.HyperbolaXMajor:
-        # x**2/(a-g) - y**2/|b+g| = 1, two branches opening left/right
-        ax, ay = math.sqrt(a - g), math.sqrt(-(b + g))
-        reach = half / min(ax, ay) + 1.0
-        umax = math.asinh(reach)
-        for sx in (1.0, -1.0):
-            pts = []
-            for i in range(81):
-                u = -umax + 2 * umax * i / 80
-                pts.append(frame.to_px(sx * ax * math.cosh(u), ay * math.sinh(u)))
-            out.append(_polyline(pts, style))
-        return out
-    if conic is ConicClass.HyperbolaYMajor:
-        ax, ay = math.sqrt(g - a), math.sqrt(b + g)
-        reach = half / min(ax, ay) + 1.0
-        umax = math.asinh(reach)
-        for sy in (1.0, -1.0):
-            pts = []
-            for i in range(81):
-                u = -umax + 2 * umax * i / 80
-                pts.append(frame.to_px(ax * math.sinh(u), sy * ay * math.cosh(u)))
-            out.append(_polyline(pts, style))
-        return out
-    return []
+    for sign in (1.0, -1.0):
+        pts = []
+        for i in range(81):
+            u = -umax + 2 * umax * i / 80
+            ch, sh = sign * math.cosh(u), math.sinh(u)
+            pts.append(frame.to_px(ax * ch, ay * sh) if x_major else frame.to_px(ax * sh, ay * ch))
+        out.append(_polyline(pts, style))
+    return out
 
 
 def render_trajectory_svg(T: Trajectory) -> str:

@@ -227,6 +227,34 @@ def test_simulate_periodic_closure(capsys):
     }
 
 
+def test_simulate_unwritable_svg_exits_2(capsys, tmp_path):
+    path = str(tmp_path / "missing" / "f.svg")
+    rc, out = run(
+        capsys,
+        "simulate",
+        "--a", "3", "--b", "2",
+        "--x0", "1.6736367831520975", "--y0", "0.36417936796794614",
+        "--dx=-0.9629031000754975", "--dy=-1.6538453794454322",
+        "--steps", "6", "--svg", path,
+    )
+    assert rc == 2
+    doc = json.loads(out)
+    assert doc["error"] == "DomainError"
+    assert path in doc["message"] and "No such file or directory" in doc["message"]
+
+
+def test_simulate_axes_beyond_float_range_exit_2(capsys):
+    rc, out = run(
+        capsys,
+        "simulate",
+        "--a", str(10**400), "--b", "2",
+        "--x0", "0", "--y0", "1", "--dx", "1", "--dy", "0",
+        "--steps", "3",
+    )
+    assert rc == 2
+    assert json.loads(out)["error"] == "DomainError"
+
+
 def test_simulate_lightlike_square(capsys):
     rc, out = run(
         capsys,

@@ -1,7 +1,9 @@
 """Billiard simulation, reflection law, and closure detection."""
 
+import json
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -22,7 +24,7 @@ from pellipse import (
     start_on_caustic,
     vector_type,
 )
-from pellipse import dynamics
+from pellipse import cli, dynamics
 from pellipse.errors import DomainError, ReflectionUndefined
 
 F = Fraction
@@ -65,6 +67,28 @@ def test_simulate_records_caustic_and_arcs():
     for i in range(10):
         L = line_through(T.vertices[i], T.directions[i])
         assert caustic_of_line(L, E) == pytest.approx(1.1, rel=1e-8)
+
+
+def test_fraction_start_data_simulate_in_floats(capsys):
+    E = BoundaryEllipse(2, 2)
+    T = simulate(MVec2(F(1), F(1)), MVec2(F(-1), F(-3, 10)), 20, E)
+    assert all(type(c) is float for P in T.vertices for c in P)
+    assert T == simulate(MVec2(1.0, 1.0), MVec2(-1.0, -0.3), 20, E)
+    # on the command line, 2000 steps of exact start data print the float run
+    docs = []
+    for d in (["--dx=-1/1", "--dy=-3/10"], ["--dx=-1", "--dy=-0.3"]):
+        argv = ["simulate", "--a", "2", "--b", "2", "--x0", "1", "--y0", "1", *d]
+        assert cli.main([*argv, "--steps", "2000"]) == 0
+        docs.append(capsys.readouterr().out)
+    assert docs[0] == docs[1]
+    assert len(json.loads(docs[0])["vertices"]) == 2001
+
+
+def test_decimal_axes_simulate_like_their_floats():
+    E = BoundaryEllipse(Decimal("2.3"), Decimal("10.4"))
+    P0, d0 = start_on_caustic(E, 1.5, rng=random.Random(5))
+    T = simulate(P0, d0, 5, E)
+    assert T == simulate(P0, d0, 5, BoundaryEllipse(2.3, 10.4))
 
 
 def test_simulate_requires_boundary_start():
