@@ -67,19 +67,23 @@ __all__ = ["main", "build_parser"]
 def _parse_scalar(text: str):
     t = text.strip()
     try:
-        return int(t)
+        value = int(t)
     except ValueError:
-        pass
-    if "/" in t:
-        try:
-            return Fraction(t)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise argparse.ArgumentTypeError(f"invalid fraction {text!r}: {exc}") from exc
+        if "/" in t:
+            try:
+                value = Fraction(t)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise argparse.ArgumentTypeError(f"invalid fraction {text!r}: {exc}") from exc
+        else:
+            try:
+                value = float(t)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
     try:
-        value = float(t)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
-    if not math.isfinite(value):
+        finite = math.isfinite(value)
+    except OverflowError:  # an int or a Fraction beyond the float range
+        finite = False
+    if not finite:
         raise argparse.ArgumentTypeError(f"must be finite, got {value}")
     return value
 

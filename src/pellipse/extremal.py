@@ -180,7 +180,7 @@ class PellPair:
     """The primitive solution ``(p, q)`` of the half-degree Pell identity.
 
     ``p`` and ``q`` are float coefficient tuples (ascending).  The exact
-    squares ``p**2``, ``p q``, ``q**2`` — rational polynomials even when
+    products ``p**2`` and ``p q`` — rational polynomials even when
     ``p`` itself carries an irrational scale — are kept internally for the
     lossless lift to the full certificate, with the values ``(a, b,
     gamma)`` they were computed from, in their field.
@@ -193,7 +193,6 @@ class PellPair:
     ellipse: BoundaryEllipse
     p2: tuple = field(repr=False)
     pq: tuple = field(repr=False)
-    q2: tuple = field(repr=False)
     values: tuple = field(repr=False)
 
     def __iter__(self):
@@ -280,9 +279,8 @@ def _construct_exact(E, values, n, ladder) -> PellPair:
     lead2 = lead * lead
     pp = [c / lead2 for c in polys.pmul(rev_p, rev_p)]
     pq_ = [c / lead2 for c in polys.pmul(rev_p, rev_q)]
-    qq = [c / lead2 for c in polys.pmul(rev_q, rev_q)]
     if n % 2 == 0:
-        p2, pq, q2 = pp, pq_, qq
+        p2, pq = pp, pq_
         scale_p = 1 / abs(float(lead))
         scale_q = scale_p
     else:
@@ -290,7 +288,6 @@ def _construct_exact(E, values, n, ladder) -> PellPair:
         g_abs = g if g > 0 else -g
         p2 = [c * g_abs for c in pp]
         pq = [c * eps_sign for c in pq_]
-        q2 = [c / g_abs for c in qq]
         sg = math.sqrt(abs(float(g)))
         scale_p = sg / abs(float(lead))
         scale_q = 1 / (sg * abs(float(lead)))
@@ -306,7 +303,6 @@ def _construct_exact(E, values, n, ladder) -> PellPair:
         ellipse=E,
         p2=tuple(p2),
         pq=tuple(pq),
-        q2=tuple(q2),
         values=values,
     )
 
@@ -377,7 +373,7 @@ def _band_roots(qh: list, qh_f: list[float], values: tuple) -> tuple[int, int, l
     """
     a, b, g = map(Fraction, values)
     c1, c2, c3, c4 = sorted([Fraction(0), 1 / a, -1 / b, 1 / g])
-    p = polys._int_poly(polys.trim(qh))
+    p = polys._int_poly(qh)
     points = 4 * (len(p) - 1) + 8
     inner = _band_brackets(p, qh_f, c1, c2, points)
     outer = _band_brackets(p, qh_f, c3, c4, points)
@@ -386,7 +382,7 @@ def _band_roots(qh: list, qh_f: list[float], values: tuple) -> tuple[int, int, l
         roots = [polys.bisect_float(f, lo, hi, f(lo)) for lo, hi in inner + outer]
         return len(outer), len(inner), roots
     chain = polys.sturm_chain(qh)
-    roots = [float(r) for r in polys.real_roots(qh, 20) if c1 < r <= c2 or c3 < r <= c4]
+    roots = [float(r) for r in polys.real_roots(qh) if c1 < r <= c2 or c3 < r <= c4]
     return polys.count_real_roots(chain, c3, c4), polys.count_real_roots(chain, c1, c2), roots
 
 

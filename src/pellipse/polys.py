@@ -13,12 +13,15 @@ a ``Decimal`` all of them become 50-digit ``Decimal`` (a ``Fraction`` as
 its 50-digit quotient, a ``float`` exactly); otherwise all become
 ``float``.
 
-Exact real roots: the square-free part and its Sturm chain are computed
-once over ``Fraction``, then each is replaced by the primitive integer
-polynomial that is a positive multiple of it, which has the same signs.
-Isolation bisects the Cauchy bound by Sturm counts, and refinement bisects
-each isolating interval; every sign test ``sign p(num/den)`` is an integer
-homogeneous Horner sum, with no ``Fraction`` arithmetic per step.
+Exact real roots run on primitive integer polynomials: each polynomial
+is replaced once by the primitive integer polynomial that is a positive
+multiple of it, which has the same signs.  One sign-preserving integer
+pseudo-remainder drives both the gcd of the square-free part and the
+Sturm chain, so every member of the chain is the primitive positive
+multiple of the rational Euclidean remainder.  Isolation bisects the
+Cauchy bound by Sturm counts, and refinement bisects each isolating
+interval; every sign test ``sign p(num/den)`` is an integer homogeneous
+Horner sum, with no ``Fraction`` arithmetic per step.
 """
 
 from __future__ import annotations
@@ -318,64 +321,64 @@ def discriminant(c: Poly) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Sturm isolation and refinement on integer sign evaluation
+# Sturm isolation and refinement on primitive integer polynomials
 # ---------------------------------------------------------------------------
 
 
-def _frac_poly(c: Poly) -> list[Fraction]:
-    return trim([Fraction(a) for a in c])
+def _int_poly(c: Poly) -> list[int]:
+    """The primitive integer polynomial that is a positive multiple of trimmed ``c``."""
+    ci, _ = _to_int_poly(trim(c))
+    g = gcd(*ci) or 1
+    return [a // g for a in ci]
 
 
-def _pgcd(u: list[Fraction], v: list[Fraction]) -> list[Fraction]:
-    u, v = trim(u), trim(v)
-    while any(a != 0 for a in v):
-        _, r = pdivmod(u, v)
-        u, v = v, r
-    if u[-1] != 0:
-        u = [a / u[-1] for a in u]
-    return u
+def _prem(u: list[int], v: list[int]) -> list[int]:
+    """The remainder of ``|lc(v)|**k * u`` by ``v``, made primitive.
+
+    Each elimination step scales the running remainder by ``|lc(v)| > 0``,
+    so the result is a positive multiple of the remainder over the
+    rationals and has the same signs everywhere.
+    """
+    if v[-1] < 0:
+        v = pneg(v)  # the same remainder, by a divisor with lc(v) > 0
+    r = list(u)
+    while len(r) >= len(v) and r != [0]:
+        k, top = len(r) - len(v), r[-1]
+        r = [a * v[-1] for a in r]
+        for i, b in enumerate(v):
+            r[k + i] -= top * b
+        r = trim(r[:-1] or [0])
+    return _int_poly(r)
 
 
-def squarefree_part(c: Poly) -> list[Fraction]:
-    """``p / gcd(p, p')`` — same real roots, all simple."""
-    p = _frac_poly(c)
-    if len(p) <= 2:
+def squarefree_part(c: Poly) -> list[int]:
+    """``p / gcd(p, p')`` as a primitive integer polynomial: same real roots, all simple."""
+    p = _int_poly(c)
+    u, v = p, _int_poly(pderiv(p))
+    while v != [0]:
+        u, v = v, _prem(u, v)
+    if len(u) == 1:
         return p
-    g = _pgcd(p, pderiv(p))
-    if degree(g) == 0:
-        return p
-    q, r = pdivmod(p, g)
+    q, r = pdivmod(p, [Fraction(a, u[-1]) for a in u])  # by the monic gcd
     if any(a != 0 for a in r):  # pragma: no cover - exact division by gcd
         raise DomainError("square-free reduction failed")
-    return trim(q)
+    return _int_poly(q)
 
 
-def _sturm(p: list[Fraction]) -> list[list[Fraction]]:
-    chain = [p, trim(pderiv(p))]
-    while degree(chain[-1]) > 0:
-        _, r = pdivmod(chain[-2], chain[-1])
-        r = trim(r)
-        if all(a == 0 for a in r):
+def _sturm(p: list[int]) -> list[list[int]]:
+    """Sturm chain of the square-free integer ``p``; each member primitive."""
+    chain = [p, _int_poly(pderiv(p))]
+    while len(chain[-1]) > 1:
+        r = _prem(chain[-2], chain[-1])
+        if r == [0]:
             break
         chain.append(pneg(r))
     return chain
 
 
-def sturm_chain(c: Poly) -> list[list[Fraction]]:
-    """Sturm chain of the square-free part of ``c``."""
+def sturm_chain(c: Poly) -> list[list[int]]:
+    """Sturm chain of the square-free part of ``c``, as primitive integer polynomials."""
     return _sturm(squarefree_part(c))
-
-
-def _int_poly(c: Poly) -> list[int]:
-    """The primitive integer polynomial that is a positive multiple of ``c``."""
-    ci, _ = _to_int_poly(c)
-    g = gcd(*ci) or 1
-    return [a // g for a in ci]
-
-
-def _int_chain(p: list[Fraction]) -> list[list[int]]:
-    """Sturm chain of the square-free ``p``, each member as :func:`_int_poly`."""
-    return [_int_poly(q) for q in _sturm(p)]
 
 
 def _sign_at(p: list[int], x: Fraction) -> int:
@@ -398,10 +401,9 @@ def _variations(chain: list[list[int]], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_real_roots(chain: list[list[Fraction]], lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots in ``(lo, hi]`` by Sturm's theorem."""
-    ints = [_int_poly(p) for p in chain]
-    return _variations(ints, Fraction(lo)) - _variations(ints, Fraction(hi))
+def count_real_roots(chain: list[list[int]], lo: Fraction, hi: Fraction) -> int:
+    """Number of distinct real roots in ``(lo, hi]`` by Sturm's theorem on a :func:`sturm_chain`."""
+    return _variations(chain, Fraction(lo)) - _variations(chain, Fraction(hi))
 
 
 def _isolate(chain: list[list[int]]) -> list[tuple[Fraction, Fraction]]:
@@ -445,10 +447,10 @@ def _isolate(chain: list[list[int]]) -> list[tuple[Fraction, Fraction]]:
 
 def isolate_real_roots(c: Poly) -> list[tuple[Fraction, Fraction]]:
     """Disjoint open intervals each containing exactly one real root."""
-    return _isolate(_int_chain(squarefree_part(c)))
+    return _isolate(sturm_chain(c))
 
 
-def _refine(p: list[int], lo, hi, digits: int) -> Fraction:
+def _refine(p: list[int], lo, hi) -> Fraction:
     """Bisect a root of the square-free integer polynomial ``p`` in ``[lo, hi]``.
 
     After ``k`` steps the bracket is ``[L, H] / (den * 2**k)``: integer
@@ -466,7 +468,7 @@ def _refine(p: list[int], lo, hi, digits: int) -> Fraction:
         return hi
     if shi == slo:
         raise DomainError("refine_root requires a sign change on the bracket")
-    tol = Fraction(max(1, abs(flo), abs(fhi)), 10**digits)
+    tol = Fraction(max(1, abs(flo), abs(fhi)), 10**60)
     den = lcm(flo.denominator, fhi.denominator)
     L = flo.numerator * (den // flo.denominator)
     H = fhi.numerator * (den // fhi.denominator)
@@ -490,13 +492,9 @@ def _refine(p: list[int], lo, hi, digits: int) -> Fraction:
     return Fraction(L + H, den << (k + 1))
 
 
-def refine_root(c: Poly, lo: Fraction, hi: Fraction, digits: int = 60) -> Fraction:
-    """Bisect a sign-changing bracket down to ``10**-digits`` width.
-
-    The stopping width is ``10**-digits * max(1, |lo|, |hi|)`` of the
-    bracket as given.
-    """
-    return _refine(_int_poly(squarefree_part(c)), lo, hi, digits)
+def refine_root(c: Poly, lo: Fraction, hi: Fraction) -> Fraction:
+    """Bisect a sign-changing bracket down to ``10**-60 * max(1, |lo|, |hi|)`` width."""
+    return _refine(squarefree_part(c), lo, hi)
 
 
 def bisect_float(f, lo: float, hi: float, f_lo: float) -> float:
@@ -520,23 +518,20 @@ def bisect_float(f, lo: float, hi: float, f_lo: float) -> float:
             hi = mid
 
 
-def real_roots(c: Poly, digits: int = 60) -> list[Fraction]:
-    """All distinct real roots, refined to ``10**-digits``, ascending.
+def real_roots(c: Poly) -> list[Fraction]:
+    """All distinct real roots, refined as by :func:`refine_root`, ascending.
 
     The square-free part is computed once and shared by isolation and
     every refinement.
     """
-    chain = _int_chain(squarefree_part(c))
-    return [_refine(chain[0], a, b, digits) for a, b in _isolate(chain)]
+    chain = sturm_chain(c)
+    return [_refine(chain[0], a, b) for a, b in _isolate(chain)]
 
 
 def rationalize_root(c: Poly, approx: Fraction) -> Fraction | None:
     """The exact rational root near ``approx``, denominator at most ``10**9``, if any."""
-    p = _frac_poly(c)
     cand = Fraction(approx).limit_denominator(10**9)
-    if peval(p, cand) == 0:
-        return cand
-    return None
+    return cand if _sign_at(_int_poly(c), cand) == 0 else None
 
 
 # ---------------------------------------------------------------------------

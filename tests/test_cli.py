@@ -163,11 +163,22 @@ def test_snap_needs_no_validation(monkeypatch):
     assert cli._snap_gamma(E, Fraction(-2778, 1000), 5) == Fraction(-2778, 1000)
 
 
-@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "1e400"])
+@pytest.mark.parametrize(
+    "value",
+    ["inf", "-inf", "nan", "1e400", str(10**400), f"{10**400}/1"],
+    ids=["inf", "-inf", "nan", "1e400", "int-401-digits", "fraction-401-digits"],
+)
 @pytest.mark.parametrize("option", ["--a", "--b"])
 def test_non_finite_scalar_exits_2(capsys, option, value):
     args = {"--a": "3", "--b": "2", option: value}
     rc, out = run(capsys, "solve", "--n", "3", *(f"{k}={v}" for k, v in args.items()))
+    assert rc == 2
+    doc = json.loads(out)
+    assert doc["error"] == "DomainError" and "finite" in doc["message"]
+
+
+def test_certify_axis_beyond_float_range_exits_2(capsys):
+    rc, out = run(capsys, "certify", "--a", f"{10**400}/1", "--b", "2", "--gamma", "1", "--n", "3")
     assert rc == 2
     doc = json.loads(out)
     assert doc["error"] == "DomainError" and "finite" in doc["message"]

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pellipse import polys
+from pellipse import caustics, polys
 from pellipse.errors import DomainError
 
 F = Fraction
@@ -79,6 +79,46 @@ def test_real_root_isolation_and_refinement():
 # -- reference root finder: Sturm isolation and bisection on Fraction/peval --
 
 
+def _ref_squarefree(c):
+    """``p / gcd(p, p')`` by the Euclidean algorithm over ``Fraction``, monic gcd."""
+    p = polys.trim([F(a) for a in c])
+    if len(p) <= 2:
+        return p
+    u, v = p, polys.trim(polys.pderiv(p))
+    while any(v):
+        u, v = v, polys.pdivmod(u, v)[1]
+    if polys.degree(u) == 0:
+        return p
+    return polys.pdivmod(p, [a / u[-1] for a in u])[0]
+
+
+def _ref_chain(c):
+    """Sturm chain of the square-free part by ``pdivmod`` over ``Fraction``."""
+    p = _ref_squarefree(c)
+    chain = [p, polys.trim(polys.pderiv(p))]
+    while polys.degree(chain[-1]) > 0:
+        r = polys.pdivmod(chain[-2], chain[-1])[1]
+        if not any(r):
+            break
+        chain.append(polys.pneg(r))
+    return chain
+
+
+def _primitive(q):
+    """The primitive integer polynomial that is a positive multiple of the rational ``q``."""
+    m = math.lcm(*(F(a).denominator for a in q))
+    ints = [int(F(a) * m) for a in q]
+    g = math.gcd(*ints) or 1
+    return [a // g for a in ints]
+
+
+def _assert_chain_matches_reference(c):
+    chain = polys.sturm_chain(c)
+    assert all(type(a) is int for q in chain for a in q)
+    assert chain == [_primitive(q) for q in _ref_chain(c)]
+    assert polys.squarefree_part(c) == chain[0]
+
+
 def _ref_sign(p, x):
     v = polys.peval(p, x)
     return (v > 0) - (v < 0)
@@ -94,7 +134,7 @@ def _ref_isolate(c):
     if polys.degree(p) == 0:
         return []
     chain = polys.sturm_chain(p)
-    bound = 1 + max(abs(a) for a in p[:-1]) / abs(p[-1])  # strict: no root at +-bound
+    bound = 1 + F(max(abs(a) for a in p[:-1]), abs(p[-1]))  # strict: no root at +-bound
     out, stack = [], [(-bound, bound)]
     while stack:
         a, b = stack.pop()
@@ -110,7 +150,7 @@ def _ref_isolate(c):
     return sorted(out)
 
 
-def _ref_refine(c, lo, hi, digits):
+def _ref_refine(c, lo, hi):
     p = polys.squarefree_part(c)
     flo, fhi = polys.peval(p, lo), polys.peval(p, hi)
     if flo == 0:
@@ -119,7 +159,7 @@ def _ref_refine(c, lo, hi, digits):
         return hi
     if (flo > 0) == (fhi > 0):
         raise DomainError("no sign change")
-    tol = Fraction(1, 10**digits) * max(Fraction(1), abs(lo), abs(hi))
+    tol = Fraction(1, 10**60) * max(Fraction(1), abs(lo), abs(hi))
     while hi - lo > tol:
         mid = (lo + hi) / 2
         fm = polys.peval(p, mid)
@@ -156,15 +196,36 @@ def _from_roots(lead, roots, extra):
     lead=st.sampled_from([1, -1, 3, -7, F(2, 9)]),
     roots=_roots,
     extra=_extra,
-    digits=st.sampled_from([10, 30, 60]),
 )
-@example(lead=1, roots=[(3, 4, 2), (-5, 1, 1)], extra=(1,), digits=60)
-def test_real_roots_match_reference(lead, roots, extra, digits):
+@example(lead=1, roots=[(3, 4, 2), (-5, 1, 1)], extra=(1,))
+def test_real_roots_match_reference(lead, roots, extra):
     p = _from_roots(lead, roots, extra)
-    want = [_ref_refine(p, a, b, digits) for a, b in _ref_isolate(p)]
+    want = [_ref_refine(p, a, b) for a, b in _ref_isolate(p)]
     assert polys.isolate_real_roots(p) == _ref_isolate(p)
-    assert polys.real_roots(p, digits) == want
+    assert polys.real_roots(p) == want
     assert len(want) == len({F(num, den) for num, den, _ in roots}) + _EXTRA_REAL_ROOTS[extra]
+
+
+@given(lead=st.sampled_from([1, -1, 3, -7, F(2, 9)]), roots=_roots, extra=_extra)
+@example(lead=1, roots=[(3, 4, 2), (-5, 1, 1)], extra=(1,))
+# -x**3 + 2x: the zero coefficients skip elimination steps, so a remainder
+# scaled by lc(v) < 0 instead of |lc(v)| would change sign
+@example(lead=-1, roots=[(0, 1, 1)], extra=(-2, 0, 1))
+def test_sturm_chain_matches_fraction_euclid(lead, roots, extra):
+    _assert_chain_matches_reference(_from_roots(lead, roots, extra))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(12, 2), (F(74, 7), F(25, 9)), (5.6, 3.8), (F(7, 1000), F(3, 1000))],
+    ids=["int", "fraction", "decimal-float", "scaled"],
+)
+def test_sturm_chain_matches_fraction_euclid_on_table_factors(a, b):
+    a, b = F(a), F(b)
+    builders = [f for fs in caustics._PERIODIC_NEW.values() for f in fs]
+    builders += [f for fs in caustics._ELLIPTIC_POLYS.values() for _, f in fs]
+    for builder in builders:
+        _assert_chain_matches_reference(polys.trim(builder(a, b)))
 
 
 _dyadic = st.builds(lambda m, j: F(m, 2**j), st.integers(-40, 40), st.integers(0, 4))
@@ -176,12 +237,11 @@ _dyadic = st.builds(lambda m, j: F(m, 2**j), st.integers(-40, 40), st.integers(0
     lo=_dyadic,
     width=_dyadic.filter(lambda w: w > 0),
     on_root=st.sampled_from([None, "lo", "hi"]),
-    digits=st.sampled_from([10, 60]),
 )
-@example(roots=[(3, 4, 1), (-5, 1, 2)], extra=(1,), lo=F(0), width=F(1), on_root=None, digits=60)
-@example(roots=[(3, 4, 1)], extra=(3, 0, 1), lo=F(0), width=F(5, 4), on_root="lo", digits=60)
-@example(roots=[(3, 4, 1)], extra=(3, 0, 1), lo=F(0), width=F(5, 4), on_root="hi", digits=60)
-def test_refine_root_matches_reference(roots, extra, lo, width, on_root, digits):
+@example(roots=[(3, 4, 1), (-5, 1, 2)], extra=(1,), lo=F(0), width=F(1), on_root=None)
+@example(roots=[(3, 4, 1)], extra=(3, 0, 1), lo=F(0), width=F(5, 4), on_root="lo")
+@example(roots=[(3, 4, 1)], extra=(3, 0, 1), lo=F(0), width=F(5, 4), on_root="hi")
+def test_refine_root_matches_reference(roots, extra, lo, width, on_root):
     p = _from_roots(1, roots, extra)
     hi = lo + width
     root = F(roots[0][0], roots[0][1])
@@ -190,12 +250,12 @@ def test_refine_root_matches_reference(roots, extra, lo, width, on_root, digits)
     elif on_root == "hi":
         lo, hi = min(lo, root - 1), root
     try:
-        want = _ref_refine(p, lo, hi, digits)
+        want = _ref_refine(p, lo, hi)
     except DomainError:
         with pytest.raises(DomainError):
-            polys.refine_root(p, lo, hi, digits)
+            polys.refine_root(p, lo, hi)
         return
-    assert polys.refine_root(p, lo, hi, digits) == want
+    assert polys.refine_root(p, lo, hi) == want
 
 
 def test_refine_root_exact_hits_and_bracket_ends():
