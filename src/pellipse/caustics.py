@@ -38,8 +38,8 @@ from .cayley import (
     is_periodic,
 )
 from .config import CLOSURE, DEGENERATE
-from .dynamics import ClosureStatus, closure_status, retry_on_caustic
-from .errors import DomainError
+from .dynamics import ClosureStatus, closure_status, simulate, start_on_caustic
+from .errors import DomainError, PellipseError
 from .geometry import ArcClass, BoundaryEllipse, ConicClass, classify_conic
 
 __all__ = [
@@ -445,24 +445,34 @@ def _with_case(E: BoundaryEllipse, n: int, candidates, discarded):
 def _sim_closure(E, gamma_f, n, rng, want_sigma=None):
     """Simulate n steps from a random caustic tangent; classify the closure.
 
-    Returns ``(ok, n1, n2)``.  ``want_sigma=None`` demands full periodicity;
-    otherwise the trajectory must close onto the ``want_sigma`` mirror image.
+    Returns ``(ok, n1, n2, last)``.  ``want_sigma=None`` demands full
+    periodicity; otherwise the trajectory must close onto the
+    ``want_sigma`` mirror image.  Up to 6 tries start on fresh random
+    tangents of the caustic (a start can land too close to a touch point);
+    ``last`` is the last failed try, an error or the closure it reached
+    instead, and ``None`` when no try failed.  The starts are floats and
+    :func:`~pellipse.dynamics.simulate` runs on the float image of ``E``,
+    so any field of the axes will do.
     """
     if want_sigma is None:
         want = ClosureStatus.periodic(n)
     else:
         want = ClosureStatus.elliptic(n, want_sigma)
-
-    def counts(T):
-        if closure_status(T, n, CLOSURE) != want:
-            return None
-        arcs = T.arc_classes[:n]
-        return arcs.count(ArcClass.RelativisticEllipseArc), arcs.count(
-            ArcClass.RelativisticHyperbolaArc
-        )
-
-    found, _ = retry_on_caustic(E, gamma_f, n, rng, counts)
-    return (False, None, None) if found is None else (True, *found)
+    last = None
+    for _ in range(6):
+        try:
+            P0, d0 = start_on_caustic(E, gamma_f, rng)
+            T = simulate(P0, d0, n, E)
+        except PellipseError as exc:
+            last = exc
+            continue
+        status = closure_status(T, n, CLOSURE)
+        if status == want:
+            arcs = T.arc_classes[:n]
+            n1 = arcs.count(ArcClass.RelativisticEllipseArc)
+            return True, n1, arcs.count(ArcClass.RelativisticHyperbolaArc), last
+        last = f"closure after {n} steps is {status.tag}, not {want.tag}"
+    return False, None, None, last
 
 
 def _results(E, n, candidates, rng) -> list[CausticResult]:
@@ -481,7 +491,7 @@ def _results(E, n, candidates, rng) -> list[CausticResult]:
         else:
             sigma = case_symmetry(case)
             verdict = elliptic_case_test(E, gamma_f, n).case == case
-        ok, n1, n2 = _sim_closure(E, gamma_f, n, rng, want_sigma=sigma)
+        ok, n1, n2, _ = _sim_closure(E, gamma_f, n, rng, want_sigma=sigma)
         results.append(
             CausticResult(
                 gamma=gamma_f,

@@ -34,6 +34,7 @@ from fractions import Fraction
 
 from .caustics import (
     DISCRIMINANT_IDENTITIES,
+    _sim_closure,
     discriminant_identity_check,
     elliptic_caustics,
     periodic_caustics,
@@ -186,8 +187,19 @@ def cmd_certify(args: argparse.Namespace) -> int:
     E = BoundaryEllipse(args.a, args.b)
     gamma = _snap_gamma(E, args.gamma, args.n)
     try:
-        pair = pell_construct(E, gamma, args.n)
-        cert = pell_lift(pair)
+        cert = pell_lift(pell_construct(E, gamma, args.n))
+        # the solvers' simulated closure cross-checks the proven partition;
+        # a disagreement is an error, never resolved in favour of either
+        ok, n1, _, last = _sim_closure(E, cert.gamma, args.n, random.Random(0))
+        if not ok:
+            raise CertificateInvalid(
+                f"validation trajectory failed to close for gamma={cert.gamma}: {last}"
+            )
+        if (args.n, n1) != cert.partition:
+            raise CertificateInvalid(
+                f"simulated partition {[args.n, n1]} disagrees with the certificate's "
+                f"partition {list(cert.partition)}"
+            )
     except NoCertificate as exc:
         _emit({"error": "NoCertificate", "message": str(exc)})
         return 4

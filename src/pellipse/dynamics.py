@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .config import BOUNDARY, DEGENERATE, DRIFT, LIGHTLIKE
-from .errors import CausticDrift, DegenerateChord, DomainError, PellipseError, ReflectionUndefined
+from .errors import CausticDrift, DegenerateChord, DomainError, ReflectionUndefined
 from .geometry import (
     ALL_CONICS,
     ArcClass,
@@ -44,7 +44,6 @@ __all__ = [
     "closure_status",
     "partition_counts",
     "start_on_caustic",
-    "retry_on_caustic",
 ]
 
 #: Names of the three axial symmetries used by elliptic closure.
@@ -294,17 +293,17 @@ def closure_status(T: Trajectory, n: int, tol: float = BOUNDARY) -> ClosureStatu
     return ClosureStatus.open_()
 
 
-def partition_counts(T: Trajectory, n: int | None = None, tol: float = BOUNDARY) -> tuple[int, int]:
+def partition_counts(T: Trajectory, n: int | None = None) -> tuple[int, int]:
     """Counts ``(n1, n2)`` of bounce types over one period.
 
     ``n1`` counts vertices on relativistic-ellipse arcs and ``n2`` those on
     relativistic-hyperbola arcs among the first ``n`` vertices.  The
     trajectory must close (``Periodic``) at ``n`` (default: all its steps)
-    within ``tol`` (see :func:`closure_status`).
+    within ``BOUNDARY`` (see :func:`closure_status`).
     """
     if n is None:
         n = T.steps
-    status = closure_status(T, n, tol)
+    status = closure_status(T, n)
     if status.tag != "Periodic":
         raise DomainError(f"partition counts need a closed trajectory, got {status.tag}")
     n1 = sum(1 for arc in T.arc_classes[:n] if arc is ArcClass.RelativisticEllipseArc)
@@ -371,26 +370,3 @@ def start_on_caustic(
             continue  # too close to a touch point for stable reflection
         return P0, MVec2(P1.x - P0.x, P1.y - P0.y)
     raise DomainError(f"no admissible tangent line found for gamma={gamma}")
-
-
-def retry_on_caustic(E: BoundaryEllipse, gamma, n: int, rng: random.Random, read):
-    """``(value, last_error)`` of up to 6 tries to ``read`` an ``n``-step trajectory.
-
-    Each try starts on a fresh random tangent of the caustic ``gamma``.
-    ``read`` returns ``None``, or raises :class:`PellipseError`, to try
-    again (a random start can land too close to a touch point); the value
-    is ``None`` when every try failed.  The starts are floats and
-    :func:`simulate` runs on the float image of ``E``, so any field of the
-    axes will do.
-    """
-    last = None
-    for _ in range(6):
-        try:
-            P0, d0 = start_on_caustic(E, gamma, rng)
-            value = read(simulate(P0, d0, n, E))
-        except PellipseError as exc:
-            last = exc
-            continue
-        if value is not None:
-            return value, last
-    return None, last

@@ -26,7 +26,6 @@ least-deviation regimes and the light-like (Chebyshev) special case.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -42,8 +41,7 @@ from .cayley import (
     elliptic_case_test,
     is_periodic,
 )
-from .config import CLOSURE, DEGENERATE, LIGHTLIKE, PELL_RESIDUAL
-from .dynamics import partition_counts, retry_on_caustic
+from .config import DEGENERATE, LIGHTLIKE, PELL_RESIDUAL
 from .errors import CertificateInvalid, DomainError, NoCertificate
 from .geometry import BoundaryEllipse
 
@@ -204,10 +202,12 @@ class PellPair:
 class PellCertificate:
     """A verified polynomial Pell certificate for an ``n``-periodic caustic.
 
-    ``partition`` is the pair ``(n, n1)`` (total period, bounces on
-    relativistic-ellipse arcs); ``tau1``/``tau2`` count interior roots of
-    ``q_hat`` in the bands ``[c3, c4]`` / ``[c1, c2]``; ``equioscillation``
-    lists the ``n + 2`` points where ``|p_hat| = 1``.
+    ``tau1``/``tau2`` count interior roots of ``q_hat`` in the bands
+    ``[c3, c4]`` / ``[c1, c2]``; ``equioscillation`` lists the ``n + 2``
+    points where ``|p_hat| = 1``.  ``partition`` is the pair ``(n, n1)``
+    (total period, bounces on relativistic-ellipse arcs); the counts
+    split as ``(tau1, tau2) = (n - n1 - 1, n1 - 1)``, so it is
+    ``(n, tau2 + 1)``.
     """
 
     n: int
@@ -307,17 +307,16 @@ def _construct_exact(E, values, n, ladder) -> PellPair:
     )
 
 
-def pell_lift(pair: PellPair, validate_partition: bool = True) -> PellCertificate:
+def pell_lift(pair: PellPair) -> PellCertificate:
     """Lift a Pell pair to the full certificate and verify the identity.
 
     Builds ``p_hat``/``q_hat`` by Chebyshev doubling, checks
     ``p_hat**2 - E4 * q_hat**2 - 1 = 0`` (exactly in rational mode, to
     ``PELL_RESIDUAL`` otherwise; :class:`CertificateInvalid` on failure),
     proves the root counts of ``q_hat`` in the bands (:func:`_band_roots`)
-    and records the equioscillation points.
-    The partition ``(n, n1)`` is measured on an independent simulated
-    trajectory unless ``validate_partition`` is false, in which case it is
-    derived from the band counts.
+    and records the equioscillation points.  The partition ``(n, n1)``
+    follows from the proven counts, ``n1 = tau2 + 1``; no trajectory is
+    simulated.
     """
     n = pair.n
     a, b, g = pair.values
@@ -343,10 +342,6 @@ def pell_lift(pair: PellPair, validate_partition: bool = True) -> PellCertificat
     qh_f = [float(c) for c in qh]
     tau1, tau2, roots = _band_roots(qh, qh_f, pair.values)
     eq_points = sorted(list(cs) + roots)
-    if validate_partition:
-        n1 = _simulated_partition(pair.ellipse, pair.gamma, n)
-    else:
-        n1 = tau2 + 1
     return PellCertificate(
         n=n,
         gamma=pair.gamma,
@@ -356,7 +351,7 @@ def pell_lift(pair: PellPair, validate_partition: bool = True) -> PellCertificat
         residual=residual if exact else float(residual),
         tau1=tau1,
         tau2=tau2,
-        partition=(n, n1),
+        partition=(n, tau2 + 1),
         equioscillation=tuple(eq_points),
     )
 
@@ -408,17 +403,6 @@ def _band_brackets(p: list[int], qf: list[float], lo: Fraction, hi: Fraction, po
                 out.append((x0, x))
         x0, s0 = x, s
     return out
-
-
-def _simulated_partition(E: BoundaryEllipse, gamma: float, n: int) -> int:
-    n1, last = retry_on_caustic(
-        E, gamma, n, random.Random(0), lambda T: partition_counts(T, n, CLOSURE)[0]
-    )
-    if n1 is None:
-        raise CertificateInvalid(
-            f"validation trajectory failed to close for gamma={gamma}: {last}"
-        )
-    return n1
 
 
 # ---------------------------------------------------------------------------
@@ -537,7 +521,12 @@ def _gauss_composite(f, lo: float, hi: float) -> float:
     for ip in range(8):
         mid = lo + ip * width + width / 2
         half = width / 2
-        total += half * sum(wi * f(mid + half * xi) for xi, wi in zip(x, w))
+        # a plain left-to-right sum: sum() compensates float sums from
+        # Python 3.12 on, which would move the last digits of kln_ratio
+        panel = 0.0
+        for xi, wi in zip(x, w):
+            panel += wi * f(mid + half * xi)
+        total += half * panel
     return total
 
 
@@ -743,7 +732,7 @@ def akhiezer_p4(E: BoundaryEllipse, case: str) -> tuple[float, ...]:
         gamma = _AKHIEZER_GAMMAS[case](E.a, E.b)
     else:
         gamma = float(_AKHIEZER_GAMMAS[case](Fraction(a), Fraction(b)))
-    cert = pell_lift(pell_construct(E, gamma, 4), validate_partition=False)
+    cert = pell_lift(pell_construct(E, gamma, 4))
     ph = [float(c) for c in cert.p_hat]
     k_star = max(range(len(ph)), key=lambda i: abs(ph[i]))
     r = p4[k_star] / ph[k_star]

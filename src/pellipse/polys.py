@@ -455,7 +455,8 @@ def _refine(p: list[int], lo, hi) -> Fraction:
 
     After ``k`` steps the bracket is ``[L, H] / (den * 2**k)``: integer
     numerators over a doubling denominator, so the width numerator ``H - L``
-    never changes.  With ``q_i = p_i * den**(d-i)`` the sign of
+    never changes and the stop test ``(H - L) * 10**60 <= max(|L|, |H|)``
+    needs no division.  With ``q_i = p_i * den**(d-i)`` the sign of
     ``p(x / (den * 2**k))`` is the sign of ``sum(q_i * x**i * 2**(k*(d-i)))``,
     a homogeneous Horner sum whose powers of two are shifts.
     """
@@ -468,15 +469,16 @@ def _refine(p: list[int], lo, hi) -> Fraction:
         return hi
     if shi == slo:
         raise DomainError("refine_root requires a sign change on the bracket")
-    tol = Fraction(max(1, abs(flo), abs(fhi)), 10**60)
+    if flo < 0 < fhi and p[0] == 0:
+        return Fraction(0)  # the relative stop rule never ends on a root at 0
     den = lcm(flo.denominator, fhi.denominator)
     L = flo.numerator * (den // flo.denominator)
     H = fhi.numerator * (den // fhi.denominator)
     d = len(p) - 1
     q = [a * den ** (d - i) for i, a in enumerate(p)]
-    width, limit = (H - L) * tol.denominator, tol.numerator * den
+    width = (H - L) * 10**60
     k = 0
-    while width > limit << k:
+    while width > max(abs(L), abs(H)):
         mid = L + H
         L, H, k = 2 * L, 2 * H, k + 1
         acc, shift = 0, 0
@@ -493,7 +495,11 @@ def _refine(p: list[int], lo, hi) -> Fraction:
 
 
 def refine_root(c: Poly, lo: Fraction, hi: Fraction) -> Fraction:
-    """Bisect a sign-changing bracket down to ``10**-60 * max(1, |lo|, |hi|)`` width."""
+    """Bisect a sign-changing bracket until its width is ``10**-60`` of its larger end.
+
+    The width is relative to the current bracket, not to ``[lo, hi]``, so
+    the root has 60 correct digits at every scale.
+    """
     return _refine(squarefree_part(c), lo, hi)
 
 

@@ -1,5 +1,6 @@
 """End-to-end command-line interface behaviour."""
 
+import dataclasses
 import inspect
 import json
 import os
@@ -13,6 +14,8 @@ import pytest
 import pellipse
 from pellipse import BoundaryEllipse, caustics, cli
 from pellipse.cli import main
+from pellipse.dynamics import ClosureStatus
+from pellipse.geometry import ArcClass
 
 
 def run(capsys, *argv):
@@ -313,6 +316,59 @@ def test_certify_snaps_caption_gamma(capsys):
     doc = json.loads(out)
     assert doc["partition"] == [3, 1]
     assert abs(doc["residual"]) <= 1e-8
+
+
+def test_certify_rejects_a_simulated_partition_that_disagrees(capsys, monkeypatch):
+    # the certificate proves n1 = tau2 + 1; a simulated trajectory that
+    # counts another n1 is an error naming both partitions, never resolved
+    # in favour of either
+    simulate = caustics.simulate
+
+    def every_bounce_on_an_ellipse_arc(*args):
+        T = simulate(*args)
+        arcs = (ArcClass.RelativisticEllipseArc,) * len(T.arc_classes)
+        return dataclasses.replace(T, arc_classes=arcs)
+
+    monkeypatch.setattr(caustics, "simulate", every_bounce_on_an_ellipse_arc)
+    rc, out = run(capsys, "certify", "--a", "2", "--b", "4", "--gamma", "4/3", "--n", "4")
+    assert rc == 5
+    doc = json.loads(out)
+    assert doc["error"] == "CertificateInvalid"
+    assert "[4, 4]" in doc["message"] and "[4, 2]" in doc["message"]
+
+
+def test_certify_rejects_a_trajectory_that_does_not_close(capsys, monkeypatch):
+    monkeypatch.setattr(caustics, "closure_status", lambda *args: ClosureStatus.open_())
+    rc, out = run(capsys, "certify", "--a", "2", "--b", "4", "--gamma", "4/3", "--n", "4")
+    assert rc == 5
+    doc = json.loads(out)
+    assert doc["error"] == "CertificateInvalid"
+    assert "failed to close" in doc["message"] and "Open" in doc["message"]
+
+
+@pytest.mark.parametrize(
+    "a, b, lam",
+    [("1e60", "2e60", 1e60), ("1e200", "1e200", 1e200), ("1e-100", "2e-100", 1e-100)],
+)
+def test_solve_roots_keep_their_digits_at_extreme_scales(capsys, a, b, lam):
+    # refinement stops relative to the bracket, not to the Cauchy bound of
+    # the isolation: the roots scale with the axes, reported as caustics
+    # or (below DEGENERATE) as discards
+    rc, out = run(capsys, "solve", "--n", "3", "--a", a, "--b", b)
+    assert rc == 0
+    doc = json.loads(out)
+    got = sorted(r["gamma"] for r in doc["caustics"] + doc["discarded"])
+    unit = caustics.closed_form_caustics(BoundaryEllipse(1, float(b) / float(a)), 3)
+    assert got == pytest.approx([lam * g for g in unit], rel=1e-12, abs=0)
+
+
+def test_certify_at_the_float_limit_exits_2(capsys):
+    # the snap's table roots near 1e300 no longer overflow float(); gamma = a
+    # is then a degenerate value
+    rc, out = run(capsys, "certify", "--a", "1e300", "--b", "1e300", "--gamma=1e300", "--n", "3")
+    assert rc == 2
+    doc = json.loads(out)
+    assert doc["error"] == "DomainError" and "degenerate" in doc["message"]
 
 
 def test_certify_rejects_nonperiodic_gamma(capsys):

@@ -52,11 +52,24 @@ def test_pell_rational_mode_exact():
     assert len(cert.equioscillation) == cert.n + 2
 
 
+def test_extremal_binds_nothing_from_dynamics():
+    # the certificate reads its partition off the band counts: no
+    # trajectory is simulated inside extremal
+    from pellipse import dynamics
+
+    bound = [
+        name
+        for name, obj in vars(extremal).items()
+        if obj is dynamics or getattr(obj, "__module__", None) == dynamics.__name__
+    ]
+    assert bound == []
+
+
 def test_pell_lift_rejects_a_nonzero_exact_residual():
     pair = pell_construct(BoundaryEllipse(F(2), F(4)), F(4, 3), 4)
     bent = dataclasses.replace(pair, p2=(pair.p2[0] + F(1, 10**12),) + pair.p2[1:])
     with pytest.raises(CertificateInvalid):
-        pell_lift(bent, validate_partition=False)
+        pell_lift(bent)
 
 
 def test_certificate_system_is_the_closure_block_reversed():
@@ -80,7 +93,7 @@ def test_pell_lift_reuses_the_decimal_values_of_the_construction():
     E = BoundaryEllipse(F(88, 9), F(16, 9))
     pair = pell_construct(E, Decimal("0.2140695596515073"), 9)
     assert all(type(v) is Decimal for v in pair.values)
-    cert = pell_lift(pair, validate_partition=False)
+    cert = pell_lift(pair)
     assert cert.residual <= 1e-40 and cert.partition == (9, 2)
 
 
@@ -220,7 +233,7 @@ def pell_pairs():
 def test_band_brackets_prove_the_sturm_counts(pell_pairs, monkeypatch):
     sturm_chain = polys.sturm_chain
     monkeypatch.setattr(polys, "sturm_chain", lambda c: pytest.fail("Sturm fallback taken"))
-    certs = [pell_lift(p, validate_partition=False) for p in pell_pairs]
+    certs = [pell_lift(p) for p in pell_pairs]
     monkeypatch.setattr(polys, "sturm_chain", sturm_chain)
     for pair, cert in zip(pell_pairs, certs):
         assert (cert.tau1, cert.tau2) == _sturm_band_counts(pair)
@@ -229,10 +242,10 @@ def test_band_brackets_prove_the_sturm_counts(pell_pairs, monkeypatch):
 
 
 def test_band_count_fallback_matches_the_brackets(pell_pairs, monkeypatch):
-    certs = [pell_lift(p, validate_partition=False) for p in pell_pairs]
+    certs = [pell_lift(p) for p in pell_pairs]
     monkeypatch.setattr(extremal, "_band_brackets", lambda *args: [])
     for pair, cert in zip(pell_pairs, certs):
-        forced = pell_lift(pair, validate_partition=False)
+        forced = pell_lift(pair)
         assert (forced.tau1, forced.tau2) == (cert.tau1, cert.tau2)
         assert len(forced.equioscillation) == pair.n + 2
         assert forced.equioscillation == pytest.approx(cert.equioscillation, rel=1e-9, abs=1e-12)

@@ -159,8 +159,11 @@ def _ref_refine(c, lo, hi):
         return hi
     if (flo > 0) == (fhi > 0):
         raise DomainError("no sign change")
-    tol = Fraction(1, 10**60) * max(Fraction(1), abs(lo), abs(hi))
-    while hi - lo > tol:
+    if lo < 0 < hi and polys.peval(p, 0) == 0:
+        return Fraction(0)
+    # the width is relative to the current bracket, so a root keeps 60
+    # digits at every scale
+    while hi - lo > Fraction(1, 10**60) * max(abs(lo), abs(hi)):
         mid = (lo + hi) / 2
         fm = polys.peval(p, mid)
         if fm == 0:
@@ -241,6 +244,8 @@ _dyadic = st.builds(lambda m, j: F(m, 2**j), st.integers(-40, 40), st.integers(0
 @example(roots=[(3, 4, 1), (-5, 1, 2)], extra=(1,), lo=F(0), width=F(1), on_root=None)
 @example(roots=[(3, 4, 1)], extra=(3, 0, 1), lo=F(0), width=F(5, 4), on_root="lo")
 @example(roots=[(3, 4, 1)], extra=(3, 0, 1), lo=F(0), width=F(5, 4), on_root="hi")
+# a root at exactly 0 that no bisection midpoint of [-1, 2] reaches
+@example(roots=[(0, 1, 1)], extra=(1,), lo=F(-1), width=F(3), on_root=None)
 def test_refine_root_matches_reference(roots, extra, lo, width, on_root):
     p = _from_roots(1, roots, extra)
     hi = lo + width
