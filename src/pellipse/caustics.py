@@ -7,11 +7,13 @@ exact rational arithmetic (periodic ``n = 3..8``, elliptic ``n = 2..5``).
 All solvers share one path from root to result:
 
 1. a root source yields candidates: the exact real roots of a table
-   (Sturm isolation) or, for other periods, the float scan's roots;
+   (Sturm isolation) or, for other periods, the roots of ``rho = k/n``
+   for the rotation number ``rho`` of
+   :func:`~pellipse.extremal.rotation_ratio`;
 2. every candidate passes the spurious-root filter (degenerate conics,
    parity violations) and its source's filter: table roots are
-   deduplicated, scan roots are deduplicated first and lose lower
-   periods, elliptic roots get a case letter; discards keep a reason;
+   deduplicated, level-set roots of a divisor period are dropped,
+   elliptic roots get a case letter; discards keep a reason;
 3. each survivor is cross-validated twice, by the Hankel-determinant (or
    case) test and by an actual simulated trajectory that must close.
 
@@ -37,9 +39,10 @@ from .cayley import (
     elliptic_case_test,
     is_periodic,
 )
-from .config import CLOSURE, DEGENERATE
+from .config import CLOSURE, DEGENERATE, ROTATION
 from .dynamics import ClosureStatus, closure_status, simulate, start_on_caustic
 from .errors import DomainError, PellipseError
+from .extremal import rotation_ratio
 from .geometry import ArcClass, BoundaryEllipse, ConicClass, classify_conic
 
 __all__ = [
@@ -323,15 +326,8 @@ def closed_form_caustics(E: BoundaryEllipse, n: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# root sources: the tables and the float scan
+# root sources: the tables and the level sets of the rotation number
 # ---------------------------------------------------------------------------
-
-#: Sample points of the float scan over the admissible ``gamma`` ranges.
-_SCAN_POINTS = 4000
-
-#: Bound of the scanned hyperbola branches, in units of ``a + b``.
-_SCAN_SPAN = 4.0
-
 
 def _table_roots(E: BoundaryEllipse, factors):
     """Yield ``(gamma, exact or None, ladder)`` per real root of ``(ladder, builder)`` factors."""
@@ -349,29 +345,72 @@ def _normalized_det(E: BoundaryEllipse, gamma_f: float, n: int) -> float:
     return float(value) / scale if scale > 0 else float(value)
 
 
-def _scan_roots(E: BoundaryEllipse, n: int):
-    """Yield ``(gamma, None, None)`` per sign change of the normalized determinant."""
-    a, b = float(E.a), float(E.b)
-    span = _SCAN_SPAN * (a + b)
-    delta = 1e-4 * (a + b)
-    segments = [(-b + delta, -delta), (delta, a - delta)]
-    if n % 2 == 0:
-        segments += [(-span, -b - delta), (a + delta, span)]
-    per_seg = max(64, _SCAN_POINTS // len(segments))
+def _polish(E: BoundaryEllipse, n: int, k: int, gamma_f: float) -> float:
+    """The root ``gamma_f`` of ``rho = k/n``, moved onto the closure determinant's root.
+
+    The determinant is bisected in the smallest bracket ``gamma_f (1 -+ w)``
+    that shows a sign change, for ``w = 1e-12, 1e-11, ..., 1e-7``, kept
+    inside the ``gamma`` range of ``gamma_f``.  Its root is kept only
+    when ``n rho`` there is as near ``k`` as at ``gamma_f``, to
+    ``ROTATION``: near ``-b`` and ``a`` the float determinant loses
+    digits, and the level set decides.  Otherwise, and without a sign
+    change, ``gamma_f`` is returned as it is.
+    """
     det = partial(_normalized_det, E, n=n)
-    for lo, hi in segments:
-        if hi <= lo:
-            continue
-        step = (hi - lo) / per_seg
-        prev_x, prev_f = lo, det(lo)
-        for i in range(1, per_seg + 1):
-            x = lo + i * step
-            f = det(x)
-            if prev_f == 0.0:
-                yield prev_x, None, None
-            elif f * prev_f < 0:
-                yield polys.bisect_float(det, prev_x, x, prev_f), None, None
-            prev_x, prev_f = x, f
+
+    def off(g: float) -> float:
+        return abs(n * rotation_ratio(E.a, E.b, g) - k)
+
+    for w in (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7):
+        lo, hi = sorted((gamma_f * (1 - w), gamma_f * (1 + w)))
+        if any(lo <= e <= hi for e in (-float(E.b), 0.0, float(E.a))):
+            break
+        try:
+            f_lo, f_hi = det(lo), det(hi)
+        except DomainError:
+            break
+        if f_lo * f_hi < 0:
+            root = polys.bisect_float(det, lo, hi, f_lo)
+            return root if off(root) <= off(gamma_f) + ROTATION else gamma_f
+    return gamma_f
+
+
+def _level_roots(E: BoundaryEllipse, n: int):
+    """Yield ``(gamma, None, d)`` per root of ``rho = k/n`` the parity rule admits.
+
+    ``rho`` is :func:`~pellipse.extremal.rotation_ratio`, monotone on each
+    of the four ``gamma`` ranges; its values at their ends bound the ``k``
+    with a root.  A root on ``(-b, 0)`` needs ``n - k`` even, one on
+    ``(0, a)`` needs ``k`` even, and one on a hyperbola range needs both
+    (so ``n`` even).  ``d`` is the least proper divisor ``d >= 3`` of ``n``
+    whose partition ``(d, k d / n)`` is integral and admitted as well,
+    else ``n``: the root closes after ``d`` steps.  Each root is bisected in
+    ``gamma`` on the finite ranges and in ``u = 1/gamma`` on the unbounded
+    ones, then moved onto the closure determinant by :func:`_polish`.
+    Roots come in ascending ``gamma``.
+    """
+    a, b = float(E.a), float(E.b)
+    far = rotation_ratio(a, b, math.inf)
+    # (ends of the variable, rho at those ends, variable -> gamma, parity rule
+    # on a partition (m, j)); rho increases with the variable on every range
+    ranges = [
+        ((-1 / b, 0.0), (0.0, far), lambda u: 1 / u, lambda m, j: j % 2 == (m - j) % 2 == 0),
+        ((-b, 0.0), (0.0, 1.0), float, lambda m, j: (m - j) % 2 == 0),
+        ((0.0, a), (0.0, 1.0), float, lambda m, j: j % 2 == 0),
+        ((0.0, 1 / a), (far, 1.0), lambda u: 1 / u, lambda m, j: j % 2 == (m - j) % 2 == 0),
+    ]
+    roots = []
+    for (lo, hi), (r_lo, r_hi), to_gamma, admits in ranges:
+        for k in range(1, n):
+            if not (r_lo < k / n < r_hi and admits(n, k)):
+                continue
+            divisors = (d for d in range(3, n) if n % d == 0 and k * d % n == 0)
+            d = next((d for d in divisors if admits(d, k * d // n)), n)
+            x = polys.bisect_float(
+                lambda x: rotation_ratio(a, b, to_gamma(x)) - k / n, lo, hi, r_lo - k / n
+            )
+            roots.append((_polish(E, n, k, to_gamma(x)), None, d))
+    yield from sorted(roots)
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +456,13 @@ def _distinct(candidates, rel: float):
             yield cand
 
 
-def _lower_period(E: BoundaryEllipse, n: int, gamma_f: float) -> str | None:
-    for d in range(3, n):
-        if n % d == 0 and is_periodic(E, gamma_f, d).periodic:
-            return f"already periodic with period {d}"
-    return None
+def _of_period(n: int, candidates, discarded):
+    """Yield the level-set candidates that close after ``n`` steps; discard the rest."""
+    for gamma_f, exact, d in candidates:
+        if d == n:
+            yield gamma_f, exact, None
+        else:
+            _record_discard(discarded, gamma_f, f"already periodic with period {d}")
 
 
 def _with_case(E: BoundaryEllipse, n: int, candidates, discarded):
@@ -579,21 +620,21 @@ def generic_caustic_scan(
     rng: random.Random | None = None,
     discarded: list | None = None,
 ) -> list[CausticResult]:
-    """Scan the admissible ``gamma`` ranges for ``n``-periodic caustics.
+    """The ``n``-periodic caustics of any period, from the level sets of the rotation number.
 
-    Floating-point fallback for periods outside the polynomial tables: the
-    row-norm-normalized Hankel determinant is sampled at 4000 points (the
-    hyperbola branches up to ``4 (a + b)``), sign changes are bisected to
-    roots, and roots belonging to proper-divisor periods are removed.
-    Survivors are validated like :func:`periodic_caustics`.  Sign scanning
-    cannot see double roots.
+    The root source for periods outside the polynomial tables: the caustic
+    with partition ``(n, k)`` is the root of ``rho = k/n`` on a ``gamma``
+    range whose parity rule admits ``k`` (:func:`_level_roots`).  ``rho``
+    is monotone on each range, so each admitted ``k`` has one root there,
+    double roots of the closure determinant included.  Roots that close
+    after a proper divisor ``d`` of ``n`` are discarded as already
+    periodic with period ``d``.  Survivors are validated like
+    :func:`periodic_caustics`.
     """
     if n < 3:
         raise DomainError(f"periodic caustics require n >= 3, got n={n}")
-    roots = _distinct(_scan_roots(E, n), 1e-7)
-    roots = _screen(roots, partial(_spurious_reason, E, n), discarded)
-    roots = _screen(roots, partial(_lower_period, E, n), discarded)
-    return _results(E, n, roots, rng)
+    roots = _screen(_level_roots(E, n), partial(_spurious_reason, E, n), discarded)
+    return _results(E, n, _of_period(n, roots, discarded), rng)
 
 
 # ---------------------------------------------------------------------------

@@ -96,8 +96,43 @@ class _Parser(argparse.ArgumentParser):
         raise DomainError(message)
 
 
+#: Types that ``json`` writes as one token, never as a nested layout.
+_SCALARS = {str, int, float, bool, type(None)}
+
+
+def _indented(value: list) -> str | None:
+    """A top-level list as ``indent=2`` lays it out, by the C encoder; or None.
+
+    Lists of scalars and lists of non-empty lists of scalars qualify: the C
+    encoder writes them with the indented item separator, and the rows of
+    a nested list are split at ``"],"`` plus a raw newline, which no JSON
+    string contains.
+    """
+    if {type(x) for x in value} <= _SCALARS:
+        return "[\n    " + json.dumps(value, separators=(",\n    ", ": "))[1:-1] + "\n  ]"
+    rows = {type(row) for row in value} == {list} and all(value)
+    if rows and {type(x) for row in value for x in row} <= _SCALARS:
+        text = json.dumps(value, separators=(",\n      ", ": "))[2:-2]
+        text = text.replace("],\n      [", "\n    ],\n    [\n      ")
+        return "[\n    [\n      " + text + "\n    ]\n  ]"
+    return None
+
+
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, sort_keys=True, indent=2))
+    """Print ``doc`` as ``json.dumps(doc, sort_keys=True, indent=2)`` does.
+
+    With an indent, ``json`` encodes in pure Python, which is slow on a
+    trajectory's thousands of vertices and arc classes.  Such top-level
+    lists are encoded by :func:`_indented` instead and spliced into the
+    document in place of a ``null``: the same text.
+    """
+    spliced = {
+        k: text for k, v in doc.items() if isinstance(v, list) and v and (text := _indented(v))
+    }
+    out = json.dumps({**doc, **dict.fromkeys(spliced)}, sort_keys=True, indent=2)
+    for key, text in spliced.items():
+        out = out.replace(f"\n  {json.dumps(key)}: null", f"\n  {json.dumps(key)}: {text}", 1)
+    print(out)
 
 
 # ---------------------------------------------------------------------------

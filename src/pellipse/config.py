@@ -26,6 +26,11 @@ HANKEL_ZERO = 1e-9
 #: matches the caustic of the first one.
 DRIFT = 1e-6
 
+#: Absolute, on ``n rho``: a float root of the closure determinant lies on
+#: the level set ``n rho = k`` of the rotation number as well as the root
+#: of ``rho = k/n`` itself does, to this margin.
+ROTATION = 1e-9
+
 #: Absolute, on vertices and unit directions: a simulated trajectory closes
 #: when it validates a caustic or measures a partition.
 CLOSURE = 1e-6

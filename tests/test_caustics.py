@@ -17,6 +17,7 @@ from pellipse import (
     periodic_caustics,
 )
 from pellipse.errors import DomainError
+from pellipse.extremal import rotation_ratio
 
 F = Fraction
 
@@ -98,11 +99,70 @@ def test_generic_scan_discards_lower_periods():
     assert all(r.conic is ConicClass.EllipseOfFamily for r in rs)
 
 
+#: Axes whose table roots for n = 3..8 all lie farther than 1e-5 (relative)
+#: from -b, 0 and a, where the float determinant keeps its digits.
+_CLEAR_AXES = [(5, 3), (3, 2), (F(41, 7), F(7, 2)), (7, 11)]
+
+
 def test_generic_scan_matches_closed_forms():
-    E = BoundaryEllipse(5, 3)
-    got = sorted(r.gamma for r in generic_caustic_scan(E, 6))
-    want = sorted(r.gamma for r in periodic_caustics(E, 6))
-    assert got == pytest.approx(want, rel=1e-6)
+    # the exact table roots check the level sets of the rotation number:
+    # the same caustics, partitions and verdicts
+    for a, b in _CLEAR_AXES:
+        E = BoundaryEllipse(a, b)
+        for n in range(3, 9):
+            got, want = generic_caustic_scan(E, n), periodic_caustics(E, n)
+            rows = [[(r.n1, r.n2, r.validated, r.conic) for r in rs] for rs in (got, want)]
+            assert rows[0] == rows[1], (a, b, n)
+            gammas = [r.gamma for r in want]
+            assert [r.gamma for r in got] == pytest.approx(gammas, rel=1e-10, abs=0), (a, b, n)
+
+
+#: Axes for the rotation-number checks: integer, fraction and 10**k-scaled.
+_ROTATION_AXES = [
+    (3, 2),
+    (3, 10),
+    (6, 4),
+    (F(41, 7), F(7, 2)),
+    (F(5, 3), F(35, 4)),
+    (F(3, 4), F(3, 2)),
+    (3000, 2000),
+    (F(41, 7000), F(7, 2000)),
+    (3e12, 2e12),
+]
+
+
+@pytest.mark.parametrize("a, b", _ROTATION_AXES)
+def test_validated_caustics_lie_on_their_level_set(a, b):
+    # n rho(gamma) = n1 on every validated caustic, tables and level sets
+    # alike (a guard: it held for every caustic the float scan found too,
+    # and a float determinant root near -b or a would break it).  Within
+    # about 1e-8 of -b or a the float spacing of gamma alone
+    # moves n rho by more than 1e-9, so n1 may also lie between n rho at
+    # the floats two steps either side of gamma
+    E = BoundaryEllipse(a, b)
+    checked = 0
+    for n in range(3, 13):
+        for r in periodic_caustics(E, n):
+            if not r.validated:
+                continue
+            step = 2 * math.ulp(r.gamma)
+            lo, hi = sorted(n * rotation_ratio(a, b, r.gamma + s) for s in (-step, step))
+            assert lo - 1e-9 <= r.n1 <= hi + 1e-9, (n, r.gamma, r.n1)
+            checked += 1
+    assert checked >= 10
+
+
+def test_level_sets_keep_the_caustics_at_scale_1e12():
+    # the float Hankel test at the divisors called all six "already
+    # periodic with period 6" at this scale; the divisor rule is arithmetic
+    # on k, and the caustics are reported, validated or not
+    disc = []
+    rs = generic_caustic_scan(BoundaryEllipse(3e12, 2e12), 12, discarded=disc)
+    unit = generic_caustic_scan(BoundaryEllipse(3, 2), 12)
+    assert len(rs) == len(unit) == 6
+    assert [r.gamma for r in rs] == pytest.approx([1e12 * r.gamma for r in unit], rel=1e-9)
+    assert [r.n1 for r in rs if r.validated] == [r.n1 for r in unit if r.validated]
+    assert all(d["gamma"] not in {r.gamma for r in rs} for d in disc)
 
 
 def test_decimal_axes_solve_like_their_fractions():

@@ -362,6 +362,71 @@ def test_solve_roots_keep_their_digits_at_extreme_scales(capsys, a, b, lam):
     assert got == pytest.approx([lam * g for g in unit], rel=1e-12, abs=0)
 
 
+def test_solve_n9_finds_the_extreme_partitions(capsys):
+    # (1, 8) lies within 3.5e-7 of -b and (8, 1) within 4e-5 of a, inside
+    # the margin that a sampled determinant scan skips
+    rc, out = run(capsys, "solve", "--n", "9", "--a", "6", "--b", "4")
+    assert rc == 0
+    rows = [(c["n1"], c["validated"]) for c in json.loads(out)["caustics"]]
+    assert rows == [(1, True), (5, True), (7, True), (2, True), (4, True), (8, True)]
+
+
+def test_solve_n10_reaches_a_far_hyperbola_caustic(capsys):
+    # the (10, 6) hyperbola caustic lies beyond 4 (a + b) = 37.4
+    rc, out = run(capsys, "solve", "--n", "10", "--a", "41/7", "--b", "7/2")
+    assert rc == 0
+    far = [c for c in json.loads(out)["caustics"] if c["gamma"] > 37.5]
+    assert len(far) == 1
+    assert far[0]["gamma"] == pytest.approx(38.9162633, abs=1e-7)
+    assert (far[0]["n1"], far[0]["n2"], far[0]["validated"]) == (6, 4, True)
+
+
+#: Validated caustics of period 9..12 that a 4,000-point scan of the float
+#: determinant missed, from the benchmark's job pools: near -b, 0 and a,
+#: and beyond 4 (a + b).  (n, a, b, gamma, n1)
+_SCAN_MISSES = [
+    (9, "12", "8", -7.999997246434367, 1),
+    (9, "5", "7", 4.999997336352125, 8),
+    (9, "17/2", "37/7", -5.285713121213698, 1),
+    (9, "10.4", "6.8", 10.399543261107159, 8),
+    (9, "12000", "7000", -6999.99898132604, 1),
+    (10, "41/4", "11/9", -1.2222254698857422, 2),
+    (10, "12.1", "4.7", -4.7009885268432114, 2),
+    (10, "4", "2", -54.48899654749337, 6),
+    (10, "9/4", "13/3", 198.715371311931, 4),
+    (10, "7/1000", "12/1000", -0.09752518627793913, 4),
+    (10, "10000", "5000", -136222.49136873492, 6),
+    (11, "11", "9", 10.999994445003246, 10),
+    (11, "58/7", "19/2", -9.499996930155437, 1),
+    (11, "25/9", "7/6", 2.777683249446066, 10),
+    (11, "6.6", "6.9", -6.899998844659908, 1),
+    (12, "10", "2", -2.000001714616146, 2),
+    (12, "11/10", "3/10", -0.2999989319690992, 2),
+    (12, "11/10", "3/10", -0.30000106805145244, 2),
+    (12, "19/7", "13/2", 2.7142217118448633, 10),
+    (12, "700", "1100", 700.097359637607, 10),
+]
+
+
+@pytest.mark.parametrize("n, a, b, gamma, n1", _SCAN_MISSES)
+def test_solve_finds_caustics_the_scan_missed(capsys, n, a, b, gamma, n1):
+    rc, out = run(capsys, "solve", "--n", str(n), "--a", a, "--b", b)
+    assert rc == 0
+    hits = [c for c in json.loads(out)["caustics"] if c["gamma"] == pytest.approx(gamma, rel=1e-9)]
+    assert [(c["n1"], c["n2"], c["validated"]) for c in hits] == [(n1, n - n1, True)]
+
+
+def test_solve_n9_at_scale_1e_6_reports_its_caustics(capsys):
+    # the sampled scan raised DomainError here, on a grid point within
+    # DEGENERATE of -b; the level sets find the four caustics of (3, 2)
+    # scaled by 1e-6 (their validation still fails at this scale)
+    rc, out = run(capsys, "solve", "--n", "9", "--a", "3e-6", "--b", "2e-6")
+    assert rc == 0
+    got = [c["gamma"] for c in json.loads(out)["caustics"]]
+    unit = [1e-6 * r.gamma for r in caustics.periodic_caustics(BoundaryEllipse(3, 2), 9)]
+    assert len(got) == 4 and all(any(g == pytest.approx(u, rel=1e-9) for u in unit) for g in got)
+
+
 def test_certify_at_the_float_limit_exits_2(capsys):
     # the snap's table roots near 1e300 no longer overflow float(); gamma = a
     # is then a degenerate value

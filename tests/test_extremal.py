@@ -4,8 +4,11 @@ import dataclasses
 import math
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pellipse import (
     BoundaryEllipse,
@@ -184,6 +187,62 @@ def test_kln_ratio_near_coalescing_band_ends():
     assert r.gamma == pytest.approx(0.7499961, abs=1e-7)
     ratio, _ = kln_partition(E, r.gamma)
     assert abs(ratio - 6 / 7) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "a, b", [(3, 2), (2, 9), (F(41, 7), F(7, 2)), (1, 1), (1, 100), (100, 1), (0.01, 0.02)]
+)
+def test_rotation_ratio_matches_kln_quadrature(a, b):
+    # guard for moving kln_partition onto rotation_ratio: away from the
+    # degenerate values, where the quadrature keeps its accuracy, the two agree
+    E = BoundaryEllipse(a, b)
+    a, b = float(a), float(b)
+    ts = [i / 20 for i in range(1, 20)]
+    gammas = [-b * t for t in ts] + [a * t for t in ts] + [-b / t for t in ts] + [a / t for t in ts]
+    clear = [g for g in gammas if min(abs(g + b) / b, abs(g - a) / a, abs(g) / min(a, b)) >= 0.1]
+    assert len(clear) >= 40
+    for g in clear:
+        assert abs(extremal.rotation_ratio(a, b, g) - kln_partition(E, g)[0]) <= 1e-9, g
+
+
+def test_rotation_ratio_ends_and_domain():
+    # rho runs from 0 to 1 across (-b, 0) and (0, a), meets its limits at
+    # -b and a, and takes a finite value at gamma = +-inf
+    rho = partial(extremal.rotation_ratio, 3, 2)
+    assert (rho(-2), rho(3)) == (0.0, 1.0)
+    assert rho(math.inf) == rho(-math.inf) == pytest.approx(rho(1e15), abs=1e-12)
+    assert rho(-1e-12) > 0.999 and rho(1e-12) < 1e-3
+    for bad in ((3, 2, 0), (3, 2, math.nan), (0, 2, 1), (3, -2, 1), (math.inf, 2, 1)):
+        with pytest.raises(DomainError):
+            extremal.rotation_ratio(*bad)
+
+
+#: The four gamma ranges, each as a map from t in (0, 1) to the variable in
+#: which rho increases: gamma on the finite ranges, u = 1/gamma on the others.
+_RANGES = {
+    "(-inf, -b)": lambda a, b, t: (-t / b, -b / t),
+    "(-b, 0)": lambda a, b, t: (-b * (1 - t), -b * (1 - t)),
+    "(0, a)": lambda a, b, t: (a * t, a * t),
+    "(a, inf)": lambda a, b, t: (t / a, a / t),
+}
+
+
+@given(
+    a=st.floats(1e-3, 1e3),
+    ratio=st.floats(1e-2, 1e2),
+    where=st.sampled_from(sorted(_RANGES)),
+    ts=st.lists(st.floats(1e-3, 1 - 1e-3), min_size=2, max_size=8),
+    k=st.integers(-12, 12),
+)
+def test_rotation_ratio_is_monotone_and_scale_invariant(a, ratio, where, ts, k):
+    b, lam = a * ratio, 10.0**k
+    points = sorted(_RANGES[where](a, b, t) for t in ts)
+    values = [extremal.rotation_ratio(a, b, g) for _, g in points]
+    assert all(v0 <= v1 + 1e-13 for v0, v1 in zip(values, values[1:])), values
+    assert all(0 <= v <= 1 for v in values)
+    for (_, g), v in zip(points, values):
+        scaled = extremal.rotation_ratio(lam * a, lam * b, lam * g)
+        assert scaled == pytest.approx(v, rel=0, abs=1e-12)
 
 
 #: Float caustics of period 9..12 on integer and fraction axes: (a, b, gamma, n).
