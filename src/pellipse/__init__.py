@@ -40,6 +40,7 @@ from .dynamics import (
     Trajectory,
     apply_sigma,
     closure_status,
+    first_closure,
     next_boundary_hit,
     partition_counts,
     reflect,
@@ -130,6 +131,7 @@ __all__ = [
     "classify_conic",
     "closed_form_caustics",
     "closure_status",
+    "first_closure",
     "complete_K",
     "cubic_sqrt_series",
     "discriminant_identity_check",

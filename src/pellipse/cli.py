@@ -41,7 +41,7 @@ from .caustics import (
     table_roots,
 )
 from .config import CLOSURE
-from .dynamics import closure_status, simulate
+from .dynamics import closure_status, first_closure, simulate
 from .errors import (
     CausticDrift,
     CertificateInvalid,
@@ -173,13 +173,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     except (DegenerateChord, ReflectionUndefined, CausticDrift) as exc:
         _emit({"error": type(exc).__name__, "message": str(exc), "step": exc.step})
         return 3
-    closure = None
-    for m in range(1, T.steps + 1):
-        status = closure_status(T, m)
-        if status.tag != "Open":
-            closure = status
-            break
-    doc = T.to_jsonable(closure)
+    doc = T.to_jsonable(first_closure(T))
     doc["command"] = "simulate"
     if args.svg:
         try:

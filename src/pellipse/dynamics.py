@@ -6,6 +6,14 @@ involution, but is undefined when the mirror direction is light-like.
 Trajectories inside the boundary ellipse are polygonal: every segment is
 tangent to one fixed confocal conic (the caustic), which the simulator
 verifies at each step.
+
+:func:`simulate` runs one loop over the floats ``x, y, vx, vy``.  Each
+step makes the float operations of the public helpers (``line_through``,
+``caustic_of_line``, :func:`next_boundary_hit`, ``boundary_arc_class``,
+``tangent_line_at`` and :func:`reflect`) in the same order, with each of
+their checks made once, so trajectories and errors match the helpers bit
+for bit.  :func:`first_closure` finds the first closing prefix of a
+trajectory in one pass over its vertices.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 
+from . import polys
 from .config import BOUNDARY, DEGENERATE, DRIFT, LIGHTLIKE
 from .errors import CausticDrift, DegenerateChord, DomainError, ReflectionUndefined
 from .geometry import (
@@ -29,7 +38,6 @@ from .geometry import (
     classify_conic,
     line_through,
     minkowski_dot,
-    tangent_line_at,
     vector_type,
 )
 
@@ -42,6 +50,7 @@ __all__ = [
     "next_boundary_hit",
     "simulate",
     "closure_status",
+    "first_closure",
     "partition_counts",
     "start_on_caustic",
 ]
@@ -166,16 +175,18 @@ def next_boundary_hit(P: MVec2, d: MVec2, E: BoundaryEllipse) -> MVec2:
         raise DomainError(f"chord start ({P.x}, {P.y}) is not on the boundary")
     if d.x == 0 and d.y == 0:
         raise DomainError("chord direction must be nonzero")
-    A = d.x * d.x / E.a + d.y * d.y / E.b
-    B = 2 * (P.x * d.x / E.a + P.y * d.y / E.b)
-    t = -B / A
-    if float(t) * d.euclid_norm() <= DEGENERATE * E.scale():
-        raise DegenerateChord(
-            "degenerate chord: direction tangent at the start point"
-            if float(t) >= 0
-            else "degenerate chord: ray leaves the ellipse"
-        )
-    return MVec2(P.x + t * d.x, P.y + t * d.y)
+    x, y, dx, dy, a, b = polys.to_field(P.x, P.y, d.x, d.y, E.a, E.b)
+    with polys.field_context(a):
+        A = dx * dx / a + dy * dy / b
+        B = 2 * (x * dx / a + y * dy / b)
+        t = -B / A
+        if float(t) * d.euclid_norm() <= DEGENERATE * E.scale():
+            raise DegenerateChord(
+                "degenerate chord: direction tangent at the start point"
+                if float(t) >= 0
+                else "degenerate chord: ray leaves the ellipse"
+            )
+        return MVec2(x + t * dx, y + t * dy)
 
 
 def simulate(P0: MVec2, d0: MVec2, steps: int, E: BoundaryEllipse) -> Trajectory:
@@ -184,12 +195,30 @@ def simulate(P0: MVec2, d0: MVec2, steps: int, E: BoundaryEllipse) -> Trajectory
     The trajectory runs in floats: ``E``, ``P0`` and ``d0`` are replaced by
     their float images on entry, whatever their field (``int``,
     ``Fraction``, ``float`` or ``Decimal``), so the vertices, directions,
-    caustic and ellipse of the result are floats.  Enforces the caustic
-    invariant (every segment tangent to the conic of the first segment,
-    relative drift tolerance ``DRIFT``) and aborts with
-    :class:`ReflectionUndefined` when a vertex lands within tolerance of a
-    touch point, where the tangent line is light-like.  Errors carry the
-    1-based index of the offending step.
+    caustic and ellipse of the result are floats.  Each step is one loop
+    body over the floats ``x, y, vx, vy``; it makes the float operations
+    of :func:`~pellipse.geometry.line_through`,
+    :func:`~pellipse.geometry.caustic_of_line`, :func:`next_boundary_hit`,
+    :func:`~pellipse.geometry.boundary_arc_class`,
+    :func:`~pellipse.geometry.tangent_line_at` and :func:`reflect` in
+    their order, so the result matches those helpers bit for bit, and it
+    raises what they raise.  Per step it checks:
+
+    * the chord line: nonzero direction and ``(p, q) != (0, 0)``;
+    * the caustic invariant: every segment tangent to the conic of the
+      first segment, relative drift tolerance ``DRIFT``
+      (:class:`CausticDrift`);
+    * the chord: :class:`DegenerateChord` for a tangent ray or one that
+      leaves the ellipse;
+    * the new vertex: on the boundary within ``BOUNDARY``, and not within
+      tolerance of a touch point, where the tangent line is light-like
+      (:class:`ReflectionUndefined`);
+    * the mirror: ``(p, q) != (0, 0)`` and not light-like
+      (:class:`ReflectionUndefined`).
+
+    The boundary residual of a vertex is computed once per vertex; the
+    helpers' repeated tests of the same value are not made again.  Errors
+    of a step carry its 1-based index.
     """
     if steps < 1:
         raise DomainError(f"steps must be >= 1, got {steps}")
@@ -206,30 +235,77 @@ def simulate(P0: MVec2, d0: MVec2, steps: int, E: BoundaryEllipse) -> Trajectory
     vertices = [P]
     directions = [v]
     arcs = [boundary_arc_class(P, E)]
+    a, b = E.a, E.b
+    xt = E.touch_x()
+    touch_tol = LIGHTLIKE * (1 + xt)
+    chord_tol = DEGENERATE * E.scale()
+    ellipse_arc, hyperbola_arc = ArcClass.RelativisticEllipseArc, ArcClass.RelativisticHyperbolaArc
+    # |gamma_i - gamma0| <= DRIFT * max(1, |gamma0|) implies _same_caustic, as
+    # its bound is no smaller; only the rest are passed to it for the verdict
+    finite0 = isinstance(gamma0, float) and math.isfinite(gamma0)
+    g0, drift0 = (gamma0, DRIFT * max(1.0, abs(gamma0))) if finite0 else (0.0, -1.0)
+    x, y, vx, vy = P.x, P.y, v.x, v.y
     for i in range(1, steps + 1):
-        gamma_i = caustic_of_line(line_through(P, v), E)
-        if not _same_caustic(gamma0, gamma_i):
+        # line_through: p x + q y = r, with r = 1 unless through the origin
+        if vx == 0 and vy == 0:
+            raise DomainError("line direction must be nonzero")
+        c = vy * x - vx * y
+        if abs(c) <= DEGENERATE * (abs(vy * x) + abs(vx * y)):
+            p, q, r = vy, -vx, 0.0
+        else:
+            p, q, r = vy / c, -vx / c, 1.0
+        if p == 0 and q == 0:
+            raise DomainError("line requires (p, q) != (0, 0)")
+        # caustic_of_line
+        num = r * r - a * p * p - b * q * q
+        den = q * q - p * p
+        if abs(den) <= LIGHTLIKE * (p * p + q * q):
+            nscale = r * r + a * p * p + b * q * q
+            gamma_i = ALL_CONICS if abs(num) <= LIGHTLIKE * nscale else math.inf
+            drifted = not _same_caustic(gamma0, gamma_i)
+        else:
+            gamma_i = num / den
+            drifted = not abs(gamma_i - g0) <= drift0 and not _same_caustic(gamma0, gamma_i)
+        if drifted:
             raise CausticDrift(
                 f"segment {i} caustic {gamma_i} drifted from {gamma0}", step=i
             )
-        try:
-            Q = next_boundary_hit(P, v, E)
-        except DegenerateChord as exc:
-            raise DegenerateChord(str(exc), step=i) from None
-        arc = boundary_arc_class(Q, E)
-        if arc is ArcClass.TouchPoint:
+        # next_boundary_hit
+        A = vx * vx / a + vy * vy / b
+        B = 2 * (x * vx / a + y * vy / b)
+        t = -B / A
+        if t * math.hypot(vx, vy) <= chord_tol:
+            raise DegenerateChord(
+                "degenerate chord: direction tangent at the start point"
+                if t >= 0
+                else "degenerate chord: ray leaves the ellipse",
+                step=i,
+            )
+        x, y = x + t * vx, y + t * vy
+        # boundary_arc_class
+        if abs(x * x / a + y * y / b - 1) > BOUNDARY:
+            raise DomainError(f"point ({x}, {y}) is not on the boundary ellipse")
+        dx = abs(x) - xt
+        if abs(dx) <= touch_tol:
             raise ReflectionUndefined(
                 f"vertex {i} landed on a touch point; tangent line is light-like",
                 step=i,
             )
-        try:
-            v = reflect(v, tangent_line_at(Q, E))
-        except ReflectionUndefined as exc:
-            raise ReflectionUndefined(str(exc), step=i) from None
-        vertices.append(Q)
-        directions.append(v)
-        arcs.append(arc)
-        P = Q
+        # reflect across tangent_line_at: (x/a) X + (y/b) Y = 1, direction (y/b, -x/a)
+        p, q = x / a, y / b
+        if p == 0 and q == 0:
+            raise DomainError("line requires (p, q) != (0, 0)")
+        mx, my = q, -p
+        dd = mx * mx - my * my
+        if abs(dd) <= LIGHTLIKE * (mx * mx + my * my):
+            raise ReflectionUndefined(
+                "mirror line is light-like; reflection undefined", step=i
+            )
+        s = (vx * mx - vy * my) / dd
+        vx, vy = 2 * s * mx - vx, 2 * s * my - vy
+        vertices.append(MVec2(x, y))
+        directions.append(MVec2(vx, vy))
+        arcs.append(hyperbola_arc if dx > 0 else ellipse_arc)
     return Trajectory(
         vertices=tuple(vertices),
         directions=tuple(directions),
@@ -293,6 +369,25 @@ def closure_status(T: Trajectory, n: int, tol: float = BOUNDARY) -> ClosureStatu
     return ClosureStatus.open_()
 
 
+def first_closure(T: Trajectory, tol: float = BOUNDARY) -> ClosureStatus | None:
+    """First verdict of :func:`closure_status` over ``n = 1 .. T.steps`` not ``Open``.
+
+    ``None`` when every prefix is open.  One pass over the vertices:
+    ``closure_status`` is called only where its own ``|x|``/``|y|``
+    prefilter lets vertex ``n`` through, so the verdict is the one of the
+    per-``n`` loop.
+    """
+    x0, y0 = abs(float(T.vertices[0].x)), abs(float(T.vertices[0].y))
+    for n in range(1, T.steps + 1):
+        vn = T.vertices[n]
+        if abs(abs(float(vn.x)) - x0) > tol or abs(abs(float(vn.y)) - y0) > tol:
+            continue
+        status = closure_status(T, n, tol)
+        if status.tag != "Open":
+            return status
+    return None
+
+
 def partition_counts(T: Trajectory, n: int | None = None) -> tuple[int, int]:
     """Counts ``(n1, n2)`` of bounce types over one period.
 
@@ -333,6 +428,7 @@ def start_on_caustic(
         raise DomainError(f"cannot start on degenerate caustic gamma={gamma}")
     a, b, g = float(E.a), float(E.b), float(gamma)
     xt = E.touch_x()
+    clearance = 0.02 * (1 + xt)
     for _ in range(500):
         if conic is ConicClass.EllipseOfFamily:
             A, B = a - g, b + g
@@ -352,21 +448,19 @@ def start_on_caustic(
             p = -math.sinh(u) / math.sqrt(Aabs)
             q = branch * math.cosh(u) / math.sqrt(B)
         nn = p * p + q * q
-        foot = MVec2(p / nn, q / nn)
+        fx, fy = p / nn, q / nn  # foot of the perpendicular from the origin
         A2 = q * q / a + p * p / b
-        B2 = 2 * (foot.x * q / a - foot.y * p / b)
-        C2 = foot.x * foot.x / a + foot.y * foot.y / b - 1
+        B2 = 2 * (fx * q / a - fy * p / b)
+        C2 = fx * fx / a + fy * fy / b - 1
         disc = B2 * B2 - 4 * A2 * C2
         if disc <= 1e-12 * (B2 * B2 + abs(4 * A2 * C2)):
             continue  # tangent line misses the boundary (caustic bulge)
         root = math.sqrt(disc)
         t1 = (-B2 - root) / (2 * A2)
         t2 = (-B2 + root) / (2 * A2)
-        P0 = MVec2(foot.x + t1 * q, foot.y - t1 * p)
-        P1 = MVec2(foot.x + t2 * q, foot.y - t2 * p)
-        if any(
-            abs(abs(float(P.x)) - xt) < 0.02 * (1 + xt) for P in (P0, P1)
-        ):
+        x0, y0 = fx + t1 * q, fy - t1 * p
+        x1, y1 = fx + t2 * q, fy - t2 * p
+        if abs(abs(x0) - xt) < clearance or abs(abs(x1) - xt) < clearance:
             continue  # too close to a touch point for stable reflection
-        return P0, MVec2(P1.x - P0.x, P1.y - P0.y)
+        return MVec2(x0, y0), MVec2(x1 - x0, y1 - y0)
     raise DomainError(f"no admissible tangent line found for gamma={gamma}")

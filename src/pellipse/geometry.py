@@ -7,10 +7,17 @@ The confocal family is ``x**2/(a - t) + y**2/(b + t) = 1``: ellipses for
 ``t`` in ``(-b, a)``, hyperbolas outside, with degenerate members at
 ``t = a``, ``t = -b`` and ``t = infinity``.
 
-Scalars may be ``float`` or exact (``int``/``Fraction``).  The light-like,
-touch-point and through-the-origin tests are float tests with the relative
-tolerances of :mod:`pellipse.config` for every input; trajectories run in
-floats (:func:`pellipse.dynamics.simulate`).
+Scalars may be ``float``, exact (``int``/``Fraction``) or ``Decimal``.
+:meth:`BoundaryEllipse.boundary_residual`, :func:`caustic_of_line`,
+:func:`boundary_arc_class` and :func:`tangent_line_at` (and
+:func:`pellipse.dynamics.next_boundary_hit`) first bring their operands
+into one field with :func:`pellipse.polys.to_field`: ``Decimal`` (at 50
+digits) if any operand is one, else ``Fraction`` if all are exact, else
+``float``.  So ``Decimal`` axes with float points compute in ``Decimal``,
+and on float operands the helpers make exactly their float operations.
+The light-like, touch-point and through-the-origin tests are float tests
+with the relative tolerances of :mod:`pellipse.config` for every input;
+trajectories run in floats (:func:`pellipse.dynamics.simulate`).
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
+from . import polys
 from .config import BOUNDARY, DEGENERATE, LIGHTLIKE
 from .errors import DomainError
 
@@ -163,8 +171,10 @@ class BoundaryEllipse:
             raise DomainError(f"squared semi-axes must be finite, got ({self.a}, {self.b})")
 
     def boundary_residual(self, P: MVec2):
-        """``x**2/a + y**2/b - 1`` (zero on the boundary)."""
-        return P.x * P.x / self.a + P.y * P.y / self.b - 1
+        """``x**2/a + y**2/b - 1`` (zero on the boundary), in the common field."""
+        x, y, a, b = polys.to_field(P.x, P.y, self.a, self.b)
+        with polys.field_context(a):
+            return x * x / a + y * y / b - 1
 
     def touch_x(self) -> float:
         """Abscissa threshold ``a / sqrt(a + b)`` separating the arc types."""
@@ -264,14 +274,15 @@ def caustic_of_line(L: LineImplicit, E: BoundaryEllipse):
     light-like line the result is ``math.inf`` (tangent "at infinity"), and
     for the four light-like common tangents the sentinel :data:`ALL_CONICS`.
     """
-    p, q, r = L.p, L.q, L.r
-    num = r * r - E.a * p * p - E.b * q * q
-    den = q * q - p * p
-    pf, qf, rf = float(p), float(q), float(r)
-    nscale = rf * rf + float(E.a) * pf * pf + float(E.b) * qf * qf
-    if abs(float(den)) <= LIGHTLIKE * (pf * pf + qf * qf):
-        return ALL_CONICS if abs(float(num)) <= LIGHTLIKE * nscale else math.inf
-    return num / den
+    p, q, r, a, b = polys.to_field(L.p, L.q, L.r, E.a, E.b)
+    with polys.field_context(a):
+        num = r * r - a * p * p - b * q * q
+        den = q * q - p * p
+        pf, qf, rf = float(p), float(q), float(r)
+        nscale = rf * rf + float(a) * pf * pf + float(b) * qf * qf
+        if abs(float(den)) <= LIGHTLIKE * (pf * pf + qf * qf):
+            return ALL_CONICS if abs(float(num)) <= LIGHTLIKE * nscale else math.inf
+        return num / den
 
 
 def boundary_arc_class(P: MVec2, E: BoundaryEllipse) -> ArcClass:
@@ -297,7 +308,9 @@ def tangent_line_at(P: MVec2, E: BoundaryEllipse) -> LineImplicit:
     """
     if abs(float(E.boundary_residual(P))) > BOUNDARY:
         raise DomainError(f"point ({P.x}, {P.y}) is not on the boundary ellipse")
-    return LineImplicit(P.x / E.a, P.y / E.b, 1.0)
+    x, y, a, b = polys.to_field(P.x, P.y, E.a, E.b)
+    with polys.field_context(a):
+        return LineImplicit(x / a, y / b, 1.0)
 
 
 def line_through(P: MVec2, d: MVec2) -> LineImplicit:

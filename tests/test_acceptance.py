@@ -46,7 +46,7 @@ from pellipse import (
     vector_type,
     zolotarev3_consistency,
 )
-from pellipse.errors import DomainError
+from pellipse.errors import CausticDrift, DegenerateChord, DomainError, ReflectionUndefined
 from pellipse.polys import pmul
 
 F = Fraction
@@ -319,8 +319,10 @@ def test_criterion_11_property_suites():
         )
         done += 1
 
-    # the caustic parameter is invariant along every chord of a trajectory
-    done = 0
+    # the caustic parameter is invariant along every chord of a trajectory;
+    # a draw without a start or whose trajectory fails at a step is
+    # resampled, and resamples stay rare, so the loop cannot pass on them
+    done = resampled = 0
     while done < 10**3:
         a = rng.uniform(0.5, 8.0)
         b = rng.uniform(0.5, 8.0)
@@ -331,17 +333,20 @@ def test_criterion_11_property_suites():
         try:
             P0, d0 = start_on_caustic(E, gamma, rng=rng)
             T = simulate(P0, d0, 8, E)
-        except DomainError:
-            continue  # touch-point landing or degenerate draw; resample
+        except (DomainError, ReflectionUndefined, DegenerateChord, CausticDrift):
+            resampled += 1
+            continue  # no start, touch-point landing or degenerate chord
         chords = [
             caustic_of_line(line_through(T.vertices[i], T.directions[i]), E)
             for i in range(T.steps)
         ]
         if any(g is ALL_CONICS for g in chords):
-            continue  # grazed a touch point: tangent to every conic; resample
+            resampled += 1
+            continue  # grazed a touch point: tangent to every conic
         for g in chords:
             assert g == pytest.approx(gamma, rel=1e-8)
         done += 1
+    assert resampled < 0.1 * (done + resampled)
 
     # squared-series identity, exact in rational arithmetic
     for _ in range(20):

@@ -7,6 +7,8 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pellipse import (
     ArcClass,
@@ -14,18 +16,29 @@ from pellipse import (
     LineImplicit,
     MVec2,
     VectorType,
+    boundary_arc_class,
     caustic_of_line,
     closure_status,
+    first_closure,
     line_through,
     minkowski_dot,
+    next_boundary_hit,
     partition_counts,
     reflect,
     simulate,
     start_on_caustic,
+    tangent_line_at,
     vector_type,
 )
 from pellipse import cli, dynamics
-from pellipse.errors import DomainError, ReflectionUndefined
+from pellipse.config import BOUNDARY, CLOSURE
+from pellipse.errors import (
+    CausticDrift,
+    DegenerateChord,
+    DomainError,
+    PellipseError,
+    ReflectionUndefined,
+)
 
 F = Fraction
 
@@ -173,3 +186,171 @@ def test_hyperbola_caustic_trajectory_crosses_axis():
     P0, d0 = start_on_caustic(E, -2.4, rng=random.Random(6))
     T = simulate(P0, d0, 8, E)
     assert T.caustic_gamma == pytest.approx(-2.4, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# the fused step loop against the public helpers
+# ---------------------------------------------------------------------------
+
+
+def _reference_simulate(P0, d0, steps, E):
+    """The step loop of ``simulate`` as calls of the public helpers."""
+    E = BoundaryEllipse(float(E.a), float(E.b))
+    P, v = MVec2(float(P0.x), float(P0.y)), MVec2(float(d0.x), float(d0.y))
+    if abs(E.boundary_residual(P)) > BOUNDARY:
+        raise DomainError(f"start point ({P0.x}, {P0.y}) is not on the boundary")
+    seg_type = vector_type(v)
+    gamma0 = caustic_of_line(line_through(P, v), E)
+    vertices, directions, arcs = [P], [v], [boundary_arc_class(P, E)]
+    for i in range(1, steps + 1):
+        gamma_i = caustic_of_line(line_through(P, v), E)
+        if not dynamics._same_caustic(gamma0, gamma_i):
+            raise CausticDrift(f"segment {i} caustic {gamma_i} drifted from {gamma0}", step=i)
+        try:
+            Q = next_boundary_hit(P, v, E)
+        except DegenerateChord as exc:
+            raise DegenerateChord(str(exc), step=i) from None
+        arc = boundary_arc_class(Q, E)
+        if arc is ArcClass.TouchPoint:
+            raise ReflectionUndefined(
+                f"vertex {i} landed on a touch point; tangent line is light-like", step=i
+            )
+        try:
+            v = reflect(v, tangent_line_at(Q, E))
+        except ReflectionUndefined as exc:
+            raise ReflectionUndefined(str(exc), step=i) from None
+        vertices.append(Q)
+        directions.append(v)
+        arcs.append(arc)
+        P = Q
+    return dynamics.Trajectory(
+        tuple(vertices), tuple(directions), tuple(arcs), seg_type, gamma0, E
+    )
+
+
+def _outcome(run, *args):
+    # repr is exact for floats and tells -0.0 from 0.0: equal reprs are
+    # bit-identical results
+    try:
+        T = run(*args)
+    except PellipseError as exc:
+        return type(exc), str(exc), getattr(exc, "step", None)
+    return repr((T.vertices, T.directions, T.arc_classes, T.segment_type, T.caustic_gamma))
+
+
+def _assert_same_run(P0, d0, steps, E):
+    expected = _outcome(_reference_simulate, P0, d0, steps, E)
+    assert _outcome(simulate, P0, d0, steps, E) == expected
+    return expected
+
+
+@settings(max_examples=150)
+@given(
+    k=st.integers(-6, 6),
+    ua=st.floats(0.2, 8.0),
+    ub=st.floats(0.2, 8.0),
+    kind=st.sampled_from(["ellipse", "x-hyperbola", "y-hyperbola", "light-like"]),
+    s=st.floats(0.02, 0.98),
+    seed=st.integers(0, 10**6),
+)
+def test_simulate_matches_the_public_helpers_bit_for_bit(k, ua, ub, kind, s, seed):
+    a, b = ua * 10.0**k, ub * 10.0**k
+    E = BoundaryEllipse(a, b)
+    if kind == "light-like":
+        # a light-like direction into the ellipse, or one tilted off it by
+        # 2**-m, whose caustic is far out and ill-conditioned
+        phi = 2 * math.pi * s
+        P0 = _boundary_point(E, phi)
+        tilt = 2.0 ** -(seed % 48) if seed % 3 else 0.0
+        d0 = MVec2(-math.copysign(1.0, P0.x), -math.copysign(1.0 + tilt, P0.y))
+    else:
+        gamma = {
+            "ellipse": -b + s * (a + b),
+            "x-hyperbola": -b - s * 10 * b,
+            "y-hyperbola": a + s * 10 * a,
+        }[kind]
+        try:
+            P0, d0 = start_on_caustic(E, gamma, random.Random(seed))
+        except DomainError:
+            assume(False)  # no admissible start (ROADMAP item 4's clearance)
+    _assert_same_run(P0, d0, 300, E)
+
+
+def test_simulate_fails_like_the_public_helpers():
+    E = BoundaryEllipse(3.0, 2.0)
+    tx, ty = 3 / math.sqrt(5), 2 / math.sqrt(5)
+    rt = math.sqrt(3.0)
+    runs = [
+        # the chord from a touch point lands on the opposite one
+        (MVec2(tx, ty), MVec2(-1.0, 0.0), 3, E, ReflectionUndefined, 1),
+        # a tangent ray, and one that leaves the ellipse
+        (MVec2(rt, 0.0), MVec2(0.0, 1.0), 3, E, DegenerateChord, 1),
+        (MVec2(rt, 0.0), MVec2(1.0, 0.2), 3, E, DegenerateChord, 1),
+    ]
+    # light-like directions tilted by 2**-m drift: finite to infinite,
+    # infinite to finite and finite to finite caustics
+    for (a, b), m in (((3.0, 2.0), 29), ((3.0, 2.0), 30), ((1.0, 1.0), 27)):
+        E = BoundaryEllipse(a, b)
+        P0 = _boundary_point(E, 0.3)
+        runs.append((P0, MVec2(-1.0, -1.0 - 2.0**-m), 400, E, CausticDrift, None))
+    messages = set()
+    for P0, d0, steps, E, kind, step in runs:
+        got = _assert_same_run(P0, d0, steps, E)
+        assert got[0] is kind and (step is None or got[2] == step), got
+        messages.add(got[1])
+    assert "degenerate chord: direction tangent at the start point" in messages
+    assert "degenerate chord: ray leaves the ellipse" in messages
+    assert any("caustic inf drifted" in m for m in messages)
+    assert any("drifted from inf" in m for m in messages)
+
+
+def _closure_by_prefix(T, tol=BOUNDARY):
+    for m in range(1, T.steps + 1):
+        status = closure_status(T, m, tol)
+        if status.tag != "Open":
+            return status
+    return None
+
+
+@pytest.mark.parametrize(
+    "E, gamma, seed, tag",
+    [
+        (BoundaryEllipse(3, 2), 2.3322714928995234, 1, "Periodic"),
+        (BoundaryEllipse(F(2), F(4)), F(4, 3), 1, "EllipticPeriodic"),
+        (BoundaryEllipse(5, 3), -15 / 8, 2, "EllipticPeriodic"),
+        (BoundaryEllipse(3, 2), 0.9, 4, None),
+    ],
+)
+def test_first_closure_is_the_first_closing_prefix(E, gamma, seed, tag):
+    T = simulate(*start_on_caustic(E, gamma, rng=random.Random(seed)), 60, E)
+    for tol in (BOUNDARY, CLOSURE):
+        found = first_closure(T, tol)
+        assert found == _closure_by_prefix(T, tol)
+        assert (found and found.tag) == tag
+
+
+@pytest.mark.parametrize(
+    "E, gamma, seed, pinned",
+    [
+        (BoundaryEllipse(3, 2), 1.1, 3,
+         ("-0x1.34f3612bbf06ep+0", "-0x1.03b059ce7ba50p+0",
+          "-0x1.718418c1d7a0cp-2", "0x1.9d9ee0385cd5cp+0")),
+        (BoundaryEllipse(5, 3), -3.5, 7,
+         ("-0x1.8ee364a3cfa36p+0", "0x1.3e06ccfd919c5p+0",
+          "0x1.e57e69a3d0b95p+1", "-0x1.4d2c331c5037fp+0")),
+        (BoundaryEllipse(3, 2), 4.2, 11,
+         ("-0x1.a8571f08b8a78p-1", "-0x1.3de6b976de699p+0",
+          "0x1.3048ce6e03005p+0", "0x1.5005502f0f17bp+1")),
+        (BoundaryEllipse(F(7, 2), F(9, 4)), F(-1, 2), 5,
+         ("-0x1.941fb3e661670p-1", "-0x1.5c26876b7307bp+0",
+          "-0x1.81fbde1fafd46p-1", "0x1.06206586fee36p-1")),
+        (BoundaryEllipse(3000.0, 2000.0), 1100.0, 4,
+         ("0x1.0e94b4d66df51p+5", "0x1.1968894d8963fp+5",
+          "0x1.4f30661eba5a6p+4", "-0x1.1aa604f078cc6p+5")),
+    ],
+)
+def test_start_on_caustic_pinned_floats(E, gamma, seed, pinned):
+    # an ellipse, an x-major and a y-major hyperbola caustic, exact axes,
+    # and a scaled ellipse: the start is pinned to the last bit
+    P0, d0 = start_on_caustic(E, gamma, random.Random(seed))
+    assert (P0.x.hex(), P0.y.hex(), d0.x.hex(), d0.y.hex()) == pinned

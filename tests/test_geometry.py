@@ -1,6 +1,7 @@
 """Minkowski-plane geometry primitives."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from pellipse import (
     elliptic_coordinates,
     line_through,
     minkowski_dot,
+    next_boundary_hit,
     tangent_line_at,
     vector_type,
 )
@@ -122,3 +124,29 @@ def test_line_through():
 def test_boundary_ellipse_rejects_non_finite(a, b):
     with pytest.raises(DomainError):
         BoundaryEllipse(a, b)
+
+
+def test_decimal_axes_with_float_points():
+    # each helper brings its operands into one field (Decimal here) and
+    # agrees with the same axes as fractions
+    Ed = BoundaryEllipse(Decimal("2.3"), Decimal("10.4"))
+    Ef = BoundaryEllipse(F(23, 10), F(52, 5))
+    P = MVec2(math.sqrt(2.3) * math.cos(0.7), math.sqrt(10.4) * math.sin(0.7))
+    d = MVec2(-1.3, 0.4)
+    L = LineImplicit(0.3, -0.5, 1.0)
+
+    def close(u, v):
+        assert float(u) == pytest.approx(float(v), rel=1e-12)
+
+    inside = MVec2(0.7, 1.1)
+    assert isinstance(Ed.boundary_residual(inside), Decimal)
+    close(Ed.boundary_residual(inside), Ef.boundary_residual(inside))
+    assert abs(Ed.boundary_residual(P)) < 1e-15
+    close(caustic_of_line(L, Ed), caustic_of_line(L, Ef))
+    assert boundary_arc_class(P, Ed) is boundary_arc_class(P, Ef)
+    Td, Tf = tangent_line_at(P, Ed), tangent_line_at(P, Ef)
+    close(Td.p, Tf.p)
+    close(Td.q, Tf.q)
+    Qd, Qf = next_boundary_hit(P, d, Ed), next_boundary_hit(P, d, Ef)
+    close(Qd.x, Qf.x)
+    close(Qd.y, Qf.y)
