@@ -39,7 +39,7 @@ from .cayley import (
     elliptic_case_test,
     is_periodic,
 )
-from .config import CLOSURE, DEGENERATE, ROTATION
+from .config import CLOSURE, DEGENERATE
 from .dynamics import ClosureStatus, closure_status, simulate, start_on_caustic
 from .errors import DomainError, PellipseError
 from .extremal import rotation_ratio
@@ -340,39 +340,14 @@ def _table_roots(E: BoundaryEllipse, factors):
 
 
 def _normalized_det(E: BoundaryEllipse, gamma_f: float, n: int) -> float:
-    """The periodic closure determinant at ``gamma_f`` over its row scale."""
+    """The periodic closure determinant at ``gamma_f`` over its row scale.
+
+    Nothing in the package calls it: the benchmark harness wraps it by name
+    (``perfbench/tracing.py``, ``caustics.scan.det_evals``), so it stays
+    defined until the harness reads spans instead.
+    """
     ((value, scale),) = _closure_blocks(E, gamma_f, n, [_periodic_ladder(n)])
     return float(value) / scale if scale > 0 else float(value)
-
-
-def _polish(E: BoundaryEllipse, n: int, k: int, gamma_f: float) -> float:
-    """The root ``gamma_f`` of ``rho = k/n``, moved onto the closure determinant's root.
-
-    The determinant is bisected in the smallest bracket ``gamma_f (1 -+ w)``
-    that shows a sign change, for ``w = 1e-12, 1e-11, ..., 1e-7``, kept
-    inside the ``gamma`` range of ``gamma_f``.  Its root is kept only
-    when ``n rho`` there is as near ``k`` as at ``gamma_f``, to
-    ``ROTATION``: near ``-b`` and ``a`` the float determinant loses
-    digits, and the level set decides.  Otherwise, and without a sign
-    change, ``gamma_f`` is returned as it is.
-    """
-    det = partial(_normalized_det, E, n=n)
-
-    def off(g: float) -> float:
-        return abs(n * rotation_ratio(E.a, E.b, g) - k)
-
-    for w in (1e-12, 1e-11, 1e-10, 1e-9, 1e-8, 1e-7):
-        lo, hi = sorted((gamma_f * (1 - w), gamma_f * (1 + w)))
-        if any(lo <= e <= hi for e in (-float(E.b), 0.0, float(E.a))):
-            break
-        try:
-            f_lo, f_hi = det(lo), det(hi)
-        except DomainError:
-            break
-        if f_lo * f_hi < 0:
-            root = polys.bisect_float(det, lo, hi, f_lo)
-            return root if off(root) <= off(gamma_f) + ROTATION else gamma_f
-    return gamma_f
 
 
 def _level_roots(E: BoundaryEllipse, n: int):
@@ -384,10 +359,10 @@ def _level_roots(E: BoundaryEllipse, n: int):
     ``(0, a)`` needs ``k`` even, and one on a hyperbola range needs both
     (so ``n`` even).  ``d`` is the least proper divisor ``d >= 3`` of ``n``
     whose partition ``(d, k d / n)`` is integral and admitted as well,
-    else ``n``: the root closes after ``d`` steps.  Each root is bisected in
-    ``gamma`` on the finite ranges and in ``u = 1/gamma`` on the unbounded
-    ones, then moved onto the closure determinant by :func:`_polish`.
-    Roots come in ascending ``gamma``.
+    else ``n``: the root closes after ``d`` steps.  Each root is bisected to
+    adjacent floats in ``gamma`` on the finite ranges and in ``u = 1/gamma``
+    on the unbounded ones, and reported as it is.  Roots come in ascending
+    ``gamma``.
     """
     a, b = float(E.a), float(E.b)
     far = rotation_ratio(a, b, math.inf)
@@ -409,7 +384,7 @@ def _level_roots(E: BoundaryEllipse, n: int):
             x = polys.bisect_float(
                 lambda x: rotation_ratio(a, b, to_gamma(x)) - k / n, lo, hi, r_lo - k / n
             )
-            roots.append((_polish(E, n, k, to_gamma(x)), None, d))
+            roots.append((to_gamma(x), None, d))
     yield from sorted(roots)
 
 

@@ -4,8 +4,9 @@ The floating-point paths of the package test closure three ways (the
 Hankel zero test, the Pell residual and the simulated closure) and guard
 the geometry around them.  Each test reads the constant of its role
 below; exact (``int``/``Fraction``) inputs to the closure conditions
-compare with zero exactly and read none of them.  Tolerances are fixed:
-nothing reads the environment.
+compare with zero exactly and read none of them, and the roots of the
+rotation number's level sets are bisected to adjacent floats without a
+tolerance.  Tolerances are fixed: nothing reads the environment.
 """
 
 #: Absolute: a point lies on the boundary ellipse or on a confocal conic
@@ -25,11 +26,6 @@ HANKEL_ZERO = 1e-9
 #: Relative: the caustic of every segment of a simulated trajectory
 #: matches the caustic of the first one.
 DRIFT = 1e-6
-
-#: Absolute, on ``n rho``: a float root of the closure determinant lies on
-#: the level set ``n rho = k`` of the rotation number as well as the root
-#: of ``rho = k/n`` itself does, to this margin.
-ROTATION = 1e-9
 
 #: Absolute, on vertices and unit directions: a simulated trajectory closes
 #: when it validates a caustic or measures a partition.
