@@ -39,11 +39,11 @@ from .cayley import (
     elliptic_case_test,
     is_periodic,
 )
-from .config import CLOSURE, DEGENERATE
+from .config import CLOSURE
 from .dynamics import ClosureStatus, closure_status, simulate, start_on_caustic
 from .errors import DomainError, PellipseError
 from .extremal import rotation_ratio
-from .geometry import ArcClass, BoundaryEllipse, ConicClass, classify_conic
+from .geometry import ArcClass, BoundaryEllipse, ConicClass, classify_conic, degenerate_value
 
 __all__ = [
     "CausticResult",
@@ -410,14 +410,10 @@ def _screen(candidates, reason, discarded):
 
 def _spurious_reason(E: BoundaryEllipse, n: int, gamma_f: float) -> str | None:
     """The spurious-root filter; ``n = 0`` skips the odd-period rule."""
-    a, b = float(E.a), float(E.b)
-    if abs(gamma_f) <= DEGENERATE:
-        return "degenerate conic (gamma = 0)"
-    if abs(gamma_f - a) <= DEGENERATE * (1 + a):
-        return "degenerate conic (gamma = a)"
-    if abs(gamma_f + b) <= DEGENERATE * (1 + b):
-        return "degenerate conic (gamma = -b)"
-    if n % 2 == 1 and not (-b < gamma_f < a):
+    hit = degenerate_value(gamma_f, E)
+    if hit is not None:
+        return f"degenerate conic (gamma = {hit})"
+    if n % 2 == 1 and not (-float(E.b) < gamma_f < float(E.a)):
         return "odd period requires an ellipse caustic"
     return None
 
@@ -491,15 +487,16 @@ def _sim_closure(E, gamma_f, n, rng, want_sigma=None):
     return False, None, None, last
 
 
-def _results(E, n, candidates, rng) -> list[CausticResult]:
+def _results(E, n, candidates) -> list[CausticResult]:
     """Verdict and simulated closure of each ``(gamma, exact, case)`` candidate.
 
     A periodic candidate (``case`` None) needs the Hankel test at period
     ``n`` and a full closure; an elliptic one needs
     :func:`~pellipse.cayley.elliptic_case_test` to confirm its case and a
-    closure onto its mirror image under exactly the case symmetry.
+    closure onto its mirror image under exactly the case symmetry.  The
+    simulated starts come from one ``random.Random(0)`` per call.
     """
-    rng = random.Random(0) if rng is None else rng
+    rng = random.Random(0)
     results = []
     for gamma_f, exact, case in candidates:
         if case is None:
@@ -531,10 +528,7 @@ def _results(E, n, candidates, rng) -> list[CausticResult]:
 
 
 def periodic_caustics(
-    E: BoundaryEllipse,
-    n: int,
-    rng: random.Random | None = None,
-    discarded: list | None = None,
+    E: BoundaryEllipse, n: int, discarded: list | None = None
 ) -> list[CausticResult]:
     """All new ``n``-periodic caustics, any ``n >= 3``, doubly validated.
 
@@ -551,8 +545,8 @@ def periodic_caustics(
     factor without real roots.
     """
     if n not in _PERIODIC_NEW:
-        return generic_caustic_scan(E, n, rng=rng, discarded=discarded)
-    return _results(E, n, table_roots(E, n, discarded), rng)
+        return generic_caustic_scan(E, n, discarded)
+    return _results(E, n, table_roots(E, n, discarded))
 
 
 def table_roots(E: BoundaryEllipse, n: int, discarded: list | None = None):
@@ -568,10 +562,7 @@ def table_roots(E: BoundaryEllipse, n: int, discarded: list | None = None):
 
 
 def elliptic_caustics(
-    E: BoundaryEllipse,
-    n: int,
-    rng: random.Random | None = None,
-    discarded: list | None = None,
+    E: BoundaryEllipse, n: int, discarded: list | None = None
 ) -> list[CausticResult]:
     """All elliptic ``n``-periodic caustics, 2 <= n <= 5, doubly validated.
 
@@ -586,14 +577,11 @@ def elliptic_caustics(
         raise DomainError(f"elliptic closure polynomials cover n in 2..5, got n={n}")
     roots = _table_roots(E, _ELLIPTIC_POLYS[n])
     roots = _screen(roots, partial(_spurious_reason, E, 0), discarded)
-    return _results(E, n, _with_case(E, n, roots, discarded), rng)
+    return _results(E, n, _with_case(E, n, roots, discarded))
 
 
 def generic_caustic_scan(
-    E: BoundaryEllipse,
-    n: int,
-    rng: random.Random | None = None,
-    discarded: list | None = None,
+    E: BoundaryEllipse, n: int, discarded: list | None = None
 ) -> list[CausticResult]:
     """The ``n``-periodic caustics of any period, from the level sets of the rotation number.
 
@@ -609,7 +597,7 @@ def generic_caustic_scan(
     if n < 3:
         raise DomainError(f"periodic caustics require n >= 3, got n={n}")
     roots = _screen(_level_roots(E, n), partial(_spurious_reason, E, n), discarded)
-    return _results(E, n, _of_period(n, roots, discarded), rng)
+    return _results(E, n, _of_period(n, roots, discarded))
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
-from .config import DEGENERATE, HANKEL_ZERO
+from .config import HANKEL_ZERO
 from .errors import DomainError, InsufficientOrder
-from .geometry import BoundaryEllipse, ConicClass, classify_conic
-from .polys import DECIMAL_PRECISION
+from .geometry import BoundaryEllipse, ConicClass, classify_conic, degenerate_value
 
 __all__ = [
     "TruncatedSeries",
@@ -49,7 +48,6 @@ __all__ = [
     "hankel_test",
     "is_periodic",
     "elliptic_case_test",
-    "DECIMAL_PRECISION",
     "ELLIPTIC_CASES",
     "case_symmetry",
 ]
@@ -187,9 +185,6 @@ class TruncatedSeries:
         b0 = math.sqrt(abs(float(self.a) * float(self.b) * float(self.gamma)))
         return tuple(b0 * float(s) for s in self.scaled)
 
-    def __len__(self) -> int:
-        return len(self.scaled)
-
 
 @dataclass(frozen=True)
 class PeriodicityVerdict:
@@ -197,7 +192,6 @@ class PeriodicityVerdict:
 
     periodic: bool
     determinant_value: object
-    variant_used: str
     n: int
 
 
@@ -212,14 +206,10 @@ class EllipticVerdict:
 def _check_gamma(E: BoundaryEllipse, gamma) -> None:
     if isinstance(gamma, float) and (math.isinf(gamma) or math.isnan(gamma)):
         raise DomainError(f"gamma={gamma} is degenerate")
-    exact = polys.is_exact(gamma)
-    for v in (0, E.a, -E.b):
-        if exact and polys.is_exact(v):
-            hit = gamma == v
-        else:
-            hit = abs(float(gamma) - float(v)) <= DEGENERATE * max(1.0, abs(float(v)))
-        if hit:
-            raise DomainError(f"gamma={gamma} coincides with degenerate value {v}")
+    hit = degenerate_value(gamma, E)
+    if hit is not None:
+        v = {"0": 0, "a": E.a, "-b": -E.b}[hit]
+        raise DomainError(f"gamma={gamma} coincides with degenerate value {v}")
 
 
 def cubic_sqrt_series(E: BoundaryEllipse, gamma, order: int) -> TruncatedSeries:
@@ -354,9 +344,7 @@ def _periodic_verdict(E: BoundaryEllipse, gamma, n: int, block: tuple) -> Period
     """Hankel verdict at period ``n`` from the periodic ladder's closure block."""
     value, scale = block
     structural = n % 2 == 0 or classify_conic(gamma, E) is ConicClass.EllipseOfFamily
-    return PeriodicityVerdict(
-        bool(_det_is_zero(value, scale) and structural), value, _periodic_ladder(n), n
-    )
+    return PeriodicityVerdict(bool(_det_is_zero(value, scale) and structural), value, n)
 
 
 def is_periodic(E: BoundaryEllipse, gamma, n: int) -> PeriodicityVerdict:

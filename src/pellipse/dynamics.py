@@ -413,7 +413,12 @@ def start_on_caustic(
 
     Samples a tangent line of the caustic, intersects it with the boundary
     and rejects lines that miss the ellipse or whose endpoints come within
-    ``0.02 (1 + xt)`` in ``|x|`` of a touch point ``(+-xt, +-yt)``.  Raises
+    ``0.02 (1 + xt)`` in ``|x|`` of a touch point ``(+-xt, +-yt)``.  On a
+    hyperbola the tangent at ``u`` meets the boundary only when
+    ``sinh(u)**2 >= (1 - r) / (ra + rb)``, with ``ra = a/|a - gamma|``,
+    ``rb = b/|b + gamma|`` and ``r`` the one of the major axis, so ``u`` is
+    drawn from ``[-w, w]`` with ``w = max(2.5, u_min + 1)`` and ``u_min``
+    the least such ``|u|``.  Raises
     :class:`DomainError` for degenerate caustics or when no admissible
     tangent is found.
     """
@@ -429,6 +434,10 @@ def start_on_caustic(
     a, b, g = float(E.a), float(E.b), float(gamma)
     xt = E.touch_x()
     clearance = 0.02 * (1 + xt)
+    if conic is not ConicClass.EllipseOfFamily:
+        ra, rb = a / abs(a - g), b / abs(b + g)
+        r = ra if conic is ConicClass.HyperbolaXMajor else rb
+        w = max(2.5, math.asinh(math.sqrt(max(0.0, (1 - r) / (ra + rb)))) + 1)
     for _ in range(500):
         if conic is ConicClass.EllipseOfFamily:
             A, B = a - g, b + g
@@ -437,13 +446,13 @@ def start_on_caustic(
             q = math.sin(phi) / math.sqrt(B)
         elif conic is ConicClass.HyperbolaXMajor:
             A, Babs = a - g, -(b + g)
-            u = rng.uniform(-2.5, 2.5)
+            u = rng.uniform(-w, w)
             branch = 1.0 if rng.random() < 0.5 else -1.0
             p = branch * math.cosh(u) / math.sqrt(A)
             q = -math.sinh(u) / math.sqrt(Babs)
         else:
             Aabs, B = g - a, b + g
-            u = rng.uniform(-2.5, 2.5)
+            u = rng.uniform(-w, w)
             branch = 1.0 if rng.random() < 0.5 else -1.0
             p = -math.sinh(u) / math.sqrt(Aabs)
             q = branch * math.cosh(u) / math.sqrt(B)

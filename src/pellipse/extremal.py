@@ -41,9 +41,9 @@ from .cayley import (
     elliptic_case_test,
     is_periodic,
 )
-from .config import DEGENERATE, LIGHTLIKE, PELL_RESIDUAL
+from .config import LIGHTLIKE, PELL_RESIDUAL
 from .errors import CertificateInvalid, DomainError, NoCertificate
-from .geometry import BoundaryEllipse
+from .geometry import BoundaryEllipse, degenerate_value
 
 __all__ = [
     "PellPair",
@@ -178,25 +178,19 @@ def _pell_defect(P: list, p2: list, Q: list, q2: list, target):
 class PellPair:
     """The primitive solution ``(p, q)`` of the half-degree Pell identity.
 
-    ``p`` and ``q`` are float coefficient tuples (ascending).  The exact
-    products ``p**2`` and ``p q`` — rational polynomials even when
-    ``p`` itself carries an irrational scale — are kept internally for the
-    lossless lift to the full certificate, with the values ``(a, b,
-    gamma)`` they were computed from, in their field.
+    The pair is kept as the coefficient tuples (ascending) of ``p**2`` and
+    ``p q``: rational polynomials even when ``p`` itself carries an
+    irrational scale, so the lift to the full certificate is lossless.
+    ``values`` holds the ``(a, b, gamma)`` they were computed from, in
+    their field.
     """
 
-    p: tuple[float, ...]
-    q: tuple[float, ...]
     n: int
     gamma: float
     ellipse: BoundaryEllipse
     p2: tuple = field(repr=False)
     pq: tuple = field(repr=False)
     values: tuple = field(repr=False)
-
-    def __iter__(self):
-        yield list(self.p)
-        yield list(self.q)
 
 
 @dataclass(frozen=True)
@@ -282,30 +276,12 @@ def _construct_exact(E, values, n, ladder) -> PellPair:
     pq_ = [c / lead2 for c in polys.pmul(rev_p, rev_q)]
     if n % 2 == 0:
         p2, pq = pp, pq_
-        scale_p = 1 / abs(float(lead))
-        scale_q = scale_p
     else:
         eps_sign = 1 if g > 0 else -1
         g_abs = g if g > 0 else -g
         p2 = [c * g_abs for c in pp]
         pq = [c * eps_sign for c in pq_]
-        sg = math.sqrt(abs(float(g)))
-        scale_p = sg / abs(float(lead))
-        scale_q = 1 / (sg * abs(float(lead)))
-        if float(g) < 0:
-            scale_p = -scale_p  # p = rev_p * g / (sqrt|g| |lead|)
-    p_float = tuple(float(c) * scale_p for c in rev_p)
-    q_float = tuple(float(c) * scale_q for c in rev_q)
-    return PellPair(
-        p=p_float,
-        q=q_float,
-        n=n,
-        gamma=float(g),
-        ellipse=E,
-        p2=tuple(p2),
-        pq=tuple(pq),
-        values=values,
-    )
+    return PellPair(n=n, gamma=float(g), ellipse=E, p2=tuple(p2), pq=tuple(pq), values=values)
 
 
 def pell_lift(pair: PellPair) -> PellCertificate:
@@ -624,7 +600,7 @@ def kln_partition(E: BoundaryEllipse, gamma) -> tuple[float, list[tuple[int, int
     and it moves onto :func:`rotation_ratio` together with those references.
     """
     a, b, g = float(E.a), float(E.b), float(gamma)
-    if not (abs(g) > DEGENERATE and abs(g - a) > DEGENERATE and abs(g + b) > DEGENERATE):
+    if degenerate_value(g, E) is not None:
         raise DomainError(f"gamma={gamma} is degenerate")
     c1, c2, c3, c4 = _band_endpoints(a, b, g)
 

@@ -45,6 +45,7 @@ __all__ = [
     "minkowski_dot",
     "vector_type",
     "classify_conic",
+    "degenerate_value",
     "elliptic_coordinates",
     "caustic_of_line",
     "boundary_arc_class",
@@ -59,20 +60,6 @@ class MVec2:
 
     x: float | Fraction
     y: float | Fraction
-
-    def __add__(self, other: "MVec2") -> "MVec2":
-        return MVec2(self.x + other.x, self.y + other.y)
-
-    def __sub__(self, other: "MVec2") -> "MVec2":
-        return MVec2(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, s) -> "MVec2":
-        return MVec2(self.x * s, self.y * s)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "MVec2":
-        return MVec2(-self.x, -self.y)
 
     def __iter__(self) -> Iterator:
         yield self.x
@@ -228,6 +215,23 @@ def classify_conic(gamma, E: BoundaryEllipse) -> ConicClass:
     if gamma < -E.b:
         return ConicClass.HyperbolaXMajor
     return ConicClass.EllipseOfFamily
+
+
+def degenerate_value(gamma, E: BoundaryEllipse) -> str | None:
+    """The degenerate value ``"0"``, ``"a"`` or ``"-b"`` that ``gamma`` meets, or None.
+
+    Exact ``gamma`` and axes compare exactly; otherwise ``gamma`` meets
+    ``v`` when ``|gamma - v| <= DEGENERATE * (1 + |v|)``.  The spurious-root
+    screen, the series and the rotation-number quadrature share this rule.
+    """
+    for name, v in (("0", 0), ("a", E.a), ("-b", -E.b)):
+        if polys.is_exact(gamma, v):
+            hit = gamma == v
+        else:
+            hit = abs(float(gamma) - float(v)) <= DEGENERATE * (1 + abs(float(v)))
+        if hit:
+            return name
+    return None
 
 
 def elliptic_coordinates(P: MVec2, E: BoundaryEllipse) -> EllipticCoords:

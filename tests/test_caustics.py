@@ -18,9 +18,11 @@ from pellipse import (
     generic_caustic_scan,
     periodic_caustics,
 )
-from pellipse.cayley import _closure_blocks, _periodic_ladder
+from pellipse.caustics import _spurious_reason
+from pellipse.cayley import _closure_blocks, _periodic_ladder, is_periodic
 from pellipse.errors import DomainError
-from pellipse.extremal import rotation_ratio
+from pellipse.extremal import kln_partition, rotation_ratio
+from pellipse.geometry import degenerate_value
 
 F = Fraction
 
@@ -89,6 +91,32 @@ def test_elliptic_caustics_odd_hyperbola_cases():
     d = next(r for r in rs if r.case == "d")
     assert d.gamma == pytest.approx(-3.1595918, abs=1e-6)
     assert d.sigma == "flip-x" and d.validated
+
+
+def test_far_hyperbola_caustics_get_a_start():
+    # their tangents meet the boundary only where |u| is well beyond 2.5, so
+    # the start widens its draw window past that bound
+    far = min(periodic_caustics(BoundaryEllipse(F(31, 5), F(13, 4)), 10), key=lambda r: r.gamma)
+    assert far.gamma == pytest.approx(-675.87, rel=1e-5)
+    assert far.validated and (far.n1, far.n2) == (6, 4)
+    far = min(elliptic_caustics(BoundaryEllipse(F(52, 5), F(83, 8)), 2), key=lambda r: r.gamma)
+    assert far.gamma_exact == -4316
+    assert far.validated and (far.n1, far.n2) == (1, 1)
+
+
+def test_one_degenerate_rule_for_screen_series_and_quadrature():
+    # 3.5e-9 from a = 3 lies within DEGENERATE * (1 + a) = 4e-9
+    E, gamma = BoundaryEllipse(3, 2), 3 + 3.5e-9
+    assert degenerate_value(gamma, E) == "a"
+    assert _spurious_reason(E, 3, gamma) == "degenerate conic (gamma = a)"
+    with pytest.raises(DomainError, match="degenerate value 3"):
+        is_periodic(E, gamma, 4)
+    with pytest.raises(DomainError, match="is degenerate"):
+        kln_partition(E, gamma)
+    # exact parameters on exact axes compare exactly
+    exact = BoundaryEllipse(F(3), F(2))
+    assert degenerate_value(F(3) + F(1, 10**12), exact) is None
+    assert degenerate_value(F(-2), exact) == "-b" and degenerate_value(0, exact) == "0"
 
 
 def test_generic_scan_discards_lower_periods():

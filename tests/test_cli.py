@@ -1,9 +1,11 @@
 """End-to-end command-line interface behaviour."""
 
 import dataclasses
+import importlib
 import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from fractions import Fraction
@@ -130,6 +132,21 @@ def test_no_public_callable_takes_eps():
         except (TypeError, ValueError):  # no signature to inspect
             continue
         assert "eps" not in params, name
+    # the solvers seed their simulated starts themselves
+    for solver in (
+        pellipse.periodic_caustics,
+        pellipse.elliptic_caustics,
+        pellipse.generic_caustic_scan,
+    ):
+        assert list(inspect.signature(solver).parameters) == ["E", "n", "discarded"]
+
+
+def test_every_name_in_all_resolves():
+    names = [f"pellipse.{m.name}" for m in pkgutil.iter_modules(pellipse.__path__)]
+    for name in ["pellipse", *names]:
+        module = importlib.import_module(name)
+        for attr in getattr(module, "__all__", ()):
+            assert hasattr(module, attr), (name, attr)
 
 
 def test_main_builds_the_parser_once(capsys):
