@@ -412,7 +412,7 @@ def _spurious_reason(E: BoundaryEllipse, n: int, gamma_f: float) -> str | None:
     """The spurious-root filter; ``n = 0`` skips the odd-period rule."""
     hit = degenerate_value(gamma_f, E)
     if hit is not None:
-        return f"degenerate conic (gamma = {hit})"
+        return f"degenerate conic (gamma = {hit[0]})"
     if n % 2 == 1 and not (-float(E.b) < gamma_f < float(E.a)):
         return "odd period requires an ellipse caustic"
     return None
@@ -528,7 +528,7 @@ def _results(E, n, candidates) -> list[CausticResult]:
 
 
 def periodic_caustics(
-    E: BoundaryEllipse, n: int, discarded: list | None = None
+    E: BoundaryEllipse, n: int, *, discarded: list | None = None
 ) -> list[CausticResult]:
     """All new ``n``-periodic caustics, any ``n >= 3``, doubly validated.
 
@@ -545,7 +545,7 @@ def periodic_caustics(
     factor without real roots.
     """
     if n not in _PERIODIC_NEW:
-        return generic_caustic_scan(E, n, discarded)
+        return generic_caustic_scan(E, n, discarded=discarded)
     return _results(E, n, table_roots(E, n, discarded))
 
 
@@ -562,7 +562,7 @@ def table_roots(E: BoundaryEllipse, n: int, discarded: list | None = None):
 
 
 def elliptic_caustics(
-    E: BoundaryEllipse, n: int, discarded: list | None = None
+    E: BoundaryEllipse, n: int, *, discarded: list | None = None
 ) -> list[CausticResult]:
     """All elliptic ``n``-periodic caustics, 2 <= n <= 5, doubly validated.
 
@@ -581,7 +581,7 @@ def elliptic_caustics(
 
 
 def generic_caustic_scan(
-    E: BoundaryEllipse, n: int, discarded: list | None = None
+    E: BoundaryEllipse, n: int, *, discarded: list | None = None
 ) -> list[CausticResult]:
     """The ``n``-periodic caustics of any period, from the level sets of the rotation number.
 

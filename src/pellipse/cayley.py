@@ -208,8 +208,7 @@ def _check_gamma(E: BoundaryEllipse, gamma) -> None:
         raise DomainError(f"gamma={gamma} is degenerate")
     hit = degenerate_value(gamma, E)
     if hit is not None:
-        v = {"0": 0, "a": E.a, "-b": -E.b}[hit]
-        raise DomainError(f"gamma={gamma} coincides with degenerate value {v}")
+        raise DomainError(f"gamma={gamma} coincides with degenerate value {hit[1]}")
 
 
 def cubic_sqrt_series(E: BoundaryEllipse, gamma, order: int) -> TruncatedSeries:

@@ -217,8 +217,11 @@ def classify_conic(gamma, E: BoundaryEllipse) -> ConicClass:
     return ConicClass.EllipseOfFamily
 
 
-def degenerate_value(gamma, E: BoundaryEllipse) -> str | None:
-    """The degenerate value ``"0"``, ``"a"`` or ``"-b"`` that ``gamma`` meets, or None.
+def degenerate_value(gamma, E: BoundaryEllipse) -> tuple[str, object] | None:
+    """The degenerate value ``(name, v)`` that ``gamma`` meets, or None.
+
+    ``name`` is ``"0"``, ``"a"`` or ``"-b"`` and ``v`` its value ``0``,
+    ``E.a`` or ``-E.b``.
 
     Exact ``gamma`` and axes compare exactly; otherwise ``gamma`` meets
     ``v`` when ``|gamma - v| <= DEGENERATE * (1 + |v|)``.  The spurious-root
@@ -230,7 +233,7 @@ def degenerate_value(gamma, E: BoundaryEllipse) -> str | None:
         else:
             hit = abs(float(gamma) - float(v)) <= DEGENERATE * (1 + abs(float(v)))
         if hit:
-            return name
+            return name, v
     return None
 
 

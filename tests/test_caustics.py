@@ -107,7 +107,7 @@ def test_far_hyperbola_caustics_get_a_start():
 def test_one_degenerate_rule_for_screen_series_and_quadrature():
     # 3.5e-9 from a = 3 lies within DEGENERATE * (1 + a) = 4e-9
     E, gamma = BoundaryEllipse(3, 2), 3 + 3.5e-9
-    assert degenerate_value(gamma, E) == "a"
+    assert degenerate_value(gamma, E) == ("a", 3)
     assert _spurious_reason(E, 3, gamma) == "degenerate conic (gamma = a)"
     with pytest.raises(DomainError, match="degenerate value 3"):
         is_periodic(E, gamma, 4)
@@ -116,7 +116,7 @@ def test_one_degenerate_rule_for_screen_series_and_quadrature():
     # exact parameters on exact axes compare exactly
     exact = BoundaryEllipse(F(3), F(2))
     assert degenerate_value(F(3) + F(1, 10**12), exact) is None
-    assert degenerate_value(F(-2), exact) == "-b" and degenerate_value(0, exact) == "0"
+    assert degenerate_value(F(-2), exact) == ("-b", -2) and degenerate_value(0, exact) == ("0", 0)
 
 
 def test_generic_scan_discards_lower_periods():

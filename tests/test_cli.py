@@ -138,7 +138,9 @@ def test_no_public_callable_takes_eps():
         pellipse.elliptic_caustics,
         pellipse.generic_caustic_scan,
     ):
-        assert list(inspect.signature(solver).parameters) == ["E", "n", "discarded"]
+        params = inspect.signature(solver).parameters
+        assert list(params) == ["E", "n", "discarded"]
+        assert params["discarded"].kind is inspect.Parameter.KEYWORD_ONLY
 
 
 def test_every_name_in_all_resolves():
