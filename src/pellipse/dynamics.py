@@ -12,12 +12,17 @@ step makes the float operations of the public helpers (``line_through``,
 ``caustic_of_line``, :func:`next_boundary_hit`, ``boundary_arc_class``,
 ``tangent_line_at`` and :func:`reflect`) in the same order, with each of
 their checks made once, so trajectories and errors match the helpers bit
-for bit.  :func:`first_closure` finds the first closing prefix of a
-trajectory in one pass over its vertices.
+for bit.  A :class:`Trajectory` keeps each vertex and direction as an
+``(x, y)`` float pair; its ``vertices`` and ``directions`` build
+:class:`~pellipse.geometry.MVec2` values on first access.  The closure
+tests, the JSON and the SVG figure read the pairs.
+:func:`first_closure` finds the first closing prefix of a trajectory in
+one pass over its vertices.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -55,8 +60,12 @@ __all__ = [
     "start_on_caustic",
 ]
 
+#: The signs of ``(x, y)`` under the three axial symmetries used by
+#: elliptic closure.
+_SIGMA_SIGNS = {"flip-x": (1, -1), "flip-y": (-1, 1), "flip-both": (-1, -1)}
+
 #: Names of the three axial symmetries used by elliptic closure.
-SIGMAS = ("flip-x", "flip-y", "flip-both")
+SIGMAS = tuple(_SIGMA_SIGNS)
 
 
 def apply_sigma(sigma: str, v: MVec2) -> MVec2:
@@ -65,13 +74,10 @@ def apply_sigma(sigma: str, v: MVec2) -> MVec2:
     ``flip-x`` reflects across the x-axis, ``flip-y`` across the y-axis,
     ``flip-both`` through the origin.
     """
-    if sigma == "flip-x":
-        return MVec2(v.x, -v.y)
-    if sigma == "flip-y":
-        return MVec2(-v.x, v.y)
-    if sigma == "flip-both":
-        return MVec2(-v.x, -v.y)
-    raise DomainError(f"unknown symmetry {sigma!r}")
+    if sigma not in _SIGMA_SIGNS:
+        raise DomainError(f"unknown symmetry {sigma!r}")
+    sx, sy = _SIGMA_SIGNS[sigma]
+    return MVec2(sx * v.x, sy * v.y)
 
 
 @dataclass(frozen=True)
@@ -104,23 +110,34 @@ class ClosureStatus:
 class Trajectory:
     """A simulated polygonal billiard trajectory.
 
-    ``vertices`` has ``steps + 1`` boundary points; ``directions`` has
-    ``steps + 1`` entries, the segment directions followed by the reflected
-    direction at the final vertex; ``arc_classes`` classifies each vertex.
-    ``caustic_gamma`` is the parameter of the conic touched by every
-    segment (``math.inf`` for light-like trajectories).
+    ``vertex_xy`` holds ``steps + 1`` boundary points as ``(x, y)`` float
+    pairs; ``direction_xy`` holds ``steps + 1`` pairs, the segment
+    directions followed by the reflected direction at the final vertex;
+    ``arc_classes`` classifies each vertex.  ``caustic_gamma`` is the
+    parameter of the conic touched by every segment (``math.inf`` for
+    light-like trajectories).  ``vertices`` and ``directions`` are the same
+    points as :class:`~pellipse.geometry.MVec2` tuples, built on first
+    access.
     """
 
-    vertices: tuple[MVec2, ...]
-    directions: tuple[MVec2, ...]
+    vertex_xy: tuple[tuple[float, float], ...]
+    direction_xy: tuple[tuple[float, float], ...]
     arc_classes: tuple[ArcClass, ...]
     segment_type: VectorType
     caustic_gamma: object
     ellipse: BoundaryEllipse
 
+    @functools.cached_property
+    def vertices(self) -> tuple[MVec2, ...]:
+        return tuple(MVec2(x, y) for x, y in self.vertex_xy)
+
+    @functools.cached_property
+    def directions(self) -> tuple[MVec2, ...]:
+        return tuple(MVec2(x, y) for x, y in self.direction_xy)
+
     @property
     def steps(self) -> int:
-        return len(self.vertices) - 1
+        return len(self.vertex_xy) - 1
 
     def to_jsonable(self, closure: ClosureStatus | None = None) -> dict:
         """JSON-ready dict (finite floats only; infinity as the string "inf")."""
@@ -136,7 +153,7 @@ class Trajectory:
             "b": float(self.ellipse.b),
             "gamma": gval,
             "segment_type": self.segment_type.value,
-            "vertices": [[float(P.x), float(P.y)] for P in self.vertices],
+            "vertices": [[x, y] for x, y in self.vertex_xy],
             "arc_classes": [arc.value for arc in self.arc_classes],
         }
         doc["closure"] = (
@@ -232,8 +249,8 @@ def simulate(P0: MVec2, d0: MVec2, steps: int, E: BoundaryEllipse) -> Trajectory
     seg_type = vector_type(v)
     gamma0 = caustic_of_line(line_through(P, v), E)
 
-    vertices = [P]
-    directions = [v]
+    vertices = [(P.x, P.y)]
+    directions = [(v.x, v.y)]
     arcs = [boundary_arc_class(P, E)]
     a, b = E.a, E.b
     xt = E.touch_x()
@@ -303,12 +320,12 @@ def simulate(P0: MVec2, d0: MVec2, steps: int, E: BoundaryEllipse) -> Trajectory
             )
         s = (vx * mx - vy * my) / dd
         vx, vy = 2 * s * mx - vx, 2 * s * my - vy
-        vertices.append(MVec2(x, y))
-        directions.append(MVec2(vx, vy))
+        vertices.append((x, y))
+        directions.append((vx, vy))
         arcs.append(hyperbola_arc if dx > 0 else ellipse_arc)
     return Trajectory(
-        vertices=tuple(vertices),
-        directions=tuple(directions),
+        vertex_xy=tuple(vertices),
+        direction_xy=tuple(directions),
         arc_classes=tuple(arcs),
         segment_type=seg_type,
         caustic_gamma=gamma0,
@@ -328,13 +345,14 @@ def _same_caustic(g0, g1) -> bool:
     return abs(f1 - f0) <= DRIFT * max(1.0, abs(f0), abs(f1))
 
 
-def _unit(v: MVec2) -> MVec2:
-    n = v.euclid_norm()
-    return MVec2(float(v.x) / n, float(v.y) / n)
+def _unit(v: tuple[float, float]) -> tuple[float, float]:
+    n = math.hypot(*v)
+    return v[0] / n, v[1] / n
 
 
-def _close(u: MVec2, v: MVec2, tol: float) -> bool:
-    return max(abs(float(u.x) - float(v.x)), abs(float(u.y) - float(v.y))) <= tol
+def _close(u: tuple[float, float], v: tuple[float, float], tol: float, sx=1, sy=1) -> bool:
+    # u against the image (sx vx, sy vy) of v under a sign flip
+    return max(abs(u[0] - sx * v[0]), abs(u[1] - sy * v[1])) <= tol
 
 
 def closure_status(T: Trajectory, n: int, tol: float = BOUNDARY) -> ClosureStatus:
@@ -348,21 +366,18 @@ def closure_status(T: Trajectory, n: int, tol: float = BOUNDARY) -> ClosureStatu
     """
     if n < 1 or n > T.steps:
         raise DomainError(f"closure test needs 1 <= n <= {T.steps}, got {n}")
-    v0, vn = T.vertices[0], T.vertices[n]
+    v0, vn = T.vertex_xy[0], T.vertex_xy[n]
     # the start and its mirror images are (+-x0, +-y0): unless |xn| and |yn|
     # are within tol of |x0| and |y0|, no direction or symmetry can match
-    if (
-        abs(abs(float(vn.x)) - abs(float(v0.x))) > tol
-        or abs(abs(float(vn.y)) - abs(float(v0.y))) > tol
-    ):
+    if abs(abs(vn[0]) - abs(v0[0])) > tol or abs(abs(vn[1]) - abs(v0[1])) > tol:
         return ClosureStatus.open_()
-    d0, dn = _unit(T.directions[0]), _unit(T.directions[n])
+    d0, dn = _unit(T.direction_xy[0]), _unit(T.direction_xy[n])
     if _close(vn, v0, tol) and _close(dn, d0, tol):
         return ClosureStatus.periodic(n)
     matches = [
         s
-        for s in SIGMAS
-        if _close(vn, apply_sigma(s, v0), tol) and _close(dn, apply_sigma(s, d0), tol)
+        for s, signs in _SIGMA_SIGNS.items()
+        if _close(vn, v0, tol, *signs) and _close(dn, d0, tol, *signs)
     ]
     if len(matches) == 1:
         return ClosureStatus.elliptic(n, matches[0])
@@ -377,10 +392,9 @@ def first_closure(T: Trajectory, tol: float = BOUNDARY) -> ClosureStatus | None:
     prefilter lets vertex ``n`` through, so the verdict is the one of the
     per-``n`` loop.
     """
-    x0, y0 = abs(float(T.vertices[0].x)), abs(float(T.vertices[0].y))
-    for n in range(1, T.steps + 1):
-        vn = T.vertices[n]
-        if abs(abs(float(vn.x)) - x0) > tol or abs(abs(float(vn.y)) - y0) > tol:
+    x0, y0 = map(abs, T.vertex_xy[0])
+    for n, (x, y) in enumerate(T.vertex_xy[1:], 1):
+        if abs(abs(x) - x0) > tol or abs(abs(y) - y0) > tol:
             continue
         status = closure_status(T, n, tol)
         if status.tag != "Open":

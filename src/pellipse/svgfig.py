@@ -82,8 +82,8 @@ def render_trajectory_svg(T: Trajectory) -> str:
     E = T.ellipse
     a, b = float(E.a), float(E.b)
     extent = max(math.sqrt(a), math.sqrt(b), math.sqrt(a + b) / math.sqrt(2))
-    for P in T.vertices:
-        extent = max(extent, abs(float(P.x)), abs(float(P.y)))
+    for x, y in T.vertex_xy:
+        extent = max(extent, abs(x), abs(y))
     half = extent * 1.12
     frame = _Frame(half)
     parts = [
@@ -113,7 +113,7 @@ def render_trajectory_svg(T: Trajectory) -> str:
         'fill="none" stroke="black" stroke-width="1.5"/>'
     )
     parts.extend(_caustic_elements(E, T.caustic_gamma, frame, half))
-    traj_pts = [frame.to_px(float(P.x), float(P.y)) for P in T.vertices]
+    traj_pts = [frame.to_px(x, y) for x, y in T.vertex_xy]
     parts.append(
         _polyline(traj_pts, 'fill="none" stroke="#c42f2f" stroke-width="1.3"')
     )

@@ -103,14 +103,35 @@ GOLDEN = Path(__file__).parent / "golden"
         ("certify-n10-polish", "certify --a 41/7 --b 7/2 --gamma=-4.4169013303521005 --n 10"),
         # the light-like suite: the Pell identity on float axes
         ("checks-lightlike", "checks --suite lightlike"),
+        # two 2000-step trajectories of the simulate benchmark pool
+        (
+            "simulate-ellipse-pos",
+            "simulate --a 9 --b 7 --x0=1.9164665779881207 --y0=2.035520435449195"
+            " --dx=-1.0260135879149117 --dy=-4.5620387755829 --steps 2000",
+        ),
+        (
+            "simulate-hyperbola-x",
+            "simulate --a 7 --b 11 --x0=0.38315004075609105 --y0=-3.2816623946877606"
+            " --dx=-2.9682901781815314 --dy=2.5758138507764805 --steps 2000",
+        ),
+        # an elliptic-periodic closure and its figure, simulate-svg.svg
+        (
+            "simulate-svg",
+            "simulate --a 10 --b 2 --x0=3.1166005338873193 --y0=0.23949994245230122"
+            " --dx=-5.177385578678909 --dy=-1.312175569020121 --steps 8 --svg fig.svg",
+        ),
     ],
 )
-def test_solve_output_matches_golden(capsys, name, argv):
+def test_solve_output_matches_golden(capsys, monkeypatch, tmp_path, name, argv):
     # tests/golden holds the recorded stdout of each command: solve,
-    # certify and checks output must not change by a single byte
+    # certify, checks and simulate output, and the SVG figure of a
+    # simulate --svg run, must not change by a single byte
+    monkeypatch.chdir(tmp_path)
     rc, out = run(capsys, *argv.split())
     assert rc == 0
     assert out == (GOLDEN / f"{name}.json").read_text()
+    if "--svg" in argv:
+        assert (tmp_path / "fig.svg").read_text() == (GOLDEN / f"{name}.svg").read_text()
 
 
 def test_tolerances_ignore_the_environment(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Billiard simulation, reflection law, and closure detection."""
 
+import dataclasses
 import json
 import math
 import random
@@ -138,7 +139,7 @@ def test_closure_status_tests_the_vertex_first(monkeypatch):
         raise AssertionError("the vertex test should have decided")
 
     monkeypatch.setattr(dynamics, "_unit", fail)
-    monkeypatch.setattr(dynamics, "apply_sigma", fail)
+    monkeypatch.setattr(dynamics, "_close", fail)
     assert [closure_status(T, m).tag for m in range(1, 6)] == ["Open"] * 5
 
 
@@ -201,7 +202,7 @@ def _reference_simulate(P0, d0, steps, E):
         raise DomainError(f"start point ({P0.x}, {P0.y}) is not on the boundary")
     seg_type = vector_type(v)
     gamma0 = caustic_of_line(line_through(P, v), E)
-    vertices, directions, arcs = [P], [v], [boundary_arc_class(P, E)]
+    vertices, directions, arcs = [(P.x, P.y)], [(v.x, v.y)], [boundary_arc_class(P, E)]
     for i in range(1, steps + 1):
         gamma_i = caustic_of_line(line_through(P, v), E)
         if not dynamics._same_caustic(gamma0, gamma_i):
@@ -219,8 +220,8 @@ def _reference_simulate(P0, d0, steps, E):
             v = reflect(v, tangent_line_at(Q, E))
         except ReflectionUndefined as exc:
             raise ReflectionUndefined(str(exc), step=i) from None
-        vertices.append(Q)
-        directions.append(v)
+        vertices.append((Q.x, Q.y))
+        directions.append((v.x, v.y))
         arcs.append(arc)
         P = Q
     return dynamics.Trajectory(
@@ -354,3 +355,55 @@ def test_start_on_caustic_pinned_floats(E, gamma, seed, pinned):
     # and a scaled ellipse: the start is pinned to the last bit
     P0, d0 = start_on_caustic(E, gamma, random.Random(seed))
     assert (P0.x.hex(), P0.y.hex(), d0.x.hex(), d0.y.hex()) == pinned
+
+
+# ---------------------------------------------------------------------------
+# float-pair storage: MVec2 only on access
+# ---------------------------------------------------------------------------
+
+# an elliptic-periodic start that closes every 2 steps, so the closure
+# test runs on every other vertex (the simulate-svg golden job)
+_CLOSING = ["--a", "10", "--b", "2", "--x0=3.1166005338873193", "--y0=0.23949994245230122",
+            "--dx=-5.177385578678909", "--dy=-1.312175569020121"]
+
+
+def test_simulate_builds_no_mvec2_per_step(monkeypatch, capsys, tmp_path):
+    # the step loop, the closure search, the JSON and the SVG read the
+    # float pairs: how many MVec2 a run builds does not grow with steps
+    E = BoundaryEllipse(3, 2)
+    P0, d0 = start_on_caustic(E, 1.1, rng=random.Random(3))
+    built = []
+
+    class CountingMVec2(MVec2):
+        def __init__(self, x, y):
+            built.append(1)
+            super().__init__(x, y)
+
+    monkeypatch.setattr(dynamics, "MVec2", CountingMVec2)
+    counts = []
+    for steps in (10, 2000):
+        built.clear()
+        T = simulate(P0, d0, steps, E)
+        first_closure(T)
+        n_sim = len(built)
+        argv = ["simulate", *_CLOSING, "--steps", str(steps), "--svg", str(tmp_path / "f.svg")]
+        assert cli.main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["closure"]["n"] == 2
+        counts.append((n_sim, len(built) - n_sim))
+    assert counts[0] == counts[1], counts
+
+
+def test_trajectory_builds_mvec2_on_access():
+    E = BoundaryEllipse(3, 2)
+    T = simulate(*start_on_caustic(E, 1.1, rng=random.Random(3)), 12, E)
+    assert all(type(c) is float for xy in T.vertex_xy + T.direction_xy for c in xy)
+    for seq, pairs in ((T.vertices, T.vertex_xy), (T.directions, T.direction_xy)):
+        assert type(seq) is tuple and all(type(P) is MVec2 for P in seq)
+        assert [(P.x, P.y) for P in seq] == list(pairs)
+    # built once, then cached
+    assert T.vertices is T.vertices and T.directions is T.directions
+    # the fields are the float pairs, so a replaced copy keeps them
+    arcs = (ArcClass.RelativisticEllipseArc,) * len(T.arc_classes)
+    U = dataclasses.replace(T, arc_classes=arcs)
+    assert U.arc_classes == arcs and U.vertex_xy == T.vertex_xy
+    assert U.vertices == T.vertices and U.directions == T.directions
