@@ -1,25 +1,28 @@
 """Caustic parameters of periodic and elliptic-periodic trajectories.
 
-For each small period the closure condition on the caustic parameter
-``gamma`` reduces to a polynomial with coefficients polynomial in the
-squared semi-axes ``(a, b)``.  This module carries those polynomials in
-exact rational arithmetic (periodic ``n = 3..8``, elliptic ``n = 2..5``).
-All solvers share one path from root to result:
+Every solver finds its roots in two steps, for every period and both kinds:
 
-1. a root source yields candidates: the exact real roots of a table
-   (Sturm isolation) or, for other periods, the roots of ``rho = k/n``
-   for the rotation number ``rho`` of
-   :func:`~pellipse.extremal.rotation_ratio`;
-2. every candidate passes the spurious-root filter (degenerate conics,
-   parity violations) and its source's filter: table roots are
-   deduplicated, level-set roots of a divisor period are dropped,
-   elliptic roots get a case letter; discards keep a reason;
-3. each survivor is cross-validated twice, by the Hankel-determinant (or
-   case) test and by an actual simulated trajectory that must close.
+1. **locate**: the caustic with partition ``(n, k)`` is the root of
+   ``rho = k/n`` for the rotation number ``rho`` of
+   :func:`~pellipse.extremal.rotation_ratio`, monotone on each ``gamma``
+   range; a safeguarded Illinois step finds it in floats, and the parity
+   of ``k`` and ``n - k`` on its range says whether it is periodic,
+   elliptic-periodic or closed after a shorter period;
+2. **land**: the exact closure determinant
+   (:func:`~pellipse.cayley.closure_det`) at rationals around that float
+   moves it onto the correctly rounded closure root.  Its sign change
+   across the rounding interval is the proof that a closure root lies
+   there; a root with none within reach is discarded.
 
-The discriminants of the condition polynomials factor into strikingly
-small closed forms in ``(a, b)``; :func:`discriminant_identity_check`
-verifies those identities exactly.
+Candidates also pass the spurious-root filter (degenerate conics,
+hyperbolas at odd periods), each discard keeping a reason, and every
+landed root is then validated by an actual simulated trajectory that must
+close.
+
+The closure conditions of the small periods, polynomials in ``gamma``
+with coefficients polynomial in the squared semi-axes ``(a, b)``, stay as
+exact fixtures: their discriminants factor into strikingly small closed
+forms in ``(a, b)``, which :func:`discriminant_identity_check` verifies.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from . import polys
 from .cayley import (
@@ -36,8 +39,7 @@ from .cayley import (
     _elliptic_candidates,
     _periodic_ladder,
     case_symmetry,
-    elliptic_case_test,
-    is_periodic,
+    closure_det,
 )
 from .config import CLOSURE
 from .dynamics import ClosureStatus, closure_status, simulate, start_on_caustic
@@ -49,7 +51,6 @@ __all__ = [
     "CausticResult",
     "closed_form_caustics",
     "periodic_caustics",
-    "table_roots",
     "elliptic_caustics",
     "generic_caustic_scan",
     "discriminant_identity_check",
@@ -188,67 +189,6 @@ def _p8_full(a, b):
     return out
 
 
-def _e5_sextic(a, b):
-    """Odd E-ladder sextic: elliptic cases a/d at n = 5."""
-    return [
-        a**6 * b**6,
-        -6 * a**5 * b**5 * (a + b),
-        -(a**4) * b**4 * (a + b) * (29 * a - 15 * b),
-        -4 * a**3 * b**3 * (a + b) * (9 * a**2 - 10 * a * b + 5 * b**2),
-        -(a**2) * b**2 * (a + b) * (9 * a**3 - 45 * a**2 * b - 5 * a * b**2 - 15 * b**3),
-        2 * a * b * (5 * a - 3 * b) * (a + b) ** 4,
-        (5 * a**2 - 10 * a * b + b**2) * (a + b) ** 4,
-    ]
-
-
-def _d5_sextic(a, b):
-    """Odd D-ladder sextic: elliptic cases b/e at n = 5."""
-    return [
-        a**6 * b**6,
-        6 * a**5 * b**5 * (a + b),
-        a**4 * b**4 * (a + b) * (15 * a - 29 * b),
-        4 * a**3 * b**3 * (a + b) * (5 * a**2 - 10 * a * b + 9 * b**2),
-        a**2 * b**2 * (a + b) * (15 * a**3 + 5 * a**2 * b + 45 * a * b**2 - 9 * b**3),
-        2 * a * b * (3 * a - 5 * b) * (a + b) ** 4,
-        (a**2 - 10 * a * b + 5 * b**2) * (a + b) ** 4,
-    ]
-
-
-def _lin_d(a, b):
-    """n = 2, case a: ``gamma = ab/(a+b)``."""
-    return [-a * b, a + b]
-
-
-def _lin_e(a, b):
-    """n = 2, case b: ``gamma = -ab/(a+b)``."""
-    return [a * b, a + b]
-
-
-def _lin_c(a, b):
-    """n = 2, case c: ``gamma = ab/(b-a)``; drops out when ``a = b``."""
-    return [-a * b, b - a]
-
-
-#: Factors carrying the *new* caustics of each period (retraced shorter
-#: periods and factors without real roots are excluded).
-_PERIODIC_NEW = {
-    3: (_p3,),
-    4: (_p4,),
-    5: (_p5,),
-    6: (_d2_quad, _e2_quad),
-    7: (_p7,),
-    8: (_q1, _q2, _q3),
-}
-
-#: Elliptic closure factors per period: (ladder, builder).
-_ELLIPTIC_POLYS = {
-    2: (("D", _lin_d), ("E", _lin_e), ("C", _lin_c)),
-    3: (("E", _e2_quad), ("D", _d2_quad)),
-    4: (("D", _q1), ("E", _q2), ("C", _q3)),
-    5: (("E", _e5_sextic), ("D", _d5_sextic)),
-}
-
-
 # ---------------------------------------------------------------------------
 # results
 # ---------------------------------------------------------------------------
@@ -326,17 +266,13 @@ def closed_form_caustics(E: BoundaryEllipse, n: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# root sources: the tables and the level sets of the rotation number
+# the root source: locate on the level sets of rho, land on the exact determinant
 # ---------------------------------------------------------------------------
 
-def _table_roots(E: BoundaryEllipse, factors):
-    """Yield ``(gamma, exact or None, ladder)`` per real root of ``(ladder, builder)`` factors."""
-    a, b = Fraction(E.a), Fraction(E.b)
-    for ladder, builder in factors:
-        coeffs = polys.trim(builder(a, b))
-        if polys.degree(coeffs) >= 1:
-            for root in polys.real_roots(coeffs):
-                yield float(root), polys.rationalize_root(coeffs, root), ladder
+#: Float steps from a located root within which landing looks for the sign
+#: change of the exact closure determinant, and the secant steps it takes.
+_REACH = 2**20
+_STEPS = 6
 
 
 def _normalized_det(E: BoundaryEllipse, gamma_f: float, n: int) -> float:
@@ -350,19 +286,22 @@ def _normalized_det(E: BoundaryEllipse, gamma_f: float, n: int) -> float:
     return float(value) / scale if scale > 0 else float(value)
 
 
-def _level_roots(E: BoundaryEllipse, n: int):
-    """Yield ``(gamma, None, d)`` per root of ``rho = k/n`` the parity rule admits.
+def _level_roots(E: BoundaryEllipse, n: int, elliptic: bool):
+    """``(gamma, tag)`` per root of ``rho = k/n`` of the wanted kind, ascending.
 
     ``rho`` is :func:`~pellipse.extremal.rotation_ratio`, monotone on each
     of the four ``gamma`` ranges; its values at their ends bound the ``k``
-    with a root.  A root on ``(-b, 0)`` needs ``n - k`` even, one on
-    ``(0, a)`` needs ``k`` even, and one on a hyperbola range needs both
-    (so ``n`` even).  ``d`` is the least proper divisor ``d >= 3`` of ``n``
-    whose partition ``(d, k d / n)`` is integral and admitted as well,
-    else ``n``: the root closes after ``d`` steps.  Each root is bisected to
-    adjacent floats in ``gamma`` on the finite ranges and in ``u = 1/gamma``
-    on the unbounded ones, and reported as it is.  Roots come in ascending
-    ``gamma``.
+    with a root.  The parity rule admits a periodic root on ``(-b, 0)``
+    when ``n - k`` is even, on ``(0, a)`` when ``k`` is even, and on a
+    hyperbola range when both are (so ``n`` even).  A periodic root's
+    ``tag`` is the least proper divisor ``d >= 3`` of ``n`` whose partition
+    ``(d, k d / n)`` is integral and admitted as well, else ``n``: the root
+    closes after ``d`` steps.  A root the rule does not admit is
+    elliptic-periodic when ``k`` and ``n`` are coprime (else it closes onto
+    its mirror image after a proper divisor of ``n``); its ``tag`` is
+    ``k``.  Each root is found by :func:`~pellipse.polys.regula_falsi` in
+    ``gamma`` on the finite ranges and in ``u = 1/gamma`` on the unbounded
+    ones.
     """
     a, b = float(E.a), float(E.b)
     far = rotation_ratio(a, b, math.inf)
@@ -377,15 +316,77 @@ def _level_roots(E: BoundaryEllipse, n: int):
     roots = []
     for (lo, hi), (r_lo, r_hi), to_gamma, admits in ranges:
         for k in range(1, n):
-            if not (r_lo < k / n < r_hi and admits(n, k)):
+            skip = admits(n, k) == elliptic or elliptic and math.gcd(k, n) > 1
+            if skip or not r_lo < k / n < r_hi:
                 continue
             divisors = (d for d in range(3, n) if n % d == 0 and k * d % n == 0)
-            d = next((d for d in divisors if admits(d, k * d // n)), n)
-            x = polys.bisect_float(
-                lambda x: rotation_ratio(a, b, to_gamma(x)) - k / n, lo, hi, r_lo - k / n
-            )
-            roots.append((to_gamma(x), None, d))
-    yield from sorted(roots)
+            tag = k if elliptic else next((d for d in divisors if admits(d, k * d // n)), n)
+            f = lambda x: rotation_ratio(a, b, to_gamma(x)) - k / n  # noqa: E731
+            x = polys.regula_falsi(f, lo, hi, r_lo - k / n, r_hi - k / n)
+            gamma = to_gamma(x) if x else math.inf
+            if math.isfinite(gamma):  # else it is the light-like caustic at infinity
+                roots.append((gamma, tag))
+    return sorted(roots)
+
+
+def _landed(det, gamma: float):
+    """``(gamma, exact)`` for the exact closure root near the float ``gamma``, or None.
+
+    ``det(x)`` is the exact closure determinant at the rational ``x``, as
+    the ``(num, den)`` pair of :func:`~pellipse.cayley.closure_det`.  The ends of the
+    rounding interval of a float are the exact midpoints to its
+    neighbours; when the determinant changes sign between them, the float
+    is the correctly rounded root, and that sign change is the proof.
+    Otherwise the secant through the two ends, linear to high order at
+    this scale, gives the next float to try.  None means no sign change
+    after ``_STEPS`` steps, or a step beyond ``_REACH`` float steps.
+    ``exact`` is the nearest rational to ``gamma`` with denominator at
+    most ``10**9`` (and at most ``ulp(gamma)**-1/2``) when the
+    determinant is exactly 0 there, else None; a candidate 0 is never a
+    root.
+    """
+    # the determinant midway between the float x and the next one up
+    above = cache(lambda x: det((Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2))
+    start = gamma
+    for _ in range(_STEPS):
+        if not math.isfinite(gamma) or abs(gamma - start) > _REACH * math.ulp(start):
+            return None
+        below, up = math.nextafter(gamma, -math.inf), math.nextafter(gamma, math.inf)
+        (p_lo, q_lo), (p_hi, q_hi) = above(below), above(gamma)
+        if p_lo * p_hi <= 0:
+            break
+        # the secant root lies num/den interval widths below the upper end
+        num, den = p_hi * q_lo, p_hi * q_lo - p_lo * q_hi
+        if abs(den) * _REACH < abs(num):
+            return None
+        gamma += (up - gamma) / 2 - num / den * (up - below) / 2
+    else:
+        return None
+    # a rational root with denominator at most N is the nearest such to the
+    # float when N**2 <= 1/ulp(gamma): two of them lie 1/N**2 apart or more
+    bound = min(10**9, int(math.ulp(gamma) ** -0.5))
+    cand = Fraction(gamma).limit_denominator(max(1, bound))
+    return gamma, cand if cand and det(cand)[0] == 0 else None
+
+
+def _land(E: BoundaryEllipse, n: int, candidates, ladders, discarded):
+    """Yield each ``(gamma, tag)`` candidate landed, as ``(gamma, exact, label)``.
+
+    ``ladders(gamma, tag)`` lists the ``(label, ladder)`` pairs whose
+    closure determinant may vanish at the root, in the order to try them;
+    the first that :func:`_landed` confirms gives the label.  A candidate
+    that none confirms is discarded with a reason.
+    """
+    ia, ib = 1 / Fraction(E.a), 1 / Fraction(E.b)
+    for gamma, tag in candidates:
+        for label, ladder in ladders(gamma, tag):
+            landed = _landed(lambda x, lad=ladder: closure_det(ia, ib, 1 / x, lad, n), gamma)
+            if landed is not None:
+                yield (*landed, label)
+                break
+        else:
+            reason = f"no sign change of the closure determinant within {_REACH} float steps"
+            _record_discard(discarded, gamma, reason)
 
 
 # ---------------------------------------------------------------------------
@@ -418,17 +419,8 @@ def _spurious_reason(E: BoundaryEllipse, n: int, gamma_f: float) -> str | None:
     return None
 
 
-def _distinct(candidates, rel: float):
-    """Candidates farther than ``rel`` (relative) from every earlier one."""
-    seen: list[float] = []
-    for cand in candidates:
-        if not any(abs(cand[0] - s) <= rel * max(1.0, abs(s)) for s in seen):
-            seen.append(cand[0])
-            yield cand
-
-
 def _of_period(n: int, candidates, discarded):
-    """Yield the level-set candidates that close after ``n`` steps; discard the rest."""
+    """Yield the periodic candidates that close after ``n`` steps; discard the rest."""
     for gamma_f, exact, d in candidates:
         if d == n:
             yield gamma_f, exact, None
@@ -436,21 +428,20 @@ def _of_period(n: int, candidates, discarded):
             _record_discard(discarded, gamma_f, f"already periodic with period {d}")
 
 
-def _with_case(E: BoundaryEllipse, n: int, candidates, discarded):
-    """Yield elliptic candidates with the case their ladder admits; discard the rest."""
-    for gamma_f, exact, ladder in candidates:
-        case = next(
-            (c for c, lad in _elliptic_candidates(E, gamma_f, n) if lad == ladder), None
-        )
-        if case is None:
-            reason = f"no elliptic case for a {ladder}-ladder root of this conic class"
-            _record_discard(discarded, gamma_f, reason)
-        else:
-            yield gamma_f, exact, case
+def _periodic_roots(E: BoundaryEllipse, n: int, discarded: list | None = None):
+    """Yield the landed ``(gamma, exact, None)`` candidates of period ``n``, ascending.
+
+    They pass the spurious-root filter and close after ``n`` steps, found
+    without a simulation; :func:`generic_caustic_scan` validates them.
+    """
+    ladder = _periodic_ladder(n)
+    roots = _land(E, n, _level_roots(E, n, False), lambda gamma, d: [(d, ladder)], discarded)
+    roots = _screen(roots, partial(_spurious_reason, E, n), discarded)
+    return _of_period(n, roots, discarded)
 
 
 # ---------------------------------------------------------------------------
-# verdict and simulated closure
+# simulated closure and results
 # ---------------------------------------------------------------------------
 
 
@@ -488,22 +479,19 @@ def _sim_closure(E, gamma_f, n, rng, want_sigma=None):
 
 
 def _results(E, n, candidates) -> list[CausticResult]:
-    """Verdict and simulated closure of each ``(gamma, exact, case)`` candidate.
+    """The simulated closure of each landed ``(gamma, exact, case)`` candidate.
 
-    A periodic candidate (``case`` None) needs the Hankel test at period
-    ``n`` and a full closure; an elliptic one needs
-    :func:`~pellipse.cayley.elliptic_case_test` to confirm its case and a
-    closure onto its mirror image under exactly the case symmetry.  The
-    simulated starts come from one ``random.Random(0)`` per call.
+    Every candidate carries its proof, the sign change of the exact
+    closure determinant that landed it, so ``validated`` is the outcome
+    of the simulation: a full closure for a periodic candidate (``case``
+    None), a closure onto its mirror image under exactly the case symmetry
+    for an elliptic one.  The simulated starts come from one
+    ``random.Random(0)`` per call.
     """
     rng = random.Random(0)
     results = []
     for gamma_f, exact, case in candidates:
-        if case is None:
-            verdict, sigma = is_periodic(E, gamma_f, n).periodic, None
-        else:
-            sigma = case_symmetry(case)
-            verdict = elliptic_case_test(E, gamma_f, n).case == case
+        sigma = None if case is None else case_symmetry(case)
         ok, n1, n2, _ = _sim_closure(E, gamma_f, n, rng, want_sigma=sigma)
         results.append(
             CausticResult(
@@ -512,7 +500,7 @@ def _results(E, n, candidates) -> list[CausticResult]:
                 n=n,
                 n1=n1,
                 n2=n2,
-                validated=bool(verdict and ok),
+                validated=ok,
                 kind="periodic" if case is None else "elliptic",
                 case=case,
                 sigma=sigma,
@@ -530,74 +518,63 @@ def _results(E, n, candidates) -> list[CausticResult]:
 def periodic_caustics(
     E: BoundaryEllipse, n: int, *, discarded: list | None = None
 ) -> list[CausticResult]:
-    """All new ``n``-periodic caustics, any ``n >= 3``, doubly validated.
+    """All new ``n``-periodic caustics, any ``n >= 3``, each proven and simulated.
 
-    For ``3 <= n <= 8`` the roots of the period-``n`` condition
-    polynomials are isolated exactly; other periods go to
-    :func:`generic_caustic_scan`.  Spurious roots (degenerate conic
-    values; hyperbola parameters at odd periods) are dropped, with
-    reasons appended to ``discarded`` when a list is supplied.  Every
-    returned caustic carries the outcome of the Hankel test *and* of an
-    ``n``-step simulated closure (tolerance ``CLOSURE``) in ``validated``;
-    results are sorted by ``gamma``.  Factors already accounting for
-    shorter periods (the 3-periodic factor inside the period-6 condition,
-    the 4-periodic one inside period 8) are excluded, as is the period-6
-    factor without real roots.
+    The caustics of :func:`generic_caustic_scan`, which serves every
+    period: roots that close after a proper divisor of ``n`` are discarded
+    as already periodic, with the other spurious roots (degenerate conic
+    values; hyperbola parameters at odd periods), with reasons appended to
+    ``discarded`` when a list is supplied.  Sorted by ``gamma``.
     """
-    if n not in _PERIODIC_NEW:
-        return generic_caustic_scan(E, n, discarded=discarded)
-    return _results(E, n, table_roots(E, n, discarded))
-
-
-def table_roots(E: BoundaryEllipse, n: int, discarded: list | None = None):
-    """Yield the ``(gamma, exact, None)`` candidates :func:`periodic_caustics` validates.
-
-    They are the period-``n`` table roots that pass the spurious-root
-    filter, deduplicated, in table order, found without a Hankel test or
-    a simulation; there are none when ``n`` has no table.
-    """
-    roots = _table_roots(E, [(None, builder) for builder in _PERIODIC_NEW.get(n, ())])
-    roots = _screen(roots, partial(_spurious_reason, E, n), discarded)
-    return _distinct(roots, 1e-9)
+    return generic_caustic_scan(E, n, discarded=discarded)
 
 
 def elliptic_caustics(
     E: BoundaryEllipse, n: int, *, discarded: list | None = None
 ) -> list[CausticResult]:
-    """All elliptic ``n``-periodic caustics, 2 <= n <= 5, doubly validated.
+    """All elliptic ``n``-periodic caustics, any ``n >= 2``, each proven and simulated.
 
-    Roots of the mirror-closure factor polynomials are assigned a case
-    letter from the ladder, the parity of ``n`` and the conic class of the
-    root (roots admitting no case are discarded with a reason).  Validation
-    requires :func:`~pellipse.cayley.elliptic_case_test` to confirm the
-    case *and* an ``n``-step simulated trajectory to close onto its mirror
-    image under exactly the case symmetry.  Sorted by ``gamma``.
+    The caustic with partition ``(n, k)`` is the root of ``rho = k/n`` on
+    a range whose parity rule does not admit ``k``, for ``k`` coprime to
+    ``n`` (:func:`_level_roots`).  Its case is the one of
+    :func:`~pellipse.cayley._elliptic_candidates` whose ladder's closure
+    determinant changes sign at the root, for the odd-period hyperbola
+    tried ``E`` first for odd ``k`` and ``D`` first for even ``k``.  Roots
+    at degenerate conic values, and roots no ladder lands, are discarded
+    with a reason.  ``validated`` requires an ``n``-step simulated
+    trajectory to close onto its mirror image under exactly the case
+    symmetry.  Sorted by ``gamma``.
     """
-    if n not in _ELLIPTIC_POLYS:
-        raise DomainError(f"elliptic closure polynomials cover n in 2..5, got n={n}")
-    roots = _table_roots(E, _ELLIPTIC_POLYS[n])
-    roots = _screen(roots, partial(_spurious_reason, E, 0), discarded)
-    return _results(E, n, _with_case(E, n, roots, discarded))
+    if n < 2:
+        raise DomainError(f"elliptic caustics require n >= 2, got n={n}")
+
+    def ladders(gamma, k):
+        order = "E" if k % 2 else "D"
+        return sorted(_elliptic_candidates(E, gamma, n), key=lambda c: c[1] != order)
+
+    roots = _land(E, n, _level_roots(E, n, True), ladders, discarded)
+    return _results(E, n, _screen(roots, partial(_spurious_reason, E, 0), discarded))
 
 
 def generic_caustic_scan(
     E: BoundaryEllipse, n: int, *, discarded: list | None = None
 ) -> list[CausticResult]:
-    """The ``n``-periodic caustics of any period, from the level sets of the rotation number.
+    """The ``n``-periodic caustics of any period ``n >= 3``, from the level sets of ``rho``.
 
-    The root source for periods outside the polynomial tables: the caustic
-    with partition ``(n, k)`` is the root of ``rho = k/n`` on a ``gamma``
-    range whose parity rule admits ``k`` (:func:`_level_roots`).  ``rho``
-    is monotone on each range, so each admitted ``k`` has one root there,
-    double roots of the closure determinant included.  Roots that close
-    after a proper divisor ``d`` of ``n`` are discarded as already
-    periodic with period ``d``.  Survivors are validated like
-    :func:`periodic_caustics`.
+    The caustic with partition ``(n, k)`` is the root of ``rho = k/n`` on
+    a ``gamma`` range whose parity rule admits ``k`` (:func:`_level_roots`);
+    ``rho`` is monotone on each range, so each admitted ``k`` has one root
+    there.  Roots that close after a proper divisor ``d`` of ``n`` are
+    discarded as already periodic with period ``d``.  The others land on
+    the exact periodic closure determinant (``C`` ladder for odd ``n``,
+    ``B`` for even), which proves each, and are validated by a simulated
+    closure.  A root with no sign change of the determinant within reach
+    (a double root, or a light-like caustic near infinity) is discarded
+    with a reason.
     """
     if n < 3:
         raise DomainError(f"periodic caustics require n >= 3, got n={n}")
-    roots = _screen(_level_roots(E, n), partial(_spurious_reason, E, n), discarded)
-    return _results(E, n, _of_period(n, roots, discarded))
+    return _results(E, n, _periodic_roots(E, n, discarded))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,9 @@ verdicts build the base series up to coefficient ``n`` and no further.
 The series run in the common field of ``(a, b, gamma)``
 (:func:`pellipse.polys.to_field`): exact rational arithmetic for
 ``int``/``Fraction`` inputs, 50 significant digits when any input is a
-``decimal.Decimal``, ``float`` otherwise.
+``decimal.Decimal``, ``float`` otherwise.  :func:`closure_det` evaluates
+the same exact determinants in integers, in ``u = 1/gamma``, for the
+solvers' exact root landing.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ __all__ = [
     "TruncatedSeries",
     "PeriodicityVerdict",
     "EllipticVerdict",
+    "closure_det",
     "cubic_sqrt_series",
     "divided_series",
     "hankel_test",
@@ -308,6 +311,40 @@ def _hankel_scale(scaled, start: int, size: int) -> float:
         right = abs(float(scaled[i + size]))
         prod *= max(norm, math.sqrt(left * right))
     return prod
+
+
+def closure_det(ia: Fraction, ib: Fraction, u: Fraction, ladder: str, n: int) -> tuple[int, int]:
+    """The exact closure determinant of ``ladder`` at period ``n`` as ``(num, den)`` integers.
+
+    The inputs are the rationals ``ia = 1/a``, ``ib = 1/b`` and
+    ``u = 1/gamma``; ``u = 0`` is an ordinary point, where the cubic is
+    ``(1 - x/a)(1 + x/b)``.  With ``D`` the lcm of their denominators and
+    ``I = D x`` for each of them, ``B_k = bhat_k (4D)**k`` are integers,
+    ``B_k = ((4D)**k cubic_k - sum B_j B_(k-j)) / 2``, and a ladder with
+    divisor ``c`` is ``O_k = D (4D)**k out_k = I_c (B_k + 4 sign O_(k-1))``.
+    Each differs from the scaled series by the positive factor of one row
+    and one column of the Hankel block, so the Bareiss determinant ``num``
+    of the integer block over the product ``den > 0`` of those factors is
+    the value of :func:`_closure_blocks`' exact determinant, and ``num``
+    has its sign.  No ``Fraction`` arithmetic is done on the way, and the
+    quotient is left unreduced.
+    """
+    d = math.lcm(ia.denominator, ib.denominator, u.denominator)
+    Ia, Ib, Iu = (x.numerator * (d // x.denominator) for x in (ia, ib, u))
+    cubic = (1, 4 * (Ib - Ia - Iu), 16 * (Ia * Iu - Ia * Ib - Ib * Iu), 64 * Ia * Ib * Iu)
+    B = [1]
+    for k in range(1, n):  # the sum over j < k/2, doubled, and the square at j = k/2
+        s = 2 * sum(B[j] * B[k - j] for j in range(1, (k + 1) // 2))
+        B.append(((cubic[k] if k < 4 else 0) - s - (B[k // 2] ** 2 if k % 2 == 0 else 0)) // 2)
+    if ladder != "B":
+        index, sign = _LADDERS[ladder]
+        ic, prev = (Ia, Ib, Iu)[index], 0
+        B = [prev := ic * (b + 4 * sign * prev) for b in B]
+    start, size = _hankel_layout(ladder, n)
+    det = polys._bareiss_det([[B[start + i + j] for j in range(size)] for i in range(size)])
+    # row i carries (4D)**(start + i), times D on a ladder, and column j (4D)**j
+    scale = (4 * d) ** (size * (start + size - 1)) * (d**size if ladder != "B" else 1)
+    return det, scale
 
 
 def _closure_blocks(E: BoundaryEllipse, gamma, n: int, ladders: list[str]) -> list[tuple]:

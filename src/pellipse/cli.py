@@ -17,9 +17,11 @@ errors and an unwritable ``--svg`` path included, each with the
 step); 4 no certificate exists; 5 a certificate failed verification; 6 a
 checks suite failed.
 
-Scalar options accept integers, fractions (``7/2``) and decimals; the
-fraction form keeps the closure conditions in exact rational arithmetic,
-while trajectories run in floats.
+Scalar options accept integers, fractions (``7/2``) and decimals.  The
+axes ``--a`` and ``--b`` are read exactly, decimals as the decimal
+fractions they are, which keeps the closure conditions in exact rational
+arithmetic; ``--gamma`` and the start data of ``simulate`` written as
+decimals are floats.  Trajectories run in floats.
 """
 
 from __future__ import annotations
@@ -34,11 +36,11 @@ from fractions import Fraction
 
 from .caustics import (
     DISCRIMINANT_IDENTITIES,
+    _periodic_roots,
     _sim_closure,
     discriminant_identity_check,
     elliptic_caustics,
     periodic_caustics,
-    table_roots,
 )
 from .config import CLOSURE
 from .dynamics import closure_status, first_closure, simulate
@@ -86,6 +88,23 @@ def _parse_scalar(text: str):
         finite = False
     if not finite:
         raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
+def _parse_axis(text: str):
+    """A squared semi-axis, read exactly: decimal text is the decimal fraction it is.
+
+    ``5.7`` is ``57/10``; integers and fractions parse as by
+    :func:`_parse_scalar`.  The float image must be finite and, for a
+    nonzero axis, nonzero: trajectories and rotation numbers run on it.
+    """
+    value = _parse_scalar(text)
+    try:
+        value = Fraction(text.strip()) if isinstance(value, float) else value
+    except ValueError as exc:  # e.g. "1_0.5" before Python 3.11
+        raise argparse.ArgumentTypeError(f"not a decimal number: {text!r}") from exc
+    if value and not float(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is 0 as a float")
     return value
 
 
@@ -192,21 +211,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _snap_gamma(E: BoundaryEllipse, gamma, n: int):
-    """Snap an inexact gamma to a root of the period-``n`` condition.
+    """Snap an inexact gamma to a root of the period-``n`` closure condition.
 
     Floating-point inputs are typically 4-digit figure captions; the
     construction itself needs the root to full precision, so an input
-    within 1e-3 (relative) of a period-``n`` table root is replaced by
-    that root (the exact rational one when available).  The roots are
-    tried in ascending order and the first within tolerance wins, which
-    need not be the nearest one.  They come from
-    :func:`~pellipse.caustics.table_roots`, without a Hankel test or a
-    simulation.  Exact rational inputs, and periods without a table, are
+    within 1e-3 (relative) of a landed period-``n`` root, for
+    ``3 <= n <= 8``, is replaced by that root (the exact rational one when
+    available).  The roots are tried in ascending order and the first
+    within tolerance wins, which need not be the nearest one.  They come
+    from :func:`~pellipse.caustics._periodic_roots`, screened and landed
+    but not simulated.  Exact rational inputs, and other periods, are
     passed through untouched.
     """
-    if is_exact(gamma):
+    if is_exact(gamma) or not 3 <= n <= 8:
         return gamma
-    for root, exact, _ in sorted(table_roots(E, n), key=lambda c: c[0]):
+    for root, exact, _ in _periodic_roots(E, n):
         if abs(gamma - root) <= 1e-3 * max(1.0, abs(root)):
             return root if exact is None else exact
     return gamma
@@ -426,16 +445,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="caustic parameters for a period")
     p_solve.add_argument("--n", type=int, required=True, help="period")
-    p_solve.add_argument("--a", type=_parse_scalar, required=True, help="squared semi-axis a")
-    p_solve.add_argument("--b", type=_parse_scalar, required=True, help="squared semi-axis b")
+    p_solve.add_argument("--a", type=_parse_axis, required=True, help="squared semi-axis a")
+    p_solve.add_argument("--b", type=_parse_axis, required=True, help="squared semi-axis b")
     p_solve.add_argument(
         "--elliptic", action="store_true", help="mirror-closure (elliptic) cases"
     )
     p_solve.set_defaults(func=cmd_solve)
 
     p_sim = sub.add_parser("simulate", help="simulate a trajectory")
-    p_sim.add_argument("--a", type=_parse_scalar, required=True)
-    p_sim.add_argument("--b", type=_parse_scalar, required=True)
+    p_sim.add_argument("--a", type=_parse_axis, required=True)
+    p_sim.add_argument("--b", type=_parse_axis, required=True)
     p_sim.add_argument("--x0", type=_parse_scalar, required=True, help="start x (on the boundary)")
     p_sim.add_argument("--y0", type=_parse_scalar, required=True, help="start y (on the boundary)")
     p_sim.add_argument("--dx", type=_parse_scalar, required=True, help="direction x")
@@ -445,8 +464,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cert = sub.add_parser("certify", help="polynomial Pell certificate for a caustic")
-    p_cert.add_argument("--a", type=_parse_scalar, required=True)
-    p_cert.add_argument("--b", type=_parse_scalar, required=True)
+    p_cert.add_argument("--a", type=_parse_axis, required=True)
+    p_cert.add_argument("--b", type=_parse_axis, required=True)
     p_cert.add_argument("--gamma", type=_parse_scalar, required=True)
     p_cert.add_argument("--n", type=int, required=True)
     p_cert.set_defaults(func=cmd_certify)

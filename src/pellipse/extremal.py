@@ -351,7 +351,7 @@ def _band_roots(qh: list, qh_f: list[float], values: tuple) -> tuple[int, int, l
     outer = _band_brackets(p, qh_f, c3, c4, points)
     if len(inner) + len(outer) == len(p) - 1:
         f = partial(polys.peval, qh_f)
-        roots = [polys.bisect_float(f, lo, hi, f(lo)) for lo, hi in inner + outer]
+        roots = [polys.regula_falsi(f, lo, hi, f(lo), f(hi)) for lo, hi in inner + outer]
         return len(outer), len(inner), roots
     chain = polys.sturm_chain(qh)
     roots = [float(r) for r in polys.real_roots(qh) if c1 < r <= c2 or c3 < r <= c4]
@@ -559,16 +559,18 @@ def rotation_ratio(a, b, gamma) -> float:
     each of the ranges ``(-inf, -b)``, ``(-b, 0)``, ``(0, a)`` and
     ``(a, inf)``.  It extends continuously to ``gamma = -b`` (value 0),
     ``gamma = a`` (value 1) and ``gamma = +-inf``; at ``gamma = 0`` it
-    jumps from 1 to 0, and ``DomainError`` is raised there.
+    jumps from 1 to 0, and ``DomainError`` is raised there.  The axes are
+    scaled to the geometric mean of their exponents, so the products of
+    gaps stay in the float range while ``a/b`` does; beyond it, as when
+    ``gamma`` underflows, ``DomainError`` is raised too.
     """
     a, b, g = float(a), float(b), float(gamma)
     if not (a > 0 and b > 0 and math.isfinite(a) and math.isfinite(b)) or g == 0 or g != g:
         raise DomainError(f"rotation number undefined at a={a}, b={b}, gamma={g}")
     if g in (a, -b):
         return float(g == a)
-    e = math.frexp(a)[1]
+    e = (math.frexp(a)[1] + math.frexp(b)[1]) // 2
     xs = [math.inf, math.ldexp(a, -e), -math.ldexp(b, -e), math.ldexp(g, -e)]
-    xs.sort(key=lambda x: 1 / x)
 
     def gap(i: int, j: int) -> float:
         """``c_j - c_i``."""
@@ -577,9 +579,16 @@ def rotation_ratio(a, b, gamma) -> float:
             return 1 / xj - 1 / xi
         return (xi - xj) / (xi * xj)
 
-    i1 = _carlson_rf(gap(0, 2) * gap(1, 3), gap(0, 1) * gap(2, 3), 0.0)
-    i2 = _carlson_rf(gap(0, 3) * gap(1, 3), gap(0, 3) * gap(2, 3), gap(1, 3) * gap(2, 3))
-    return i2 / i1
+    try:
+        xs.sort(key=lambda x: 1 / x)
+        args1 = (gap(0, 2) * gap(1, 3), gap(0, 1) * gap(2, 3), 0.0)
+        args2 = (gap(0, 3) * gap(1, 3), gap(0, 3) * gap(2, 3), gap(1, 3) * gap(2, 3))
+    except ZeroDivisionError:
+        args1 = args2 = (0.0, 0.0)
+    # R_F needs finite, non-negative arguments with at most one zero
+    if any(not 0 <= x < math.inf for x in args1 + args2) or 0 in args1[:2] or 0 in args2:
+        raise DomainError(f"rotation number beyond the float range at a={a}, b={b}, gamma={g}")
+    return _carlson_rf(*args2) / _carlson_rf(*args1)
 
 
 def kln_partition(E: BoundaryEllipse, gamma) -> tuple[float, list[tuple[int, int]]]:

@@ -58,9 +58,8 @@ __all__ = [
     "count_real_roots",
     "isolate_real_roots",
     "refine_root",
-    "bisect_float",
+    "regula_falsi",
     "real_roots",
-    "rationalize_root",
     "det",
     "nullspace_vector",
     "frac_sqrt",
@@ -503,25 +502,32 @@ def refine_root(c: Poly, lo: Fraction, hi: Fraction) -> Fraction:
     return _refine(squarefree_part(c), lo, hi)
 
 
-def bisect_float(f, lo: float, hi: float, f_lo: float) -> float:
-    """A root of ``f`` between the floats ``lo`` and ``hi``, bisected to adjacent floats.
+def regula_falsi(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
+    """A root of ``f`` between the floats ``lo < hi``, narrowed to adjacent floats.
 
-    ``f_lo`` is ``f(lo)``, passed in because callers have it, and ``f``
-    changes sign on the bracket.  A midpoint where ``f`` is exactly zero
-    is returned at once.
+    ``f_lo`` and ``f_hi`` are ``f`` at the ends, of opposite signs, passed
+    in because callers have them.  Each step takes the secant point of the
+    bracket; an end kept twice in a row has its value halved (Illinois).
+    The midpoint is taken instead when the secant point is not inside the
+    bracket or three steps have not halved it.  A point where ``f`` is
+    exactly zero is returned at once; otherwise the bracket ends on two
+    adjacent floats and their rounded midpoint is returned.
     """
-    up = f_lo > 0
-    while True:
-        mid = (lo + hi) / 2
-        if mid in (lo, hi):
-            return mid
-        v = f(mid)
-        if v == 0:
-            return mid
-        if (v > 0) == up:
-            lo = mid
+    up, kept, stalls, target = f_lo > 0, 0, 0, (hi - lo) / 2
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        x = lo + (hi - lo) * (f_lo / (f_lo - f_hi)) if stalls < 3 else mid
+        x = x if lo < x < hi else mid
+        if (v := f(x)) == 0:
+            return x
+        if (v > 0) == up:  # x replaces lo; hi kept a second time is halved
+            f_hi /= 2 if kept == 1 and x != mid else 1
+            lo, f_lo, kept = x, v, 1
         else:
-            hi = mid
+            f_lo /= 2 if kept == -1 and x != mid else 1
+            hi, f_hi, kept = x, v, -1
+        stalls = 0 if hi - lo <= target else stalls + 1
+        target = (hi - lo) / 2 if stalls == 0 else target
+    return mid
 
 
 def real_roots(c: Poly) -> list[Fraction]:
@@ -532,12 +538,6 @@ def real_roots(c: Poly) -> list[Fraction]:
     """
     chain = sturm_chain(c)
     return [_refine(chain[0], a, b) for a, b in _isolate(chain)]
-
-
-def rationalize_root(c: Poly, approx: Fraction) -> Fraction | None:
-    """The exact rational root near ``approx``, denominator at most ``10**9``, if any."""
-    cand = Fraction(approx).limit_denominator(10**9)
-    return cand if _sign_at(_int_poly(c), cand) == 0 else None
 
 
 # ---------------------------------------------------------------------------

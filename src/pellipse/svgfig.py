@@ -38,9 +38,14 @@ class _Frame:
         return self.center + self.scale * x, self.center - self.scale * y
 
 
-def _polyline(points: list[tuple[float, float]], style: str) -> str:
-    pts = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in points)
+def _polyline(points: list[tuple[str, str]], style: str) -> str:
+    """A polyline through pixel points already formatted by :func:`_fmt`."""
+    pts = " ".join(f"{px},{py}" for px, py in points)
     return f'<polyline points="{pts}" {style}/>'
+
+
+def _formatted(points) -> list[tuple[str, str]]:
+    return [(_fmt(px), _fmt(py)) for px, py in points]
 
 
 def _caustic_elements(E: BoundaryEllipse, gamma, frame: _Frame, half: float) -> list[str]:
@@ -73,7 +78,7 @@ def _caustic_elements(E: BoundaryEllipse, gamma, frame: _Frame, half: float) -> 
             u = -umax + 2 * umax * i / 80
             ch, sh = sign * math.cosh(u), math.sinh(u)
             pts.append(frame.to_px(ax * ch, ay * sh) if x_major else frame.to_px(ax * sh, ay * ch))
-        out.append(_polyline(pts, style))
+        out.append(_polyline(_formatted(pts), style))
     return out
 
 
@@ -113,13 +118,12 @@ def render_trajectory_svg(T: Trajectory) -> str:
         'fill="none" stroke="black" stroke-width="1.5"/>'
     )
     parts.extend(_caustic_elements(E, T.caustic_gamma, frame, half))
-    traj_pts = [frame.to_px(x, y) for x, y in T.vertex_xy]
+    # each vertex is formatted once, for the polyline and its marker
+    traj_pts = _formatted(frame.to_px(x, y) for x, y in T.vertex_xy)
     parts.append(
         _polyline(traj_pts, 'fill="none" stroke="#c42f2f" stroke-width="1.3"')
     )
     for px, py in traj_pts:
-        parts.append(
-            f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="2.5" fill="#c42f2f"/>'
-        )
+        parts.append(f'<circle cx="{px}" cy="{py}" r="2.5" fill="#c42f2f"/>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

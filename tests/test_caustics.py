@@ -1,5 +1,6 @@
-"""Condition-polynomial caustic solvers and discriminant identities."""
+"""The caustic solvers, their root source, and the discriminant identities."""
 
+import json
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -10,6 +11,8 @@ from hypothesis import strategies as st
 
 from pellipse import (
     BoundaryEllipse,
+    caustics,
+    polys,
     ConicClass,
     DISCRIMINANT_IDENTITIES,
     closed_form_caustics,
@@ -18,8 +21,21 @@ from pellipse import (
     generic_caustic_scan,
     periodic_caustics,
 )
-from pellipse.caustics import _spurious_reason
-from pellipse.cayley import _closure_blocks, _periodic_ladder, is_periodic
+from pellipse.caustics import (
+    _d2_quad,
+    _e2_quad,
+    _p3,
+    _p4,
+    _p5,
+    _p7,
+    _periodic_roots,
+    _q1,
+    _q2,
+    _q3,
+    _spurious_reason,
+)
+from pellipse.cayley import _closure_blocks, _elliptic_candidates, _periodic_ladder, is_periodic
+from pellipse.cli import main
 from pellipse.errors import DomainError
 from pellipse.extremal import kln_partition, rotation_ratio
 from pellipse.geometry import degenerate_value
@@ -130,22 +146,159 @@ def test_generic_scan_discards_lower_periods():
     assert all(r.conic is ConicClass.EllipseOfFamily for r in rs)
 
 
-#: Axes whose table roots for n = 3..8 all lie farther than 1e-5 (relative)
-#: from -b, 0 and a.
-_CLEAR_AXES = [(5, 3), (3, 2), (F(41, 7), F(7, 2)), (7, 11)]
+# ---------------------------------------------------------------------------
+# the table oracle: the closure conditions of the small periods as explicit
+# polynomials in gamma, whose exact real roots check the level-set source
+# ---------------------------------------------------------------------------
+
+
+def _lin_d(a, b):
+    """n = 2, case a: ``gamma = ab/(a+b)``."""
+    return [-a * b, a + b]
+
+
+def _lin_e(a, b):
+    """n = 2, case b: ``gamma = -ab/(a+b)``."""
+    return [a * b, a + b]
+
+
+def _lin_c(a, b):
+    """n = 2, case c: ``gamma = ab/(b-a)``; drops out when ``a = b``."""
+    return [-a * b, b - a]
+
+
+def _e5_sextic(a, b):
+    """Odd E-ladder sextic: elliptic cases a/d at n = 5."""
+    return [
+        a**6 * b**6,
+        -6 * a**5 * b**5 * (a + b),
+        -(a**4) * b**4 * (a + b) * (29 * a - 15 * b),
+        -4 * a**3 * b**3 * (a + b) * (9 * a**2 - 10 * a * b + 5 * b**2),
+        -(a**2) * b**2 * (a + b) * (9 * a**3 - 45 * a**2 * b - 5 * a * b**2 - 15 * b**3),
+        2 * a * b * (5 * a - 3 * b) * (a + b) ** 4,
+        (5 * a**2 - 10 * a * b + b**2) * (a + b) ** 4,
+    ]
+
+
+def _d5_sextic(a, b):
+    """Odd D-ladder sextic: elliptic cases b/e at n = 5."""
+    return [
+        a**6 * b**6,
+        6 * a**5 * b**5 * (a + b),
+        a**4 * b**4 * (a + b) * (15 * a - 29 * b),
+        4 * a**3 * b**3 * (a + b) * (5 * a**2 - 10 * a * b + 9 * b**2),
+        a**2 * b**2 * (a + b) * (15 * a**3 + 5 * a**2 * b + 45 * a * b**2 - 9 * b**3),
+        2 * a * b * (3 * a - 5 * b) * (a + b) ** 4,
+        (a**2 - 10 * a * b + 5 * b**2) * (a + b) ** 4,
+    ]
+
+
+#: The factors whose real roots are the new n-periodic caustics (factors
+#: of shorter periods and without real roots left out).
+PERIODIC_FACTORS = {
+    3: (_p3,),
+    4: (_p4,),
+    5: (_p5,),
+    6: (_d2_quad, _e2_quad),
+    7: (_p7,),
+    8: (_q1, _q2, _q3),
+}
+
+#: The mirror-closure factors per period: (ladder, builder).
+ELLIPTIC_FACTORS = {
+    2: (("D", _lin_d), ("E", _lin_e), ("C", _lin_c)),
+    3: (("E", _e2_quad), ("D", _d2_quad)),
+    4: (("D", _q1), ("E", _q2), ("C", _q3)),
+    5: (("E", _e5_sextic), ("D", _d5_sextic)),
+}
+
+
+def _table_roots(E, factors):
+    """``(gamma, exact, ladder)`` per real root of ``(ladder, builder)`` factors, exactly."""
+    a, b = F(E.a), F(E.b)
+    for ladder, builder in factors:
+        coeffs = polys.trim(builder(a, b))
+        for root in polys.real_roots(coeffs) if len(coeffs) > 1 else []:
+            cand = root.limit_denominator(10**9)
+            exact = cand if polys.peval(coeffs, cand) == 0 else None
+            yield float(root), exact, ladder
+
+
+#: Axes for the oracle: integer, fraction and 10**k-scaled, none light-like.
+_ORACLE_AXES = [
+    (5, 3),
+    (3, 2),
+    (12, 2),
+    (7, 11),
+    (F(41, 7), F(7, 2)),
+    (F(74, 7), F(25, 9)),
+    (F(4, 3), 2),
+    (F(3, 10**3), F(2, 10**3)),
+    (F(41, 7) * 10**6, F(7, 2) * 10**6),
+    (F(7, 10**12), F(11, 10**12)),
+]
 
 
 def test_generic_scan_matches_closed_forms():
-    # the exact table roots check the level sets of the rotation number:
-    # the same caustics, partitions and verdicts
-    for a, b in _CLEAR_AXES:
+    # the exact real roots of the periodic condition polynomials, rounded
+    # to floats, are the landed level-set roots bit for bit, with their
+    # exact values, for n = 3..8
+    for a, b in _ORACLE_AXES:
         E = BoundaryEllipse(a, b)
-        for n in range(3, 9):
-            got, want = generic_caustic_scan(E, n), periodic_caustics(E, n)
-            rows = [[(r.n1, r.n2, r.validated, r.conic) for r in rs] for rs in (got, want)]
-            assert rows[0] == rows[1], (a, b, n)
-            gammas = [r.gamma for r in want]
-            assert [r.gamma for r in got] == pytest.approx(gammas, rel=1e-14, abs=0), (a, b, n)
+        for n, builders in PERIODIC_FACTORS.items():
+            want = _table_roots(E, [(None, builder) for builder in builders])
+            want = sorted(r[:2] for r in want if _spurious_reason(E, n, r[0]) is None)
+            got = [(r.gamma, r.gamma_exact) for r in generic_caustic_scan(E, n)]
+            assert got == want, (a, b, n)
+            assert [r[:2] for r in _periodic_roots(E, n)] == want, (a, b, n)
+
+
+@pytest.mark.parametrize("a, b", _ORACLE_AXES)
+def test_elliptic_caustics_match_the_table_roots(a, b):
+    # the same for the mirror-closure factors, n = 2..5: each landed root
+    # takes the case of the ladder whose factor has it as a root
+    E = BoundaryEllipse(a, b)
+    for n, factors in ELLIPTIC_FACTORS.items():
+        want = []
+        for gamma, exact, ladder in _table_roots(E, factors):
+            cases = [c for c, lad in _elliptic_candidates(E, gamma, n) if lad == ladder]
+            if cases and _spurious_reason(E, 0, gamma) is None:
+                want.append((gamma, exact, cases[0]))
+        got = [(r.gamma, r.gamma_exact, r.case) for r in elliptic_caustics(E, n)]
+        assert got == sorted(want), (a, b, n)
+
+
+@pytest.mark.parametrize("a, b", [(3, 2), (F(41, 7), F(7, 2)), (F(5, 3), F(35, 4))])
+def test_elliptic_caustics_of_long_periods_lie_on_their_level_set(a, b):
+    # no table reaches n >= 6: the level sets do, and each validated
+    # elliptic caustic bounces n * rho times on the ellipse arcs
+    E = BoundaryEllipse(a, b)
+    for n in range(6, 11):
+        rs = elliptic_caustics(E, n)
+        assert sum(r.validated for r in rs) >= n - 2, n
+        for r in rs:
+            assert r.kind == "elliptic" and r.sigma is not None
+            if r.validated:
+                assert abs(n * rotation_ratio(a, b, r.gamma) - r.n1) <= 1e-9, (n, r.gamma)
+    with pytest.raises(DomainError):
+        elliptic_caustics(E, 1)
+
+
+def test_lightlike_axes_discard_the_root_at_infinity(capsys):
+    # a/b = 1/3 = cot**2(pi/3): the root of rho = 2/6 lies at u = 1/gamma = 0,
+    # where the level set places a float near -4.5e15; the determinant has
+    # no sign change within reach of it, so it is discarded, with its reason
+    rc = main(["solve", "--n", "6", "--a", "3/10", "--b", "9/10"])
+    doc = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    rows = [(c["gamma"], c["gamma_exact"], c["n1"], c["validated"]) for c in doc["caustics"]]
+    assert rows == [
+        (-0.0823557158514987, None, 4, True),
+        (0.1125, "9/80", 2, True),
+        (0.3073557158514987, None, 4, True),
+    ]
+    far = [d for d in doc["discarded"] if d["reason"].startswith("no sign change")]
+    assert len(far) == 1 and far[0]["gamma"] < -1e15
 
 
 #: Axes for the rotation-number checks: integer, fraction and 10**k-scaled.
@@ -194,9 +347,9 @@ def test_level_sets_keep_the_caustics_at_scale_1e12():
     assert all(d["gamma"] not in {r.gamma for r in rs} for d in disc)
 
 
-#: Axes for the exact sign-change check of the level-set roots, n = 9..12.
-#: Far hyperbola roots, with |gamma| in the hundreds of a + b, sit where rho
-#: is flat and can lie hundreds of float steps from the exact root.
+#: Axes for the exact check of the landed roots; (3, 10) and (12, 3) have
+#: far hyperbola roots, where rho is flat and its level set can lie
+#: hundreds of float steps from the exact root.
 _BRACKET_AXES = [
     (3, 2),
     (6, 4),
@@ -211,21 +364,22 @@ _BRACKET_AXES = [
 
 @pytest.mark.parametrize("a, b", _BRACKET_AXES)
 def test_level_set_roots_bracket_an_exact_closure_root(a, b):
-    # the exact periodic closure determinant changes sign within 1e-14
-    # (relative) of every reported caustic and every root discarded as
-    # already periodic: the root of rho = k/n is the closure root
+    # the exact periodic closure determinant (the Fraction one, not the
+    # integer one that landed them) changes sign across the rounding
+    # interval of every reported caustic and every root discarded as
+    # already periodic: each is the correctly rounded closure root
     E = BoundaryEllipse(a, b)
     checked = 0
-    for n in range(9, 13):
+    for n in range(3, 13):
         disc = []
         gammas = [r.gamma for r in generic_caustic_scan(E, n, discarded=disc)]
         gammas += [d["gamma"] for d in disc if d["reason"].startswith("already periodic")]
         for g in gammas:
-            ends = (F(g * (1 - 1e-14)), F(g * (1 + 1e-14)))
+            ends = [(F(math.nextafter(g, t)) + F(g)) / 2 for t in (-math.inf, math.inf)]
             lo, hi = (_closure_blocks(E, x, n, [_periodic_ladder(n)])[0][0] for x in ends)
-            assert lo * hi < 0, (n, g)
+            assert lo * hi <= 0, (n, g)
             checked += 1
-    assert checked >= 20
+    assert checked >= 40
 
 
 def _level_gammas(a, b, n):
@@ -242,18 +396,16 @@ def _level_gammas(a, b, n):
     k=st.integers(-60, 60),
 )
 def test_level_sets_are_power_of_two_and_swap_equivariant(axes, n, k):
-    # (a, b, gamma) -> 2**k (a, b, gamma) is exact in floats, and rho
-    # normalises the axes by a power of two, so the bisection of each level
-    # set takes the same steps, scaled: the roots scale bit for bit.  The
-    # swap (a, b, gamma) -> (b, a, -gamma) bisects on other floats, so it
-    # holds to the last bits.  The validation flags are not compared: they
-    # are not scale-invariant yet
+    # every root lands on the correctly rounded exact root, and
+    # (a, b, gamma) -> 2**k (a, b, gamma) and the swap
+    # (a, b, gamma) -> (b, a, -gamma) map exact roots onto exact roots and
+    # commute with rounding: the roots scale and swap bit for bit.  The
+    # validation flags are not compared: they are not scale-invariant yet
     a, b = axes
     unit = _level_gammas(a, b, n)
     lam = F(2) ** k
     assert _level_gammas(lam * a, lam * b, n) == [float(lam) * g for g in unit]
-    swapped = [-g for g in reversed(_level_gammas(b, a, n))]
-    assert swapped == pytest.approx(unit, rel=5e-14, abs=0)
+    assert [-g for g in reversed(_level_gammas(b, a, n))] == unit
 
 
 def test_decimal_axes_solve_like_their_fractions():

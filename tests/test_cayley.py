@@ -5,6 +5,8 @@ from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pellipse import (
     BoundaryEllipse,
@@ -269,3 +271,53 @@ def test_decimal_series_run_at_50_digits_with_fraction_axes_exact():
         via_float = 1 / Decimal(7 / 3)
     assert B.scaled[1] == c1 and D.scaled[0] == d0
     assert len(d0.as_tuple().digits) == 50 and d0 != via_float
+
+
+# ---------------------------------------------------------------------------
+# the integer closure sign
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=300)
+@given(
+    k=st.integers(-12, 12),
+    a=st.fractions(F(1, 9), 60, max_denominator=9),
+    b=st.fractions(F(1, 9), 60, max_denominator=9),
+    gamma=st.fractions(-200, 200, max_denominator=97),
+    n=st.integers(2, 12),
+    ladder=st.sampled_from("BCDE"),
+)
+def test_closure_det_matches_the_fraction_determinant(k, a, b, gamma, n, ladder):
+    # the integer Hankel block differs from the scaled Fraction block by
+    # positive row and column factors, on every ladder and at every scale,
+    # so it gives the same value and, above all, the same sign
+    assume(ladder != "B" or (n % 2 == 0 and n >= 4))
+    lam = F(10) ** k
+    E = BoundaryEllipse(lam * a, lam * b)
+    gamma *= lam
+    assume(gamma not in (0, E.a, -E.b))
+    ((det, _),) = cayley._closure_blocks(E, gamma, n, [ladder])
+    assert F(*cayley.closure_det(1 / E.a, 1 / E.b, 1 / gamma, ladder, n)) == det
+
+
+@pytest.mark.parametrize(
+    "a, b, n, zero",
+    [
+        (F(3, 10), F(9, 10), 6, True),
+        (2, 2, 4, True),
+        (3, 1, 6, True),
+        (1, 1, 8, True),
+        (5, 5, 12, True),
+        (3, 2, 4, False),
+        (3, 2, 6, False),
+    ],
+)
+def test_closure_det_at_u_zero_marks_lightlike_axes(a, b, n, zero):
+    # u = 1/gamma = 0 is an ordinary point: the periodic determinant
+    # vanishes there exactly when a/b = cot**2(k pi/n), and changes sign
+    ia, ib = 1 / F(a), 1 / F(b)
+    dets = [cayley.closure_det(ia, ib, F(u), "B", n)[0] for u in (-1e-9, 0, 1e-9)]
+    if zero:
+        assert dets[1] == 0 and dets[0] * dets[2] < 0
+    else:
+        assert dets[1] != 0

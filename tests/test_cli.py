@@ -182,8 +182,8 @@ def test_main_builds_the_parser_once(capsys):
 
 
 def test_snap_needs_no_validation(monkeypatch):
-    # the snap only needs the roots of the condition polynomial: no
-    # Hankel test and no simulated closure
+    # the snap only needs the landed roots of the closure condition: no
+    # verdict and no simulated closure
     calls = []
 
     def counted(name):
@@ -196,12 +196,12 @@ def test_snap_needs_no_validation(monkeypatch):
         monkeypatch.setattr(caustics, name, wrapper)
 
     counted("_sim_closure")
-    counted("is_periodic")
+    counted("_results")
     E = BoundaryEllipse(Fraction(74, 7), Fraction(25, 9))
     snapped = cli._snap_gamma(E, -2.778, 5)
     assert calls == []
     assert snapped == pytest.approx(-2.778, abs=1e-3) and snapped != -2.778
-    # periods without a table and exact inputs pass through
+    # periods outside 3..8 and exact inputs pass through
     assert cli._snap_gamma(E, -2.778, 9) == -2.778
     assert cli._snap_gamma(E, Fraction(-2778, 1000), 5) == Fraction(-2778, 1000)
 
@@ -250,6 +250,57 @@ def test_usage_error_exits_2_with_json(capsys, command, rest, axes):
     rc, out = run(capsys, command, *axes, *rest)
     assert rc == 2
     assert json.loads(out)["error"] == "DomainError"
+
+
+def test_decimal_axes_are_read_exactly(capsys):
+    # 5.7 is 57/10, so the n = 4 roots are the exact rationals -ab/(a-b)
+    # and +-ab/(a+b); the float image of the axes would hide them
+    rc, out = run(capsys, "solve", "--n", "4", "--a", "5.7", "--b", "1.9")
+    assert rc == 0
+    doc = json.loads(out)
+    assert (doc["a"], doc["b"]) == (5.7, 1.9)
+    rows = [(r["gamma"], r["gamma_exact"]) for r in doc["caustics"]]
+    assert rows == [(-2.85, "-57/20"), (-1.425, "-57/40"), (1.425, "57/40")]
+
+
+@pytest.mark.parametrize(
+    "command, rest",
+    [
+        ("solve", ["--n", "3"]),
+        ("certify", ["--n", "3", "--gamma", "2.3323"]),
+        ("simulate", ["--x0", "1", "--y0", "1", "--dx", "1", "--dy", "0", "--steps", "3"]),
+    ],
+    ids=["solve", "certify", "simulate"],
+)
+@pytest.mark.parametrize("axis", ["--a", "--b"])
+@pytest.mark.parametrize("value", ["1e-400", "1e400", f"1/{10**400}"])
+def test_axis_with_a_zero_or_infinite_float_image_exits_2(capsys, command, rest, axis, value):
+    # the axes are exact, but trajectories and rotation numbers run on
+    # their float image, which must be finite and nonzero
+    args = {"--a": "3", "--b": "2", axis: value}
+    rc, out = run(capsys, command, *(f"{k}={v}" for k, v in args.items()), *rest)
+    assert rc == 2
+    assert json.loads(out)["error"] == "DomainError"
+
+
+@pytest.mark.parametrize(
+    "argv, rc",
+    [
+        ("solve --n 3 --a 1e300 --b 2", 2),
+        ("solve --n 3 --a 1e-310 --b 2", 2),
+        ("solve --n 9 --a 1e-300 --b 2", 2),
+        ("solve --elliptic --n 4 --a 1e150 --b 2", 0),
+        ("solve --n 3 --a 1e-300 --b 2e-300", 0),
+    ],
+)
+def test_extreme_axes_end_in_a_documented_exit(capsys, argv, rc):
+    # the rotation number holds products of band gaps, of the order of
+    # a/b: in float range up to about 1e300 either way, a DomainError
+    # beyond; never a traceback or a hang
+    got, out = run(capsys, *argv.split())
+    assert got == rc
+    doc = json.loads(out)
+    assert (doc.get("error") == "DomainError") == (rc == 2)
 
 
 def test_scalar_fraction_parsing(capsys):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pellipse import caustics, polys
+from pellipse import polys
+from test_caustics import ELLIPTIC_FACTORS, PERIODIC_FACTORS
 from pellipse.errors import DomainError
 
 F = Fraction
@@ -225,8 +226,8 @@ def test_sturm_chain_matches_fraction_euclid(lead, roots, extra):
 )
 def test_sturm_chain_matches_fraction_euclid_on_table_factors(a, b):
     a, b = F(a), F(b)
-    builders = [f for fs in caustics._PERIODIC_NEW.values() for f in fs]
-    builders += [f for fs in caustics._ELLIPTIC_POLYS.values() for _, f in fs]
+    builders = [f for fs in PERIODIC_FACTORS.values() for f in fs]
+    builders += [f for fs in ELLIPTIC_FACTORS.values() for _, f in fs]
     for builder in builders:
         _assert_chain_matches_reference(polys.trim(builder(a, b)))
 
@@ -292,24 +293,36 @@ def test_squarefree_part_runs_once_per_real_roots(monkeypatch):
     assert len(calls) == 1
 
 
-def test_bisect_float_ends_on_adjacent_floats():
+def test_regula_falsi_ends_on_adjacent_floats():
     # x**2 - 2 on [1, 2]: the last bracket is two adjacent floats, one of
-    # them the correctly rounded sqrt(2); a midpoint root returns at once
+    # them the correctly rounded sqrt(2); a root at a step returns at once
     f = lambda x: x * x - 2  # noqa: E731
-    root = polys.bisect_float(f, 1.0, 2.0, f(1.0))
+    root = polys.regula_falsi(f, 1.0, 2.0, f(1.0), f(2.0))
     assert abs(root - math.sqrt(2)) <= math.ulp(math.sqrt(2))
-    assert polys.bisect_float(lambda x: 2 - x * x, 1.0, 2.0, 1.0) == root
+    assert polys.regula_falsi(lambda x: 2 - x * x, 1.0, 2.0, 1.0, -2.0) == root
     calls = []
-    assert polys.bisect_float(lambda x: calls.append(x) or x - 1.5, 1.0, 2.0, -0.5) == 1.5
+    assert polys.regula_falsi(lambda x: calls.append(x) or x - 1.5, 1.0, 2.0, -0.5, 0.5) == 1.5
     assert calls == [1.5]
 
 
-def test_rationalize_root():
-    p = [F(-4), F(0), F(3)]  # 3x^2 = 4 -> irrational
-    r = polys.real_roots(p)[1]
-    assert polys.rationalize_root(p, r) is None
-    q = [F(-2, 3), F(1)]  # x = 2/3
-    assert polys.rationalize_root(q, polys.real_roots(q)[0]) == F(2, 3)
+def _bisection_steps(f, lo, hi):
+    """Steps of plain bisection on the floats to adjacent floats."""
+    up, steps = f(lo) > 0, 0
+    while (mid := (lo + hi) / 2) not in (lo, hi):
+        lo, hi = (mid, hi) if (f(mid) > 0) == up else (lo, mid)
+        steps += 1
+    return steps
+
+
+@pytest.mark.parametrize("root", [0.3, 1e-7, 0.999999, 1 / 3])
+def test_regula_falsi_needs_few_steps_where_bisection_needs_many(root):
+    # Illinois steps converge superlinearly on a smooth monotone function;
+    # on a flat one, the midpoint safeguard keeps within three bisections
+    for f, most in ((lambda x: math.atan(x - root), 12), (lambda x: (x - root) ** 3, None)):
+        calls = []
+        x = polys.regula_falsi(lambda t: calls.append(t) or f(t), -1.0, 2.0, f(-1.0), f(2.0))
+        assert abs(x - root) <= 2 * math.ulp(root) or f(x) == 0
+        assert len(calls) <= (most or 3 * _bisection_steps(f, -1.0, 2.0)), (root, len(calls))
 
 
 def test_det_exact():
