@@ -274,6 +274,10 @@ def closed_form_caustics(E: BoundaryEllipse, n: int) -> list:
 _REACH = 2**20
 _STEPS = 6
 
+#: How far beyond ``rho`` at a window's ends :func:`_level_roots` keeps a
+#: ``k``: far above the few units in the last place of its rounding.
+_SLACK = 1e-12
+
 
 def _normalized_det(E: BoundaryEllipse, gamma_f: float, n: int) -> float:
     """The periodic closure determinant at ``gamma_f`` over its row scale.
@@ -286,7 +290,7 @@ def _normalized_det(E: BoundaryEllipse, gamma_f: float, n: int) -> float:
     return float(value) / scale if scale > 0 else float(value)
 
 
-def _level_roots(E: BoundaryEllipse, n: int, elliptic: bool):
+def _level_roots(E: BoundaryEllipse, n: int, elliptic: bool, window=None):
     """``(gamma, tag)`` per root of ``rho = k/n`` of the wanted kind, ascending.
 
     ``rho`` is :func:`~pellipse.extremal.rotation_ratio`, monotone on each
@@ -302,22 +306,40 @@ def _level_roots(E: BoundaryEllipse, n: int, elliptic: bool):
     ``k``.  Each root is found by :func:`~pellipse.polys.regula_falsi` in
     ``gamma`` on the finite ranges and in ``u = 1/gamma`` on the unbounded
     ones.
+
+    A finite ``window = (lo, hi)`` of ``gamma`` keeps only the ``k`` whose
+    ``k/n`` lies between ``rho`` at the window's ends on some range (within
+    ``_SLACK``, beyond the rounding of ``rho``), so every root inside the
+    window is found and only a few outside it.  Each kept ``k`` is still
+    located on its whole range, so its root is the one found without a
+    window.
     """
     a, b = float(E.a), float(E.b)
     far = rotation_ratio(a, b, math.inf)
-    # (ends of the variable, rho at those ends, variable -> gamma, parity rule
-    # on a partition (m, j)); rho increases with the variable on every range
+    # (ends of the variable, rho at those ends, the gamma range, variable ->
+    # gamma, parity rule on a partition (m, j)); rho increases with the
+    # variable on every range
+    both = lambda m, j: j % 2 == (m - j) % 2 == 0  # noqa: E731
     ranges = [
-        ((-1 / b, 0.0), (0.0, far), lambda u: 1 / u, lambda m, j: j % 2 == (m - j) % 2 == 0),
-        ((-b, 0.0), (0.0, 1.0), float, lambda m, j: (m - j) % 2 == 0),
-        ((0.0, a), (0.0, 1.0), float, lambda m, j: j % 2 == 0),
-        ((0.0, 1 / a), (far, 1.0), lambda u: 1 / u, lambda m, j: j % 2 == (m - j) % 2 == 0),
+        ((-1 / b, 0.0), (0.0, far), (-math.inf, -b), lambda u: 1 / u, both),
+        ((-b, 0.0), (0.0, 1.0), (-b, 0.0), float, lambda m, j: (m - j) % 2 == 0),
+        ((0.0, a), (0.0, 1.0), (0.0, a), float, lambda m, j: j % 2 == 0),
+        ((0.0, 1 / a), (far, 1.0), (a, math.inf), lambda u: 1 / u, both),
     ]
     roots = []
-    for (lo, hi), (r_lo, r_hi), to_gamma, admits in ranges:
+    for (lo, hi), (r_lo, r_hi), (g_lo, g_hi), to_gamma, admits in ranges:
+        low, high = r_lo, r_hi
+        if window is not None:
+            w_lo, w_hi = max(window[0], g_lo), min(window[1], g_hi)
+            if not w_lo < w_hi:
+                continue
+            # rho at the window's ends; it jumps from 1 to 0 at gamma = 0
+            rho_lo = rotation_ratio(a, b, w_lo) if w_lo else 0.0
+            rho_hi = rotation_ratio(a, b, w_hi) if w_hi else 1.0
+            low, high = min(rho_lo, rho_hi) - _SLACK, max(rho_lo, rho_hi) + _SLACK
         for k in range(1, n):
             skip = admits(n, k) == elliptic or elliptic and math.gcd(k, n) > 1
-            if skip or not r_lo < k / n < r_hi:
+            if skip or not (r_lo < k / n < r_hi and low <= k / n <= high):
                 continue
             divisors = (d for d in range(3, n) if n % d == 0 and k * d % n == 0)
             tag = k if elliptic else next((d for d in divisors if admits(d, k * d // n)), n)
@@ -329,44 +351,100 @@ def _level_roots(E: BoundaryEllipse, n: int, elliptic: bool):
     return sorted(roots)
 
 
-def _landed(det, gamma: float):
+def _midpoint_above(x: float) -> tuple[int, int]:
+    """``(num, den)`` in lowest terms of the midpoint from the float ``x`` to the next one up.
+
+    The two floats are adjacent multiples of their gap ``g``; below
+    ``g = 1`` one of them has the denominator ``1/g``, and the midpoint
+    ``(2X + 1) g / 2`` is in lowest terms.
+    """
+    p, q = x.as_integer_ratio()
+    r, s = math.nextafter(x, math.inf).as_integer_ratio()
+    d = max(q, s)
+    num = p * (d // q) + r * (d // s)
+    return (num, 2 * d) if num % 2 else (num // 2, d)
+
+
+def _landed(det, gamma: float, poles):
     """``(gamma, exact)`` for the exact closure root near the float ``gamma``, or None.
 
-    ``det(x)`` is the exact closure determinant at the rational ``x``, as
-    the ``(num, den)`` pair of :func:`~pellipse.cayley.closure_det`.  The ends of the
-    rounding interval of a float are the exact midpoints to its
-    neighbours; when the determinant changes sign between them, the float
-    is the correctly rounded root, and that sign change is the proof.
-    Otherwise the secant through the two ends, linear to high order at
-    this scale, gives the next float to try.  None means no sign change
-    after ``_STEPS`` steps, or a step beyond ``_REACH`` float steps.
-    ``exact`` is the nearest rational to ``gamma`` with denominator at
-    most ``10**9`` (and at most ``ulp(gamma)**-1/2``) when the
-    determinant is exactly 0 there, else None; a candidate 0 is never a
-    root.
+    ``det(p, q)`` is the exact closure determinant at the rational
+    ``p/q``, as the ``(num, den)`` pair of
+    :func:`~pellipse.cayley.closure_det`.  The ends of the rounding
+    interval of a float are the exact midpoints to its neighbours, built
+    by :func:`_midpoint_above`; when the determinant changes sign between
+    them, the float is the correctly rounded root, and that sign change is
+    the proof.  Otherwise the secant through the two ends, linear to high
+    order at this scale, gives the next float to try.  None means no sign
+    change after ``_STEPS`` steps, or a step beyond ``_REACH`` float steps.
+
+    ``exact`` is the rational root when the determinant is exactly 0 at
+    the one candidate :func:`_exact_candidate` names, else None; ``poles``
+    are the degenerate values ``-b, 0, a``, whose distance bounds the
+    candidate's error.
     """
-    # the determinant midway between the float x and the next one up
-    above = cache(lambda x: det((Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2))
+    # the midpoint between the float x and the next one up, and det there
+    above = cache(lambda x: (m := _midpoint_above(x), det(*m)))
     start = gamma
     for _ in range(_STEPS):
         if not math.isfinite(gamma) or abs(gamma - start) > _REACH * math.ulp(start):
             return None
         below, up = math.nextafter(gamma, -math.inf), math.nextafter(gamma, math.inf)
-        (p_lo, q_lo), (p_hi, q_hi) = above(below), above(gamma)
-        if p_lo * p_hi <= 0:
-            break
+        (lo, (p_lo, q_lo)), (hi, (p_hi, q_hi)) = above(below), above(gamma)
         # the secant root lies num/den interval widths below the upper end
         num, den = p_hi * q_lo, p_hi * q_lo - p_lo * q_hi
+        if (p_lo < 0) != (p_hi < 0) or not p_lo or not p_hi:  # a sign change
+            break
         if abs(den) * _REACH < abs(num):
             return None
         gamma += (up - gamma) / 2 - num / den * (up - below) / 2
     else:
         return None
-    # a rational root with denominator at most N is the nearest such to the
-    # float when N**2 <= 1/ulp(gamma): two of them lie 1/N**2 apart or more
-    bound = min(10**9, int(math.ulp(gamma) ** -0.5))
-    cand = Fraction(gamma).limit_denominator(max(1, bound))
-    return gamma, cand if cand and det(cand)[0] == 0 else None
+    dist = min(abs(gamma - v) for v in poles)
+    cand = _exact_candidate(lo, hi, num, den, dist) if dist else None
+    return gamma, cand if cand and det(cand.numerator, cand.denominator)[0] == 0 else None
+
+
+def _exact_candidate(lo, hi, num: int, den: int, dist: float) -> Fraction | None:
+    """The one rational that may be the closure root in a rounding interval, or None.
+
+    ``lo`` and ``hi`` are the interval's ends as ``(num, den)`` pairs, the
+    secant through the determinant ``f`` there lies ``num/den`` of the
+    width ``w`` below ``hi``, and ``dist`` is the distance from the root
+    to the nearest degenerate value.  The secant misses the root by about
+    ``w**2 |f''/f'| / 8``, and ``|f''/f'|`` was measured below
+    ``136/dist`` for periods up to 12, so ``eps = 2**12 w**2 / dist``
+    bounds that with room to spare: about twice the float's digits.  The
+    candidate is a fraction ``p/q`` within ``eps`` of the secant with
+    ``q <= N = min(10**9, (2**10 eps) ** -1/2)``.  It lies within
+    ``1/(2 q**2)`` of the secant, so it is a convergent of the secant's
+    continued fraction (Legendre), one followed by a partial quotient
+    above ``2**9``.  Two such fractions lie ``2**10 eps`` apart or more, so
+    a rational root with such a denominator is the candidate, and an
+    irrational root meets one only about once in ``2**9`` roots.  None when
+    there is none, or it lies outside the interval, or at 0, which is
+    never a root.
+    """
+    (lo_n, lo_d), (hi_n, hi_d) = lo, hi
+    d = max(lo_d, hi_d)
+    lo_n, hi_n = lo_n * (d // lo_d), hi_n * (d // hi_d)
+    # the secant x/y over y = d * 2**64, to 64 bits of the width: far below eps
+    x = (hi_n << 64) - (hi_n - lo_n) * ((num << 64) // den if den else 0)
+    y = d << 64
+    w = (hi_n - lo_n) / d
+    eps = 2**12 * w * w / dist
+    bound = min(10**9, int((2**10 * eps) ** -0.5)) if eps else 10**9
+    e_num, e_den = min(eps, w).as_integer_ratio()
+    p0, q0, p, q = 0, 1, 1, 0  # the last two convergents
+    while y:
+        a, r = divmod(x, y)
+        # the secant is p/q +- 1/(q (q x/y + q0)), within eps only if a > 2**9
+        if a > 2**9 and q and y * e_den <= e_num * q * (q * x + q0 * y):
+            break
+        p0, q0, p, q, x, y = p, q, a * p + p0, a * q + q0, y, r
+        if q > bound:
+            return None
+    return Fraction(p, q) if p and lo_n * q <= p * d <= hi_n * q else None
 
 
 def _land(E: BoundaryEllipse, n: int, candidates, ladders, discarded):
@@ -378,9 +456,11 @@ def _land(E: BoundaryEllipse, n: int, candidates, ladders, discarded):
     that none confirms is discarded with a reason.
     """
     ia, ib = 1 / Fraction(E.a), 1 / Fraction(E.b)
+    poles = (-float(E.b), 0.0, float(E.a))
     for gamma, tag in candidates:
         for label, ladder in ladders(gamma, tag):
-            landed = _landed(lambda x, lad=ladder: closure_det(ia, ib, 1 / x, lad, n), gamma)
+            det = lambda p, q, lad=ladder: closure_det(ia, ib, Fraction(q, p), lad, n)  # noqa: E731
+            landed = _landed(det, gamma, poles)
             if landed is not None:
                 yield (*landed, label)
                 break
@@ -428,14 +508,17 @@ def _of_period(n: int, candidates, discarded):
             _record_discard(discarded, gamma_f, f"already periodic with period {d}")
 
 
-def _periodic_roots(E: BoundaryEllipse, n: int, discarded: list | None = None):
+def _periodic_roots(E: BoundaryEllipse, n: int, discarded: list | None = None, window=None):
     """Yield the landed ``(gamma, exact, None)`` candidates of period ``n``, ascending.
 
     They pass the spurious-root filter and close after ``n`` steps, found
-    without a simulation; :func:`generic_caustic_scan` validates them.
+    without a simulation; :func:`generic_caustic_scan` validates them.  A
+    ``window`` of ``gamma`` locates and lands only the roots that
+    :func:`_level_roots` keeps for it.
     """
     ladder = _periodic_ladder(n)
-    roots = _land(E, n, _level_roots(E, n, False), lambda gamma, d: [(d, ladder)], discarded)
+    located = _level_roots(E, n, False, window)
+    roots = _land(E, n, located, lambda gamma, d: [(d, ladder)], discarded)
     roots = _screen(roots, partial(_spurious_reason, E, n), discarded)
     return _of_period(n, roots, discarded)
 

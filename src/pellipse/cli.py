@@ -220,12 +220,15 @@ def _snap_gamma(E: BoundaryEllipse, gamma, n: int):
     available).  The roots are tried in ascending order and the first
     within tolerance wins, which need not be the nearest one.  They come
     from :func:`~pellipse.caustics._periodic_roots`, screened and landed
-    but not simulated.  Exact rational inputs, and other periods, are
-    passed through untouched.
+    but not simulated, for the window ``|root - gamma| <= 2e-3 max(1,
+    |gamma|)``, which holds every root within tolerance: only the ``k``
+    whose root may lie in it are located and landed.  Exact rational
+    inputs, and other periods, are passed through untouched.
     """
     if is_exact(gamma) or not 3 <= n <= 8:
         return gamma
-    for root, exact, _ in _periodic_roots(E, n):
+    width = 2e-3 * max(1.0, abs(gamma))
+    for root, exact, _ in _periodic_roots(E, n, window=(gamma - width, gamma + width)):
         if abs(gamma - root) <= 1e-3 * max(1.0, abs(root)):
             return root if exact is None else exact
     return gamma

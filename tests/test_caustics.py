@@ -382,6 +382,66 @@ def test_level_set_roots_bracket_an_exact_closure_root(a, b):
     assert checked >= 40
 
 
+@given(x=st.floats(allow_nan=False, allow_infinity=False, width=64))
+def test_midpoint_above_is_the_exact_midpoint_in_lowest_terms(x):
+    up = math.nextafter(x, math.inf)
+    if math.isinf(up):
+        return
+    num, den = caustics._midpoint_above(x)
+    assert F(num, den) == (F(x) + F(up)) / 2
+    assert den > 0 and math.gcd(num, den) == 1
+
+
+def test_landing_costs_about_three_exact_evaluations_per_root(monkeypatch):
+    # two at the ends of the rounding interval, a third when the located
+    # float is not yet correctly rounded, and none at an irrational
+    # root's exact candidate: 141 evaluations for 45 roots when measured
+    calls, roots = [], []
+    det, landed = caustics.closure_det, caustics._landed
+    monkeypatch.setattr(caustics, "closure_det", lambda *args: calls.append(1) or det(*args))
+    monkeypatch.setattr(
+        caustics, "_landed", lambda *args: roots.append(out := landed(*args)) or out
+    )
+    for n in range(9, 13):
+        periodic_caustics(BoundaryEllipse(5, 11), n)
+    landed_roots = [r for r in roots if r is not None]
+    assert len(landed_roots) == 45
+    assert len(calls) <= 3.2 * len(landed_roots)
+
+
+def _is_midpoint(x: Fraction) -> bool:
+    """Whether the rational ``x`` is the midpoint between two adjacent floats."""
+    f = float(x)
+    return any(F(*caustics._midpoint_above(y)) == x for y in (f, math.nextafter(f, -math.inf)))
+
+
+@pytest.mark.parametrize(
+    "a, b, n",
+    [(10**6, 3, 11), (10**6, 3, 10), (5, 11, 12), (F(41, 7), F(7, 2), 8), (10**20, 2 * 10**20, 4)],
+)
+def test_exact_candidates_are_evaluated_only_in_the_rounding_interval(monkeypatch, a, b, n):
+    # besides the midpoints that bracket the root, landing evaluates the
+    # determinant at one exact candidate at most, and only inside the
+    # final rounding interval; (10**6, 3) has roots within a few float
+    # steps of -b, whose nearest small-denominator fraction -3 lies outside
+    landed, seen = caustics._landed, []
+
+    def recorded(det, gamma, poles):
+        calls = []
+        out = landed(lambda p, q: calls.append(F(p, q)) or det(p, q), gamma, poles)
+        if out is not None:
+            g = out[0]
+            lo, hi = (F(*caustics._midpoint_above(x)) for x in (math.nextafter(g, -math.inf), g))
+            cands = [x for x in calls if not _is_midpoint(x)]
+            assert len(cands) <= 1 and all(lo <= x <= hi for x in cands), (g, cands)
+            seen.append(out[1])
+        return out
+
+    monkeypatch.setattr(caustics, "_landed", recorded)
+    periodic_caustics(BoundaryEllipse(a, b), n)
+    assert seen
+
+
 def _level_gammas(a, b, n):
     """Sorted gamma of the caustics and the discards of the level-set solver."""
     disc = []

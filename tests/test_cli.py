@@ -12,6 +12,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pellipse
 from pellipse import BoundaryEllipse, caustics, cli
@@ -94,6 +96,8 @@ GOLDEN = Path(__file__).parent / "golden"
         ("solve-elliptic-n3", "solve --elliptic --n 3 --a 6 --b 3"),
         ("certify-n3-exact", "certify --a 13 --b 120 --gamma=4680/361 --n 3"),
         ("certify-n5-snap", "certify --a 74/7 --b 25/9 --gamma=-2.778 --n 5"),
+        # two roots within 1e-3 of the caption: the first, 1.99917..., wins
+        ("certify-n8-two-roots", "certify --a 2 --b 10 --gamma=2.001 --n 8"),
         # the residual 4.38e-44 holds only if the Pell lift reuses the
         # Decimal values of the Newton polish, which converted via float
         ("certify-n9-polish", "certify --a 88/9 --b 16/9 --gamma=0.2140695596515073 --n 9"),
@@ -204,6 +208,85 @@ def test_snap_needs_no_validation(monkeypatch):
     # periods outside 3..8 and exact inputs pass through
     assert cli._snap_gamma(E, -2.778, 9) == -2.778
     assert cli._snap_gamma(E, Fraction(-2778, 1000), 5) == Fraction(-2778, 1000)
+
+
+def _full_scan_snap(E, gamma, n):
+    """The snap's rule over every landed root: the first ascending within tolerance."""
+    for root, exact, _ in caustics._periodic_roots(E, n):
+        if abs(gamma - root) <= 1e-3 * max(1.0, abs(root)):
+            return root if exact is None else exact
+    return gamma
+
+
+#: Axes for the snap checks: integer, fraction and 10**k-scaled, with the
+#: two-root captions (2, 10) n = 8 and (35/3, 3/2) n = 8.
+_SNAP_AXES = [
+    (3, 2),
+    (2, 10),
+    (Fraction(35, 3), Fraction(3, 2)),
+    (Fraction(74, 7), Fraction(25, 9)),
+    (6, 4),
+    (3000, 2000),
+    (Fraction(7, 1000), Fraction(3, 1000)),
+]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    axes=st.sampled_from(_SNAP_AXES),
+    n=st.integers(3, 8),
+    where=st.sampled_from(["root", "-b", "0", "a"]),
+    pick=st.integers(0, 50),
+    t=st.floats(-3e-3, 3e-3),
+)
+def test_windowed_snap_is_the_full_scan_rule(axes, n, where, pick, t):
+    # 4-digit captions near a root, and near -b, 0 and a, whose windows
+    # straddle them: the windowed snap returns what the rule over every
+    # landed root returns
+    E = BoundaryEllipse(*axes)
+    a, b = float(E.a), float(E.b)
+    roots = [r[0] for r in caustics._periodic_roots(E, n)] or [a / 2]
+    centre = {"root": roots[pick % len(roots)], "-b": -b, "0": 0.0, "a": a}[where]
+    caption = float(f"{centre * (1 + t) + t * min(a, b):.4g}")
+    assert cli._snap_gamma(E, caption, n) == _full_scan_snap(E, caption, n)
+
+
+def test_snap_lands_only_the_roots_in_its_window(monkeypatch):
+    located, landed = [], []
+    level_roots, land = caustics._level_roots, caustics._landed
+
+    def recorded_roots(*args):
+        located.extend(out := level_roots(*args))
+        return out
+
+    def recorded_landing(det, gamma, poles):
+        landed.append(gamma)
+        return land(det, gamma, poles)
+
+    monkeypatch.setattr(caustics, "_level_roots", recorded_roots)
+    monkeypatch.setattr(caustics, "_landed", recorded_landing)
+    E = BoundaryEllipse(2, 10)
+    list(caustics._periodic_roots(E, 8))
+    assert len(located) == len(landed) == 9  # three of them close after 4 steps
+    # captions near two roots (on both sides of a), near one, straddling
+    # -b, and near none; landing stops at the first root within tolerance
+    for caption, count, lands in ((2.001, 2, 1), (-42.91, 1, 1), (-10.01, 0, 0), (1.0, 0, 0)):
+        located.clear()
+        landed.clear()
+        cli._snap_gamma(E, caption, 8)
+        width = 2e-3 * max(1.0, abs(caption))
+        assert (len(located), len(landed)) == (count, lands), caption
+        assert all(abs(g - caption) <= width for g, _ in located)
+
+
+def test_solve_recovers_large_rational_roots(capsys):
+    # at |gamma| ~ 1e20 the float spacing is 2**13, so no float determines
+    # the root 2e20/3 by its nearness: the exact secant through the
+    # rounding interval, with twice the float's digits, does
+    rc, out = run(capsys, "solve", "--n", "4", "--a", "1e20", "--b", "2e20")
+    assert rc == 0
+    exact = [c["gamma_exact"] for c in json.loads(out)["caustics"]]
+    assert exact == ["-200000000000000000000/3", "200000000000000000000/3", "200000000000000000000"]
 
 
 @pytest.mark.parametrize(

@@ -217,6 +217,17 @@ def test_rotation_ratio_ends_and_domain():
             extremal.rotation_ratio(*bad)
 
 
+@given(y=st.floats(1e-3, 1e3), e=st.floats(-12, 12))
+def test_agm_form_of_the_complete_integral_matches_carlson(y, e):
+    # I1 = 2 R_F(x, y, 0) = pi / M(sqrt x, sqrt y) (DLMF 19.22.1): the
+    # quadratically converging AGM agrees with Carlson's duplication to a
+    # few units in the last place, for x/y across 10**+-12
+    x = y * 10.0**e
+    by_agm = math.pi / (2 * extremal._agm(math.sqrt(x), math.sqrt(y)))
+    by_duplication = extremal._carlson_rf(x, y, 0.0)
+    assert abs(by_agm - by_duplication) <= 8 * math.ulp(by_duplication), (x, y)
+
+
 #: The four gamma ranges, each as a map from t in (0, 1) to the variable in
 #: which rho increases: gamma on the finite ranges, u = 1/gamma on the others.
 _RANGES = {
