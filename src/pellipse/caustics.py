@@ -415,36 +415,27 @@ def _exact_candidate(lo, hi, num: int, den: int, dist: float) -> Fraction | None
     ``w**2 |f''/f'| / 8``, and ``|f''/f'|`` was measured below
     ``136/dist`` for periods up to 12, so ``eps = 2**12 w**2 / dist``
     bounds that with room to spare: about twice the float's digits.  The
-    candidate is a fraction ``p/q`` within ``eps`` of the secant with
-    ``q <= N = min(10**9, (2**10 eps) ** -1/2)``.  It lies within
-    ``1/(2 q**2)`` of the secant, so it is a convergent of the secant's
-    continued fraction (Legendre), one followed by a partial quotient
-    above ``2**9``.  Two such fractions lie ``2**10 eps`` apart or more, so
-    a rational root with such a denominator is the candidate, and an
-    irrational root meets one only about once in ``2**9`` roots.  None when
-    there is none, or it lies outside the interval, or at 0, which is
-    never a root.
+    candidate is the fraction ``p/q`` nearest the secant with
+    ``q <= N = min(10**9, (2**10 eps) ** -1/2)``, kept when it lies within
+    ``eps`` of it.  Two such fractions lie ``1/N**2 >= 2**10 eps`` apart
+    or more, so a rational root with such a denominator is the candidate,
+    and an irrational root meets one only about once in ``2**9`` roots.
+    None when there is none, or it lies outside the interval, or at 0,
+    which is never a root.
     """
     (lo_n, lo_d), (hi_n, hi_d) = lo, hi
     d = max(lo_d, hi_d)
     lo_n, hi_n = lo_n * (d // lo_d), hi_n * (d // hi_d)
-    # the secant x/y over y = d * 2**64, to 64 bits of the width: far below eps
-    x = (hi_n << 64) - (hi_n - lo_n) * ((num << 64) // den if den else 0)
-    y = d << 64
+    # the secant over d * 2**64, to 64 bits of the width: far below eps
+    secant = Fraction((hi_n << 64) - (hi_n - lo_n) * ((num << 64) // den if den else 0), d << 64)
     w = (hi_n - lo_n) / d
     eps = 2**12 * w * w / dist
     bound = min(10**9, int((2**10 * eps) ** -0.5)) if eps else 10**9
-    e_num, e_den = min(eps, w).as_integer_ratio()
-    p0, q0, p, q = 0, 1, 1, 0  # the last two convergents
-    while y:
-        a, r = divmod(x, y)
-        # the secant is p/q +- 1/(q (q x/y + q0)), within eps only if a > 2**9
-        if a > 2**9 and q and y * e_den <= e_num * q * (q * x + q0 * y):
-            break
-        p0, q0, p, q, x, y = p, q, a * p + p0, a * q + q0, y, r
-        if q > bound:
-            return None
-    return Fraction(p, q) if p and lo_n * q <= p * d <= hi_n * q else None
+    if not bound:  # far roots: no denominator is small enough
+        return None
+    cand = secant.limit_denominator(bound)
+    near = abs(cand - secant) <= min(eps, w)
+    return cand if cand and near and Fraction(lo_n, d) <= cand <= Fraction(hi_n, d) else None
 
 
 def _land(E: BoundaryEllipse, n: int, candidates, ladders, discarded):

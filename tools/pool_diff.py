@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 tools/pool_diff.py OLD_SRC NEW_SRC [--workload certify ...] [--show 20]
+    python3 tools/pool_diff.py OLD_SRC NEW_SRC
 
 ``OLD_SRC`` and ``NEW_SRC`` are directories holding a ``pellipse``
 package, such as the ``src`` of two checkouts.  The commands are the
@@ -15,9 +15,8 @@ exit code, its standard output and its figure are byte for byte the same.
 
 The report gives, per subcommand, the number of identical commands, and
 then the differing ones.  For a solve command it names the top-level JSON
-keys that differ (``caustics`` or ``discarded``); ``--show`` bounds the
-number listed per subcommand.  The exit code is 0 when every command is
-identical and 1 otherwise.
+keys that differ (``caustics`` or ``discarded``).  The exit code is 0
+when every command is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -38,11 +37,11 @@ ROOT = Path(__file__).resolve().parent.parent
 POOLS = ROOT / "perfbench" / "pools"
 
 
-def pool_commands(workloads) -> list[tuple[list[str], bool]]:
-    """The distinct ``(argv, svg)`` of the chosen workloads' pools, in pool order."""
+def pool_commands() -> list[tuple[list[str], bool]]:
+    """The distinct ``(argv, svg)`` of all pools, in pool order."""
     seen, out = set(), []
     for pool in ("dev", "holdout"):
-        for workload in workloads:
+        for workload in ("solve-table", "solve-scan", "certify", "simulate"):
             with open(POOLS / pool / f"{workload}.jsonl", encoding="utf-8") as fh:
                 next(fh)  # the pool's header
                 for line in fh:
@@ -140,10 +139,6 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old", nargs="?", help="the src directory of the reference tree")
     ap.add_argument("new", nargs="?", help="the src directory of the changed tree")
-    ap.add_argument("--workload", action="append",
-                    choices=("solve-table", "solve-scan", "certify", "simulate"),
-                    help="pools to take commands from (default: all four)")
-    ap.add_argument("--show", type=int, default=20, help="differing commands listed per subcommand")
     ap.add_argument("--worker", help=argparse.SUPPRESS)
     ap.add_argument("--full", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
@@ -153,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
     if not (args.old and args.new):
         ap.error("give the two src directories")
 
-    commands = pool_commands(args.workload or ("solve-table", "solve-scan", "certify", "simulate"))
+    commands = pool_commands()
     args.old, args.new = os.path.abspath(args.old), os.path.abspath(args.new)
     old, new = collect([run_tree(args.old, commands), run_tree(args.new, commands)])
     same, differ = defaultdict(int), defaultdict(list)
@@ -177,11 +172,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {sub:9s} {same[sub]:5d} of {total:5d} byte-identical")
     for sub, ids in sorted(differ.items()):
         print(f"differing {sub} commands ({len(ids)}):")
-        for i in ids[: args.show]:
+        for i in ids:
             cmd, svg = commands[i]
             print(f"  {' '.join(cmd)}{' --svg' if svg else ''}: {detail[i]}")
-        if len(ids) > args.show:
-            print(f"  ... and {len(ids) - args.show} more")
     return 1 if differ else 0
 
 
