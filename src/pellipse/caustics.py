@@ -300,7 +300,8 @@ def _level_roots(E: BoundaryEllipse, n: int, elliptic: bool, window=None):
     hyperbola range when both are (so ``n`` even).  A periodic root's
     ``tag`` is the least proper divisor ``d >= 3`` of ``n`` whose partition
     ``(d, k d / n)`` is integral and admitted as well, else ``n``: the root
-    closes after ``d`` steps.  A root the rule does not admit is
+    closes after ``d`` steps, and :func:`_periodic_roots` lands it on the
+    period-``d`` closure determinant.  A root the rule does not admit is
     elliptic-periodic when ``k`` and ``n`` are coprime (else it closes onto
     its mirror image after a proper divisor of ``n``); its ``tag`` is
     ``k``.  Each root is found by :func:`~pellipse.polys.regula_falsi` in
@@ -315,20 +316,25 @@ def _level_roots(E: BoundaryEllipse, n: int, elliptic: bool, window=None):
     window.
     """
     a, b = float(E.a), float(E.b)
-    far = rotation_ratio(a, b, math.inf)
-    # (ends of the variable, rho at those ends, the gamma range, variable ->
-    # gamma, parity rule on a partition (m, j)); rho increases with the
-    # variable on every range
+    # rho at gamma = +-inf, computed once a hyperbola range is searched
+    far = cache(partial(rotation_ratio, a, b, math.inf))
+    # (ends of the variable, rho at those ends when called, the gamma range,
+    # variable -> gamma, parity rule on a partition (m, j)); rho increases
+    # with the variable on every range
     both = lambda m, j: j % 2 == (m - j) % 2 == 0  # noqa: E731
     ranges = [
-        ((-1 / b, 0.0), (0.0, far), (-math.inf, -b), lambda u: 1 / u, both),
-        ((-b, 0.0), (0.0, 1.0), (-b, 0.0), float, lambda m, j: (m - j) % 2 == 0),
-        ((0.0, a), (0.0, 1.0), (0.0, a), float, lambda m, j: j % 2 == 0),
-        ((0.0, 1 / a), (far, 1.0), (a, math.inf), lambda u: 1 / u, both),
+        ((-1 / b, 0.0), lambda: (0.0, far()), (-math.inf, -b), lambda u: 1 / u, both),
+        ((-b, 0.0), lambda: (0.0, 1.0), (-b, 0.0), float, lambda m, j: (m - j) % 2 == 0),
+        ((0.0, a), lambda: (0.0, 1.0), (0.0, a), float, lambda m, j: j % 2 == 0),
+        ((0.0, 1 / a), lambda: (far(), 1.0), (a, math.inf), lambda u: 1 / u, both),
     ]
     roots = []
-    for (lo, hi), (r_lo, r_hi), (g_lo, g_hi), to_gamma, admits in ranges:
-        low, high = r_lo, r_hi
+    for (lo, hi), rho_ends, (g_lo, g_hi), to_gamma, admits in ranges:
+        ks = [k for k in range(1, n) if admits(n, k) != elliptic]
+        ks = [k for k in ks if not elliptic or math.gcd(k, n) == 1]
+        if not ks:  # no k of the wanted kind here: rho is not needed
+            continue
+        low, high = 0.0, 1.0
         if window is not None:
             w_lo, w_hi = max(window[0], g_lo), min(window[1], g_hi)
             if not w_lo < w_hi:
@@ -337,9 +343,9 @@ def _level_roots(E: BoundaryEllipse, n: int, elliptic: bool, window=None):
             rho_lo = rotation_ratio(a, b, w_lo) if w_lo else 0.0
             rho_hi = rotation_ratio(a, b, w_hi) if w_hi else 1.0
             low, high = min(rho_lo, rho_hi) - _SLACK, max(rho_lo, rho_hi) + _SLACK
-        for k in range(1, n):
-            skip = admits(n, k) == elliptic or elliptic and math.gcd(k, n) > 1
-            if skip or not (r_lo < k / n < r_hi and low <= k / n <= high):
+        r_lo, r_hi = rho_ends()
+        for k in ks:
+            if not (r_lo < k / n < r_hi and low <= k / n <= high):
                 continue
             divisors = (d for d in range(3, n) if n % d == 0 and k * d % n == 0)
             tag = k if elliptic else next((d for d in divisors if admits(d, k * d // n)), n)
@@ -438,19 +444,19 @@ def _exact_candidate(lo, hi, num: int, den: int, dist: float) -> Fraction | None
     return cand if cand and near and Fraction(lo_n, d) <= cand <= Fraction(hi_n, d) else None
 
 
-def _land(E: BoundaryEllipse, n: int, candidates, ladders, discarded):
+def _land(E: BoundaryEllipse, candidates, ladders, discarded):
     """Yield each ``(gamma, tag)`` candidate landed, as ``(gamma, exact, label)``.
 
-    ``ladders(gamma, tag)`` lists the ``(label, ladder)`` pairs whose
-    closure determinant may vanish at the root, in the order to try them;
-    the first that :func:`_landed` confirms gives the label.  A candidate
-    that none confirms is discarded with a reason.
+    ``ladders(gamma, tag)`` lists the ``(label, ladder, period)`` triples
+    whose closure determinant may vanish at the root, in the order to try
+    them; the first that :func:`_landed` confirms gives the label.  A
+    candidate that none confirms is discarded with a reason.
     """
     ia, ib = 1 / Fraction(E.a), 1 / Fraction(E.b)
     poles = (-float(E.b), 0.0, float(E.a))
     for gamma, tag in candidates:
-        for label, ladder in ladders(gamma, tag):
-            det = lambda p, q, lad=ladder: closure_det(ia, ib, Fraction(q, p), lad, n)  # noqa: E731
+        for label, ladder, m in ladders(gamma, tag):
+            det = lambda p, q: closure_det(ia, ib, Fraction(q, p), ladder, m)  # noqa: E731
             landed = _landed(det, gamma, poles)
             if landed is not None:
                 yield (*landed, label)
@@ -503,13 +509,16 @@ def _periodic_roots(E: BoundaryEllipse, n: int, discarded: list | None = None, w
     """Yield the landed ``(gamma, exact, None)`` candidates of period ``n``, ascending.
 
     They pass the spurious-root filter and close after ``n`` steps, found
-    without a simulation; :func:`generic_caustic_scan` validates them.  A
-    ``window`` of ``gamma`` locates and lands only the roots that
-    :func:`_level_roots` keeps for it.
+    without a simulation; :func:`generic_caustic_scan` validates them.
+    Each root lands on the closure determinant of the period ``d`` it is
+    tagged with, ``n`` or the least proper divisor it closes after, whose
+    Hankel block is the smaller; a root of period ``d < n`` is then
+    discarded on that determinant's sign change.  A ``window`` of
+    ``gamma`` locates and lands only the roots that :func:`_level_roots`
+    keeps for it.
     """
-    ladder = _periodic_ladder(n)
     located = _level_roots(E, n, False, window)
-    roots = _land(E, n, located, lambda gamma, d: [(d, ladder)], discarded)
+    roots = _land(E, located, lambda gamma, d: [(d, _periodic_ladder(d), d)], discarded)
     roots = _screen(roots, partial(_spurious_reason, E, n), discarded)
     return _of_period(n, roots, discarded)
 
@@ -624,9 +633,10 @@ def elliptic_caustics(
 
     def ladders(gamma, k):
         order = "E" if k % 2 else "D"
-        return sorted(_elliptic_candidates(E, gamma, n), key=lambda c: c[1] != order)
+        cases = sorted(_elliptic_candidates(E, gamma, n), key=lambda c: c[1] != order)
+        return [(case, ladder, n) for case, ladder in cases]
 
-    roots = _land(E, n, _level_roots(E, n, True), ladders, discarded)
+    roots = _land(E, _level_roots(E, n, True), ladders, discarded)
     return _results(E, n, _screen(roots, partial(_spurious_reason, E, 0), discarded))
 
 
@@ -638,13 +648,15 @@ def generic_caustic_scan(
     The caustic with partition ``(n, k)`` is the root of ``rho = k/n`` on
     a ``gamma`` range whose parity rule admits ``k`` (:func:`_level_roots`);
     ``rho`` is monotone on each range, so each admitted ``k`` has one root
-    there.  Roots that close after a proper divisor ``d`` of ``n`` are
+    there.  Each root lands on the exact periodic closure determinant
+    (``C`` ladder for odd periods, ``B`` for even) of the period it closes
+    after.  A root that closes after a proper divisor ``d`` of ``n`` lands
+    on the small period-``d`` block, whose sign change proves it, and is
     discarded as already periodic with period ``d``.  The others land on
-    the exact periodic closure determinant (``C`` ladder for odd ``n``,
-    ``B`` for even), which proves each, and are validated by a simulated
-    closure.  A root with no sign change of the determinant within reach
-    (a double root, or a light-like caustic near infinity) is discarded
-    with a reason.
+    the period-``n`` block, which proves each, and are validated by a
+    simulated closure.  A root with no sign change of its determinant
+    within reach (a double root, or a light-like caustic near infinity) is
+    discarded with a reason.
     """
     if n < 3:
         raise DomainError(f"periodic caustics require n >= 3, got n={n}")

@@ -511,9 +511,11 @@ def regula_falsi(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
     The midpoint is taken instead when the secant point is not inside the
     bracket or three steps have not halved it.  A point where ``f`` is
     exactly zero is returned at once; otherwise the bracket ends on two
-    adjacent floats and their rounded midpoint is returned.
+    adjacent floats, and the one where ``|f|``, unhalved, is smaller is
+    returned (the upper one on a tie).
     """
     up, kept, stalls, target = f_lo > 0, 0, 0, (hi - lo) / 2
+    v_lo, v_hi = f_lo, f_hi  # f at the ends, unhalved
     while (mid := (lo + hi) / 2) not in (lo, hi):
         x = lo + (hi - lo) * (f_lo / (f_lo - f_hi)) if stalls < 3 else mid
         x = x if lo < x < hi else mid
@@ -521,13 +523,13 @@ def regula_falsi(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
             return x
         if (v > 0) == up:  # x replaces lo; hi kept a second time is halved
             f_hi /= 2 if kept == 1 and x != mid else 1
-            lo, f_lo, kept = x, v, 1
+            lo, f_lo, v_lo, kept = x, v, v, 1
         else:
             f_lo /= 2 if kept == -1 and x != mid else 1
-            hi, f_hi, kept = x, v, -1
+            hi, f_hi, v_hi, kept = x, v, v, -1
         stalls = 0 if hi - lo <= target else stalls + 1
         target = (hi - lo) / 2 if stalls == 0 else target
-    return mid
+    return lo if abs(v_lo) < abs(v_hi) else hi
 
 
 def real_roots(c: Poly) -> list[Fraction]:

@@ -442,6 +442,87 @@ def test_exact_candidates_are_evaluated_only_in_the_rounding_interval(monkeypatc
     assert seen
 
 
+@pytest.mark.parametrize("n", [9, 12])
+@pytest.mark.parametrize("a, b", [(3, 2), (5, 11), (F(41, 7), F(7, 2)), (3, 10)])
+def test_divisor_roots_are_evaluated_on_their_own_period_only(monkeypatch, capsys, a, b, n):
+    # a root tagged with a proper divisor d of n closes after d steps: it
+    # lands on the small period-d block, never on the period-n one, and a
+    # root of period n on the period-n block only
+    tags, current, evals = {}, [], []
+    level_roots, landed, det = caustics._level_roots, caustics._landed, caustics.closure_det
+
+    def recorded_roots(*args):
+        tags.update(out := level_roots(*args))
+        return out
+
+    def recorded_landing(det, gamma, poles):
+        current.append(gamma)
+        return landed(det, gamma, poles)
+
+    def recorded_det(ia, ib, u, ladder, m):
+        evals.append((current[-1], ladder, m))
+        return det(ia, ib, u, ladder, m)
+
+    monkeypatch.setattr(caustics, "_level_roots", recorded_roots)
+    monkeypatch.setattr(caustics, "_landed", recorded_landing)
+    monkeypatch.setattr(caustics, "closure_det", recorded_det)
+    assert main(["solve", "--n", str(n), "--a", str(a), "--b", str(b)]) == 0
+    capsys.readouterr()
+    assert any(d < n for d in tags.values()) and any(d == n for d in tags.values())
+    assert {g for g, _, _ in evals} == set(tags)
+    for gamma, ladder, m in evals:
+        assert (ladder, m) == (_periodic_ladder(tags[gamma]), tags[gamma]), gamma
+
+
+@pytest.mark.parametrize("a, b", [(3, 2), (5, 11), (F(41, 7), F(7, 2)), (3, 10), (12, 3)])
+def test_divisor_discards_rest_on_their_own_periods_sign_change(a, b):
+    # every root discarded as already periodic with period d is proven so
+    # by the integer period-d determinant, which changes sign across the
+    # root's rounding interval
+    E = BoundaryEllipse(a, b)
+    ia, ib = 1 / F(a), 1 / F(b)
+    checked = 0
+    for n in (6, 8, 9, 10, 12):
+        disc = []
+        list(_periodic_roots(E, n, disc))
+        for entry in disc:
+            if not entry["reason"].startswith("already periodic with period "):
+                continue
+            d = int(entry["reason"].rsplit(" ", 1)[1])
+            g = entry["gamma"]
+            ends = (caustics._midpoint_above(x) for x in (math.nextafter(g, -math.inf), g))
+            lo, hi = (
+                caustics.closure_det(ia, ib, F(q, p), _periodic_ladder(d), d)[0] for p, q in ends
+            )
+            assert lo * hi <= 0, (n, d, g)
+            checked += 1
+    assert checked >= 10
+
+
+def _landed_on(E, gamma, m):
+    """The landing of ``gamma`` on the period-``m`` closure determinant."""
+    ia, ib = 1 / F(E.a), 1 / F(E.b)
+    det = lambda p, q: caustics.closure_det(ia, ib, F(q, p), _periodic_ladder(m), m)  # noqa: E731
+    return caustics._landed(det, gamma, (-float(E.b), 0.0, float(E.a)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    axes=st.sampled_from([(3, 2), (5, 11), (12, 3), (F(41, 7), F(7, 2)), (F(5, 3), F(35, 4))]),
+    k=st.integers(-12, 12),
+    n=st.sampled_from([6, 8, 9, 10, 12]),
+)
+def test_divisor_roots_land_alike_on_both_periods(axes, k, n):
+    # the period-n determinant vanishes at every root of the period-d one,
+    # so landing a root tagged d on either gives the one correctly rounded
+    # float, on int, fraction and 10**k-scaled axes
+    E = BoundaryEllipse(*(F(x) * F(10) ** k for x in axes))
+    for gamma, d in caustics._level_roots(E, n, False):
+        if d < n:
+            on_d, on_n = _landed_on(E, gamma, d), _landed_on(E, gamma, n)
+            assert (on_d and on_d[0]) == (on_n and on_n[0]), (n, d, gamma)
+
+
 def _level_gammas(a, b, n):
     """Sorted gamma of the caustics and the discards of the level-set solver."""
     disc = []

@@ -4,6 +4,7 @@ import dataclasses
 import importlib
 import inspect
 import json
+import math
 import os
 import pkgutil
 import subprocess
@@ -277,6 +278,25 @@ def test_snap_lands_only_the_roots_in_its_window(monkeypatch):
         width = 2e-3 * max(1.0, abs(caption))
         assert (len(located), len(landed)) == (count, lands), caption
         assert all(abs(g - caption) <= width for g, _ in located)
+
+
+def test_rho_at_infinity_only_for_the_hyperbola_ranges(monkeypatch):
+    # only the hyperbola ranges read rho at gamma = +-inf: a periodic solve
+    # of odd n admits no root there, and a snap window inside (0, a)
+    # searches neither; an even period reads it once
+    gammas, rho = [], caustics.rotation_ratio
+    monkeypatch.setattr(caustics, "rotation_ratio", lambda *a: gammas.append(a[2]) or rho(*a))
+    E = BoundaryEllipse(3, 2)
+    for n, window in ((9, None), (7, None), (6, (1.0, 1.2)), (8, (0.5, 0.7))):
+        gammas.clear()
+        list(caustics._periodic_roots(E, n, window=window))
+        assert gammas and math.inf not in gammas, n
+    gammas.clear()
+    assert cli._snap_gamma(E, 1.2, 6) == 1.2
+    assert gammas and math.inf not in gammas
+    gammas.clear()
+    list(caustics._periodic_roots(E, 6))
+    assert gammas.count(math.inf) == 1
 
 
 def test_solve_recovers_large_rational_roots(capsys):

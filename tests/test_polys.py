@@ -305,6 +305,15 @@ def test_regula_falsi_ends_on_adjacent_floats():
     assert calls == [1.5]
 
 
+@given(x=st.floats(0.75, 1.5), t=st.fractions(0, 1).filter(lambda t: t != F(1, 2)))
+def test_regula_falsi_returns_the_nearer_end(x, t):
+    # a root a share t of the way from the float x to the next one up: the
+    # end of the last bracket where |f| is smaller is the rounded root
+    root = F(x) + (F(math.nextafter(x, math.inf)) - F(x)) * t
+    f = lambda y: float(F(y) - root)  # noqa: E731
+    assert polys.regula_falsi(f, 0.5, 2.0, f(0.5), f(2.0)) == float(root)
+
+
 def _bisection_steps(f, lo, hi):
     """Steps of plain bisection on the floats to adjacent floats."""
     up, steps = f(lo) > 0, 0
