@@ -34,13 +34,7 @@ from fractions import Fraction
 from functools import cache, partial
 
 from . import polys
-from .cayley import (
-    _closure_blocks,
-    _elliptic_candidates,
-    _periodic_ladder,
-    case_symmetry,
-    closure_det,
-)
+from .cayley import _elliptic_candidates, _periodic_ladder, case_symmetry, closure_det
 from .config import CLOSURE
 from .dynamics import ClosureStatus, closure_status, simulate, start_on_caustic
 from .errors import DomainError, PellipseError
@@ -279,15 +273,19 @@ _STEPS = 6
 _SLACK = 1e-12
 
 
-def _normalized_det(E: BoundaryEllipse, gamma_f: float, n: int) -> float:
-    """The periodic closure determinant at ``gamma_f`` over its row scale.
+def _normalized_det(E: BoundaryEllipse, gamma_f: float, n: int) -> int:
+    """The sign, -1, 0 or 1, of the exact periodic closure determinant at ``gamma_f``.
 
     Nothing in the package calls it: the benchmark harness wraps it by name
     (``perfbench/tracing.py``, ``caustics.scan.det_evals``), so it stays
-    defined until the harness reads spans instead.
+    defined until the harness reads spans instead.  It reads
+    :func:`~pellipse.cayley.closure_det`, the one determinant every closure
+    verdict decides on, and returns its sign, the one value of it that no
+    scale of the block changes.
     """
-    ((value, scale),) = _closure_blocks(E, gamma_f, n, [_periodic_ladder(n)])
-    return float(value) / scale if scale > 0 else float(value)
+    ia, ib, u = (1 / Fraction(x) for x in (E.a, E.b, gamma_f))
+    num, _ = closure_det(ia, ib, u, _periodic_ladder(n), n)
+    return (num > 0) - (num < 0)
 
 
 def _level_roots(E: BoundaryEllipse, n: int, elliptic: bool, window=None):

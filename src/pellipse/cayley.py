@@ -18,16 +18,17 @@ ladders ``C``, ``D`` and ``E`` used by the closure conditions:
   determinant of ``D``, ``E`` or ``C`` vanishes, the ladder depending on
   the parity, the sign of ``gamma`` and the conic type of the caustic.
 
-Every closure block at period ``n`` ends at coefficient ``n - 1``, and the
-row scale of its floating-point zero test reads coefficient ``n``, so the
-verdicts build the base series up to coefficient ``n`` and no further.
-
 The series run in the common field of ``(a, b, gamma)``
 (:func:`pellipse.polys.to_field`): exact rational arithmetic for
 ``int``/``Fraction`` inputs, 50 significant digits when any input is a
 ``decimal.Decimal``, ``float`` otherwise.  :func:`closure_det` evaluates
-the same exact determinants in integers, in ``u = 1/gamma``, for the
-solvers' exact root landing.
+the same determinants exactly, in integers, in ``u = 1/gamma``, and it is
+the one source of every closure verdict: the solvers' root landing and
+:func:`is_periodic` and :func:`elliptic_case_test` for every input field,
+which read a float or ``Decimal`` as the exact rational it is and prove
+a root by a sign change of the determinant within a relative
+``ROOT_BRACKET`` of it.  No verdict compares a rounded determinant with a
+tolerance.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import polys
-from .config import HANKEL_ZERO
+from .config import ROOT_BRACKET
 from .errors import DomainError, InsufficientOrder
 from .geometry import BoundaryEllipse, ConicClass, classify_conic, degenerate_value
 
@@ -191,19 +192,26 @@ class TruncatedSeries:
 
 @dataclass(frozen=True)
 class PeriodicityVerdict:
-    """Outcome of the Hankel periodicity test for ``(gamma, n)``."""
+    """Outcome of the exact periodicity test for ``(gamma, n)``.
+
+    ``determinant_value`` is the exact closure determinant at ``gamma`` (a
+    ``Fraction``, for every input field).
+    """
 
     periodic: bool
-    determinant_value: object
+    determinant_value: Fraction
     n: int
 
 
 @dataclass(frozen=True)
 class EllipticVerdict:
-    """Outcome of the elliptic closure test: matched case letter or ``none``."""
+    """Outcome of the elliptic closure test: matched case letter or ``none``.
+
+    ``determinant_value`` is exact, as in :class:`PeriodicityVerdict`.
+    """
 
     case: str
-    determinant_value: object
+    determinant_value: Fraction
 
 
 def _check_gamma(E: BoundaryEllipse, gamma) -> None:
@@ -293,26 +301,6 @@ def hankel_test(S: TruncatedSeries, n: int):
         return polys.det(m)
 
 
-def _hankel_scale(scaled, start: int, size: int) -> float:
-    """Product of per-row magnitude scales of the Hankel block (zero test).
-
-    Each row contributes its Euclidean norm, floored by the geometric mean
-    of the series coefficients flanking the row.  The floor matters when a
-    row consists of coefficients that themselves vanish at the closure
-    condition (1 x 1 blocks in particular): the flanking coefficients give
-    the natural magnitude the row would have away from the root, so the
-    relative zero test remains meaningful there.  The last right flank is
-    coefficient ``start + 2 size - 1``, one past the end of the block.
-    """
-    prod = 1.0
-    for i in range(start, start + size):
-        norm = math.sqrt(sum(float(c) ** 2 for c in scaled[i : i + size]))
-        left = abs(float(scaled[i - 1]))
-        right = abs(float(scaled[i + size]))
-        prod *= max(norm, math.sqrt(left * right))
-    return prod
-
-
 def closure_det(ia: Fraction, ib: Fraction, u: Fraction, ladder: str, n: int) -> tuple[int, int]:
     """The exact closure determinant of ``ladder`` at period ``n`` as ``(num, den)`` integers.
 
@@ -325,9 +313,9 @@ def closure_det(ia: Fraction, ib: Fraction, u: Fraction, ladder: str, n: int) ->
     Each differs from the scaled series by the positive factor of one row
     and one column of the Hankel block, so the Bareiss determinant ``num``
     of the integer block over the product ``den > 0`` of those factors is
-    the value of :func:`_closure_blocks`' exact determinant, and ``num``
-    has its sign.  No ``Fraction`` arithmetic is done on the way, and the
-    quotient is left unreduced.
+    the value of :func:`hankel_test` on the exact series of ``ladder``,
+    and ``num`` has its sign.  No ``Fraction`` arithmetic is done on the
+    way, and the quotient is left unreduced.
     """
     d = math.lcm(ia.denominator, ib.denominator, u.denominator)
     Ia, Ib, Iu = (x.numerator * (d // x.denominator) for x in (ia, ib, u))
@@ -347,53 +335,57 @@ def closure_det(ia: Fraction, ib: Fraction, u: Fraction, ladder: str, n: int) ->
     return det, scale
 
 
-def _closure_blocks(E: BoundaryEllipse, gamma, n: int, ladders: list[str]) -> list[tuple]:
-    """``(determinant, row scale)`` of the closure block of each ladder at period ``n``.
+def _closure_roots(E: BoundaryEllipse, gamma, n: int):
+    """The root test of the closure determinants at ``gamma`` and period ``n``.
 
-    ``gamma`` is checked and the field resolved once, and one base series
-    serves every ladder.  It is built up to coefficient ``n``: each block
-    ends at coefficient ``n - 1`` and the row scale of its zero test reads
-    coefficient ``n``.  The scale is ``None`` in an exact field, where a
-    determinant is zero only when it is ``0``.
+    ``gamma`` is checked once, and the returned ``test(ladder)`` gives
+    ``(root, value)``: ``value`` is the exact determinant of ``ladder`` at
+    ``gamma`` (:func:`closure_det`) as a ``Fraction``.  An int or
+    ``Fraction`` ``gamma`` is a root when it is 0.  A float or ``Decimal``
+    ``gamma``, read as the exact rational it is, is a root when it is 0 or
+    its sign differs from that at one of the floats nearest
+    ``gamma (1 -+ ROOT_BRACKET)``; the determinant is a polynomial in
+    ``u = 1/gamma``, so the sign change proves a root between them.
     """
     _check_gamma(E, gamma)
-    field = polys.to_field(E.a, E.b, gamma)
-    exact = polys.is_exact(field[2])
-    blocks = []
-    with polys.field_context(field[2]):
-        bhat = _scaled_sqrt(*field, n)
-        for ladder in ladders:
-            scaled = bhat if ladder == "B" else _divided(bhat, ladder, field)
-            value = polys.det(_hankel_block(scaled, ladder, n))
-            scale = None if exact else _hankel_scale(scaled, *_hankel_layout(ladder, n))
-            blocks.append((value, scale))
-    return blocks
+    ia, ib = 1 / Fraction(E.a), 1 / Fraction(E.b)
+    u, g = 1 / Fraction(gamma), float(gamma)
+    ends = [] if polys.is_exact(gamma) else [g * (1 + s * ROOT_BRACKET) for s in (-1, 1)]
+
+    def test(ladder: str) -> tuple[bool, Fraction]:
+        num, den = closure_det(ia, ib, u, ladder, n)
+        root = not num or any(
+            num * closure_det(ia, ib, 1 / Fraction(x), ladder, n)[0] <= 0
+            for x in ends
+            if math.isfinite(x)
+        )
+        return root, Fraction(num, den)
+
+    return test
 
 
-def _det_is_zero(value, scale: float | None) -> bool:
-    if scale is None:
-        return value == 0
-    return abs(float(value)) <= HANKEL_ZERO * scale
-
-
-def _periodic_verdict(E: BoundaryEllipse, gamma, n: int, block: tuple) -> PeriodicityVerdict:
-    """Hankel verdict at period ``n`` from the periodic ladder's closure block."""
-    value, scale = block
+def _periodic_verdict(E: BoundaryEllipse, gamma, n: int, test) -> PeriodicityVerdict:
+    """The periodic ladder's verdict at period ``n`` from the root ``test`` at ``gamma``."""
+    root, value = test(_periodic_ladder(n))
     structural = n % 2 == 0 or classify_conic(gamma, E) is ConicClass.EllipseOfFamily
-    return PeriodicityVerdict(bool(_det_is_zero(value, scale) and structural), value, n)
+    return PeriodicityVerdict(root and structural, value, n)
 
 
 def is_periodic(E: BoundaryEllipse, gamma, n: int) -> PeriodicityVerdict:
-    """Hankel test for an ``n``-periodic trajectory with caustic ``gamma``.
+    """The exact closure test for an ``n``-periodic trajectory with caustic ``gamma``.
 
-    Uses the ``C`` ladder for odd ``n`` and the base series for even ``n``;
-    odd periods additionally require the caustic to be an ellipse of the
+    Uses the ``C`` ladder for odd ``n`` and the base series for even
+    ``n``, and decides on their exact determinant by the root test of
+    :func:`_closure_roots` for every input field: an int or ``Fraction``
+    ``gamma`` is periodic when it is a root, a float or ``Decimal`` one
+    when a root lies within a relative ``ROOT_BRACKET`` of it.  Odd
+    periods additionally require the caustic to be an ellipse of the
     confocal family (hyperbola caustics only support even periods).
+    ``determinant_value`` is the exact determinant at ``gamma``.
     """
     if n < 3:
         raise DomainError(f"periodicity test requires n >= 3, got {n}")
-    (block,) = _closure_blocks(E, gamma, n, [_periodic_ladder(n)])
-    return _periodic_verdict(E, gamma, n, block)
+    return _periodic_verdict(E, gamma, n, _closure_roots(E, gamma, n))
 
 
 def elliptic_case_test(E: BoundaryEllipse, gamma, n: int) -> EllipticVerdict:
@@ -406,20 +398,21 @@ def elliptic_case_test(E: BoundaryEllipse, gamma, n: int) -> EllipticVerdict:
     ``b`` (ellipse, ``gamma < 0``, ladder ``D``) and the hyperbola cases
     ``d`` (ladder ``E``) and ``e`` (ladder ``D``).  A ``gamma`` that is
     fully ``n``-periodic reports ``none``, as does one matching no case;
-    the latter carries the determinant of least magnitude.  One series,
-    up to coefficient ``n``, serves the periodicity test and every ladder.
+    the latter carries the determinant of least magnitude.  Each ladder is
+    decided as in :func:`is_periodic`, on its exact determinant, which
+    every verdict carries at ``gamma``.
     """
     if n < 2:
         raise DomainError(f"elliptic closure test requires n >= 2, got {n}")
-    cases = _elliptic_candidates(E, gamma, n)
-    periodic = [_periodic_ladder(n)] if n >= 3 else []
-    blocks = _closure_blocks(E, gamma, n, periodic + [ladder for _, ladder in cases])
-    if periodic:
-        pv = _periodic_verdict(E, gamma, n, blocks.pop(0))
+    test = _closure_roots(E, gamma, n)
+    if n >= 3:
+        pv = _periodic_verdict(E, gamma, n, test)
         if pv.periodic:
             return EllipticVerdict("none", pv.determinant_value)
-    for (case, _), (value, scale) in zip(cases, blocks):
-        if _det_is_zero(value, scale):
+    values = []
+    for case, ladder in _elliptic_candidates(E, gamma, n):
+        root, value = test(ladder)
+        if root:
             return EllipticVerdict(case, value)
-    least = min((value for value, _ in blocks), key=lambda v: abs(float(v)))
-    return EllipticVerdict("none", least)
+        values.append(value)
+    return EllipticVerdict("none", min(values, key=abs))

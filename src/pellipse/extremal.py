@@ -241,18 +241,20 @@ def _band_endpoints(a: float, b: float, g: float) -> tuple[float, float, float, 
 def pell_construct(E: BoundaryEllipse, gamma, n: int) -> PellPair:
     """Construct the primitive Pell pair for an ``n``-periodic caustic.
 
-    ``gamma`` must pass the Hankel periodicity test at period ``n``
-    (otherwise :class:`NoCertificate`: the certificate system has a trivial
-    null space).  Rational ``(a, b, gamma)`` are processed exactly; floats
-    are Newton-polished in 50-digit decimal arithmetic.
+    ``gamma``, as given, must pass the exact periodicity test
+    :func:`~pellipse.cayley.is_periodic` at period ``n`` (otherwise
+    :class:`NoCertificate`: the certificate system has a trivial null
+    space): an exact ``gamma`` must be a closure root, a float or
+    ``Decimal`` one must lie within a relative ``ROOT_BRACKET`` of one.
+    Rational ``(a, b, gamma)`` are processed exactly; floats are
+    Newton-polished in 50-digit decimal arithmetic.
     """
     if n < 3:
         raise DomainError(f"Pell construction requires n >= 3, got {n}")
-    verdict = is_periodic(E, float(gamma), n)
-    if not verdict.periodic:
+    if not is_periodic(E, gamma, n).periodic:
         raise NoCertificate(
-            f"no Pell certificate: Hankel test rejects gamma={float(gamma)!r} at n={n} "
-            f"(determinant {float(verdict.determinant_value):.3e}; null space trivial)"
+            f"no Pell certificate: the exact closure test rejects gamma={gamma} at n={n} "
+            "(null space trivial)"
         )
     ladder = _periodic_ladder(n)
     values = _polished_field(E, gamma, ladder, n)
@@ -390,10 +392,12 @@ def _band_brackets(p: list[int], qf: list[float], lo: Fraction, hi: Fraction, po
 def elliptic_pell_check(E: BoundaryEllipse, gamma, n: int, case: str):
     """Residual of the case identity for an elliptic ``n``-periodic caustic.
 
-    Verifies that ``gamma`` matches ``case`` (raising :class:`DomainError`
-    on mismatch), builds the case polynomial pair from the matching ladder
-    and returns the maximal coefficient of the identity defect — an exact
-    rational zero in rational mode, a float otherwise.  The five identities
+    Verifies that ``gamma``, as given, matches ``case`` by the exact test
+    :func:`~pellipse.cayley.elliptic_case_test` (raising
+    :class:`DomainError` on mismatch), builds the case polynomial pair
+    from the matching ladder and returns the maximal coefficient of the
+    identity defect — an exact rational zero in rational mode, a float
+    otherwise.  The five identities
     are, with ``A = s - 1/a``, ``Bp = s + 1/b``, ``G = s - 1/gamma``:
 
     * even, case a: ``s A p**2 - Bp G q**2 = 1``
@@ -407,11 +411,9 @@ def elliptic_pell_check(E: BoundaryEllipse, gamma, n: int, case: str):
     parity = "even" if n % 2 == 0 else "odd"
     if (parity, case) not in ELLIPTIC_CASES:
         raise DomainError(f"unknown elliptic case {case!r} for n={n}")
-    verdict = elliptic_case_test(E, float(gamma), n)
+    verdict = elliptic_case_test(E, gamma, n)
     if verdict.case != case:
-        raise DomainError(
-            f"case mismatch: gamma={float(gamma)!r} tests as {verdict.case!r}, not {case!r}"
-        )
+        raise DomainError(f"case mismatch: gamma={gamma} tests as {verdict.case!r}, not {case!r}")
     ladder = ELLIPTIC_CASES[(parity, case)]
     values = _polished_field(E, gamma, ladder, n)
     if values is None:

@@ -34,7 +34,13 @@ from pellipse.caustics import (
     _q3,
     _spurious_reason,
 )
-from pellipse.cayley import _closure_blocks, _elliptic_candidates, _periodic_ladder, is_periodic
+from pellipse.cayley import (
+    _elliptic_candidates,
+    _periodic_ladder,
+    closure_det,
+    elliptic_case_test,
+    is_periodic,
+)
 from pellipse.cli import main
 from pellipse.errors import DomainError
 from pellipse.extremal import kln_partition, rotation_ratio
@@ -364,11 +370,12 @@ _BRACKET_AXES = [
 
 @pytest.mark.parametrize("a, b", _BRACKET_AXES)
 def test_level_set_roots_bracket_an_exact_closure_root(a, b):
-    # the exact periodic closure determinant (the Fraction one, not the
-    # integer one that landed them) changes sign across the rounding
-    # interval of every reported caustic and every root discarded as
-    # already periodic: each is the correctly rounded closure root
+    # the exact period-n closure determinant changes sign across the
+    # rounding interval of every reported caustic and every root discarded
+    # as already periodic (which landed on its own period's determinant):
+    # each is the correctly rounded closure root
     E = BoundaryEllipse(a, b)
+    ia, ib = 1 / F(a), 1 / F(b)
     checked = 0
     for n in range(3, 13):
         disc = []
@@ -376,7 +383,7 @@ def test_level_set_roots_bracket_an_exact_closure_root(a, b):
         gammas += [d["gamma"] for d in disc if d["reason"].startswith("already periodic")]
         for g in gammas:
             ends = [(F(math.nextafter(g, t)) + F(g)) / 2 for t in (-math.inf, math.inf)]
-            lo, hi = (_closure_blocks(E, x, n, [_periodic_ladder(n)])[0][0] for x in ends)
+            lo, hi = (closure_det(ia, ib, 1 / x, _periodic_ladder(n), n)[0] for x in ends)
             assert lo * hi <= 0, (n, g)
             checked += 1
     assert checked >= 40
@@ -521,6 +528,28 @@ def test_divisor_roots_land_alike_on_both_periods(axes, k, n):
         if d < n:
             on_d, on_n = _landed_on(E, gamma, d), _landed_on(E, gamma, n)
             assert (on_d and on_d[0]) == (on_n and on_n[0]), (n, d, gamma)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    axes=st.sampled_from([(3, 2), (5, 11), (12, 3), (F(41, 7), F(7, 2)), (F(5, 3), F(35, 4))]),
+    k=st.integers(-12, 12),
+    n=st.integers(3, 12),
+)
+def test_the_verdicts_agree_with_every_landed_root(axes, k, n):
+    # is_periodic and elliptic_case_test on the float of each landed root
+    # (and on its exact value, when it has one) give the kind and the case
+    # it was landed with, on int and fraction axes scaled by 10**k
+    lam = 10**k if k >= 0 else F(1, 10**-k)
+    E = BoundaryEllipse(*(lam * x for x in axes))
+    for r in periodic_caustics(E, n):
+        for g in filter(None, (r.gamma, r.gamma_exact)):
+            assert is_periodic(E, g, n).periodic, (n, g)
+            assert elliptic_case_test(E, g, n).case == "none", (n, g)
+    for r in elliptic_caustics(E, n):
+        for g in filter(None, (r.gamma, r.gamma_exact)):
+            assert not is_periodic(E, g, n).periodic, (n, g)
+            assert elliptic_case_test(E, g, n).case == r.case, (n, g)
 
 
 def _level_gammas(a, b, n):

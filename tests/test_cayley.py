@@ -18,7 +18,6 @@ from pellipse import (
     is_periodic,
     case_symmetry,
 )
-from pellipse.config import HANKEL_ZERO
 from pellipse.errors import DomainError, InsufficientOrder
 from pellipse import cayley, polys
 
@@ -131,90 +130,55 @@ def test_elliptic_case_test_odd_fixture():
     assert elliptic_case_test(E, -1.2 + r, 3).case == "a"
 
 
-def test_elliptic_case_test_builds_one_series(monkeypatch):
-    # the periodicity test and every ladder share one base series, built
-    # up to coefficient n, and gamma is checked against the degenerate
-    # values once; the verdicts build the series without cubic_sqrt_series,
-    # so the builds are counted, with their orders, at _scaled_sqrt
-    orders, checks = [], []
-    scaled_sqrt, check_gamma = cayley._scaled_sqrt, cayley._check_gamma
+#: Rational closure roots and a non-root on the axes (6, 3) and (2, 4):
+#: ``(a, b, gamma, n, periodic, case)``; ``periodic`` is None at n = 2,
+#: below the periods of :func:`is_periodic`.  ab/(a + b), -ab/(a + b) and
+#: ab/(b - a) are the n = 4 roots and the n = 2 cases a, b and c.
+_RATIONAL_ROOTS = [
+    (6, 3, 2, 4, True, "none"),
+    (6, 3, -2, 4, True, "none"),
+    (6, 3, -6, 4, True, "none"),
+    (2, 4, F(4, 3), 4, True, "none"),
+    (6, 3, 2, 2, None, "a"),
+    (6, 3, -2, 2, None, "b"),
+    (6, 3, -6, 2, None, "c"),
+    (2, 4, F(-4, 3), 2, None, "b"),
+    (6, 3, 1, 4, False, "none"),
+    (6, 3, 1, 3, False, "none"),
+]
 
-    def counted_series(a, b, gamma, order):
-        orders.append(order)
-        return scaled_sqrt(a, b, gamma, order)
-
-    def counted_check(E, gamma):
-        checks.append(gamma)
-        return check_gamma(E, gamma)
-
-    monkeypatch.setattr(cayley, "_scaled_sqrt", counted_series)
-    monkeypatch.setattr(cayley, "_check_gamma", counted_check)
-    gamma = -1.2 - 0.8 * math.sqrt(6)
-    assert elliptic_case_test(BoundaryEllipse(6, 3), gamma, 3).case == "d"
-    assert orders == [3] and checks == [gamma]
-
-
-def _applicable_ladders(n):
-    return "BCDE" if n % 2 == 0 and n >= 4 else "CDE"
-
-
-def _reference_row_scale(scaled, start, size):
-    # the row scale as read off a series that runs well past the block
-    prod = 1.0
-    for i in range(size):
-        norm = math.sqrt(sum(float(scaled[start + i + j]) ** 2 for j in range(size)))
-        flank = abs(float(scaled[start + i - 1])) * abs(float(scaled[start + i + size]))
-        prod *= max(norm, math.sqrt(flank))
-    return prod
+#: The four input fields of the verdicts, from an exact rational.
+_FIELDS = [
+    lambda x: x,
+    F,
+    float,
+    lambda x: Decimal(F(x).numerator) / Decimal(F(x).denominator),
+]
 
 
-def test_closure_blocks_match_a_2n_plus_2_reference():
-    # the evaluator's series ends at coefficient n; its determinants, row
-    # scales and zero verdicts equal those read off a series of order
-    # 2n + 2, with zero and nonzero verdicts in each field
-    cases = [
-        (BoundaryEllipse(F(3), F(2)), F(4, 3)),
-        (BoundaryEllipse(F(2), F(4)), F(4, 3)),  # exactly 4-periodic
-        (BoundaryEllipse(F(5), F(3)), F(-15, 2)),  # exact elliptic case c at n = 2
-        (BoundaryEllipse(3, 2), 2.3322714928995234),  # 3-periodic
-        (BoundaryEllipse(6, 3), -1.2 - 0.8 * math.sqrt(6)),  # elliptic case d at n = 3
-        (BoundaryEllipse(F(7, 3), 2), Decimal("1.2")),
-        (BoundaryEllipse(Decimal(2), Decimal(4)), Decimal(4) / Decimal(3)),  # 4-periodic
-    ]
-    seen = set()
-    for E, gamma in cases:
-        for n in range(2, 13):
-            ladders = _applicable_ladders(n)
-            blocks = cayley._closure_blocks(E, gamma, n, list(ladders))
-            B = cubic_sqrt_series(E, gamma, 2 * n + 2)
-            for ladder, (value, scale) in zip(ladders, blocks):
-                S = B if ladder == "B" else divided_series(B, ladder)
-                ref = hankel_test(S, n)
-                assert type(value) is type(ref) and value == ref, (E, gamma, n, ladder)
-                if polys.is_exact(ref):
-                    assert scale is None
-                    ref_zero = ref == 0
-                else:
-                    layout = cayley._hankel_layout(ladder, n)
-                    assert scale == _reference_row_scale(S.scaled, *layout)
-                    ref_zero = abs(float(ref)) <= HANKEL_ZERO * scale
-                assert cayley._det_is_zero(value, scale) == ref_zero, (E, gamma, n, ladder)
-                seen.add((type(ref), ref_zero))
-    assert seen == {(kind, zero) for kind in (Fraction, float, Decimal) for zero in (True, False)}
+@pytest.mark.parametrize("a, b, gamma, n, periodic, case", _RATIONAL_ROOTS)
+def test_the_verdicts_are_one_exact_path_in_every_field(
+    monkeypatch, a, b, gamma, n, periodic, case
+):
+    # the same roots as int, Fraction, float and Decimal axes and gamma get
+    # the same verdicts, all read off the exact integer determinant: no
+    # verdict builds a series in a field or takes a field determinant
+    def forbidden(*args):
+        raise AssertionError("a verdict left the exact closure determinant")
 
-
-def test_closure_block_and_row_scale_end_at_coefficient_n():
-    # n + 1 distinct entries, coefficients 0..n, carry the block and its
-    # row scale at every n; without coefficient n the row scale fails
-    for n in range(2, 17):
-        scaled = list(range(1, n + 2))
-        for ladder in _applicable_ladders(n):
-            start, size = cayley._hankel_layout(ladder, n)
-            block = cayley._hankel_block(scaled, ladder, n)
-            assert block[-1][-1] == scaled[n - 1]
-            assert cayley._hankel_scale(scaled, start, size) > 0
-            with pytest.raises(IndexError):
-                cayley._hankel_scale(scaled[:n], start, size)
+    monkeypatch.setattr(cayley, "_scaled_sqrt", forbidden)
+    monkeypatch.setattr(polys, "det", forbidden)
+    for axis_field in _FIELDS:
+        E = BoundaryEllipse(axis_field(a), axis_field(b))
+        for gamma_field in _FIELDS:
+            g = gamma_field(gamma)
+            if periodic is not None:
+                pv = is_periodic(E, g, n)
+                assert pv.periodic is periodic, (E, g)
+                assert type(pv.determinant_value) is F
+            ev = elliptic_case_test(E, g, n)
+            assert ev.case == case, (E, g)
+            assert type(ev.determinant_value) is F
 
 
 def test_fully_periodic_is_not_elliptic():
@@ -288,15 +252,16 @@ def test_decimal_series_run_at_50_digits_with_fraction_axes_exact():
     ladder=st.sampled_from("BCDE"),
 )
 def test_closure_det_matches_the_fraction_determinant(k, a, b, gamma, n, ladder):
-    # the integer Hankel block differs from the scaled Fraction block by
-    # positive row and column factors, on every ladder and at every scale,
-    # so it gives the same value and, above all, the same sign
+    # the integer Hankel block differs from the scaled Fraction block of
+    # hankel_test by positive row and column factors, on every ladder and
+    # at every scale, so it gives the same value and, above all, the same sign
     assume(ladder != "B" or (n % 2 == 0 and n >= 4))
     lam = F(10) ** k
     E = BoundaryEllipse(lam * a, lam * b)
     gamma *= lam
     assume(gamma not in (0, E.a, -E.b))
-    ((det, _),) = cayley._closure_blocks(E, gamma, n, [ladder])
+    S = cubic_sqrt_series(E, gamma, n)
+    det = hankel_test(S if ladder == "B" else divided_series(S, ladder), n)
     assert F(*cayley.closure_det(1 / E.a, 1 / E.b, 1 / gamma, ladder, n)) == det
 
 

@@ -636,6 +636,15 @@ def test_certify_rejects_nonperiodic_gamma(capsys):
     assert json.loads(out)["error"] == "NoCertificate"
 
 
+def test_certify_tests_an_exact_gamma_as_given(capsys):
+    # 13 digits of the irrational 3-periodic root 2.3322714928995234...:
+    # its float passes the closure test, the rational itself does not
+    gamma = "--gamma=23322714928995/10000000000000"
+    rc, out = run(capsys, "certify", "--a", "3", "--b", "2", gamma, "--n", "3")
+    assert rc == 4
+    assert json.loads(out)["error"] == "NoCertificate"
+
+
 def test_checks_suites_all_pass(capsys):
     for suite in ("discriminants", "zolotarev3", "lightlike", "table"):
         rc, out = run(capsys, "checks", "--suite", suite)

@@ -17,6 +17,7 @@ from pellipse import (
     complete_K,
     elliptic_caustics,
     elliptic_pell_check,
+    is_periodic,
     jacobi_elliptic,
     kln_partition,
     lightlike_pell_check,
@@ -121,6 +122,39 @@ def test_pell_partition_3_1():
 def test_pell_requires_periodic_gamma():
     with pytest.raises(NoCertificate):
         pell_construct(BoundaryEllipse(3, 2), 1.0, 3)
+    # an exact gamma is tested as given, not as its float: 1e-12 off the
+    # root 4/3 is no root
+    with pytest.raises(NoCertificate):
+        pell_construct(BoundaryEllipse(2, 4), F(4, 3) + F(1, 10**12), 4)
+
+
+#: Gammas for the axes (3, 2), five at each n = 9..12, that the float
+#: Hankel zero test took for closure roots: the first such draws of
+#: ``random.Random(7).uniform(-1.9, 2.9)``, one stream over n = 9..12.
+_FLOAT_TEST_FALSE_POSITIVES = {
+    9: [-0.34560272880082055, -0.14469319881958942, 0.18149928157945228,
+        0.13769210788406694, 0.004066278323744843],
+    10: [-0.11249179491649008, 0.1524430672131336, 0.10698954456909071,
+         -0.04820107625578807, -0.023441424960509938],
+    11: [-1.5132097542393346, 0.2560995245567885, 0.7373115638913794,
+         -0.5635788903332937, 0.09342328261615318],
+    12: [-0.17789840640820098, 2.344125570551441, 2.697109779027158,
+         -1.1755796522026771, -0.7866070392662283],
+}
+
+
+def test_false_positives_of_the_float_zero_test_are_not_polished(monkeypatch):
+    # the exact closure verdict rejects each of them, so pell_construct
+    # raises NoCertificate at its gate, before any Newton polish
+    polished = []
+    monkeypatch.setattr(extremal, "_newton_polish", lambda *args: polished.append(args))
+    E = BoundaryEllipse(3, 2)
+    for n, gammas in _FLOAT_TEST_FALSE_POSITIVES.items():
+        for gamma in gammas:
+            assert not is_periodic(E, gamma, n).periodic, (n, gamma)
+            with pytest.raises(NoCertificate):
+                pell_construct(E, gamma, n)
+    assert polished == []
 
 
 def test_elliptic_pell_check_exact_and_mismatch():
@@ -130,6 +164,9 @@ def test_elliptic_pell_check_exact_and_mismatch():
     assert elliptic_pell_check(E, F(-15, 2), 2, "c") == 0
     with pytest.raises(DomainError):
         elliptic_pell_check(E, F(15, 8), 2, "b")
+    # an exact gamma is tested as given, not as its float
+    with pytest.raises(DomainError):
+        elliptic_pell_check(E, F(15, 8) + F(1, 10**12), 2, "a")
 
 
 def test_elliptic_pell_check_odd_float():
