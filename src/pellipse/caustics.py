@@ -20,9 +20,11 @@ landed root is then validated by an actual simulated trajectory that must
 close.
 
 The closure conditions of the small periods, polynomials in ``gamma``
-with coefficients polynomial in the squared semi-axes ``(a, b)``, stay as
-exact fixtures: their discriminants factor into strikingly small closed
-forms in ``(a, b)``, which :func:`discriminant_identity_check` verifies.
+with coefficients polynomial in the squared semi-axes ``(a, b)``, are
+generated from that same determinant by
+:func:`~pellipse.cayley.closure_poly`: their discriminants factor into
+strikingly small closed forms in ``(a, b)``, which
+:func:`discriminant_identity_check` verifies.
 """
 
 from __future__ import annotations
@@ -34,7 +36,14 @@ from fractions import Fraction
 from functools import cache, partial
 
 from . import polys
-from .cayley import _elliptic_candidates, _periodic_ladder, case_symmetry, closure_det
+from .cayley import (
+    _elliptic_candidates,
+    _periodic_ladder,
+    case_symmetry,
+    closure_degree,
+    closure_det,
+    closure_poly_gamma,
+)
 from .config import CLOSURE
 from .dynamics import ClosureStatus, closure_status, simulate, start_on_caustic
 from .errors import DomainError, PellipseError
@@ -50,137 +59,6 @@ __all__ = [
     "discriminant_identity_check",
     "DISCRIMINANT_IDENTITIES",
 ]
-
-
-# ---------------------------------------------------------------------------
-# condition polynomials (ascending coefficients in gamma)
-# ---------------------------------------------------------------------------
-
-
-def _p3(a, b):
-    """3-periodic condition (quadratic)."""
-    return [3 * a**2 * b**2, 2 * a * b * (a - b), -((a + b) ** 2)]
-
-
-def _p4(a, b):
-    """4-periodic condition: ``-(ab + (a+b)g)(ab + (a-b)g)(ab - (a+b)g)``."""
-    prod = polys.pmul(
-        polys.pmul([a * b, a + b], [a * b, a - b]), [a * b, -(a + b)]
-    )
-    return polys.pneg(prod)
-
-
-def _p5(a, b):
-    """5-periodic condition (sextic)."""
-    return [
-        5 * a**6 * b**6,
-        10 * a**5 * b**5 * (a - b),
-        -(a**4) * b**4 * (9 * a**2 + 34 * a * b + 9 * b**2),
-        -36 * a**3 * b**3 * (a - b) * (a + b) ** 2,
-        -(a**2) * b**2 * (29 * a**2 - 54 * a * b + 29 * b**2) * (a + b) ** 2,
-        -2 * a * b * (a - b) * (a - 3 * b) * (3 * a - b) * (a + b) ** 2,
-        (a + b) ** 6,
-    ]
-
-
-def _e2_quad(a, b):
-    """Odd E-ladder quadratic: elliptic cases a/d at n = 3, new factor at n = 6."""
-    return [a**2 * b**2, -2 * a * b * (a + b), -(a + b) * (3 * a - b)]
-
-
-def _d2_quad(a, b):
-    """Odd D-ladder quadratic: elliptic cases b/e at n = 3, new factor at n = 6."""
-    return [a**2 * b**2, 2 * a * b * (a + b), (a + b) * (a - 3 * b)]
-
-
-def _f3_quad(a, b):
-    """The complex-conjugate factor of the 6-periodic condition (no real roots)."""
-    return [a**2 * b**2, 2 * a * b * (a - b), (a + b) ** 2]
-
-
-def _p6_full(a, b):
-    """Full 6-periodic condition: 3-periodic factor times the three quadratics."""
-    out = _p3(a, b)
-    for f in (_d2_quad(a, b), _f3_quad(a, b), _e2_quad(a, b)):
-        out = polys.pmul(out, f)
-    return out
-
-
-def _p7(a, b):
-    """7-periodic condition (degree 12)."""
-    return [
-        7 * a**12 * b**12,
-        28 * a**11 * b**11 * (a - b),
-        -14 * a**10 * b**10 * (3 * a**2 + 14 * a * b + 3 * b**2),
-        -4 * a**9 * b**9 * (a - b) * (121 * a**2 + 250 * a * b + 121 * b**2),
-        -3 * a**8 * b**8 * (437 * a**2 - 726 * a * b + 437 * b**2) * (a + b) ** 2,
-        -24 * a**7 * b**7 * (a - b) * (75 * a**2 - 106 * a * b + 75 * b**2) * (a + b) ** 2,
-        -12
-        * a**6
-        * b**6
-        * (105 * a**4 - 420 * a**3 * b + 422 * a**2 * b**2 - 420 * a * b**3 + 105 * b**4)
-        * (a + b) ** 2,
-        -8
-        * a**5
-        * b**5
-        * (a - b)
-        * (21 * a**4 - 420 * a**3 * b - 50 * a**2 * b**2 - 420 * a * b**3 + 21 * b**4)
-        * (a + b) ** 2,
-        a**4
-        * b**4
-        * (7 * a**2 + 30 * a * b + 7 * b**2)
-        * (63 * a**4 - 84 * a**3 * b - 38 * a**2 * b**2 - 84 * a * b**3 + 63 * b**4)
-        * (a + b) ** 2,
-        28 * a**3 * b**3 * (a - b) * (13 * a**2 - 38 * a * b + 13 * b**2) * (a + b) ** 6,
-        2
-        * a**2
-        * b**2
-        * (59 * a**4 - 332 * a**3 * b + 626 * a**2 * b**2 - 332 * a * b**3 + 59 * b**4)
-        * (a + b) ** 6,
-        4 * a * b * (a - b) * (a - 3 * b) * (3 * a - b) * (a**2 - 6 * a * b + b**2) * (a + b) ** 6,
-        -((a + b) ** 12),
-    ]
-
-
-def _q1(a, b):
-    """Even D-ladder quartic: elliptic case a at n = 4, new factor at n = 8."""
-    return [
-        a**4 * b**4,
-        -4 * a**3 * b**3 * (a + b),
-        -2 * a**2 * b**2 * (a + b) * (5 * a - 3 * b),
-        -4 * a * b * (a + b) * (a - b) ** 2,
-        (a + b) ** 4,
-    ]
-
-
-def _q2(a, b):
-    """Even E-ladder quartic: elliptic case b at n = 4, new factor at n = 8."""
-    return [
-        a**4 * b**4,
-        4 * a**3 * b**3 * (a + b),
-        2 * a**2 * b**2 * (a + b) * (3 * a - 5 * b),
-        4 * a * b * (a + b) * (a - b) ** 2,
-        (a + b) ** 4,
-    ]
-
-
-def _q3(a, b):
-    """Even C-ladder quartic: elliptic case c at n = 4, new factor at n = 8."""
-    return [
-        a**4 * b**4,
-        4 * a**3 * b**3 * (a - b),
-        2 * a**2 * b**2 * (3 * a**2 + 2 * a * b + 3 * b**2),
-        4 * a * b * (a - b) * (a + b) ** 2,
-        (a**2 - 6 * a * b + b**2) * (a + b) ** 2,
-    ]
-
-
-def _p8_full(a, b):
-    """Full 8-periodic condition: 4-periodic factor times the three quartics."""
-    out = _p4(a, b)
-    for f in (_q1(a, b), _q2(a, b), _q3(a, b)):
-        out = polys.pmul(out, f)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -718,12 +596,35 @@ def _asym26(a, b):
     return sum(c * a ** (26 - i) * b**i for i, c in enumerate(coeffs))
 
 
-#: identity name -> (builder, closed-form discriminant, generic degree).
+def _identity(ladder: str, n: int, c: int, rhs):
+    """``(builder, rhs, generic degree)`` of one closure condition and its discriminant.
+
+    ``builder(a, b)`` is the closure condition of ``ladder`` at period
+    ``n`` as a polynomial in ``gamma``, ascending, from
+    :func:`~pellipse.cayley.closure_poly_gamma`, scaled to the constant
+    term ``c (a b)**g`` for the generic degree ``g`` of
+    :func:`~pellipse.cayley.closure_degree`.  Where the determinant has a
+    further factor ``u = 1/gamma``, its degree in ``gamma`` drops below ``g``.
+    """
+    degree = closure_degree(ladder, n)
+
+    def build(a, b) -> list:
+        p = closure_poly_gamma(1 / Fraction(a), 1 / Fraction(b), ladder, n)
+        return polys.pscale(p, c * (a * b) ** degree / Fraction(p[0]))
+
+    return build, rhs, degree
+
+
+#: identity name -> (builder, closed-form discriminant, generic degree): the
+#: periodic conditions of n = 3..8, named by their degree in ``gamma``, the
+#: elliptic quadratics of n = 3 and the elliptic quartics of n = 4.
 DISCRIMINANT_IDENTITIES = {
-    "G2": (_p3, lambda a, b: 16 * (a**2 + a * b + b**2) * a**2 * b**2, 2),
-    "G3": (_p4, lambda a, b: 64 * a**8 * b**8 * (a + b) ** 2, 3),
-    "G6": (
-        _p5,
+    "G2": _identity("C", 3, 3, lambda a, b: 16 * (a**2 + a * b + b**2) * a**2 * b**2),
+    "G3": _identity("B", 4, -1, lambda a, b: 64 * a**8 * b**8 * (a + b) ** 2),
+    "G6": _identity(
+        "C",
+        5,
+        5,
         lambda a, b: -5
         * 2**44
         * (
@@ -738,44 +639,43 @@ DISCRIMINANT_IDENTITIES = {
         * (a + b) ** 8
         * a**38
         * b**38,
-        6,
     ),
-    "G8": (
-        _p6_full,
-        lambda a, b: -(2**88) * (a**2 + a * b + b**2) * (a + b) ** 18 * a**74 * b**74,
+    "G8": _identity(
+        "B", 6, 3, lambda a, b: -(2**88) * (a**2 + a * b + b**2) * (a + b) ** 18 * a**74 * b**74
+    ),
+    "G12": _identity(
+        "C", 7, 7, lambda a, b: -(2**184) * 49 * (a + b) ** 40 * (a * b) ** 172 * _sym12(a, b)
+    ),
+    "G15": _identity(
+        "B",
         8,
-    ),
-    "G12": (
-        _p7,
-        lambda a, b: -(2**184) * 49 * (a + b) ** 40 * (a * b) ** 172 * _sym12(a, b),
-        12,
-    ),
-    "G15": (
-        _p8_full,
+        -1,
         lambda a, b: -(2**246)
         * (a * b) ** 278
         * (27 * a**2 + 46 * a * b + 27 * b**2)
         * (a + b) ** 20
         * _asym26(a, b)
         * _asym26(b, a),
-        15,
     ),
-    "G1e": (_e2_quad, lambda a, b: 16 * a**3 * b**2 * (a + b), 2),
-    "G2e": (_d2_quad, lambda a, b: 16 * a**2 * b**3 * (a + b), 2),
-    "G3e": (
-        _q1,
+    "G1e": _identity("E", 3, 1, lambda a, b: 16 * a**3 * b**2 * (a + b)),
+    "G2e": _identity("D", 3, 1, lambda a, b: 16 * a**2 * b**3 * (a + b)),
+    "G3e": _identity(
+        "D",
+        4,
+        1,
         lambda a, b: -(2**16) * a**16 * b**14 * (8 * a**2 + 8 * a * b + 27 * b**2) * (a + b) ** 4,
-        4,
     ),
-    "G4e": (
-        _q2,
+    "G4e": _identity(
+        "E",
+        4,
+        1,
         lambda a, b: -(2**16) * a**14 * b**16 * (27 * a**2 + 8 * a * b + 8 * b**2) * (a + b) ** 4,
-        4,
     ),
-    "G5e": (
-        _q3,
-        lambda a, b: -(2**16) * a**16 * b**16 * (a + b) ** 2 * (27 * a**2 + 46 * a * b + 27 * b**2),
+    "G5e": _identity(
+        "C",
         4,
+        1,
+        lambda a, b: -(2**16) * a**16 * b**16 * (a + b) ** 2 * (27 * a**2 + 46 * a * b + 27 * b**2),
     ),
 }
 
@@ -783,15 +683,17 @@ DISCRIMINANT_IDENTITIES = {
 def discriminant_identity_check(identity: str, a, b) -> Fraction:
     """Exact residual of one discriminant identity at rational ``(a, b)``.
 
-    Computes the discriminant of the named condition polynomial by exact
-    resultants and subtracts the closed form; the return value is ``0``
-    precisely when the identity holds.  Available names:
-    ``G2 G3 G6 G8 G12 G15`` (periodic conditions for n = 3..8) and
-    ``G1e``-``G5e`` (elliptic factors: the two odd quadratics and the
-    three even quartics).  Pairs where the condition polynomial degenerates
-    (its leading coefficient vanishes, e.g. ``a = b`` for ``G3`` or
-    ``a = 3b`` for ``G2e``) are outside the identity's domain and raise
-    :class:`DomainError`.
+    Computes the discriminant of the named condition polynomial in
+    ``gamma``, generated from the exact closure determinant by
+    :func:`~pellipse.cayley.closure_poly`, by exact resultants and
+    subtracts the paper's closed form; the return value is ``0`` precisely
+    when the identity holds.  Available names: ``G2 G3 G6 G8 G12 G15``
+    (periodic conditions for n = 3..8) and ``G1e``-``G5e`` (elliptic
+    conditions: the ``E`` and ``D`` quadratics of n = 3 and the ``D``,
+    ``E`` and ``C`` quartics of n = 4).  Pairs where the condition
+    polynomial degenerates (its leading coefficient vanishes, e.g.
+    ``a = b`` for ``G3`` or ``a = 3b`` for ``G2e``) are outside the
+    identity's domain and raise :class:`DomainError`.
     """
     if identity not in DISCRIMINANT_IDENTITIES:
         names = " ".join(sorted(DISCRIMINANT_IDENTITIES))

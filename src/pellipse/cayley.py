@@ -28,7 +28,8 @@ the one source of every closure verdict: the solvers' root landing and
 which read a float or ``Decimal`` as the exact rational it is and prove
 a root by a sign change of the determinant within a relative
 ``ROOT_BRACKET`` of it.  No verdict compares a rounded determinant with a
-tolerance.
+tolerance.  :func:`closure_poly` interpolates the same determinant into
+the closure condition as an integer polynomial in ``u``.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ __all__ = [
     "PeriodicityVerdict",
     "EllipticVerdict",
     "closure_det",
+    "closure_poly",
     "cubic_sqrt_series",
     "divided_series",
     "hankel_test",
@@ -301,6 +303,17 @@ def hankel_test(S: TruncatedSeries, n: int):
         return polys.det(m)
 
 
+def closure_degree(ladder: str, n: int) -> int:
+    """``size (start + size - 1)`` for the Hankel layout ``(start, size)``: the degree in ``gamma``.
+
+    The generic degree of the closure condition of ``ladder`` at period
+    ``n`` as a polynomial in ``gamma``, and the power of ``4D`` in the
+    scale of :func:`closure_det`.
+    """
+    start, size = _hankel_layout(ladder, n)
+    return size * (start + size - 1)
+
+
 def closure_det(ia: Fraction, ib: Fraction, u: Fraction, ladder: str, n: int) -> tuple[int, int]:
     """The exact closure determinant of ``ladder`` at period ``n`` as ``(num, den)`` integers.
 
@@ -331,8 +344,50 @@ def closure_det(ia: Fraction, ib: Fraction, u: Fraction, ladder: str, n: int) ->
     start, size = _hankel_layout(ladder, n)
     det = polys._bareiss_det([[B[start + i + j] for j in range(size)] for i in range(size)])
     # row i carries (4D)**(start + i), times D on a ladder, and column j (4D)**j
-    scale = (4 * d) ** (size * (start + size - 1)) * (d**size if ladder != "B" else 1)
+    scale = (4 * d) ** closure_degree(ladder, n) * (d**size if ladder != "B" else 1)
     return det, scale
+
+
+def closure_poly(ia: Fraction, ib: Fraction, ladder: str, n: int) -> list[int]:
+    """The numerator of :func:`closure_det` as an integer polynomial in ``Iu``, ascending.
+
+    With ``D`` the lcm of the denominators of ``ia = 1/a`` and ``ib = 1/b``
+    and ``u = Iu/D``, the scale of :func:`closure_det` is fixed, and its
+    numerator is a polynomial with integer coefficients in the integer
+    ``Iu``: these are the Cayley-type closure conditions of the paper,
+    generated, not typed.  Its degree is at most ``deg``, the
+    :func:`closure_degree` ``size (start + size - 1)`` of the Hankel layout
+    ``(start, size)`` of ``ladder`` at period ``n``, plus ``size`` on the
+    ``C`` ladder, whose every row carries the factor ``Iu``, so that its
+    polynomial is divisible by ``Iu**size``.  The numerator at
+    ``Iu = 0 .. deg`` gives the Newton forward differences, integers
+    divisible by ``k!`` at order ``k``, and the falling-factorial basis is
+    expanded by Horner's rule.  The list has ``deg + 1`` entries, the top
+    ones 0 where the degree drops.
+    """
+    deg = closure_degree(ladder, n) + (_hankel_layout(ladder, n)[1] if ladder == "C" else 0)
+    d = math.lcm(ia.denominator, ib.denominator)
+    diffs = [closure_det(ia, ib, Fraction(i, d), ladder, n)[0] for i in range(deg + 1)]
+    for k in range(1, deg + 1):  # diffs[k] becomes the k-th difference at 0
+        for i in range(deg, k - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    poly = [0] * (deg + 1)
+    for k in range(deg, -1, -1):  # poly <- poly * (Iu - k) + diffs[k] / k!
+        poly = [poly[i - 1] - k * poly[i] if i else -k * poly[0] for i in range(deg + 1)]
+        poly[0] += diffs[k] // math.factorial(k)
+    return poly
+
+
+def closure_poly_gamma(ia: Fraction, ib: Fraction, ladder: str, n: int) -> list[int]:
+    """The closure condition of ``ladder`` at period ``n`` in ``gamma``, ascending, integer.
+
+    ``gamma**deg P(D/gamma)`` for the polynomial ``P(Iu)`` of
+    :func:`closure_poly`, ``u = Iu/D = 1/gamma``, trimmed: the factor
+    ``u**size`` of the ``C`` ladder is the zero top it drops.  Its degree
+    is :func:`closure_degree` unless ``P`` has a further factor ``u``.
+    """
+    d = math.lcm(ia.denominator, ib.denominator)
+    return polys.trim([c * d**i for i, c in enumerate(closure_poly(ia, ib, ladder, n))][::-1])
 
 
 def _closure_roots(E: BoundaryEllipse, gamma, n: int):

@@ -661,14 +661,7 @@ def complete_K(k: float) -> float:
     """Complete elliptic integral ``K(k)``; requires ``0 <= k < 1``."""
     if not 0 <= k < 1:
         raise DomainError(f"complete_K requires 0 <= k < 1, got {k}")
-    a0, b0 = 1.0, math.sqrt(1.0 - k * k)
-    for _ in range(40):
-        # quadratic convergence: stopping at 1e-15 leaves an O(1e-30) error,
-        # while a tighter bound can stall one ulp short and never exit
-        if abs(a0 - b0) <= 1e-15 * a0:
-            break
-        a0, b0 = (a0 + b0) / 2, math.sqrt(a0 * b0)
-    return math.pi / (a0 + b0)
+    return math.pi / (2 * _agm(1.0, math.sqrt(1 - k * k)))
 
 
 def jacobi_elliptic(u: float, k: float) -> tuple[float, float, float]:

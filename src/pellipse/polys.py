@@ -350,12 +350,17 @@ def _prem(u: list[int], v: list[int]) -> list[int]:
     return _int_poly(r)
 
 
+def _gcd(u: list[int], v: list[int]) -> list[int]:
+    """A gcd of the primitive integer ``u`` and ``v``, primitive: Euclid on :func:`_prem`."""
+    while v != [0]:
+        u, v = v, _prem(u, v)
+    return u
+
+
 def squarefree_part(c: Poly) -> list[int]:
     """``p / gcd(p, p')`` as a primitive integer polynomial: same real roots, all simple."""
     p = _int_poly(c)
-    u, v = p, _int_poly(pderiv(p))
-    while v != [0]:
-        u, v = v, _prem(u, v)
+    u = _gcd(p, _int_poly(pderiv(p)))
     if len(u) == 1:
         return p
     q, r = pdivmod(p, [Fraction(a, u[-1]) for a in u])  # by the monic gcd

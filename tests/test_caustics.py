@@ -4,6 +4,7 @@ import json
 import math
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings
@@ -21,27 +22,18 @@ from pellipse import (
     generic_caustic_scan,
     periodic_caustics,
 )
-from pellipse.caustics import (
-    _d2_quad,
-    _e2_quad,
-    _p3,
-    _p4,
-    _p5,
-    _p7,
-    _periodic_roots,
-    _q1,
-    _q2,
-    _q3,
-    _spurious_reason,
-)
+from pellipse.caustics import _level_roots, _periodic_roots, _spurious_reason
 from pellipse.cayley import (
+    ELLIPTIC_CASES,
     _elliptic_candidates,
     _periodic_ladder,
     closure_det,
+    closure_poly_gamma,
     elliptic_case_test,
     is_periodic,
 )
 from pellipse.cli import main
+from pellipse.config import DEGENERATE
 from pellipse.errors import DomainError
 from pellipse.extremal import kln_partition, rotation_ratio
 from pellipse.geometry import degenerate_value
@@ -68,6 +60,32 @@ def test_closed_form_n4_exact():
 def test_closed_form_bad_period():
     with pytest.raises(DomainError):
         closed_form_caustics(BoundaryEllipse(3, 2), 5)
+
+
+def test_closed_form_n4_values_are_exact_closure_roots():
+    # the exact period-4 closure determinant vanishes at each closed form
+    axes = [(5, 3), (3, 2), (12, 2), (7, 11), (F(41, 7), F(7, 2)), (F(3, 10**12), F(2, 10**12))]
+    axes.append((F(41, 7) * 10**6, F(7, 2) * 10**6))
+    for a, b in axes:
+        values = closed_form_caustics(BoundaryEllipse(a, b), 4)
+        assert len(values) == 3
+        assert all(closure_det(1 / F(a), 1 / F(b), 1 / v, "B", 4)[0] == 0 for v in values), (a, b)
+
+
+_axis = st.one_of(st.integers(1, 60), st.fractions(F(1, 9), 60, max_denominator=9))
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=_axis, b=_axis, k=st.integers(-12, 12))
+def test_closed_form_n3_surds_lie_near_the_exact_roots(a, b, k):
+    # the surds are floats, not correctly rounded: within 8 units in the
+    # last place of the exact real roots of the generated condition (4.1
+    # measured), on int and fraction axes scaled by 10**k
+    E = BoundaryEllipse(F(a) * F(10) ** k, F(b) * F(10) ** k)
+    roots = [float(r) for r in polys.real_roots(gamma_poly(E, "C", 3))]
+    got = closed_form_caustics(E, 3)
+    assert len(roots) == len(got) == 2
+    assert all(abs(g - r) <= 8 * math.ulp(r) for g, r in zip(got, roots)), (got, roots)
 
 
 def test_periodic_caustics_n3_validated():
@@ -153,8 +171,9 @@ def test_generic_scan_discards_lower_periods():
 
 
 # ---------------------------------------------------------------------------
-# the table oracle: the closure conditions of the small periods as explicit
-# polynomials in gamma, whose exact real roots check the level-set source
+# the table oracle: the closure conditions as explicit polynomials in gamma,
+# generated from the exact determinant, whose exact real roots check the
+# level-set source; literal fixtures of the small periods check the generator
 # ---------------------------------------------------------------------------
 
 
@@ -199,35 +218,138 @@ def _d5_sextic(a, b):
     ]
 
 
-#: The factors whose real roots are the new n-periodic caustics (factors
-#: of shorter periods and without real roots left out).
-PERIODIC_FACTORS = {
-    3: (_p3,),
-    4: (_p4,),
-    5: (_p5,),
-    6: (_d2_quad, _e2_quad),
-    7: (_p7,),
-    8: (_q1, _q2, _q3),
-}
+#: (period, ladder, literal condition in gamma) of the small elliptic periods.
+_LITERAL_FIXTURES = [
+    (2, "D", _lin_d),
+    (2, "E", _lin_e),
+    (2, "C", _lin_c),
+    (5, "E", _e5_sextic),
+    (5, "D", _d5_sextic),
+]
 
-#: The mirror-closure factors per period: (ladder, builder).
-ELLIPTIC_FACTORS = {
-    2: (("D", _lin_d), ("E", _lin_e), ("C", _lin_c)),
-    3: (("E", _e2_quad), ("D", _d2_quad)),
-    4: (("D", _q1), ("E", _q2), ("C", _q3)),
-    5: (("E", _e5_sextic), ("D", _d5_sextic)),
-}
+#: The ladders of the elliptic closure cases at even and at odd periods.
+_ELLIPTIC_LADDERS = {0: "DEC", 1: "ED"}
 
 
-def _table_roots(E, factors):
-    """``(gamma, exact, ladder)`` per real root of ``(ladder, builder)`` factors, exactly."""
-    a, b = F(E.a), F(E.b)
-    for ladder, builder in factors:
-        coeffs = polys.trim(builder(a, b))
-        for root in polys.real_roots(coeffs) if len(coeffs) > 1 else []:
-            cand = root.limit_denominator(10**9)
-            exact = cand if polys.peval(coeffs, cand) == 0 else None
-            yield float(root), exact, ladder
+@cache
+def gamma_poly(E, ladder, n):
+    """The closure condition of ``ladder`` at period ``n`` in ``gamma``, ascending, exactly."""
+    return closure_poly_gamma(1 / F(E.a), 1 / F(E.b), ladder, n)
+
+
+def _without(p, others):
+    """``p``, primitive, divided by its gcd with each of ``others``."""
+    p = polys._int_poly(p)
+    for q in others:
+        p = _divide(p, polys._gcd(p, polys._int_poly(q)))
+    return p
+
+
+def _divide(p, u):
+    """``p / u`` for primitive integer polynomials, ``u`` a factor: integral by Gauss's lemma.
+
+    In integers: ``polys.pdivmod``, in ``Fraction`` over a field, is far
+    slower at these sizes.
+    """
+    q, r = [], list(p)
+    while len(r) >= len(u):
+        c, rem = divmod(r[-1], u[-1])
+        shift = len(r) - len(u)
+        r = [x - c * u[i - shift] if i >= shift else x for i, x in enumerate(r)][:-1]
+        q.append(c)
+        assert rem == 0
+    assert not any(r)
+    return q[::-1]
+
+
+def periodic_factor(E, n):
+    """The factor of the period-``n`` condition whose real roots are new ``n``-periodic caustics.
+
+    The roots of each proper divisor period ``d >= 3`` are divided out.
+    """
+    shorter = [gamma_poly(E, _periodic_ladder(d), d) for d in range(3, n) if n % d == 0]
+    return _without(gamma_poly(E, _periodic_ladder(n), n), shorter)
+
+
+def elliptic_factors(E, n):
+    """``(ladder, factor)`` per elliptic ladder at period ``n``, without shorter mirror closures.
+
+    A root that closes onto its mirror image after a proper divisor ``d``
+    of ``n`` does so after ``n`` steps too when ``n/d`` is odd.
+    """
+    shorter = [
+        gamma_poly(E, ladder, d)
+        for d in range(2, n)
+        if n % d == 0 and (n // d) % 2
+        for ladder in _ELLIPTIC_LADDERS[d % 2]
+    ]
+    ladders = _ELLIPTIC_LADDERS[n % 2]
+    return [(ladder, _without(gamma_poly(E, ladder, n), shorter)) for ladder in ladders]
+
+
+def _variations_at(chain, side):
+    """Sturm's sign variations of ``chain`` at ``+inf`` (``side`` 1) or ``-inf`` (``side`` -1)."""
+    signs = [side ** (len(p) - 1) * (1 if p[-1] > 0 else -1) for p in chain]
+    return sum(x != y for x, y in zip(signs, signs[1:]))
+
+
+def _root_count(f, E, keep):
+    """Sturm's count of the distinct real roots ``r`` of square-free ``f`` with ``keep(float(r))``.
+
+    ``keep`` must be constant between the cuts: ``-b``, 0 and ``a``, and
+    the ends of the windows of the degenerate-value screen around them.
+    The count between two cuts is the drop of Sturm's sign variations.
+    """
+    chain = polys._sturm(f)
+    assert len(chain[-1]) == 1, "not square-free"
+    width = F(DEGENERATE)
+    cuts = sorted({F(v) + s * width * (1 + abs(F(v))) for v in (-E.b, 0, E.a) for s in (-1, 0, 1)})
+    inner = [cuts[0] - 1, *((x + y) / 2 for x, y in zip(cuts, cuts[1:])), cuts[-1] + 1]
+
+    @cache
+    def var(i):  # at cuts[i]; -inf before the first cut, +inf after the last
+        if i in (-1, len(cuts)):
+            return _variations_at(chain, -1 if i < 0 else 1)
+        return polys._variations(chain, cuts[i])
+
+    return sum(var(i - 1) - var(i) for i, x in enumerate(inner) if keep(float(x)))
+
+
+def _rounds_a_root(f, gamma, exact):
+    """Whether the float ``gamma`` is a root of ``f`` correctly rounded, rational as ``exact`` says.
+
+    An ``exact`` root must round to ``gamma``.  Otherwise ``f`` changes
+    sign across the rounding interval of ``gamma``, and the root has no
+    rational with a denominator up to ``10**9`` next to it: once the
+    bracket is narrower than ``10**-18``, the least gap between two such
+    rationals, the nearest of them is the only one it can be.
+    """
+    if exact is not None:
+        return float(exact) == gamma and polys.peval(f, exact) == 0
+    lo, hi = (F(*caustics._midpoint_above(x)) for x in (math.nextafter(gamma, -math.inf), gamma))
+    sign = polys._sign_at(f, lo)
+    if sign * polys._sign_at(f, hi) >= 0:
+        return False
+    while hi - lo > F(1, 10**18):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if polys._sign_at(f, mid) == sign else (lo, mid)
+    cand = ((lo + hi) / 2).limit_denominator(10**9)
+    return not (lo <= cand <= hi and polys.peval(f, cand) == 0)
+
+
+def _assert_one_for_one(f, E, keep, landed):
+    """The landed ``(gamma, exact)`` are the real roots of ``f`` that ``keep`` keeps, one for one.
+
+    The floats are distinct, ascending and kept, each rounds a root of
+    ``f``, and so distinct roots, for the rounding intervals of distinct
+    floats are disjoint; there are as many as Sturm counts on the kept
+    ranges.
+    """
+    gammas = [gamma for gamma, _ in landed]
+    assert gammas == sorted(set(gammas)), gammas
+    assert all(keep(gamma) for gamma in gammas), gammas
+    assert _root_count(f, E, keep) == len(landed), gammas
+    assert all(_rounds_a_root(f, gamma, exact) for gamma, exact in landed), landed
 
 
 #: Axes for the oracle: integer, fraction and 10**k-scaled, none light-like.
@@ -245,39 +367,90 @@ _ORACLE_AXES = [
 ]
 
 
-def test_generic_scan_matches_closed_forms():
-    # the exact real roots of the periodic condition polynomials, rounded
-    # to floats, are the landed level-set roots bit for bit, with their
-    # exact values, for n = 3..8
+@pytest.mark.parametrize("a, b", _ORACLE_AXES)
+def test_literal_fixtures_are_the_generated_conditions(a, b):
+    # the conditions of the small periods typed out by hand are the
+    # generated ones up to a constant factor
+    E = BoundaryEllipse(a, b)
+    for n, ladder, fixture in _LITERAL_FIXTURES:
+        got, want = gamma_poly(E, ladder, n), polys.trim(fixture(F(a), F(b)))
+        assert len(got) == len(want), (n, ladder)
+        assert all(g * want[0] == w * got[0] for g, w in zip(got, want)), (n, ladder)
+
+
+@pytest.fixture
+def unsimulated(monkeypatch):
+    """The solvers without their simulated validation, which the oracle does not read."""
+    monkeypatch.setattr(caustics, "_sim_closure", lambda *args, **kwargs: (False, None, None, None))
+
+
+def test_generic_scan_matches_closed_forms(unsimulated):
+    # the landed level-set roots are the exact real roots of the periodic
+    # condition polynomials rounded to floats, bit for bit, with their exact
+    # values, for n = 3..12: Sturm's theorem counts the roots on the ranges
+    # the spurious-root filter keeps, and each reported float rounds one
     for a, b in _ORACLE_AXES:
         E = BoundaryEllipse(a, b)
-        for n, builders in PERIODIC_FACTORS.items():
-            want = _table_roots(E, [(None, builder) for builder in builders])
-            want = sorted(r[:2] for r in want if _spurious_reason(E, n, r[0]) is None)
+        for n in range(3, 13):
+            f = periodic_factor(E, n)
             got = [(r.gamma, r.gamma_exact) for r in generic_caustic_scan(E, n)]
-            assert got == want, (a, b, n)
-            assert [r[:2] for r in _periodic_roots(E, n)] == want, (a, b, n)
+            keep = lambda g: _spurious_reason(E, n, g) is None  # noqa: E731
+            _assert_one_for_one(f, E, keep, got)
 
 
 @pytest.mark.parametrize("a, b", _ORACLE_AXES)
-def test_elliptic_caustics_match_the_table_roots(a, b):
-    # the same for the mirror-closure factors, n = 2..5: each landed root
-    # takes the case of the ladder whose factor has it as a root
+def test_elliptic_caustics_match_the_table_roots(unsimulated, a, b):
+    # the same for the mirror-closure factors, n = 2..12, ladder by ladder:
+    # the landed roots ascend, each takes the case of a ladder of its parity
+    # whose factor has it as a root, and the count runs over the ranges
+    # where that ladder is open
     E = BoundaryEllipse(a, b)
-    for n, factors in ELLIPTIC_FACTORS.items():
-        want = []
-        for gamma, exact, ladder in _table_roots(E, factors):
-            cases = [c for c, lad in _elliptic_candidates(E, gamma, n) if lad == ladder]
-            if cases and _spurious_reason(E, 0, gamma) is None:
-                want.append((gamma, exact, cases[0]))
-        got = [(r.gamma, r.gamma_exact, r.case) for r in elliptic_caustics(E, n)]
-        assert got == sorted(want), (a, b, n)
+    for n in range(2, 13):
+        got, parity = elliptic_caustics(E, n), "odd" if n % 2 else "even"
+        assert [r.gamma for r in got] == sorted(r.gamma for r in got), n
+        ladders = {ELLIPTIC_CASES[parity, r.case] for r in got}
+        assert ladders <= set(_ELLIPTIC_LADDERS[n % 2]), (n, ladders)
+        for ladder, f in elliptic_factors(E, n):
+            mine = [r for r in got if ELLIPTIC_CASES[parity, r.case] == ladder]
+            keep = lambda g: (  # noqa: E731
+                ladder in [lad for _, lad in _elliptic_candidates(E, g, n)]
+                and _spurious_reason(E, 0, g) is None
+            )
+            _assert_one_for_one(f, E, keep, [(r.gamma, r.gamma_exact) for r in mine])
+            for r in mine:
+                cases = [c for c, lad in _elliptic_candidates(E, r.gamma, n) if lad == ladder]
+                assert r.case == cases[0], (n, r.gamma)
+
+
+def _sturm_count(E, ladder, n):
+    """Sturm's count of the distinct real roots ``gamma`` of the closure condition of ``(ladder, n)``."""
+    return _root_count(polys.squarefree_part(gamma_poly(E, ladder, n)), E, lambda g: True)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(3, 2), (F(41, 7), F(7, 2)), (F(5, 3) * 10**6, F(35, 4) * 10**6), (F(3, 10**4), F(1, 10**3))],
+)
+def test_closure_polynomials_count_every_level_set_root(a, b):
+    # completeness, proven for n = 3..12 on int, fraction and 10**k-scaled
+    # axes, none light-like: the periodic closure polynomial has as many
+    # real roots as the level sets of rho locate, divisor-tagged roots
+    # included, and the elliptic ladders' polynomials as many as the
+    # elliptic level-set roots of n and of each divisor d with n/d odd,
+    # whose mirror closure after d steps recurs after n
+    E = BoundaryEllipse(a, b)
+    elliptic = {n: len(_level_roots(E, n, True)) for n in range(2, 13)}
+    for n in range(3, 13):
+        assert _sturm_count(E, _periodic_ladder(n), n) == len(_level_roots(E, n, False)), n
+        counts = sum(_sturm_count(E, ladder, n) for ladder in _ELLIPTIC_LADDERS[n % 2])
+        shorter = sum(elliptic[d] for d in range(2, n) if n % d == 0 and (n // d) % 2)
+        assert counts == elliptic[n] + shorter, n
 
 
 @pytest.mark.parametrize("a, b", [(3, 2), (F(41, 7), F(7, 2)), (F(5, 3), F(35, 4))])
 def test_elliptic_caustics_of_long_periods_lie_on_their_level_set(a, b):
-    # no table reaches n >= 6: the level sets do, and each validated
-    # elliptic caustic bounces n * rho times on the ellipse arcs
+    # each validated elliptic caustic of a long period bounces n * rho
+    # times on the ellipse arcs
     E = BoundaryEllipse(a, b)
     for n in range(6, 11):
         rs = elliptic_caustics(E, n)

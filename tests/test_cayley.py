@@ -286,3 +286,29 @@ def test_closure_det_at_u_zero_marks_lightlike_axes(a, b, n, zero):
         assert dets[1] == 0 and dets[0] * dets[2] < 0
     else:
         assert dets[1] != 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(-12, 12),
+    a=st.one_of(st.integers(1, 60), st.fractions(F(1, 9), 60, max_denominator=9)),
+    b=st.one_of(st.integers(1, 60), st.fractions(F(1, 9), 60, max_denominator=9)),
+    n=st.integers(2, 12),
+    ladder=st.sampled_from("BCDE"),
+    x=st.integers(-(10**6), 10**6),
+)
+def test_closure_poly_is_the_closure_det_numerator(k, a, b, n, ladder, x):
+    # the interpolated polynomial agrees with the determinant away from its
+    # nodes Iu = 0..deg, so the closed-form degree bounds the true one, on
+    # int and fraction axes scaled by 10**k
+    assume(ladder != "B" or (n % 2 == 0 and n >= 4))
+    lam = F(10) ** k
+    ia, ib = 1 / (lam * a), 1 / (lam * b)
+    poly = cayley.closure_poly(ia, ib, ladder, n)
+    size = cayley._hankel_layout(ladder, n)[1]
+    assert len(poly) == cayley.closure_degree(ladder, n) + (size if ladder == "C" else 0) + 1
+    d = math.lcm(ia.denominator, ib.denominator)
+    for iu in (x, len(poly) + abs(x)):
+        assert polys.peval(poly, iu) == cayley.closure_det(ia, ib, F(iu, d), ladder, n)[0]
+    if ladder == "C":  # every row of the C block carries the factor Iu
+        assert not any(poly[:size])

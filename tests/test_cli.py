@@ -108,6 +108,10 @@ GOLDEN = Path(__file__).parent / "golden"
         ("certify-n10-polish", "certify --a 41/7 --b 7/2 --gamma=-4.4169013303521005 --n 10"),
         # the light-like suite: the Pell identity on float axes
         ("checks-lightlike", "checks --suite lightlike"),
+        # the discriminant identities on the generated closure polynomials
+        ("checks-discriminants", "checks --suite discriminants"),
+        # the Zolotarev chain, on the complete integral by the AGM
+        ("checks-zolotarev3", "checks --suite zolotarev3"),
         # two 2000-step trajectories of the simulate benchmark pool
         (
             "simulate-ellipse-pos",

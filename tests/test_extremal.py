@@ -7,7 +7,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pellipse import (
@@ -252,6 +252,38 @@ def test_rotation_ratio_ends_and_domain():
     for bad in ((3, 2, 0), (3, 2, math.nan), (0, 2, 1), (3, -2, 1), (math.inf, 2, 1)):
         with pytest.raises(DomainError):
             extremal.rotation_ratio(*bad)
+
+
+@settings(max_examples=50)
+@given(
+    ma=st.floats(1, 10),
+    ea=st.integers(-12, 12),
+    mr=st.floats(1, 10),
+    er=st.integers(-12, 12),
+)
+def test_rotation_ratio_at_infinity_is_the_light_cone_angle(ma, ea, mr, er):
+    # the caustic at gamma = +-inf (u = 0) is the light-like one, whose
+    # rotation number is (2/pi) atan sqrt(a/b), for a and b/a across 10**+-12
+    a = ma * 10.0**ea
+    b = a * mr * 10.0**er
+    want = 2 / math.pi * math.atan(math.sqrt(a / b))
+    rho = extremal.rotation_ratio(a, b, math.inf)
+    assert rho == extremal.rotation_ratio(a, b, -math.inf)
+    assert abs(rho - want) <= 1e-15 * want, (a, b)
+
+
+def test_rho_at_infinity_gives_the_lightlike_periods():
+    # on the light-like axes a/b = cot**2(k pi/n), n rho(inf) = n - 2k, and
+    # lightlike_periodic names the least period (n/g, k/g), g = gcd(k, n/2)
+    checked = 0
+    for n in range(4, 25, 2):
+        for k in range(1, n // 2):
+            a = 1 / math.tan(k * math.pi / n) ** 2
+            assert abs(n * extremal.rotation_ratio(a, 1.0, math.inf) - (n - 2 * k)) <= 1e-12, (n, k)
+            g = math.gcd(k, n // 2)
+            assert lightlike_periodic(BoundaryEllipse(a, 1.0), 24) == (n // g, k // g), (n, k)
+            checked += 1
+    assert checked == 66
 
 
 @given(y=st.floats(1e-3, 1e3), e=st.floats(-12, 12))

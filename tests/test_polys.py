@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from pellipse import polys
-from test_caustics import ELLIPTIC_FACTORS, PERIODIC_FACTORS
+from pellipse import BoundaryEllipse, polys
+from test_caustics import elliptic_factors, gamma_poly, periodic_factor
 from pellipse.errors import DomainError
 
 F = Fraction
@@ -225,11 +225,17 @@ def test_sturm_chain_matches_fraction_euclid(lead, roots, extra):
     ids=["int", "fraction", "decimal-float", "scaled"],
 )
 def test_sturm_chain_matches_fraction_euclid_on_table_factors(a, b):
-    a, b = F(a), F(b)
-    builders = [f for fs in PERIODIC_FACTORS.values() for f in fs]
-    builders += [f for fs in ELLIPTIC_FACTORS.values() for _, f in fs]
-    for builder in builders:
-        _assert_chain_matches_reference(polys.trim(builder(a, b)))
+    # the factors of the closure conditions generated from the exact
+    # determinant, periodic for n <= 8 and elliptic for n <= 5, and a product
+    # with a repeated factor.  The Fraction reference takes 2-22 s a factor
+    # from degree 24 on, so the longer periods rest on the Sturm counts of
+    # the oracle and accounting tests of test_caustics
+    E = BoundaryEllipse(F(a), F(b))
+    factors = [periodic_factor(E, n) for n in range(3, 9)]
+    factors += [f for n in range(2, 6) for _, f in elliptic_factors(E, n)]
+    factors += [polys.pmul(gamma_poly(E, "C", 3), gamma_poly(E, "B", 6))]
+    for f in factors:
+        _assert_chain_matches_reference(f)
 
 
 _dyadic = st.builds(lambda m, j: F(m, 2**j), st.integers(-40, 40), st.integers(0, 4))
