@@ -30,7 +30,6 @@ strikingly small closed forms in ``(a, b)``, which
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
@@ -45,7 +44,7 @@ from .cayley import (
     closure_poly_gamma,
 )
 from .config import CLOSURE
-from .dynamics import ClosureStatus, closure_status, simulate, start_on_caustic
+from .dynamics import ClosureStatus, caustic_starts, closure_status, simulate
 from .errors import DomainError, PellipseError
 from .extremal import rotation_ratio
 from .geometry import ArcClass, BoundaryEllipse, ConicClass, classify_conic, degenerate_value
@@ -404,26 +403,33 @@ def _periodic_roots(E: BoundaryEllipse, n: int, discarded: list | None = None, w
 # ---------------------------------------------------------------------------
 
 
-def _sim_closure(E, gamma_f, n, rng, want_sigma=None):
-    """Simulate n steps from a random caustic tangent; classify the closure.
+def _sim_closure(E, gamma_f, n, want_sigma=None):
+    """Simulate n steps from a tangent of the caustic; classify the closure.
 
     Returns ``(ok, n1, n2, last)``.  ``want_sigma=None`` demands full
     periodicity; otherwise the trajectory must close onto the
-    ``want_sigma`` mirror image.  Up to 6 tries start on fresh random
-    tangents of the caustic (a start can land too close to a touch point);
-    ``last`` is the last failed try, an error or the closure it reached
-    instead, and ``None`` when no try failed.  The starts are floats and
-    :func:`~pellipse.dynamics.simulate` runs on the float image of ``E``,
-    so any field of the axes will do.
+    ``want_sigma`` mirror image.  The starts are the deterministic
+    :func:`~pellipse.dynamics.caustic_starts` of ``(E, gamma_f)``, so the
+    verdict is a pure function of the caustic.  A simulation can still
+    fail (a chord can pass too close to a touch point), so up to 6 starts
+    are tried in turn; when the sequence holds no further admissible
+    start, the tries end there.  ``last`` is the last failed try, an error
+    or the closure it reached instead, and ``None`` when no try failed.
+    The starts are floats and :func:`~pellipse.dynamics.simulate` runs on
+    the float image of ``E``, so any field of the axes will do.
     """
     if want_sigma is None:
         want = ClosureStatus.periodic(n)
     else:
         want = ClosureStatus.elliptic(n, want_sigma)
     last = None
+    starts = caustic_starts(E, gamma_f)
     for _ in range(6):
         try:
-            P0, d0 = start_on_caustic(E, gamma_f, rng)
+            P0, d0 = next(starts)
+        except DomainError as exc:  # no admissible tangent left: fail fast
+            return False, None, None, exc
+        try:
             T = simulate(P0, d0, n, E)
         except PellipseError as exc:
             last = exc
@@ -444,14 +450,13 @@ def _results(E, n, candidates) -> list[CausticResult]:
     closure determinant that landed it, so ``validated`` is the outcome
     of the simulation: a full closure for a periodic candidate (``case``
     None), a closure onto its mirror image under exactly the case symmetry
-    for an elliptic one.  The simulated starts come from one
-    ``random.Random(0)`` per call.
+    for an elliptic one.  Each candidate's starts depend on it alone, so
+    the verdicts do not depend on the order or number of candidates.
     """
-    rng = random.Random(0)
     results = []
     for gamma_f, exact, case in candidates:
         sigma = None if case is None else case_symmetry(case)
-        ok, n1, n2, _ = _sim_closure(E, gamma_f, n, rng, want_sigma=sigma)
+        ok, n1, n2, _ = _sim_closure(E, gamma_f, n, want_sigma=sigma)
         results.append(
             CausticResult(
                 gamma=gamma_f,

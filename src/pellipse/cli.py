@@ -30,7 +30,6 @@ import argparse
 import functools
 import json
 import math
-import random
 import sys
 from fractions import Fraction
 
@@ -241,7 +240,7 @@ def cmd_certify(args: argparse.Namespace) -> int:
         cert = pell_lift(pell_construct(E, gamma, args.n))
         # the solvers' simulated closure cross-checks the proven partition;
         # a disagreement is an error, never resolved in favour of either
-        ok, n1, _, last = _sim_closure(E, cert.gamma, args.n, random.Random(0))
+        ok, n1, _, last = _sim_closure(E, cert.gamma, args.n)
         if not ok:
             raise CertificateInvalid(
                 f"validation trajectory failed to close for gamma={cert.gamma}: {last}"

@@ -35,6 +35,12 @@ ROOT_BRACKET = 2**-30
 #: matches the caustic of the first one.
 DRIFT = 1e-6
 
+#: Relative to the touch abscissa ``xt = a/sqrt(a + b)``: a validation
+#: start's chord ends at least ``START_CLEARANCE * xt`` in ``|x|`` from a
+#: touch point, where reflection is undefined (``START_CLEARANCE * (1 + xt)``
+#: for the starts drawn from a caller's random source).
+START_CLEARANCE = 0.02
+
 #: Absolute, on vertices and unit directions: a simulated trajectory closes
 #: when it validates a caustic or measures a partition.
 CLOSURE = 1e-6

@@ -23,12 +23,13 @@ one pass over its vertices.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
 
 from . import polys
-from .config import BOUNDARY, DEGENERATE, DRIFT, LIGHTLIKE
+from .config import BOUNDARY, DEGENERATE, DRIFT, LIGHTLIKE, START_CLEARANCE
 from .errors import CausticDrift, DegenerateChord, DomainError, ReflectionUndefined
 from .geometry import (
     ALL_CONICS,
@@ -58,6 +59,7 @@ __all__ = [
     "first_closure",
     "partition_counts",
     "start_on_caustic",
+    "caustic_starts",
 ]
 
 #: The signs of ``(x, y)`` under the three axial symmetries used by
@@ -424,21 +426,46 @@ def partition_counts(T: Trajectory, n: int | None = None) -> tuple[int, int]:
 def start_on_caustic(
     E: BoundaryEllipse, gamma, rng: random.Random | None = None
 ) -> tuple[MVec2, MVec2]:
-    """Random admissible start ``(P0, d0)`` whose first segment touches ``gamma``.
+    """An admissible start ``(P0, d0)`` whose first segment touches ``gamma``.
 
-    Samples a tangent line of the caustic, intersects it with the boundary
-    and rejects lines that miss the ellipse or whose endpoints come within
-    ``0.02 (1 + xt)`` in ``|x|`` of a touch point ``(+-xt, +-yt)``.  On a
-    hyperbola the tangent at ``u`` meets the boundary only when
-    ``sinh(u)**2 >= (1 - r) / (ra + rb)``, with ``ra = a/|a - gamma|``,
-    ``rb = b/|b + gamma|`` and ``r`` the one of the major axis, so ``u`` is
-    drawn from ``[-w, w]`` with ``w = max(2.5, u_min + 1)`` and ``u_min``
-    the least such ``|u|``.  Raises
-    :class:`DomainError` for degenerate caustics or when no admissible
-    tangent is found.
+    The first start of :func:`caustic_starts`: without ``rng`` a pure
+    function of ``(E, gamma)``, with ``rng`` a random one.
     """
-    if rng is None:
-        rng = random.Random()
+    return next(caustic_starts(E, gamma, rng))
+
+
+#: The step of :func:`_golden_points`, ``(sqrt(5) - 1)/2``.
+_GOLDEN = (math.sqrt(5) - 1) / 2
+
+
+def _golden_points():
+    """The golden-ratio (Weyl) sequence ``t_k = k (sqrt(5) - 1)/2 mod 1``, k = 1, 2, ..."""
+    return (k * _GOLDEN % 1.0 for k in itertools.count(1))
+
+
+def caustic_starts(E: BoundaryEllipse, gamma, rng: random.Random | None = None):
+    """Admissible starts ``(P0, d0)`` whose first segments touch ``gamma``, one after another.
+
+    Each start is a tangent line of the caustic, cut by the boundary.
+    Lines that miss the ellipse are rejected, and so are lines whose
+    endpoints come within the clearance in ``|x|`` of a touch point
+    ``(+-xt, +-yt)``, where reflection is undefined.  The tangent parameter
+    is an angle on an ellipse caustic; on a hyperbola it is a branch and a
+    ``u`` in ``[-w, w]``, since the tangent at ``u`` meets the boundary only
+    when ``sinh(u)**2 >= (1 - r) / (ra + rb)``, with ``ra = a/|a - gamma|``,
+    ``rb = b/|b + gamma|`` and ``r`` the one of the major axis, so
+    ``w = max(2.5, u_min + 1)`` for ``u_min`` the least such ``|u|``.
+
+    Without ``rng`` the parameters run through the golden-ratio sequence
+    ``t_k`` (the angle ``2 pi t_k``; on a hyperbola the branch is the half
+    of ``[0, 1)`` holding ``t_k`` and ``u`` spans ``[-w, w]`` over each
+    half) and the clearance is ``START_CLEARANCE * xt``: the starts are a
+    pure function of ``(E, gamma)`` and scale with the axes.  With ``rng``
+    they are drawn from it and the clearance is
+    ``START_CLEARANCE * (1 + xt)``.  Raises :class:`DomainError` for a
+    degenerate caustic, or when 500 parameters in a row give no
+    admissible start; the sequence then ends.
+    """
     conic = classify_conic(gamma, E)
     if conic not in (
         ConicClass.EllipseOfFamily,
@@ -448,29 +475,41 @@ def start_on_caustic(
         raise DomainError(f"cannot start on degenerate caustic gamma={gamma}")
     a, b, g = float(E.a), float(E.b), float(gamma)
     xt = E.touch_x()
-    clearance = 0.02 * (1 + xt)
-    if conic is not ConicClass.EllipseOfFamily:
+    hyperbola = conic is not ConicClass.EllipseOfFamily
+    if rng is None:
+        clearance = START_CLEARANCE * xt
+        points = _golden_points()
+
+        def draw():
+            t = next(points)
+            return (t, True) if not hyperbola else (2 * t % 1.0, t < 0.5)
+
+    else:
+        clearance = START_CLEARANCE * (1 + xt)
+
+        def draw():
+            t = rng.random()
+            return t, (rng.random() < 0.5 if hyperbola else True)
+
+    sa, sb = math.sqrt(abs(a - g)), math.sqrt(abs(b + g))
+    if hyperbola:
         ra, rb = a / abs(a - g), b / abs(b + g)
         r = ra if conic is ConicClass.HyperbolaXMajor else rb
         w = max(2.5, math.asinh(math.sqrt(max(0.0, (1 - r) / (ra + rb)))) + 1)
-    for _ in range(500):
-        if conic is ConicClass.EllipseOfFamily:
-            A, B = a - g, b + g
-            phi = rng.uniform(0.0, 2 * math.pi)
-            p = math.cos(phi) / math.sqrt(A)
-            q = math.sin(phi) / math.sqrt(B)
-        elif conic is ConicClass.HyperbolaXMajor:
-            A, Babs = a - g, -(b + g)
-            u = rng.uniform(-w, w)
-            branch = 1.0 if rng.random() < 0.5 else -1.0
-            p = branch * math.cosh(u) / math.sqrt(A)
-            q = -math.sinh(u) / math.sqrt(Babs)
+    misses = 0
+    while misses < 500:
+        misses += 1
+        t, upper = draw()
+        if not hyperbola:
+            phi = 2 * math.pi * t
+            p, q = math.cos(phi) / sa, math.sin(phi) / sb
         else:
-            Aabs, B = g - a, b + g
-            u = rng.uniform(-w, w)
-            branch = 1.0 if rng.random() < 0.5 else -1.0
-            p = -math.sinh(u) / math.sqrt(Aabs)
-            q = branch * math.cosh(u) / math.sqrt(B)
+            u = -w + 2 * w * t
+            branch = 1.0 if upper else -1.0
+            if conic is ConicClass.HyperbolaXMajor:
+                p, q = branch * math.cosh(u) / sa, -math.sinh(u) / sb
+            else:
+                p, q = -math.sinh(u) / sa, branch * math.cosh(u) / sb
         nn = p * p + q * q
         fx, fy = p / nn, q / nn  # foot of the perpendicular from the origin
         A2 = q * q / a + p * p / b
@@ -486,5 +525,6 @@ def start_on_caustic(
         x1, y1 = fx + t2 * q, fy - t2 * p
         if abs(abs(x0) - xt) < clearance or abs(abs(x1) - xt) < clearance:
             continue  # too close to a touch point for stable reflection
-        return MVec2(x0, y0), MVec2(x1 - x0, y1 - y0)
+        misses = 0
+        yield MVec2(x0, y0), MVec2(x1 - x0, y1 - y0)
     raise DomainError(f"no admissible tangent line found for gamma={gamma}")

@@ -242,7 +242,11 @@ def test_criterion_07_discriminant_identities():
     rng = random.Random(7)
     for name in sorted(DISCRIMINANT_IDENTITIES):
         checked = 0
-        while checked < 10:
+        # at most 200 draws, so an identity that always degenerates fails
+        # here instead of resampling forever
+        for _ in range(200):
+            if checked == 10:
+                break
             a = F(rng.randint(1, 60), rng.randint(1, 12))
             b = F(rng.randint(1, 60), rng.randint(1, 12))
             if a == b:
@@ -253,6 +257,7 @@ def test_criterion_07_discriminant_identities():
                 continue  # degenerate locus of this identity; resample
             assert resid == 0, (name, a, b)
             checked += 1
+        assert checked == 10, name
     assert DISCRIMINANT_IDENTITIES["G2"][1](3, 2) == 10944
 
 

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from pellipse import (
     BoundaryEllipse,
     caustics,
+    dynamics,
     polys,
     ConicClass,
     DISCRIMINANT_IDENTITIES,
@@ -743,12 +744,86 @@ def test_level_sets_are_power_of_two_and_swap_equivariant(axes, n, k):
     # (a, b, gamma) -> 2**k (a, b, gamma) and the swap
     # (a, b, gamma) -> (b, a, -gamma) map exact roots onto exact roots and
     # commute with rounding: the roots scale and swap bit for bit.  The
-    # validation flags are not compared: they are not scale-invariant yet
+    # validation flags are compared under 4**k in
+    # test_validation_flags_and_partitions_are_scale_invariant
     a, b = axes
     unit = _level_gammas(a, b, n)
     lam = F(2) ** k
     assert _level_gammas(lam * a, lam * b, n) == [float(lam) * g for g in unit]
     assert [-g for g in reversed(_level_gammas(b, a, n))] == unit
+
+
+# ---------------------------------------------------------------------------
+# deterministic validation starts
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("lam", [F(1, 10**3), F(1, 10**6), 1e-3, 1e-6])
+@pytest.mark.parametrize("n", [3, 5, 9])
+def test_small_scales_validate_every_caustic(lam, n):
+    # the rows lambda = 1e-3 and 1e-6 of (3, 2) lambda, where an absolute
+    # start clearance was wider than the ellipse: every caustic reported
+    # closes, with a partition of the unit-scale caustics
+    rs = periodic_caustics(BoundaryEllipse(3 * lam, 2 * lam), n)
+    unit = {(r.n1, r.n2) for r in periodic_caustics(BoundaryEllipse(3, 2), n)}
+    assert rs and all(r.validated for r in rs), [r.gamma for r in rs if not r.validated]
+    assert {(r.n1, r.n2) for r in rs} <= unit
+
+
+@pytest.mark.parametrize(
+    "a, b, n, gamma",
+    [(6000, 5000, 11, 5999.997332554994), (3 * 10**12, 2 * 10**12, 9, 2999881080630.0166)],
+)
+def test_flat_caustics_next_to_a_stay_validated(a, b, n, gamma):
+    # flat ellipse caustics 4.4e-7 and 4.0e-5 (relative) below a, where few
+    # tangents clear the touch points
+    (r,) = [r for r in periodic_caustics(BoundaryEllipse(a, b), n) if r.gamma == gamma]
+    assert r.validated and (r.n1, r.n2) == (n - 1, 1)
+
+
+@cache
+def _unit_partitions(a, b, n):
+    return {r.gamma: (r.validated, r.n1, r.n2) for r in periodic_caustics(BoundaryEllipse(a, b), n)}
+
+
+@settings(max_examples=40)
+@given(
+    axes=st.sampled_from([(3, 2), (F(41, 7), F(7, 2)), (5, 11)]),
+    n=st.sampled_from([3, 5, 7, 9]),
+    k=st.integers(-10, 10),
+)
+def test_validation_flags_and_partitions_are_scale_invariant(axes, n, k):
+    # the validation starts are a pure function of (E, gamma) that scales
+    # with the axes, so under (a, b) -> 4**k (a, b) every reported caustic
+    # is validated with the partition of the unit-scale caustic at gamma / 4**k.
+    # Counts are not compared: DEGENERATE still discards roots near 0, a, -b
+    a, b = axes
+    lam = F(4) ** k
+    unit = _unit_partitions(a, b, n)
+    for r in periodic_caustics(BoundaryEllipse(lam * a, lam * b), n):
+        assert (r.validated, r.n1, r.n2) == unit[r.gamma / float(lam)], (k, r.gamma)
+        assert r.validated
+
+
+@pytest.mark.parametrize("gamma", [2.3323, -2.4])
+def test_a_hopeless_start_ends_the_tries(monkeypatch, gamma):
+    # a clearance that excludes every chord leaves no admissible start: the
+    # first try spends its 500 sequence points, and the other five tries do
+    # not spend them again
+    spent = []
+    points = dynamics._golden_points
+
+    def counted():
+        for t in points():
+            spent.append(t)
+            yield t
+
+    monkeypatch.setattr(dynamics, "START_CLEARANCE", math.inf)
+    monkeypatch.setattr(dynamics, "_golden_points", counted)
+    ok, n1, n2, last = caustics._sim_closure(BoundaryEllipse(3, 2), gamma, 3)
+    assert (ok, n1, n2) == (False, None, None)
+    assert isinstance(last, DomainError)
+    assert len(spent) == 500
 
 
 def test_decimal_axes_solve_like_their_fractions():

@@ -1,5 +1,6 @@
 """End-to-end command-line interface behaviour."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
@@ -40,6 +41,18 @@ def test_import_needs_only_the_standard_library():
         check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+def test_solve_prints_the_same_bytes_every_time(capsys):
+    # the validation starts are a pure function of the caustic: no random
+    # source is left in the solvers or the command line
+    argv = ("solve", "--n", "7", "--a", "7/1000", "--b", "3/1000")
+    assert run(capsys, *argv) == run(capsys, *argv)
+    for module in (caustics, cli):
+        tree = ast.parse(inspect.getsource(module))
+        imported = {a.name for node in ast.walk(tree) if isinstance(node, ast.Import) for a in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "random" not in imported, module.__name__
 
 
 def test_solve_closed_form_values(capsys):

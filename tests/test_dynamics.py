@@ -1,6 +1,7 @@
 """Billiard simulation, reflection law, and closure detection."""
 
 import dataclasses
+import itertools
 import json
 import math
 import random
@@ -158,6 +159,23 @@ def test_start_on_caustic_properties():
         assert abs(float(E.boundary_residual(P0))) < 1e-9
         L = line_through(P0, d0)
         assert caustic_of_line(L, E) == pytest.approx(gamma, rel=1e-9)
+
+
+@settings(max_examples=40)
+@given(
+    gamma=st.sampled_from([1.4, -1.2, 2.9, -2.6, 3.8, -1.99]),
+    k=st.integers(-30, 30),
+)
+def test_deterministic_starts_are_scale_free(gamma, k):
+    # without a random source the starts are a pure function of (E, gamma)
+    # with a relative clearance: under (a, b, gamma) -> 4**k (a, b, gamma)
+    # every start scales by 2**k, to the last bit
+    lam = 4.0**k
+    unit = list(itertools.islice(dynamics.caustic_starts(BoundaryEllipse(3.0, 2.0), gamma), 6))
+    scaled = dynamics.caustic_starts(BoundaryEllipse(3.0 * lam, 2.0 * lam), gamma * lam)
+    for (P0, d0), (Q0, e0) in zip(unit, itertools.islice(scaled, 6)):
+        assert (Q0.x, Q0.y, e0.x, e0.y) == (P0.x * 2.0**k, P0.y * 2.0**k, d0.x * 2.0**k, d0.y * 2.0**k)
+    assert start_on_caustic(BoundaryEllipse(3.0, 2.0), gamma) == unit[0]
 
 
 def test_light_like_trajectory_alternates_and_closes_evenly():

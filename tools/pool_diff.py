@@ -15,8 +15,11 @@ exit code, its standard output and its figure are byte for byte the same.
 
 The report gives, per subcommand, the number of identical commands, and
 then the differing ones.  For a solve command it names the top-level JSON
-keys that differ (``caustics`` or ``discarded``).  The exit code is 0
-when every command is identical and 1 otherwise.
+keys that differ (``caustics`` or ``discarded``) and counts the caustics,
+matched by ``gamma``, whose ``validated`` flag went false -> true and
+true -> false; the totals of both counts over all differing commands
+close the report.  The exit code is 0 when every command is identical
+and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -135,6 +138,21 @@ def differing_keys(old: dict, new: dict) -> str:
     return "keys " + ", ".join(keys) if keys else "layout only"
 
 
+def validation_flips(old: dict, new: dict) -> tuple[int, int]:
+    """Caustics, matched by ``gamma``, whose ``validated`` went false -> true and true -> false."""
+    try:
+        a, b = json.loads(old["out"]), json.loads(new["out"])
+    except ValueError:
+        return 0, 0
+    before = {c["gamma"]: c["validated"] for c in a.get("caustics", [])}
+    gained = lost = 0
+    for c in b.get("caustics", []):
+        was = before.get(c["gamma"])
+        gained += was is False and c["validated"] is True
+        lost += was is True and c["validated"] is False
+    return gained, lost
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old", nargs="?", help="the src directory of the reference tree")
@@ -161,10 +179,14 @@ def main(argv: list[str] | None = None) -> int:
     # rerun the differing commands with their full output, to say what differs
     index = [i for ids in differ.values() for i in ids]
     todo = [commands[i] for i in index]
-    detail = {}
+    detail, flips = {}, {}
     if todo:
         full = collect([run_tree(args.old, todo, True), run_tree(args.new, todo, True)])
-        detail = {i: differing_keys(a, b) for i, a, b in zip(index, *full)}
+        for i, a, b in zip(index, *full):
+            detail[i] = differing_keys(a, b)
+            if commands[i][0][0] == "solve":
+                flips[i] = validation_flips(a, b)
+                detail[i] += "; validated false -> true {}, true -> false {}".format(*flips[i])
 
     print(f"{len(commands)} distinct pool commands; old {args.old}, new {args.new}")
     for sub in sorted(set(same) | set(differ)):
@@ -175,6 +197,10 @@ def main(argv: list[str] | None = None) -> int:
         for i in ids:
             cmd, svg = commands[i]
             print(f"  {' '.join(cmd)}{' --svg' if svg else ''}: {detail[i]}")
+    if flips:
+        gained = sum(g for g, _ in flips.values())
+        lost = sum(n for _, n in flips.values())
+        print(f"solve caustics validated false -> true: {gained}; true -> false: {lost}")
     return 1 if differ else 0
 
 
