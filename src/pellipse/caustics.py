@@ -5,9 +5,11 @@ Every solver finds its roots in two steps, for every period and both kinds:
 1. **locate**: the caustic with partition ``(n, k)`` is the root of
    ``rho = k/n`` for the rotation number ``rho`` of
    :func:`~pellipse.extremal.rotation_ratio`, monotone on each ``gamma``
-   range; a safeguarded Illinois step finds it in floats, and the parity
-   of ``k`` and ``n - k`` on its range says whether it is periodic,
-   elliptic-periodic or closed after a shorter period;
+   range; a safeguarded Anderson-Bjorck secant step
+   (:func:`~pellipse.polys.regula_falsi`) finds it in floats, in about
+   ten evaluations of ``rho`` a root, and the parity of ``k`` and
+   ``n - k`` on its range says whether it is periodic, elliptic-periodic
+   or closed after a shorter period;
 2. **land**: the exact closure determinant
    (:func:`~pellipse.cayley.closure_det`) at rationals around that float
    moves it onto the correctly rounded closure root.  Its sign change

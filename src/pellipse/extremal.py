@@ -492,20 +492,43 @@ def _legendre_rule(n: int) -> tuple[tuple[float, ...], tuple[float, ...]]:
     return tuple(x for x, _ in rule), tuple(w for _, w in rule)
 
 
-def _gauss_composite(f, lo: float, hi: float) -> float:
-    """``f`` integrated over ``[lo, hi]`` by 8 panels of the 80-point rule."""
+@lru_cache(maxsize=None)
+def _kln_nodes() -> tuple:
+    """The node tables of :func:`kln_partition`'s quadrature, built once per process.
+
+    Returns ``(w, half1, sin2, half2, t2, rest)``: the weights of the
+    80-point rule of :func:`_legendre_rule`, and per integral the half
+    width of its 8 equal panels and, per panel, the transforms of its
+    nodes.  ``theta`` runs over ``[0, pi/2]`` and ``sin2`` holds
+    ``sin(theta)**2``; ``t`` runs over ``[0, 1]``, ``t2`` holds ``t*t``
+    and ``rest`` holds ``1 - t*t``.  The node of ``xi`` in the panel of
+    midpoint ``mid`` is ``mid + half * xi``.
+    """
     x, w = _legendre_rule(80)
-    width = (hi - lo) / 8
-    total = 0.0
-    for ip in range(8):
-        mid = lo + ip * width + width / 2
+
+    def panels(lo: float, hi: float) -> tuple[float, list[list[float]]]:
+        width = (hi - lo) / 8
         half = width / 2
-        # a plain left-to-right sum: sum() compensates float sums from
-        # Python 3.12 on, which would move the last digits of kln_ratio
-        panel = 0.0
-        for xi, wi in zip(x, w):
-            panel += wi * f(mid + half * xi)
-        total += half * panel
+        mids = (lo + ip * width + width / 2 for ip in range(8))
+        return half, [[mid + half * xi for xi in x] for mid in mids]
+
+    half1, theta = panels(0.0, math.pi / 2)
+    half2, t = panels(0.0, 1.0)
+    sin2 = tuple(tuple(math.sin(v) ** 2 for v in p) for p in theta)
+    t2 = tuple(tuple(v * v for v in p) for p in t)
+    rest = tuple(tuple(1 - v for v in p) for p in t2)
+    return w, half1, sin2, half2, t2, rest
+
+
+def _weighted_sum(w: tuple[float, ...], values: list[float]) -> float:
+    """``sum(w_i * v_i)`` from 0.0, left to right and rounded at each step.
+
+    ``sum()`` compensates float sums from Python 3.12 on, which would move
+    the last digits of ``kln_ratio``.
+    """
+    total = 0.0
+    for wi, v in zip(w, values):
+        total += wi * v
     return total
 
 
@@ -622,7 +645,11 @@ def kln_partition(E: BoundaryEllipse, gamma) -> tuple[float, list[tuple[int, int
     equals ``n1/n``.  Both integrals are regularized by trigonometric /
     rational substitutions and evaluated by composite Gauss-Legendre
     quadrature: 8 panels of one 80-point rule, which
-    :func:`_legendre_rule` builds in pure Python once per process.  Near
+    :func:`_legendre_rule` builds in pure Python once per process.  The
+    nodes and their transforms come from the tables of :func:`_kln_nodes`,
+    each integrand is evaluated over a panel in one comprehension, and
+    each panel is summed left to right; the floats are those of one
+    integrand call per node at ``mid + half * xi``.  Near
     ``c3 = c4`` (``gamma`` close to ``a``) the regularized ``I2`` integrand
     loses accuracy and the ratio drifts from ``n1/n``.
     :func:`rotation_ratio` computes the same ratio by Carlson's ``R_F``
@@ -634,20 +661,20 @@ def kln_partition(E: BoundaryEllipse, gamma) -> tuple[float, list[tuple[int, int
     if degenerate_value(g, E) is not None:
         raise DomainError(f"gamma={gamma} is degenerate")
     c1, c2, c3, c4 = _band_endpoints(a, b, g)
-
-    def f1(theta: float) -> float:
-        s = c2 + (c3 - c2) * math.sin(theta) ** 2
-        return 2.0 / math.sqrt((s - c1) * (c4 - s))
-
-    def f2(t: float) -> float:
-        w = t * t
-        n1 = (c4 - c3) * w + (c4 - c1) * (1 - w)
-        n2 = (c4 - c3) * w + (c4 - c2) * (1 - w)
-        n3 = (c4 - c3) * w + (c4 - c3) * (1 - w)
-        return 2.0 * math.sqrt(c4 - c3) / math.sqrt(n1 * n2 * n3)
-
-    i1 = _gauss_composite(f1, 0.0, math.pi / 2)
-    i2 = _gauss_composite(f2, 0.0, 1.0)
+    w, half1, sin2, half2, t2, rest = _kln_nodes()
+    sqrt = math.sqrt
+    d32, d41, d42, d43 = c3 - c2, c4 - c1, c4 - c2, c4 - c3
+    scale = 2.0 * sqrt(d43)
+    i1 = i2 = 0.0
+    for q in sin2:  # s = c2 + (c3 - c2) sin(theta)**2, theta in [0, pi/2]
+        f1 = [2.0 / sqrt(((s := c2 + d32 * v) - c1) * (c4 - s)) for v in q]
+        i1 += half1 * _weighted_sum(w, f1)
+    for tt, r in zip(t2, rest):  # s = c4 + (c4 - c3) t**2 / (1 - t**2), t in [0, 1]
+        f2 = [
+            scale / sqrt((d43 * u + d41 * v) * (d43 * u + d42 * v) * (d43 * u + d43 * v))
+            for u, v in zip(tt, r)
+        ]
+        i2 += half2 * _weighted_sum(w, f2)
     ratio = i2 / i1
     return ratio, _convergents(ratio)
 

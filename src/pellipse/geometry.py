@@ -203,9 +203,15 @@ def classify_conic(gamma, E: BoundaryEllipse) -> ConicClass:
 
     Comparisons with the degenerate values ``a`` and ``-b`` are exact;
     callers working with approximate parameters should quantize first.
+    A float ``gamma`` on ``Fraction`` axes is converted exactly once, not
+    once per comparison.
     """
-    if isinstance(gamma, float) and math.isinf(gamma):
-        return ConicClass.DegenerateInfinity
+    if isinstance(gamma, float):
+        if math.isinf(gamma):
+            return ConicClass.DegenerateInfinity
+        # NaN has no Fraction; it compares false with every axis either way
+        if gamma == gamma and (isinstance(E.a, Fraction) or isinstance(E.b, Fraction)):
+            gamma = Fraction(gamma)
     if gamma == E.a:
         return ConicClass.DegenerateYAxis
     if gamma == -E.b:

@@ -18,10 +18,10 @@ is replaced once by the primitive integer polynomial that is a positive
 multiple of it, which has the same signs.  One sign-preserving integer
 pseudo-remainder drives both the gcd of the square-free part and the
 Sturm chain, so every member of the chain is the primitive positive
-multiple of the rational Euclidean remainder.  Isolation bisects the
-Cauchy bound by Sturm counts, and refinement bisects each isolating
-interval; every sign test ``sign p(num/den)`` is an integer homogeneous
-Horner sum, with no ``Fraction`` arithmetic per step.
+multiple of the rational Euclidean remainder.  Isolation bisects from
+Fujiwara's root bound by Sturm counts, and refinement bisects each
+isolating interval; every sign test ``sign p(num/den)`` is an integer
+homogeneous Horner sum, with no ``Fraction`` arithmetic per step.
 """
 
 from __future__ import annotations
@@ -410,19 +410,34 @@ def count_real_roots(chain: list[list[int]], lo: Fraction, hi: Fraction) -> int:
     return _variations(chain, Fraction(lo)) - _variations(chain, Fraction(hi))
 
 
+def _root_bound(p: list[int]) -> Fraction:
+    """A power of two above the modulus of every root of the integer ``p``, strictly.
+
+    Fujiwara's bound: every root has modulus at most twice the largest
+    ``|c_(d-i) / c_d| ** (1/i)``, ``i = 1 .. d``, the last term taken of
+    ``c_0 / 2``.  From bit lengths, ``|c_(d-i) / c_d| < 2**e`` with
+    ``e = len(c_(d-i)) - len(c_d) + 1``, one less for the halved last term,
+    so each term is below ``2**ceil(e/i)``.  When every root has modulus
+    at most ``R``, each term is at most ``d R``, so the bound stays near
+    the roots at every scale; the Cauchy bound ``1 + max|c_i / c_d|`` can
+    be about ``R**d``.
+    """
+    d, top = len(p) - 1, abs(p[-1]).bit_length()
+    terms = (
+        -((top - abs(c).bit_length() - (i < d)) // i)
+        for i, c in enumerate(reversed(p[:-1]), 1)
+        if c
+    )
+    return Fraction(2) ** (1 + max(terms, default=0))
+
+
 def _isolate(chain: list[list[int]]) -> list[tuple[Fraction, Fraction]]:
     """Isolating intervals of the roots of ``chain[0]``, an integer Sturm chain."""
     p = chain[0]
     if len(p) == 1:
         return []
-    # Cauchy bound 1 + max|p_i| / |p_d|, strict
-    bound = 1 + Fraction(max(abs(a) for a in p[:-1]), abs(p[-1]))
-    lo, hi = -bound, bound
-    # Nudge endpoints off roots (Cauchy bound is strict, but be safe).
-    while _sign_at(p, lo) == 0:
-        lo -= 1
-    while _sign_at(p, hi) == 0:
-        hi += 1
+    hi = _root_bound(p)
+    lo = -hi
     out: list[tuple[Fraction, Fraction]] = []
     # (a, b, variations at a, variations at b); the root count is their difference
     stack = [(lo, hi, _variations(chain, lo), _variations(chain, hi))]
@@ -512,25 +527,38 @@ def regula_falsi(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
 
     ``f_lo`` and ``f_hi`` are ``f`` at the ends, of opposite signs, passed
     in because callers have them.  Each step takes the secant point of the
-    bracket; an end kept twice in a row has its value halved (Illinois).
-    The midpoint is taken instead when the secant point is not inside the
-    bracket or three steps have not halved it.  A point where ``f`` is
-    exactly zero is returned at once; otherwise the bracket ends on two
-    adjacent floats, and the one where ``|f|``, unhalved, is smaller is
-    returned (the upper one on a tie).
+    bracket.  An end kept twice in a row has its value scaled by
+    ``m = 1 - f(x) / f(replaced end)``, or by ``1/2`` when ``m <= 0``
+    (Anderson and Bjorck, BIT 13, 1973).  A secant point that rounds onto
+    an end, or beyond it, becomes the float next to that end inside the
+    bracket, so a root next to an end costs one step, not a bisection down
+    to it.  The midpoint is taken instead when the secant point is not a
+    number or three steps have not halved the bracket.  A point where
+    ``f`` is exactly zero is returned at once; otherwise the bracket ends
+    on two adjacent floats, and the one where ``|f|``, unscaled, is
+    smaller is returned (the upper one on a tie).
     """
     up, kept, stalls, target = f_lo > 0, 0, 0, (hi - lo) / 2
-    v_lo, v_hi = f_lo, f_hi  # f at the ends, unhalved
+    v_lo, v_hi = f_lo, f_hi  # f at the ends, unscaled
     while (mid := (lo + hi) / 2) not in (lo, hi):
         x = lo + (hi - lo) * (f_lo / (f_lo - f_hi)) if stalls < 3 else mid
-        x = x if lo < x < hi else mid
+        if x <= lo:
+            x = math.nextafter(lo, hi)
+        elif x >= hi:
+            x = math.nextafter(hi, lo)
+        elif not lo < x < hi:  # not a number
+            x = mid
         if (v := f(x)) == 0:
             return x
-        if (v > 0) == up:  # x replaces lo; hi kept a second time is halved
-            f_hi /= 2 if kept == 1 and x != mid else 1
+        if (v > 0) == up:  # x replaces lo; hi kept a second time is scaled
+            if kept == 1 and x != mid:
+                m = 1 - v / v_lo
+                f_hi *= m if m > 0 else 0.5
             lo, f_lo, v_lo, kept = x, v, v, 1
         else:
-            f_lo /= 2 if kept == -1 and x != mid else 1
+            if kept == -1 and x != mid:
+                m = 1 - v / v_hi
+                f_lo *= m if m > 0 else 0.5
             hi, f_hi, v_hi, kept = x, v, v, -1
         stalls = 0 if hi - lo <= target else stalls + 1
         target = (hi - lo) / 2 if stalls == 0 else target

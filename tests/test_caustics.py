@@ -753,6 +753,22 @@ def test_level_sets_are_power_of_two_and_swap_equivariant(axes, n, k):
     assert [-g for g in reversed(_level_gammas(b, a, n))] == unit
 
 
+@pytest.mark.parametrize("a, b, n, roots, most", [(7, 3, 11, 10, 120), (3, 2, 12, 15, 170)])
+def test_level_roots_take_few_rho_evaluations(monkeypatch, a, b, n, roots, most):
+    # Anderson-Bjorck steps and a float next to an end in place of the
+    # midpoint: 110 and 159 evaluations of rho locate these 10 and 15
+    # roots, where Illinois halving took 165 and 226
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rotation_ratio(*args)
+
+    monkeypatch.setattr(caustics, "rotation_ratio", counted)
+    assert len(_level_roots(BoundaryEllipse(a, b), n, False)) == roots
+    assert len(calls) <= most, len(calls)
+
+
 # ---------------------------------------------------------------------------
 # deterministic validation starts
 # ---------------------------------------------------------------------------

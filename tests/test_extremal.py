@@ -199,12 +199,85 @@ def test_legendre_rule_is_symmetric_and_exact_to_degree_159():
 
 
 def test_legendre_rule_is_built_once_per_process():
+    # the rule and the node tables built on it are each built once, and
+    # later quadratures only read them
     extremal._legendre_rule.cache_clear()
+    extremal._kln_nodes.cache_clear()
     E = BoundaryEllipse(F(2), F(4))
     kln_partition(E, F(4, 3))
-    kln_partition(E, F(4, 3))
-    info = extremal._legendre_rule.cache_info()
-    assert (info.misses, info.hits) == (1, 3)
+    kln_partition(E, F(5, 3))
+    assert extremal._legendre_rule.cache_info().misses == 1
+    assert extremal._kln_nodes.cache_info().misses == 1
+
+
+def _ref_gauss_composite(f, lo, hi):
+    """``f`` over ``[lo, hi]`` by 8 panels of the 80-point rule, node by node."""
+    x, w = extremal._legendre_rule(80)
+    width = (hi - lo) / 8
+    total = 0.0
+    for ip in range(8):
+        mid = lo + ip * width + width / 2
+        half = width / 2
+        panel = 0.0
+        for xi, wi in zip(x, w):
+            panel += wi * f(mid + half * xi)
+        total += half * panel
+    return total
+
+
+def _ref_kln_ratio(E, gamma):
+    """``I2/I1`` of :func:`kln_partition`, one integrand call per node."""
+    a, b, g = float(E.a), float(E.b), float(gamma)
+    c1, c2, c3, c4 = extremal._band_endpoints(a, b, g)
+
+    def f1(theta):
+        s = c2 + (c3 - c2) * math.sin(theta) ** 2
+        return 2.0 / math.sqrt((s - c1) * (c4 - s))
+
+    def f2(t):
+        w = t * t
+        n1 = (c4 - c3) * w + (c4 - c1) * (1 - w)
+        n2 = (c4 - c3) * w + (c4 - c2) * (1 - w)
+        n3 = (c4 - c3) * w + (c4 - c3) * (1 - w)
+        return 2.0 * math.sqrt(c4 - c3) / math.sqrt(n1 * n2 * n3)
+
+    return _ref_gauss_composite(f2, 0.0, 1.0) / _ref_gauss_composite(f1, 0.0, math.pi / 2)
+
+
+_axis = st.one_of(
+    st.integers(1, 50),
+    st.fractions(F(1, 20), 50).filter(lambda q: q > 0),
+    st.builds(lambda m, k: F(m) * F(10) ** k, st.integers(1, 99), st.integers(-9, 9)),
+)
+
+
+@settings(max_examples=300)
+@given(
+    a=_axis,
+    b=_axis,
+    where=st.sampled_from(["x-hyperbola", "near -b", "ellipse-", "ellipse+", "near a", "y-hyperbola"]),
+    t=st.floats(1e-8, 1 - 1e-8),
+)
+def test_kln_ratio_matches_the_node_by_node_quadrature_bit_for_bit(a, b, where, t):
+    # the node tables and the per-panel sums give the very floats of one
+    # integrand call per node, on all four gamma ranges and next to the
+    # band ends -b and a, where the I2 integrand is steepest
+    E = BoundaryEllipse(a, b)
+    fa, fb = float(a), float(b)
+    gamma = {
+        "x-hyperbola": -fb / t,
+        "near -b": -fb * (1 + (t - 0.5) * 1e-6),
+        "ellipse-": -fb * t,
+        "ellipse+": fa * t,
+        "near a": fa * (1 + (t - 0.5) * 1e-6),
+        "y-hyperbola": fa / t,
+    }[where]
+    try:
+        ratio, _ = kln_partition(E, gamma)
+    except DomainError:  # degenerate: within 1e-9 of 0, a or -b
+        assert extremal.degenerate_value(gamma, E) is not None
+        return
+    assert ratio == _ref_kln_ratio(E, gamma)
 
 
 @pytest.mark.parametrize("a, b, gamma, n, n1", [(2, 4, F(4, 3), 4, 2), (5, 3, F(15, 8), 4, 2)])

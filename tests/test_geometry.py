@@ -52,6 +52,28 @@ def test_classify_conic_all_branches():
     assert classify_conic(math.inf, E) is ConicClass.DegenerateInfinity
 
 
+def _exact_class(g, a, b):
+    if g == a:
+        return ConicClass.DegenerateYAxis
+    if g == -b:
+        return ConicClass.DegenerateXAxis
+    if g > a:
+        return ConicClass.HyperbolaYMajor
+    return ConicClass.HyperbolaXMajor if g < -b else ConicClass.EllipseOfFamily
+
+
+def test_classify_conic_compares_floats_exactly_with_fraction_axes():
+    # float(7/3) lies above 7/3, its lower neighbour below; -5/2 is a float
+    a, b = F(7, 3), F(5, 2)
+    E = BoundaryEllipse(a, b)
+    for x in (float(a), float(-b)):
+        for g in (math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)):
+            assert classify_conic(g, E) is _exact_class(F(g), a, b), g
+    assert classify_conic(float(a), E) is ConicClass.HyperbolaYMajor
+    assert classify_conic(math.nextafter(float(a), 0), E) is ConicClass.EllipseOfFamily
+    assert classify_conic(-2.5, E) is ConicClass.DegenerateXAxis
+
+
 def test_elliptic_coordinates_on_boundary():
     E = BoundaryEllipse(F(3), F(2))
     # rational boundary point: x^2/3 + y^2/2 = 1 at (1, 2/sqrt(3)) is not

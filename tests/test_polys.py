@@ -130,12 +130,27 @@ def _ref_variations(chain, x):
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
+def _ref_root_bound(p):
+    # Fujiwara's bound 2 max |c_(d-i) / c_d|**(1/i), the last term of c_0 / 2,
+    # with each ratio taken up to the power of two 2**e above it that the
+    # bit lengths give, and each term to the least power of two whose i-th
+    # power is at least 2**e
+    d, top = len(p) - 1, abs(p[-1]).bit_length()
+    terms = []
+    for i in range(1, d + 1):
+        if p[d - i]:
+            e = abs(p[d - i]).bit_length() - top + 1 - (i == d)
+            assert abs(F(p[d - i], p[-1])) / (2 if i == d else 1) < F(2) ** e
+            terms.append(math.ceil(e / i))
+    return F(2) ** (1 + max(terms, default=0))
+
+
 def _ref_isolate(c):
     p = polys.squarefree_part(c)
     if polys.degree(p) == 0:
         return []
     chain = polys.sturm_chain(p)
-    bound = 1 + F(max(abs(a) for a in p[:-1]), abs(p[-1]))  # strict: no root at +-bound
+    bound = _ref_root_bound(p)  # strict: no root at +-bound
     out, stack = [], [(-bound, bound)]
     while stack:
         a, b = stack.pop()
@@ -208,6 +223,41 @@ def test_real_roots_match_reference(lead, roots, extra):
     assert polys.isolate_real_roots(p) == _ref_isolate(p)
     assert polys.real_roots(p) == want
     assert len(want) == len({F(num, den) for num, den, _ in roots}) + _EXTRA_REAL_ROOTS[extra]
+
+
+# the largest root modulus of each extra factor
+_EXTRA_MODULUS = {
+    (1,): 0,
+    (-2, 0, 1): math.sqrt(2),
+    (3, 0, 1): math.sqrt(3),
+    (-5, 1, 1): (1 + math.sqrt(21)) / 2,
+}
+
+
+@given(lead=st.sampled_from([1, -1, 3, -7]), roots=_roots, extra=_extra, k=st.integers(-9, 9))
+def test_root_bound_is_strict_and_near_the_roots(lead, roots, extra, k):
+    # Fujiwara's bound lies above every root, complex ones too, and within
+    # 16 d of the largest modulus R at every scale 10**k of the roots: each
+    # term is at most d R before its two roundings up to powers of two
+    scale = F(10) ** k
+    p = polys.squarefree_part(_from_roots(lead, [(n * scale, d, m) for n, d, m in roots], extra))
+    bound = polys._root_bound(p)
+    assert bound == _ref_root_bound(p)
+    moduli = [abs(F(n, d) * scale) for n, d, _ in roots] + [_EXTRA_MODULUS[extra]]
+    R = max(moduli)
+    assert all(m < bound for m in moduli)
+    assert R == 0 or bound <= 16 * (len(p) - 1) * R
+
+
+def test_isolation_of_a_scaled_closure_factor_starts_near_its_roots():
+    # the degree-30 period-11 condition of (41/7, 7/2) * 10**6 has its 10
+    # real roots within 6 * 10**6, and its Cauchy bound is about 1.8e191:
+    # bisecting down from there took about 20 s on a 2-vCPU x86-64 host
+    E = BoundaryEllipse(F(41, 7) * 10**6, F(7, 2) * 10**6)
+    chain = polys.sturm_chain(gamma_poly(E, "C", 11))
+    assert len(chain[0]) - 1 == 30
+    assert polys._root_bound(chain[0]) == 2**24
+    assert len(polys._isolate(chain)) == 10
 
 
 @given(lead=st.sampled_from([1, -1, 3, -7, F(2, 9)]), roots=_roots, extra=_extra)
@@ -320,6 +370,23 @@ def test_regula_falsi_returns_the_nearer_end(x, t):
     assert polys.regula_falsi(f, 0.5, 2.0, f(0.5), f(2.0)) == float(root)
 
 
+@pytest.mark.parametrize("lo, hi", [(1.0, 2.0), (0.5, 2.0), (-1.0, 2.0)])
+@pytest.mark.parametrize("end", ["lo", "hi"])
+@pytest.mark.parametrize("t", [F(1, 3), F(1), F(5, 3)])
+def test_regula_falsi_finds_a_root_next_to_an_end_in_few_steps(lo, hi, end, t):
+    # f is a cube, so f is tiny next to its root and every secant point
+    # rounds onto the near end: the float next to that end is tried, not the
+    # midpoint, and the rounded root is found in a step or two.  Halving
+    # down to the end took 52 to 55 evaluations.
+    e, other = (lo, hi) if end == "lo" else (hi, lo)
+    root = F(e) + (F(math.nextafter(e, other)) - F(e)) * t
+    f = lambda y: float((F(y) - root) ** 3)  # noqa: E731
+    calls = []
+    x = polys.regula_falsi(lambda y: calls.append(y) or f(y), lo, hi, f(lo), f(hi))
+    assert x == float(root)
+    assert len(calls) <= 10
+
+
 def _bisection_steps(f, lo, hi):
     """Steps of plain bisection on the floats to adjacent floats."""
     up, steps = f(lo) > 0, 0
@@ -331,7 +398,7 @@ def _bisection_steps(f, lo, hi):
 
 @pytest.mark.parametrize("root", [0.3, 1e-7, 0.999999, 1 / 3])
 def test_regula_falsi_needs_few_steps_where_bisection_needs_many(root):
-    # Illinois steps converge superlinearly on a smooth monotone function;
+    # Anderson-Bjorck steps converge superlinearly on a smooth monotone function;
     # on a flat one, the midpoint safeguard keeps within three bisections
     for f, most in ((lambda x: math.atan(x - root), 12), (lambda x: (x - root) ** 3, None)):
         calls = []
