@@ -118,21 +118,36 @@ class _Parser(argparse.ArgumentParser):
 _SCALARS = {str, int, float, bool, type(None)}
 
 
-def _indented(value: list) -> str | None:
-    """A top-level list as ``indent=2`` lays it out, by the C encoder; or None.
+def _indented(value: list | tuple) -> str | None:
+    """A top-level list as ``indent=2`` lays it out, at C speed; or None.
 
-    Lists of scalars and lists of non-empty lists of scalars qualify: the C
-    encoder writes them with the indented item separator, and the rows of
-    a nested list are split at ``"],"`` plus a raw newline, which no JSON
-    string contains.
+    Two shapes qualify, told apart by one scan of the item types:
+
+    * scalars, written by the C encoder with the indented item separator;
+      strings that need no escape, such as arc classes, are joined as they
+      are;
+    * rows ``[x, y]`` of two floats (lists or tuples), such as a
+      trajectory's vertices, written by joining ``float.__repr__`` of each
+      coordinate, which is what ``json`` writes for a finite float.
+      ``float.__repr__`` rejects any other item, and a row of another
+      length does not unpack; a non-finite float writes ``nan`` or
+      ``inf``, which ``json`` writes otherwise, and a finite one holds no
+      ``n``.  These lists are left to ``json`` (None).
     """
-    if {type(x) for x in value} <= _SCALARS:
+    types = set(map(type, value))
+    if types == {str}:
+        plain = "".join(value)
+        if json.dumps(plain) == f'"{plain}"':
+            return '[\n    "' + '",\n    "'.join(value) + '"\n  ]'
+    if types <= _SCALARS:
         return "[\n    " + json.dumps(value, separators=(",\n    ", ": "))[1:-1] + "\n  ]"
-    rows = {type(row) for row in value} == {list} and all(value)
-    if rows and {type(x) for row in value for x in row} <= _SCALARS:
-        text = json.dumps(value, separators=(",\n      ", ": "))[2:-2]
-        text = text.replace("],\n      [", "\n    ],\n    [\n      ")
-        return "[\n    [\n      " + text + "\n    ]\n  ]"
+    if types <= {list, tuple}:
+        r = float.__repr__
+        try:
+            rows = ",\n    ".join([f"[\n      {r(x)},\n      {r(y)}\n    ]" for x, y in value])
+        except (TypeError, ValueError):
+            return None
+        return None if "n" in rows else "[\n    " + rows + "\n  ]"
     return None
 
 
@@ -140,12 +155,14 @@ def _emit(doc: dict) -> None:
     """Print ``doc`` as ``json.dumps(doc, sort_keys=True, indent=2)`` does.
 
     With an indent, ``json`` encodes in pure Python, which is slow on a
-    trajectory's thousands of vertices and arc classes.  Such top-level
-    lists are encoded by :func:`_indented` instead and spliced into the
-    document in place of a ``null``: the same text.
+    trajectory's thousands of vertices and arc classes.  Top-level lists
+    and tuples are written by :func:`_indented` instead, where it can,
+    and spliced into the document in place of a ``null``: the same text.
     """
     spliced = {
-        k: text for k, v in doc.items() if isinstance(v, list) and v and (text := _indented(v))
+        k: text
+        for k, v in doc.items()
+        if isinstance(v, (list, tuple)) and v and (text := _indented(v))
     }
     out = json.dumps({**doc, **dict.fromkeys(spliced)}, sort_keys=True, indent=2)
     for key, text in spliced.items():

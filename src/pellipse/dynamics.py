@@ -7,15 +7,19 @@ Trajectories inside the boundary ellipse are polygonal: every segment is
 tangent to one fixed confocal conic (the caustic), which the simulator
 verifies at each step.
 
-:func:`simulate` runs one loop over the floats ``x, y, vx, vy``.  Each
-step makes the float operations of the public helpers (``line_through``,
-``caustic_of_line``, :func:`next_boundary_hit`, ``boundary_arc_class``,
-``tangent_line_at`` and :func:`reflect`) in the same order, with each of
-their checks made once, so trajectories and errors match the helpers bit
-for bit.  A :class:`Trajectory` keeps each vertex and direction as an
-``(x, y)`` float pair; its ``vertices`` and ``directions`` build
+:func:`simulate` runs one loop over the floats ``x, y, vx, vy``, with
+the hot names bound to locals.  Each step makes the float operations of
+the public helpers (``line_through``, ``caustic_of_line``,
+:func:`next_boundary_hit`, ``boundary_arc_class``, ``tangent_line_at``
+and :func:`reflect`) in the same order, with each of their checks made
+once, so trajectories and errors match the helpers bit for bit.  Every
+step is homogeneous in the direction, so :func:`simulate` first scales
+the start direction by a power of two, and its size decides nothing.  A
+:class:`Trajectory` keeps each vertex and direction as an ``(x, y)``
+float pair; its ``vertices`` and ``directions`` build
 :class:`~pellipse.geometry.MVec2` values on first access.  The closure
-tests, the JSON and the SVG figure read the pairs.
+tests, the JSON and the SVG figure read the pairs: the JSON document of
+:meth:`Trajectory.to_jsonable` holds the vertex pairs themselves.
 :func:`first_closure` finds the first closing prefix of a trajectory in
 one pass over its vertices.
 """
@@ -114,7 +118,8 @@ class Trajectory:
 
     ``vertex_xy`` holds ``steps + 1`` boundary points as ``(x, y)`` float
     pairs; ``direction_xy`` holds ``steps + 1`` pairs, the segment
-    directions followed by the reflected direction at the final vertex;
+    directions followed by the reflected direction at the final vertex,
+    at the size :func:`simulate` scaled them to;
     ``arc_classes`` classifies each vertex.  ``caustic_gamma`` is the
     parameter of the conic touched by every segment (``math.inf`` for
     light-like trajectories).  ``vertices`` and ``directions`` are the same
@@ -142,7 +147,12 @@ class Trajectory:
         return len(self.vertex_xy) - 1
 
     def to_jsonable(self, closure: ClosureStatus | None = None) -> dict:
-        """JSON-ready dict (finite floats only; infinity as the string "inf")."""
+        """JSON-ready dict (infinity as the string "inf").
+
+        ``vertices`` is :attr:`vertex_xy` itself, a tuple of float pairs,
+        which ``json`` writes as a list of lists; ``arc_classes`` lists the
+        member values.
+        """
         gamma = self.caustic_gamma
         if gamma is ALL_CONICS:
             gval: object = "all"
@@ -155,7 +165,7 @@ class Trajectory:
             "b": float(self.ellipse.b),
             "gamma": gval,
             "segment_type": self.segment_type.value,
-            "vertices": [[x, y] for x, y in self.vertex_xy],
+            "vertices": self.vertex_xy,
             # the member attribute, not the ``value`` property: 0.4 ms per 2,000 arcs
             "arc_classes": [arc._value_ for arc in self.arc_classes],
         }
@@ -215,14 +225,26 @@ def simulate(P0: MVec2, d0: MVec2, steps: int, E: BoundaryEllipse) -> Trajectory
     The trajectory runs in floats: ``E``, ``P0`` and ``d0`` are replaced by
     their float images on entry, whatever their field (``int``,
     ``Fraction``, ``float`` or ``Decimal``), so the vertices, directions,
-    caustic and ellipse of the result are floats.  Each step is one loop
-    body over the floats ``x, y, vx, vy``; it makes the float operations
-    of :func:`~pellipse.geometry.line_through`,
+    caustic and ellipse of the result are floats.  The direction is then
+    scaled by the power of two ``2**-e`` that brings its larger component
+    into ``[0.5, 1)``, with ``e`` from :func:`math.frexp`.  Every operation
+    of a step is homogeneous in the direction, so the scaling changes no
+    bit of the vertices, arc classes, segment type or caustic that the
+    direction as given computes without over- or underflow, and it keeps
+    ``vx**2/a`` and the chord parameter ``t`` in range for the others:
+    ``d0`` and ``d0 * 2**k`` give the same trajectory.  ``direction_xy``
+    holds the scaled directions.
+
+    Each step is one loop body over the floats ``x, y, vx, vy``; it makes
+    the float operations of :func:`~pellipse.geometry.line_through`,
     :func:`~pellipse.geometry.caustic_of_line`, :func:`next_boundary_hit`,
     :func:`~pellipse.geometry.boundary_arc_class`,
-    :func:`~pellipse.geometry.tangent_line_at` and :func:`reflect` in
-    their order, so the result matches those helpers bit for bit, and it
-    raises what they raise.  Per step it checks:
+    :func:`~pellipse.geometry.tangent_line_at` and :func:`reflect` on the
+    scaled direction in their order, so the result matches those helpers
+    bit for bit, and it raises what they raise.  A product the helpers
+    compute twice, such as ``p * p`` in ``q*q - p*p`` and ``p*p + q*q``, is
+    computed once; ``a * p * p`` is ``(a * p) * p`` and stays as it is.
+    Per step it checks:
 
     * the chord line: nonzero direction and ``(p, q) != (0, 0)``;
     * the caustic invariant: every segment tangent to the conic of the
@@ -244,57 +266,70 @@ def simulate(P0: MVec2, d0: MVec2, steps: int, E: BoundaryEllipse) -> Trajectory
         raise DomainError(f"steps must be >= 1, got {steps}")
     try:
         E = BoundaryEllipse(float(E.a), float(E.b))
-        P, v = MVec2(float(P0.x), float(P0.y)), MVec2(float(d0.x), float(d0.y))
+        P, vx, vy = MVec2(float(P0.x), float(P0.y)), float(d0.x), float(d0.y)
     except OverflowError:
         raise DomainError("simulate needs axes and start data within the float range") from None
     if abs(E.boundary_residual(P)) > BOUNDARY:
         raise DomainError(f"start point ({P0.x}, {P0.y}) is not on the boundary")
+    # every step is homogeneous in the direction: this power of two keeps
+    # vx**2/a and t in range for a direction of any size
+    e = math.frexp(max(abs(vx), abs(vy)))[1]
+    v = MVec2(math.ldexp(vx, -e), math.ldexp(vy, -e))
     seg_type = vector_type(v)
     gamma0 = caustic_of_line(line_through(P, v), E)
 
     vertices = [(P.x, P.y)]
     directions = [(v.x, v.y)]
     arcs = [boundary_arc_class(P, E)]
+    add_vertex, add_direction, add_arc = vertices.append, directions.append, arcs.append
+    hypot, lightlike, degenerate, boundary = math.hypot, LIGHTLIKE, DEGENERATE, BOUNDARY
     a, b = E.a, E.b
     xt = E.touch_x()
-    touch_tol = LIGHTLIKE * (1 + xt)
-    chord_tol = DEGENERATE * E.scale()
+    touch_tol = lightlike * (1 + xt)
+    chord_tol = degenerate * E.scale()
     ellipse_arc, hyperbola_arc = ArcClass.RelativisticEllipseArc, ArcClass.RelativisticHyperbolaArc
     # |gamma_i - gamma0| <= DRIFT * max(1, |gamma0|) implies _same_caustic, as
     # its bound is no smaller; only the rest are passed to it for the verdict
     finite0 = isinstance(gamma0, float) and math.isfinite(gamma0)
     g0, drift0 = (gamma0, DRIFT * max(1.0, abs(gamma0))) if finite0 else (0.0, -1.0)
     x, y, vx, vy = P.x, P.y, v.x, v.y
+    # ``-tol <= z <= tol`` is ``abs(z) <= tol`` and ``z > tol or z < -tol`` is
+    # ``abs(z) > tol``, NaN included (``not -tol <= z <= tol`` is not)
     for i in range(1, steps + 1):
         # line_through: p x + q y = r, with r = 1 unless through the origin
         if vx == 0 and vy == 0:
             raise DomainError("line direction must be nonzero")
-        c = vy * x - vx * y
-        if abs(c) <= DEGENERATE * (abs(vy * x) + abs(vx * y)):
+        vyx, vxy = vy * x, vx * y
+        c = vyx - vxy
+        tol = degenerate * (abs(vyx) + abs(vxy))
+        if -tol <= c <= tol:
             p, q, r = vy, -vx, 0.0
         else:
             p, q, r = vy / c, -vx / c, 1.0
         if p == 0 and q == 0:
             raise DomainError("line requires (p, q) != (0, 0)")
-        # caustic_of_line
+        # caustic_of_line; a * p * p is (a * p) * p, so p * p is not reused there
+        pp, qq = p * p, q * q
         num = r * r - a * p * p - b * q * q
-        den = q * q - p * p
-        if abs(den) <= LIGHTLIKE * (p * p + q * q):
-            nscale = r * r + a * p * p + b * q * q
-            gamma_i = ALL_CONICS if abs(num) <= LIGHTLIKE * nscale else math.inf
+        den = qq - pp
+        tol = lightlike * (pp + qq)
+        if -tol <= den <= tol:
+            tol = lightlike * (r * r + a * p * p + b * q * q)
+            gamma_i = ALL_CONICS if -tol <= num <= tol else math.inf
             drifted = not _same_caustic(gamma0, gamma_i)
         else:
             gamma_i = num / den
-            drifted = not abs(gamma_i - g0) <= drift0 and not _same_caustic(gamma0, gamma_i)
+            dg = gamma_i - g0
+            drifted = not -drift0 <= dg <= drift0 and not _same_caustic(gamma0, gamma_i)
         if drifted:
             raise CausticDrift(
                 f"segment {i} caustic {gamma_i} drifted from {gamma0}", step=i
             )
         # next_boundary_hit
         A = vx * vx / a + vy * vy / b
-        B = 2 * (x * vx / a + y * vy / b)
+        B = 2.0 * (x * vx / a + y * vy / b)
         t = -B / A
-        if t * math.hypot(vx, vy) <= chord_tol:
+        if t * hypot(vx, vy) <= chord_tol:
             raise DegenerateChord(
                 "degenerate chord: direction tangent at the start point"
                 if t >= 0
@@ -303,10 +338,11 @@ def simulate(P0: MVec2, d0: MVec2, steps: int, E: BoundaryEllipse) -> Trajectory
             )
         x, y = x + t * vx, y + t * vy
         # boundary_arc_class
-        if abs(x * x / a + y * y / b - 1) > BOUNDARY:
+        z = x * x / a + y * y / b - 1.0
+        if z > boundary or z < -boundary:
             raise DomainError(f"point ({x}, {y}) is not on the boundary ellipse")
         dx = abs(x) - xt
-        if abs(dx) <= touch_tol:
+        if -touch_tol <= dx <= touch_tol:
             raise ReflectionUndefined(
                 f"vertex {i} landed on a touch point; tangent line is light-like",
                 step=i,
@@ -316,16 +352,18 @@ def simulate(P0: MVec2, d0: MVec2, steps: int, E: BoundaryEllipse) -> Trajectory
         if p == 0 and q == 0:
             raise DomainError("line requires (p, q) != (0, 0)")
         mx, my = q, -p
-        dd = mx * mx - my * my
-        if abs(dd) <= LIGHTLIKE * (mx * mx + my * my):
+        mm, nn = mx * mx, my * my
+        dd = mm - nn
+        tol = lightlike * (mm + nn)
+        if -tol <= dd <= tol:
             raise ReflectionUndefined(
                 "mirror line is light-like; reflection undefined", step=i
             )
-        s = (vx * mx - vy * my) / dd
-        vx, vy = 2 * s * mx - vx, 2 * s * my - vy
-        vertices.append((x, y))
-        directions.append((vx, vy))
-        arcs.append(hyperbola_arc if dx > 0 else ellipse_arc)
+        s2 = 2.0 * ((vx * mx - vy * my) / dd)
+        vx, vy = s2 * mx - vx, s2 * my - vy
+        add_vertex((x, y))
+        add_direction((vx, vy))
+        add_arc(hyperbola_arc if dx > 0 else ellipse_arc)
     return Trajectory(
         vertex_xy=tuple(vertices),
         direction_xy=tuple(directions),

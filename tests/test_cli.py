@@ -1,9 +1,12 @@
 """End-to-end command-line interface behaviour."""
 
 import ast
+import collections
+import contextlib
 import dataclasses
 import importlib
 import inspect
+import io
 import json
 import math
 import os
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 import pellipse
 from pellipse import BoundaryEllipse, caustics, cli
 from pellipse.cli import main
-from pellipse.dynamics import ClosureStatus
+from pellipse.dynamics import SIGMAS, ClosureStatus
 from pellipse.geometry import ArcClass
 
 
@@ -89,6 +92,101 @@ def test_solve_output_is_byte_stable(capsys):
     _, out1 = run(capsys, "solve", "--n", "5", "--a", "6", "--b", "4")
     _, out2 = run(capsys, "solve", "--n", "5", "--a", "6", "--b", "4")
     assert out1 == out2
+
+
+# ---------------------------------------------------------------------------
+# the writer: _emit prints what json.dumps(doc, sort_keys=True, indent=2) does
+# ---------------------------------------------------------------------------
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16, -1e16, 1e-5,
+                1e-4, 1e308, -1e308, 1.7976931348623157e308, 0.1, 1 / 3]
+_FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.sampled_from(_EDGE_FLOATS))
+_ANY_FLOAT = st.one_of(_FINITE, st.sampled_from([math.nan, math.inf, -math.inf]))
+_SCALAR = st.one_of(st.none(), st.booleans(), st.integers(), _ANY_FLOAT, st.text(max_size=8))
+_ARCS = st.sampled_from([arc.value for arc in ArcClass])
+
+
+@st.composite
+def _simulate_docs(draw):
+    # float rows as a Trajectory holds them (tuples) or as json reads them
+    # (lists); one doc in four has non-finite coordinates, the fallback path
+    coord = _ANY_FLOAT if draw(st.integers(0, 3)) == 0 else _FINITE
+    rows = draw(st.lists(st.tuples(coord, coord), min_size=1, max_size=40))
+    shape = draw(st.sampled_from([tuple, list]))
+    doc = {
+        "a": draw(_FINITE),
+        "b": draw(_FINITE),
+        "gamma": draw(st.one_of(_FINITE, st.sampled_from(["inf", "all"]))),
+        "segment_type": draw(st.sampled_from(["SpaceLike", "TimeLike", "LightLike"])),
+        "vertices": shape(shape(row) for row in rows),
+        "arc_classes": draw(st.lists(_ARCS, min_size=len(rows), max_size=len(rows))),
+        "closure": draw(st.one_of(st.none(), st.fixed_dictionaries(
+            {"tag": st.sampled_from(["Periodic", "EllipticPeriodic"]),
+             "n": st.integers(1, 2000), "sigma": st.one_of(st.none(), st.sampled_from(SIGMAS))}))),
+        "command": "simulate",
+    }
+    if draw(st.booleans()):
+        doc["svg"] = draw(st.text(max_size=12))
+    return doc
+
+
+_SOLVE_DOCS = st.fixed_dictionaries({
+    "command": st.just("solve"), "a": _FINITE, "b": _FINITE, "n": st.integers(3, 12),
+    "kind": st.sampled_from(["periodic", "elliptic"]),
+    "caustics": st.lists(st.fixed_dictionaries({
+        "gamma": _FINITE, "conic": st.text(max_size=10), "n": st.integers(3, 12),
+        "n1": st.one_of(st.none(), st.integers(0, 12)), "validated": st.booleans(),
+        "gamma_exact": st.one_of(st.none(), st.text(max_size=10))}), max_size=4),
+    "discarded": st.lists(st.fixed_dictionaries({"gamma": _FINITE, "reason": st.text()}), max_size=3),
+})
+_CERTIFY_DOCS = st.fixed_dictionaries({
+    "command": st.just("certify"), "n": st.integers(3, 12), "gamma": _ANY_FLOAT,
+    "c": st.lists(_ANY_FLOAT, min_size=4, max_size=4), "p_hat": st.lists(_ANY_FLOAT, max_size=13),
+    "q_hat": st.lists(_ANY_FLOAT, max_size=12), "residual": _FINITE,
+    "tau1": st.integers(0, 12), "tau2": st.integers(0, 12),
+    "partition": st.lists(st.integers(0, 12), min_size=2, max_size=2), "kln_ratio": _FINITE,
+})
+# top-level lists of every other shape: strings that need escapes, mixed
+# scalars, rows that are no float pairs, nested containers
+_OTHER_DOCS = st.dictionaries(
+    st.text(max_size=6),
+    st.one_of(
+        _SCALAR,
+        st.lists(st.text()),
+        st.lists(_SCALAR),
+        st.lists(st.lists(_SCALAR, max_size=3)),
+        st.lists(st.tuples(_ANY_FLOAT, st.one_of(_ANY_FLOAT, st.integers(), st.booleans()))),
+        st.lists(st.dictionaries(st.text(max_size=3), _SCALAR, max_size=2)),
+        st.lists(st.dictionaries(_FINITE, st.integers(), min_size=2, max_size=2)),
+        st.lists(st.lists(st.lists(_FINITE, max_size=2), max_size=2)),
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=300)
+@given(doc=st.one_of(_simulate_docs(), _SOLVE_DOCS, _CERTIFY_DOCS, _OTHER_DOCS))
+def test_emit_prints_what_json_dumps_does(doc):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(doc)
+    assert out.getvalue() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def test_emit_writes_float_rows_without_json(monkeypatch):
+    # a trajectory's vertices reach _emit as the Trajectory's own float
+    # pairs, and json's indented encoder never sees them
+    doc = {"vertices": ((1.0, -0.0), (5e-324, 1e16)), "arc_classes": ["TouchPoint"] * 2}
+    expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    seen = []
+    dumps = json.dumps
+    monkeypatch.setattr(cli.json, "dumps", lambda obj, **kw: seen.append(obj) or dumps(obj, **kw))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli._emit(doc)
+    assert out.getvalue() == expected
+    skeletons = [obj for obj in seen if isinstance(obj, dict)]
+    assert [obj["vertices"] for obj in skeletons] == [None]
 
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -509,6 +607,40 @@ def test_simulate_failure_reports_step(capsys):
     assert rc == 3
     doc = json.loads(out)
     assert doc["error"] == "DegenerateChord" and doc["step"] == 1
+
+
+_START = ["--a", "3", "--b", "2", "--x0=1.6546913374900216", "--y0=0.4179286842157663"]
+
+
+@pytest.mark.parametrize(
+    "direction, unit",
+    [
+        # a ray leaving the ellipse; before, a ZeroDivisionError traceback
+        (["--dx=1e-320", "--dy=-1e-320"], ["--dx=1", "--dy=-1"]),
+        # inward: before, a traceback, a vertex "not on the boundary
+        # ellipse" and a DegenerateChord
+        (["--dx=-1e-200", "--dy=3e-201"], ["--dx=-1", "--dy=0.3"]),
+        (["--dx=-1e-160", "--dy=3e-161"], ["--dx=-1", "--dy=0.3"]),
+        (["--dx=-1e200", "--dy=3e199"], ["--dx=-1", "--dy=0.3"]),
+    ],
+)
+def test_the_size_of_the_start_direction_decides_nothing(capsys, direction, unit):
+    # the decimal inputs are no exact multiples of the unit-size direction,
+    # so the bits may differ and the orbits part slowly (1e-11 apart after
+    # 50 steps, 1e-7 after 500); the exact property is in test_dynamics
+    rc, out = run(capsys, "simulate", *_START, *direction, "--steps", "50")
+    rc_unit, out_unit = run(capsys, "simulate", *_START, *unit, "--steps", "50")
+    assert rc == rc_unit
+    doc, ref = json.loads(out), json.loads(out_unit)
+    if rc:
+        assert rc == 3 and doc == ref and doc["error"] == "DegenerateChord"
+        return
+    assert doc["gamma"] == pytest.approx(ref["gamma"], rel=1e-12)
+    assert (doc["segment_type"], doc["closure"]) == (ref["segment_type"], ref["closure"])
+    assert collections.Counter(doc["arc_classes"]) == collections.Counter(ref["arc_classes"])
+    size = max(abs(c) for xy in ref["vertices"] for c in xy)
+    deviation = max(abs(c - e) for u, v in zip(doc["vertices"], ref["vertices"]) for c, e in zip(u, v))
+    assert len(doc["vertices"]) == 51 and deviation <= 1e-9 * size
 
 
 def test_certify_exact_rational(capsys):

@@ -218,6 +218,9 @@ def _reference_simulate(P0, d0, steps, E):
     P, v = MVec2(float(P0.x), float(P0.y)), MVec2(float(d0.x), float(d0.y))
     if abs(E.boundary_residual(P)) > BOUNDARY:
         raise DomainError(f"start point ({P0.x}, {P0.y}) is not on the boundary")
+    # simulate scales the direction by a power of two on entry
+    e = math.frexp(max(abs(v.x), abs(v.y)))[1]
+    v = MVec2(math.ldexp(v.x, -e), math.ldexp(v.y, -e))
     seg_type = vector_type(v)
     gamma0 = caustic_of_line(line_through(P, v), E)
     vertices, directions, arcs = [(P.x, P.y)], [(v.x, v.y)], [boundary_arc_class(P, E)]
@@ -321,6 +324,32 @@ def test_simulate_fails_like_the_public_helpers():
     assert "degenerate chord: ray leaves the ellipse" in messages
     assert any("caustic inf drifted" in m for m in messages)
     assert any("drifted from inf" in m for m in messages)
+
+
+@settings(max_examples=80)
+@given(
+    gamma=st.sampled_from([2.3322714928995234, 1.4, -1.2, 2.9, -2.6, 3.8]),
+    which=st.integers(0, 5),
+    k=st.integers(-1070, 1020),
+)
+def test_the_size_of_the_direction_changes_no_bit(gamma, which, k):
+    # simulate scales the start direction by a power of two, so d0 2**k
+    # runs as d0 does: periodic, ellipse and x- and y-major hyperbola
+    # caustics of (3, 2).  A subnormal d0 2**k has lost bits of d0, so the
+    # reference is the direction it rounded to, scaled back by 2**-k; for
+    # |k| <= 900 that is d0 itself.
+    E = BoundaryEllipse(3.0, 2.0)
+    P0, d0 = next(itertools.islice(dynamics.caustic_starts(E, gamma), which, None))
+    d = MVec2(math.ldexp(d0.x, k), math.ldexp(d0.y, k))
+    unit = MVec2(math.ldexp(d.x, -k), math.ldexp(d.y, -k))
+    if abs(k) <= 900:
+        assert unit == d0
+    got, expected = _outcome(simulate, P0, d, 120, E), _outcome(simulate, P0, unit, 120, E)
+    assert got == expected
+    T, U = simulate(P0, d, 120, E), simulate(P0, unit, 120, E)
+    assert first_closure(T) == first_closure(U)
+    if gamma == 2.3322714928995234:
+        assert first_closure(T).n == 3
 
 
 def _closure_by_prefix(T, tol=BOUNDARY):
