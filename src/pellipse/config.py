@@ -31,8 +31,12 @@ DEGENERATE = 1e-9
 #: zero test, relative to the block's row scales, took for roots.
 ROOT_BRACKET = 2**-30
 
-#: Relative: the caustic of every segment of a simulated trajectory
-#: matches the caustic of the first one.
+#: Relative to the terms of the caustic invariant: every segment of a
+#: simulated trajectory keeps the caustic of the first one when
+#: ``|den0 num - num0 den|`` is at most ``DRIFT`` times
+#: ``|den0| (c**2 + a vy**2 + b vx**2) + |num0| (vx**2 + vy**2)``, where
+#: ``num/den`` is the segment's caustic times ``c**2``
+#: (:func:`pellipse.dynamics.simulate`).
 DRIFT = 1e-6
 
 #: Relative to the touch abscissa ``xt = a/sqrt(a + b)``: a validation

@@ -8,13 +8,19 @@ tangent to one fixed confocal conic (the caustic), which the simulator
 verifies at each step.
 
 :func:`simulate` runs one loop over the floats ``x, y, vx, vy``, with
-the hot names bound to locals.  Each step makes the float operations of
-the public helpers (``line_through``, ``caustic_of_line``,
+the hot names bound to locals.  Each step first tests the caustic with
+one division-free invariant, homogeneous in the axes and in the
+direction: the caustic ``gamma = num/den`` of ``caustic_of_line``, times
+``c**2`` for ``c = vy x - vx y``, must stay proportional to the first
+segment's.  The light-like caustic ``gamma = inf`` is ``den = 0`` and
+needs no special case.  The step then makes the float operations of
 :func:`next_boundary_hit`, ``boundary_arc_class``, ``tangent_line_at``
-and :func:`reflect`) in the same order, with each of their checks made
-once, so trajectories and errors match the helpers bit for bit.  Every
-step is homogeneous in the direction, so :func:`simulate` first scales
-the start direction by a power of two, and its size decides nothing.  A
+and :func:`reflect` in the same order, with each of their checks made
+once, so vertices, directions and errors match those helpers bit for
+bit.  Every step is homogeneous in the direction, so :func:`simulate`
+first scales the start direction by a power of two, and its size
+decides nothing; :func:`next_boundary_hit` and
+:func:`~pellipse.geometry.vector_type` scale a float direction alike.  A
 :class:`Trajectory` keeps each vertex and direction as an ``(x, y)``
 float pair; its ``vertices`` and ``directions`` build
 :class:`~pellipse.geometry.MVec2` values on first access.  The closure
@@ -43,6 +49,7 @@ from .geometry import (
     LineImplicit,
     MVec2,
     VectorType,
+    _pow2_scaled,
     boundary_arc_class,
     caustic_of_line,
     classify_conic,
@@ -199,12 +206,16 @@ def next_boundary_hit(P: MVec2, d: MVec2, E: BoundaryEllipse) -> MVec2:
     chord quadratic is deflated exactly, leaving ``t = -B/A`` with
     ``A = dx**2/a + dy**2/b`` and ``B = 2 (x dx / a + y dy / b)``; a
     non-positive ``t`` means the chord degenerates (tangent ray or ray
-    leaving the ellipse) and raises :class:`DegenerateChord`.
+    leaving the ellipse) and raises :class:`DegenerateChord`.  Every
+    operation is homogeneous in the direction, and a float ``d`` is first
+    scaled by a power of two, as in :func:`simulate`, so its size decides
+    nothing.
     """
     if abs(float(E.boundary_residual(P))) > BOUNDARY:
         raise DomainError(f"chord start ({P.x}, {P.y}) is not on the boundary")
     if d.x == 0 and d.y == 0:
         raise DomainError("chord direction must be nonzero")
+    d = _pow2_scaled(d)
     x, y, dx, dy, a, b = polys.to_field(P.x, P.y, d.x, d.y, E.a, E.b)
     with polys.field_context(a):
         A = dx * dx / a + dy * dy / b
@@ -235,28 +246,38 @@ def simulate(P0: MVec2, d0: MVec2, steps: int, E: BoundaryEllipse) -> Trajectory
     ``d0`` and ``d0 * 2**k`` give the same trajectory.  ``direction_xy``
     holds the scaled directions.
 
-    Each step is one loop body over the floats ``x, y, vx, vy``; it makes
-    the float operations of :func:`~pellipse.geometry.line_through`,
-    :func:`~pellipse.geometry.caustic_of_line`, :func:`next_boundary_hit`,
-    :func:`~pellipse.geometry.boundary_arc_class`,
-    :func:`~pellipse.geometry.tangent_line_at` and :func:`reflect` on the
-    scaled direction in their order, so the result matches those helpers
-    bit for bit, and it raises what they raise.  A product the helpers
-    compute twice, such as ``p * p`` in ``q*q - p*p`` and ``p*p + q*q``, is
-    computed once; ``a * p * p`` is ``(a * p) * p`` and stays as it is.
-    Per step it checks:
+    Each step is one loop body over the floats ``x, y, vx, vy``.  It
+    checks, in this order:
 
-    * the chord line: nonzero direction and ``(p, q) != (0, 0)``;
-    * the caustic invariant: every segment tangent to the conic of the
-      first segment, relative drift tolerance ``DRIFT``
-      (:class:`CausticDrift`);
-    * the chord: :class:`DegenerateChord` for a tangent ray or one that
-      leaves the ellipse;
-    * the new vertex: on the boundary within ``BOUNDARY``, and not within
-      tolerance of a touch point, where the tangent line is light-like
-      (:class:`ReflectionUndefined`);
-    * the mirror: ``(p, q) != (0, 0)`` and not light-like
-      (:class:`ReflectionUndefined`).
+    * the caustic invariant (:class:`CausticDrift`): with
+      ``c = vy x - vx y``, the chord's ``num = c**2 - a vy**2 - b vx**2``
+      and ``den = vx**2 - vy**2`` (the quotient ``gamma = num/den`` of
+      :func:`~pellipse.geometry.caustic_of_line`, scaled by ``c**2``) keep
+      the first segment's ``(num0, den0)`` when
+      ``|den0 num - num0 den| <= DRIFT (|den0| (c**2 + a vy**2 + b vx**2)
+      + |num0| (vx**2 + vy**2))``.  There is no division and no special
+      case: a light-like caustic is ``den0 = 0``, and a common tangent of
+      the family, ``num = den = 0``, passes by itself.  The test is
+      invariant under ``(a, b, x, y) -> (4**k a, 4**k b, 2**k x, 2**k y)``
+      and under the size of the direction.  ``gamma`` is formed only for
+      the error message, by ``caustic_of_line(line_through(...))``;
+    * the chord (:func:`next_boundary_hit`): a nonzero direction, and
+      :class:`DegenerateChord` for a tangent ray or one that leaves the
+      ellipse;
+    * the new vertex (``boundary_arc_class``): on the boundary within
+      ``BOUNDARY``, and not within tolerance of a touch point, where the
+      tangent line is light-like (:class:`ReflectionUndefined`);
+    * the mirror (``tangent_line_at`` and :func:`reflect`):
+      ``(p, q) != (0, 0)`` and not light-like (:class:`ReflectionUndefined`).
+
+    The last three make the float operations of those helpers on the
+    scaled direction in their order, so the vertices, directions and arc
+    classes match the helpers bit for bit, and so do their errors.  A
+    product the helpers compute twice, such as ``vx * vx`` in the caustic
+    test and in ``A``, or ``p * p`` in ``q*q - p*p`` and ``p*p + q*q``, is
+    computed once.  The segment type and the recorded ``caustic_gamma``
+    are those of :func:`~pellipse.geometry.vector_type` and
+    ``caustic_of_line`` on the first segment.
 
     The boundary residual of a vertex is computed once per vertex; the
     helpers' repeated tests of the same value are not made again.  Errors
@@ -273,8 +294,7 @@ def simulate(P0: MVec2, d0: MVec2, steps: int, E: BoundaryEllipse) -> Trajectory
         raise DomainError(f"start point ({P0.x}, {P0.y}) is not on the boundary")
     # every step is homogeneous in the direction: this power of two keeps
     # vx**2/a and t in range for a direction of any size
-    e = math.frexp(max(abs(vx), abs(vy)))[1]
-    v = MVec2(math.ldexp(vx, -e), math.ldexp(vy, -e))
+    v = _pow2_scaled(MVec2(vx, vy))
     seg_type = vector_type(v)
     gamma0 = caustic_of_line(line_through(P, v), E)
 
@@ -282,51 +302,35 @@ def simulate(P0: MVec2, d0: MVec2, steps: int, E: BoundaryEllipse) -> Trajectory
     directions = [(v.x, v.y)]
     arcs = [boundary_arc_class(P, E)]
     add_vertex, add_direction, add_arc = vertices.append, directions.append, arcs.append
-    hypot, lightlike, degenerate, boundary = math.hypot, LIGHTLIKE, DEGENERATE, BOUNDARY
+    hypot, lightlike, boundary = math.hypot, LIGHTLIKE, BOUNDARY
     a, b = E.a, E.b
     xt = E.touch_x()
     touch_tol = lightlike * (1 + xt)
-    chord_tol = degenerate * E.scale()
+    chord_tol = DEGENERATE * E.scale()
     ellipse_arc, hyperbola_arc = ArcClass.RelativisticEllipseArc, ArcClass.RelativisticHyperbolaArc
-    # |gamma_i - gamma0| <= DRIFT * max(1, |gamma0|) implies _same_caustic, as
-    # its bound is no smaller; only the rest are passed to it for the verdict
-    finite0 = isinstance(gamma0, float) and math.isfinite(gamma0)
-    g0, drift0 = (gamma0, DRIFT * max(1.0, abs(gamma0))) if finite0 else (0.0, -1.0)
     x, y, vx, vy = P.x, P.y, v.x, v.y
+    # the caustic invariant (num0, den0) of the first segment; in the bound,
+    # DRIFT |den0| weighs the terms of num and DRIFT |num0| those of den
+    vxx, vyy = vx * vx, vy * vy
+    c = vy * x - vx * y
+    num0, den0 = c * c - a * vyy - b * vxx, vxx - vyy
+    drift_num, drift_den = DRIFT * abs(den0), DRIFT * abs(num0)
     # ``-tol <= z <= tol`` is ``abs(z) <= tol`` and ``z > tol or z < -tol`` is
     # ``abs(z) > tol``, NaN included (``not -tol <= z <= tol`` is not)
     for i in range(1, steps + 1):
-        # line_through: p x + q y = r, with r = 1 unless through the origin
-        if vx == 0 and vy == 0:
-            raise DomainError("line direction must be nonzero")
-        vyx, vxy = vy * x, vx * y
-        c = vyx - vxy
-        tol = degenerate * (abs(vyx) + abs(vxy))
-        if -tol <= c <= tol:
-            p, q, r = vy, -vx, 0.0
-        else:
-            p, q, r = vy / c, -vx / c, 1.0
-        if p == 0 and q == 0:
-            raise DomainError("line requires (p, q) != (0, 0)")
-        # caustic_of_line; a * p * p is (a * p) * p, so p * p is not reused there
-        pp, qq = p * p, q * q
-        num = r * r - a * p * p - b * q * q
-        den = qq - pp
-        tol = lightlike * (pp + qq)
-        if -tol <= den <= tol:
-            tol = lightlike * (r * r + a * p * p + b * q * q)
-            gamma_i = ALL_CONICS if -tol <= num <= tol else math.inf
-            drifted = not _same_caustic(gamma0, gamma_i)
-        else:
-            gamma_i = num / den
-            dg = gamma_i - g0
-            drifted = not -drift0 <= dg <= drift0 and not _same_caustic(gamma0, gamma_i)
-        if drifted:
-            raise CausticDrift(
-                f"segment {i} caustic {gamma_i} drifted from {gamma0}", step=i
-            )
+        # the caustic: (num, den) proportional to (num0, den0); a NaN drifts
+        vxx, vyy = vx * vx, vy * vy
+        c = vy * x - vx * y
+        cc, avy, bvx = c * c, a * vyy, b * vxx
+        tol = drift_num * (cc + avy + bvx) + drift_den * (vxx + vyy)
+        z = den0 * (cc - avy - bvx) - num0 * (vxx - vyy)
+        if not -tol <= z <= tol:
+            gamma_i = caustic_of_line(line_through(MVec2(x, y), MVec2(vx, vy)), E)
+            raise CausticDrift(f"segment {i} caustic {gamma_i} drifted from {gamma0}", step=i)
         # next_boundary_hit
-        A = vx * vx / a + vy * vy / b
+        if vx == 0 and vy == 0:
+            raise DomainError("chord direction must be nonzero")
+        A = vxx / a + vyy / b
         B = 2.0 * (x * vx / a + y * vy / b)
         t = -B / A
         if t * hypot(vx, vy) <= chord_tol:
@@ -372,18 +376,6 @@ def simulate(P0: MVec2, d0: MVec2, steps: int, E: BoundaryEllipse) -> Trajectory
         caustic_gamma=gamma0,
         ellipse=E,
     )
-
-
-def _same_caustic(g0, g1) -> bool:
-    # a common tangent is tangent to every conic of the family, so the
-    # sentinel is consistent with any recorded caustic (it only arises for
-    # chords passing within tolerance of a touch point)
-    if g0 is ALL_CONICS or g1 is ALL_CONICS:
-        return True
-    f0, f1 = float(g0), float(g1)
-    if math.isinf(f0) or math.isinf(f1):
-        return math.isinf(f0) and math.isinf(f1)
-    return abs(f1 - f0) <= DRIFT * max(1.0, abs(f0), abs(f1))
 
 
 def _unit(v: tuple[float, float]) -> tuple[float, float]:

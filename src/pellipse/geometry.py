@@ -183,14 +183,32 @@ def minkowski_dot(u: MVec2, v: MVec2):
     return u.x * v.x - u.y * v.y
 
 
+def _pow2_scaled(v: MVec2) -> MVec2:
+    """A float direction scaled by a power of two into ``[0.5, 1)``.
+
+    ``v * 2**-e``, with ``e`` from :func:`math.frexp` of the larger
+    component, brings that component into ``[0.5, 1)``.  The scaling is
+    exact, so a test homogeneous in the direction decides alike for every
+    size that does not over- or underflow, and on the scaled direction for
+    the others.  A direction with a component that is not a ``float`` is
+    returned as it is.
+    """
+    if type(v.x) is not float or type(v.y) is not float:
+        return v
+    e = math.frexp(max(abs(v.x), abs(v.y)))[1]
+    return MVec2(math.ldexp(v.x, -e), math.ldexp(v.y, -e))
+
+
 def vector_type(v: MVec2) -> VectorType:
     """Causal character of ``v``; the zero vector is rejected.
 
     The light-like test is *relative*: ``|<v,v>| <= LIGHTLIKE * (x**2 + y**2)``,
-    so scaling a vector never changes its type.
+    and a float vector is first scaled by a power of two
+    (:func:`_pow2_scaled`), so the size of a vector never changes its type.
     """
     if v.x == 0 and v.y == 0:
         raise DomainError("vector_type of the zero vector is undefined")
+    v = _pow2_scaled(v)
     qf = float(minkowski_dot(v, v))
     scale = float(v.x) * float(v.x) + float(v.y) * float(v.y)
     if abs(qf) <= LIGHTLIKE * scale:

@@ -643,6 +643,31 @@ def test_the_size_of_the_start_direction_decides_nothing(capsys, direction, unit
     assert len(doc["vertices"]) == 51 and deviation <= 1e-9 * size
 
 
+@pytest.mark.parametrize("dy", ["-1.000244140625", "-1.0000009536743164", "-1.0000000018626451"])
+def test_nearly_light_like_directions_keep_their_caustic(capsys, dy):
+    # a light-like direction tilted by 2**-12, 2**-20 and 2**-29: the first
+    # chord's caustic is finite and far out, and later chords come within
+    # LIGHTLIKE of light-like, where caustic_of_line gives inf.  They keep
+    # the first chord's caustic; before, CausticDrift at segment 115, 37, 3
+    rc, out = run(capsys, "simulate", *_START, "--dx=-1", f"--dy={dy}", "--steps", "400")
+    assert rc == 0
+    doc = json.loads(out)
+    assert len(doc["vertices"]) == 401 and doc["segment_type"] == "TimeLike"
+
+
+def test_a_chord_between_near_touch_points_keeps_its_caustic(capsys):
+    # segment 1237 joins two vertices 2.7e-5 from touch points in |x|; the
+    # quotient num/den of its caustic is 1.5e-5 off, relative, and the next
+    # chord is back within 9e-9.  Before, CausticDrift at segment 1237
+    rc, out = run(
+        capsys, "simulate", "--a", "9", "--b", "5",
+        "--x0=-2.797426926880095", "--y0=-0.8077412225755735",
+        "--dx=-0.11762528835163844", "--dy=1.3360880060387346", "--steps", "2000",
+    )
+    assert rc == 0
+    assert len(json.loads(out)["vertices"]) == 2001
+
+
 def test_certify_exact_rational(capsys):
     rc, out = run(capsys, "certify", "--a", "2", "--b", "4", "--gamma", "4/3", "--n", "4")
     assert rc == 0

@@ -17,9 +17,11 @@ The report gives, per subcommand, the number of identical commands, and
 then the differing ones.  For a solve command it names the top-level JSON
 keys that differ (``caustics`` or ``discarded``) and counts the caustics,
 matched by ``gamma``, whose ``validated`` flag went false -> true and
-true -> false; the totals of both counts over all differing commands
-close the report.  The exit code is 0 when every command is identical
-and 1 otherwise.
+true -> false.  The report closes with the totals of both counts over all
+differing commands, and with the numbers of commands whose exit code went
+from 0 to nonzero and from nonzero to 0, and of those that exit with the
+same nonzero code and a changed error record.  The exit code is 0 when
+every command is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -153,6 +155,16 @@ def validation_flips(old: dict, new: dict) -> tuple[int, int]:
     return gained, lost
 
 
+def exit_flips(pairs) -> tuple[int, int, int]:
+    """Of ``(old, new)`` results: exit 0 -> nonzero, nonzero -> 0, and the same nonzero exit."""
+    failed = mended = errors = 0
+    for a, b in pairs:
+        failed += a["rc"] == 0 and b["rc"] != 0
+        mended += a["rc"] != 0 and b["rc"] == 0
+        errors += a["rc"] != 0 and a["rc"] == b["rc"]
+    return failed, mended, errors
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("old", nargs="?", help="the src directory of the reference tree")
@@ -201,6 +213,12 @@ def main(argv: list[str] | None = None) -> int:
         gained = sum(g for g, _ in flips.values())
         lost = sum(n for _, n in flips.values())
         print(f"solve caustics validated false -> true: {gained}; true -> false: {lost}")
+    if index:
+        failed, mended, errors = exit_flips((old[i], new[i]) for i in index)
+        print(
+            f"commands exit 0 -> nonzero: {failed}; nonzero -> 0: {mended}; "
+            f"same nonzero exit, changed error record: {errors}"
+        )
     return 1 if differ else 0
 
 
