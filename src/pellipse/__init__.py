@@ -38,7 +38,6 @@ from .cayley import (
 from .dynamics import (
     ClosureStatus,
     Trajectory,
-    apply_sigma,
     closure_status,
     first_closure,
     next_boundary_hit,
@@ -123,7 +122,6 @@ __all__ = [
     "VectorType",
     "ZolotarevReport",
     "akhiezer_p4",
-    "apply_sigma",
     "boundary_arc_class",
     "case_symmetry",
     "caustic_of_line",

@@ -231,21 +231,23 @@ def _snap_gamma(E: BoundaryEllipse, gamma, n: int):
 
     Floating-point inputs are typically 4-digit figure captions; the
     construction itself needs the root to full precision, so an input
-    within 1e-3 (relative) of a landed period-``n`` root, for
+    within ``1e-3 |root|`` of a landed period-``n`` root, for
     ``3 <= n <= 8``, is replaced by that root (the exact rational one when
-    available).  The roots are tried in ascending order and the first
-    within tolerance wins, which need not be the nearest one.  They come
-    from :func:`~pellipse.caustics._periodic_roots`, screened and landed
-    but not simulated, for the window ``|root - gamma| <= 2e-3 max(1,
-    |gamma|)``, which holds every root within tolerance: only the ``k``
-    whose root may lie in it are located and landed.  Exact rational
-    inputs, and other periods, are passed through untouched.
+    available).  Both bounds are relative, so the snap is the same at
+    every scale of ``(a, b, gamma)``.  The roots are tried in ascending
+    order and the first within tolerance wins, which need not be the
+    nearest one.  They come from
+    :func:`~pellipse.caustics._periodic_roots`, screened and landed but
+    not simulated, for the window ``|root - gamma| <= 2e-3 |gamma|``,
+    which holds every root within tolerance: only the ``k`` whose root may
+    lie in it are located and landed.  Exact rational inputs, and other
+    periods, are passed through untouched.
     """
     if is_exact(gamma) or not 3 <= n <= 8:
         return gamma
-    width = 2e-3 * max(1.0, abs(gamma))
+    width = 2e-3 * abs(gamma)
     for root, exact, _ in _periodic_roots(E, n, window=(gamma - width, gamma + width)):
-        if abs(gamma - root) <= 1e-3 * max(1.0, abs(root)):
+        if abs(gamma - root) <= 1e-3 * abs(root):
             return root if exact is None else exact
     return gamma
 

@@ -62,7 +62,6 @@ __all__ = [
     "ClosureStatus",
     "Trajectory",
     "SIGMAS",
-    "apply_sigma",
     "reflect",
     "next_boundary_hit",
     "simulate",
@@ -79,18 +78,6 @@ _SIGMA_SIGNS = {"flip-x": (1, -1), "flip-y": (-1, 1), "flip-both": (-1, -1)}
 
 #: Names of the three axial symmetries used by elliptic closure.
 SIGMAS = tuple(_SIGMA_SIGNS)
-
-
-def apply_sigma(sigma: str, v: MVec2) -> MVec2:
-    """Apply a named mirror symmetry to a point or direction.
-
-    ``flip-x`` reflects across the x-axis, ``flip-y`` across the y-axis,
-    ``flip-both`` through the origin.
-    """
-    if sigma not in _SIGMA_SIGNS:
-        raise DomainError(f"unknown symmetry {sigma!r}")
-    sx, sy = _SIGMA_SIGNS[sigma]
-    return MVec2(sx * v.x, sy * v.y)
 
 
 @dataclass(frozen=True)

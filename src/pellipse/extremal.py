@@ -17,8 +17,10 @@ columns reversed, then lifted by the Chebyshev doubling
 
 Rational ``(a, b, gamma)`` run in exact arithmetic (residual exactly 0);
 floating caustics are Newton-polished and evaluated in 50-digit decimal
-arithmetic.  The module also provides the Kolmogorov-style rotation-number
-integrals, Jacobi elliptic functions via the arithmetic-geometric mean,
+arithmetic, on the decimal images of the axes as given.  The periodic and
+the elliptic certificates share one step, :func:`_certificate_pair`.  The
+module also provides the Kolmogorov-style rotation-number integrals,
+Jacobi elliptic functions via the arithmetic-geometric mean,
 the degree-3 Zolotarev consistency identities, the four Akhiezer
 least-deviation regimes and the light-like (Chebyshev) special case.
 """
@@ -96,20 +98,6 @@ def _toeplitz(S: list, ladder: str, n: int) -> list[list]:
     return [row[::-1] for row in _hankel_block(S, ladder, n)]
 
 
-def _certificate_pair(a, b, g, ladder: str, n: int) -> tuple[list, list]:
-    """The unnormalized certificate pair ``(p, q)``, highest coefficient first.
-
-    ``q`` is the null vector of the closure block and ``p`` the part of
-    ``q(x) S(x)`` below the coefficients the block forces to zero.  The
-    block reads the series up to index ``n - 1``.
-    """
-    S = _ladder(a, b, g, ladder, n - 1)
-    v = polys.nullspace_vector(_toeplitz(S, ladder, n))
-    start, size = _hankel_layout(ladder, n)
-    top = start + size - 1
-    return polys.pmul(v, S[:top])[:top][::-1], v[::-1]
-
-
 def _newton_polish(a: Decimal, b: Decimal, g0: Decimal, ladder: str, n: int) -> Decimal:
     """Polish ``gamma`` so the closure block of ``ladder`` at ``n`` is singular.
 
@@ -135,23 +123,34 @@ def _newton_polish(a: Decimal, b: Decimal, g0: Decimal, ladder: str, n: int) -> 
     return g
 
 
-def _polished_field(E: BoundaryEllipse, gamma, ladder: str, n: int):
-    """``(a, b, gamma)`` in the field of the certificate, or ``None``.
+def _certificate_pair(E: BoundaryEllipse, gamma, ladder: str, n: int):
+    """The certificate's field values and unnormalized pair, or ``None``.
 
-    Exact inputs stay rational.  Otherwise the values become 50-digit
-    ``Decimal`` (a float exactly) and ``gamma`` is Newton-polished onto the
-    nearest root of the closure determinant of ``ladder``; ``None`` means
-    that root is more than ``1e-6`` (relative) away from ``gamma``.
+    Returns ``((a, b, gamma), p, q)``, the pair highest coefficient first.
+    Exact inputs stay rational.  An inexact ``gamma`` makes the field
+    50-digit ``Decimal``: :func:`~pellipse.polys.to_field` of the axes as
+    given (a ``Fraction`` as its 50-digit quotient, not as its float) and
+    of ``gamma`` (a float exactly), so the certificate is built for the
+    axes that the exact closure test reads.  ``gamma`` is then
+    Newton-polished onto the nearest root of the closure determinant of
+    ``ladder``; ``None`` means that root lies more than ``1e-6 |gamma|``
+    away.  ``q`` is the null vector of the closure block and ``p`` the
+    part of ``q(x) S(x)`` below the coefficients the block forces to zero.
+    The block reads the series up to index ``n - 1``.
     """
     a, b, g = polys.to_field(E.a, E.b, gamma)
-    if polys.is_exact(g):
-        return a, b, g
-    a, b, g = Decimal(a), Decimal(b), Decimal(g)
+    if not polys.is_exact(g):
+        a, b, g0 = polys.to_field(E.a, E.b, Decimal(g))
+        with polys.field_context(g0):
+            g = _newton_polish(a, b, g0, ladder, n)
+            if abs(g - g0) > Decimal("1e-6") * abs(g0):
+                return None
     with polys.field_context(g):
-        dg = _newton_polish(a, b, g, ladder, n)
-        if abs(dg - g) > Decimal("1e-6") * max(Decimal(1), abs(dg)):
-            return None
-    return a, b, dg
+        S = _ladder(a, b, g, ladder, n - 1)
+        v = polys.nullspace_vector(_toeplitz(S, ladder, n))
+        start, size = _hankel_layout(ladder, n)
+        top = start + size - 1
+        return (a, b, g), polys.pmul(v, S[:top])[:top][::-1], v[::-1]
 
 
 def _factors(a, b, g=None) -> dict:
@@ -246,8 +245,12 @@ def pell_construct(E: BoundaryEllipse, gamma, n: int) -> PellPair:
     :class:`NoCertificate`: the certificate system has a trivial null
     space): an exact ``gamma`` must be a closure root, a float or
     ``Decimal`` one must lie within a relative ``ROOT_BRACKET`` of one.
-    Rational ``(a, b, gamma)`` are processed exactly; floats are
-    Newton-polished in 50-digit decimal arithmetic.
+    :func:`_certificate_pair` gives the field values and the unnormalized
+    pair: rational ``(a, b, gamma)`` stay exact, an inexact ``gamma`` is
+    Newton-polished in 50-digit decimal arithmetic on the axes as given
+    (:class:`NoCertificate` when the polish leaves ``1e-6 |gamma|``).  The
+    pair is normalized here: squared, then divided by the square of the
+    leading coefficient of ``p`` (:class:`NoCertificate` when it is 0).
     """
     if n < 3:
         raise DomainError(f"Pell construction requires n >= 3, got {n}")
@@ -256,33 +259,23 @@ def pell_construct(E: BoundaryEllipse, gamma, n: int) -> PellPair:
             f"no Pell certificate: the exact closure test rejects gamma={gamma} at n={n} "
             "(null space trivial)"
         )
-    ladder = _periodic_ladder(n)
-    values = _polished_field(E, gamma, ladder, n)
-    if values is None:
+    step = _certificate_pair(E, gamma, _periodic_ladder(n), n)
+    if step is None:
         raise NoCertificate(
             f"gamma={gamma!r} is not within polishing range of a period-{n} caustic"
         )
-    with polys.field_context(values[2]):
-        return _construct_exact(E, values, n, ladder)
-
-
-def _construct_exact(E, values, n, ladder) -> PellPair:
-    """Shared exact/decimal pipeline once the scalar field is fixed."""
-    a, b, g = values
-    rev_p, rev_q = _certificate_pair(a, b, g, ladder, n)
+    values, rev_p, rev_q = step
+    g = values[2]
     lead = rev_p[0]
     if lead == 0:
         raise NoCertificate("degenerate certificate: leading coefficient vanished")
-    lead2 = lead * lead
-    pp = [c / lead2 for c in polys.pmul(rev_p, rev_p)]
-    pq_ = [c / lead2 for c in polys.pmul(rev_p, rev_q)]
-    if n % 2 == 0:
-        p2, pq = pp, pq_
-    else:
-        eps_sign = 1 if g > 0 else -1
-        g_abs = g if g > 0 else -g
-        p2 = [c * g_abs for c in pp]
-        pq = [c * eps_sign for c in pq_]
+    with polys.field_context(g):
+        lead2 = lead * lead
+        p2 = [c / lead2 for c in polys.pmul(rev_p, rev_p)]
+        pq = [c / lead2 for c in polys.pmul(rev_p, rev_q)]
+        if n % 2:
+            p2 = [c * abs(g) for c in p2]
+            pq = [c if g > 0 else -c for c in pq]
     return PellPair(n=n, gamma=float(g), ellipse=E, p2=tuple(p2), pq=tuple(pq), values=values)
 
 
@@ -395,9 +388,13 @@ def elliptic_pell_check(E: BoundaryEllipse, gamma, n: int, case: str):
     Verifies that ``gamma``, as given, matches ``case`` by the exact test
     :func:`~pellipse.cayley.elliptic_case_test` (raising
     :class:`DomainError` on mismatch), builds the case polynomial pair
-    from the matching ladder and returns the maximal coefficient of the
+    from the matching ladder with :func:`_certificate_pair`, as
+    :func:`pell_construct` does (:class:`DomainError` when the polish
+    leaves ``1e-6 |gamma|``), and returns the maximal coefficient of the
     identity defect — an exact rational zero in rational mode, a float
-    otherwise.  The five identities
+    otherwise.  The pair is squared, then divided by the square of the
+    leading coefficient of ``q`` (even ``n``) or ``p`` (odd ``n``;
+    :class:`CertificateInvalid` when it is 0).  The five identities
     are, with ``A = s - 1/a``, ``Bp = s + 1/b``, ``G = s - 1/gamma``:
 
     * even, case a: ``s A p**2 - Bp G q**2 = 1``
@@ -415,13 +412,25 @@ def elliptic_pell_check(E: BoundaryEllipse, gamma, n: int, case: str):
     if verdict.case != case:
         raise DomainError(f"case mismatch: gamma={gamma} tests as {verdict.case!r}, not {case!r}")
     ladder = ELLIPTIC_CASES[(parity, case)]
-    values = _polished_field(E, gamma, ladder, n)
-    if values is None:
+    step = _certificate_pair(E, gamma, ladder, n)
+    if step is None:
         raise DomainError(
             f"gamma={gamma!r} is not within polishing range of the case-{case} condition"
         )
-    with polys.field_context(values[2]):
-        res = _elliptic_residual(*values, parity, ladder, n)
+    (a, b, g), rev_p, rev_q = step
+    lead = rev_q[0] if parity == "even" else rev_p[0]
+    if lead == 0:
+        raise CertificateInvalid("degenerate elliptic certificate: zero normalizer")
+    scales, p_factors, q_factors, target = _CASE_IDENTITIES[(parity, ladder)]
+    with polys.field_context(g):
+        l2 = lead * lead
+        pp = [c / l2 for c in polys.pmul(rev_p, rev_p)]
+        qq = [c / l2 for c in polys.pmul(rev_q, rev_q)]
+        sp2, sq2 = scales(a, b, g)
+        f = _factors(a, b, g)
+        P = reduce(polys.pmul, (f[c] for c in p_factors))
+        Q = reduce(polys.pmul, (f[c] for c in q_factors))
+        res = _pell_defect(P, [c * sp2 for c in pp], Q, [c * sq2 for c in qq], target)
     return res if polys.is_exact(res) else float(res)
 
 
@@ -436,22 +445,6 @@ _CASE_IDENTITIES = {
     ("odd", "E"): (lambda a, b, g: (b, 1 / b), "B", "sAG", 1),
     ("odd", "D"): (lambda a, b, g: (a, 1 / a), "A", "sBG", -1),
 }
-
-
-def _elliptic_residual(a, b, g, parity, ladder, n):
-    rev_p, rev_q = _certificate_pair(a, b, g, ladder, n)
-    lead = rev_q[0] if parity == "even" else rev_p[0]
-    if lead == 0:
-        raise CertificateInvalid("degenerate elliptic certificate: zero normalizer")
-    l2 = lead * lead
-    pp = [c / l2 for c in polys.pmul(rev_p, rev_p)]
-    qq = [c / l2 for c in polys.pmul(rev_q, rev_q)]
-    scales, p_factors, q_factors, target = _CASE_IDENTITIES[(parity, ladder)]
-    sp2, sq2 = scales(a, b, g)
-    f = _factors(a, b, g)
-    P = reduce(polys.pmul, (f[c] for c in p_factors))
-    Q = reduce(polys.pmul, (f[c] for c in q_factors))
-    return _pell_defect(P, [c * sp2 for c in pp], Q, [c * sq2 for c in qq], target)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pellipse
-from pellipse import BoundaryEllipse, caustics, cli
+from pellipse import BoundaryEllipse, caustics, cli, extremal
 from pellipse.cli import main
 from pellipse.dynamics import SIGMAS, ClosureStatus
 from pellipse.geometry import ArcClass
@@ -210,8 +211,8 @@ GOLDEN = Path(__file__).parent / "golden"
         ("certify-n5-snap", "certify --a 74/7 --b 25/9 --gamma=-2.778 --n 5"),
         # two roots within 1e-3 of the caption: the first, 1.99917..., wins
         ("certify-n8-two-roots", "certify --a 2 --b 10 --gamma=2.001 --n 8"),
-        # the residual 4.38e-44 holds only if the Pell lift reuses the
-        # Decimal values of the Newton polish, which converted via float
+        # the residual 1.36e-44 holds only if the Pell lift reuses the
+        # Decimal values of the Newton polish: the axes' 50-digit quotients
         ("certify-n9-polish", "certify --a 88/9 --b 16/9 --gamma=0.2140695596515073 --n 9"),
         # the README example: an even period, exact
         ("certify-n4-exact", "certify --a 5 --b 3 --gamma 15/8 --n 4"),
@@ -329,7 +330,7 @@ def test_snap_needs_no_validation(monkeypatch):
 def _full_scan_snap(E, gamma, n):
     """The snap's rule over every landed root: the first ascending within tolerance."""
     for root, exact, _ in caustics._periodic_roots(E, n):
-        if abs(gamma - root) <= 1e-3 * max(1.0, abs(root)):
+        if abs(gamma - root) <= 1e-3 * abs(root):
             return root if exact is None else exact
     return gamma
 
@@ -390,7 +391,7 @@ def test_snap_lands_only_the_roots_in_its_window(monkeypatch):
         located.clear()
         landed.clear()
         cli._snap_gamma(E, caption, 8)
-        width = 2e-3 * max(1.0, abs(caption))
+        width = 2e-3 * abs(caption)
         assert (len(located), len(landed)) == (count, lands), caption
         assert all(abs(g - caption) <= width for g, _ in located)
 
@@ -684,6 +685,42 @@ def test_certify_snaps_caption_gamma(capsys):
     doc = json.loads(out)
     assert doc["partition"] == [3, 1]
     assert abs(doc["residual"]) <= 1e-8
+
+
+def test_certify_prints_the_root_that_solve_lands(capsys):
+    # the polish runs on the 50-digit images of the axes as given, 34/3 and
+    # 23/4, not of their floats, so certify's gamma is the correctly
+    # rounded root that solve lands; on the float images it ended ...596
+    rc, out = run(capsys, "certify", "--a", "34/3", "--b", "23/4", "--gamma=7.970", "--n", "3")
+    assert rc == 0
+    gamma = json.loads(out)["gamma"]
+    assert gamma == 7.970471655692595
+    rc, out = run(capsys, "solve", "--a", "34/3", "--b", "23/4", "--n", "3")
+    assert rc == 0 and gamma in [c["gamma"] for c in json.loads(out)["caustics"]]
+
+
+def test_certify_snaps_below_unit_scale_as_at_unit_scale(capsys):
+    # the snap's window and tolerance are relative: the caption 2.332 of
+    # (3, 2), scaled by 1e-4, snaps onto the same root, scaled, with the
+    # same partition; an absolute 1e-3 took the first root of the window,
+    # the (3, 1) caustic -1.85e-4
+    argv = ("--a", "3/10000", "--b", "2/10000", "--n", "3")
+    rc, out = run(capsys, "certify", *argv, "--gamma=2.332e-4")
+    assert rc == 0
+    doc = json.loads(out)
+    assert doc["partition"] == [3, 2]
+    assert doc["gamma"] == 0.00023322714928995233
+    rc, out = run(capsys, "solve", *argv)
+    assert rc == 0 and doc["gamma"] in [c["gamma"] for c in json.loads(out)["caustics"]]
+
+
+def test_certify_rejects_a_polish_that_leaves_its_range(capsys, monkeypatch):
+    # a Newton polish that ends 1e-3 |gamma| away is no certificate
+    monkeypatch.setattr(extremal, "_newton_polish", lambda a, b, g, *_: g * Decimal("1.001"))
+    rc, out = run(capsys, "certify", "--a", "3", "--b", "2", "--gamma=2.332", "--n", "3")
+    assert rc == 4
+    doc = json.loads(out)
+    assert doc["error"] == "NoCertificate" and "polishing range" in doc["message"]
 
 
 def test_certify_rejects_a_simulated_partition_that_disagrees(capsys, monkeypatch):

@@ -157,6 +157,20 @@ def test_false_positives_of_the_float_zero_test_are_not_polished(monkeypatch):
     assert polished == []
 
 
+def test_a_polish_beyond_its_range_is_rejected(monkeypatch):
+    # a polished root more than 1e-6 |gamma| from gamma is refused: no Pell
+    # pair, and no elliptic residual
+    monkeypatch.setattr(extremal, "_newton_polish", lambda a, b, g, *_: g * Decimal("1.001"))
+    E = BoundaryEllipse(3, 2)
+    gamma = max(r.gamma for r in periodic_caustics(E, 3))
+    with pytest.raises(NoCertificate, match="polishing range"):
+        pell_construct(E, gamma, 3)
+    E = BoundaryEllipse(6, 3)
+    r = elliptic_caustics(E, 3)[0]
+    with pytest.raises(DomainError, match="polishing range"):
+        elliptic_pell_check(E, r.gamma, 3, r.case)
+
+
 def test_elliptic_pell_check_exact_and_mismatch():
     E = BoundaryEllipse(F(5), F(3))
     assert elliptic_pell_check(E, F(15, 8), 2, "a") == 0
