@@ -4,8 +4,9 @@ Every solver finds its roots in two steps, for every period and both kinds:
 
 1. **locate**: the caustic with partition ``(n, k)`` is the root of
    ``rho = k/n`` for the rotation number ``rho`` of
-   :func:`~pellipse.extremal.rotation_ratio`, monotone on each ``gamma``
-   range; a safeguarded Anderson-Bjorck secant step
+   :func:`~pellipse.extremal.rotation_ratio`, which rises from 0 to 1 on
+   each of three ranges, the hyperbolas as one range in ``u = 1/gamma``;
+   a safeguarded Anderson-Bjorck secant step
    (:func:`~pellipse.polys.regula_falsi`) finds it in floats, in about
    ten evaluations of ``rho`` a root, and the parity of ``k`` and
    ``n - k`` on its range says whether it is periodic, elliptic-periodic
@@ -16,10 +17,9 @@ Every solver finds its roots in two steps, for every period and both kinds:
    across the rounding interval is the proof that a closure root lies
    there; a root with none within reach is discarded.
 
-Candidates also pass the spurious-root filter (degenerate conics,
-hyperbolas at odd periods), each discard keeping a reason, and every
-landed root is then validated by an actual simulated trajectory that must
-close.
+Candidates also pass the spurious-root filter (degenerate conics), each
+discard keeping a reason, and every landed root is then validated by an
+actual simulated trajectory that must close.
 
 The closure conditions of the small periods, polynomials in ``gamma``
 with coefficients polynomial in the squared semi-axes ``(a, b)``, are
@@ -170,66 +170,60 @@ def _normalized_det(E: BoundaryEllipse, gamma_f: float, n: int) -> int:
 def _level_roots(E: BoundaryEllipse, n: int, elliptic: bool, window=None):
     """``(gamma, tag)`` per root of ``rho = k/n`` of the wanted kind, ascending.
 
-    ``rho`` is :func:`~pellipse.extremal.rotation_ratio`, monotone on each
-    of the four ``gamma`` ranges; its values at their ends bound the ``k``
-    with a root.  The parity rule admits a periodic root on ``(-b, 0)``
-    when ``n - k`` is even, on ``(0, a)`` when ``k`` is even, and on a
-    hyperbola range when both are (so ``n`` even).  A periodic root's
-    ``tag`` is the least proper divisor ``d >= 3`` of ``n`` whose partition
-    ``(d, k d / n)`` is integral and admitted as well, else ``n``: the root
-    closes after ``d`` steps, and :func:`_periodic_roots` lands it on the
-    period-``d`` closure determinant.  A root the rule does not admit is
-    elliptic-periodic when ``k`` and ``n`` are coprime (else it closes onto
-    its mirror image after a proper divisor of ``n``); its ``tag`` is
-    ``k``.  Each root is found by :func:`~pellipse.polys.regula_falsi` in
-    ``gamma`` on the finite ranges and in ``u = 1/gamma`` on the unbounded
-    ones.
+    ``rho`` is :func:`~pellipse.extremal.rotation_ratio`.  It rises from 0
+    to 1 on each of three ranges: ``(-b, 0)`` and ``(0, a)`` in ``gamma``,
+    and the hyperbolas as one range ``(-1/b, 1/a)`` in ``u = 1/gamma``,
+    through ``rho(inf)`` at ``u = 0``, the light-like caustic.  So every
+    ``k`` has one root on each range.  The parity rule admits a periodic
+    root on ``(-b, 0)`` when ``n - k`` is even, on ``(0, a)`` when ``k`` is
+    even, and on the hyperbola range when both are (so ``n`` even).  A
+    periodic root's ``tag`` is the least proper divisor ``d >= 3`` of ``n``
+    whose partition ``(d, k d / n)`` is integral and admitted as well, else
+    ``n``: the root closes after ``d`` steps, and :func:`_periodic_roots`
+    lands it on the period-``d`` closure determinant.  A root the rule does
+    not admit is elliptic-periodic when ``k`` and ``n`` are coprime (else it
+    closes onto its mirror image after a proper divisor of ``n``); its
+    ``tag`` is ``k``.  Each root is found by
+    :func:`~pellipse.polys.regula_falsi` in its range's variable; the one
+    map between that variable and ``gamma``, ``x -> x`` or ``x -> 1/x``, is
+    its own inverse.  A root at ``u = 0`` exactly, ``gamma = inf``, is not
+    listed.
 
-    A finite ``window = (lo, hi)`` of ``gamma`` keeps only the ``k`` whose
-    ``k/n`` lies between ``rho`` at the window's ends on some range (within
-    ``_SLACK``, beyond the rounding of ``rho``), so every root inside the
-    window is found and only a few outside it.  Each kept ``k`` is still
-    located on its whole range, so its root is the one found without a
-    window.
+    A finite ``window = (lo, hi)`` of ``gamma``, mapped into each range,
+    keeps only the ``k`` whose ``k/n`` lies between ``rho`` at the window's
+    ends on some range (within ``_SLACK``, beyond the rounding of ``rho``),
+    so every root inside the window is found and only a few outside it.
+    Each kept ``k`` is still located on its whole range, so its root is the
+    one found without a window.
     """
     a, b = float(E.a), float(E.b)
-    # rho at gamma = +-inf, computed once a hyperbola range is searched
-    far = cache(partial(rotation_ratio, a, b, math.inf))
-    # (ends of the variable, rho at those ends when called, the gamma range,
-    # variable -> gamma, parity rule on a partition (m, j)); rho increases
-    # with the variable on every range
-    both = lambda m, j: j % 2 == (m - j) % 2 == 0  # noqa: E731
+    # (ends of the variable, variable <-> gamma, parity rule on a partition
+    # (m, j)); rho rises from 0 to 1 with the variable on every range
     ranges = [
-        ((-1 / b, 0.0), lambda: (0.0, far()), (-math.inf, -b), lambda u: 1 / u, both),
-        ((-b, 0.0), lambda: (0.0, 1.0), (-b, 0.0), float, lambda m, j: (m - j) % 2 == 0),
-        ((0.0, a), lambda: (0.0, 1.0), (0.0, a), float, lambda m, j: j % 2 == 0),
-        ((0.0, 1 / a), lambda: (far(), 1.0), (a, math.inf), lambda u: 1 / u, both),
+        ((-b, 0.0), float, lambda m, j: (m - j) % 2 == 0),
+        ((0.0, a), float, lambda m, j: j % 2 == 0),
+        ((-1 / b, 1 / a), lambda x: 1 / x if x else math.inf, lambda m, j: j % 2 == m % 2 == 0),
     ]
     roots = []
-    for (lo, hi), rho_ends, (g_lo, g_hi), to_gamma, admits in ranges:
+    for (lo, hi), flip, admits in ranges:
         ks = [k for k in range(1, n) if admits(n, k) != elliptic]
         ks = [k for k in ks if not elliptic or math.gcd(k, n) == 1]
         if not ks:  # no k of the wanted kind here: rho is not needed
             continue
-        low, high = 0.0, 1.0
+        rho = lambda x: rotation_ratio(a, b, flip(x))  # noqa: E731
         if window is not None:
-            w_lo, w_hi = max(window[0], g_lo), min(window[1], g_hi)
-            if not w_lo < w_hi:
+            x_lo, x_hi = sorted(map(flip, window))
+            x_lo, x_hi = max(x_lo, lo), min(x_hi, hi)
+            if not x_lo < x_hi:
                 continue
-            # rho at the window's ends; it jumps from 1 to 0 at gamma = 0
-            rho_lo = rotation_ratio(a, b, w_lo) if w_lo else 0.0
-            rho_hi = rotation_ratio(a, b, w_hi) if w_hi else 1.0
-            low, high = min(rho_lo, rho_hi) - _SLACK, max(rho_lo, rho_hi) + _SLACK
-        r_lo, r_hi = rho_ends()
+            low = (rho(x_lo) if x_lo > lo else 0.0) - _SLACK
+            high = (rho(x_hi) if x_hi < hi else 1.0) + _SLACK
+            ks = [k for k in ks if low <= k / n <= high]
         for k in ks:
-            if not (r_lo < k / n < r_hi and low <= k / n <= high):
-                continue
             divisors = (d for d in range(3, n) if n % d == 0 and k * d % n == 0)
             tag = k if elliptic else next((d for d in divisors if admits(d, k * d // n)), n)
-            f = lambda x: rotation_ratio(a, b, to_gamma(x)) - k / n  # noqa: E731
-            x = polys.regula_falsi(f, lo, hi, r_lo - k / n, r_hi - k / n)
-            gamma = to_gamma(x) if x else math.inf
-            if math.isfinite(gamma):  # else it is the light-like caustic at infinity
+            x = polys.regula_falsi(lambda x: rho(x) - k / n, lo, hi, -k / n, 1 - k / n)
+            if math.isfinite(gamma := flip(x)):
                 roots.append((gamma, tag))
     return sorted(roots)
 
@@ -363,14 +357,18 @@ def _screen(candidates, reason, discarded):
             _record_discard(discarded, cand[0], why)
 
 
-def _spurious_reason(E: BoundaryEllipse, n: int, gamma_f: float) -> str | None:
-    """The spurious-root filter; ``n = 0`` skips the odd-period rule."""
+def _spurious_reason(E: BoundaryEllipse, gamma_f: float) -> str | None:
+    """The spurious-root filter: the reason a landed root is a degenerate conic, else None.
+
+    It is the one conic screen.  An odd period needs no hyperbola screen:
+    the parity rule of :func:`_level_roots` admits a periodic hyperbola
+    root only for even ``n``, and landing moves a root at most ``_REACH``
+    float steps, a relative ``2**-32``, which from the ranges ``(-b, 0)``
+    and ``(0, a)`` stays inside the band ``DEGENERATE (1 + |v|)`` around
+    ``v = -b`` and ``v = a`` that this screen rejects.
+    """
     hit = degenerate_value(gamma_f, E)
-    if hit is not None:
-        return f"degenerate conic (gamma = {hit[0]})"
-    if n % 2 == 1 and not (-float(E.b) < gamma_f < float(E.a)):
-        return "odd period requires an ellipse caustic"
-    return None
+    return None if hit is None else f"degenerate conic (gamma = {hit[0]})"
 
 
 def _of_period(n: int, candidates, discarded):
@@ -396,7 +394,7 @@ def _periodic_roots(E: BoundaryEllipse, n: int, discarded: list | None = None, w
     """
     located = _level_roots(E, n, False, window)
     roots = _land(E, located, lambda gamma, d: [(d, _periodic_ladder(d), d)], discarded)
-    roots = _screen(roots, partial(_spurious_reason, E, n), discarded)
+    roots = _screen(roots, partial(_spurious_reason, E), discarded)
     return _of_period(n, roots, discarded)
 
 
@@ -477,22 +475,8 @@ def _results(E, n, candidates) -> list[CausticResult]:
 
 
 # ---------------------------------------------------------------------------
-# the three solvers
+# the solvers
 # ---------------------------------------------------------------------------
-
-
-def periodic_caustics(
-    E: BoundaryEllipse, n: int, *, discarded: list | None = None
-) -> list[CausticResult]:
-    """All new ``n``-periodic caustics, any ``n >= 3``, each proven and simulated.
-
-    The caustics of :func:`generic_caustic_scan`, which serves every
-    period: roots that close after a proper divisor of ``n`` are discarded
-    as already periodic, with the other spurious roots (degenerate conic
-    values; hyperbola parameters at odd periods), with reasons appended to
-    ``discarded`` when a list is supplied.  Sorted by ``gamma``.
-    """
-    return generic_caustic_scan(E, n, discarded=discarded)
 
 
 def elliptic_caustics(
@@ -520,7 +504,7 @@ def elliptic_caustics(
         return [(case, ladder, n) for case, ladder in cases]
 
     roots = _land(E, _level_roots(E, n, True), ladders, discarded)
-    return _results(E, n, _screen(roots, partial(_spurious_reason, E, 0), discarded))
+    return _results(E, n, _screen(roots, partial(_spurious_reason, E), discarded))
 
 
 def generic_caustic_scan(
@@ -528,10 +512,13 @@ def generic_caustic_scan(
 ) -> list[CausticResult]:
     """The ``n``-periodic caustics of any period ``n >= 3``, from the level sets of ``rho``.
 
-    The caustic with partition ``(n, k)`` is the root of ``rho = k/n`` on
-    a ``gamma`` range whose parity rule admits ``k`` (:func:`_level_roots`);
-    ``rho`` is monotone on each range, so each admitted ``k`` has one root
-    there.  Each root lands on the exact periodic closure determinant
+    It is also exported as ``periodic_caustics``, one function under both
+    names.  The caustic with partition ``(n, k)`` is the root of
+    ``rho = k/n`` on a range whose parity rule admits ``k``
+    (:func:`_level_roots`); ``rho`` is monotone on each range, so each
+    admitted ``k`` has one root there.  The rule admits a hyperbola only
+    when ``k`` and ``n - k`` are both even, so an odd period has ellipse
+    caustics alone.  Each root lands on the exact periodic closure determinant
     (``C`` ladder for odd periods, ``B`` for even) of the period it closes
     after.  A root that closes after a proper divisor ``d`` of ``n`` lands
     on the small period-``d`` block, whose sign change proves it, and is
@@ -539,11 +526,16 @@ def generic_caustic_scan(
     the period-``n`` block, which proves each, and are validated by a
     simulated closure.  A root with no sign change of its determinant
     within reach (a double root, or a light-like caustic near infinity) is
-    discarded with a reason.
+    discarded with a reason, and so is a root at a degenerate conic value;
+    the reasons are appended to ``discarded`` when a list is supplied.
+    Sorted by ``gamma``.
     """
     if n < 3:
         raise DomainError(f"periodic caustics require n >= 3, got n={n}")
     return _results(E, n, _periodic_roots(E, n, discarded))
+
+
+periodic_caustics = generic_caustic_scan
 
 
 # ---------------------------------------------------------------------------

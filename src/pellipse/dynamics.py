@@ -252,8 +252,9 @@ def simulate(P0: MVec2, d0: MVec2, steps: int, E: BoundaryEllipse) -> Trajectory
       :class:`DegenerateChord` for a tangent ray or one that leaves the
       ellipse;
     * the new vertex (``boundary_arc_class``): on the boundary within
-      ``BOUNDARY``, and not within tolerance of a touch point, where the
-      tangent line is light-like (:class:`ReflectionUndefined`);
+      ``BOUNDARY``, and ``|x|`` not within the relative ``LIGHTLIKE xt``
+      of the touch abscissa ``xt``, where the tangent line is light-like
+      (:class:`ReflectionUndefined`);
     * the mirror (``tangent_line_at`` and :func:`reflect`):
       ``(p, q) != (0, 0)`` and not light-like (:class:`ReflectionUndefined`).
 
@@ -292,7 +293,7 @@ def simulate(P0: MVec2, d0: MVec2, steps: int, E: BoundaryEllipse) -> Trajectory
     hypot, lightlike, boundary = math.hypot, LIGHTLIKE, BOUNDARY
     a, b = E.a, E.b
     xt = E.touch_x()
-    touch_tol = lightlike * (1 + xt)
+    touch_tol = lightlike * xt
     chord_tol = DEGENERATE * E.scale()
     ellipse_arc, hyperbola_arc = ArcClass.RelativisticEllipseArc, ArcClass.RelativisticHyperbolaArc
     x, y, vx, vy = P.x, P.y, v.x, v.y

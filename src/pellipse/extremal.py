@@ -837,19 +837,23 @@ def akhiezer_p4(E: BoundaryEllipse, case: str) -> tuple[float, ...]:
 def lightlike_periodic(E: BoundaryEllipse, max_n: int) -> tuple[int, int] | None:
     """Smallest light-like period ``(n, k)`` with ``n <= max_n``, if any.
 
-    A light-like billiard closes in ``n`` steps (necessarily even, ``n = 2m``)
-    iff ``a/b = cot(k pi / n)**2`` with ``gcd(k, m) = 1``; the angle
-    ``theta = atan(sqrt(b/a))`` is compared against the grid to tolerance
-    ``LIGHTLIKE``.
+    The light-like trajectories are the caustic at ``u = 1/gamma = 0``, so
+    this is the query of the level-set rule of
+    :func:`~pellipse.caustics._level_roots` there.  The level set
+    ``rho = j/n`` passes through ``u = 0`` when ``n rho(inf) = j``, where
+    ``rho(inf) = (2/pi) atan sqrt(a/b)`` is :func:`rotation_ratio` at
+    ``gamma = inf``, and the rule admits it as periodic when ``j`` and
+    ``n - j`` are both even: ``n`` even and ``j = n - 2k``.  Then
+    ``a/b = cot(k pi / n)**2``.  ``|n (1 - rho(inf))/2 - k|`` is compared
+    with ``n LIGHTLIKE / pi``, which is ``LIGHTLIKE`` on the angle
+    ``k pi / n``.  ``n`` ascends, so the first match is the least period.
+    As :func:`rotation_ratio` does, it raises ``DomainError`` where
+    ``a/b`` leaves the float range.
     """
-    theta = math.atan(math.sqrt(float(E.b) / float(E.a)))
+    half = (1 - rotation_ratio(E.a, E.b, math.inf)) / 2
     for n in range(4, max_n + 1, 2):
-        k = round(n * theta / math.pi)
-        if k < 1 or k >= n / 2:
-            continue
-        if math.gcd(k, n // 2) != 1:
-            continue
-        if abs(theta - k * math.pi / n) <= LIGHTLIKE:
+        k = round(n * half)
+        if 0 < k < n / 2 and abs(n * half - k) <= n * LIGHTLIKE / math.pi:
             return n, k
     return None
 

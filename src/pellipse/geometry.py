@@ -321,13 +321,16 @@ def boundary_arc_class(P: MVec2, E: BoundaryEllipse) -> ArcClass:
 
     The tangent line at ``P`` is space-like iff ``|x| < a/sqrt(a+b)``
     (relativistic-ellipse arc), time-like iff ``|x|`` exceeds the threshold
-    (relativistic-hyperbola arc) and light-like at the four touch points.
+    (relativistic-hyperbola arc) and light-like at the four touch points,
+    where ``||x| - xt|`` is at most ``LIGHTLIKE xt`` for the touch abscissa
+    ``xt = a/sqrt(a+b)``: relative, so the class is the same at every
+    scale of the axes.
     """
     if abs(float(E.boundary_residual(P))) > BOUNDARY:
         raise DomainError(f"point ({P.x}, {P.y}) is not on the boundary ellipse")
     xt = E.touch_x()
     dx = abs(float(P.x)) - xt
-    if abs(dx) <= LIGHTLIKE * (1 + xt):
+    if abs(dx) <= LIGHTLIKE * xt:
         return ArcClass.TouchPoint
     return ArcClass.RelativisticHyperbolaArc if dx > 0 else ArcClass.RelativisticEllipseArc
 

@@ -149,7 +149,7 @@ def test_one_degenerate_rule_for_screen_series_and_quadrature():
     # 3.5e-9 from a = 3 lies within DEGENERATE * (1 + a) = 4e-9
     E, gamma = BoundaryEllipse(3, 2), 3 + 3.5e-9
     assert degenerate_value(gamma, E) == ("a", 3)
-    assert _spurious_reason(E, 3, gamma) == "degenerate conic (gamma = a)"
+    assert _spurious_reason(E, gamma) == "degenerate conic (gamma = a)"
     with pytest.raises(DomainError, match="degenerate value 3"):
         is_periodic(E, gamma, 4)
     with pytest.raises(DomainError, match="is degenerate"):
@@ -389,14 +389,47 @@ def test_generic_scan_matches_closed_forms(unsimulated):
     # the landed level-set roots are the exact real roots of the periodic
     # condition polynomials rounded to floats, bit for bit, with their exact
     # values, for n = 3..12: Sturm's theorem counts the roots on the ranges
-    # the spurious-root filter keeps, and each reported float rounds one
+    # the spurious-root filter keeps, and each reported float rounds one.
+    # The oracle's own filter drops the hyperbola roots of odd periods,
+    # which the solver's parity rule never locates
     for a, b in _ORACLE_AXES:
         E = BoundaryEllipse(a, b)
         for n in range(3, 13):
             f = periodic_factor(E, n)
             got = [(r.gamma, r.gamma_exact) for r in generic_caustic_scan(E, n)]
-            keep = lambda g: _spurious_reason(E, n, g) is None  # noqa: E731
+            keep = lambda g: (  # noqa: E731
+                _spurious_reason(E, g) is None and (n % 2 == 0 or -b < g < a)
+            )
             _assert_one_for_one(f, E, keep, got)
+
+
+_LANDING = "no sign change of the closure determinant within 1048576 float steps"
+
+
+@pytest.mark.parametrize(
+    "a, b, n, gammas, reasons",
+    [
+        # a/b = cot**2(pi/3): the light-like root near u = 0 finds no sign
+        # change within reach in gamma, and is discarded
+        (F(3, 10), F(9, 10), 6, [-0.0823557158514987, 0.1125, 0.3073557158514987],
+         [_LANDING] + ["already periodic with period 3"] * 2),
+        # a = b, a/b = cot**2(pi/4): the locator meets u = 0 exactly, and a
+        # root at gamma = inf is not listed
+        (2, 2, 4, [-1.0, 1.0], []),
+        (1, 1, 8, [-1.0290855136357462, -0.9734826640642023, -0.11263521304945992,
+                   0.11263521304945992, 0.9734826640642023, 1.0290855136357462],
+         ["already periodic with period 4"] * 2),
+    ],
+)
+def test_lightlike_axes_keep_their_caustics(a, b, n, gammas, reasons):
+    # on light-like axes the hyperbola range passes through the light-like
+    # caustic at u = 0; the other caustics are found and validated as on
+    # any axes
+    discarded = []
+    rs = periodic_caustics(BoundaryEllipse(a, b), n, discarded=discarded)
+    assert [r.gamma for r in rs] == gammas and all(r.validated for r in rs)
+    assert [d["reason"] for d in discarded] == reasons
+    assert all(abs(d["gamma"]) > 1e15 for d in discarded if d["reason"] == _LANDING)
 
 
 @pytest.mark.parametrize("a, b", _ORACLE_AXES)
@@ -415,7 +448,7 @@ def test_elliptic_caustics_match_the_table_roots(unsimulated, a, b):
             mine = [r for r in got if ELLIPTIC_CASES[parity, r.case] == ladder]
             keep = lambda g: (  # noqa: E731
                 ladder in [lad for _, lad in _elliptic_candidates(E, g, n)]
-                and _spurious_reason(E, 0, g) is None
+                and _spurious_reason(E, g) is None
             )
             _assert_one_for_one(f, E, keep, [(r.gamma, r.gamma_exact) for r in mine])
             for r in mine:

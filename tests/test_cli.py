@@ -397,9 +397,11 @@ def test_snap_lands_only_the_roots_in_its_window(monkeypatch):
 
 
 def test_rho_at_infinity_only_for_the_hyperbola_ranges(monkeypatch):
-    # only the hyperbola ranges read rho at gamma = +-inf: a periodic solve
-    # of odd n admits no root there, and a snap window inside (0, a)
-    # searches neither; an even period reads it once
+    # no range reads rho at gamma = +-inf: the hyperbolas are one range in
+    # u = 1/gamma, whose ends carry rho = 0 and 1, so u = 0 is an inner
+    # point like any other; a periodic solve of odd n admits no root on it,
+    # a snap window inside (0, a) does not search it, and an even period
+    # locates its roots there without reading rho at u = 0
     gammas, rho = [], caustics.rotation_ratio
     monkeypatch.setattr(caustics, "rotation_ratio", lambda *a: gammas.append(a[2]) or rho(*a))
     E = BoundaryEllipse(3, 2)
@@ -412,7 +414,23 @@ def test_rho_at_infinity_only_for_the_hyperbola_ranges(monkeypatch):
     assert gammas and math.inf not in gammas
     gammas.clear()
     list(caustics._periodic_roots(E, 6))
-    assert gammas.count(math.inf) == 1
+    assert gammas and math.inf not in gammas and -math.inf not in gammas
+
+
+def test_the_lightlike_root_is_listed_alike_on_either_bit_of_rho_at_infinity(capsys):
+    # a/b = 3 is light-like, and the elliptic level set rho = 2/3 of n = 3
+    # passes through u = 0.  The hyperbolas are one range in u, so the root
+    # there is located whatever the last bit of rho(inf) on these axes, and
+    # discarded on landing
+    listed = []
+    for a, b in (("5.7", "1.9"), ("9/1000", "3/1000")):
+        rc, out = run(capsys, "solve", "--elliptic", "--n", "3", "--a", a, "--b", b)
+        doc = json.loads(out)
+        assert rc == 0 and len(doc["caustics"]) == 3
+        listed.append([d["reason"] for d in doc["discarded"]])
+    assert listed[0] == listed[1] == [
+        "no sign change of the closure determinant within 1048576 float steps"
+    ]
 
 
 def test_solve_recovers_large_rational_roots(capsys):

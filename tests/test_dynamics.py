@@ -412,6 +412,22 @@ def test_scaling_the_axes_scales_the_trajectory(k, ua, ub, kind, s, m):
     assert _scaled_outcome(Q0, d0, 300, F, 1.0) == _scaled_outcome(P0, d0, 300, E, h)
 
 
+def test_the_touch_point_test_is_relative_at_every_scale():
+    # a chord from (0, -sqrt b) to the boundary point at |x| = xt (1 + 1e-7)
+    # misses the touch abscissa xt by a relative 1e-7, far beyond LIGHTLIKE,
+    # on (3, 2) 4**k for every k, so it reflects there and ends alike; an
+    # absolute tolerance took the vertex for a touch point below unit scale
+    outcomes = set()
+    for k in (-10, 0, 10):
+        E = BoundaryEllipse(3.0 * 4.0**k, 2.0 * 4.0**k)
+        x = E.touch_x() * (1 + 1e-7)
+        y = math.sqrt(E.b * (1 - x * x / E.a))
+        assert boundary_arc_class(MVec2(x, y), E) is ArcClass.RelativisticHyperbolaArc
+        P0, d0 = MVec2(0.0, -math.sqrt(E.b)), MVec2(x, y + math.sqrt(E.b))
+        outcomes.add(_scaled_outcome(P0, d0, 10, E, 2.0**-k))
+    assert outcomes == {(CausticDrift, 3)}
+
+
 def test_the_helpers_decide_alike_for_every_size_of_a_direction():
     # a float direction is scaled by a power of two first, as in simulate.
     # Unscaled, a direction of size 2**-664 gave a ZeroDivisionError in

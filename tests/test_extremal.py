@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import random
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
@@ -535,6 +536,36 @@ def test_lightlike_periodic_detection():
     t = 1 / math.tan(2 * math.pi / 10) ** 2
     assert lightlike_periodic(BoundaryEllipse(t, 1.0), 12) == (10, 2)
     assert lightlike_periodic(BoundaryEllipse(2, 3), 24) is None
+
+
+def _angle_grid_lightlike(E, max_n):
+    """The reference rule: the angle ``atan sqrt(b/a)`` on the grid ``k pi / n``, ``gcd(k, n/2) = 1``."""
+    theta = math.atan(math.sqrt(float(E.b) / float(E.a)))
+    for n in range(4, max_n + 1, 2):
+        k = round(n * theta / math.pi)
+        if 1 <= k < n / 2 and math.gcd(k, n // 2) == 1 and abs(theta - k * math.pi / n) <= 1e-9:
+            return n, k
+    return None
+
+
+def test_lightlike_periods_are_the_angle_grid_rule():
+    # the u = 0 query n rho(inf) = n - 2k names the period of the angle
+    # grid, on light-like axes, on axes just inside and well outside the
+    # tolerance, and on random axes
+    checked = 0
+    for n in range(4, 61, 2):
+        for k in range(1, n // 2):
+            cot2 = 1 / math.tan(k * math.pi / n) ** 2
+            for eps in (0.0, 3e-10, -3e-10, 2e-9, -2e-9, 1e-6):
+                for b in (1.0, 3e-5, 7e4):
+                    E = BoundaryEllipse(cot2 * (1 + eps) * b, b)
+                    assert lightlike_periodic(E, 60) == _angle_grid_lightlike(E, 60), (n, k, eps)
+                    checked += 1
+    assert checked == 7830
+    rng = random.Random(27)
+    for _ in range(2000):
+        E = BoundaryEllipse(10.0 ** rng.uniform(-6, 6), 10.0 ** rng.uniform(-6, 6))
+        assert lightlike_periodic(E, 60) == _angle_grid_lightlike(E, 60), (E.a, E.b)
 
 
 def test_lightlike_pell_exact_closure():
