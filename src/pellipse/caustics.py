@@ -38,7 +38,7 @@ from functools import cache, partial
 
 from . import polys
 from .cayley import (
-    _elliptic_candidates,
+    ELLIPTIC_CASES,
     _periodic_ladder,
     case_symmetry,
     closure_degree,
@@ -182,12 +182,17 @@ def _level_roots(E: BoundaryEllipse, n: int, elliptic: bool, window=None):
     ``n``: the root closes after ``d`` steps, and :func:`_periodic_roots`
     lands it on the period-``d`` closure determinant.  A root the rule does
     not admit is elliptic-periodic when ``k`` and ``n`` are coprime (else it
-    closes onto its mirror image after a proper divisor of ``n``); its
-    ``tag`` is ``k``.  Each root is found by
-    :func:`~pellipse.polys.regula_falsi` in its range's variable; the one
-    map between that variable and ``gamma``, ``x -> x`` or ``x -> 1/x``, is
-    its own inverse.  A root at ``u = 0`` exactly, ``gamma = inf``, is not
-    listed.
+    closes onto its mirror image after a proper divisor of ``n``).  Its
+    ``tag`` is its case letter, fixed by its range and by ``k``: ``b`` on
+    ``(-b, 0)``, ``a`` on ``(0, a)``, and on the hyperbola range ``c`` for
+    even ``n``, and for odd ``n`` ``d`` when ``k`` is odd and ``e`` when it
+    is even.  So for odd ``n`` the parity of ``k`` alone fixes the ladder
+    and the symmetry: ``E`` and ``flip-x`` for odd ``k`` (case ``a`` or
+    ``d``), ``D`` and ``flip-y`` for even ``k`` (case ``b`` or ``e``).  Each
+    root is found by :func:`~pellipse.polys.regula_falsi` in its range's
+    variable; the one map between that variable and ``gamma``, ``x -> x``
+    or ``x -> 1/x``, is its own inverse.  A root at ``u = 0`` exactly,
+    ``gamma = inf``, is not listed.
 
     A finite ``window = (lo, hi)`` of ``gamma``, mapped into each range,
     keeps only the ``k`` whose ``k/n`` lies between ``rho`` at the window's
@@ -198,14 +203,16 @@ def _level_roots(E: BoundaryEllipse, n: int, elliptic: bool, window=None):
     """
     a, b = float(E.a), float(E.b)
     # (ends of the variable, variable <-> gamma, parity rule on a partition
-    # (m, j)); rho rises from 0 to 1 with the variable on every range
+    # (m, j), elliptic case letters for even and odd k); rho rises from 0 to
+    # 1 with the variable on every range
+    inverse = lambda x: 1 / x if x else math.inf  # noqa: E731
     ranges = [
-        ((-b, 0.0), float, lambda m, j: (m - j) % 2 == 0),
-        ((0.0, a), float, lambda m, j: j % 2 == 0),
-        ((-1 / b, 1 / a), lambda x: 1 / x if x else math.inf, lambda m, j: j % 2 == m % 2 == 0),
+        ((-b, 0.0), float, lambda m, j: (m - j) % 2 == 0, "bb"),
+        ((0.0, a), float, lambda m, j: j % 2 == 0, "aa"),
+        ((-1 / b, 1 / a), inverse, lambda m, j: j % 2 == m % 2 == 0, "ed" if n % 2 else "cc"),
     ]
     roots = []
-    for (lo, hi), flip, admits in ranges:
+    for (lo, hi), flip, admits, cases in ranges:
         ks = [k for k in range(1, n) if admits(n, k) != elliptic]
         ks = [k for k in ks if not elliptic or math.gcd(k, n) == 1]
         if not ks:  # no k of the wanted kind here: rho is not needed
@@ -221,10 +228,10 @@ def _level_roots(E: BoundaryEllipse, n: int, elliptic: bool, window=None):
             ks = [k for k in ks if low <= k / n <= high]
         for k in ks:
             divisors = (d for d in range(3, n) if n % d == 0 and k * d % n == 0)
-            tag = k if elliptic else next((d for d in divisors if admits(d, k * d // n)), n)
+            period = next((d for d in divisors if admits(d, k * d // n)), n)
             x = polys.regula_falsi(lambda x: rho(x) - k / n, lo, hi, -k / n, 1 - k / n)
             if math.isfinite(gamma := flip(x)):
-                roots.append((gamma, tag))
+                roots.append((gamma, cases[k % 2] if elliptic else period))
     return sorted(roots)
 
 
@@ -315,26 +322,26 @@ def _exact_candidate(lo, hi, num: int, den: int, dist: float) -> Fraction | None
     return cand if cand and near and Fraction(lo_n, d) <= cand <= Fraction(hi_n, d) else None
 
 
-def _land(E: BoundaryEllipse, candidates, ladders, discarded):
-    """Yield each ``(gamma, tag)`` candidate landed, as ``(gamma, exact, label)``.
+def _land(E: BoundaryEllipse, candidates, block, discarded):
+    """Yield each ``(gamma, tag)`` candidate landed, as ``(gamma, exact, tag)``.
 
-    ``ladders(gamma, tag)`` lists the ``(label, ladder, period)`` triples
-    whose closure determinant may vanish at the root, in the order to try
-    them; the first that :func:`_landed` confirms gives the label.  A
-    candidate that none confirms is discarded with a reason.
+    ``block(tag)`` is the one ``(ladder, period)`` whose closure
+    determinant vanishes at a root of that tag (:func:`_level_roots`):
+    ``(_periodic_ladder(d), d)`` for a periodic root of period ``d``, and
+    the ladder of its case for an elliptic one.  A candidate that
+    :func:`_landed` does not confirm on it is discarded with a reason.
     """
     ia, ib = 1 / Fraction(E.a), 1 / Fraction(E.b)
     poles = (-float(E.b), 0.0, float(E.a))
     for gamma, tag in candidates:
-        for label, ladder, m in ladders(gamma, tag):
-            det = lambda p, q: closure_det(ia, ib, Fraction(q, p), ladder, m)  # noqa: E731
-            landed = _landed(det, gamma, poles)
-            if landed is not None:
-                yield (*landed, label)
-                break
-        else:
+        ladder, m = block(tag)
+        det = lambda p, q: closure_det(ia, ib, Fraction(q, p), ladder, m)  # noqa: E731
+        landed = _landed(det, gamma, poles)
+        if landed is None:
             reason = f"no sign change of the closure determinant within {_REACH} float steps"
             _record_discard(discarded, gamma, reason)
+        else:
+            yield (*landed, tag)
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +400,7 @@ def _periodic_roots(E: BoundaryEllipse, n: int, discarded: list | None = None, w
     keeps for it.
     """
     located = _level_roots(E, n, False, window)
-    roots = _land(E, located, lambda gamma, d: [(d, _periodic_ladder(d), d)], discarded)
+    roots = _land(E, located, lambda d: (_periodic_ladder(d), d), discarded)
     roots = _screen(roots, partial(_spurious_reason, E), discarded)
     return _of_period(n, roots, discarded)
 
@@ -486,24 +493,19 @@ def elliptic_caustics(
 
     The caustic with partition ``(n, k)`` is the root of ``rho = k/n`` on
     a range whose parity rule does not admit ``k``, for ``k`` coprime to
-    ``n`` (:func:`_level_roots`).  Its case is the one of
-    :func:`~pellipse.cayley._elliptic_candidates` whose ladder's closure
-    determinant changes sign at the root, for the odd-period hyperbola
-    tried ``E`` first for odd ``k`` and ``D`` first for even ``k``.  Roots
-    at degenerate conic values, and roots no ladder lands, are discarded
-    with a reason.  ``validated`` requires an ``n``-step simulated
-    trajectory to close onto its mirror image under exactly the case
-    symmetry.  Sorted by ``gamma``.
+    ``n`` (:func:`_level_roots`).  Its case follows from its range and
+    ``k``, and it lands on the closure determinant of that case's ladder
+    (:data:`~pellipse.cayley.ELLIPTIC_CASES`) alone.  Roots at degenerate
+    conic values, and roots with no sign change of that determinant within
+    reach, are discarded with a reason.  ``validated`` requires an
+    ``n``-step simulated trajectory to close onto its mirror image under
+    exactly the case symmetry.  Sorted by ``gamma``.
     """
     if n < 2:
         raise DomainError(f"elliptic caustics require n >= 2, got n={n}")
-
-    def ladders(gamma, k):
-        order = "E" if k % 2 else "D"
-        cases = sorted(_elliptic_candidates(E, gamma, n), key=lambda c: c[1] != order)
-        return [(case, ladder, n) for case, ladder in cases]
-
-    roots = _land(E, _level_roots(E, n, True), ladders, discarded)
+    parity = "odd" if n % 2 else "even"
+    block = lambda case: (ELLIPTIC_CASES[parity, case], n)  # noqa: E731
+    roots = _land(E, _level_roots(E, n, True), block, discarded)
     return _results(E, n, _screen(roots, partial(_spurious_reason, E), discarded))
 
 

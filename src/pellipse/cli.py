@@ -240,13 +240,19 @@ def _snap_gamma(E: BoundaryEllipse, gamma, n: int):
     :func:`~pellipse.caustics._periodic_roots`, screened and landed but
     not simulated, for the window ``|root - gamma| <= 2e-3 |gamma|``,
     which holds every root within tolerance: only the ``k`` whose root may
-    lie in it are located and landed.  Exact rational inputs, and other
-    periods, are passed through untouched.
+    lie in it are located and landed.  Exact rational inputs, other
+    periods, and a ``gamma`` whose window the level sets cannot locate
+    (``rho`` beyond the float range at its ends, next to a degenerate
+    value) are passed through untouched, for the construction to judge.
     """
     if is_exact(gamma) or not 3 <= n <= 8:
         return gamma
     width = 2e-3 * abs(gamma)
-    for root, exact, _ in _periodic_roots(E, n, window=(gamma - width, gamma + width)):
+    try:
+        roots = _periodic_roots(E, n, window=(gamma - width, gamma + width))
+    except DomainError:
+        return gamma
+    for root, exact, _ in roots:
         if abs(gamma - root) <= 1e-3 * abs(root):
             return root if exact is None else exact
     return gamma
@@ -306,19 +312,9 @@ _TABLE_ROWS = (
     (6, 3, 8, 5.3707, 6, 2),
 )
 
-#: Light-like closure pairs (n, k) with n <= 12, gcd(k, n/2) = 1.
-_LIGHTLIKE_PAIRS = (
-    (4, 1),
-    (6, 1),
-    (6, 2),
-    (8, 1),
-    (8, 3),
-    (10, 1),
-    (10, 2),
-    (10, 3),
-    (10, 4),
-    (12, 1),
-    (12, 5),
+#: Light-like closure pairs (n, k): even n <= 12, 1 <= k < n/2, gcd(k, n/2) = 1.
+_LIGHTLIKE_PAIRS = tuple(
+    (n, k) for n in range(2, 13, 2) for k in range(1, n // 2) if math.gcd(k, n // 2) == 1
 )
 
 

@@ -456,6 +456,47 @@ def test_elliptic_caustics_match_the_table_roots(unsimulated, a, b):
                 assert r.case == cases[0], (n, r.gamma)
 
 
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        (3, 2),
+        (5, 11),
+        (F(41, 7), F(7, 2)),
+        (F(5, 3) * 10**6, F(35, 4) * 10**6),
+        (F(3, 10**4), F(1, 10**3)),
+    ],
+)
+def test_an_odd_period_hyperbola_root_lands_on_its_own_ladder_alone(a, b):
+    # for odd n the parity of k names the one ladder of a hyperbola root:
+    # E for case d (k odd), D for case e (k even).  Every root that lands
+    # on it lands on no other, so a trial of the other ladder, as a
+    # fallback, could find nothing; on int, fraction and 10**k-scaled axes
+    E = BoundaryEllipse(a, b)
+    other = {"d": "D", "e": "E"}
+    checked = 0
+    for n in range(3, 12, 2):
+        for gamma, case in _level_roots(E, n, True):
+            if case not in other or _landed_on(E, gamma, n, ELLIPTIC_CASES["odd", case]) is None:
+                continue
+            assert _landed_on(E, gamma, n, other[case]) is None, (n, gamma, case)
+            checked += 1
+    assert checked >= 25
+
+
+@pytest.mark.parametrize("a, b", [(3, 2), (5, 11), ("41/7", "7/2"), (12, 3)])
+def test_odd_period_elliptic_cases_follow_the_parity_of_n1(capsys, a, b):
+    # from the simulation side: a validated elliptic caustic of odd period
+    # has case a or d (ladder E, flip-x) exactly when its simulated n1,
+    # which is k, is odd
+    for n in range(3, 12, 2):
+        assert main(["solve", "--elliptic", "--n", str(n), "--a", str(a), "--b", str(b)]) == 0
+        found = json.loads(capsys.readouterr().out)["caustics"]
+        validated = [c for c in found if c["validated"]]
+        assert len(validated) >= n - 1, (n, len(validated))
+        for c in validated:
+            assert (c["case"] in ("a", "d")) == (c["n1"] % 2 == 1), (n, c)
+
+
 def _sturm_count(E, ladder, n):
     """Sturm's count of the distinct real roots ``gamma`` of the closure condition of ``(ladder, n)``."""
     return _root_count(polys.squarefree_part(gamma_poly(E, ladder, n)), E, lambda g: True)
@@ -713,10 +754,13 @@ def test_divisor_discards_rest_on_their_own_periods_sign_change(a, b):
     assert checked >= 10
 
 
-def _landed_on(E, gamma, m):
-    """The landing of ``gamma`` on the period-``m`` closure determinant."""
-    ia, ib = 1 / F(E.a), 1 / F(E.b)
-    det = lambda p, q: caustics.closure_det(ia, ib, F(q, p), _periodic_ladder(m), m)  # noqa: E731
+def _landed_on(E, gamma, m, ladder=None):
+    """The landing of ``gamma`` on the period-``m`` closure determinant of ``ladder``.
+
+    The ladder defaults to the periodic one of ``m``.
+    """
+    ia, ib, ladder = 1 / F(E.a), 1 / F(E.b), ladder or _periodic_ladder(m)
+    det = lambda p, q: caustics.closure_det(ia, ib, F(q, p), ladder, m)  # noqa: E731
     return caustics._landed(det, gamma, (-float(E.b), 0.0, float(E.a)))
 
 

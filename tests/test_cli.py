@@ -859,6 +859,21 @@ def test_certify_at_the_float_limit_exits_2(capsys):
     assert doc["error"] == "DomainError" and "degenerate" in doc["message"]
 
 
+def test_certify_next_to_a_degenerate_value_names_it(capsys):
+    # rho is beyond the float range at the ends of the snap's window around
+    # 1e-300, so the caption passes on unsnapped and the construction names
+    # the degenerate value; a caption at a degenerate value that the snap
+    # moves onto a root is still certified there
+    rc, out = run(capsys, "certify", "--a", "3", "--b", "2", "--gamma=1e-300", "--n", "3")
+    assert rc == 2
+    assert json.loads(out) == {
+        "error": "DomainError",
+        "message": "gamma=1e-300 coincides with degenerate value 0",
+    }
+    rc, out = run(capsys, "certify", "--a", "11", "--b", "3", "--gamma=-3.000", "--n", "5")
+    assert rc == 0 and -3.0 != json.loads(out)["gamma"] == pytest.approx(-3.0, rel=1e-3)
+
+
 def test_certify_rejects_nonperiodic_gamma(capsys):
     rc, out = run(capsys, "certify", "--a", "3", "--b", "2", "--gamma", "1.0", "--n", "3")
     assert rc == 4
