@@ -17,9 +17,12 @@ Every solver finds its roots in two steps, for every period and both kinds:
    across the rounding interval is the proof that a closure root lies
    there; a root with none within reach is discarded.
 
-Candidates also pass the spurious-root filter (degenerate conics), each
-discard keeping a reason, and every landed root is then validated by an
-actual simulated trajectory that must close.
+One generator, :func:`_roots`, takes each located root through landing
+and the spurious-root filter (degenerate conics) for both solvers and for
+the snap of ``certify``.  Every located root it does not yield is
+discarded with a reason, the light-like root at ``u = 0`` among them, and
+every landed root is then validated by an actual simulated trajectory
+that must close.
 
 The closure conditions of the small periods, polynomials in ``gamma``
 with coefficients polynomial in the squared semi-axes ``(a, b)``, are
@@ -34,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache
 
 from . import polys
 from .cayley import (
@@ -179,8 +182,8 @@ def _level_roots(E: BoundaryEllipse, n: int, elliptic: bool, window=None):
     even, and on the hyperbola range when both are (so ``n`` even).  A
     periodic root's ``tag`` is the least proper divisor ``d >= 3`` of ``n``
     whose partition ``(d, k d / n)`` is integral and admitted as well, else
-    ``n``: the root closes after ``d`` steps, and :func:`_periodic_roots`
-    lands it on the period-``d`` closure determinant.  A root the rule does
+    ``n``: the root closes after ``d`` steps, and :func:`_roots` lands it
+    on the period-``d`` closure determinant.  A root the rule does
     not admit is elliptic-periodic when ``k`` and ``n`` are coprime (else it
     closes onto its mirror image after a proper divisor of ``n``).  Its
     ``tag`` is its case letter, fixed by its range and by ``k``: ``b`` on
@@ -191,8 +194,8 @@ def _level_roots(E: BoundaryEllipse, n: int, elliptic: bool, window=None):
     ``d``), ``D`` and ``flip-y`` for even ``k`` (case ``b`` or ``e``).  Each
     root is found by :func:`~pellipse.polys.regula_falsi` in its range's
     variable; the one map between that variable and ``gamma``, ``x -> x``
-    or ``x -> 1/x``, is its own inverse.  A root at ``u = 0`` exactly,
-    ``gamma = inf``, is not listed.
+    or ``x -> 1/x``, is its own inverse.  A root at ``u = 0`` exactly is
+    listed with ``gamma = inf``, for :func:`_roots` to discard.
 
     A finite ``window = (lo, hi)`` of ``gamma``, mapped into each range,
     keeps only the ``k`` whose ``k/n`` lies between ``rho`` at the window's
@@ -230,8 +233,7 @@ def _level_roots(E: BoundaryEllipse, n: int, elliptic: bool, window=None):
             divisors = (d for d in range(3, n) if n % d == 0 and k * d % n == 0)
             period = next((d for d in divisors if admits(d, k * d // n)), n)
             x = polys.regula_falsi(lambda x: rho(x) - k / n, lo, hi, -k / n, 1 - k / n)
-            if math.isfinite(gamma := flip(x)):
-                roots.append((gamma, cases[k % 2] if elliptic else period))
+            roots.append((flip(x), cases[k % 2] if elliptic else period))
     return sorted(roots)
 
 
@@ -322,48 +324,6 @@ def _exact_candidate(lo, hi, num: int, den: int, dist: float) -> Fraction | None
     return cand if cand and near and Fraction(lo_n, d) <= cand <= Fraction(hi_n, d) else None
 
 
-def _land(E: BoundaryEllipse, candidates, block, discarded):
-    """Yield each ``(gamma, tag)`` candidate landed, as ``(gamma, exact, tag)``.
-
-    ``block(tag)`` is the one ``(ladder, period)`` whose closure
-    determinant vanishes at a root of that tag (:func:`_level_roots`):
-    ``(_periodic_ladder(d), d)`` for a periodic root of period ``d``, and
-    the ladder of its case for an elliptic one.  A candidate that
-    :func:`_landed` does not confirm on it is discarded with a reason.
-    """
-    ia, ib = 1 / Fraction(E.a), 1 / Fraction(E.b)
-    poles = (-float(E.b), 0.0, float(E.a))
-    for gamma, tag in candidates:
-        ladder, m = block(tag)
-        det = lambda p, q: closure_det(ia, ib, Fraction(q, p), ladder, m)  # noqa: E731
-        landed = _landed(det, gamma, poles)
-        if landed is None:
-            reason = f"no sign change of the closure determinant within {_REACH} float steps"
-            _record_discard(discarded, gamma, reason)
-        else:
-            yield (*landed, tag)
-
-
-# ---------------------------------------------------------------------------
-# candidate filters
-# ---------------------------------------------------------------------------
-
-
-def _record_discard(discarded, gamma_f: float, reason: str) -> None:
-    if discarded is not None:
-        discarded.append({"gamma": gamma_f, "reason": reason})
-
-
-def _screen(candidates, reason, discarded):
-    """Yield the candidates ``reason`` passes (None); record why the others fail."""
-    for cand in candidates:
-        why = reason(cand[0])
-        if why is None:
-            yield cand
-        else:
-            _record_discard(discarded, cand[0], why)
-
-
 def _spurious_reason(E: BoundaryEllipse, gamma_f: float) -> str | None:
     """The spurious-root filter: the reason a landed root is a degenerate conic, else None.
 
@@ -378,31 +338,41 @@ def _spurious_reason(E: BoundaryEllipse, gamma_f: float) -> str | None:
     return None if hit is None else f"degenerate conic (gamma = {hit[0]})"
 
 
-def _of_period(n: int, candidates, discarded):
-    """Yield the periodic candidates that close after ``n`` steps; discard the rest."""
-    for gamma_f, exact, d in candidates:
-        if d == n:
-            yield gamma_f, exact, None
-        else:
-            _record_discard(discarded, gamma_f, f"already periodic with period {d}")
+def _roots(E: BoundaryEllipse, n: int, elliptic: bool, discarded=None, window=None):
+    """Yield each landed root of period ``n`` and the wanted kind as ``(gamma, exact, case)``.
 
-
-def _periodic_roots(E: BoundaryEllipse, n: int, discarded: list | None = None, window=None):
-    """Yield the landed ``(gamma, exact, None)`` candidates of period ``n``, ascending.
-
-    They pass the spurious-root filter and close after ``n`` steps, found
-    without a simulation; :func:`generic_caustic_scan` validates them.
-    Each root lands on the closure determinant of the period ``d`` it is
-    tagged with, ``n`` or the least proper divisor it closes after, whose
-    Hankel block is the smaller; a root of period ``d < n`` is then
-    discarded on that determinant's sign change.  A ``window`` of
-    ``gamma`` locates and lands only the roots that :func:`_level_roots`
-    keeps for it.
+    The roots come from :func:`_level_roots` for the ``window``, ascending,
+    and each lands (:func:`_landed`) on the one closure determinant its tag
+    names: ``(_periodic_ladder(d), d)`` for a periodic root of period
+    ``d``, and ``(ELLIPTIC_CASES[parity, case], n)`` for an elliptic one,
+    whose ``case`` it yields (None for a periodic root).  A root is
+    discarded, in this order, at ``u = 0`` (``gamma = inf``, written
+    ``"inf"``), with no sign change of that determinant within reach, at a
+    degenerate conic value (:func:`_spurious_reason`), or when it closes
+    after a proper divisor ``d`` of ``n``, proven by the sign change of the
+    small period-``d`` block.  Each discard's ``gamma`` and reason are
+    appended to ``discarded`` when a list is supplied.  The roots are not
+    simulated: :func:`_results` validates them.
     """
-    located = _level_roots(E, n, False, window)
-    roots = _land(E, located, lambda d: (_periodic_ladder(d), d), discarded)
-    roots = _screen(roots, partial(_spurious_reason, E), discarded)
-    return _of_period(n, roots, discarded)
+    ia, ib = 1 / Fraction(E.a), 1 / Fraction(E.b)
+    poles = (-float(E.b), 0.0, float(E.a))
+    parity = "odd" if n % 2 else "even"
+    for gamma, tag in _level_roots(E, n, elliptic, window):
+        ladder, m = (ELLIPTIC_CASES[parity, tag], n) if elliptic else (_periodic_ladder(tag), tag)
+        det = lambda p, q: closure_det(ia, ib, Fraction(q, p), ladder, m)  # noqa: E731
+        if math.isinf(gamma):
+            gamma, why = "inf", "light-like root at u = 0: gamma = inf is not landed"
+        elif (landed := _landed(det, gamma, poles)) is None:
+            why = f"no sign change of the closure determinant within {_REACH} float steps"
+        else:
+            gamma, exact = landed
+            period = None if m == n else f"already periodic with period {m}"
+            why = _spurious_reason(E, gamma) or period
+            if why is None:
+                yield gamma, exact, tag if elliptic else None
+                continue
+        if discarded is not None:
+            discarded.append({"gamma": gamma, "reason": why})
 
 
 # ---------------------------------------------------------------------------
@@ -496,17 +466,15 @@ def elliptic_caustics(
     ``n`` (:func:`_level_roots`).  Its case follows from its range and
     ``k``, and it lands on the closure determinant of that case's ladder
     (:data:`~pellipse.cayley.ELLIPTIC_CASES`) alone.  Roots at degenerate
-    conic values, and roots with no sign change of that determinant within
-    reach, are discarded with a reason.  ``validated`` requires an
+    conic values, roots with no sign change of that determinant within
+    reach, and a root at ``u = 0`` are discarded with a reason
+    (:func:`_roots`).  ``validated`` requires an
     ``n``-step simulated trajectory to close onto its mirror image under
     exactly the case symmetry.  Sorted by ``gamma``.
     """
     if n < 2:
         raise DomainError(f"elliptic caustics require n >= 2, got n={n}")
-    parity = "odd" if n % 2 else "even"
-    block = lambda case: (ELLIPTIC_CASES[parity, case], n)  # noqa: E731
-    roots = _land(E, _level_roots(E, n, True), block, discarded)
-    return _results(E, n, _screen(roots, partial(_spurious_reason, E), discarded))
+    return _results(E, n, _roots(E, n, True, discarded))
 
 
 def generic_caustic_scan(
@@ -528,13 +496,14 @@ def generic_caustic_scan(
     the period-``n`` block, which proves each, and are validated by a
     simulated closure.  A root with no sign change of its determinant
     within reach (a double root, or a light-like caustic near infinity) is
-    discarded with a reason, and so is a root at a degenerate conic value;
-    the reasons are appended to ``discarded`` when a list is supplied.
+    discarded with a reason, and so are a root at a degenerate conic value
+    and a root at ``u = 0`` (:func:`_roots`); the reasons are appended to
+    ``discarded`` when a list is supplied.
     Sorted by ``gamma``.
     """
     if n < 3:
         raise DomainError(f"periodic caustics require n >= 3, got n={n}")
-    return _results(E, n, _periodic_roots(E, n, discarded))
+    return _results(E, n, _roots(E, n, False, discarded))
 
 
 periodic_caustics = generic_caustic_scan

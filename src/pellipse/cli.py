@@ -35,7 +35,7 @@ from fractions import Fraction
 
 from .caustics import (
     DISCRIMINANT_IDENTITIES,
-    _periodic_roots,
+    _roots,
     _sim_closure,
     discriminant_identity_check,
     elliptic_caustics,
@@ -237,24 +237,33 @@ def _snap_gamma(E: BoundaryEllipse, gamma, n: int):
     every scale of ``(a, b, gamma)``.  The roots are tried in ascending
     order and the first within tolerance wins, which need not be the
     nearest one.  They come from
-    :func:`~pellipse.caustics._periodic_roots`, screened and landed but
+    :func:`~pellipse.caustics._roots`, periodic, screened and landed but
     not simulated, for the window ``|root - gamma| <= 2e-3 |gamma|``,
     which holds every root within tolerance: only the ``k`` whose root may
-    lie in it are located and landed.  Exact rational inputs, other
-    periods, and a ``gamma`` whose window the level sets cannot locate
-    (``rho`` beyond the float range at its ends, next to a degenerate
-    value) are passed through untouched, for the construction to judge.
+    lie in it are located, and the roots are landed one at a time up to
+    the first within tolerance.  Exact rational inputs, other periods, and
+    a ``gamma`` whose window the level sets cannot locate (``rho`` beyond
+    the float range at its ends, next to a degenerate value) are passed
+    through untouched, for the construction to judge.
+
+    The bound ``n <= 8`` stays because the first-root rule and the
+    references of ``certify`` rest on it.  Without the bound, the caption
+    ``-6.197332924075168`` of ``--a 22/3 --b 31/5 --n 12`` snaps to the
+    hyperbola root ``-6.202672680615123``, the first within tolerance,
+    instead of passing on to its reference ``-6.197332924076528`` on
+    ``(-b, 0)``; and the nearest-root rule, which would snap it there,
+    moves 10 references at ``n <= 8``.
     """
     if is_exact(gamma) or not 3 <= n <= 8:
         return gamma
     width = 2e-3 * abs(gamma)
+    # _roots is a generator: locating, which may raise, runs inside the loop
     try:
-        roots = _periodic_roots(E, n, window=(gamma - width, gamma + width))
+        for root, exact, _ in _roots(E, n, False, window=(gamma - width, gamma + width)):
+            if abs(gamma - root) <= 1e-3 * abs(root):
+                return root if exact is None else exact
     except DomainError:
-        return gamma
-    for root, exact, _ in roots:
-        if abs(gamma - root) <= 1e-3 * abs(root):
-            return root if exact is None else exact
+        pass
     return gamma
 
 

@@ -23,7 +23,7 @@ from pellipse import (
     generic_caustic_scan,
     periodic_caustics,
 )
-from pellipse.caustics import _level_roots, _periodic_roots, _spurious_reason
+from pellipse.caustics import _level_roots, _roots, _spurious_reason
 from pellipse.cayley import (
     ELLIPTIC_CASES,
     _elliptic_candidates,
@@ -404,6 +404,7 @@ def test_generic_scan_matches_closed_forms(unsimulated):
 
 
 _LANDING = "no sign change of the closure determinant within 1048576 float steps"
+_U_ZERO = "light-like root at u = 0: gamma = inf is not landed"
 
 
 @pytest.mark.parametrize(
@@ -413,12 +414,12 @@ _LANDING = "no sign change of the closure determinant within 1048576 float steps
         # change within reach in gamma, and is discarded
         (F(3, 10), F(9, 10), 6, [-0.0823557158514987, 0.1125, 0.3073557158514987],
          [_LANDING] + ["already periodic with period 3"] * 2),
-        # a = b, a/b = cot**2(pi/4): the locator meets u = 0 exactly, and a
-        # root at gamma = inf is not listed
-        (2, 2, 4, [-1.0, 1.0], []),
+        # a = b, a/b = cot**2(pi/4): the locator meets u = 0 exactly, and
+        # the root at gamma = inf is discarded as such
+        (2, 2, 4, [-1.0, 1.0], [_U_ZERO]),
         (1, 1, 8, [-1.0290855136357462, -0.9734826640642023, -0.11263521304945992,
                    0.11263521304945992, 0.9734826640642023, 1.0290855136357462],
-         ["already periodic with period 4"] * 2),
+         ["already periodic with period 4"] * 2 + [_U_ZERO]),
     ],
 )
 def test_lightlike_axes_keep_their_caustics(a, b, n, gammas, reasons):
@@ -430,6 +431,7 @@ def test_lightlike_axes_keep_their_caustics(a, b, n, gammas, reasons):
     assert [r.gamma for r in rs] == gammas and all(r.validated for r in rs)
     assert [d["reason"] for d in discarded] == reasons
     assert all(abs(d["gamma"]) > 1e15 for d in discarded if d["reason"] == _LANDING)
+    assert all(d["gamma"] == "inf" for d in discarded if d["reason"] == _U_ZERO)
 
 
 @pytest.mark.parametrize("a, b", _ORACLE_AXES)
@@ -739,7 +741,7 @@ def test_divisor_discards_rest_on_their_own_periods_sign_change(a, b):
     checked = 0
     for n in (6, 8, 9, 10, 12):
         disc = []
-        list(_periodic_roots(E, n, disc))
+        list(_roots(E, n, False, disc))
         for entry in disc:
             if not entry["reason"].startswith("already periodic with period "):
                 continue

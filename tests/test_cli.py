@@ -207,6 +207,12 @@ GOLDEN = Path(__file__).parent / "golden"
         ("solve-n10-hyperbola", "solve --n 10 --a 41/7 --b 7/2"),
         # elliptic hyperbola cases d and e
         ("solve-elliptic-n3", "solve --elliptic --n 3 --a 6 --b 3"),
+        # discards in order: a degenerate conic, then two roots already
+        # periodic with period 3
+        ("solve-n9-degenerate", "solve --n 9 --a 12 --b 3"),
+        # the light-like root near u = 0 with no sign change in reach, then
+        # two roots already periodic with period 3
+        ("solve-n6-lightlike", "solve --n 6 --a 3/10 --b 9/10"),
         ("certify-n3-exact", "certify --a 13 --b 120 --gamma=4680/361 --n 3"),
         ("certify-n5-snap", "certify --a 74/7 --b 25/9 --gamma=-2.778 --n 5"),
         # two roots within 1e-3 of the caption: the first, 1.99917..., wins
@@ -329,7 +335,7 @@ def test_snap_needs_no_validation(monkeypatch):
 
 def _full_scan_snap(E, gamma, n):
     """The snap's rule over every landed root: the first ascending within tolerance."""
-    for root, exact, _ in caustics._periodic_roots(E, n):
+    for root, exact, _ in caustics._roots(E, n, False):
         if abs(gamma - root) <= 1e-3 * abs(root):
             return root if exact is None else exact
     return gamma
@@ -362,7 +368,7 @@ def test_windowed_snap_is_the_full_scan_rule(axes, n, where, pick, t):
     # landed root returns
     E = BoundaryEllipse(*axes)
     a, b = float(E.a), float(E.b)
-    roots = [r[0] for r in caustics._periodic_roots(E, n)] or [a / 2]
+    roots = [r[0] for r in caustics._roots(E, n, False)] or [a / 2]
     centre = {"root": roots[pick % len(roots)], "-b": -b, "0": 0.0, "a": a}[where]
     caption = float(f"{centre * (1 + t) + t * min(a, b):.4g}")
     assert cli._snap_gamma(E, caption, n) == _full_scan_snap(E, caption, n)
@@ -383,7 +389,7 @@ def test_snap_lands_only_the_roots_in_its_window(monkeypatch):
     monkeypatch.setattr(caustics, "_level_roots", recorded_roots)
     monkeypatch.setattr(caustics, "_landed", recorded_landing)
     E = BoundaryEllipse(2, 10)
-    list(caustics._periodic_roots(E, 8))
+    list(caustics._roots(E, 8, False))
     assert len(located) == len(landed) == 9  # three of them close after 4 steps
     # captions near two roots (on both sides of a), near one, straddling
     # -b, and near none; landing stops at the first root within tolerance
@@ -407,13 +413,13 @@ def test_rho_at_infinity_only_for_the_hyperbola_ranges(monkeypatch):
     E = BoundaryEllipse(3, 2)
     for n, window in ((9, None), (7, None), (6, (1.0, 1.2)), (8, (0.5, 0.7))):
         gammas.clear()
-        list(caustics._periodic_roots(E, n, window=window))
+        list(caustics._roots(E, n, False, window=window))
         assert gammas and math.inf not in gammas, n
     gammas.clear()
     assert cli._snap_gamma(E, 1.2, 6) == 1.2
     assert gammas and math.inf not in gammas
     gammas.clear()
-    list(caustics._periodic_roots(E, 6))
+    list(caustics._roots(E, 6, False))
     assert gammas and math.inf not in gammas and -math.inf not in gammas
 
 
@@ -431,6 +437,21 @@ def test_the_lightlike_root_is_listed_alike_on_either_bit_of_rho_at_infinity(cap
     assert listed[0] == listed[1] == [
         "no sign change of the closure determinant within 1048576 float steps"
     ]
+
+
+@pytest.mark.parametrize("argv", ["solve --n 4 --a 2 --b 2", "solve --elliptic --n 2 --a 2 --b 2"])
+def test_the_root_at_u_zero_is_discarded_in_strict_json(capsys, argv):
+    # on a = b the locator meets u = 0 exactly: the light-like root is
+    # listed among the discards with gamma "inf", as simulate writes it,
+    # and the output stays standard JSON, without Infinity or NaN
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    rc, out = run(capsys, *argv.split())
+    doc = json.loads(out, parse_constant=reject)
+    assert rc == 0 and [c["gamma"] for c in doc["caustics"]] == [-1.0, 1.0]
+    assert [d["gamma"] for d in doc["discarded"]] == ["inf"]
+    assert "u = 0" in doc["discarded"][0]["reason"]
 
 
 def test_solve_recovers_large_rational_roots(capsys):
