@@ -40,14 +40,7 @@ from fractions import Fraction
 from functools import cache
 
 from . import polys
-from .cayley import (
-    ELLIPTIC_CASES,
-    _periodic_ladder,
-    case_symmetry,
-    closure_degree,
-    closure_det,
-    closure_poly_gamma,
-)
+from .cayley import case_symmetry, closure_degree, closure_det, closure_ladder, closure_poly_gamma
 from .config import CLOSURE
 from .dynamics import ClosureStatus, caustic_starts, closure_status, simulate
 from .errors import DomainError, PellipseError
@@ -166,7 +159,7 @@ def _normalized_det(E: BoundaryEllipse, gamma_f: float, n: int) -> int:
     scale of the block changes.
     """
     ia, ib, u = (1 / Fraction(x) for x in (E.a, E.b, gamma_f))
-    num, _ = closure_det(ia, ib, u, _periodic_ladder(n), n)
+    num, _ = closure_det(ia, ib, u, closure_ladder(n), n)
     return (num > 0) - (num < 0)
 
 
@@ -343,22 +336,22 @@ def _roots(E: BoundaryEllipse, n: int, elliptic: bool, discarded=None, window=No
 
     The roots come from :func:`_level_roots` for the ``window``, ascending,
     and each lands (:func:`_landed`) on the one closure determinant its tag
-    names: ``(_periodic_ladder(d), d)`` for a periodic root of period
-    ``d``, and ``(ELLIPTIC_CASES[parity, case], n)`` for an elliptic one,
-    whose ``case`` it yields (None for a periodic root).  A root is
-    discarded, in this order, at ``u = 0`` (``gamma = inf``, written
-    ``"inf"``), with no sign change of that determinant within reach, at a
-    degenerate conic value (:func:`_spurious_reason`), or when it closes
-    after a proper divisor ``d`` of ``n``, proven by the sign change of the
-    small period-``d`` block.  Each discard's ``gamma`` and reason are
-    appended to ``discarded`` when a list is supplied.  The roots are not
-    simulated: :func:`_results` validates them.
+    names (:func:`~pellipse.cayley.closure_ladder`): ``(closure_ladder(d),
+    d)`` for a periodic root of period ``d``, and ``(closure_ladder(n,
+    case), n)`` for an elliptic one, whose ``case`` it yields (None for a
+    periodic root).  A root is discarded, in this order, at ``u = 0``
+    (``gamma = inf``, written ``"inf"``), with no sign change of that
+    determinant within reach, at a degenerate conic value
+    (:func:`_spurious_reason`), or when it closes after a proper divisor
+    ``d`` of ``n``, proven by the sign change of the small period-``d``
+    block.  Each discard's ``gamma`` and reason are appended to
+    ``discarded`` when a list is supplied.  The roots are not simulated:
+    :func:`_results` validates them.
     """
     ia, ib = 1 / Fraction(E.a), 1 / Fraction(E.b)
     poles = (-float(E.b), 0.0, float(E.a))
-    parity = "odd" if n % 2 else "even"
     for gamma, tag in _level_roots(E, n, elliptic, window):
-        ladder, m = (ELLIPTIC_CASES[parity, tag], n) if elliptic else (_periodic_ladder(tag), tag)
+        ladder, m = (closure_ladder(n, tag), n) if elliptic else (closure_ladder(tag), tag)
         det = lambda p, q: closure_det(ia, ib, Fraction(q, p), ladder, m)  # noqa: E731
         if math.isinf(gamma):
             gamma, why = "inf", "light-like root at u = 0: gamma = inf is not landed"
@@ -465,7 +458,7 @@ def elliptic_caustics(
     a range whose parity rule does not admit ``k``, for ``k`` coprime to
     ``n`` (:func:`_level_roots`).  Its case follows from its range and
     ``k``, and it lands on the closure determinant of that case's ladder
-    (:data:`~pellipse.cayley.ELLIPTIC_CASES`) alone.  Roots at degenerate
+    (:func:`~pellipse.cayley.closure_ladder`) alone.  Roots at degenerate
     conic values, roots with no sign change of that determinant within
     reach, and a root at ``u = 0`` are discarded with a reason
     (:func:`_roots`).  ``validated`` requires an

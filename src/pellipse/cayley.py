@@ -18,6 +18,9 @@ ladders ``C``, ``D`` and ``E`` used by the closure conditions:
   determinant of ``D``, ``E`` or ``C`` vanishes, the ladder depending on
   the parity, the sign of ``gamma`` and the conic type of the caustic.
 
+:func:`closure_ladder` is the one rule that names the ladder of a period
+and a case.
+
 The series run in the common field of ``(a, b, gamma)``
 (:func:`pellipse.polys.to_field`): exact rational arithmetic for
 ``int``/``Fraction`` inputs, 50 significant digits when any input is a
@@ -54,8 +57,8 @@ __all__ = [
     "hankel_test",
     "is_periodic",
     "elliptic_case_test",
-    "ELLIPTIC_CASES",
     "case_symmetry",
+    "closure_ladder",
 ]
 
 #: Divisor keyword accepted by :func:`divided_series` for each ladder.
@@ -65,26 +68,32 @@ _DIVISORS = {"gamma-x": "C", "a-x": "D", "b+x": "E"}
 #: where ``bhat[k] = c*out[k] - sign*out[k-1]``.
 _LADDERS = {"C": (2, 1), "D": (0, 1), "E": (1, -1)}
 
-#: Elliptic closure cases: (parity, case letter) -> series ladder.
-ELLIPTIC_CASES = {
-    ("even", "a"): "D",
-    ("even", "b"): "E",
-    ("even", "c"): "C",
-    ("odd", "a"): "E",
-    ("odd", "b"): "D",
-    ("odd", "d"): "E",
-    ("odd", "e"): "D",
+#: Each elliptic case: its caustic (an ellipse with ``gamma`` of one sign,
+#: or a hyperbola), the axial symmetry of its half-period closure, and the
+#: ladder of its closure determinant at even and at odd ``n`` (None where
+#: the case does not occur).
+_CASES = {
+    "a": ("ellipse>0", "flip-x", "D", "E"),
+    "b": ("ellipse<0", "flip-y", "E", "D"),
+    "c": ("hyperbola", "flip-both", "C", None),
+    "d": ("hyperbola", "flip-x", None, "E"),
+    "e": ("hyperbola", "flip-y", None, "D"),
 }
 
-#: Each elliptic case: its caustic (an ellipse with ``gamma`` of one sign,
-#: or a hyperbola) and the axial symmetry of its half-period closure.
-_CASES = {
-    "a": ("ellipse>0", "flip-x"),
-    "b": ("ellipse<0", "flip-y"),
-    "c": ("hyperbola", "flip-both"),
-    "d": ("hyperbola", "flip-x"),
-    "e": ("hyperbola", "flip-y"),
-}
+
+def closure_ladder(n: int, case: str | None = None) -> str:
+    """The ladder whose Hankel block decides closure at period ``n``.
+
+    Periodic closure (no ``case``) uses ``C`` for odd ``n`` and the base
+    series ``B`` for even ``n``; an elliptic case uses its ladder at the
+    parity of ``n`` (:data:`_CASES`).  Raises :class:`DomainError` for a
+    case that does not occur at that parity or is no case at all.
+    """
+    if case is None:
+        return "C" if n % 2 else "B"
+    if (ladder := _CASES.get(case, (None,) * 4)[2 + n % 2]) is None:
+        raise DomainError(f"unknown elliptic case {case!r} for n={n}")
+    return ladder
 
 
 def case_symmetry(case: str) -> str:
@@ -111,11 +120,10 @@ def _elliptic_candidates(E: BoundaryEllipse, gamma, n: int) -> list[tuple[str, s
         caustic = "hyperbola"
     else:
         caustic = "ellipse>0" if float(gamma) > 0 else "ellipse<0"
-    parity = "even" if n % 2 == 0 else "odd"
     return [
-        (case, ladder)
-        for (p, case), ladder in ELLIPTIC_CASES.items()
-        if p == parity and _CASES[case][0] == caustic
+        (case, row[2 + n % 2])
+        for case, row in _CASES.items()
+        if row[0] == caustic and row[2 + n % 2]
     ]
 
 
@@ -259,11 +267,6 @@ def divided_series(B: TruncatedSeries, divisor: str) -> TruncatedSeries:
 # ---------------------------------------------------------------------------
 # Hankel determinants
 # ---------------------------------------------------------------------------
-
-
-def _periodic_ladder(n: int) -> str:
-    """The ladder whose Hankel block tests ``n``-periodicity: ``C`` for odd ``n``, else ``B``."""
-    return "C" if n % 2 == 1 else "B"
 
 
 def _hankel_layout(variant: str, n: int) -> tuple[int, int]:
@@ -421,7 +424,7 @@ def _closure_roots(E: BoundaryEllipse, gamma, n: int):
 
 def _periodic_verdict(E: BoundaryEllipse, gamma, n: int, test) -> PeriodicityVerdict:
     """The periodic ladder's verdict at period ``n`` from the root ``test`` at ``gamma``."""
-    root, value = test(_periodic_ladder(n))
+    root, value = test(closure_ladder(n))
     structural = n % 2 == 0 or classify_conic(gamma, E) is ConicClass.EllipseOfFamily
     return PeriodicityVerdict(root and structural, value, n)
 

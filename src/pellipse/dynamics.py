@@ -491,8 +491,11 @@ def caustic_starts(E: BoundaryEllipse, gamma, rng: random.Random | None = None):
         ConicClass.HyperbolaYMajor,
     ):
         raise DomainError(f"cannot start on degenerate caustic gamma={gamma}")
-    a, b, g = float(E.a), float(E.b), float(gamma)
-    xt = E.touch_x()
+    # on the axes scaled by 4**-k to about unit size no product over- or
+    # underflows; each start scales back by s = 2**k, exactly
+    k = math.frexp(max(float(E.a), float(E.b)))[1] // 2
+    a, b, g = (math.ldexp(float(x), -2 * k) for x in (E.a, E.b, gamma))
+    xt, s = a / math.sqrt(a + b), 2.0**k
     hyperbola = conic is not ConicClass.EllipseOfFamily
     if rng is None:
         clearance = START_CLEARANCE * xt
@@ -503,7 +506,7 @@ def caustic_starts(E: BoundaryEllipse, gamma, rng: random.Random | None = None):
             return (t, True) if not hyperbola else (2 * t % 1.0, t < 0.5)
 
     else:
-        clearance = START_CLEARANCE * (1 + xt)
+        clearance = START_CLEARANCE * (1 / s + xt)  # 1 + xt in the given units
 
         def draw():
             t = rng.random()
@@ -544,5 +547,5 @@ def caustic_starts(E: BoundaryEllipse, gamma, rng: random.Random | None = None):
         if abs(abs(x0) - xt) < clearance or abs(abs(x1) - xt) < clearance:
             continue  # too close to a touch point for stable reflection
         misses = 0
-        yield MVec2(x0, y0), MVec2(x1 - x0, y1 - y0)
+        yield MVec2(x0 * s, y0 * s), MVec2((x1 - x0) * s, (y1 - y0) * s)
     raise DomainError(f"no admissible tangent line found for gamma={gamma}")

@@ -35,11 +35,10 @@ from functools import lru_cache, partial, reduce
 
 from . import polys
 from .cayley import (
-    ELLIPTIC_CASES,
     _hankel_block,
     _hankel_layout,
     _ladder,
-    _periodic_ladder,
+    closure_ladder,
     elliptic_case_test,
     is_periodic,
 )
@@ -259,7 +258,7 @@ def pell_construct(E: BoundaryEllipse, gamma, n: int) -> PellPair:
             f"no Pell certificate: the exact closure test rejects gamma={gamma} at n={n} "
             "(null space trivial)"
         )
-    step = _certificate_pair(E, gamma, _periodic_ladder(n), n)
+    step = _certificate_pair(E, gamma, closure_ladder(n), n)
     if step is None:
         raise NoCertificate(
             f"gamma={gamma!r} is not within polishing range of a period-{n} caustic"
@@ -405,23 +404,20 @@ def elliptic_pell_check(E: BoundaryEllipse, gamma, n: int, case: str):
     """
     if n < 2:
         raise DomainError(f"elliptic certificate requires n >= 2, got {n}")
-    parity = "even" if n % 2 == 0 else "odd"
-    if (parity, case) not in ELLIPTIC_CASES:
-        raise DomainError(f"unknown elliptic case {case!r} for n={n}")
+    ladder = closure_ladder(n, case)
     verdict = elliptic_case_test(E, gamma, n)
     if verdict.case != case:
         raise DomainError(f"case mismatch: gamma={gamma} tests as {verdict.case!r}, not {case!r}")
-    ladder = ELLIPTIC_CASES[(parity, case)]
     step = _certificate_pair(E, gamma, ladder, n)
     if step is None:
         raise DomainError(
             f"gamma={gamma!r} is not within polishing range of the case-{case} condition"
         )
     (a, b, g), rev_p, rev_q = step
-    lead = rev_q[0] if parity == "even" else rev_p[0]
+    lead = rev_p[0] if n % 2 else rev_q[0]
     if lead == 0:
         raise CertificateInvalid("degenerate elliptic certificate: zero normalizer")
-    scales, p_factors, q_factors, target = _CASE_IDENTITIES[(parity, ladder)]
+    scales, p_factors, q_factors, target = _CASE_IDENTITIES[n % 2, ladder]
     with polys.field_context(g):
         l2 = lead * lead
         pp = [c / l2 for c in polys.pmul(rev_p, rev_p)]
@@ -434,16 +430,17 @@ def elliptic_pell_check(E: BoundaryEllipse, gamma, n: int, case: str):
     return res if polys.is_exact(res) else float(res)
 
 
-#: The elliptic case identities ``P p**2 - Q q**2 = target`` by (parity,
-#: ladder): the squared scales of ``p`` and ``q`` (rational in ``a, b,
-#: gamma``), the factors of ``P`` and of ``Q`` as letters for ``s``,
-#: ``A = s - 1/a``, ``B = s + 1/b`` and ``G = s - 1/gamma``, and the target.
+#: The elliptic case identities ``P p**2 - Q q**2 = target`` by ``(n % 2,
+#: ladder)``, for the ladder :func:`~pellipse.cayley.closure_ladder` names:
+#: the squared scales of ``p`` and ``q`` (rational in ``a, b, gamma``), the
+#: factors of ``P`` and of ``Q`` as letters for ``s``, ``A = s - 1/a``,
+#: ``B = s + 1/b`` and ``G = s - 1/gamma``, and the target.
 _CASE_IDENTITIES = {
-    ("even", "D"): (lambda a, b, g: (a * a * b * g, b * g), "sA", "BG", 1),
-    ("even", "E"): (lambda a, b, g: (-(b * b) * a * g, -(a * g)), "sB", "AG", 1),
-    ("even", "C"): (lambda a, b, g: (g * g * a * b, a * b), "sG", "AB", 1),
-    ("odd", "E"): (lambda a, b, g: (b, 1 / b), "B", "sAG", 1),
-    ("odd", "D"): (lambda a, b, g: (a, 1 / a), "A", "sBG", -1),
+    (0, "D"): (lambda a, b, g: (a * a * b * g, b * g), "sA", "BG", 1),
+    (0, "E"): (lambda a, b, g: (-(b * b) * a * g, -(a * g)), "sB", "AG", 1),
+    (0, "C"): (lambda a, b, g: (g * g * a * b, a * b), "sG", "AB", 1),
+    (1, "E"): (lambda a, b, g: (b, 1 / b), "B", "sAG", 1),
+    (1, "D"): (lambda a, b, g: (a, 1 / a), "A", "sBG", -1),
 }
 
 
@@ -610,17 +607,17 @@ def rotation_ratio(a, b, gamma) -> float:
     if g in (a, -b):
         return float(g == a)
     e = (math.frexp(a)[1] + math.frexp(b)[1]) // 2
-    sa, sb, sg = math.ldexp(a, -e), -math.ldexp(b, -e), math.ldexp(g, -e)
-    # the x of c1 < c2 < c3 < c4, ordered by the range of gamma
-    if g < 0:
-        (x1, x2), x3, x4 = (sb, sg) if g < -b else (sg, sb), math.inf, sa
-    else:
-        x1, x2, (x3, x4) = sb, math.inf, (sa, sg) if g < a else (sg, sa)
     try:
+        sa, sb, sg = math.ldexp(a, -e), -math.ldexp(b, -e), math.ldexp(g, -e)
+        # the x of c1 < c2 < c3 < c4, ordered by the range of gamma
+        if g < 0:
+            (x1, x2), x3, x4 = (sb, sg) if g < -b else (sg, sb), math.inf, sa
+        else:
+            x1, x2, (x3, x4) = sb, math.inf, (sa, sg) if g < a else (sg, sa)
         c41, c42, c43 = _gap(x1, x4), _gap(x2, x4), _gap(x3, x4)
         x, y = _gap(x1, x3) * c42, _gap(x1, x2) * c43
         u, v, w = c41 * c42, c41 * c43, c42 * c43
-    except ZeroDivisionError:
+    except (OverflowError, ZeroDivisionError):  # an end or a gap beyond the float range
         x = 0.0
     # R_F and the AGM need finite, positive arguments
     if not (0 < x < math.inf and 0 < y < math.inf and 0 < u < math.inf

@@ -540,7 +540,10 @@ def regula_falsi(f, lo: float, hi: float, f_lo: float, f_hi: float) -> float:
     """
     up, kept, stalls, target = f_lo > 0, 0, 0, (hi - lo) / 2
     v_lo, v_hi = f_lo, f_hi  # f at the ends, unscaled
-    while (mid := (lo + hi) / 2) not in (lo, hi):
+    # the ends are halved first only where their sum overflows, next to the
+    # float maximum; halving them everywhere would round some subnormal
+    # midpoints differently
+    while (mid := (lo + hi) / 2 if math.isfinite(lo + hi) else lo / 2 + hi / 2) not in (lo, hi):
         x = lo + (hi - lo) * (f_lo / (f_lo - f_hi)) if stalls < 3 else mid
         if x <= lo:
             x = math.nextafter(lo, hi)

@@ -25,10 +25,9 @@ from pellipse import (
 )
 from pellipse.caustics import _level_roots, _roots, _spurious_reason
 from pellipse.cayley import (
-    ELLIPTIC_CASES,
     _elliptic_candidates,
-    _periodic_ladder,
     closure_det,
+    closure_ladder,
     closure_poly_gamma,
     elliptic_case_test,
     is_periodic,
@@ -268,8 +267,8 @@ def periodic_factor(E, n):
 
     The roots of each proper divisor period ``d >= 3`` are divided out.
     """
-    shorter = [gamma_poly(E, _periodic_ladder(d), d) for d in range(3, n) if n % d == 0]
-    return _without(gamma_poly(E, _periodic_ladder(n), n), shorter)
+    shorter = [gamma_poly(E, closure_ladder(d), d) for d in range(3, n) if n % d == 0]
+    return _without(gamma_poly(E, closure_ladder(n), n), shorter)
 
 
 def elliptic_factors(E, n):
@@ -442,12 +441,12 @@ def test_elliptic_caustics_match_the_table_roots(unsimulated, a, b):
     # where that ladder is open
     E = BoundaryEllipse(a, b)
     for n in range(2, 13):
-        got, parity = elliptic_caustics(E, n), "odd" if n % 2 else "even"
+        got = elliptic_caustics(E, n)
         assert [r.gamma for r in got] == sorted(r.gamma for r in got), n
-        ladders = {ELLIPTIC_CASES[parity, r.case] for r in got}
+        ladders = {closure_ladder(n, r.case) for r in got}
         assert ladders <= set(_ELLIPTIC_LADDERS[n % 2]), (n, ladders)
         for ladder, f in elliptic_factors(E, n):
-            mine = [r for r in got if ELLIPTIC_CASES[parity, r.case] == ladder]
+            mine = [r for r in got if closure_ladder(n, r.case) == ladder]
             keep = lambda g: (  # noqa: E731
                 ladder in [lad for _, lad in _elliptic_candidates(E, g, n)]
                 and _spurious_reason(E, g) is None
@@ -478,7 +477,7 @@ def test_an_odd_period_hyperbola_root_lands_on_its_own_ladder_alone(a, b):
     checked = 0
     for n in range(3, 12, 2):
         for gamma, case in _level_roots(E, n, True):
-            if case not in other or _landed_on(E, gamma, n, ELLIPTIC_CASES["odd", case]) is None:
+            if case not in other or _landed_on(E, gamma, n, closure_ladder(n, case)) is None:
                 continue
             assert _landed_on(E, gamma, n, other[case]) is None, (n, gamma, case)
             checked += 1
@@ -518,7 +517,7 @@ def test_closure_polynomials_count_every_level_set_root(a, b):
     E = BoundaryEllipse(a, b)
     elliptic = {n: len(_level_roots(E, n, True)) for n in range(2, 13)}
     for n in range(3, 13):
-        assert _sturm_count(E, _periodic_ladder(n), n) == len(_level_roots(E, n, False)), n
+        assert _sturm_count(E, closure_ladder(n), n) == len(_level_roots(E, n, False)), n
         counts = sum(_sturm_count(E, ladder, n) for ladder in _ELLIPTIC_LADDERS[n % 2])
         shorter = sum(elliptic[d] for d in range(2, n) if n % d == 0 and (n // d) % 2)
         assert counts == elliptic[n] + shorter, n
@@ -633,7 +632,7 @@ def test_level_set_roots_bracket_an_exact_closure_root(a, b):
         gammas += [d["gamma"] for d in disc if d["reason"].startswith("already periodic")]
         for g in gammas:
             ends = [(F(math.nextafter(g, t)) + F(g)) / 2 for t in (-math.inf, math.inf)]
-            lo, hi = (closure_det(ia, ib, 1 / x, _periodic_ladder(n), n)[0] for x in ends)
+            lo, hi = (closure_det(ia, ib, 1 / x, closure_ladder(n), n)[0] for x in ends)
             assert lo * hi <= 0, (n, g)
             checked += 1
     assert checked >= 40
@@ -728,7 +727,7 @@ def test_divisor_roots_are_evaluated_on_their_own_period_only(monkeypatch, capsy
     assert any(d < n for d in tags.values()) and any(d == n for d in tags.values())
     assert {g for g, _, _ in evals} == set(tags)
     for gamma, ladder, m in evals:
-        assert (ladder, m) == (_periodic_ladder(tags[gamma]), tags[gamma]), gamma
+        assert (ladder, m) == (closure_ladder(tags[gamma]), tags[gamma]), gamma
 
 
 @pytest.mark.parametrize("a, b", [(3, 2), (5, 11), (F(41, 7), F(7, 2)), (3, 10), (12, 3)])
@@ -749,7 +748,7 @@ def test_divisor_discards_rest_on_their_own_periods_sign_change(a, b):
             g = entry["gamma"]
             ends = (caustics._midpoint_above(x) for x in (math.nextafter(g, -math.inf), g))
             lo, hi = (
-                caustics.closure_det(ia, ib, F(q, p), _periodic_ladder(d), d)[0] for p, q in ends
+                caustics.closure_det(ia, ib, F(q, p), closure_ladder(d), d)[0] for p, q in ends
             )
             assert lo * hi <= 0, (n, d, g)
             checked += 1
@@ -761,7 +760,7 @@ def _landed_on(E, gamma, m, ladder=None):
 
     The ladder defaults to the periodic one of ``m``.
     """
-    ia, ib, ladder = 1 / F(E.a), 1 / F(E.b), ladder or _periodic_ladder(m)
+    ia, ib, ladder = 1 / F(E.a), 1 / F(E.b), ladder or closure_ladder(m)
     det = lambda p, q: caustics.closure_det(ia, ib, F(q, p), ladder, m)  # noqa: E731
     return caustics._landed(det, gamma, (-float(E.b), 0.0, float(E.a)))
 

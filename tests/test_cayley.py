@@ -196,6 +196,21 @@ def test_case_symmetry_map():
     assert case_symmetry("e") == "flip-y"
 
 
+@pytest.mark.parametrize("n", range(2, 14))
+def test_closure_ladder_names_the_ladder_of_every_period_and_case(n):
+    # periodic closure: C for odd n, the base series B for even n; each
+    # elliptic case its ladder at the parity of n, and a DomainError where
+    # the case does not occur
+    ladders = {0: {"a": "D", "b": "E", "c": "C"}, 1: {"a": "E", "b": "D", "d": "E", "e": "D"}}
+    assert cayley.closure_ladder(n) == ("C" if n % 2 else "B")
+    for case in "abcdefz":
+        if case in ladders[n % 2]:
+            assert cayley.closure_ladder(n, case) == ladders[n % 2][case]
+        else:
+            with pytest.raises(DomainError, match=f"unknown elliptic case '{case}' for n={n}$"):
+                cayley.closure_ladder(n, case)
+
+
 def test_series_variants_agree_on_prefix():
     E = BoundaryEllipse(3, 2)
     S8 = cubic_sqrt_series(E, 1.2, 8)

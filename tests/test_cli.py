@@ -549,16 +549,64 @@ def test_axis_with_a_zero_or_infinite_float_image_exits_2(capsys, command, rest,
         ("solve --n 9 --a 1e-300 --b 2", 2),
         ("solve --elliptic --n 4 --a 1e150 --b 2", 0),
         ("solve --n 3 --a 1e-300 --b 2e-300", 0),
+        ("solve --n 3 --a 1e308 --b 1e308", 0),
+        ("solve --elliptic --n 3 --a 1e308 --b 1e308", 0),
+        ("solve --n 7 --a 1e308 --b 9.88e-321", 2),
+        ("solve --elliptic --n 6 --a 9.84498996065962e307 --b 9.84498996065962e307", 0),
     ],
 )
 def test_extreme_axes_end_in_a_documented_exit(capsys, argv, rc):
     # the rotation number holds products of band gaps, of the order of
     # a/b: in float range up to about 1e300 either way, a DomainError
-    # beyond; never a traceback or a hang
+    # beyond; never a traceback or a hang, also next to the float maximum,
+    # where the starts of the simulated check run on rescaled axes and a
+    # root's bracket has ends whose sum overflows
     got, out = run(capsys, *argv.split())
     assert got == rc
     doc = json.loads(out)
     assert (doc.get("error") == "DomainError") == (rc == 2)
+
+
+#: Magnitudes spread evenly over the exponents of the float range, with its ends.
+_MAGNITUDES = st.one_of(
+    st.floats(-320, 308.25).map(lambda e: 10.0**e),
+    st.sampled_from([1e-320, 1.0, sys.float_info.max]),
+)
+_NEAR_MAX = st.floats(1e307, sys.float_info.max)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    axes=st.one_of(
+        st.tuples(_MAGNITUDES, _MAGNITUDES),
+        _NEAR_MAX.map(lambda a: (a, a)),
+        _NEAR_MAX.map(lambda a: (a, math.nextafter(a, 0))),
+    ),
+    gamma=st.tuples(_MAGNITUDES, st.sampled_from([-1, 1])).map(lambda t: t[0] * t[1]),
+    command=st.sampled_from(["solve", "solve --elliptic", "certify", "simulate"]),
+    n=st.integers(2, 8),
+    angles=st.tuples(st.floats(0, 2 * math.pi), st.floats(0, 2 * math.pi)),
+)
+def test_any_float_input_ends_in_a_documented_exit(axes, gamma, command, n, angles):
+    # axes and gamma anywhere from 1e-320 to the float maximum, a ~ b next to
+    # the maximum among them: every command exits with a documented code and
+    # prints JSON, never a traceback or a hang
+    a, b = axes
+    argv = [*command.split(), f"--a={a!r}", f"--b={b!r}"]
+    if command == "certify":
+        argv += [f"--gamma={gamma!r}", "--n", str(n)]
+    elif command == "simulate":
+        t, s = angles
+        x0, y0 = math.sqrt(a) * math.cos(t), math.sqrt(b) * math.sin(t)
+        argv += [f"--x0={x0!r}", f"--y0={y0!r}", f"--dx={math.cos(s)!r}", f"--dy={math.sin(s)!r}"]
+        argv += ["--steps", "5"]
+    else:
+        argv += ["--n", str(n)]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        rc = main(argv)
+    assert rc in (0, 2, 3, 4, 5, 6), argv
+    json.loads(out.getvalue())
 
 
 def test_scalar_fraction_parsing(capsys):

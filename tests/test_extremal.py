@@ -179,6 +179,11 @@ def test_elliptic_pell_check_exact_and_mismatch():
     assert elliptic_pell_check(E, F(-15, 2), 2, "c") == 0
     with pytest.raises(DomainError):
         elliptic_pell_check(E, F(15, 8), 2, "b")
+    # a case that does not occur at the parity of n, before any test of gamma
+    with pytest.raises(DomainError, match=r"^unknown elliptic case 'c' for n=3$"):
+        elliptic_pell_check(BoundaryEllipse(3, 2), 2.3322714928995234, 3, "c")
+    with pytest.raises(DomainError, match=r"^unknown elliptic case 'd' for n=2$"):
+        elliptic_pell_check(E, F(15, 8), 2, "d")
     # an exact gamma is tested as given, not as its float
     with pytest.raises(DomainError):
         elliptic_pell_check(E, F(15, 8) + F(1, 10**12), 2, "a")
@@ -332,12 +337,14 @@ def test_rotation_ratio_matches_kln_quadrature(a, b):
 
 def test_rotation_ratio_ends_and_domain():
     # rho runs from 0 to 1 across (-b, 0) and (0, a), meets its limits at
-    # -b and a, and takes a finite value at gamma = +-inf
+    # -b and a, and takes a finite value at gamma = +-inf; a/b beyond the
+    # float range, where scaling overflows an axis, is a domain error too
     rho = partial(extremal.rotation_ratio, 3, 2)
     assert (rho(-2), rho(3)) == (0.0, 1.0)
     assert rho(math.inf) == rho(-math.inf) == pytest.approx(rho(1e15), abs=1e-12)
     assert rho(-1e-12) > 0.999 and rho(1e-12) < 1e-3
-    for bad in ((3, 2, 0), (3, 2, math.nan), (0, 2, 1), (3, -2, 1), (math.inf, 2, 1)):
+    extreme = ((1e308, 9.88e-321, -8.47e-321), (1.7976931348623157e308, 1e-320, 3.5e-284))
+    for bad in ((3, 2, 0), (3, 2, math.nan), (0, 2, 1), (3, -2, 1), (math.inf, 2, 1), *extreme):
         with pytest.raises(DomainError):
             extremal.rotation_ratio(*bad)
 

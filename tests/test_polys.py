@@ -370,6 +370,17 @@ def test_regula_falsi_returns_the_nearer_end(x, t):
     assert polys.regula_falsi(f, 0.5, 2.0, f(0.5), f(2.0)) == float(root)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_regula_falsi_narrows_a_bracket_whose_ends_sum_beyond_the_float_maximum(sign):
+    # near the float maximum lo + hi overflows; the midpoint is then taken
+    # from the halved ends, and the bracket still closes on the rounded root
+    x = 1.5e308
+    root = F(x) + (F(math.nextafter(x, math.inf)) - F(x)) / 3
+    f = lambda y: float(sign * (F(y) - root))  # noqa: E731
+    lo, hi = 1e308, 1.7976931348623157e308
+    assert polys.regula_falsi(f, lo, hi, f(lo), f(hi)) == x
+
+
 @pytest.mark.parametrize("lo, hi", [(1.0, 2.0), (0.5, 2.0), (-1.0, 2.0)])
 @pytest.mark.parametrize("end", ["lo", "hi"])
 @pytest.mark.parametrize("t", [F(1, 3), F(1), F(5, 3)])
