@@ -254,8 +254,11 @@ def _landed(det, gamma: float, poles):
     by :func:`_midpoint_above`; when the determinant changes sign between
     them, the float is the correctly rounded root, and that sign change is
     the proof.  Otherwise the secant through the two ends, linear to high
-    order at this scale, gives the next float to try.  None means no sign
-    change after ``_STEPS`` steps, or a step beyond ``_REACH`` float steps.
+    order at this scale, gives the next float to try: it lies ``num/den``
+    interval widths below the upper end, an unreduced quotient of integer
+    products of the determinants, each formed once a step.  None means no
+    sign change after ``_STEPS`` steps, or a step beyond ``_REACH`` float
+    steps.
 
     ``exact`` is the rational root when the determinant is exactly 0 at
     the one candidate :func:`_exact_candidate` names, else None; ``poles``
@@ -271,7 +274,8 @@ def _landed(det, gamma: float, poles):
         below, up = math.nextafter(gamma, -math.inf), math.nextafter(gamma, math.inf)
         (lo, (p_lo, q_lo)), (hi, (p_hi, q_hi)) = above(below), above(gamma)
         # the secant root lies num/den interval widths below the upper end
-        num, den = p_hi * q_lo, p_hi * q_lo - p_lo * q_hi
+        num = p_hi * q_lo
+        den = num - p_lo * q_hi
         if (p_lo < 0) != (p_hi < 0) or not p_lo or not p_hi:  # a sign change
             break
         if abs(den) * _REACH < abs(num):
@@ -300,21 +304,47 @@ def _exact_candidate(lo, hi, num: int, den: int, dist: float) -> Fraction | None
     or more, so a rational root with such a denominator is the candidate,
     and an irrational root meets one only about once in ``2**9`` roots.
     None when there is none, or it lies outside the interval, or at 0,
-    which is never a root.
+    which is never a root.  It runs on integers: the secant is the
+    unreduced ``s/t``, the candidate comes from :func:`_limit_denominator`,
+    and both tests cross-multiply; one ``Fraction`` is built, for the
+    candidate kept.
     """
     (lo_n, lo_d), (hi_n, hi_d) = lo, hi
     d = max(lo_d, hi_d)
     lo_n, hi_n = lo_n * (d // lo_d), hi_n * (d // hi_d)
-    # the secant over d * 2**64, to 64 bits of the width: far below eps
-    secant = Fraction((hi_n << 64) - (hi_n - lo_n) * ((num << 64) // den if den else 0), d << 64)
+    # the secant s/t, t = d * 2**64, to 64 bits of the width: far below eps
+    s, t = (hi_n << 64) - (hi_n - lo_n) * ((num << 64) // den if den else 0), d << 64
     w = (hi_n - lo_n) / d
     eps = 2**12 * w * w / dist
     bound = min(10**9, int((2**10 * eps) ** -0.5)) if eps else 10**9
     if not bound:  # far roots: no denominator is small enough
         return None
-    cand = secant.limit_denominator(bound)
-    near = abs(cand - secant) <= min(eps, w)
-    return cand if cand and near and Fraction(lo_n, d) <= cand <= Fraction(hi_n, d) else None
+    p, q = _limit_denominator(s, t, bound)
+    # |p/q - s/t| <= min(eps, w) and lo <= p/q <= hi, cross-multiplied
+    mn, md = min(eps, w).as_integer_ratio()
+    near = abs(p * t - s * q) * md <= mn * q * t
+    inside = lo_n * q <= p * d <= hi_n * q
+    return Fraction(p, q) if p and near and inside else None
+
+
+def _limit_denominator(s: int, t: int, bound: int) -> tuple[int, int]:
+    """``Fraction(s, t).limit_denominator(bound)`` as ``(p, q)`` in lowest terms, ``t > 0``.
+
+    The standard library's walk on the continued fraction of ``s/t``, run
+    on the unreduced integers, whose quotients are those of the reduced
+    fraction; it ends at a remainder 0 when the reduced denominator is
+    within ``bound``, and otherwise takes the nearer of the two bounding
+    semiconvergents, compared by cross-multiplication, ``p1/q1`` on a tie.
+    """
+    p0, q0, p1, q1, x, y = 0, 1, 1, 0, s, t
+    while y and (q2 := q0 + (a := x // y) * q1) <= bound:
+        p0, q0, p1, q1, x, y = p1, q1, p0 + a * p1, q2, y, x - a * y
+    if y:
+        k = (bound - q0) // q1
+        p2, q2 = p0 + k * p1, q0 + k * q1
+        if abs(p1 * t - s * q1) * q2 > abs(p2 * t - s * q2) * q1:
+            return p2, q2
+    return p1, q1
 
 
 def _spurious_reason(E: BoundaryEllipse, gamma_f: float) -> str | None:

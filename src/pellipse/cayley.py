@@ -323,29 +323,36 @@ def closure_det(ia: Fraction, ib: Fraction, u: Fraction, ladder: str, n: int) ->
     The inputs are the rationals ``ia = 1/a``, ``ib = 1/b`` and
     ``u = 1/gamma``; ``u = 0`` is an ordinary point, where the cubic is
     ``(1 - x/a)(1 + x/b)``.  With ``D`` the lcm of their denominators and
-    ``I = D x`` for each of them, ``B_k = bhat_k (4D)**k`` are integers,
-    ``B_k = ((4D)**k cubic_k - sum B_j B_(k-j)) / 2``, and a ladder with
-    divisor ``c`` is ``O_k = D (4D)**k out_k = I_c (B_k + 4 sign O_(k-1))``.
-    Each differs from the scaled series by the positive factor of one row
-    and one column of the Hankel block, so the Bareiss determinant ``num``
-    of the integer block over the product ``den > 0`` of those factors is
-    the value of :func:`hankel_test` on the exact series of ``ladder``,
-    and ``num`` has its sign.  No ``Fraction`` arithmetic is done on the
-    way, and the quotient is left unreduced.
+    ``I = D x`` for each of them, ``B_k = bhat_k (4D)**k`` are integers.
+    The square root ``y`` of the cubic ``P`` solves ``2 P y' = P' y``, so
+    with ``c_i = (4D)**i cubic_i`` they follow the three-term recurrence
+    ``(2k + 2) B_(k+1) = -(c1 (2k - 1) B_k + c2 (2k - 4) B_(k-1) + c3 (2k - 7)
+    B_(k-2))``, whose division is exact: three small-by-big products a
+    coefficient, where squaring the series takes about ``k/2`` big-by-big
+    ones.  A ladder with divisor ``c`` is ``O_k = D (4D)**k out_k = I_c (B_k
+    + 4 sign O_(k-1))``.  Each differs from the scaled series by the
+    positive factor of one row and one column of the Hankel block, so the
+    determinant ``num`` of the integer block over the product ``den > 0``
+    of those factors is the value of :func:`hankel_test` on the exact
+    series of ``ladder``, and ``num`` has its sign.  The block is
+    symmetric, and :func:`~pellipse.polys._symmetric_bareiss_det`
+    eliminates on its upper triangle.  No ``Fraction`` arithmetic is done
+    on the way, and the quotient is left unreduced.
     """
     d = math.lcm(ia.denominator, ib.denominator, u.denominator)
     Ia, Ib, Iu = (x.numerator * (d // x.denominator) for x in (ia, ib, u))
-    cubic = (1, 4 * (Ib - Ia - Iu), 16 * (Ia * Iu - Ia * Ib - Ib * Iu), 64 * Ia * Ib * Iu)
-    B = [1]
-    for k in range(1, n):  # the sum over j < k/2, doubled, and the square at j = k/2
-        s = 2 * sum(B[j] * B[k - j] for j in range(1, (k + 1) // 2))
-        B.append(((cubic[k] if k < 4 else 0) - s - (B[k // 2] ** 2 if k % 2 == 0 else 0)) // 2)
+    c1, c2, c3 = 4 * (Ib - Ia - Iu), 16 * (Ia * Iu - Ia * Ib - Ib * Iu), 64 * Ia * Ib * Iu
+    B = [0, 0, 1]  # B_-2, B_-1, B_0
+    for k in range(n - 1):
+        s = c1 * (2 * k - 1) * B[-1] + c2 * (2 * k - 4) * B[-2] + c3 * (2 * k - 7) * B[-3]
+        B.append(-s // (2 * k + 2))
+    B = B[2:]
     if ladder != "B":
         index, sign = _LADDERS[ladder]
         ic, prev = (Ia, Ib, Iu)[index], 0
         B = [prev := ic * (b + 4 * sign * prev) for b in B]
     start, size = _hankel_layout(ladder, n)
-    det = polys._bareiss_det([[B[start + i + j] for j in range(size)] for i in range(size)])
+    det = polys._symmetric_bareiss_det([B[start + i : start + i + size] for i in range(size)])
     # row i carries (4D)**(start + i), times D on a ladder, and column j (4D)**j
     scale = (4 * d) ** closure_degree(ladder, n) * (d**size if ladder != "B" else 1)
     return det, scale

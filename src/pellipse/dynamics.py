@@ -481,7 +481,8 @@ def caustic_starts(E: BoundaryEllipse, gamma, rng: random.Random | None = None):
     pure function of ``(E, gamma)`` and scale with the axes.  With ``rng``
     they are drawn from it and the clearance is
     ``START_CLEARANCE * (1 + xt)``.  Raises :class:`DomainError` for a
-    degenerate caustic, or when 500 parameters in a row give no
+    degenerate caustic, for a ``gamma`` beyond the float range once the
+    axes are scaled to unit size, or when 500 parameters in a row give no
     admissible start; the sequence then ends.
     """
     conic = classify_conic(gamma, E)
@@ -494,7 +495,10 @@ def caustic_starts(E: BoundaryEllipse, gamma, rng: random.Random | None = None):
     # on the axes scaled by 4**-k to about unit size no product over- or
     # underflows; each start scales back by s = 2**k, exactly
     k = math.frexp(max(float(E.a), float(E.b)))[1] // 2
-    a, b, g = (math.ldexp(float(x), -2 * k) for x in (E.a, E.b, gamma))
+    try:
+        a, b, g = (math.ldexp(float(x), -2 * k) for x in (E.a, E.b, gamma))
+    except OverflowError as exc:
+        raise DomainError(f"gamma={gamma} is beyond the float range at unit scale") from exc
     xt, s = a / math.sqrt(a + b), 2.0**k
     hyperbola = conic is not ConicClass.EllipseOfFamily
     if rng is None:

@@ -546,7 +546,8 @@ def _carlson_rf(x: float, y: float, z: float) -> float:
     """
     while True:
         mu = (x + y + z) / 3
-        if max(abs(x - mu), abs(y - mu), abs(z - mu)) <= 1e-3 * mu:
+        tol = 1e-3 * mu
+        if -tol <= x - mu <= tol and -tol <= y - mu <= tol and -tol <= z - mu <= tol:
             break
         sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
         lam = sx * (sy + sz) + sy * sz

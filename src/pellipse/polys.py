@@ -284,6 +284,29 @@ def _bareiss_det(m: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _symmetric_bareiss_det(m: list[list[int]]) -> int:
+    """:func:`_bareiss_det` of a symmetric integer matrix, on its upper triangle.
+
+    Each fraction-free step keeps the trailing block symmetric, so only
+    the entries ``j >= i`` are updated, and ``a[i][k]`` is read as
+    ``a[k][i]``: about half the products.  A zero pivot, a vanishing
+    leading principal minor, falls back to :func:`_bareiss_det`, which
+    swaps rows.
+    """
+    a = [row[:] for row in m]
+    n, prev = len(a), 1
+    for k in range(n - 1):
+        rk = a[k]
+        if not (p := rk[k]):
+            return _bareiss_det(m)
+        for i in range(k + 1, n):
+            ri, aik = a[i], rk[i]
+            for j in range(i, n):
+                ri[j] = (ri[j] * p - aik * rk[j]) // prev
+        prev = p
+    return a[n - 1][n - 1]
+
+
 def resultant(u: Poly, v: Poly) -> Fraction:
     """Exact resultant of two rational polynomials via Sylvester/Bareiss."""
     ui, lu = _to_int_poly(trim(u))

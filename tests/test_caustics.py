@@ -7,7 +7,7 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from pellipse import (
@@ -663,6 +663,69 @@ def test_landing_costs_about_three_exact_evaluations_per_root(monkeypatch):
     landed_roots = [r for r in roots if r is not None]
     assert len(landed_roots) == 45
     assert len(calls) <= 3.2 * len(landed_roots)
+
+
+@given(
+    s=st.integers(-(10**40), 10**40),
+    t=st.integers(1, 10**40),
+    g=st.integers(1, 10**20),
+    bound=st.integers(1, 10**12),
+)
+@example(s=3, t=4, g=1, bound=2)  # 1 and 1/2 lie 1/4 from 3/4: a tie
+@example(s=1, t=2, g=5, bound=1)  # 0 and 1 lie 1/2 from 1/2: a tie
+@example(s=-1, t=2, g=1, bound=1)
+@example(s=3, t=2, g=7, bound=2)  # the fraction itself, unreduced
+def test_limit_denominator_on_integers_matches_the_standard_library(s, t, g, bound):
+    # the continued-fraction walk on the unreduced s*g / t*g gives the
+    # fraction the standard library gives, in lowest terms, ties included
+    p, q = caustics._limit_denominator(s * g, t * g, bound)
+    assert F(p, q) == F(s, t).limit_denominator(bound)
+    assert q > 0 and math.gcd(p, q) == 1
+
+
+def _exact_candidate_by_fractions(lo, hi, num, den, dist):
+    """The ``Fraction`` form of :func:`caustics._exact_candidate`: its reference."""
+    (lo_n, lo_d), (hi_n, hi_d) = lo, hi
+    d = max(lo_d, hi_d)
+    lo_n, hi_n = lo_n * (d // lo_d), hi_n * (d // hi_d)
+    secant = F((hi_n << 64) - (hi_n - lo_n) * ((num << 64) // den if den else 0), d << 64)
+    w = (hi_n - lo_n) / d
+    eps = 2**12 * w * w / dist
+    bound = min(10**9, int((2**10 * eps) ** -0.5)) if eps else 10**9
+    if not bound:
+        return None
+    cand = secant.limit_denominator(bound)
+    near = abs(cand - secant) <= min(eps, w)
+    return cand if cand and near and F(lo_n, d) <= cand <= F(hi_n, d) else None
+
+
+@settings(max_examples=300)
+@given(
+    p=st.integers(-(10**12), 10**12),
+    q=st.integers(1, 10**9),
+    off=st.sampled_from([F(0), F(1, 2**40), F(-1, 2**70)])
+    | st.fractions(-2, 2, max_denominator=2**80),
+    g=st.integers(-(2**200), 2**200).filter(bool),
+    dist=st.floats(1e-6, 1e6),
+)
+@example(p=4 * 2**42 + 3, q=4, off=F(0), g=1, dist=16.0)  # a tie at bound 2
+@example(p=7, q=3, off=None, g=1, dist=1.0)  # den = 0: the secant at hi
+def test_exact_candidate_on_integers_matches_the_fraction_version(p, q, off, g, dist):
+    # the secant lies off interval widths w from a rational root p/q: at
+    # the root, within a tiny part of w, or anywhere near the rounding
+    # interval of its float (an irrational-looking root), with num/den
+    # unreduced by g; the integer walk names the Fraction version's candidate
+    x = p / q
+    assume(x != 0)
+    lo, hi = (caustics._midpoint_above(y) for y in (math.nextafter(x, -math.inf), x))
+    w = F(*hi) - F(*lo)
+    if off is None:
+        num, den = g, 0
+    else:
+        ratio = (F(*hi) - F(p, q) - off * w) / w
+        num, den = ratio.numerator * g, ratio.denominator * g
+    want = _exact_candidate_by_fractions(lo, hi, num, den, dist)
+    assert caustics._exact_candidate(lo, hi, num, den, dist) == want
 
 
 def _is_midpoint(x: Fraction) -> bool:

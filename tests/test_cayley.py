@@ -257,19 +257,22 @@ def test_decimal_series_run_at_50_digits_with_fraction_axes_exact():
 # ---------------------------------------------------------------------------
 
 
-@settings(max_examples=300)
+@settings(max_examples=300, deadline=None)
 @given(
     k=st.integers(-12, 12),
     a=st.fractions(F(1, 9), 60, max_denominator=9),
     b=st.fractions(F(1, 9), 60, max_denominator=9),
     gamma=st.fractions(-200, 200, max_denominator=97),
-    n=st.integers(2, 12),
+    n=st.integers(2, 20),
     ladder=st.sampled_from("BCDE"),
 )
 def test_closure_det_matches_the_fraction_determinant(k, a, b, gamma, n, ladder):
     # the integer Hankel block differs from the scaled Fraction block of
     # hankel_test by positive row and column factors, on every ladder and
-    # at every scale, so it gives the same value and, above all, the same sign
+    # at every scale, so it gives the same value and, above all, the same
+    # sign: the series recurrence and the symmetric elimination are checked
+    # against the square-root recurrence and Fraction elimination on blocks
+    # up to 10 x 10
     assume(ladder != "B" or (n % 2 == 0 and n >= 4))
     lam = F(10) ** k
     E = BoundaryEllipse(lam * a, lam * b)

@@ -213,6 +213,8 @@ GOLDEN = Path(__file__).parent / "golden"
         # the light-like root near u = 0 with no sign change in reach, then
         # two roots already periodic with period 3
         ("solve-n6-lightlike", "solve --n 6 --a 3/10 --b 9/10"),
+        # a large period: blocks up to 12 x 12 on every landed root
+        ("solve-n24-int", "solve --n 24 --a 3 --b 2"),
         ("certify-n3-exact", "certify --a 13 --b 120 --gamma=4680/361 --n 3"),
         ("certify-n5-snap", "certify --a 74/7 --b 25/9 --gamma=-2.778 --n 5"),
         # two roots within 1e-3 of the caption: the first, 1.99917..., wins

@@ -178,6 +178,14 @@ def test_deterministic_starts_are_scale_free(gamma, k):
     assert start_on_caustic(BoundaryEllipse(3.0, 2.0), gamma) == unit[0]
 
 
+def test_caustic_starts_beyond_the_float_range_at_unit_scale_raise_domain_error():
+    # on axes scaled to unit size gamma = 1e300 grows by 2**996, beyond the
+    # float maximum: the documented DomainError, not an OverflowError
+    starts = dynamics.caustic_starts(BoundaryEllipse(1e-300, 1e-300), 1e300)
+    with pytest.raises(DomainError, match="beyond the float range at unit scale"):
+        next(starts)
+
+
 def test_light_like_trajectory_alternates_and_closes_evenly():
     # light-like chords alternate between the two light-like classes and
     # can only close after an even number of steps

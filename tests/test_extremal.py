@@ -392,6 +392,32 @@ def test_agm_form_of_the_complete_integral_matches_carlson(y, e):
     assert abs(by_agm - by_duplication) <= 8 * math.ulp(by_duplication), (x, y)
 
 
+def _carlson_rf_by_max(x, y, z):
+    """:func:`extremal._carlson_rf` with the stop test on ``max(abs(...))``: its reference."""
+    while True:
+        mu = (x + y + z) / 3
+        if max(abs(x - mu), abs(y - mu), abs(z - mu)) <= 1e-3 * mu:
+            break
+        sx, sy, sz = math.sqrt(x), math.sqrt(y), math.sqrt(z)
+        lam = sx * (sy + sz) + sy * sz
+        x, y, z = (x + lam) / 4, (y + lam) / 4, (z + lam) / 4
+    dx, dy = 1 - x / mu, 1 - y / mu
+    dz = -(dx + dy)
+    e2, e3 = dx * dy - dz * dz, dx * dy * dz
+    return (1 - e2 / 10 + e3 / 14 + e2 * e2 / 24 - 3 * e2 * e3 / 44) / math.sqrt(mu)
+
+
+_spread = st.floats(-300, 300).map(lambda e: 10.0**e)
+
+
+@given(x=_spread, y=_spread, z=_spread | st.just(0.0), m=st.floats(1, 10))
+def test_carlson_rf_stop_test_matches_the_max_abs_form(x, y, z, m):
+    # the chained comparisons decide as max(abs(...)) <= tol does on
+    # finite positive arguments from 1e-300 to 1e300, so R_F is the same float
+    x *= m
+    assert extremal._carlson_rf(x, y, z) == _carlson_rf_by_max(x, y, z)
+
+
 #: The four gamma ranges, each as a map from t in (0, 1) to the variable in
 #: which rho increases: gamma on the finite ranges, u = 1/gamma on the others.
 _RANGES = {

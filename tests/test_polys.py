@@ -435,3 +435,39 @@ def test_nullspace_vector_stays_in_field():
     assert all(isinstance(c, (int, Fraction)) for c in v)
     assert m[0][0] * v[0] + m[0][1] * v[1] == 0
     assert m[1][0] * v[0] + m[1][1] * v[1] == 0
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    """Symmetric integer matrices of size 1-8: small and huge entries, and
+    sums of fewer outer products than the size, whose trailing leading
+    principal minors vanish."""
+    n = draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        vs = draw(st.lists(st.lists(st.integers(-3, 3), min_size=n, max_size=n), max_size=n - 1))
+        return [[sum(v[i] * v[j] for v in vs) for j in range(n)] for i in range(n)]
+    entries = st.integers(-3, 3) | st.integers(-(10**40), 10**40)
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = draw(entries)
+    return m
+
+
+@given(m=_symmetric_matrices())
+@example(m=[[0, 1], [1, 0]])
+@example(m=[[1, 1, 2], [1, 1, 3], [2, 3, 4]])
+def test_symmetric_bareiss_matches_bareiss(m):
+    # the upper-triangle elimination gives the same integer as the full
+    # one, also where a leading principal minor vanishes and it falls back
+    assert polys._symmetric_bareiss_det(m) == polys._bareiss_det(m)
+
+
+def test_symmetric_bareiss_falls_back_on_a_zero_pivot(monkeypatch):
+    # the leading 2x2 minor of this block is 0: the second pivot vanishes,
+    # and the row-swapping elimination gives the determinant -1
+    calls, full = [], polys._bareiss_det
+    monkeypatch.setattr(polys, "_bareiss_det", lambda m: calls.append(m) or full(m))
+    m = [[1, 1, 2], [1, 1, 3], [2, 3, 4]]
+    assert polys._symmetric_bareiss_det(m) == -1 and calls == [m]
+    assert polys._symmetric_bareiss_det([[2, 1], [1, 3]]) == 5 and len(calls) == 1
