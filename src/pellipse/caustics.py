@@ -35,7 +35,7 @@ strikingly small closed forms in ``(a, b)``, which
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache
 
@@ -45,7 +45,7 @@ from .config import CLOSURE
 from .dynamics import ClosureStatus, caustic_starts, closure_status, simulate
 from .errors import DomainError, PellipseError
 from .extremal import rotation_ratio
-from .geometry import ArcClass, BoundaryEllipse, ConicClass, classify_conic, degenerate_value
+from .geometry import ArcClass, BoundaryEllipse, classify_conic, degenerate_value
 
 __all__ = [
     "CausticResult",
@@ -63,8 +63,13 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CausticResult:
+class CausticResult(
+    namedtuple(
+        "CausticResult",
+        "gamma conic n n1 n2 validated kind case sigma gamma_exact",
+        defaults=(None, None, None),
+    )
+):
     """One caustic parameter with its validation record.
 
     ``gamma_exact`` is the exact rational root when one exists (denominator
@@ -73,19 +78,13 @@ class CausticResult:
     ``n1``/``n2`` count bounces on relativistic-ellipse / -hyperbola arcs
     over one period of the validation trajectory (``None`` if the
     simulation could not be completed).  For elliptic-periodic caustics
-    ``case`` is the closure case letter and ``sigma`` the axial symmetry.
+    ``case`` is the closure case letter and ``sigma`` the axial symmetry
+    (both ``None`` otherwise).  ``gamma`` is a ``float``, ``conic`` the
+    :class:`~pellipse.geometry.ConicClass` of the caustic, ``validated`` a
+    ``bool`` and ``kind`` ``"periodic"`` or ``"elliptic"``.
     """
 
-    gamma: float
-    conic: ConicClass
-    n: int
-    n1: int | None
-    n2: int | None
-    validated: bool
-    kind: str
-    case: str | None = None
-    sigma: str | None = None
-    gamma_exact: Fraction | None = None
+    __slots__ = ()
 
     def to_jsonable(self) -> dict:
         return {

@@ -38,7 +38,7 @@ the closure condition as an integer polynomial in ``u``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import polys
@@ -177,22 +177,19 @@ def _ladder(a, b, gamma, variant: str, order: int) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(namedtuple("TruncatedSeries", "variant scaled order a b gamma")):
     """Truncated Taylor series of one of the variants ``B, C, D, E``.
 
-    ``scaled`` holds the coefficients divided by ``B0 = sqrt(|a b gamma|)``
-    (rational in the inputs, stored in the arithmetic of the inputs); the
-    ``coeffs`` property restores the true coefficients, which involves the
-    generally irrational factor ``B0`` and is therefore floating point.
+    ``variant`` is the letter, ``order`` (an ``int``) the index of the last
+    coefficient and ``a``, ``b``, ``gamma`` the inputs, ``float`` or
+    ``Fraction``.  ``scaled`` is the tuple of coefficients divided by
+    ``B0 = sqrt(|a b gamma|)`` (rational in the inputs, stored in the
+    arithmetic of the inputs); the ``coeffs`` property restores the true
+    coefficients, which involves the generally irrational factor ``B0`` and
+    is therefore floating point.
     """
 
-    variant: str
-    scaled: tuple
-    order: int
-    a: float | Fraction
-    b: float | Fraction
-    gamma: float | Fraction
+    __slots__ = ()
 
     @property
     def coeffs(self) -> tuple[float, ...]:
@@ -200,28 +197,25 @@ class TruncatedSeries:
         return tuple(b0 * float(s) for s in self.scaled)
 
 
-@dataclass(frozen=True)
-class PeriodicityVerdict:
+class PeriodicityVerdict(namedtuple("PeriodicityVerdict", "periodic determinant_value n")):
     """Outcome of the exact periodicity test for ``(gamma, n)``.
 
-    ``determinant_value`` is the exact closure determinant at ``gamma`` (a
-    ``Fraction``, for every input field).
+    ``periodic`` is a ``bool`` and ``n`` the period.  ``determinant_value``
+    is the exact closure determinant at ``gamma`` (a ``Fraction``, for
+    every input field).
     """
 
-    periodic: bool
-    determinant_value: Fraction
-    n: int
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class EllipticVerdict:
+class EllipticVerdict(namedtuple("EllipticVerdict", "case determinant_value")):
     """Outcome of the elliptic closure test: matched case letter or ``none``.
 
-    ``determinant_value`` is exact, as in :class:`PeriodicityVerdict`.
+    ``case`` is that string; ``determinant_value`` is an exact ``Fraction``,
+    as in :class:`PeriodicityVerdict`.
     """
 
-    case: str
-    determinant_value: Fraction
+    __slots__ = ()
 
 
 def _check_gamma(E: BoundaryEllipse, gamma) -> None:

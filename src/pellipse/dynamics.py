@@ -35,8 +35,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import random
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import polys
 from .config import BOUNDARY, DEGENERATE, DRIFT, LIGHTLIKE, START_CLEARANCE
@@ -48,7 +47,6 @@ from .geometry import (
     ConicClass,
     LineImplicit,
     MVec2,
-    VectorType,
     _pow2_scaled,
     boundary_arc_class,
     caustic_of_line,
@@ -80,18 +78,16 @@ _SIGMA_SIGNS = {"flip-x": (1, -1), "flip-y": (-1, 1), "flip-both": (-1, -1)}
 SIGMAS = tuple(_SIGMA_SIGNS)
 
 
-@dataclass(frozen=True)
-class ClosureStatus:
+class ClosureStatus(namedtuple("ClosureStatus", "tag n sigma", defaults=(None, None))):
     """Closure verdict for a trajectory prefix of ``n`` steps.
 
     ``tag`` is ``"Periodic"`` (returns to start with the same direction),
     ``"EllipticPeriodic"`` (returns to the mirror image of the start under
-    exactly one axial symmetry ``sigma``) or ``"Open"``.
+    exactly one axial symmetry ``sigma``) or ``"Open"``.  ``n`` (an
+    ``int``) and ``sigma`` (a string) are ``None`` where they do not apply.
     """
 
-    tag: str
-    n: int | None = None
-    sigma: str | None = None
+    __slots__ = ()
 
     @staticmethod
     def periodic(n: int) -> "ClosureStatus":
@@ -106,27 +102,28 @@ class ClosureStatus:
         return ClosureStatus("Open", None, None)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(
+    namedtuple(
+        "Trajectory",
+        "vertex_xy direction_xy arc_classes segment_type caustic_gamma ellipse",
+    )
+):
     """A simulated polygonal billiard trajectory.
 
     ``vertex_xy`` holds ``steps + 1`` boundary points as ``(x, y)`` float
     pairs; ``direction_xy`` holds ``steps + 1`` pairs, the segment
     directions followed by the reflected direction at the final vertex,
     at the size :func:`simulate` scaled them to;
-    ``arc_classes`` classifies each vertex.  ``caustic_gamma`` is the
-    parameter of the conic touched by every segment (``math.inf`` for
-    light-like trajectories).  ``vertices`` and ``directions`` are the same
-    points as :class:`~pellipse.geometry.MVec2` tuples, built on first
-    access.
+    ``arc_classes`` classifies each vertex by its
+    :class:`~pellipse.geometry.ArcClass`; ``segment_type`` is the
+    :class:`~pellipse.geometry.VectorType` of the segments and ``ellipse``
+    the :class:`~pellipse.geometry.BoundaryEllipse`.  ``caustic_gamma`` is
+    the parameter of the conic touched by every segment (``math.inf`` for
+    light-like trajectories, ``ALL_CONICS`` for the common tangents).
+    ``vertices`` and ``directions`` are the same points as
+    :class:`~pellipse.geometry.MVec2` tuples, built on first access and
+    kept in the instance ``__dict__`` (so this class has no ``__slots__``).
     """
-
-    vertex_xy: tuple[tuple[float, float], ...]
-    direction_xy: tuple[tuple[float, float], ...]
-    arc_classes: tuple[ArcClass, ...]
-    segment_type: VectorType
-    caustic_gamma: object
-    ellipse: BoundaryEllipse
 
     @functools.cached_property
     def vertices(self) -> tuple[MVec2, ...]:

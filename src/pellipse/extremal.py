@@ -28,7 +28,7 @@ least-deviation regimes and the light-like (Chebyshev) special case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
@@ -172,27 +172,27 @@ def _pell_defect(P: list, p2: list, Q: list, q2: list, target):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PellPair:
+class PellPair(namedtuple("PellPair", "n gamma ellipse p2 pq values")):
     """The primitive solution ``(p, q)`` of the half-degree Pell identity.
 
-    The pair is kept as the coefficient tuples (ascending) of ``p**2`` and
-    ``p q``: rational polynomials even when ``p`` itself carries an
-    irrational scale, so the lift to the full certificate is lossless.
-    ``values`` holds the ``(a, b, gamma)`` they were computed from, in
-    their field.
+    ``n`` is the period, ``gamma`` the caustic (a ``float``) and
+    ``ellipse`` the :class:`~pellipse.geometry.BoundaryEllipse`.  The pair
+    is kept as the coefficient tuples ``p2`` and ``pq`` (ascending) of
+    ``p**2`` and ``p q``: rational polynomials even when ``p`` itself
+    carries an irrational scale, so the lift to the full certificate is
+    lossless.  ``values`` holds the ``(a, b, gamma)`` they were computed
+    from, in their field.
     """
 
-    n: int
-    gamma: float
-    ellipse: BoundaryEllipse
-    p2: tuple = field(repr=False)
-    pq: tuple = field(repr=False)
-    values: tuple = field(repr=False)
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PellCertificate:
+class PellCertificate(
+    namedtuple(
+        "PellCertificate",
+        "n gamma c p_hat q_hat residual tau1 tau2 partition equioscillation",
+    )
+):
     """A verified polynomial Pell certificate for an ``n``-periodic caustic.
 
     ``tau1``/``tau2`` count interior roots of ``q_hat`` in the bands
@@ -200,19 +200,13 @@ class PellCertificate:
     points where ``|p_hat| = 1``.  ``partition`` is the pair ``(n, n1)``
     (total period, bounces on relativistic-ellipse arcs); the counts
     split as ``(tau1, tau2) = (n - n1 - 1, n1 - 1)``, so it is
-    ``(n, tau2 + 1)``.
+    ``(n, tau2 + 1)``.  ``gamma`` is a ``float``; ``c`` holds the four
+    band ends, and ``p_hat``, ``q_hat`` and ``equioscillation`` are tuples
+    of floats.  ``residual`` is the largest Pell defect: exact (so ``0``) on
+    exact inputs, a ``float`` otherwise.
     """
 
-    n: int
-    gamma: float
-    c: tuple[float, float, float, float]
-    p_hat: tuple[float, ...]
-    q_hat: tuple[float, ...]
-    residual: object
-    tau1: int
-    tau2: int
-    partition: tuple[int, int]
-    equioscillation: tuple[float, ...]
+    __slots__ = ()
 
     def to_jsonable(self, kln_ratio: float | None = None) -> dict:
         doc = {
@@ -725,16 +719,12 @@ def jacobi_elliptic(u: float, k: float) -> tuple[float, float, float]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZolotarevReport:
-    """Residuals of the degree-3 Zolotarev parametrization identities."""
+class ZolotarevReport(
+    namedtuple("ZolotarevReport", "t Y kappa_sq alpha_residual sn_residual gamma_residual")
+):
+    """Residuals of the degree-3 Zolotarev parametrization identities (floats)."""
 
-    t: float
-    Y: float
-    kappa_sq: float
-    alpha_residual: float
-    sn_residual: float
-    gamma_residual: float
+    __slots__ = ()
 
     @property
     def max_residual(self) -> float:

@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Iterator
 
 from . import polys
 from .config import BOUNDARY, DEGENERATE, LIGHTLIKE
@@ -54,16 +53,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MVec2:
-    """A point or direction in the Minkowski plane."""
+class MVec2(namedtuple("MVec2", "x y")):
+    """A point or direction ``(x, y)`` in the Minkowski plane.
 
-    x: float | Fraction
-    y: float | Fraction
+    ``x`` and ``y`` are ``float`` or ``Fraction``.
+    """
 
-    def __iter__(self) -> Iterator:
-        yield self.x
-        yield self.y
+    __slots__ = ()
 
     def euclid_norm(self) -> float:
         """Euclidean length, used for scale-relative tolerances."""
@@ -115,47 +111,58 @@ class AllConics:
 ALL_CONICS = AllConics()
 
 
-@dataclass(frozen=True)
-class EllipticCoords:
+class EllipticCoords(namedtuple("EllipticCoords", "lambda1 lambda2")):
     """Elliptic coordinates ``(lambda1, lambda2)`` of an interior point.
 
-    ``lambda1`` lies in ``[-b, 0]`` and ``lambda2`` in ``[0, a]``; the point
-    is the intersection of the confocal conics with those parameters.
+    Both are floats: ``lambda1`` lies in ``[-b, 0]`` and ``lambda2`` in
+    ``[0, a]``; the point is the intersection of the confocal conics with
+    those parameters.
     """
 
-    lambda1: float
-    lambda2: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class LineImplicit:
-    """The line ``p*x + q*y = r`` (``r = 0`` only for lines through the origin)."""
+class LineImplicit(namedtuple("LineImplicit", "p q r")):
+    """The line ``p*x + q*y = r`` (``r = 0`` only for lines through the origin).
 
-    p: float | Fraction
-    q: float | Fraction
-    r: float | Fraction = 1
+    ``p``, ``q`` and ``r`` are ``float`` or ``Fraction``.
+    """
 
-    def __post_init__(self) -> None:
-        if self.p == 0 and self.q == 0:
+    __slots__ = ()
+
+    def __new__(cls, p, q, r=1) -> "LineImplicit":
+        if p == 0 and q == 0:
             raise DomainError("line requires (p, q) != (0, 0)")
+        return super().__new__(cls, p, q, r)
+
+    @classmethod
+    def _make(cls, fields) -> "LineImplicit":
+        # _replace builds through _make: check the copy too
+        return cls(*fields)
 
     def direction(self) -> MVec2:
         """A direction vector of the line."""
         return MVec2(self.q, -self.p)
 
 
-@dataclass(frozen=True)
-class BoundaryEllipse:
-    """Boundary ellipse ``x**2/a + y**2/b = 1`` with squared semi-axes ``a, b``."""
+class BoundaryEllipse(namedtuple("BoundaryEllipse", "a b")):
+    """Boundary ellipse ``x**2/a + y**2/b = 1`` with squared semi-axes ``a, b``.
 
-    a: float | Fraction
-    b: float | Fraction
+    ``a`` and ``b`` are ``float`` or ``Fraction``.
+    """
 
-    def __post_init__(self) -> None:
-        if not (self.a > 0 and self.b > 0):
-            raise DomainError(f"squared semi-axes must be positive, got ({self.a}, {self.b})")
-        if math.inf in (self.a, self.b):
-            raise DomainError(f"squared semi-axes must be finite, got ({self.a}, {self.b})")
+    __slots__ = ()
+
+    def __new__(cls, a, b) -> "BoundaryEllipse":
+        if not (a > 0 and b > 0):
+            raise DomainError(f"squared semi-axes must be positive, got ({a}, {b})")
+        if math.inf in (a, b):
+            raise DomainError(f"squared semi-axes must be finite, got ({a}, {b})")
+        return super().__new__(cls, a, b)
+
+    @classmethod
+    def _make(cls, fields) -> "BoundaryEllipse":
+        return cls(*fields)
 
     def boundary_residual(self, P: MVec2):
         """``x**2/a + y**2/b - 1`` (zero on the boundary), in the common field."""

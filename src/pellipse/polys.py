@@ -27,11 +27,11 @@ homogeneous Horner sum, with no ``Fraction`` arithmetic per step.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from contextlib import nullcontext
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 from math import gcd, isqrt, lcm
-from typing import Sequence
 
 from .errors import DomainError
 

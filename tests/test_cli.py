@@ -3,7 +3,6 @@
 import ast
 import collections
 import contextlib
-import dataclasses
 import importlib
 import inspect
 import io
@@ -45,6 +44,21 @@ def test_import_needs_only_the_standard_library():
         check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+def test_cli_import_loads_no_dataclasses_inspect_typing_or_random():
+    # a fresh process pays for every module the CLI imports: the value
+    # types are named tuples, and annotations are never evaluated, so
+    # none of these heavy modules is loaded (-S: no site hooks either)
+    src = str(Path(pellipse.__file__).resolve().parents[1])
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import pellipse.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing', 'random'} & set(sys.modules)))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-S", "-c", probe, src], capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_solve_prints_the_same_bytes_every_time(capsys):
@@ -821,7 +835,7 @@ def test_certify_rejects_a_simulated_partition_that_disagrees(capsys, monkeypatc
     def every_bounce_on_an_ellipse_arc(*args):
         T = simulate(*args)
         arcs = (ArcClass.RelativisticEllipseArc,) * len(T.arc_classes)
-        return dataclasses.replace(T, arc_classes=arcs)
+        return T._replace(arc_classes=arcs)
 
     monkeypatch.setattr(caustics, "simulate", every_bounce_on_an_ellipse_arc)
     rc, out = run(capsys, "certify", "--a", "2", "--b", "4", "--gamma", "4/3", "--n", "4")

@@ -1,6 +1,5 @@
 """Billiard simulation, reflection law, and closure detection."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -526,9 +525,9 @@ def test_simulate_builds_no_mvec2_per_step(monkeypatch, capsys, tmp_path):
     built = []
 
     class CountingMVec2(MVec2):
-        def __init__(self, x, y):
+        def __new__(cls, x, y):
             built.append(1)
-            super().__init__(x, y)
+            return super().__new__(cls, x, y)
 
     monkeypatch.setattr(dynamics, "MVec2", CountingMVec2)
     counts = []
@@ -555,6 +554,6 @@ def test_trajectory_builds_mvec2_on_access():
     assert T.vertices is T.vertices and T.directions is T.directions
     # the fields are the float pairs, so a replaced copy keeps them
     arcs = (ArcClass.RelativisticEllipseArc,) * len(T.arc_classes)
-    U = dataclasses.replace(T, arc_classes=arcs)
+    U = T._replace(arc_classes=arcs)
     assert U.arc_classes == arcs and U.vertex_xy == T.vertex_xy
     assert U.vertices == T.vertices and U.directions == T.directions

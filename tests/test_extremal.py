@@ -1,6 +1,5 @@
 """Pell certificates, rotation numbers and extremal-polynomial identities."""
 
-import dataclasses
 import math
 import random
 from decimal import Decimal
@@ -72,7 +71,7 @@ def test_extremal_binds_nothing_from_dynamics():
 
 def test_pell_lift_rejects_a_nonzero_exact_residual():
     pair = pell_construct(BoundaryEllipse(F(2), F(4)), F(4, 3), 4)
-    bent = dataclasses.replace(pair, p2=(pair.p2[0] + F(1, 10**12),) + pair.p2[1:])
+    bent = pair._replace(p2=(pair.p2[0] + F(1, 10**12),) + pair.p2[1:])
     with pytest.raises(CertificateInvalid):
         pell_lift(bent)
 
