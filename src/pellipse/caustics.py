@@ -11,18 +11,22 @@ Every solver finds its roots in two steps, for every period and both kinds:
    ten evaluations of ``rho`` a root, and the parity of ``k`` and
    ``n - k`` on its range says whether it is periodic, elliptic-periodic
    or closed after a shorter period;
-2. **land**: the exact closure determinant
-   (:func:`~pellipse.cayley.closure_det`) at rationals around that float
-   moves it onto the correctly rounded closure root.  Its sign change
-   across the rounding interval is the proof that a closure root lies
-   there; a root with none within reach is discarded.
+2. **land**: :func:`~pellipse.cayley._landed` moves that float onto the
+   correctly rounded closure root, by the exact closure determinant
+   (:func:`~pellipse.cayley.closure_det`) at rationals around it.  Its
+   sign change across the rounding interval is the proof that a closure
+   root lies there, the same proof the closure verdicts of
+   :mod:`~pellipse.cayley` take for a float; a root with none within
+   reach is discarded.
 
-One generator, :func:`_roots`, takes each located root through landing
-and the spurious-root filter (degenerate conics) for both solvers and for
-the snap of ``certify``.  Every located root it does not yield is
-discarded with a reason, the light-like root at ``u = 0`` among them, and
-every landed root is then validated by an actual simulated trajectory
-that must close.
+One generator, :func:`_roots`, takes each located root through landing,
+its exact rational value when it has one, and the spurious-root filter
+(degenerate conics) for both solvers and for the snap of ``certify``.
+Every located root it does not yield is discarded with a reason, the
+light-like root at ``u = 0`` among them, and every landed root is then
+validated by an actual simulated trajectory that must close.  So this
+module locates, screens and validates; the landing is
+:mod:`~pellipse.cayley`'s.
 
 The closure conditions of the small periods, polynomials in ``gamma``
 with coefficients polynomial in the squared semi-axes ``(a, b)``, are
@@ -37,9 +41,8 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from functools import cache
 
-from . import polys
+from . import cayley, polys
 from .cayley import case_symmetry, closure_degree, closure_det, closure_ladder, closure_poly_gamma
 from .config import CLOSURE
 from .dynamics import ClosureStatus, caustic_starts, closure_status, simulate
@@ -137,11 +140,6 @@ def closed_form_caustics(E: BoundaryEllipse, n: int) -> list:
 # the root source: locate on the level sets of rho, land on the exact determinant
 # ---------------------------------------------------------------------------
 
-#: Float steps from a located root within which landing looks for the sign
-#: change of the exact closure determinant, and the secant steps it takes.
-_REACH = 2**20
-_STEPS = 6
-
 #: How far beyond ``rho`` at a window's ends :func:`_level_roots` keeps a
 #: ``k``: far above the few units in the last place of its rounding.
 _SLACK = 1e-12
@@ -229,129 +227,12 @@ def _level_roots(E: BoundaryEllipse, n: int, elliptic: bool, window=None):
     return sorted(roots)
 
 
-def _midpoint_above(x: float) -> tuple[int, int]:
-    """``(num, den)`` in lowest terms of the midpoint from the float ``x`` to the next one up.
-
-    The two floats are adjacent multiples of their gap ``g``; below
-    ``g = 1`` one of them has the denominator ``1/g``, and the midpoint
-    ``(2X + 1) g / 2`` is in lowest terms.
-    """
-    p, q = x.as_integer_ratio()
-    r, s = math.nextafter(x, math.inf).as_integer_ratio()
-    d = max(q, s)
-    num = p * (d // q) + r * (d // s)
-    return (num, 2 * d) if num % 2 else (num // 2, d)
-
-
-def _landed(det, gamma: float, poles):
-    """``(gamma, exact)`` for the exact closure root near the float ``gamma``, or None.
-
-    ``det(p, q)`` is the exact closure determinant at the rational
-    ``p/q``, as the ``(num, den)`` pair of
-    :func:`~pellipse.cayley.closure_det`.  The ends of the rounding
-    interval of a float are the exact midpoints to its neighbours, built
-    by :func:`_midpoint_above`; when the determinant changes sign between
-    them, the float is the correctly rounded root, and that sign change is
-    the proof.  Otherwise the secant through the two ends, linear to high
-    order at this scale, gives the next float to try: it lies ``num/den``
-    interval widths below the upper end, an unreduced quotient of integer
-    products of the determinants, each formed once a step.  None means no
-    sign change after ``_STEPS`` steps, or a step beyond ``_REACH`` float
-    steps.
-
-    ``exact`` is the rational root when the determinant is exactly 0 at
-    the one candidate :func:`_exact_candidate` names, else None; ``poles``
-    are the degenerate values ``-b, 0, a``, whose distance bounds the
-    candidate's error.
-    """
-    # the midpoint between the float x and the next one up, and det there
-    above = cache(lambda x: (m := _midpoint_above(x), det(*m)))
-    start = gamma
-    for _ in range(_STEPS):
-        if not math.isfinite(gamma) or abs(gamma - start) > _REACH * math.ulp(start):
-            return None
-        below, up = math.nextafter(gamma, -math.inf), math.nextafter(gamma, math.inf)
-        (lo, (p_lo, q_lo)), (hi, (p_hi, q_hi)) = above(below), above(gamma)
-        # the secant root lies num/den interval widths below the upper end
-        num = p_hi * q_lo
-        den = num - p_lo * q_hi
-        if (p_lo < 0) != (p_hi < 0) or not p_lo or not p_hi:  # a sign change
-            break
-        if abs(den) * _REACH < abs(num):
-            return None
-        gamma += (up - gamma) / 2 - num / den * (up - below) / 2
-    else:
-        return None
-    dist = min(abs(gamma - v) for v in poles)
-    cand = _exact_candidate(lo, hi, num, den, dist) if dist else None
-    return gamma, cand if cand and det(cand.numerator, cand.denominator)[0] == 0 else None
-
-
-def _exact_candidate(lo, hi, num: int, den: int, dist: float) -> Fraction | None:
-    """The one rational that may be the closure root in a rounding interval, or None.
-
-    ``lo`` and ``hi`` are the interval's ends as ``(num, den)`` pairs, the
-    secant through the determinant ``f`` there lies ``num/den`` of the
-    width ``w`` below ``hi``, and ``dist`` is the distance from the root
-    to the nearest degenerate value.  The secant misses the root by about
-    ``w**2 |f''/f'| / 8``, and ``|f''/f'|`` was measured below
-    ``136/dist`` for periods up to 12, so ``eps = 2**12 w**2 / dist``
-    bounds that with room to spare: about twice the float's digits.  The
-    candidate is the fraction ``p/q`` nearest the secant with
-    ``q <= N = min(10**9, (2**10 eps) ** -1/2)``, kept when it lies within
-    ``eps`` of it.  Two such fractions lie ``1/N**2 >= 2**10 eps`` apart
-    or more, so a rational root with such a denominator is the candidate,
-    and an irrational root meets one only about once in ``2**9`` roots.
-    None when there is none, or it lies outside the interval, or at 0,
-    which is never a root.  It runs on integers: the secant is the
-    unreduced ``s/t``, the candidate comes from :func:`_limit_denominator`,
-    and both tests cross-multiply; one ``Fraction`` is built, for the
-    candidate kept.
-    """
-    (lo_n, lo_d), (hi_n, hi_d) = lo, hi
-    d = max(lo_d, hi_d)
-    lo_n, hi_n = lo_n * (d // lo_d), hi_n * (d // hi_d)
-    # the secant s/t, t = d * 2**64, to 64 bits of the width: far below eps
-    s, t = (hi_n << 64) - (hi_n - lo_n) * ((num << 64) // den if den else 0), d << 64
-    w = (hi_n - lo_n) / d
-    eps = 2**12 * w * w / dist
-    bound = min(10**9, int((2**10 * eps) ** -0.5)) if eps else 10**9
-    if not bound:  # far roots: no denominator is small enough
-        return None
-    p, q = _limit_denominator(s, t, bound)
-    # |p/q - s/t| <= min(eps, w) and lo <= p/q <= hi, cross-multiplied
-    mn, md = min(eps, w).as_integer_ratio()
-    near = abs(p * t - s * q) * md <= mn * q * t
-    inside = lo_n * q <= p * d <= hi_n * q
-    return Fraction(p, q) if p and near and inside else None
-
-
-def _limit_denominator(s: int, t: int, bound: int) -> tuple[int, int]:
-    """``Fraction(s, t).limit_denominator(bound)`` as ``(p, q)`` in lowest terms, ``t > 0``.
-
-    The standard library's walk on the continued fraction of ``s/t``, run
-    on the unreduced integers, whose quotients are those of the reduced
-    fraction; it ends at a remainder 0 when the reduced denominator is
-    within ``bound``, and otherwise takes the nearer of the two bounding
-    semiconvergents, compared by cross-multiplication, ``p1/q1`` on a tie.
-    """
-    p0, q0, p1, q1, x, y = 0, 1, 1, 0, s, t
-    while y and (q2 := q0 + (a := x // y) * q1) <= bound:
-        p0, q0, p1, q1, x, y = p1, q1, p0 + a * p1, q2, y, x - a * y
-    if y:
-        k = (bound - q0) // q1
-        p2, q2 = p0 + k * p1, q0 + k * q1
-        if abs(p1 * t - s * q1) * q2 > abs(p2 * t - s * q2) * q1:
-            return p2, q2
-    return p1, q1
-
-
 def _spurious_reason(E: BoundaryEllipse, gamma_f: float) -> str | None:
     """The spurious-root filter: the reason a landed root is a degenerate conic, else None.
 
     It is the one conic screen.  An odd period needs no hyperbola screen:
     the parity rule of :func:`_level_roots` admits a periodic hyperbola
-    root only for even ``n``, and landing moves a root at most ``_REACH``
+    root only for even ``n``, and landing moves a root at most ``cayley._REACH``
     float steps, a relative ``2**-32``, which from the ranges ``(-b, 0)``
     and ``(0, a)`` stays inside the band ``DEGENERATE (1 + |v|)`` around
     ``v = -b`` and ``v = a`` that this screen rejects.
@@ -364,11 +245,15 @@ def _roots(E: BoundaryEllipse, n: int, elliptic: bool, discarded=None, window=No
     """Yield each landed root of period ``n`` and the wanted kind as ``(gamma, exact, case)``.
 
     The roots come from :func:`_level_roots` for the ``window``, ascending,
-    and each lands (:func:`_landed`) on the one closure determinant its tag
-    names (:func:`~pellipse.cayley.closure_ladder`): ``(closure_ladder(d),
-    d)`` for a periodic root of period ``d``, and ``(closure_ladder(n,
-    case), n)`` for an elliptic one, whose ``case`` it yields (None for a
-    periodic root).  A root is discarded, in this order, at ``u = 0``
+    and each lands (:func:`~pellipse.cayley._landed`) on the one closure
+    determinant its tag names (:func:`~pellipse.cayley.closure_ladder`):
+    ``(closure_ladder(d), d)`` for a periodic root of period ``d``, and
+    ``(closure_ladder(n, case), n)`` for an elliptic one, whose ``case`` it
+    yields (None for a periodic root).  ``exact`` is the rational root when
+    the determinant is exactly 0 at the one candidate
+    :func:`~pellipse.cayley._exact_candidate` names, else None; the
+    distance to the nearest degenerate value ``-b, 0, a`` bounds the
+    candidate's error.  A root is discarded, in this order, at ``u = 0``
     (``gamma = inf``, written ``"inf"``), with no sign change of that
     determinant within reach, at a degenerate conic value
     (:func:`_spurious_reason`), or when it closes after a proper divisor
@@ -384,10 +269,13 @@ def _roots(E: BoundaryEllipse, n: int, elliptic: bool, discarded=None, window=No
         det = lambda p, q: closure_det(ia, ib, Fraction(q, p), ladder, m)  # noqa: E731
         if math.isinf(gamma):
             gamma, why = "inf", "light-like root at u = 0: gamma = inf is not landed"
-        elif (landed := _landed(det, gamma, poles)) is None:
-            why = f"no sign change of the closure determinant within {_REACH} float steps"
+        elif (landed := cayley._landed(det, gamma)) is None:
+            why = f"no sign change of the closure determinant within {cayley._REACH} float steps"
         else:
-            gamma, exact = landed
+            gamma, secant = landed
+            dist = min(abs(gamma - v) for v in poles)
+            cand = cayley._exact_candidate(*secant, dist) if dist else None
+            exact = cand if cand and det(cand.numerator, cand.denominator)[0] == 0 else None
             period = None if m == n else f"already periodic with period {m}"
             why = _spurious_reason(E, gamma) or period
             if why is None:

@@ -26,13 +26,16 @@ The series run in the common field of ``(a, b, gamma)``
 ``int``/``Fraction`` inputs, 50 significant digits when any input is a
 ``decimal.Decimal``, ``float`` otherwise.  :func:`closure_det` evaluates
 the same determinants exactly, in integers, in ``u = 1/gamma``, and it is
-the one source of every closure verdict: the solvers' root landing and
-:func:`is_periodic` and :func:`elliptic_case_test` for every input field,
-which read a float or ``Decimal`` as the exact rational it is and prove
-a root by a sign change of the determinant within a relative
-``ROOT_BRACKET`` of it.  No verdict compares a rounded determinant with a
-tolerance.  :func:`closure_poly` interpolates the same determinant into
-the closure condition as an integer polynomial in ``u``.
+the one source of every closure verdict.  An int or ``Fraction``
+``gamma`` is a root when the determinant is 0 there.  Any other root is
+proven one way, by :func:`_landed`: from a float, it walks to the float
+whose rounding interval the determinant changes sign across, the
+correctly rounded root.  The solvers' landing, the snap of ``certify``,
+and :func:`is_periodic` and :func:`elliptic_case_test` on a float or
+``Decimal`` ``gamma`` all take that walk.  No verdict compares a rounded
+determinant with a tolerance.  :func:`closure_poly` interpolates the
+same determinant into the closure condition as an integer polynomial in
+``u``.
 """
 
 from __future__ import annotations
@@ -40,9 +43,9 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import cache
 
 from . import polys
-from .config import ROOT_BRACKET
 from .errors import DomainError, InsufficientOrder
 from .geometry import BoundaryEllipse, ConicClass, classify_conic, degenerate_value
 
@@ -119,7 +122,7 @@ def _elliptic_candidates(E: BoundaryEllipse, gamma, n: int) -> list[tuple[str, s
     if classify_conic(gamma, E) is not ConicClass.EllipseOfFamily:
         caustic = "hyperbola"
     else:
-        caustic = "ellipse>0" if float(gamma) > 0 else "ellipse<0"
+        caustic = "ellipse>0" if gamma > 0 else "ellipse<0"
     return [
         (case, row[2 + n % 2])
         for case, row in _CASES.items()
@@ -197,30 +200,32 @@ class TruncatedSeries(namedtuple("TruncatedSeries", "variant scaled order a b ga
         return tuple(b0 * float(s) for s in self.scaled)
 
 
-class PeriodicityVerdict(namedtuple("PeriodicityVerdict", "periodic determinant_value n")):
-    """Outcome of the exact periodicity test for ``(gamma, n)``.
-
-    ``periodic`` is a ``bool`` and ``n`` the period.  ``determinant_value``
-    is the exact closure determinant at ``gamma`` (a ``Fraction``, for
-    every input field).
-    """
+class PeriodicityVerdict(namedtuple("PeriodicityVerdict", "periodic n")):
+    """Outcome of the exact periodicity test: ``periodic``, a ``bool``, at period ``n``."""
 
     __slots__ = ()
 
 
-class EllipticVerdict(namedtuple("EllipticVerdict", "case determinant_value")):
-    """Outcome of the elliptic closure test: matched case letter or ``none``.
-
-    ``case`` is that string; ``determinant_value`` is an exact ``Fraction``,
-    as in :class:`PeriodicityVerdict`.
-    """
+class EllipticVerdict(namedtuple("EllipticVerdict", "case")):
+    """Outcome of the elliptic closure test: the matched case letter or ``none``."""
 
     __slots__ = ()
 
 
 def _check_gamma(E: BoundaryEllipse, gamma) -> None:
-    if isinstance(gamma, float) and (math.isinf(gamma) or math.isnan(gamma)):
-        raise DomainError(f"gamma={gamma} is degenerate")
+    """Raise :class:`DomainError` for a ``gamma`` at a degenerate value or off the floats.
+
+    An int or ``Fraction`` ``gamma`` of any size is decided exactly; a
+    float or ``Decimal`` one must have a finite float, which a NaN, an
+    infinity or a ``Decimal`` beyond the float range has not.
+    """
+    if not polys.is_exact(gamma):
+        try:
+            finite = math.isfinite(gamma)
+        except ValueError:  # a signalling NaN has no float
+            finite = False
+        if not finite:
+            raise DomainError(f"gamma={gamma} has no finite float")
     hit = degenerate_value(gamma, E)
     if hit is not None:
         raise DomainError(f"gamma={gamma} coincides with degenerate value {hit[1]}")
@@ -394,40 +399,163 @@ def closure_poly_gamma(ia: Fraction, ib: Fraction, ladder: str, n: int) -> list[
     return polys.trim([c * d**i for i, c in enumerate(closure_poly(ia, ib, ladder, n))][::-1])
 
 
-def _closure_roots(E: BoundaryEllipse, gamma, n: int):
+# ---------------------------------------------------------------------------
+# landing: the one proof of a closure root
+# ---------------------------------------------------------------------------
+
+#: Float steps from a float within which landing looks for the sign change
+#: of the exact closure determinant, and the secant steps it takes.
+_REACH = 2**20
+_STEPS = 6
+
+
+def _midpoint_above(x: float) -> tuple[int, int]:
+    """``(num, den)`` in lowest terms of the midpoint from the float ``x`` to the next one up.
+
+    The two floats are adjacent multiples of their gap ``g``; below
+    ``g = 1`` one of them has the denominator ``1/g``, and the midpoint
+    ``(2X + 1) g / 2`` is in lowest terms.
+    """
+    p, q = x.as_integer_ratio()
+    r, s = math.nextafter(x, math.inf).as_integer_ratio()
+    d = max(q, s)
+    num = p * (d // q) + r * (d // s)
+    return (num, 2 * d) if num % 2 else (num // 2, d)
+
+
+def _landed(det, gamma: float):
+    """``(gamma, secant)`` for the closure root correctly rounded near the float ``gamma``, or None.
+
+    ``det(p, q)`` is the exact closure determinant at the rational
+    ``p/q``, as the ``(num, den)`` pair of :func:`closure_det`.  The ends
+    of the rounding interval of a float are the exact midpoints to its
+    neighbours, built by :func:`_midpoint_above`; when the determinant
+    changes sign between them, the float is the correctly rounded root,
+    and that sign change is the proof.  Otherwise the secant through the
+    two ends, linear to high order at this scale, gives the next float to
+    try: it lies ``num/den`` interval widths below the upper end, an
+    unreduced quotient of integer products of the determinants, each
+    formed once a step.  None means no sign change after ``_STEPS``
+    steps, or a step beyond ``_REACH`` float steps.
+
+    ``secant`` is ``(lo, hi, num, den)`` for the landed float: the ends of
+    its rounding interval as ``(num, den)`` pairs and the secant there,
+    which :func:`_exact_candidate` reads.
+    """
+    # the midpoint between the float x and the next one up, and det there
+    above = cache(lambda x: (m := _midpoint_above(x), det(*m)))
+    start = gamma
+    for _ in range(_STEPS):
+        if not math.isfinite(gamma) or abs(gamma - start) > _REACH * math.ulp(start):
+            return None
+        below, up = math.nextafter(gamma, -math.inf), math.nextafter(gamma, math.inf)
+        (lo, (p_lo, q_lo)), (hi, (p_hi, q_hi)) = above(below), above(gamma)
+        # the secant root lies num/den interval widths below the upper end
+        num = p_hi * q_lo
+        den = num - p_lo * q_hi
+        if (p_lo < 0) != (p_hi < 0) or not p_lo or not p_hi:  # a sign change
+            return gamma, (lo, hi, num, den)
+        if abs(den) * _REACH < abs(num):
+            return None
+        gamma += (up - gamma) / 2 - num / den * (up - below) / 2
+    return None
+
+
+def _exact_candidate(lo, hi, num: int, den: int, dist: float) -> Fraction | None:
+    """The one rational that may be the closure root in a rounding interval, or None.
+
+    ``lo`` and ``hi`` are the interval's ends as ``(num, den)`` pairs, the
+    secant through the determinant ``f`` there lies ``num/den`` of the
+    width ``w`` below ``hi``, as :func:`_landed` gives them, and ``dist``
+    is the distance from the root to the nearest degenerate value.  The
+    secant misses the root by about ``w**2 |f''/f'| / 8``, and
+    ``|f''/f'|`` was measured below ``136/dist`` for periods up to 12, so
+    ``eps = 2**12 w**2 / dist`` bounds that with room to spare: about
+    twice the float's digits.  The candidate is the fraction ``p/q``
+    nearest the secant with ``q <= N = min(10**9, (2**10 eps) ** -1/2)``,
+    kept when it lies within ``eps`` of it.  Two such fractions lie
+    ``1/N**2 >= 2**10 eps`` apart or more, so a rational root with such a
+    denominator is the candidate, and an irrational root meets one only
+    about once in ``2**9`` roots.  None when there is none, or it lies
+    outside the interval, or at 0, which is never a root.  It runs on
+    integers: the secant is the unreduced ``s/t``, the candidate comes
+    from :func:`_limit_denominator`, and both tests cross-multiply; one
+    ``Fraction`` is built, for the candidate kept.
+    """
+    (lo_n, lo_d), (hi_n, hi_d) = lo, hi
+    d = max(lo_d, hi_d)
+    lo_n, hi_n = lo_n * (d // lo_d), hi_n * (d // hi_d)
+    # the secant s/t, t = d * 2**64, to 64 bits of the width: far below eps
+    s, t = (hi_n << 64) - (hi_n - lo_n) * ((num << 64) // den if den else 0), d << 64
+    w = (hi_n - lo_n) / d
+    eps = 2**12 * w * w / dist
+    bound = min(10**9, int((2**10 * eps) ** -0.5)) if eps else 10**9
+    if not bound:  # far roots: no denominator is small enough
+        return None
+    p, q = _limit_denominator(s, t, bound)
+    # |p/q - s/t| <= min(eps, w) and lo <= p/q <= hi, cross-multiplied
+    mn, md = min(eps, w).as_integer_ratio()
+    near = abs(p * t - s * q) * md <= mn * q * t
+    inside = lo_n * q <= p * d <= hi_n * q
+    return Fraction(p, q) if p and near and inside else None
+
+
+def _limit_denominator(s: int, t: int, bound: int) -> tuple[int, int]:
+    """``Fraction(s, t).limit_denominator(bound)`` as ``(p, q)`` in lowest terms, ``t > 0``.
+
+    The standard library's walk on the continued fraction of ``s/t``, run
+    on the unreduced integers, whose quotients are those of the reduced
+    fraction; it ends at a remainder 0 when the reduced denominator is
+    within ``bound``, and otherwise takes the nearer of the two bounding
+    semiconvergents, compared by cross-multiplication, ``p1/q1`` on a tie.
+    """
+    p0, q0, p1, q1, x, y = 0, 1, 1, 0, s, t
+    while y and (q2 := q0 + (a := x // y) * q1) <= bound:
+        p0, q0, p1, q1, x, y = p1, q1, p0 + a * p1, q2, y, x - a * y
+    if y:
+        k = (bound - q0) // q1
+        p2, q2 = p0 + k * p1, q0 + k * q1
+        if abs(p1 * t - s * q1) * q2 > abs(p2 * t - s * q2) * q1:
+            return p2, q2
+    return p1, q1
+
+
+# ---------------------------------------------------------------------------
+# the verdicts
+# ---------------------------------------------------------------------------
+
+
+def _root_test(E: BoundaryEllipse, gamma, n: int):
     """The root test of the closure determinants at ``gamma`` and period ``n``.
 
-    ``gamma`` is checked once, and the returned ``test(ladder)`` gives
-    ``(root, value)``: ``value`` is the exact determinant of ``ladder`` at
-    ``gamma`` (:func:`closure_det`) as a ``Fraction``.  An int or
-    ``Fraction`` ``gamma`` is a root when it is 0.  A float or ``Decimal``
-    ``gamma``, read as the exact rational it is, is a root when it is 0 or
-    its sign differs from that at one of the floats nearest
-    ``gamma (1 -+ ROOT_BRACKET)``; the determinant is a polynomial in
-    ``u = 1/gamma``, so the sign change proves a root between them.
+    ``gamma`` is checked once, and the returned ``test(ladder)`` says
+    whether it is a root of the determinant of ``ladder``
+    (:func:`closure_det`).  An int or ``Fraction`` ``gamma`` is one when
+    the determinant is 0 there.  A float or ``Decimal`` one is when
+    landing (:func:`_landed`) from its float reaches a sign change: the
+    rule the solvers apply to the roots they report.
     """
     _check_gamma(E, gamma)
     ia, ib = 1 / Fraction(E.a), 1 / Fraction(E.b)
-    u, g = 1 / Fraction(gamma), float(gamma)
-    ends = [] if polys.is_exact(gamma) else [g * (1 + s * ROOT_BRACKET) for s in (-1, 1)]
+    if polys.is_exact(gamma):
+        u = 1 / Fraction(gamma)
+        return lambda ladder: not closure_det(ia, ib, u, ladder, n)[0]
+    g = float(gamma)
 
-    def test(ladder: str) -> tuple[bool, Fraction]:
-        num, den = closure_det(ia, ib, u, ladder, n)
-        root = not num or any(
-            num * closure_det(ia, ib, 1 / Fraction(x), ladder, n)[0] <= 0
-            for x in ends
-            if math.isfinite(x)
-        )
-        return root, Fraction(num, den)
+    def test(ladder: str) -> bool:
+        return _landed(lambda p, q: closure_det(ia, ib, Fraction(q, p), ladder, n), g) is not None
 
     return test
 
 
-def _periodic_verdict(E: BoundaryEllipse, gamma, n: int, test) -> PeriodicityVerdict:
-    """The periodic ladder's verdict at period ``n`` from the root ``test`` at ``gamma``."""
-    root, value = test(closure_ladder(n))
+def _periodic(E: BoundaryEllipse, gamma, n: int, test) -> bool:
+    """Whether the root ``test`` at ``gamma`` passes the periodic ladder of period ``n``.
+
+    Odd periods also need an ellipse of the confocal family: a hyperbola
+    caustic closes only after an even period.
+    """
     structural = n % 2 == 0 or classify_conic(gamma, E) is ConicClass.EllipseOfFamily
-    return PeriodicityVerdict(root and structural, value, n)
+    return structural and test(closure_ladder(n))
 
 
 def is_periodic(E: BoundaryEllipse, gamma, n: int) -> PeriodicityVerdict:
@@ -435,16 +563,18 @@ def is_periodic(E: BoundaryEllipse, gamma, n: int) -> PeriodicityVerdict:
 
     Uses the ``C`` ladder for odd ``n`` and the base series for even
     ``n``, and decides on their exact determinant by the root test of
-    :func:`_closure_roots` for every input field: an int or ``Fraction``
-    ``gamma`` is periodic when it is a root, a float or ``Decimal`` one
-    when a root lies within a relative ``ROOT_BRACKET`` of it.  Odd
+    :func:`_root_test`: an int or ``Fraction`` ``gamma`` of any size is
+    periodic when the determinant is 0 there, a float or ``Decimal`` one
+    when landing from its float reaches a sign change within ``2**20``
+    float steps, as it does for every root the solvers report.  Odd
     periods additionally require the caustic to be an ellipse of the
     confocal family (hyperbola caustics only support even periods).
-    ``determinant_value`` is the exact determinant at ``gamma``.
+    Raises :class:`DomainError` for a degenerate ``gamma`` and for an
+    inexact one without a finite float.
     """
     if n < 3:
         raise DomainError(f"periodicity test requires n >= 3, got {n}")
-    return _periodic_verdict(E, gamma, n, _closure_roots(E, gamma, n))
+    return PeriodicityVerdict(_periodic(E, gamma, n, _root_test(E, gamma, n)), n)
 
 
 def elliptic_case_test(E: BoundaryEllipse, gamma, n: int) -> EllipticVerdict:
@@ -456,22 +586,14 @@ def elliptic_case_test(E: BoundaryEllipse, gamma, n: int) -> EllipticVerdict:
     for odd ``n`` they are ``a`` (ellipse, ``gamma > 0``, ladder ``E``),
     ``b`` (ellipse, ``gamma < 0``, ladder ``D``) and the hyperbola cases
     ``d`` (ladder ``E``) and ``e`` (ladder ``D``).  A ``gamma`` that is
-    fully ``n``-periodic reports ``none``, as does one matching no case;
-    the latter carries the determinant of least magnitude.  Each ladder is
-    decided as in :func:`is_periodic`, on its exact determinant, which
-    every verdict carries at ``gamma``.
+    fully ``n``-periodic reports ``none``, as does one matching no case.
+    Each ladder is decided as in :func:`is_periodic`, exactly for an int
+    or ``Fraction`` ``gamma`` and by landing from the float of any other.
     """
     if n < 2:
         raise DomainError(f"elliptic closure test requires n >= 2, got {n}")
-    test = _closure_roots(E, gamma, n)
-    if n >= 3:
-        pv = _periodic_verdict(E, gamma, n, test)
-        if pv.periodic:
-            return EllipticVerdict("none", pv.determinant_value)
-    values = []
-    for case, ladder in _elliptic_candidates(E, gamma, n):
-        root, value = test(ladder)
-        if root:
-            return EllipticVerdict(case, value)
-        values.append(value)
-    return EllipticVerdict("none", min(values, key=abs))
+    test = _root_test(E, gamma, n)
+    if n >= 3 and _periodic(E, gamma, n, test):
+        return EllipticVerdict("none")
+    cases = (case for case, ladder in _elliptic_candidates(E, gamma, n) if test(ladder))
+    return EllipticVerdict(next(cases, "none"))

@@ -1,13 +1,12 @@
 """Named tolerances: one constant per role, the only place their values live.
 
-The floating-point paths of the package test closure three ways (the
-sign bracket of the exact closure determinant, the Pell residual and the
-simulated closure) and guard the geometry around them.  Each test reads
-the constant of its role below; exact (``int``/``Fraction``) inputs to
-the closure conditions compare the determinant with zero exactly and
-read none of them, and the roots of the rotation number's level sets are
-landed on adjacent floats without a tolerance.  Tolerances are fixed:
-nothing reads the environment.
+The floating-point paths of the package test closure two ways with a
+tolerance (the Pell residual and the simulated closure) and guard the
+geometry around them.  Each test reads the constant of its role below.
+The closure conditions read none of them: an exact (``int``/``Fraction``)
+input compares the exact determinant with zero, and a float is a root
+when the determinant changes sign across the rounding interval of the
+float it lands on.  Tolerances are fixed: nothing reads the environment.
 """
 
 #: Absolute: a point lies on the boundary ellipse or on a confocal conic
@@ -20,16 +19,6 @@ LIGHTLIKE = 1e-9
 #: Relative: ``gamma`` meets a degenerate value ``0``, ``a`` or ``-b``, a
 #: chord has zero length, or a line passes through the origin.
 DEGENERATE = 1e-9
-
-#: Relative: a float or ``Decimal`` gamma is a closure root when the exact
-#: determinant changes sign between it and ``gamma (1 -+ ROOT_BRACKET)``.
-#: Measured: the 3,600 certify pool gammas lie within 8.7e-11 of their
-#: polished roots, and 2**-40 rejects 181 of them; of 3,429 landed roots
-#: (n = 3..12, ten axis pairs scaled by 10**-9, 1 and 10**9), 2**-20
-#: misses 16 next to ``-b`` or ``a``, where roots crowd into its bracket;
-#: 2**-30 misses none and admits none of 324 random gammas that a float
-#: zero test, relative to the block's row scales, took for roots.
-ROOT_BRACKET = 2**-30
 
 #: Relative to the terms of the caustic invariant: every segment of a
 #: simulated trajectory keeps the caustic of the first one when

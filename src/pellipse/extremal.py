@@ -236,8 +236,9 @@ def pell_construct(E: BoundaryEllipse, gamma, n: int) -> PellPair:
     ``gamma``, as given, must pass the exact periodicity test
     :func:`~pellipse.cayley.is_periodic` at period ``n`` (otherwise
     :class:`NoCertificate`: the certificate system has a trivial null
-    space): an exact ``gamma`` must be a closure root, a float or
-    ``Decimal`` one must lie within a relative ``ROOT_BRACKET`` of one.
+    space): an exact ``gamma`` must be a closure root, and landing from
+    the float of a float or ``Decimal`` one must reach a sign change of
+    the closure determinant, as it does for every root the solvers report.
     :func:`_certificate_pair` gives the field values and the unnormalized
     pair: rational ``(a, b, gamma)`` stay exact, an inexact ``gamma`` is
     Newton-polished in 50-digit decimal arithmetic on the axes as given

@@ -25,6 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from collections import namedtuple
+from decimal import Decimal
 from fractions import Fraction
 
 from . import polys
@@ -229,14 +230,18 @@ def classify_conic(gamma, E: BoundaryEllipse) -> ConicClass:
     Comparisons with the degenerate values ``a`` and ``-b`` are exact;
     callers working with approximate parameters should quantize first.
     A float ``gamma`` on ``Fraction`` axes is converted exactly once, not
-    once per comparison.
+    once per comparison.  An infinite ``gamma`` of any field is
+    :attr:`ConicClass.DegenerateInfinity`, and a NaN of any field raises
+    :class:`DomainError`.
     """
-    if isinstance(gamma, float):
-        if math.isinf(gamma):
+    if not polys.is_exact(gamma):
+        # a NaN compares false with every axis, and a signalling one raises
+        if gamma.is_nan() if isinstance(gamma, Decimal) else math.isnan(gamma):
+            raise DomainError(f"gamma={gamma} is not a number")
+        if abs(gamma) == math.inf:
             return ConicClass.DegenerateInfinity
-        # NaN has no Fraction; it compares false with every axis either way
-        if gamma == gamma and (isinstance(E.a, Fraction) or isinstance(E.b, Fraction)):
-            gamma = Fraction(gamma)
+    if isinstance(gamma, float) and (isinstance(E.a, Fraction) or isinstance(E.b, Fraction)):
+        gamma = Fraction(gamma)
     if gamma == E.a:
         return ConicClass.DegenerateYAxis
     if gamma == -E.b:
@@ -262,7 +267,10 @@ def degenerate_value(gamma, E: BoundaryEllipse) -> tuple[str, object] | None:
         if polys.is_exact(gamma, v):
             hit = gamma == v
         else:
-            hit = abs(float(gamma) - float(v)) <= DEGENERATE * (1 + abs(float(v)))
+            try:
+                hit = abs(float(gamma) - float(v)) <= DEGENERATE * (1 + abs(float(v)))
+            except OverflowError:  # an exact gamma beyond the floats meets no float axis
+                hit = False
         if hit:
             return name, v
     return None

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from pellipse import (
     BoundaryEllipse,
     caustics,
+    cayley,
     dynamics,
     polys,
     ConicClass,
@@ -326,7 +327,7 @@ def _rounds_a_root(f, gamma, exact):
     """
     if exact is not None:
         return float(exact) == gamma and polys.peval(f, exact) == 0
-    lo, hi = (F(*caustics._midpoint_above(x)) for x in (math.nextafter(gamma, -math.inf), gamma))
+    lo, hi = (F(*cayley._midpoint_above(x)) for x in (math.nextafter(gamma, -math.inf), gamma))
     sign = polys._sign_at(f, lo)
     if sign * polys._sign_at(f, hi) >= 0:
         return False
@@ -643,7 +644,7 @@ def test_midpoint_above_is_the_exact_midpoint_in_lowest_terms(x):
     up = math.nextafter(x, math.inf)
     if math.isinf(up):
         return
-    num, den = caustics._midpoint_above(x)
+    num, den = cayley._midpoint_above(x)
     assert F(num, den) == (F(x) + F(up)) / 2
     assert den > 0 and math.gcd(num, den) == 1
 
@@ -653,10 +654,10 @@ def test_landing_costs_about_three_exact_evaluations_per_root(monkeypatch):
     # float is not yet correctly rounded, and none at an irrational
     # root's exact candidate: 141 evaluations for 45 roots when measured
     calls, roots = [], []
-    det, landed = caustics.closure_det, caustics._landed
+    det, landed = caustics.closure_det, cayley._landed
     monkeypatch.setattr(caustics, "closure_det", lambda *args: calls.append(1) or det(*args))
     monkeypatch.setattr(
-        caustics, "_landed", lambda *args: roots.append(out := landed(*args)) or out
+        cayley, "_landed", lambda *args: roots.append(out := landed(*args)) or out
     )
     for n in range(9, 13):
         periodic_caustics(BoundaryEllipse(5, 11), n)
@@ -678,13 +679,13 @@ def test_landing_costs_about_three_exact_evaluations_per_root(monkeypatch):
 def test_limit_denominator_on_integers_matches_the_standard_library(s, t, g, bound):
     # the continued-fraction walk on the unreduced s*g / t*g gives the
     # fraction the standard library gives, in lowest terms, ties included
-    p, q = caustics._limit_denominator(s * g, t * g, bound)
+    p, q = cayley._limit_denominator(s * g, t * g, bound)
     assert F(p, q) == F(s, t).limit_denominator(bound)
     assert q > 0 and math.gcd(p, q) == 1
 
 
 def _exact_candidate_by_fractions(lo, hi, num, den, dist):
-    """The ``Fraction`` form of :func:`caustics._exact_candidate`: its reference."""
+    """The ``Fraction`` form of :func:`cayley._exact_candidate`: its reference."""
     (lo_n, lo_d), (hi_n, hi_d) = lo, hi
     d = max(lo_d, hi_d)
     lo_n, hi_n = lo_n * (d // lo_d), hi_n * (d // hi_d)
@@ -717,7 +718,7 @@ def test_exact_candidate_on_integers_matches_the_fraction_version(p, q, off, g, 
     # unreduced by g; the integer walk names the Fraction version's candidate
     x = p / q
     assume(x != 0)
-    lo, hi = (caustics._midpoint_above(y) for y in (math.nextafter(x, -math.inf), x))
+    lo, hi = (cayley._midpoint_above(y) for y in (math.nextafter(x, -math.inf), x))
     w = F(*hi) - F(*lo)
     if off is None:
         num, den = g, 0
@@ -725,13 +726,13 @@ def test_exact_candidate_on_integers_matches_the_fraction_version(p, q, off, g, 
         ratio = (F(*hi) - F(p, q) - off * w) / w
         num, den = ratio.numerator * g, ratio.denominator * g
     want = _exact_candidate_by_fractions(lo, hi, num, den, dist)
-    assert caustics._exact_candidate(lo, hi, num, den, dist) == want
+    assert cayley._exact_candidate(lo, hi, num, den, dist) == want
 
 
 def _is_midpoint(x: Fraction) -> bool:
     """Whether the rational ``x`` is the midpoint between two adjacent floats."""
     f = float(x)
-    return any(F(*caustics._midpoint_above(y)) == x for y in (f, math.nextafter(f, -math.inf)))
+    return any(F(*cayley._midpoint_above(y)) == x for y in (f, math.nextafter(f, -math.inf)))
 
 
 @pytest.mark.parametrize(
@@ -739,26 +740,34 @@ def _is_midpoint(x: Fraction) -> bool:
     [(10**6, 3, 11), (10**6, 3, 10), (5, 11, 12), (F(41, 7), F(7, 2), 8), (10**20, 2 * 10**20, 4)],
 )
 def test_exact_candidates_are_evaluated_only_in_the_rounding_interval(monkeypatch, a, b, n):
-    # besides the midpoints that bracket the root, landing evaluates the
-    # determinant at one exact candidate at most, and only inside the
-    # final rounding interval; (10**6, 3) has roots within a few float
-    # steps of -b, whose nearest small-denominator fraction -3 lies outside
-    landed, seen = caustics._landed, []
+    # besides the midpoints that bracket the root, landing and its exact
+    # step evaluate the determinant at one exact candidate at most, and
+    # only inside the final rounding interval; (10**6, 3) has roots within
+    # a few float steps of -b, whose nearest small-denominator fraction -3
+    # lies outside
+    landed, det, calls, outs = cayley._landed, caustics.closure_det, [], []
 
-    def recorded(det, gamma, poles):
-        calls = []
-        out = landed(lambda p, q: calls.append(F(p, q)) or det(p, q), gamma, poles)
-        if out is not None:
-            g = out[0]
-            lo, hi = (F(*caustics._midpoint_above(x)) for x in (math.nextafter(g, -math.inf), g))
-            cands = [x for x in calls if not _is_midpoint(x)]
-            assert len(cands) <= 1 and all(lo <= x <= hi for x in cands), (g, cands)
-            seen.append(out[1])
-        return out
+    def recorded_landing(det, gamma):
+        calls.append([])  # the gammas at which this root's determinant is taken
+        outs.append(landed(det, gamma))
+        return outs[-1]
 
-    monkeypatch.setattr(caustics, "_landed", recorded)
+    def recorded_det(ia, ib, u, ladder, m):
+        calls[-1].append(1 / u)
+        return det(ia, ib, u, ladder, m)
+
+    monkeypatch.setattr(cayley, "_landed", recorded_landing)
+    monkeypatch.setattr(caustics, "closure_det", recorded_det)
     periodic_caustics(BoundaryEllipse(a, b), n)
-    assert seen
+    for gammas, out in zip(calls, outs):
+        cands = [x for x in gammas if not _is_midpoint(x)]
+        if out is None:
+            assert not cands, cands
+            continue
+        g = out[0]
+        lo, hi = (F(*cayley._midpoint_above(x)) for x in (math.nextafter(g, -math.inf), g))
+        assert len(cands) <= 1 and all(lo <= x <= hi for x in cands), (g, cands)
+    assert any(outs)
 
 
 @pytest.mark.parametrize("n", [9, 12])
@@ -768,22 +777,22 @@ def test_divisor_roots_are_evaluated_on_their_own_period_only(monkeypatch, capsy
     # lands on the small period-d block, never on the period-n one, and a
     # root of period n on the period-n block only
     tags, current, evals = {}, [], []
-    level_roots, landed, det = caustics._level_roots, caustics._landed, caustics.closure_det
+    level_roots, landed, det = caustics._level_roots, cayley._landed, caustics.closure_det
 
     def recorded_roots(*args):
         tags.update(out := level_roots(*args))
         return out
 
-    def recorded_landing(det, gamma, poles):
+    def recorded_landing(det, gamma):
         current.append(gamma)
-        return landed(det, gamma, poles)
+        return landed(det, gamma)
 
     def recorded_det(ia, ib, u, ladder, m):
         evals.append((current[-1], ladder, m))
         return det(ia, ib, u, ladder, m)
 
     monkeypatch.setattr(caustics, "_level_roots", recorded_roots)
-    monkeypatch.setattr(caustics, "_landed", recorded_landing)
+    monkeypatch.setattr(cayley, "_landed", recorded_landing)
     monkeypatch.setattr(caustics, "closure_det", recorded_det)
     assert main(["solve", "--n", str(n), "--a", str(a), "--b", str(b)]) == 0
     capsys.readouterr()
@@ -809,7 +818,7 @@ def test_divisor_discards_rest_on_their_own_periods_sign_change(a, b):
                 continue
             d = int(entry["reason"].rsplit(" ", 1)[1])
             g = entry["gamma"]
-            ends = (caustics._midpoint_above(x) for x in (math.nextafter(g, -math.inf), g))
+            ends = (cayley._midpoint_above(x) for x in (math.nextafter(g, -math.inf), g))
             lo, hi = (
                 caustics.closure_det(ia, ib, F(q, p), closure_ladder(d), d)[0] for p, q in ends
             )
@@ -825,7 +834,7 @@ def _landed_on(E, gamma, m, ladder=None):
     """
     ia, ib, ladder = 1 / F(E.a), 1 / F(E.b), ladder or closure_ladder(m)
     det = lambda p, q: caustics.closure_det(ia, ib, F(q, p), ladder, m)  # noqa: E731
-    return caustics._landed(det, gamma, (-float(E.b), 0.0, float(E.a)))
+    return cayley._landed(det, gamma)
 
 
 @settings(max_examples=40, deadline=None)
@@ -865,6 +874,30 @@ def test_the_verdicts_agree_with_every_landed_root(axes, k, n):
         for g in filter(None, (r.gamma, r.gamma_exact)):
             assert not is_periodic(E, g, n).periodic, (n, g)
             assert elliptic_case_test(E, g, n).case == r.case, (n, g)
+
+
+@pytest.mark.parametrize("a, b", [(3, 2), (5, 11), (12, 3), (F(41, 7), F(7, 2)), (7, 11)])
+def test_the_verdicts_land_every_root_on_the_same_float(monkeypatch, a, b):
+    # is_periodic and elliptic_case_test at each root _roots yields land
+    # from it on the ladder that decides it and stop at that root itself:
+    # one landing walk proves the roots and the verdicts
+    landed, outs = cayley._landed, []
+    monkeypatch.setattr(
+        cayley, "_landed", lambda det, g: outs.append(out := landed(det, g)) or out
+    )
+    E = BoundaryEllipse(a, b)
+    checked = 0
+    for n in range(2, 13):
+        for elliptic in (False, True) if n >= 3 else (True,):
+            for gamma, _, case in _roots(E, n, elliptic):
+                outs.clear()
+                if elliptic:
+                    assert elliptic_case_test(E, gamma, n).case == case, (n, gamma)
+                else:
+                    assert is_periodic(E, gamma, n).periodic, (n, gamma)
+                assert outs[-1] is not None and outs[-1][0] == gamma, (n, gamma)
+                checked += 1
+    assert checked >= 100
 
 
 def _level_gammas(a, b, n):

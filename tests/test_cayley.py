@@ -19,6 +19,7 @@ from pellipse import (
     case_symmetry,
 )
 from pellipse.errors import DomainError, InsufficientOrder
+from pellipse.extremal import pell_construct
 from pellipse import cayley, polys
 
 F = Fraction
@@ -89,7 +90,6 @@ def test_is_periodic_exact_rational_root():
     E = BoundaryEllipse(F(2), F(4))
     verdict = is_periodic(E, F(4, 3), 4)
     assert verdict.periodic
-    assert verdict.determinant_value == 0  # exact zero in rational mode
 
 
 def test_is_periodic_float_roots_and_rejections():
@@ -175,10 +175,55 @@ def test_the_verdicts_are_one_exact_path_in_every_field(
             if periodic is not None:
                 pv = is_periodic(E, g, n)
                 assert pv.periodic is periodic, (E, g)
-                assert type(pv.determinant_value) is F
             ev = elliptic_case_test(E, g, n)
             assert ev.case == case, (E, g)
-            assert type(ev.determinant_value) is F
+
+
+@pytest.mark.parametrize("axes", [(3, 2), (3.0, 2.0), (F(3), Decimal(2))])
+@pytest.mark.parametrize(
+    "verdict, gamma, n, want",
+    [
+        (is_periodic, F(10**400), 4, (False, 4)),
+        (is_periodic, -(10**400), 3, (False, 3)),
+        (elliptic_case_test, -(10**400), 3, ("none",)),
+        (elliptic_case_test, F(10**400, 3), 2, ("none",)),
+        (elliptic_case_test, F(1, 10**400) + 1, 2, ("none",)),
+    ],
+    ids=["periodic-huge", "periodic-odd", "elliptic-odd", "elliptic-even", "elliptic-long"],
+)
+def test_an_exact_gamma_of_any_size_gets_a_verdict(axes, verdict, gamma, n, want):
+    # an int or Fraction gamma is decided on the exact determinant alone,
+    # beyond the float range too
+    assert tuple(verdict(BoundaryEllipse(*axes), gamma, n)) == want
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    [Decimal("NaN"), Decimal("sNaN"), Decimal("Infinity"), Decimal("-Infinity"), Decimal("1e400")]
+    + [math.nan, math.inf],
+)
+@pytest.mark.parametrize("check", [is_periodic, elliptic_case_test, pell_construct])
+def test_an_inexact_gamma_without_a_finite_float_raises_domain_error(check, gamma):
+    with pytest.raises(DomainError, match="no finite float"):
+        check(BoundaryEllipse(3, 2), gamma, 4)
+
+
+#: A periodic caustic of (7, 11) at n = 9, landed by the solver.
+_ROOT_7_11_9 = 3.4107975309243574
+
+
+@pytest.mark.parametrize(
+    "steps, periodic", [(2**19, True), (-(2**19), True), (2**21, False), (-(2**21), False)]
+)
+def test_a_float_is_periodic_when_landing_from_it_reaches_a_sign_change(steps, periodic):
+    # the one rule of the solvers, the snap and the verdicts: landing from
+    # a float reaches the root within 2**20 float steps, not beyond
+    E = BoundaryEllipse(7, 11)
+    g = _ROOT_7_11_9 + steps * math.ulp(_ROOT_7_11_9)  # one binade: exact
+    assert abs(F(g) - F(_ROOT_7_11_9)) == abs(steps) * F(math.ulp(_ROOT_7_11_9))
+    assert is_periodic(E, g, 9).periodic is periodic
+    assert is_periodic(E, Decimal(g), 9).periodic is periodic
+    assert elliptic_case_test(E, g, 9).case == "none"
 
 
 def test_fully_periodic_is_not_elliptic():

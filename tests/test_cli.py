@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pellipse
-from pellipse import BoundaryEllipse, caustics, cli, extremal
+from pellipse import BoundaryEllipse, caustics, cayley, cli, extremal
 from pellipse.cli import main
 from pellipse.dynamics import SIGMAS, ClosureStatus
 from pellipse.geometry import ArcClass
@@ -392,18 +392,18 @@ def test_windowed_snap_is_the_full_scan_rule(axes, n, where, pick, t):
 
 def test_snap_lands_only_the_roots_in_its_window(monkeypatch):
     located, landed = [], []
-    level_roots, land = caustics._level_roots, caustics._landed
+    level_roots, land = caustics._level_roots, cayley._landed
 
     def recorded_roots(*args):
         located.extend(out := level_roots(*args))
         return out
 
-    def recorded_landing(det, gamma, poles):
+    def recorded_landing(det, gamma):
         landed.append(gamma)
-        return land(det, gamma, poles)
+        return land(det, gamma)
 
     monkeypatch.setattr(caustics, "_level_roots", recorded_roots)
-    monkeypatch.setattr(caustics, "_landed", recorded_landing)
+    monkeypatch.setattr(cayley, "_landed", recorded_landing)
     E = BoundaryEllipse(2, 10)
     list(caustics._roots(E, 8, False))
     assert len(located) == len(landed) == 9  # three of them close after 4 steps

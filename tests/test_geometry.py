@@ -21,6 +21,7 @@ from pellipse import (
     line_through,
     minkowski_dot,
     next_boundary_hit,
+    start_on_caustic,
     tangent_line_at,
     vector_type,
 )
@@ -50,6 +51,27 @@ def test_classify_conic_all_branches():
     assert classify_conic(3, E) is ConicClass.DegenerateYAxis
     assert classify_conic(-2, E) is ConicClass.DegenerateXAxis
     assert classify_conic(math.inf, E) is ConicClass.DegenerateInfinity
+
+
+@pytest.mark.parametrize("gamma", [math.nan, Decimal("NaN"), Decimal("-NaN"), Decimal("sNaN")])
+def test_a_nan_caustic_of_any_field_raises_domain_error(gamma):
+    # a NaN compares false with every axis: it is no conic, and no start
+    # lies on it
+    E = BoundaryEllipse(3, 2)
+    with pytest.raises(DomainError, match="not a number"):
+        classify_conic(gamma, E)
+    with pytest.raises(DomainError):
+        start_on_caustic(E, gamma)
+
+
+@pytest.mark.parametrize("gamma", [math.inf, -math.inf, Decimal("Infinity"), Decimal("-Infinity")])
+def test_an_infinite_caustic_of_any_field_is_degenerate_at_infinity(gamma):
+    for E in (BoundaryEllipse(3, 2), BoundaryEllipse(F(3), F(2)), BoundaryEllipse(Decimal(3), 2)):
+        assert classify_conic(gamma, E) is ConicClass.DegenerateInfinity
+        with pytest.raises(DomainError, match="degenerate caustic"):
+            start_on_caustic(E, gamma)
+    # a Decimal beyond the float range is finite: a hyperbola
+    assert classify_conic(Decimal("-1e400"), E) is ConicClass.HyperbolaXMajor
 
 
 def _exact_class(g, a, b):

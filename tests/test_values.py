@@ -32,8 +32,8 @@ SAMPLES = {
     LineImplicit: (1, F(2), 3.0),
     BoundaryEllipse: (3, F(2, 7)),
     TruncatedSeries: ("B", (1, F(1, 2)), 1, 3, 2, F(1, 2)),
-    PeriodicityVerdict: (True, F(0), 4),
-    EllipticVerdict: ("a", F(-1, 9)),
+    PeriodicityVerdict: (True, 4),
+    EllipticVerdict: ("a",),
     ClosureStatus: ("EllipticPeriodic", 3, "flip-x"),
     Trajectory: (
         ((0.0, 1.0), (1.0, 0.0)),
