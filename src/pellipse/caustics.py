@@ -19,14 +19,16 @@ Every solver finds its roots in two steps, for every period and both kinds:
    :mod:`~pellipse.cayley` take for a float; a root with none within
    reach is discarded.
 
-One generator, :func:`_roots`, takes each located root through landing,
-its exact rational value when it has one, and the spurious-root filter
-(degenerate conics) for both solvers and for the snap of ``certify``.
-Every located root it does not yield is discarded with a reason, the
-light-like root at ``u = 0`` among them, and every landed root is then
-validated by an actual simulated trajectory that must close.  So this
-module locates, screens and validates; the landing is
-:mod:`~pellipse.cayley`'s.
+One generator, :func:`_roots`, takes each located root through landing
+and the screens, the spurious-root filter (degenerate conics) and the
+divisor periods, for both solvers and for the snap of ``certify``, and
+names the exact rational value of the roots it keeps, when they have
+one.  Every located root it does not yield is discarded with a reason,
+the light-like root at ``u = 0`` among them, and every root it yields is
+then validated by an actual simulated trajectory that must close.  So
+this module locates, screens and validates; the landing, on the one
+determinant that :func:`~pellipse.cayley._landing_det` builds, and the
+exact candidate are :mod:`~pellipse.cayley`'s.
 
 The closure conditions of the small periods, polynomials in ``gamma``
 with coefficients polynomial in the squared semi-axes ``(a, b)``, are
@@ -43,7 +45,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from . import cayley, polys
-from .cayley import case_symmetry, closure_degree, closure_det, closure_ladder, closure_poly_gamma
+from .cayley import case_symmetry, closure_degree, closure_ladder, closure_poly_gamma
 from .config import CLOSURE
 from .dynamics import ClosureStatus, caustic_starts, closure_status, simulate
 from .errors import DomainError, PellipseError
@@ -155,8 +157,7 @@ def _normalized_det(E: BoundaryEllipse, gamma_f: float, n: int) -> int:
     verdict decides on, and returns its sign, the one value of it that no
     scale of the block changes.
     """
-    ia, ib, u = (1 / Fraction(x) for x in (E.a, E.b, gamma_f))
-    num, _ = closure_det(ia, ib, u, closure_ladder(n), n)
+    num, _ = cayley._landing_det(E, closure_ladder(n), n)(*gamma_f.as_integer_ratio())
     return (num > 0) - (num < 0)
 
 
@@ -246,42 +247,41 @@ def _roots(E: BoundaryEllipse, n: int, elliptic: bool, discarded=None, window=No
 
     The roots come from :func:`_level_roots` for the ``window``, ascending,
     and each lands (:func:`~pellipse.cayley._landed`) on the one closure
-    determinant its tag names (:func:`~pellipse.cayley.closure_ladder`):
+    determinant its tag names (:func:`~pellipse.cayley.closure_ladder`),
+    as :func:`~pellipse.cayley._landing_det` builds it:
     ``(closure_ladder(d), d)`` for a periodic root of period ``d``, and
     ``(closure_ladder(n, case), n)`` for an elliptic one, whose ``case`` it
-    yields (None for a periodic root).  ``exact`` is the rational root when
-    the determinant is exactly 0 at the one candidate
+    yields (None for a periodic root).  Every screen comes first.  A root
+    is discarded, in this order, at ``u = 0`` (``gamma = inf``, written
+    ``"inf"``), with no sign change of that determinant within reach, at a
+    degenerate conic value (:func:`_spurious_reason`), or when it closes
+    after a proper divisor ``d`` of ``n``, proven by the sign change of the
+    small period-``d`` block.  Each discard's ``gamma`` and reason are
+    appended to ``discarded`` when a list is supplied.  Only a root kept
+    gets its exact value: ``exact`` is the rational root when the
+    determinant is exactly 0 at the one candidate
     :func:`~pellipse.cayley._exact_candidate` names, else None; the
-    distance to the nearest degenerate value ``-b, 0, a`` bounds the
-    candidate's error.  A root is discarded, in this order, at ``u = 0``
-    (``gamma = inf``, written ``"inf"``), with no sign change of that
-    determinant within reach, at a degenerate conic value
-    (:func:`_spurious_reason`), or when it closes after a proper divisor
-    ``d`` of ``n``, proven by the sign change of the small period-``d``
-    block.  Each discard's ``gamma`` and reason are appended to
-    ``discarded`` when a list is supplied.  The roots are not simulated:
-    :func:`_results` validates them.
+    distance to the nearest degenerate value ``-b, 0, a``, which is not 0
+    for a kept root, bounds the candidate's error.  The roots are not
+    simulated: :func:`_results` validates them.
     """
-    ia, ib = 1 / Fraction(E.a), 1 / Fraction(E.b)
     poles = (-float(E.b), 0.0, float(E.a))
     for gamma, tag in _level_roots(E, n, elliptic, window):
         ladder, m = (closure_ladder(n, tag), n) if elliptic else (closure_ladder(tag), tag)
-        det = lambda p, q: closure_det(ia, ib, Fraction(q, p), ladder, m)  # noqa: E731
+        det = cayley._landing_det(E, ladder, m)
         if math.isinf(gamma):
             gamma, why = "inf", "light-like root at u = 0: gamma = inf is not landed"
         elif (landed := cayley._landed(det, gamma)) is None:
             why = f"no sign change of the closure determinant within {cayley._REACH} float steps"
         else:
             gamma, secant = landed
-            dist = min(abs(gamma - v) for v in poles)
-            cand = cayley._exact_candidate(*secant, dist) if dist else None
-            exact = cand if cand and det(cand.numerator, cand.denominator)[0] == 0 else None
             period = None if m == n else f"already periodic with period {m}"
             why = _spurious_reason(E, gamma) or period
-            if why is None:
-                yield gamma, exact, tag if elliptic else None
-                continue
-        if discarded is not None:
+        if why is None:  # kept: no degenerate value, so its distance to them is > 0
+            cand = cayley._exact_candidate(*secant, min(abs(gamma - v) for v in poles))
+            exact = cand if cand and not det(*cand.as_integer_ratio())[0] else None
+            yield gamma, exact, tag if elliptic else None
+        elif discarded is not None:
             discarded.append({"gamma": gamma, "reason": why})
 
 

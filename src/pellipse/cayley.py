@@ -409,6 +409,18 @@ _REACH = 2**20
 _STEPS = 6
 
 
+def _landing_det(E: BoundaryEllipse, ladder: str, n: int):
+    """``det(p, q)``: the closure determinant of ``ladder`` at period ``n`` at ``gamma = p/q``.
+
+    It is :func:`closure_det` on the reciprocal axes at ``u = q/p``, as
+    its ``(num, den)`` pair, the one form in which :func:`_landed`, the
+    exact root test of :func:`_root_test` and the solvers'
+    :func:`~pellipse.caustics._roots` evaluate a closure determinant.
+    """
+    ia, ib = 1 / Fraction(E.a), 1 / Fraction(E.b)
+    return lambda p, q: closure_det(ia, ib, Fraction(q, p), ladder, n)
+
+
 def _midpoint_above(x: float) -> tuple[int, int]:
     """``(num, den)`` in lowest terms of the midpoint from the float ``x`` to the next one up.
 
@@ -477,10 +489,12 @@ def _exact_candidate(lo, hi, num: int, den: int, dist: float) -> Fraction | None
     ``1/N**2 >= 2**10 eps`` apart or more, so a rational root with such a
     denominator is the candidate, and an irrational root meets one only
     about once in ``2**9`` roots.  None when there is none, or it lies
-    outside the interval, or at 0, which is never a root.  It runs on
-    integers: the secant is the unreduced ``s/t``, the candidate comes
-    from :func:`_limit_denominator`, and both tests cross-multiply; one
-    ``Fraction`` is built, for the candidate kept.
+    outside the interval, or at 0, which is never a root.  The secant is
+    the integer quotient ``s/t``, the candidate is the standard library's
+    :meth:`~fractions.Fraction.limit_denominator` of it, and both tests
+    cross-multiply integers, which is cheaper than comparing ``Fraction``
+    values.  :func:`~pellipse.caustics._roots` calls it only for a root it
+    keeps.
     """
     (lo_n, lo_d), (hi_n, hi_d) = lo, hi
     d = max(lo_d, hi_d)
@@ -492,32 +506,13 @@ def _exact_candidate(lo, hi, num: int, den: int, dist: float) -> Fraction | None
     bound = min(10**9, int((2**10 * eps) ** -0.5)) if eps else 10**9
     if not bound:  # far roots: no denominator is small enough
         return None
-    p, q = _limit_denominator(s, t, bound)
+    cand = Fraction(s, t).limit_denominator(bound)
+    p, q = cand.numerator, cand.denominator
     # |p/q - s/t| <= min(eps, w) and lo <= p/q <= hi, cross-multiplied
     mn, md = min(eps, w).as_integer_ratio()
     near = abs(p * t - s * q) * md <= mn * q * t
     inside = lo_n * q <= p * d <= hi_n * q
-    return Fraction(p, q) if p and near and inside else None
-
-
-def _limit_denominator(s: int, t: int, bound: int) -> tuple[int, int]:
-    """``Fraction(s, t).limit_denominator(bound)`` as ``(p, q)`` in lowest terms, ``t > 0``.
-
-    The standard library's walk on the continued fraction of ``s/t``, run
-    on the unreduced integers, whose quotients are those of the reduced
-    fraction; it ends at a remainder 0 when the reduced denominator is
-    within ``bound``, and otherwise takes the nearer of the two bounding
-    semiconvergents, compared by cross-multiplication, ``p1/q1`` on a tie.
-    """
-    p0, q0, p1, q1, x, y = 0, 1, 1, 0, s, t
-    while y and (q2 := q0 + (a := x // y) * q1) <= bound:
-        p0, q0, p1, q1, x, y = p1, q1, p0 + a * p1, q2, y, x - a * y
-    if y:
-        k = (bound - q0) // q1
-        p2, q2 = p0 + k * p1, q0 + k * q1
-        if abs(p1 * t - s * q1) * q2 > abs(p2 * t - s * q2) * q1:
-            return p2, q2
-    return p1, q1
+    return cand if p and near and inside else None
 
 
 # ---------------------------------------------------------------------------
@@ -529,23 +524,18 @@ def _root_test(E: BoundaryEllipse, gamma, n: int):
     """The root test of the closure determinants at ``gamma`` and period ``n``.
 
     ``gamma`` is checked once, and the returned ``test(ladder)`` says
-    whether it is a root of the determinant of ``ladder``
-    (:func:`closure_det`).  An int or ``Fraction`` ``gamma`` is one when
-    the determinant is 0 there.  A float or ``Decimal`` one is when
-    landing (:func:`_landed`) from its float reaches a sign change: the
-    rule the solvers apply to the roots they report.
+    whether it is a root of the determinant of ``ladder``, as
+    :func:`_landing_det` builds it, the one the solvers land on.  An int
+    or ``Fraction`` ``gamma`` is one when the determinant is 0 there.  A
+    float or ``Decimal`` one is when landing (:func:`_landed`) from its
+    float reaches a sign change: the rule the solvers apply to the roots
+    they report.
     """
     _check_gamma(E, gamma)
-    ia, ib = 1 / Fraction(E.a), 1 / Fraction(E.b)
     if polys.is_exact(gamma):
-        u = 1 / Fraction(gamma)
-        return lambda ladder: not closure_det(ia, ib, u, ladder, n)[0]
-    g = float(gamma)
-
-    def test(ladder: str) -> bool:
-        return _landed(lambda p, q: closure_det(ia, ib, Fraction(q, p), ladder, n), g) is not None
-
-    return test
+        p, q = Fraction(gamma).as_integer_ratio()
+        return lambda ladder: not _landing_det(E, ladder, n)(p, q)[0]
+    return lambda ladder: _landed(_landing_det(E, ladder, n), float(gamma)) is not None
 
 
 def _periodic(E: BoundaryEllipse, gamma, n: int, test) -> bool:

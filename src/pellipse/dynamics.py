@@ -402,19 +402,20 @@ def closure_status(T: Trajectory, n: int, tol: float = BOUNDARY) -> ClosureStatu
     return ClosureStatus.open_()
 
 
-def first_closure(T: Trajectory, tol: float = BOUNDARY) -> ClosureStatus | None:
+def first_closure(T: Trajectory) -> ClosureStatus | None:
     """First verdict of :func:`closure_status` over ``n = 1 .. T.steps`` not ``Open``.
 
-    ``None`` when every prefix is open.  One pass over the vertices:
-    ``closure_status`` is called only where its own ``|x|``/``|y|``
-    prefilter lets vertex ``n`` through, so the verdict is the one of the
-    per-``n`` loop.
+    ``None`` when every prefix is open.  Vertices coincide within
+    ``BOUNDARY``, the default of :func:`closure_status`.  One pass over the
+    vertices: ``closure_status`` is called only where its own
+    ``|x|``/``|y|`` prefilter lets vertex ``n`` through, so the verdict is
+    the one of the per-``n`` loop.
     """
     x0, y0 = map(abs, T.vertex_xy[0])
     for n, (x, y) in enumerate(T.vertex_xy[1:], 1):
-        if abs(abs(x) - x0) > tol or abs(abs(y) - y0) > tol:
+        if abs(abs(x) - x0) > BOUNDARY or abs(abs(y) - y0) > BOUNDARY:
             continue
-        status = closure_status(T, n, tol)
+        status = closure_status(T, n)
         if status.tag != "Open":
             return status
     return None

@@ -35,6 +35,7 @@ from functools import lru_cache, partial, reduce
 
 from . import polys
 from .cayley import (
+    _check_gamma,
     _hankel_block,
     _hankel_layout,
     _ladder,
@@ -44,7 +45,7 @@ from .cayley import (
 )
 from .config import LIGHTLIKE, PELL_RESIDUAL
 from .errors import CertificateInvalid, DomainError, NoCertificate
-from .geometry import BoundaryEllipse, degenerate_value
+from .geometry import BoundaryEllipse
 
 __all__ = [
     "PellPair",
@@ -642,10 +643,17 @@ def kln_partition(E: BoundaryEllipse, gamma) -> tuple[float, list[tuple[int, int
     without that error; this function keeps its quadrature because the
     benchmark's certify references pin ``kln_ratio`` values that carry it,
     and it moves onto :func:`rotation_ratio` together with those references.
+    Raises :class:`DomainError` for a ``gamma`` whose float is not finite,
+    an exact one beyond the float range among them, or is degenerate, by
+    the rule of the closure verdicts; ``rotation_ratio`` gives ``rho`` at
+    ``gamma = inf``.
     """
-    a, b, g = float(E.a), float(E.b), float(gamma)
-    if degenerate_value(g, E) is not None:
-        raise DomainError(f"gamma={gamma} is degenerate")
+    try:
+        g = float(gamma)
+    except (OverflowError, ValueError) as exc:  # beyond the floats, or a signalling NaN
+        raise DomainError(f"gamma={gamma} has no finite float") from exc
+    _check_gamma(E, g)
+    a, b = float(E.a), float(E.b)
     c1, c2, c3, c4 = _band_endpoints(a, b, g)
     w, half1, sin2, half2, t2, rest = _kln_nodes()
     sqrt = math.sqrt

@@ -987,3 +987,25 @@ def test_domain_error_exits_2(capsys):
     assert json.loads(out)["error"] == "DomainError"
     rc, out = run(capsys, "solve", "--n", "4", "--a=-1", "--b", "2")
     assert rc == 2
+
+
+def test_the_readme_library_example_runs(capsys):
+    # the code block under "## Library" in README.md, as a reader pastes
+    # it: every assertion in it holds
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    assert "15/8 EllipseOfFamily (2, 2) True" in capsys.readouterr().out
+
+
+def test_line_count_skips_blank_lines_comments_and_docstrings(tmp_path):
+    # tools/line_count.py, the count of the CI's line-count step
+    src = tmp_path / "mod.py"
+    src.write_text(
+        '"""Doc."""\n\n# note\ndef f(x):\n    """Doc,\n    two lines."""\n'
+        "    return (x +\n            1)\n"
+    )
+    tool = Path(__file__).resolve().parents[1] / "tools" / "line_count.py"
+    out = subprocess.run([sys.executable, str(tool), str(src)], capture_output=True, text=True)
+    assert out.returncode == 0
+    assert out.stdout.splitlines() == [f"      3 {src}", "      3 code lines"]

@@ -32,7 +32,7 @@ from pellipse import (
     vector_type,
 )
 from pellipse import cli, dynamics
-from pellipse.config import BOUNDARY, CLOSURE, DRIFT
+from pellipse.config import BOUNDARY, DRIFT
 from pellipse.errors import (
     CausticDrift,
     DegenerateChord,
@@ -455,9 +455,9 @@ def test_the_helpers_decide_alike_for_every_size_of_a_direction():
         assert R.x == pytest.approx(Q.x, rel=1e-12) and R.y == pytest.approx(Q.y, rel=1e-12)
 
 
-def _closure_by_prefix(T, tol=BOUNDARY):
+def _closure_by_prefix(T):
     for m in range(1, T.steps + 1):
-        status = closure_status(T, m, tol)
+        status = closure_status(T, m)
         if status.tag != "Open":
             return status
     return None
@@ -474,10 +474,9 @@ def _closure_by_prefix(T, tol=BOUNDARY):
 )
 def test_first_closure_is_the_first_closing_prefix(E, gamma, seed, tag):
     T = simulate(*start_on_caustic(E, gamma, rng=random.Random(seed)), 60, E)
-    for tol in (BOUNDARY, CLOSURE):
-        found = first_closure(T, tol)
-        assert found == _closure_by_prefix(T, tol)
-        assert (found and found.tag) == tag
+    found = first_closure(T)
+    assert found == _closure_by_prefix(T)
+    assert (found and found.tag) == tag
 
 
 @pytest.mark.parametrize(

@@ -29,6 +29,7 @@ from pellipse import (
 )
 from pellipse import cayley, extremal, polys
 from pellipse.errors import CertificateInvalid, DomainError, NoCertificate
+from pellipse.geometry import degenerate_value
 
 F = Fraction
 
@@ -206,6 +207,27 @@ def test_kln_ratio_and_convergents():
     assert (4, 5) in conv5
 
 
+@pytest.mark.parametrize(
+    "gamma",
+    [
+        math.nan,
+        Decimal("NaN"),
+        Decimal("sNaN"),
+        math.inf,
+        -math.inf,
+        Decimal("1e400"),
+        F(10**400),
+        10**400,
+    ],
+    ids=["nan", "Decimal-NaN", "Decimal-sNaN", "inf", "-inf", "Decimal-1e400", "F-10**400", "10**400"],
+)
+def test_kln_partition_rejects_a_gamma_without_a_finite_float(gamma):
+    # the rule of the closure verdicts, and the one error for every field:
+    # rho at gamma = inf is rotation_ratio's
+    with pytest.raises(DomainError, match="has no finite float"):
+        kln_partition(BoundaryEllipse(3, 2), gamma)
+
+
 def test_legendre_rule_is_symmetric_and_exact_to_degree_159():
     x, w = extremal._legendre_rule(80)
     assert len(x) == len(w) == 80
@@ -294,7 +316,7 @@ def test_kln_ratio_matches_the_node_by_node_quadrature_bit_for_bit(a, b, where, 
     try:
         ratio, _ = kln_partition(E, gamma)
     except DomainError:  # degenerate: within 1e-9 of 0, a or -b
-        assert extremal.degenerate_value(gamma, E) is not None
+        assert degenerate_value(gamma, E) is not None
         return
     assert ratio == _ref_kln_ratio(E, gamma)
 
