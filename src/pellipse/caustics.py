@@ -8,9 +8,10 @@ Every solver finds its roots in two steps, for every period and both kinds:
    each of three ranges, the hyperbolas as one range in ``u = 1/gamma``;
    a safeguarded Anderson-Bjorck secant step
    (:func:`~pellipse.polys.regula_falsi`) finds it in floats, in about
-   ten evaluations of ``rho`` a root, and the parity of ``k`` and
-   ``n - k`` on its range says whether it is periodic, elliptic-periodic
-   or closed after a shorter period;
+   ten evaluations of ``rho`` a root, and the partition rule of
+   :mod:`~pellipse.cayley` (:func:`~pellipse.cayley._partition`) says
+   whether it is periodic, elliptic-periodic or closed after a shorter
+   period;
 2. **land**: :func:`~pellipse.cayley._landed` moves that float onto the
    correctly rounded closure root, by the exact closure determinant
    (:func:`~pellipse.cayley.closure_det`) at rationals around it.  Its
@@ -116,9 +117,10 @@ def closed_form_caustics(E: BoundaryEllipse, n: int) -> list:
 
     Period 3 returns the two surd expressions
     ``ab (a - b +- 2 sqrt(a**2 + a b + b**2)) / (a + b)**2`` (floats);
-    period 4 returns ``[-ab/(a-b), -ab/(a+b), ab/(a+b)]`` exactly
-    (:class:`~fractions.Fraction` for rational input), the middle value
-    dropping out when ``a = b``.
+    period 4 returns ``-ab/(a+b)``, ``ab/(a+b)`` and ``-ab/(a-b)``
+    exactly (:class:`~fractions.Fraction` for rational input), sorted, so
+    ``-ab/(a-b)`` comes first for ``a > b`` and last for ``a < b``; it
+    drops out when ``a = b``.
     """
     if n == 3:
         a, b = float(E.a), float(E.b)
@@ -128,8 +130,7 @@ def closed_form_caustics(E: BoundaryEllipse, n: int) -> list:
         return sorted([g1, g2])
     if n == 4:
         exact = polys.is_exact(E.a, E.b)
-        a = Fraction(E.a) if exact else Fraction(float(E.a))
-        b = Fraction(E.b) if exact else Fraction(float(E.b))
+        a, b = (Fraction(x) if exact else Fraction(float(x)) for x in (E.a, E.b))
         vals = [-a * b / (a + b), a * b / (a + b)]
         if a != b:
             vals.append(-a * b / (a - b))
@@ -157,7 +158,7 @@ def _normalized_det(E: BoundaryEllipse, gamma_f: float, n: int) -> int:
     verdict decides on, and returns its sign, the one value of it that no
     scale of the block changes.
     """
-    num, _ = cayley._landing_det(E, closure_ladder(n), n)(*gamma_f.as_integer_ratio())
+    num, _ = cayley._landing_det(E)(closure_ladder(n), n)(*gamma_f.as_integer_ratio())
     return (num > 0) - (num < 0)
 
 
@@ -168,21 +169,10 @@ def _level_roots(E: BoundaryEllipse, n: int, elliptic: bool, window=None):
     to 1 on each of three ranges: ``(-b, 0)`` and ``(0, a)`` in ``gamma``,
     and the hyperbolas as one range ``(-1/b, 1/a)`` in ``u = 1/gamma``,
     through ``rho(inf)`` at ``u = 0``, the light-like caustic.  So every
-    ``k`` has one root on each range.  The parity rule admits a periodic
-    root on ``(-b, 0)`` when ``n - k`` is even, on ``(0, a)`` when ``k`` is
-    even, and on the hyperbola range when both are (so ``n`` even).  A
-    periodic root's ``tag`` is the least proper divisor ``d >= 3`` of ``n``
-    whose partition ``(d, k d / n)`` is integral and admitted as well, else
-    ``n``: the root closes after ``d`` steps, and :func:`_roots` lands it
-    on the period-``d`` closure determinant.  A root the rule does
-    not admit is elliptic-periodic when ``k`` and ``n`` are coprime (else it
-    closes onto its mirror image after a proper divisor of ``n``).  Its
-    ``tag`` is its case letter, fixed by its range and by ``k``: ``b`` on
-    ``(-b, 0)``, ``a`` on ``(0, a)``, and on the hyperbola range ``c`` for
-    even ``n``, and for odd ``n`` ``d`` when ``k`` is odd and ``e`` when it
-    is even.  So for odd ``n`` the parity of ``k`` alone fixes the ladder
-    and the symmetry: ``E`` and ``flip-x`` for odd ``k`` (case ``a`` or
-    ``d``), ``D`` and ``flip-y`` for even ``k`` (case ``b`` or ``e``).  Each
+    ``k`` has one root on each range, and
+    :func:`~pellipse.cayley._partition` says what it is.  A periodic root's
+    ``tag`` is the period it closes after, on whose closure determinant
+    :func:`_roots` lands it; an elliptic root's is its case letter.  Each
     root is found by :func:`~pellipse.polys.regula_falsi` in its range's
     variable; the one map between that variable and ``gamma``, ``x -> x``
     or ``x -> 1/x``, is its own inverse.  A root at ``u = 0`` exactly is
@@ -196,20 +186,18 @@ def _level_roots(E: BoundaryEllipse, n: int, elliptic: bool, window=None):
     one found without a window.
     """
     a, b = float(E.a), float(E.b)
-    # (ends of the variable, variable <-> gamma, parity rule on a partition
-    # (m, j), elliptic case letters for even and odd k); rho rises from 0 to
-    # 1 with the variable on every range
-    inverse = lambda x: 1 / x if x else math.inf  # noqa: E731
+    # (range, ends of the variable, variable <-> gamma); rho rises from 0 to 1
+    # with the variable on every range
     ranges = [
-        ((-b, 0.0), float, lambda m, j: (m - j) % 2 == 0, "bb"),
-        ((0.0, a), float, lambda m, j: j % 2 == 0, "aa"),
-        ((-1 / b, 1 / a), inverse, lambda m, j: j % 2 == m % 2 == 0, "ed" if n % 2 else "cc"),
+        ("(-b, 0)", (-b, 0.0), float),
+        ("(0, a)", (0.0, a), float),
+        ("hyperbola", (-1 / b, 1 / a), lambda x: 1 / x if x else math.inf),
     ]
     roots = []
-    for (lo, hi), flip, admits, cases in ranges:
-        ks = [k for k in range(1, n) if admits(n, k) != elliptic]
-        ks = [k for k in ks if not elliptic or math.gcd(k, n) == 1]
-        if not ks:  # no k of the wanted kind here: rho is not needed
+    for span, (lo, hi), flip in ranges:
+        tags = [(k, cayley._partition(span, n, k)) for k in range(1, n)]
+        tags = [(k, t) for k, t in tags if t is not None and isinstance(t, str) == elliptic]
+        if not tags:  # no k of the wanted kind here: rho is not needed
             continue
         rho = lambda x: rotation_ratio(a, b, flip(x))  # noqa: E731
         if window is not None:
@@ -219,12 +207,10 @@ def _level_roots(E: BoundaryEllipse, n: int, elliptic: bool, window=None):
                 continue
             low = (rho(x_lo) if x_lo > lo else 0.0) - _SLACK
             high = (rho(x_hi) if x_hi < hi else 1.0) + _SLACK
-            ks = [k for k in ks if low <= k / n <= high]
-        for k in ks:
-            divisors = (d for d in range(3, n) if n % d == 0 and k * d % n == 0)
-            period = next((d for d in divisors if admits(d, k * d // n)), n)
+            tags = [(k, t) for k, t in tags if low <= k / n <= high]
+        for k, tag in tags:
             x = polys.regula_falsi(lambda x: rho(x) - k / n, lo, hi, -k / n, 1 - k / n)
-            roots.append((flip(x), cases[k % 2] if elliptic else period))
+            roots.append((flip(x), tag))
     return sorted(roots)
 
 
@@ -232,8 +218,8 @@ def _spurious_reason(E: BoundaryEllipse, gamma_f: float) -> str | None:
     """The spurious-root filter: the reason a landed root is a degenerate conic, else None.
 
     It is the one conic screen.  An odd period needs no hyperbola screen:
-    the parity rule of :func:`_level_roots` admits a periodic hyperbola
-    root only for even ``n``, and landing moves a root at most ``cayley._REACH``
+    the partition rule (:data:`~pellipse.cayley._RANGES`) admits a periodic
+    hyperbola root only for even ``n``, and landing moves a root at most ``cayley._REACH``
     float steps, a relative ``2**-32``, which from the ranges ``(-b, 0)``
     and ``(0, a)`` stays inside the band ``DEGENERATE (1 + |v|)`` around
     ``v = -b`` and ``v = a`` that this screen rejects.
@@ -266,9 +252,10 @@ def _roots(E: BoundaryEllipse, n: int, elliptic: bool, discarded=None, window=No
     simulated: :func:`_results` validates them.
     """
     poles = (-float(E.b), 0.0, float(E.a))
+    dets = cayley._landing_det(E)
     for gamma, tag in _level_roots(E, n, elliptic, window):
         ladder, m = (closure_ladder(n, tag), n) if elliptic else (closure_ladder(tag), tag)
-        det = cayley._landing_det(E, ladder, m)
+        det = dets(ladder, m)
         if math.isinf(gamma):
             gamma, why = "inf", "light-like root at u = 0: gamma = inf is not landed"
         elif (landed := cayley._landed(det, gamma)) is None:
@@ -372,10 +359,9 @@ def elliptic_caustics(
     """All elliptic ``n``-periodic caustics, any ``n >= 2``, each proven and simulated.
 
     The caustic with partition ``(n, k)`` is the root of ``rho = k/n`` on
-    a range whose parity rule does not admit ``k``, for ``k`` coprime to
-    ``n`` (:func:`_level_roots`).  Its case follows from its range and
-    ``k``, and it lands on the closure determinant of that case's ladder
-    (:func:`~pellipse.cayley.closure_ladder`) alone.  Roots at degenerate
+    a range to which :func:`~pellipse.cayley._partition` gives it a case
+    letter (:func:`_level_roots`), and it lands on the closure determinant
+    of that case's ladder (:func:`~pellipse.cayley.closure_ladder`) alone.  Roots at degenerate
     conic values, roots with no sign change of that determinant within
     reach, and a root at ``u = 0`` are discarded with a reason
     (:func:`_roots`).  ``validated`` requires an
@@ -394,12 +380,11 @@ def generic_caustic_scan(
 
     It is also exported as ``periodic_caustics``, one function under both
     names.  The caustic with partition ``(n, k)`` is the root of
-    ``rho = k/n`` on a range whose parity rule admits ``k``
-    (:func:`_level_roots`); ``rho`` is monotone on each range, so each
-    admitted ``k`` has one root there.  The rule admits a hyperbola only
-    when ``k`` and ``n - k`` are both even, so an odd period has ellipse
-    caustics alone.  Each root lands on the exact periodic closure determinant
-    (``C`` ladder for odd periods, ``B`` for even) of the period it closes
+    ``rho = k/n`` on a range whose partition rule
+    (:func:`~pellipse.cayley._partition`) admits it (:func:`_level_roots`);
+    ``rho`` is monotone on each range, so each admitted ``k`` has one root
+    there.  Each root lands on the exact periodic closure determinant
+    (:func:`~pellipse.cayley.closure_ladder`) of the period it closes
     after.  A root that closes after a proper divisor ``d`` of ``n`` lands
     on the small period-``d`` block, whose sign change proves it, and is
     discarded as already periodic with period ``d``.  The others land on

@@ -16,10 +16,13 @@ ladders ``C``, ``D`` and ``E`` used by the closure conditions:
   (even ``n``) vanishes;
 * elliptic ``n``-periodicity (closure onto a mirror image): a Hankel
   determinant of ``D``, ``E`` or ``C`` vanishes, the ladder depending on
-  the parity, the sign of ``gamma`` and the conic type of the caustic.
+  the case.
 
-:func:`closure_ladder` is the one rule that names the ladder of a period
-and a case.
+:data:`_RANGES` is the one statement of the partition rule: which
+partitions ``(n, k)`` each range of caustics admits as periodic, and the
+case of each other one; :func:`_partition` reads it for the solvers, and
+the verdicts read it too.  :func:`closure_ladder` names the ladder of a
+period and a case.
 
 The series run in the common field of ``(a, b, gamma)``
 (:func:`pellipse.polys.to_field`): exact rational arithmetic for
@@ -71,17 +74,51 @@ _DIVISORS = {"gamma-x": "C", "a-x": "D", "b+x": "E"}
 #: where ``bhat[k] = c*out[k] - sign*out[k-1]``.
 _LADDERS = {"C": (2, 1), "D": (0, 1), "E": (1, -1)}
 
-#: Each elliptic case: its caustic (an ellipse with ``gamma`` of one sign,
-#: or a hyperbola), the axial symmetry of its half-period closure, and the
+#: Each elliptic case: the axial symmetry of its half-period closure and the
 #: ladder of its closure determinant at even and at odd ``n`` (None where
 #: the case does not occur).
 _CASES = {
-    "a": ("ellipse>0", "flip-x", "D", "E"),
-    "b": ("ellipse<0", "flip-y", "E", "D"),
-    "c": ("hyperbola", "flip-both", "C", None),
-    "d": ("hyperbola", "flip-x", None, "E"),
-    "e": ("hyperbola", "flip-y", None, "D"),
+    "a": ("flip-x", "D", "E"),
+    "b": ("flip-y", "E", "D"),
+    "c": ("flip-both", "C", None),
+    "d": ("flip-x", None, "E"),
+    "e": ("flip-y", None, "D"),
 }
+
+#: The partition rule.  ``rho`` rises from 0 to 1 on each of three ranges,
+#: the ellipses ``(-b, 0)`` and ``(0, a)`` in ``gamma`` and the hyperbolas as
+#: one range in ``u = 1/gamma``, so every partition ``(n, k)`` has one root on
+#: each.  A range admits a periodic partition ``(m, j)`` by its parity rule,
+#: and names the elliptic case of any other by its letters, indexed by the
+#: parity of ``n`` and then of ``k``.
+_RANGES = {
+    "(-b, 0)": (lambda m, j: (m - j) % 2 == 0, ("bb", "bb")),
+    "(0, a)": (lambda m, j: j % 2 == 0, ("aa", "aa")),
+    "hyperbola": (lambda m, j: j % 2 == m % 2 == 0, ("cc", "ed")),
+}
+
+
+def _partition(span: str, n: int, k: int) -> int | str | None:
+    """What the root of the partition ``(n, k)`` on the range ``span`` of :data:`_RANGES` is.
+
+    An admitted root is periodic and closes after its period, the least
+    proper divisor ``d >= 3`` of ``n`` whose partition ``(d, k d / n)`` is
+    integral and admitted too, else ``n``.  A root the rule does not admit
+    is elliptic-periodic, of the returned case letter, when ``k`` is coprime
+    to ``n``; else it closes onto its mirror image after a proper divisor
+    of ``n``, and the result is None.
+    """
+    admits, letters = _RANGES[span]
+    if admits(n, k):
+        divisors = (d for d in range(3, n) if n % d == 0 and k * d % n == 0)
+        return next((d for d in divisors if admits(d, k * d // n)), n)
+    return letters[n % 2][k % 2] if math.gcd(k, n) == 1 else None
+
+
+def _rule(E: BoundaryEllipse, gamma) -> tuple:
+    """``(admits, letters)``: the row of :data:`_RANGES` of the range that holds ``gamma``."""
+    ellipse = classify_conic(gamma, E) is ConicClass.EllipseOfFamily
+    return _RANGES["hyperbola" if not ellipse else "(0, a)" if gamma > 0 else "(-b, 0)"]
 
 
 def closure_ladder(n: int, case: str | None = None) -> str:
@@ -89,12 +126,13 @@ def closure_ladder(n: int, case: str | None = None) -> str:
 
     Periodic closure (no ``case``) uses ``C`` for odd ``n`` and the base
     series ``B`` for even ``n``; an elliptic case uses its ladder at the
-    parity of ``n`` (:data:`_CASES`).  Raises :class:`DomainError` for a
-    case that does not occur at that parity or is no case at all.
+    parity of ``n`` (:data:`_CASES`), the case that :func:`_partition`
+    names.  Raises :class:`DomainError` for a case that does not occur at
+    that parity or is no case at all.
     """
     if case is None:
         return "C" if n % 2 else "B"
-    if (ladder := _CASES.get(case, (None,) * 4)[2 + n % 2]) is None:
+    if (ladder := _CASES.get(case, (None,) * 3)[1 + n % 2]) is None:
         raise DomainError(f"unknown elliptic case {case!r} for n={n}")
     return ladder
 
@@ -107,7 +145,7 @@ def case_symmetry(case: str) -> str:
     reflection through the origin.
     """
     try:
-        return _CASES[case][1]
+        return _CASES[case][0]
     except KeyError as exc:
         raise DomainError(f"unknown elliptic case {case!r}") from exc
 
@@ -115,19 +153,11 @@ def case_symmetry(case: str) -> str:
 def _elliptic_candidates(E: BoundaryEllipse, gamma, n: int) -> list[tuple[str, str]]:
     """The ``(case, ladder)`` pairs open to the caustic ``gamma`` at period ``n``.
 
-    They follow from the parity of ``n``, the conic class of the caustic
-    and the sign of ``gamma``, in the order :func:`elliptic_case_test`
+    They are the case letters of the range of ``gamma`` at the parity of
+    ``n`` (:data:`_RANGES`), in the order :func:`elliptic_case_test`
     tries them.
     """
-    if classify_conic(gamma, E) is not ConicClass.EllipseOfFamily:
-        caustic = "hyperbola"
-    else:
-        caustic = "ellipse>0" if gamma > 0 else "ellipse<0"
-    return [
-        (case, row[2 + n % 2])
-        for case, row in _CASES.items()
-        if row[0] == caustic and row[2 + n % 2]
-    ]
+    return [(case, closure_ladder(n, case)) for case in sorted(set(_rule(E, gamma)[1][n % 2]))]
 
 
 # ---------------------------------------------------------------------------
@@ -409,16 +439,17 @@ _REACH = 2**20
 _STEPS = 6
 
 
-def _landing_det(E: BoundaryEllipse, ladder: str, n: int):
-    """``det(p, q)``: the closure determinant of ``ladder`` at period ``n`` at ``gamma = p/q``.
+def _landing_det(E: BoundaryEllipse):
+    """``det(ladder, n)``: the closure determinant of ``ladder`` at period ``n`` on ``E``.
 
-    It is :func:`closure_det` on the reciprocal axes at ``u = q/p``, as
-    its ``(num, den)`` pair, the one form in which :func:`_landed`, the
-    exact root test of :func:`_root_test` and the solvers'
+    It builds the reciprocal axes once.  ``det(ladder, n)(p, q)`` is
+    :func:`closure_det` on them at ``u = q/p``, ``gamma = p/q``, as its
+    ``(num, den)`` pair, the one form in which :func:`_landed`, the exact
+    root test of :func:`_root_test` and the solvers'
     :func:`~pellipse.caustics._roots` evaluate a closure determinant.
     """
     ia, ib = 1 / Fraction(E.a), 1 / Fraction(E.b)
-    return lambda p, q: closure_det(ia, ib, Fraction(q, p), ladder, n)
+    return lambda ladder, n: lambda p, q: closure_det(ia, ib, Fraction(q, p), ladder, n)
 
 
 def _midpoint_above(x: float) -> tuple[int, int]:
@@ -532,20 +563,21 @@ def _root_test(E: BoundaryEllipse, gamma, n: int):
     they report.
     """
     _check_gamma(E, gamma)
+    det = _landing_det(E)
     if polys.is_exact(gamma):
         p, q = Fraction(gamma).as_integer_ratio()
-        return lambda ladder: not _landing_det(E, ladder, n)(p, q)[0]
-    return lambda ladder: _landed(_landing_det(E, ladder, n), float(gamma)) is not None
+        return lambda ladder: not det(ladder, n)(p, q)[0]
+    return lambda ladder: _landed(det(ladder, n), float(gamma)) is not None
 
 
 def _periodic(E: BoundaryEllipse, gamma, n: int, test) -> bool:
     """Whether the root ``test`` at ``gamma`` passes the periodic ladder of period ``n``.
 
-    Odd periods also need an ellipse of the confocal family: a hyperbola
-    caustic closes only after an even period.
+    The range of ``gamma`` must also admit some partition ``(n, k)``
+    (:data:`_RANGES`): the hyperbolas admit none at an odd period.
     """
-    structural = n % 2 == 0 or classify_conic(gamma, E) is ConicClass.EllipseOfFamily
-    return structural and test(closure_ladder(n))
+    admits = _rule(E, gamma)[0]
+    return any(admits(n, k) for k in range(1, n)) and test(closure_ladder(n))
 
 
 def is_periodic(E: BoundaryEllipse, gamma, n: int) -> PeriodicityVerdict:
@@ -556,11 +588,11 @@ def is_periodic(E: BoundaryEllipse, gamma, n: int) -> PeriodicityVerdict:
     :func:`_root_test`: an int or ``Fraction`` ``gamma`` of any size is
     periodic when the determinant is 0 there, a float or ``Decimal`` one
     when landing from its float reaches a sign change within ``2**20``
-    float steps, as it does for every root the solvers report.  Odd
-    periods additionally require the caustic to be an ellipse of the
-    confocal family (hyperbola caustics only support even periods).
-    Raises :class:`DomainError` for a degenerate ``gamma`` and for an
-    inexact one without a finite float.
+    float steps, as it does for every root the solvers report.  The range
+    of ``gamma`` must also admit a partition at period ``n``
+    (:data:`_RANGES`), which no hyperbola does at an odd period.  Raises
+    :class:`DomainError` for a degenerate ``gamma`` and for an inexact one
+    without a finite float.
     """
     if n < 3:
         raise DomainError(f"periodicity test requires n >= 3, got {n}")
@@ -570,20 +602,17 @@ def is_periodic(E: BoundaryEllipse, gamma, n: int) -> PeriodicityVerdict:
 def elliptic_case_test(E: BoundaryEllipse, gamma, n: int) -> EllipticVerdict:
     """Test closure of an ``n``-step trajectory onto a mirror image of itself.
 
-    Returns the matched case letter: for even ``n`` the cases are ``a``
-    (ellipse caustic, ``gamma > 0``, ladder ``D``), ``b`` (ellipse,
-    ``gamma < 0``, ladder ``E``) and ``c`` (hyperbola, ladder ``C``);
-    for odd ``n`` they are ``a`` (ellipse, ``gamma > 0``, ladder ``E``),
-    ``b`` (ellipse, ``gamma < 0``, ladder ``D``) and the hyperbola cases
-    ``d`` (ladder ``E``) and ``e`` (ladder ``D``).  A ``gamma`` that is
-    fully ``n``-periodic reports ``none``, as does one matching no case.
+    Returns the matched case letter, tried among the letters that the
+    range of ``gamma`` names at the parity of ``n`` (:data:`_RANGES`), each
+    on its ladder (:func:`closure_ladder`).  A ``gamma`` that is fully
+    ``n``-periodic reports ``none``, as does one matching no case.
     Each ladder is decided as in :func:`is_periodic`, exactly for an int
     or ``Fraction`` ``gamma`` and by landing from the float of any other.
     """
     if n < 2:
         raise DomainError(f"elliptic closure test requires n >= 2, got {n}")
     test = _root_test(E, gamma, n)
-    if n >= 3 and _periodic(E, gamma, n, test):
+    if _periodic(E, gamma, n, test):
         return EllipticVerdict("none")
     cases = (case for case, ladder in _elliptic_candidates(E, gamma, n) if test(ladder))
     return EllipticVerdict(next(cases, "none"))

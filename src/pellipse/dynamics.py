@@ -439,13 +439,12 @@ def partition_counts(T: Trajectory, n: int | None = None) -> tuple[int, int]:
     return n1, n2
 
 
-def start_on_caustic(
-    E: BoundaryEllipse, gamma, rng: random.Random | None = None
-) -> tuple[MVec2, MVec2]:
+def start_on_caustic(E: BoundaryEllipse, gamma, rng=None) -> tuple[MVec2, MVec2]:
     """An admissible start ``(P0, d0)`` whose first segment touches ``gamma``.
 
     The first start of :func:`caustic_starts`: without ``rng`` a pure
-    function of ``(E, gamma)``, with ``rng`` a random one.
+    function of ``(E, gamma)``, with ``rng``, a :class:`random.Random`, a
+    random one.
     """
     return next(caustic_starts(E, gamma, rng))
 
@@ -459,7 +458,7 @@ def _golden_points():
     return (k * _GOLDEN % 1.0 for k in itertools.count(1))
 
 
-def caustic_starts(E: BoundaryEllipse, gamma, rng: random.Random | None = None):
+def caustic_starts(E: BoundaryEllipse, gamma, rng=None):
     """Admissible starts ``(P0, d0)`` whose first segments touch ``gamma``, one after another.
 
     Each start is a tangent line of the caustic, cut by the boundary.
@@ -477,7 +476,7 @@ def caustic_starts(E: BoundaryEllipse, gamma, rng: random.Random | None = None):
     of ``[0, 1)`` holding ``t_k`` and ``u`` spans ``[-w, w]`` over each
     half) and the clearance is ``START_CLEARANCE * xt``: the starts are a
     pure function of ``(E, gamma)`` and scale with the axes.  With ``rng``
-    they are drawn from it and the clearance is
+    they are drawn from it, a :class:`random.Random`, and the clearance is
     ``START_CLEARANCE * (1 + xt)``.  Raises :class:`DomainError` for a
     degenerate caustic, for a ``gamma`` beyond the float range once the
     axes are scaled to unit size, or when 500 parameters in a row give no

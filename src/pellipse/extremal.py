@@ -775,12 +775,14 @@ def zolotarev3_consistency(E: BoundaryEllipse) -> ZolotarevReport:
 # Akhiezer least-deviation regimes
 # ---------------------------------------------------------------------------
 
+#: Each regime's 4-periodic caustic; ``t2`` and ``t3`` are the one hyperbola
+#: regime, met from ``b > a`` and from ``a > b``.
 _AKHIEZER_GAMMAS = {
     "t2": lambda a, b: Fraction(a) * b / (Fraction(b) - a),
-    "t3": lambda a, b: Fraction(a) * b / (Fraction(b) - a),
     "t4": lambda a, b: -Fraction(a) * b / (Fraction(a) + b),
     "t5": lambda a, b: Fraction(a) * b / (Fraction(a) + b),
 }
+_AKHIEZER_GAMMAS["t3"] = _AKHIEZER_GAMMAS["t2"]
 
 
 def akhiezer_p4(E: BoundaryEllipse, case: str) -> tuple[float, ...]:
@@ -794,13 +796,11 @@ def akhiezer_p4(E: BoundaryEllipse, case: str) -> tuple[float, ...]:
     constant to ``1e-9`` relative).
     """
     a, b = float(E.a), float(E.b)
-    if case == "t2":
-        if not b > a:
-            raise DomainError("regime t2 requires b > a")
-        w = [-1.0, 2 * (a - b), 2 * a * b]
-    elif case == "t3":
-        if not a > b:
-            raise DomainError("regime t3 requires a > b")
+    if case == "t2" and not b > a:
+        raise DomainError("regime t2 requires b > a")
+    if case == "t3" and not a > b:
+        raise DomainError("regime t3 requires a > b")
+    if case in ("t2", "t3"):
         w = [-1.0, 2 * (a - b), 2 * a * b]
     elif case == "t4":
         w = [-1.0, 2 * a * a / (a + b), 2 * a * a * b / (a + b)]
@@ -839,8 +839,9 @@ def lightlike_periodic(E: BoundaryEllipse, max_n: int) -> tuple[int, int] | None
     :func:`~pellipse.caustics._level_roots` there.  The level set
     ``rho = j/n`` passes through ``u = 0`` when ``n rho(inf) = j``, where
     ``rho(inf) = (2/pi) atan sqrt(a/b)`` is :func:`rotation_ratio` at
-    ``gamma = inf``, and the rule admits it as periodic when ``j`` and
-    ``n - j`` are both even: ``n`` even and ``j = n - 2k``.  Then
+    ``gamma = inf``, and the partition rule of the hyperbola range
+    (:data:`~pellipse.cayley._RANGES`) admits it as periodic when ``j`` and
+    ``n`` are both even: ``n`` even and ``j = n - 2k``.  Then
     ``a/b = cot(k pi / n)**2``.  ``|n (1 - rho(inf))/2 - k|`` is compared
     with ``n LIGHTLIKE / pi``, which is ``LIGHTLIKE`` on the angle
     ``k pi / n``.  ``n`` ascends, so the first match is the least period.

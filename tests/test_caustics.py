@@ -842,7 +842,7 @@ def _landed_on(E, gamma, m, ladder=None):
 
     The ladder defaults to the periodic one of ``m``.
     """
-    return cayley._landed(cayley._landing_det(E, ladder or closure_ladder(m), m), gamma)
+    return cayley._landed(cayley._landing_det(E)(ladder or closure_ladder(m), m), gamma)
 
 
 @settings(max_examples=40, deadline=None)

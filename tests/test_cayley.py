@@ -256,6 +256,37 @@ def test_closure_ladder_names_the_ladder_of_every_period_and_case(n):
                 cayley.closure_ladder(n, case)
 
 
+def test_the_partition_rule_is_consistent_with_the_cases_and_the_verdicts():
+    # one table states the rule; for n = 2..12, every k and each range, the
+    # case letters it names have a ladder and a symmetry, every case is
+    # reached, every period is a divisor of n of at least 3, and the
+    # hyperbolas admit no periodic partition at an odd n.  The verdicts
+    # read the same table: a caustic on each range is offered the letters
+    # that range names at the parity of n, and the periodic ladder only
+    # where the range admits some k
+    E = BoundaryEllipse(3, 2)
+    caustic = {"(-b, 0)": F(-1), "(0, a)": F(1), "hyperbola": F(5)}
+    assert set(cayley._RANGES) == set(caustic)
+    reached = set()
+    for n in range(2, 13):
+        for span, gamma in caustic.items():
+            tags = [cayley._partition(span, n, k) for k in range(1, n)]
+            letters = {t for t in tags if isinstance(t, str)}
+            periods = [t for t in tags if isinstance(t, int)]
+            for case in letters:
+                assert cayley.closure_ladder(n, case) in "CDE", (n, span, case)
+                assert case_symmetry(case) in ("flip-x", "flip-y", "flip-both")
+            assert all(p >= 3 and n % p == 0 for p in periods), (n, span, periods)
+            if span == "hyperbola" and n % 2:
+                assert periods == [], n
+            reached |= letters
+            offered = [case for case, _ in cayley._elliptic_candidates(E, gamma, n)]
+            assert offered == sorted(letters), (n, span)
+            admitted = cayley._periodic(E, gamma, n, lambda ladder: True)
+            assert admitted == bool(periods), (n, span)
+    assert reached == set(cayley._CASES)
+
+
 def test_series_variants_agree_on_prefix():
     E = BoundaryEllipse(3, 2)
     S8 = cubic_sqrt_series(E, 1.2, 8)

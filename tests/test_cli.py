@@ -12,6 +12,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+import typing
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -59,6 +60,30 @@ def test_cli_import_loads_no_dataclasses_inspect_typing_or_random():
         [sys.executable, "-S", "-c", probe, src], capture_output=True, text=True, check=True
     ).stdout
     assert out.strip() == "[]"
+
+
+def test_every_annotation_in_the_package_resolves():
+    # annotations stay unevaluated strings at start-up, so a name they use
+    # must still be one the module binds: typing.get_type_hints resolves
+    # them for every function and method the package's modules define
+    names = [f"pellipse.{m.name}" for m in pkgutil.iter_modules(pellipse.__path__)]
+    checked, unresolved = 0, []
+    for module in map(importlib.import_module, ["pellipse", *names]):
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else ()
+            for fn in [obj, *members]:
+                fn = fn.fget if isinstance(fn, property) else fn
+                if not inspect.isfunction(fn):
+                    continue
+                checked += 1
+                try:
+                    typing.get_type_hints(fn)
+                except NameError as exc:
+                    unresolved.append((fn.__qualname__, str(exc)))
+    assert unresolved == []
+    assert checked > 150, checked
 
 
 def test_solve_prints_the_same_bytes_every_time(capsys):
