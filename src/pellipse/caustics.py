@@ -13,12 +13,13 @@ Every solver finds its roots in two steps, for every period and both kinds:
    whether it is periodic, elliptic-periodic or closed after a shorter
    period;
 2. **land**: :func:`~pellipse.cayley._landed` moves that float onto the
-   correctly rounded closure root, by the exact closure determinant
-   (:func:`~pellipse.cayley.closure_det`) at rationals around it.  Its
-   sign change across the rounding interval is the proof that a closure
-   root lies there, the same proof the closure verdicts of
-   :mod:`~pellipse.cayley` take for a float; a root with none within
-   reach is discarded.
+   correctly rounded closure root, by the exact closure condition
+   (:func:`~pellipse.cayley._landing_det`: a division value at an even
+   period, :func:`~pellipse.cayley.closure_det` on every other ladder) at
+   rationals around it.  Its sign change across the rounding interval is
+   the proof that a closure root lies there, the same proof the closure
+   verdicts of :mod:`~pellipse.cayley` take for a float; a root with none
+   within reach is discarded.
 
 One generator, :func:`_roots`, takes each located root through landing
 and the screens, the spurious-root filter (degenerate conics) and the
@@ -33,7 +34,8 @@ exact candidate are :mod:`~pellipse.cayley`'s.
 
 The closure conditions of the small periods, polynomials in ``gamma``
 with coefficients polynomial in the squared semi-axes ``(a, b)``, are
-generated from that same determinant by
+generated from the Hankel determinant
+(:func:`~pellipse.cayley.closure_det`) by
 :func:`~pellipse.cayley.closure_poly`: their discriminants factor into
 strikingly small closed forms in ``(a, b)``, which
 :func:`discriminant_identity_check` verifies.
@@ -153,10 +155,10 @@ def _normalized_det(E: BoundaryEllipse, gamma_f: float, n: int) -> int:
 
     Nothing in the package calls it: the benchmark harness wraps it by name
     (``perfbench/tracing.py``, ``caustics.scan.det_evals``), so it stays
-    defined until the harness reads spans instead.  It reads
-    :func:`~pellipse.cayley.closure_det`, the one determinant every closure
-    verdict decides on, and returns its sign, the one value of it that no
-    scale of the block changes.
+    defined until the harness reads spans instead.  It reads the closure
+    condition of :func:`~pellipse.cayley._landing_det`, the one every
+    closure verdict decides on, and returns its sign, the one value of it
+    that no positive scale changes.
     """
     num, _ = cayley._landing_det(E)(closure_ladder(n), n)(*gamma_f.as_integer_ratio())
     return (num > 0) - (num < 0)
@@ -228,6 +230,16 @@ def _spurious_reason(E: BoundaryEllipse, gamma_f: float) -> str | None:
     return None if hit is None else f"degenerate conic (gamma = {hit[0]})"
 
 
+#: The periods at which a kept root can be rational, periodic (False) and
+#: elliptic (True).  For rational axes and ``gamma`` all three 2-torsion
+#: points of the curve ``y**2 = (x - a)(x + b)(x - gamma)`` are rational, and
+#: on its twist by ``a b gamma`` so is ``P0``, the point over ``x = 0``.  By
+#: Mazur's theorem (B. Mazur, Publ. Math. IHES 47, 1977) its torsion is
+#: ``Z/2 x Z/2N``, ``N <= 4``, so ``P0`` has order at most 8: ``n`` at an even
+#: period, ``2n`` at an odd one and on the elliptic ladders.
+_EXACT_PERIODS = {False: {3, 4, 6, 8}, True: {2, 3, 4}}
+
+
 def _roots(E: BoundaryEllipse, n: int, elliptic: bool, discarded=None, window=None):
     """Yield each landed root of period ``n`` and the wanted kind as ``(gamma, exact, case)``.
 
@@ -244,15 +256,17 @@ def _roots(E: BoundaryEllipse, n: int, elliptic: bool, discarded=None, window=No
     after a proper divisor ``d`` of ``n``, proven by the sign change of the
     small period-``d`` block.  Each discard's ``gamma`` and reason are
     appended to ``discarded`` when a list is supplied.  Only a root kept
-    gets its exact value: ``exact`` is the rational root when the
-    determinant is exactly 0 at the one candidate
-    :func:`~pellipse.cayley._exact_candidate` names, else None; the
-    distance to the nearest degenerate value ``-b, 0, a``, which is not 0
-    for a kept root, bounds the candidate's error.  The roots are not
-    simulated: :func:`_results` validates them.
+    gets its exact value, and only at the periods of
+    :data:`_EXACT_PERIODS`, the only ones Mazur's bound leaves a rational
+    root: ``exact`` is the rational root when the determinant is exactly 0
+    at the one candidate :func:`~pellipse.cayley._exact_candidate` names,
+    else None; the distance to the nearest degenerate value ``-b, 0, a``,
+    which is not 0 for a kept root, bounds the candidate's error.  The
+    roots are not simulated: :func:`_results` validates them.
     """
     poles = (-float(E.b), 0.0, float(E.a))
     dets = cayley._landing_det(E)
+    rational = n in _EXACT_PERIODS[elliptic]
     for gamma, tag in _level_roots(E, n, elliptic, window):
         ladder, m = (closure_ladder(n, tag), n) if elliptic else (closure_ladder(tag), tag)
         det = dets(ladder, m)
@@ -265,7 +279,8 @@ def _roots(E: BoundaryEllipse, n: int, elliptic: bool, discarded=None, window=No
             period = None if m == n else f"already periodic with period {m}"
             why = _spurious_reason(E, gamma) or period
         if why is None:  # kept: no degenerate value, so its distance to them is > 0
-            cand = cayley._exact_candidate(*secant, min(abs(gamma - v) for v in poles))
+            dist = min(abs(gamma - v) for v in poles)
+            cand = cayley._exact_candidate(*secant, dist) if rational else None
             exact = cand if cand and not det(*cand.as_integer_ratio())[0] else None
             yield gamma, exact, tag if elliptic else None
         elif discarded is not None:

@@ -24,21 +24,29 @@ case of each other one; :func:`_partition` reads it for the solvers, and
 the verdicts read it too.  :func:`closure_ladder` names the ladder of a
 period and a case.
 
+Each ladder names a 2-torsion point of the paper's elliptic curve
+``y**2 = (x - a)(x + b)(x - gamma)``, the root of its divisor: with ``P0``
+the point over ``x = 0``, the block of ``B`` vanishes when ``n P0 = O``, and
+those of ``C``, ``D`` and ``E`` when ``n P0`` is ``(gamma, 0)``, ``(a, 0)``
+and ``(-b, 0)``.
+
 The series run in the common field of ``(a, b, gamma)``
 (:func:`pellipse.polys.to_field`): exact rational arithmetic for
 ``int``/``Fraction`` inputs, 50 significant digits when any input is a
 ``decimal.Decimal``, ``float`` otherwise.  :func:`closure_det` evaluates
-the same determinants exactly, in integers, in ``u = 1/gamma``, and it is
-the one source of every closure verdict.  An int or ``Fraction``
-``gamma`` is a root when the determinant is 0 there.  Any other root is
-proven one way, by :func:`_landed`: from a float, it walks to the float
-whose rounding interval the determinant changes sign across, the
-correctly rounded root.  The solvers' landing, the snap of ``certify``,
-and :func:`is_periodic` and :func:`elliptic_case_test` on a float or
-``Decimal`` ``gamma`` all take that walk.  No verdict compares a rounded
-determinant with a tolerance.  :func:`closure_poly` interpolates the
-same determinant into the closure condition as an integer polynomial in
-``u``.
+the same determinants exactly, in integers, in ``u = 1/gamma``.  Every
+closure verdict decides on :func:`_landing_det`: that determinant on the
+ladders ``C``, ``D`` and ``E``, and on ``B`` the division value of
+:func:`_division_value`, which vanishes where the block does, in O(log n)
+big-integer steps.  An int or ``Fraction`` ``gamma`` is a root when it
+is 0 there.  Any other root is proven one way, by :func:`_landed`: from
+a float, it walks to the float whose rounding interval the closure
+condition changes sign across, the correctly rounded root.  The solvers'
+landing, the snap of ``certify``, and :func:`is_periodic` and
+:func:`elliptic_case_test` on a float or ``Decimal`` ``gamma`` all take
+that walk.  No verdict compares a rounded determinant with a tolerance.
+:func:`closure_poly` interpolates the Hankel determinant into the
+closure condition as an integer polynomial in ``u``.
 """
 
 from __future__ import annotations
@@ -150,14 +158,16 @@ def case_symmetry(case: str) -> str:
         raise DomainError(f"unknown elliptic case {case!r}") from exc
 
 
-def _elliptic_candidates(E: BoundaryEllipse, gamma, n: int) -> list[tuple[str, str]]:
+def _elliptic_candidates(E: BoundaryEllipse, gamma, n: int, rule=None) -> list[tuple[str, str]]:
     """The ``(case, ladder)`` pairs open to the caustic ``gamma`` at period ``n``.
 
     They are the case letters of the range of ``gamma`` at the parity of
     ``n`` (:data:`_RANGES`), in the order :func:`elliptic_case_test`
-    tries them.
+    tries them.  ``rule`` is that range's row, :func:`_rule` of ``gamma``
+    when not given.
     """
-    return [(case, closure_ladder(n, case)) for case in sorted(set(_rule(E, gamma)[1][n % 2]))]
+    letters = (rule or _rule(E, gamma))[1][n % 2]
+    return [(case, closure_ladder(n, case)) for case in sorted(set(letters))]
 
 
 # ---------------------------------------------------------------------------
@@ -439,17 +449,65 @@ _REACH = 2**20
 _STEPS = 6
 
 
+def _division_value(A: int, B: int, G: int, n: int) -> int:
+    """``F_n``, the division value at ``x = 0`` on ``y**2 = (x - A)(x + B)(x - G)``.
+
+    ``F_n`` is the ``n``-th division polynomial ``psi_n`` at ``x = 0``,
+    divided by ``psi_2`` at an even ``n``; ``psi_n`` vanishes exactly at
+    the points ``P != O`` with ``n P = O``, and at ``x = 0``, ``psi_2**4 =
+    16 a6**2``.  From ``F_1 = F_2 = 1``, ``F_3 = b8 = 4 a2 a6 - a4**2`` and
+    ``F_4 = 2 a4 b8 - 16 a6**2``, with ``a2``, ``a4``, ``a6`` the
+    coefficients of the cubic, Ward's doubling (M. Ward, Amer. J. Math. 70,
+    1948) gives ``F_(2m+1) = 16 a6**2 F_(m+2) F_m**3 - F_(m-1) F_(m+1)**3``
+    at an even ``m``, the factor ``16 a6**2`` on the second term at an odd
+    one, and ``F_(2m) = F_m (F_(m+2) F_(m-1)**2 - F_(m-2) F_(m+1)**2)``:
+    the terms near ``n/2``, ``n/4``, ..., a few big-integer products each.
+    """
+    a2, a4, a6 = B - A - G, G * (A - B) - A * B, A * B * G
+    b8, c = 4 * a2 * a6 - a4 * a4, 16 * a6 * a6
+    f = {1: 1, 2: 1, 3: b8, 4: 2 * a4 * b8 - c}
+
+    def F(j: int) -> int:
+        if j not in f:
+            m = j // 2
+            if j % 2:
+                s, t = F(m + 2) * F(m) ** 3, F(m - 1) * F(m + 1) ** 3
+                f[j] = s - c * t if m % 2 else c * s - t
+            else:
+                f[j] = F(m) * (F(m + 2) * F(m - 1) ** 2 - F(m - 2) * F(m + 1) ** 2)
+        return f[j]
+
+    return F(n)
+
+
 def _landing_det(E: BoundaryEllipse):
     """``det(ladder, n)``: the closure determinant of ``ladder`` at period ``n`` on ``E``.
 
-    It builds the reciprocal axes once.  ``det(ladder, n)(p, q)`` is
-    :func:`closure_det` on them at ``u = q/p``, ``gamma = p/q``, as its
-    ``(num, den)`` pair, the one form in which :func:`_landed`, the exact
-    root test of :func:`_root_test` and the solvers'
-    :func:`~pellipse.caustics._roots` evaluate a closure determinant.
+    It builds the axes once.  ``det(ladder, n)(p, q)`` is the closure
+    condition at ``gamma = p/q`` as a ``(num, den)`` pair of integers,
+    ``den > 0``: the one form in which :func:`_landed`, the exact root test
+    of :func:`_root_test` and the solvers' :func:`~pellipse.caustics._roots`
+    evaluate a closure determinant.  Periodic closure at an even ``n``, the
+    ladder ``B``, is ``n P0 = O`` for
+    the point ``P0`` over ``x = 0`` of the curve ``y**2 = (x - a)(x + b)(x -
+    gamma)`` (P. Griffiths and J. Harris, Enseign. Math. 24, 1978), and its
+    value is the division value :func:`_division_value` on the roots scaled
+    to integers by ``D = lcm(denominators of a, b) q``, over ``den =
+    D**((n*n - 4)/2)``: O(log n) terms where the Hankel block takes
+    O(n**3) operations.  Every other ladder is :func:`closure_det` at
+    ``u = q/p``.
     """
-    ia, ib = 1 / Fraction(E.a), 1 / Fraction(E.b)
-    return lambda ladder, n: lambda p, q: closure_det(ia, ib, Fraction(q, p), ladder, n)
+    a, b = Fraction(E.a), Fraction(E.b)
+    ia, ib, d = 1 / a, 1 / b, math.lcm(a.denominator, b.denominator)
+    A, B = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+
+    def det(ladder: str, n: int):
+        if ladder != "B":
+            return lambda p, q: closure_det(ia, ib, Fraction(q, p), ladder, n)
+        power = (n * n - 4) // 2
+        return lambda p, q: (_division_value(A * q, B * q, p * d, n), (d * q) ** power)
+
+    return det
 
 
 def _midpoint_above(x: float) -> tuple[int, int]:
@@ -512,9 +570,12 @@ def _exact_candidate(lo, hi, num: int, den: int, dist: float) -> Fraction | None
     width ``w`` below ``hi``, as :func:`_landed` gives them, and ``dist``
     is the distance from the root to the nearest degenerate value.  The
     secant misses the root by about ``w**2 |f''/f'| / 8``, and
-    ``|f''/f'|`` was measured below ``136/dist`` for periods up to 12, so
-    ``eps = 2**12 w**2 / dist`` bounds that with room to spare: about
-    twice the float's digits.  The candidate is the fraction ``p/q``
+    ``|f''/f'|`` was measured below ``136/dist`` on the Hankel blocks for
+    periods up to 12, and below ``28/dist`` on the division values of
+    periods 4, 6 and 8, the only even periods
+    :func:`~pellipse.caustics._roots` asks for a candidate at, so ``eps =
+    2**12 w**2 / dist`` bounds that with room to spare: about twice the
+    float's digits.  The candidate is the fraction ``p/q``
     nearest the secant with ``q <= N = min(10**9, (2**10 eps) ** -1/2)``,
     kept when it lies within ``eps`` of it.  Two such fractions lie
     ``1/N**2 >= 2**10 eps`` apart or more, so a rational root with such a
@@ -570,13 +631,14 @@ def _root_test(E: BoundaryEllipse, gamma, n: int):
     return lambda ladder: _landed(det(ladder, n), float(gamma)) is not None
 
 
-def _periodic(E: BoundaryEllipse, gamma, n: int, test) -> bool:
-    """Whether the root ``test`` at ``gamma`` passes the periodic ladder of period ``n``.
+def _periodic(rule: tuple, n: int, test) -> bool:
+    """Whether the root ``test`` passes the periodic ladder of period ``n``.
 
-    The range of ``gamma`` must also admit some partition ``(n, k)``
-    (:data:`_RANGES`): the hyperbolas admit none at an odd period.
+    The range of the caustic, whose row of :data:`_RANGES` is ``rule``,
+    must also admit some partition ``(n, k)``: the hyperbolas admit none
+    at an odd period.
     """
-    admits = _rule(E, gamma)[0]
+    admits = rule[0]
     return any(admits(n, k) for k in range(1, n)) and test(closure_ladder(n))
 
 
@@ -584,8 +646,9 @@ def is_periodic(E: BoundaryEllipse, gamma, n: int) -> PeriodicityVerdict:
     """The exact closure test for an ``n``-periodic trajectory with caustic ``gamma``.
 
     Uses the ``C`` ladder for odd ``n`` and the base series for even
-    ``n``, and decides on their exact determinant by the root test of
-    :func:`_root_test`: an int or ``Fraction`` ``gamma`` of any size is
+    ``n``, and decides on their exact closure condition
+    (:func:`_landing_det`, the division value at an even ``n``) by the root
+    test of :func:`_root_test`: an int or ``Fraction`` ``gamma`` of any size is
     periodic when the determinant is 0 there, a float or ``Decimal`` one
     when landing from its float reaches a sign change within ``2**20``
     float steps, as it does for every root the solvers report.  The range
@@ -596,7 +659,8 @@ def is_periodic(E: BoundaryEllipse, gamma, n: int) -> PeriodicityVerdict:
     """
     if n < 3:
         raise DomainError(f"periodicity test requires n >= 3, got {n}")
-    return PeriodicityVerdict(_periodic(E, gamma, n, _root_test(E, gamma, n)), n)
+    test = _root_test(E, gamma, n)
+    return PeriodicityVerdict(_periodic(_rule(E, gamma), n, test), n)
 
 
 def elliptic_case_test(E: BoundaryEllipse, gamma, n: int) -> EllipticVerdict:
@@ -611,8 +675,8 @@ def elliptic_case_test(E: BoundaryEllipse, gamma, n: int) -> EllipticVerdict:
     """
     if n < 2:
         raise DomainError(f"elliptic closure test requires n >= 2, got {n}")
-    test = _root_test(E, gamma, n)
-    if _periodic(E, gamma, n, test):
+    test, rule = _root_test(E, gamma, n), _rule(E, gamma)
+    if _periodic(rule, n, test):
         return EllipticVerdict("none")
-    cases = (case for case, ladder in _elliptic_candidates(E, gamma, n) if test(ladder))
+    cases = (case for case, ladder in _elliptic_candidates(E, gamma, n, rule) if test(ladder))
     return EllipticVerdict(next(cases, "none"))

@@ -121,7 +121,7 @@ _SCALARS = {str, int, float, bool, type(None)}
 def _indented(value: list | tuple) -> str | None:
     """A top-level list as ``indent=2`` lays it out, at C speed; or None.
 
-    Two shapes qualify, told apart by one scan of the item types:
+    Three shapes qualify, told apart by one scan of the item types:
 
     * scalars, written by the C encoder with the indented item separator;
       strings that need no escape, such as arc classes, are joined as they
@@ -132,7 +132,10 @@ def _indented(value: list | tuple) -> str | None:
       ``float.__repr__`` rejects any other item, and a row of another
       length does not unpack; a non-finite float writes ``nan`` or
       ``inf``, which ``json`` writes otherwise, and a finite one holds no
-      ``n``.  These lists are left to ``json`` (None).
+      ``n``.  These lists are left to ``json`` (None);
+    * flat dicts, every value a scalar, such as solve's ``caustics`` and
+      ``discarded``, each written by the C encoder with sorted keys and the
+      indented item separator; an empty one is ``{}``.
     """
     types = set(map(type, value))
     if types == {str}:
@@ -148,6 +151,10 @@ def _indented(value: list | tuple) -> str | None:
         except (TypeError, ValueError):
             return None
         return None if "n" in rows else "[\n    " + rows + "\n  ]"
+    if types == {dict} and all(set(map(type, row.values())) <= _SCALARS for row in value):
+        rows = [json.dumps(row, sort_keys=True, separators=(",\n      ", ": ")) for row in value]
+        rows = [r if r == "{}" else "{\n      " + r[1:-1] + "\n    }" for r in rows]
+        return "[\n    " + ",\n    ".join(rows) + "\n  ]"
     return None
 
 
@@ -155,9 +162,10 @@ def _emit(doc: dict) -> None:
     """Print ``doc`` as ``json.dumps(doc, sort_keys=True, indent=2)`` does.
 
     With an indent, ``json`` encodes in pure Python, which is slow on a
-    trajectory's thousands of vertices and arc classes.  Top-level lists
-    and tuples are written by :func:`_indented` instead, where it can,
-    and spliced into the document in place of a ``null``: the same text.
+    trajectory's thousands of vertices and arc classes and on solve's
+    rows.  Top-level lists and tuples are written by :func:`_indented`
+    instead, where it can, and spliced into the document in place of a
+    ``null``: the same text.
     """
     spliced = {
         k: text

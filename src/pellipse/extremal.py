@@ -35,6 +35,7 @@ from functools import lru_cache, partial, reduce
 
 from . import polys
 from .cayley import (
+    _RANGES,
     _check_gamma,
     _hankel_block,
     _hankel_layout,
@@ -840,19 +841,19 @@ def lightlike_periodic(E: BoundaryEllipse, max_n: int) -> tuple[int, int] | None
     ``rho = j/n`` passes through ``u = 0`` when ``n rho(inf) = j``, where
     ``rho(inf) = (2/pi) atan sqrt(a/b)`` is :func:`rotation_ratio` at
     ``gamma = inf``, and the partition rule of the hyperbola range
-    (:data:`~pellipse.cayley._RANGES`) admits it as periodic when ``j`` and
-    ``n`` are both even: ``n`` even and ``j = n - 2k``.  Then
-    ``a/b = cot(k pi / n)**2``.  ``|n (1 - rho(inf))/2 - k|`` is compared
-    with ``n LIGHTLIKE / pi``, which is ``LIGHTLIKE`` on the angle
-    ``k pi / n``.  ``n`` ascends, so the first match is the least period.
-    As :func:`rotation_ratio` does, it raises ``DomainError`` where
-    ``a/b`` leaves the float range.
+    (:data:`~pellipse.cayley._RANGES`) says whether ``(n, j)`` is periodic
+    there: when ``j`` and ``n`` are both even.  Then ``j = n - 2k`` and
+    ``a/b = cot(k pi / n)**2``.  ``|n rho(inf) - j|`` is compared with
+    ``2 n LIGHTLIKE / pi``, which is ``LIGHTLIKE`` on the angle ``k pi /
+    n``.  ``n`` ascends, so the first match is the least period.  As
+    :func:`rotation_ratio` does, it raises ``DomainError`` where ``a/b``
+    leaves the float range.
     """
-    half = (1 - rotation_ratio(E.a, E.b, math.inf)) / 2
-    for n in range(4, max_n + 1, 2):
-        k = round(n * half)
-        if 0 < k < n / 2 and abs(n * half - k) <= n * LIGHTLIKE / math.pi:
-            return n, k
+    rho, admits = rotation_ratio(E.a, E.b, math.inf), _RANGES["hyperbola"][0]
+    for n in range(2, max_n + 1):
+        j = round(n * rho)
+        if 0 < j < n and admits(n, j) and abs(n * rho - j) <= 2 * n * LIGHTLIKE / math.pi:
+            return n, (n - j) // 2
     return None
 
 

@@ -649,13 +649,29 @@ def test_midpoint_above_is_the_exact_midpoint_in_lowest_terms(x):
     assert den > 0 and math.gcd(num, den) == 1
 
 
+def _record_landing_evals(monkeypatch, record):
+    """Make each ``det(p, q)`` of :func:`cayley._landing_det` call ``record(ladder, m, p, q)``."""
+    landing_det = cayley._landing_det
+
+    def recorded_landing_det(E):
+        dets = landing_det(E)
+
+        def det(ladder, m):
+            inner = dets(ladder, m)
+            return lambda p, q: record(ladder, m, p, q) or inner(p, q)
+
+        return det
+
+    monkeypatch.setattr(cayley, "_landing_det", recorded_landing_det)
+
+
 def test_landing_costs_about_three_exact_evaluations_per_root(monkeypatch):
     # two at the ends of the rounding interval, a third when the located
     # float is not yet correctly rounded, and none at an irrational
     # root's exact candidate: 138 evaluations for 45 roots when measured
     calls, roots = [], []
-    det, landed = cayley.closure_det, cayley._landed
-    monkeypatch.setattr(cayley, "closure_det", lambda *args: calls.append(1) or det(*args))
+    landed = cayley._landed
+    _record_landing_evals(monkeypatch, lambda *args: calls.append(1))
     monkeypatch.setattr(
         cayley, "_landed", lambda *args: roots.append(out := landed(*args)) or out
     )
@@ -727,19 +743,15 @@ def test_exact_candidates_are_evaluated_only_in_the_rounding_interval(monkeypatc
     # only inside the final rounding interval; (10**6, 3) has roots within
     # a few float steps of -b, whose nearest small-denominator fraction -3
     # lies outside
-    landed, det, calls, outs = cayley._landed, cayley.closure_det, [], []
+    landed, calls, outs = cayley._landed, [], []
 
     def recorded_landing(det, gamma):
         calls.append([])  # the gammas at which this root's determinant is taken
         outs.append(landed(det, gamma))
         return outs[-1]
 
-    def recorded_det(ia, ib, u, ladder, m):
-        calls[-1].append(1 / u)
-        return det(ia, ib, u, ladder, m)
-
     monkeypatch.setattr(cayley, "_landed", recorded_landing)
-    monkeypatch.setattr(cayley, "closure_det", recorded_det)
+    _record_landing_evals(monkeypatch, lambda ladder, m, p, q: calls[-1].append(F(p, q)))
     periodic_caustics(BoundaryEllipse(a, b), n)
     assert calls and all(calls), calls
     for gammas, out in zip(calls, outs):
@@ -754,17 +766,20 @@ def test_exact_candidates_are_evaluated_only_in_the_rounding_interval(monkeypatc
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, named",
     [
-        ["--n", "12", "--a", "3", "--b", "2"],
-        ["--n", "9", "--a", "5", "--b", "11"],
-        ["--elliptic", "--n", "9", "--a", "12", "--b", "3"],
+        (["--n", "12", "--a", "3", "--b", "2"], False),
+        (["--n", "9", "--a", "5", "--b", "11"], False),
+        (["--elliptic", "--n", "9", "--a", "12", "--b", "3"], False),
+        (["--n", "8", "--a", "5", "--b", "11"], True),
     ],
 )
-def test_exact_candidates_are_named_for_printed_caustics_only(monkeypatch, capsys, argv):
+def test_exact_candidates_are_named_for_printed_caustics_only(monkeypatch, capsys, argv, named):
     # the screens come first: a root discarded at a degenerate value or as
-    # already periodic gets no exact candidate, and each printed caustic
-    # gets one, named for the upper end of its rounding interval
+    # already periodic gets no exact candidate; at a period where Mazur's
+    # bound allows a rational caustic, each printed caustic gets one, named
+    # for the upper end of its rounding interval, and at any other period
+    # none does
     candidate, ends = cayley._exact_candidate, []
 
     def recorded_candidate(lo, hi, *args):
@@ -774,9 +789,9 @@ def test_exact_candidates_are_named_for_printed_caustics_only(monkeypatch, capsy
     monkeypatch.setattr(cayley, "_exact_candidate", recorded_candidate)
     assert main(["solve", *argv]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["discarded"]
+    assert doc["discarded"] and doc["caustics"]
     printed = [cayley._midpoint_above(c["gamma"]) for c in doc["caustics"]]
-    assert sorted(ends) == sorted(printed)
+    assert sorted(ends) == (sorted(printed) if named else [])
 
 
 @pytest.mark.parametrize("n", [9, 12])
@@ -786,7 +801,7 @@ def test_divisor_roots_are_evaluated_on_their_own_period_only(monkeypatch, capsy
     # lands on the small period-d block, never on the period-n one, and a
     # root of period n on the period-n block only
     tags, current, evals = {}, [], []
-    level_roots, landed, det = caustics._level_roots, cayley._landed, cayley.closure_det
+    level_roots, landed = caustics._level_roots, cayley._landed
 
     def recorded_roots(*args):
         tags.update(out := level_roots(*args))
@@ -796,13 +811,9 @@ def test_divisor_roots_are_evaluated_on_their_own_period_only(monkeypatch, capsy
         current.append(gamma)
         return landed(det, gamma)
 
-    def recorded_det(ia, ib, u, ladder, m):
-        evals.append((current[-1], ladder, m))
-        return det(ia, ib, u, ladder, m)
-
     monkeypatch.setattr(caustics, "_level_roots", recorded_roots)
     monkeypatch.setattr(cayley, "_landed", recorded_landing)
-    monkeypatch.setattr(cayley, "closure_det", recorded_det)
+    _record_landing_evals(monkeypatch, lambda *args: evals.append((current[-1], *args[:2])))
     assert main(["solve", "--n", str(n), "--a", str(a), "--b", str(b)]) == 0
     capsys.readouterr()
     assert evals
@@ -860,6 +871,62 @@ def test_divisor_roots_land_alike_on_both_periods(axes, k, n):
         if d < n:
             on_d, on_n = _landed_on(E, gamma, d), _landed_on(E, gamma, n)
             assert (on_d and on_d[0]) == (on_n and on_n[0]), (n, d, gamma)
+
+
+_RATIONAL_AXES = st.tuples(
+    *[st.fractions(F(1, 20), 50, max_denominator=40).filter(bool) for _ in range(2)]
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(axes=_RATIONAL_AXES, n=st.sampled_from([4, 6, 8, 10, 12]))
+@example(axes=(F(3), F(2)), n=12)
+@example(axes=(F(41, 7), F(7, 2)), n=10)
+def test_division_value_and_hankel_block_change_sign_alike(axes, n):
+    # at every even-period root landed on the division value F_m, the
+    # Hankel block of closure_det changes sign across the same rounding
+    # interval, and both are exactly 0 at the rational roots of period 4
+    E = BoundaryEllipse(*axes)
+    (a, b), dets = axes, cayley._landing_det(E)
+    ia, ib = 1 / a, 1 / b
+    for g in [a * b / (a + b), -a * b / (a + b)] + ([-a * b / (a - b)] if a != b else []):
+        assert dets("B", 4)(*g.as_integer_ratio())[0] == 0, g
+        assert closure_det(ia, ib, 1 / g, "B", 4)[0] == 0, g
+    for gamma, m in caustics._level_roots(E, n, False):
+        if m % 2 or math.isinf(gamma) or (landed := _landed_on(E, gamma, m)) is None:
+            continue
+        lo, hi = landed[1][:2]
+        signs = [[dets("B", m)(*x)[0] for x in (lo, hi)]]
+        signs.append([closure_det(ia, ib, F(q, p), "B", m)[0] for p, q in (lo, hi)])
+        assert all(x * y <= 0 for x, y in signs), (n, m, landed[0], signs)
+
+
+@settings(max_examples=8, deadline=None)
+@given(axes=_RATIONAL_AXES)
+@example(axes=(F(3), F(2)))
+@example(axes=(F(4, 3), F(2)))
+def test_exact_caustics_occur_only_at_the_periods_mazur_allows(axes):
+    # with the exact candidate named at every period, no landed root up to
+    # n = 16 is rational outside the periods caustics._EXACT_PERIODS lists:
+    # a check on the code, since Mazur's theorem is the proof; the
+    # rational roots of periodic n = 4 and elliptic n = 2 are always found
+    allowed, E = caustics._EXACT_PERIODS, BoundaryEllipse(*axes)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(caustics, "_EXACT_PERIODS", {False: range(3, 17), True: range(2, 17)})
+        for elliptic in (False, True):
+            for n in range(3 - elliptic, 17):
+                exact = [x for _, x, _ in _roots(E, n, elliptic) if x is not None]
+                assert not exact or n in allowed[elliptic], (elliptic, n, exact)
+                assert exact or n != 4 - 2 * elliptic, (elliptic, n)
+
+
+def test_a_rational_period_four_caustic_is_periodic_at_every_multiple():
+    # is_periodic decides on the determinant alone: 4 P0 = O gives
+    # n P0 = O at every multiple n of 4, beyond Mazur's periods too
+    E = BoundaryEllipse(3, 2)
+    for g in (F(6, 5), F(-6, 5), F(-6)):
+        assert all(is_periodic(E, g, n).periodic for n in (4, 8, 12, 16)), g
+        assert not any(is_periodic(E, g, n).periodic for n in (6, 10)), g
 
 
 @settings(max_examples=40, deadline=None)

@@ -282,7 +282,7 @@ def test_the_partition_rule_is_consistent_with_the_cases_and_the_verdicts():
             reached |= letters
             offered = [case for case, _ in cayley._elliptic_candidates(E, gamma, n)]
             assert offered == sorted(letters), (n, span)
-            admitted = cayley._periodic(E, gamma, n, lambda ladder: True)
+            admitted = cayley._periodic(cayley._rule(E, gamma), n, lambda ladder: True)
             assert admitted == bool(periods), (n, span)
     assert reached == set(cayley._CASES)
 

@@ -213,6 +213,21 @@ def test_emit_prints_what_json_dumps_does(doc):
     assert out.getvalue() == json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def test_emit_writes_flat_rows_without_the_indenting_encoder(monkeypatch, capsys):
+    # solve's caustics and discarded lists are flat dicts: the C encoder
+    # writes each row, and json's pure-Python indent encoder sees neither
+    dumps, indented = json.dumps, []
+    monkeypatch.setattr(
+        cli.json,
+        "dumps",
+        lambda obj, **kw: ("indent" in kw and indented.append(obj)) or dumps(obj, **kw),
+    )
+    assert main(["solve", "--n", "6", "--a", "3", "--b", "2"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["caustics"] and doc["discarded"]
+    assert [(d["caustics"], d["discarded"]) for d in indented] == [(None, None)]
+
+
 def test_emit_writes_float_rows_without_json(monkeypatch):
     # a trajectory's vertices reach _emit as the Trajectory's own float
     # pairs, and json's indented encoder never sees them
@@ -252,8 +267,10 @@ GOLDEN = Path(__file__).parent / "golden"
         # the light-like root near u = 0 with no sign change in reach, then
         # two roots already periodic with period 3
         ("solve-n6-lightlike", "solve --n 6 --a 3/10 --b 9/10"),
-        # a large period: blocks up to 12 x 12 on every landed root
+        # large periods: the division value at each even period, small
+        # blocks at the odd divisor periods
         ("solve-n24-int", "solve --n 24 --a 3 --b 2"),
+        ("solve-n36-int", "solve --n 36 --a 3 --b 2"),
         ("certify-n3-exact", "certify --a 13 --b 120 --gamma=4680/361 --n 3"),
         ("certify-n5-snap", "certify --a 74/7 --b 25/9 --gamma=-2.778 --n 5"),
         # two roots within 1e-3 of the caption: the first, 1.99917..., wins
