@@ -15,7 +15,7 @@ Every solver finds its roots in two steps, for every period and both kinds:
 2. **land**: :func:`~pellipse.cayley._landed` moves that float onto the
    correctly rounded closure root, by the exact closure condition
    (:func:`~pellipse.cayley._landing_det`: a division value at an even
-   period, :func:`~pellipse.cayley.closure_det` on every other ladder) at
+   period, the half-index torsion function on every other ladder) at
    rationals around it.  Its sign change across the rounding interval is
    the proof that a closure root lies there, the same proof the closure
    verdicts of :mod:`~pellipse.cayley` take for a float; a root with none
@@ -254,7 +254,7 @@ def _roots(E: BoundaryEllipse, n: int, elliptic: bool, discarded=None, window=No
     ``"inf"``), with no sign change of that determinant within reach, at a
     degenerate conic value (:func:`_spurious_reason`), or when it closes
     after a proper divisor ``d`` of ``n``, proven by the sign change of the
-    small period-``d`` block.  Each discard's ``gamma`` and reason are
+    period-``d`` closure condition.  Each discard's ``gamma`` and reason are
     appended to ``discarded`` when a list is supplied.  Only a root kept
     gets its exact value, and only at the periods of
     :data:`_EXACT_PERIODS`, the only ones Mazur's bound leaves a rational
@@ -401,9 +401,9 @@ def generic_caustic_scan(
     there.  Each root lands on the exact periodic closure determinant
     (:func:`~pellipse.cayley.closure_ladder`) of the period it closes
     after.  A root that closes after a proper divisor ``d`` of ``n`` lands
-    on the small period-``d`` block, whose sign change proves it, and is
+    on the period-``d`` condition, whose sign change proves it, and is
     discarded as already periodic with period ``d``.  The others land on
-    the period-``n`` block, which proves each, and are validated by a
+    the period-``n`` condition, which proves each, and are validated by a
     simulated closure.  A root with no sign change of its determinant
     within reach (a double root, or a light-like caustic near infinity) is
     discarded with a reason, and so are a root at a degenerate conic value

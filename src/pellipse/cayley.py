@@ -35,18 +35,21 @@ The series run in the common field of ``(a, b, gamma)``
 ``int``/``Fraction`` inputs, 50 significant digits when any input is a
 ``decimal.Decimal``, ``float`` otherwise.  :func:`closure_det` evaluates
 the same determinants exactly, in integers, in ``u = 1/gamma``.  Every
-closure verdict decides on :func:`_landing_det`: that determinant on the
-ladders ``C``, ``D`` and ``E``, and on ``B`` the division value of
-:func:`_division_value`, which vanishes where the block does, in O(log n)
-big-integer steps.  An int or ``Fraction`` ``gamma`` is a root when it
-is 0 there.  Any other root is proven one way, by :func:`_landed`: from
-a float, it walks to the float whose rounding interval the closure
-condition changes sign across, the correctly rounded root.  The solvers'
+closure verdict decides on :func:`_landing_det`, a torsion function that
+vanishes where the block does, from Ward's doubling in O(log n)
+big-integer steps: on ``B`` the division value of
+:func:`_division_value`, and on ``C``, ``D`` and ``E`` the half-index
+function of :func:`_half_index_value`, from the terms near ``n/2``.  An
+int or ``Fraction`` ``gamma`` is a root when it is 0 there.  Any other
+root is proven one way, by :func:`_landed`: from a float, it walks to
+the float whose rounding interval the closure condition changes sign
+across, the correctly rounded root.  The solvers'
 landing, the snap of ``certify``, and :func:`is_periodic` and
 :func:`elliptic_case_test` on a float or ``Decimal`` ``gamma`` all take
 that walk.  No verdict compares a rounded determinant with a tolerance.
 :func:`closure_poly` interpolates the Hankel determinant into the
-closure condition as an integer polynomial in ``u``.
+closure condition as an integer polynomial in ``u``; no landing reads
+:func:`closure_det`.
 """
 
 from __future__ import annotations
@@ -78,8 +81,10 @@ __all__ = [
 #: Divisor keyword accepted by :func:`divided_series` for each ladder.
 _DIVISORS = {"gamma-x": "C", "a-x": "D", "b+x": "E"}
 
-#: Ladder -> (index of its divisor ``c`` in ``(a, b, gamma)``, ``sign``),
-#: where ``bhat[k] = c*out[k] - sign*out[k-1]``.
+#: Ladder -> ``(index, sign)``: its divisor is ``c - sign x``, ``c`` the entry
+#: ``index`` of ``(a, b, gamma)``, so ``bhat[k] = c*out[k] - sign*out[k-1]``;
+#: and ``e = sign c``, the root of ``e - x``, names its 2-torsion point ``(e, 0)``
+#: of the curve ``y**2 = (x - a)(x + b)(x - gamma)``: ``gamma``, ``a`` and ``-b``.
 _LADDERS = {"C": (2, 1), "D": (0, 1), "E": (1, -1)}
 
 #: Each elliptic case: the axial symmetry of its half-period closure and the
@@ -130,11 +135,12 @@ def _rule(E: BoundaryEllipse, gamma) -> tuple:
 
 
 def closure_ladder(n: int, case: str | None = None) -> str:
-    """The ladder whose Hankel block decides closure at period ``n``.
+    """The ladder of the closure condition at period ``n``: ``n P0`` is its 2-torsion point.
 
-    Periodic closure (no ``case``) uses ``C`` for odd ``n`` and the base
-    series ``B`` for even ``n``; an elliptic case uses its ladder at the
-    parity of ``n`` (:data:`_CASES`), the case that :func:`_partition`
+    Periodic closure (no ``case``) uses ``C`` for odd ``n``, ``n P0 =
+    (gamma, 0)``, and the base series ``B`` for even ``n``, ``n P0 = O``;
+    an elliptic case uses its ladder at the parity of ``n`` (:data:`_CASES`),
+    the case that :func:`_partition` names, whose point :data:`_LADDERS`
     names.  Raises :class:`DomainError` for a case that does not occur at
     that parity or is no case at all.
     """
@@ -449,23 +455,23 @@ _REACH = 2**20
 _STEPS = 6
 
 
-def _division_value(A: int, B: int, G: int, n: int) -> int:
-    """``F_n``, the division value at ``x = 0`` on ``y**2 = (x - A)(x + B)(x - G)``.
+def _ward(A: int, B: int, G: int):
+    """``(F, 4 a6)``: ``F(j)``, memoised, the division value at ``x = 0`` on the integer curve.
 
-    ``F_n`` is the ``n``-th division polynomial ``psi_n`` at ``x = 0``,
-    divided by ``psi_2`` at an even ``n``; ``psi_n`` vanishes exactly at
-    the points ``P != O`` with ``n P = O``, and at ``x = 0``, ``psi_2**4 =
-    16 a6**2``.  From ``F_1 = F_2 = 1``, ``F_3 = b8 = 4 a2 a6 - a4**2`` and
-    ``F_4 = 2 a4 b8 - 16 a6**2``, with ``a2``, ``a4``, ``a6`` the
+    ``F(j)`` is the ``j``-th division polynomial ``psi_j`` at ``x = 0``,
+    divided by ``psi_2`` at an even ``j``; ``psi_j`` vanishes exactly at
+    the points ``P != O`` with ``j P = O``, and at ``x = 0``, ``psi_2**2 =
+    4 a6``.  From ``F_0 = 0``, ``F_1 = F_2 = 1``, ``F_3 = b8 = 4 a2 a6 -
+    a4**2`` and ``F_4 = 2 a4 b8 - 16 a6**2``, with ``a2``, ``a4``, ``a6`` the
     coefficients of the cubic, Ward's doubling (M. Ward, Amer. J. Math. 70,
     1948) gives ``F_(2m+1) = 16 a6**2 F_(m+2) F_m**3 - F_(m-1) F_(m+1)**3``
     at an even ``m``, the factor ``16 a6**2`` on the second term at an odd
     one, and ``F_(2m) = F_m (F_(m+2) F_(m-1)**2 - F_(m-2) F_(m+1)**2)``:
-    the terms near ``n/2``, ``n/4``, ..., a few big-integer products each.
+    the terms near ``j/2``, ``j/4``, ..., a few big-integer products each.
     """
     a2, a4, a6 = B - A - G, G * (A - B) - A * B, A * B * G
     b8, c = 4 * a2 * a6 - a4 * a4, 16 * a6 * a6
-    f = {1: 1, 2: 1, 3: b8, 4: 2 * a4 * b8 - c}
+    f = {0: 0, 1: 1, 2: 1, 3: b8, 4: 2 * a4 * b8 - c}
 
     def F(j: int) -> int:
         if j not in f:
@@ -477,35 +483,84 @@ def _division_value(A: int, B: int, G: int, n: int) -> int:
                 f[j] = F(m) * (F(m + 2) * F(m - 1) ** 2 - F(m - 2) * F(m + 1) ** 2)
         return f[j]
 
-    return F(n)
+    return F, 4 * a6
+
+
+def _division_value(A: int, B: int, G: int, n: int) -> int:
+    """``F_n`` of :func:`_ward`: 0 exactly when ``n P0 = O`` for the point ``P0`` over ``x = 0``."""
+    return _ward(A, B, G)[0](n)
+
+
+def _half_index_value(roots: tuple, ladder: str, n: int) -> int:
+    """The half-index torsion function of ``n P0 = T_e``, an integer, from ``F_(m-1) .. F_(m+2)``.
+
+    ``roots`` are the integers ``(A, B, G)`` of the curve ``y**2 = (x -
+    A)(x + B)(x - G)``, ``P0`` its point over ``x = 0`` and ``T_e = (e,
+    0)`` the 2-torsion point of ``ladder`` (:data:`_LADDERS`); ``e'`` and
+    ``e''`` are the roots of the other two ladders.  With ``x_j = x(j P0) =
+    -psi_(j-1) psi_(j+1) / psi_j**2`` at ``x = 0`` and ``x(Q + T_e) = e +
+    f'(e) / (x(Q) - e)``, ``f'(e) = (e - e')(e - e'')``, the condition reads
+    ``(x_m - e)(x_(n-m) - e) = f'(e)`` for ``m = n // 2``: ``x((n - m) P0) =
+    x(T_e - m P0)``.  Its other solution, ``(n - m) P0 = m P0 - T_e``, would
+    put ``T_e`` at ``O`` or at ``P0``, which no caustic off the degenerate
+    values does.  In the values ``F_j`` of :func:`_ward`, ``x_j - e = -X_j
+    / T_j`` with ``X_j = s F_(j-1) F_(j+1) + e t F_j**2`` and ``T_j = t
+    F_j**2``, where ``(s, t)`` is ``(4 a6, 1)`` at an odd ``j`` and ``(1, 4
+    a6)`` at an even one, and the value is ``X_m X_(n-m) - f'(e) T_m
+    T_(n-m)``: the condition cleared of its denominators, which adds no
+    zero, since ``X_j != 0`` where ``T_j = 0``.  It is homogeneous of
+    degree ``(n*n + n % 2) / 2`` in the roots: Ward's terms near ``n/2``,
+    one doubling level below ``F_n``.
+    """
+    F, c4 = _ward(*roots)
+    ends = {k: sign * roots[index] for k, (index, sign) in _LADDERS.items()}
+    e = ends.pop(ladder)
+    fe = math.prod(e - r for r in ends.values())
+    m = n // 2
+    f = [F(j) for j in range(m - 1, m + 2 + n % 2)]  # F_(m-1) .. F_(m+1), F_(m+2) at an odd n
+
+    def xt(j: int) -> tuple[int, int]:  # (X_j, T_j)
+        lo, mid, hi = f[j - m : j - m + 3]
+        if j % 2:
+            t = mid * mid
+            return c4 * lo * hi + e * t, t
+        t = c4 * mid * mid
+        return lo * hi + e * t, t
+
+    x0, t0 = xt(m)
+    x1, t1 = xt(m + 1) if n % 2 else (x0, t0)
+    return x0 * x1 - fe * t0 * t1
 
 
 def _landing_det(E: BoundaryEllipse):
-    """``det(ladder, n)``: the closure determinant of ``ladder`` at period ``n`` on ``E``.
+    """``det(ladder, n)``: the closure condition of ``ladder`` at period ``n`` on ``E``.
 
     It builds the axes once.  ``det(ladder, n)(p, q)`` is the closure
     condition at ``gamma = p/q`` as a ``(num, den)`` pair of integers,
     ``den > 0``: the one form in which :func:`_landed`, the exact root test
     of :func:`_root_test` and the solvers' :func:`~pellipse.caustics._roots`
-    evaluate a closure determinant.  Periodic closure at an even ``n``, the
-    ladder ``B``, is ``n P0 = O`` for
-    the point ``P0`` over ``x = 0`` of the curve ``y**2 = (x - a)(x + b)(x -
-    gamma)`` (P. Griffiths and J. Harris, Enseign. Math. 24, 1978), and its
-    value is the division value :func:`_division_value` on the roots scaled
-    to integers by ``D = lcm(denominators of a, b) q``, over ``den =
-    D**((n*n - 4)/2)``: O(log n) terms where the Hankel block takes
-    O(n**3) operations.  Every other ladder is :func:`closure_det` at
-    ``u = q/p``.
+    evaluate it.  The Hankel block of ``ladder`` vanishes when ``n P0`` is
+    its 2-torsion point, ``O`` on ``B``, for the point ``P0`` over ``x =
+    0`` of the curve ``y**2 = (x - a)(x + b)(x - gamma)`` (P. Griffiths and
+    J. Harris, Enseign. Math. 24, 1978), and ``num`` is a torsion function
+    on the roots scaled to integers by ``D = lcm(denominators of a, b) q``:
+    the division value :func:`_division_value` on ``B``, over ``den =
+    D**((n*n - 4)/2)``, and the half-index function :func:`_half_index_value`
+    on ``C``, ``D`` and ``E``, over ``den = D**((n*n + n % 2)/2)``.  Each
+    ``den`` is the homogeneous weight of its ``num``, so ``num/den`` is a
+    function of ``gamma`` alone, and each takes O(log n) terms of Ward's
+    doubling where the block takes O(n**3) operations.
     """
     a, b = Fraction(E.a), Fraction(E.b)
-    ia, ib, d = 1 / a, 1 / b, math.lcm(a.denominator, b.denominator)
+    d = math.lcm(a.denominator, b.denominator)
     A, B = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
 
     def det(ladder: str, n: int):
-        if ladder != "B":
-            return lambda p, q: closure_det(ia, ib, Fraction(q, p), ladder, n)
-        power = (n * n - 4) // 2
-        return lambda p, q: (_division_value(A * q, B * q, p * d, n), (d * q) ** power)
+        if ladder == "B":
+            power = (n * n - 4) // 2
+            return lambda p, q: (_division_value(A * q, B * q, p * d, n), (d * q) ** power)
+        power = (n * n + n % 2) // 2
+        return lambda p, q: (_half_index_value((A * q, B * q, p * d), ladder, n), (d * q) ** power)
 
     return det
 
@@ -527,8 +582,8 @@ def _midpoint_above(x: float) -> tuple[int, int]:
 def _landed(det, gamma: float):
     """``(gamma, secant)`` for the closure root correctly rounded near the float ``gamma``, or None.
 
-    ``det(p, q)`` is the exact closure determinant at the rational
-    ``p/q``, as the ``(num, den)`` pair of :func:`closure_det`.  The ends
+    ``det(p, q)`` is the exact closure condition at the rational ``p/q``,
+    as the ``(num, den)`` pair of :func:`_landing_det`.  The ends
     of the rounding interval of a float are the exact midpoints to its
     neighbours, built by :func:`_midpoint_above`; when the determinant
     changes sign between them, the float is the correctly rounded root,
@@ -569,11 +624,12 @@ def _exact_candidate(lo, hi, num: int, den: int, dist: float) -> Fraction | None
     secant through the determinant ``f`` there lies ``num/den`` of the
     width ``w`` below ``hi``, as :func:`_landed` gives them, and ``dist``
     is the distance from the root to the nearest degenerate value.  The
-    secant misses the root by about ``w**2 |f''/f'| / 8``, and
-    ``|f''/f'|`` was measured below ``136/dist`` on the Hankel blocks for
-    periods up to 12, and below ``28/dist`` on the division values of
-    periods 4, 6 and 8, the only even periods
-    :func:`~pellipse.caustics._roots` asks for a candidate at, so ``eps =
+    secant misses the root by about ``w**2 |f''/f'| / 8``.  On every kept
+    root of the distinct benchmark pool axes, at the only periods
+    :func:`~pellipse.caustics._roots` asks for a candidate at,
+    ``|f''/f'|`` was measured below ``28/dist`` on the division values of
+    periods 4, 6 and 8, and below ``6/dist`` on the half-index functions
+    of periodic period 3 and elliptic periods 2, 3 and 4, so ``eps =
     2**12 w**2 / dist`` bounds that with room to spare: about twice the
     float's digits.  The candidate is the fraction ``p/q``
     nearest the secant with ``q <= N = min(10**9, (2**10 eps) ** -1/2)``,
@@ -647,7 +703,8 @@ def is_periodic(E: BoundaryEllipse, gamma, n: int) -> PeriodicityVerdict:
 
     Uses the ``C`` ladder for odd ``n`` and the base series for even
     ``n``, and decides on their exact closure condition
-    (:func:`_landing_det`, the division value at an even ``n``) by the root
+    (:func:`_landing_det`: the division value at an even ``n``, the
+    half-index torsion function of ``(gamma, 0)`` at an odd one) by the root
     test of :func:`_root_test`: an int or ``Fraction`` ``gamma`` of any size is
     periodic when the determinant is 0 there, a float or ``Decimal`` one
     when landing from its float reaches a sign change within ``2**20``

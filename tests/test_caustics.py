@@ -878,27 +878,60 @@ _RATIONAL_AXES = st.tuples(
 )
 
 
-@settings(max_examples=30, deadline=None)
-@given(axes=_RATIONAL_AXES, n=st.sampled_from([4, 6, 8, 10, 12]))
-@example(axes=(F(3), F(2)), n=12)
-@example(axes=(F(41, 7), F(7, 2)), n=10)
-def test_division_value_and_hankel_block_change_sign_alike(axes, n):
-    # at every even-period root landed on the division value F_m, the
+@settings(max_examples=60, deadline=None)
+@given(
+    axes=_RATIONAL_AXES,
+    kind=st.sampled_from([(False, n) for n in range(3, 13)] + [(True, n) for n in range(2, 13)]),
+)
+@example(axes=(F(3), F(2)), kind=(False, 12))
+@example(axes=(F(41, 7), F(7, 2)), kind=(False, 10))
+@example(axes=(F(3), F(2)), kind=(False, 11))
+@example(axes=(F(41, 7), F(7, 2)), kind=(True, 12))
+@example(axes=(F(5), F(6)), kind=(True, 5))
+def test_torsion_functions_and_hankel_blocks_change_sign_alike(axes, kind):
+    # at every root landed on the torsion function of its ladder, the
+    # division value on B and the half-index function on C, D and E, the
     # Hankel block of closure_det changes sign across the same rounding
-    # interval, and both are exactly 0 at the rational roots of period 4
-    E = BoundaryEllipse(*axes)
+    # interval; both are exactly 0 at the rational roots of period 4 on B
+    # and of elliptic period 2 on their ladders
+    E, (elliptic, n) = BoundaryEllipse(*axes), kind
     (a, b), dets = axes, cayley._landing_det(E)
     ia, ib = 1 / a, 1 / b
-    for g in [a * b / (a + b), -a * b / (a + b)] + ([-a * b / (a - b)] if a != b else []):
-        assert dets("B", 4)(*g.as_integer_ratio())[0] == 0, g
-        assert closure_det(ia, ib, 1 / g, "B", 4)[0] == 0, g
-    for gamma, m in caustics._level_roots(E, n, False):
-        if m % 2 or math.isinf(gamma) or (landed := _landed_on(E, gamma, m)) is None:
+    hyperbola = [a * b / (b - a)] if a != b else []
+    rational = [("B", 4, g) for g in [a * b / (a + b), -a * b / (a + b)] + hyperbola]
+    rational += [("D", 2, a * b / (a + b)), ("E", 2, -a * b / (a + b))]
+    rational += [("C", 2, g) for g in hyperbola]
+    for ladder, m, g in rational:
+        assert dets(ladder, m)(*g.as_integer_ratio())[0] == 0, (ladder, g)
+        assert closure_det(ia, ib, 1 / g, ladder, m)[0] == 0, (ladder, g)
+    landed_roots = 0
+    for gamma, tag in caustics._level_roots(E, n, elliptic):
+        ladder, m = (closure_ladder(n, tag), n) if elliptic else (closure_ladder(tag), tag)
+        if math.isinf(gamma) or (landed := cayley._landed(dets(ladder, m), gamma)) is None:
             continue
         lo, hi = landed[1][:2]
-        signs = [[dets("B", m)(*x)[0] for x in (lo, hi)]]
-        signs.append([closure_det(ia, ib, F(q, p), "B", m)[0] for p, q in (lo, hi)])
-        assert all(x * y <= 0 for x, y in signs), (n, m, landed[0], signs)
+        signs = [[dets(ladder, m)(*x)[0] for x in (lo, hi)]]
+        signs.append([closure_det(ia, ib, F(q, p), ladder, m)[0] for p, q in (lo, hi)])
+        assert all(x * y <= 0 for x, y in signs), (kind, m, ladder, landed[0], signs)
+        landed_roots += 1
+    assert landed_roots, (axes, kind)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    axes=_RATIONAL_AXES,
+    gamma=st.fractions(-60, 60, max_denominator=50).filter(bool),
+    ladder=st.sampled_from("BCDE"),
+    n=st.integers(2, 12),
+)
+def test_landing_functions_are_functions_of_gamma_alone(axes, gamma, ladder, n):
+    # num/den of every landing function is homogeneous in (p, q): the same
+    # value at k p / k q for k = 1, 2, 3, as the landing secant and the
+    # exact candidate need
+    assume(ladder != "B" or (n % 2 == 0 and n >= 4))
+    det = cayley._landing_det(BoundaryEllipse(*axes))(ladder, n)
+    p, q = gamma.as_integer_ratio()
+    assert len({F(*det(k * p, k * q)) for k in (1, 2, 3)}) == 1, (ladder, n, gamma)
 
 
 @settings(max_examples=8, deadline=None)

@@ -267,10 +267,13 @@ GOLDEN = Path(__file__).parent / "golden"
         # the light-like root near u = 0 with no sign change in reach, then
         # two roots already periodic with period 3
         ("solve-n6-lightlike", "solve --n 6 --a 3/10 --b 9/10"),
-        # large periods: the division value at each even period, small
-        # blocks at the odd divisor periods
+        # large periods: the division value at each even period, the
+        # half-index torsion function at the odd ones and on the elliptic
+        # ladders
         ("solve-n24-int", "solve --n 24 --a 3 --b 2"),
         ("solve-n36-int", "solve --n 36 --a 3 --b 2"),
+        ("solve-n35-int", "solve --n 35 --a 3 --b 2"),
+        ("solve-elliptic-n31", "solve --elliptic --n 31 --a 3 --b 2"),
         ("certify-n3-exact", "certify --a 13 --b 120 --gamma=4680/361 --n 3"),
         ("certify-n5-snap", "certify --a 74/7 --b 25/9 --gamma=-2.778 --n 5"),
         # two roots within 1e-3 of the caption: the first, 1.99917..., wins
