@@ -39,7 +39,9 @@ closure verdict decides on :func:`_landing_det`, a torsion function that
 vanishes where the block does, from Ward's doubling in O(log n)
 big-integer steps: on ``B`` the division value of
 :func:`_division_value`, and on ``C``, ``D`` and ``E`` the half-index
-function of :func:`_half_index_value`, from the terms near ``n/2``.  An
+function of :func:`_half_index_value`, from the terms near ``n/2``;
+:func:`_torsion_value` picks the function of a ladder, for the landing
+in integers and for the Newton polish of ``certify`` in ``Decimal``.  An
 int or ``Fraction`` ``gamma`` is a root when it is 0 there.  Any other
 root is proven one way, by :func:`_landed`: from a float, it walks to
 the float whose rounding interval the closure condition changes sign
@@ -455,8 +457,8 @@ _REACH = 2**20
 _STEPS = 6
 
 
-def _ward(A: int, B: int, G: int):
-    """``(F, 4 a6)``: ``F(j)``, memoised, the division value at ``x = 0`` on the integer curve.
+def _ward(A, B, G):
+    """``(F, 4 a6)``: ``F(j)``, memoised, the division value at ``x = 0`` on the curve of the roots.
 
     ``F(j)`` is the ``j``-th division polynomial ``psi_j`` at ``x = 0``,
     divided by ``psi_2`` at an even ``j``; ``psi_j`` vanishes exactly at
@@ -468,6 +470,7 @@ def _ward(A: int, B: int, G: int):
     at an even ``m``, the factor ``16 a6**2`` on the second term at an odd
     one, and ``F_(2m) = F_m (F_(m+2) F_(m-1)**2 - F_(m-2) F_(m+1)**2)``:
     the terms near ``j/2``, ``j/4``, ..., a few big-integer products each.
+    The roots are integers on a landing and ``Decimal`` in a polish.
     """
     a2, a4, a6 = B - A - G, G * (A - B) - A * B, A * B * G
     b8, c = 4 * a2 * a6 - a4 * a4, 16 * a6 * a6
@@ -486,15 +489,15 @@ def _ward(A: int, B: int, G: int):
     return F, 4 * a6
 
 
-def _division_value(A: int, B: int, G: int, n: int) -> int:
+def _division_value(A, B, G, n: int):
     """``F_n`` of :func:`_ward`: 0 exactly when ``n P0 = O`` for the point ``P0`` over ``x = 0``."""
     return _ward(A, B, G)[0](n)
 
 
-def _half_index_value(roots: tuple, ladder: str, n: int) -> int:
-    """The half-index torsion function of ``n P0 = T_e``, an integer, from ``F_(m-1) .. F_(m+2)``.
+def _half_index_value(roots: tuple, ladder: str, n: int):
+    """The half-index torsion function of ``n P0 = T_e``, from ``F_(m-1) .. F_(m+2)``.
 
-    ``roots`` are the integers ``(A, B, G)`` of the curve ``y**2 = (x -
+    ``roots`` are ``(A, B, G)``, integers or ``Decimal``, of the curve ``y**2 = (x -
     A)(x + B)(x - G)``, ``P0`` its point over ``x = 0`` and ``T_e = (e,
     0)`` the 2-torsion point of ``ladder`` (:data:`_LADDERS`); ``e'`` and
     ``e''`` are the roots of the other two ladders.  With ``x_j = x(j P0) =
@@ -532,6 +535,21 @@ def _half_index_value(roots: tuple, ladder: str, n: int) -> int:
     return x0 * x1 - fe * t0 * t1
 
 
+def _torsion_value(roots: tuple, ladder: str, n: int):
+    """The torsion function of ``ladder`` at period ``n``: 0 exactly when ``n P0`` is its point.
+
+    ``roots`` are ``(A, B, G)`` of the curve ``y**2 = (x - A)(x + B)(x -
+    G)``: the division value :func:`_division_value` on ``B``, where the
+    point is ``O``, and the half-index function :func:`_half_index_value`
+    on ``C``, ``D`` and ``E``.  Both are polynomials in the roots, so any
+    ring of them will do: :func:`_landing_det` passes integers, and
+    ``extremal._newton_polish`` iterates on ``Decimal`` ones.
+    """
+    if ladder == "B":
+        return _division_value(*roots, n)
+    return _half_index_value(roots, ladder, n)
+
+
 def _landing_det(E: BoundaryEllipse):
     """``det(ladder, n)``: the closure condition of ``ladder`` at period ``n`` on ``E``.
 
@@ -556,11 +574,8 @@ def _landing_det(E: BoundaryEllipse):
     A, B = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
 
     def det(ladder: str, n: int):
-        if ladder == "B":
-            power = (n * n - 4) // 2
-            return lambda p, q: (_division_value(A * q, B * q, p * d, n), (d * q) ** power)
-        power = (n * n + n % 2) // 2
-        return lambda p, q: (_half_index_value((A * q, B * q, p * d), ladder, n), (d * q) ** power)
+        power = (n * n - 4) // 2 if ladder == "B" else (n * n + n % 2) // 2
+        return lambda p, q: (_torsion_value((A * q, B * q, p * d), ladder, n), (d * q) ** power)
 
     return det
 

@@ -17,12 +17,16 @@ columns reversed, then lifted by the Chebyshev doubling
 
 Rational ``(a, b, gamma)`` run in exact arithmetic (residual exactly 0);
 floating caustics are Newton-polished and evaluated in 50-digit decimal
-arithmetic, on the decimal images of the axes as given.  The periodic and
-the elliptic certificates share one step, :func:`_certificate_pair`.  The
-module also provides the Kolmogorov-style rotation-number integrals,
-Jacobi elliptic functions via the arithmetic-geometric mean,
-the degree-3 Zolotarev consistency identities, the four Akhiezer
-least-deviation regimes and the light-like (Chebyshev) special case.
+arithmetic, on the decimal images of the axes as given.  The polish
+iterates on the torsion function of the ladder, the closure condition
+that the solvers land on (:func:`~pellipse.cayley._torsion_value`), and
+the series and the null vector of the closure block are built once, at
+the polished root.  The periodic and the elliptic certificates share one
+step, :func:`_certificate_pair`.  The module also provides the
+Kolmogorov-style rotation-number integrals, Jacobi elliptic functions via
+the arithmetic-geometric mean, the degree-3 Zolotarev consistency
+identities, the four Akhiezer least-deviation regimes and the light-like
+(Chebyshev) special case.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .cayley import (
     _hankel_block,
     _hankel_layout,
     _ladder,
+    _torsion_value,
     closure_ladder,
     elliptic_case_test,
     is_periodic,
@@ -100,26 +105,35 @@ def _toeplitz(S: list, ladder: str, n: int) -> list[list]:
 
 
 def _newton_polish(a: Decimal, b: Decimal, g0: Decimal, ladder: str, n: int) -> Decimal:
-    """Polish ``gamma`` so the closure block of ``ladder`` at ``n`` is singular.
+    """Polish ``gamma`` onto the root of the closure condition of ``ladder`` at ``n``.
 
-    Central-difference Newton iteration in 50-digit decimal arithmetic on
-    the determinant of :func:`_toeplitz`; converges quadratically from a
-    double-precision seed for the simple roots of the closure conditions.
+    Newton iteration in 50-digit decimal arithmetic on the torsion function
+    :func:`~pellipse.cayley._torsion_value` of the roots ``(a, b, gamma)``,
+    which vanishes where the closure block does: Ward's terms near
+    ``n/2``, not a series and a determinant.  The slope is a forward
+    difference, two evaluations a step.  Its relative error, about ``1e-30
+    |gamma f''/f'|`` from the step and about ``1e-20`` from rounding the
+    difference, only scales each step's error by that much, so from a
+    double-precision seed on a simple root the iteration reaches the
+    50-digit floor in two steps and stops on the third.  The difference
+    step ``1e-30 |g0|`` and the stop ``|dg| < 1e-42 |gamma|`` are relative,
+    so the polish commutes with scaling ``(a, b, gamma)``.
     """
-    h = Decimal(10) ** -30
-    tol = Decimal(10) ** -42
+    h = Decimal("1e-30") * abs(g0)
+    tol = Decimal("1e-42")
 
     def f(g: Decimal) -> Decimal:
-        return polys.det(_toeplitz(_ladder(a, b, g, ladder, n - 1), ladder, n))
+        return _torsion_value((a, b, g), ladder, n)
 
     g = g0
     for _ in range(60):
-        fp = (f(g + h) - f(g - h)) / (2 * h)
+        fg = f(g)
+        fp = (f(g + h) - fg) / h
         if fp == 0:
             break
-        dg = f(g) / fp
+        dg = fg / fp
         g = g - dg
-        if abs(dg) < tol * max(Decimal(1), abs(g)):
+        if abs(dg) < tol * abs(g):
             break
     return g
 
@@ -133,11 +147,13 @@ def _certificate_pair(E: BoundaryEllipse, gamma, ladder: str, n: int):
     given (a ``Fraction`` as its 50-digit quotient, not as its float) and
     of ``gamma`` (a float exactly), so the certificate is built for the
     axes that the exact closure test reads.  ``gamma`` is then
-    Newton-polished onto the nearest root of the closure determinant of
-    ``ladder``; ``None`` means that root lies more than ``1e-6 |gamma|``
-    away.  ``q`` is the null vector of the closure block and ``p`` the
-    part of ``q(x) S(x)`` below the coefficients the block forces to zero.
-    The block reads the series up to index ``n - 1``.
+    Newton-polished onto the nearest root of the torsion function of
+    ``ladder`` (:func:`_newton_polish`), where its closure block is
+    singular; ``None`` means that root lies more than ``1e-6 |gamma|``
+    away.  Only then is the series ``S`` of ``ladder`` built, once, up to
+    index ``n - 1``, which the block reads.  ``q`` is the null vector of
+    the closure block and ``p`` the part of ``q(x) S(x)`` below the
+    coefficients the block forces to zero.
     """
     a, b, g = polys.to_field(E.a, E.b, gamma)
     if not polys.is_exact(g):

@@ -22,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pellipse
-from pellipse import BoundaryEllipse, caustics, cayley, cli, extremal
+from pellipse import BoundaryEllipse, caustics, cayley, cli, extremal, polys
 from pellipse.cli import main
 from pellipse.dynamics import SIGMAS, ClosureStatus
 from pellipse.geometry import ArcClass
@@ -278,7 +278,7 @@ GOLDEN = Path(__file__).parent / "golden"
         ("certify-n5-snap", "certify --a 74/7 --b 25/9 --gamma=-2.778 --n 5"),
         # two roots within 1e-3 of the caption: the first, 1.99917..., wins
         ("certify-n8-two-roots", "certify --a 2 --b 10 --gamma=2.001 --n 8"),
-        # the residual 1.36e-44 holds only if the Pell lift reuses the
+        # the residual 4.6e-45 holds only if the Pell lift reuses the
         # Decimal values of the Newton polish: the axes' 50-digit quotients
         ("certify-n9-polish", "certify --a 88/9 --b 16/9 --gamma=0.2140695596515073 --n 9"),
         # the README example: an even period, exact
@@ -869,6 +869,49 @@ def test_certify_rejects_a_polish_that_leaves_its_range(capsys, monkeypatch):
     assert rc == 4
     doc = json.loads(out)
     assert doc["error"] == "NoCertificate" and "polishing range" in doc["message"]
+
+
+def _pool_certify(stratum: str, count: int) -> list[list[str]]:
+    """The first ``count`` commands of ``stratum`` in the benchmark's dev certify pool."""
+    pool = Path(__file__).resolve().parents[1] / "perfbench" / "pools" / "dev" / "certify.jsonl"
+    jobs = [json.loads(line) for line in pool.read_text(encoding="utf-8").splitlines()[1:]]
+    return [job["argv"] for job in jobs if job.get("stratum") == stratum][:count]
+
+
+def test_the_polish_reads_no_series_and_no_determinant(capsys, monkeypatch):
+    # certify polishes each snapped caption and each full float on the
+    # torsion function alone: while _newton_polish runs, no field series
+    # is built and no determinant taken, on the first commands of every
+    # snap and polish stratum of the dev certify pool
+    def forbidden(*args):
+        raise AssertionError("the polish left the torsion function")
+
+    polish, polished = extremal._newton_polish, []
+
+    def guarded_polish(*args):
+        polished.append(args)
+        with monkeypatch.context() as m:
+            m.setattr(polys, "det", forbidden)
+            m.setattr(cayley, "_ladder", forbidden)
+            m.setattr(extremal, "_ladder", forbidden)
+            return polish(*args)
+
+    monkeypatch.setattr(extremal, "_newton_polish", guarded_polish)
+
+    def polish_count(strata: list[str]) -> tuple[int, int]:
+        commands = [argv for s in strata for argv in _pool_certify(s, 3)]
+        assert len(commands) == 3 * len(strata)
+        polished.clear()
+        for argv in commands:
+            rc, out = run(capsys, *argv)
+            assert rc == 0, (argv, out)
+        return len(polished), len(commands)
+
+    done, total = polish_count([f"polish-n{n}" for n in range(9, 13)])
+    assert done == total
+    # a caption may snap onto an exact root, which is not polished
+    done, total = polish_count([f"snap-n{n}-{k}" for k in ("int", "frac") for n in range(3, 9)])
+    assert 0 < done <= total
 
 
 def test_certify_rejects_a_simulated_partition_that_disagrees(capsys, monkeypatch):

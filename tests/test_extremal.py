@@ -4,7 +4,7 @@ import math
 import random
 from decimal import Decimal
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import pytest
 from hypothesis import given, settings
@@ -170,6 +170,50 @@ def test_a_polish_beyond_its_range_is_rejected(monkeypatch):
     r = elliptic_caustics(E, 3)[0]
     with pytest.raises(DomainError, match="polishing range"):
         elliptic_pell_check(E, r.gamma, 3, r.case)
+
+
+def _polish(a, b, gamma: float, ladder: str, n: int) -> Decimal:
+    """``_newton_polish`` from the float ``gamma`` on the axes as given, as a certificate runs it."""
+    da, db, g0 = polys.to_field(a, b, Decimal(gamma))
+    with polys.field_context(g0):
+        return extremal._newton_polish(da, db, g0, ladder, n)
+
+
+_AXIS = st.one_of(st.integers(1, 60), st.fractions(F(1, 9), 60, max_denominator=9))
+
+
+@settings(max_examples=100)
+@given(a=_AXIS, b=_AXIS, n=st.integers(3, 12))
+def test_the_polish_ends_on_the_float_that_landing_proves(a, b, n):
+    # Newton on the torsion function in Decimal (ladder B at even n, C at
+    # odd n) reaches the root whose correctly rounded float landing proves
+    E = BoundaryEllipse(a, b)
+    ladder = cayley.closure_ladder(n)
+    det = cayley._landing_det(E)(ladder, n)
+    for r in periodic_caustics(E, n):
+        landed = cayley._landed(det, r.gamma)
+        assert landed is not None, r.gamma
+        assert float(_polish(a, b, r.gamma, ladder, n)) == landed[0], r.gamma
+
+
+@cache
+def _unit_roots(n: int) -> list[float]:
+    return [r.gamma for r in periodic_caustics(BoundaryEllipse(3, 2), n)]
+
+
+@settings(max_examples=100)
+@given(n=st.integers(3, 8), k=st.integers(-40, 40), pick=st.integers(0, 99))
+def test_the_polish_scales_with_the_axes(n, k, pick):
+    # the difference step and the stop are relative to gamma: on (3, 2)
+    # times 4**k, from the unit root's float times 4**k (exact), the polish
+    # is the unit polish times 4**k
+    roots = _unit_roots(n)
+    gamma, ladder, lam = roots[pick % len(roots)], cayley.closure_ladder(n), 4.0**k
+    unit = _polish(3, 2, gamma, ladder, n)
+    scaled = _polish(3 * lam, 2 * lam, gamma * lam, ladder, n)
+    with polys.field_context(unit):
+        want = unit * Decimal(lam)
+        assert abs(scaled - want) <= Decimal("1e-45") * abs(want), (gamma, k)
 
 
 def test_elliptic_pell_check_exact_and_mismatch():
