@@ -3,8 +3,8 @@
 Polynomials are plain lists of coefficients in **ascending** order
 (``[c0, c1, ...]`` represents ``c0 + c1 x + ...``).  All arithmetic is
 scalar-generic: it works uniformly for ``int``/``Fraction`` (exact),
-``decimal.Decimal`` and ``float``.  Resultants and discriminants use a
-Sylvester matrix with fraction-free Bareiss elimination over the integers.
+``decimal.Decimal`` and ``float``.  Resultants and discriminants run
+Collins' subresultant polynomial remainder sequence over the integers.
 
 Scalar field: :func:`to_field` puts the scalars of one computation in a
 common field, and :func:`field_context` gives the decimal context to run
@@ -15,8 +15,9 @@ its 50-digit quotient, a ``float`` exactly); otherwise all become
 
 Exact real roots run on primitive integer polynomials: each polynomial
 is replaced once by the primitive integer polynomial that is a positive
-multiple of it, which has the same signs.  One sign-preserving integer
-pseudo-remainder drives both the gcd of the square-free part and the
+multiple of it, which has the same signs.  The resultant's integer
+pseudo-remainder, made primitive and taken by a divisor with a positive
+leading coefficient, drives both the gcd of the square-free part and the
 Sturm chain, so every member of the chain is the primitive positive
 multiple of the rational Euclidean remainder.  Isolation bisects from
 Fujiwara's root bound by Sturm counts, and refinement bisects each
@@ -307,8 +308,51 @@ def _symmetric_bareiss_det(m: list[list[int]]) -> int:
     return a[n - 1][n - 1]
 
 
+def _pseudo_remainder(u: list[int], v: list[int]) -> list[int]:
+    """The exact ``lc(v)**(deg u - deg v + 1) * u mod v`` of integer polynomials."""
+    lead, dv, r = v[-1], len(v) - 1, list(u)
+    for k in range(len(u) - len(v), -1, -1):
+        top = r.pop()  # the coefficient of x**(k + dv), eliminated
+        r = [a * lead for a in r]
+        for i in range(dv):
+            r[k + i] -= top * v[i]
+    return trim(r or [0])
+
+
+def _int_resultant(a: list[int], b: list[int]) -> int:
+    """Resultant of integer polynomials of degree >= 1: Collins' subresultant PRS.
+
+    The contents come out first.  Each pseudo-remainder is divided exactly
+    by ``g * h**delta``, which keeps the coefficients the size of the
+    subresultants' (Cohen, Algorithm 3.3.7).  Each step's sign is
+    ``(-1)**(deg a * deg b)``, and a zero remainder means a common factor.
+    """
+    m, n = len(a) - 1, len(b) - 1
+    if m < n:
+        return (-1) ** (m * n) * _int_resultant(b, a)
+    ca, cb = gcd(*a), gcd(*b)
+    a, b = [x // ca for x in a], [x // cb for x in b]
+    g = h = s = 1
+    while len(b) > 1:
+        delta = len(a) - len(b)
+        s *= (-1) ** ((len(a) - 1) * (len(b) - 1))
+        r = _pseudo_remainder(a, b)
+        if r == [0]:
+            return 0
+        a, b = b, [x // (g * h**delta) for x in r]
+        g = a[-1]
+        h = g**delta // h ** (delta - 1) if delta else h
+    d = len(a) - 1
+    return s * ca**n * cb**m * b[0] ** d // h ** (d - 1)
+
+
 def resultant(u: Poly, v: Poly) -> Fraction:
-    """Exact resultant of two rational polynomials via Sylvester/Bareiss."""
+    """Exact resultant of two rational polynomials.
+
+    Both are scaled to integer polynomials, and :func:`_int_resultant` runs
+    Collins' subresultant PRS on them: O(d**2) products of integers the
+    size of the subresultants, where a Sylvester determinant takes O(d**3).
+    """
     ui, lu = _to_int_poly(trim(u))
     vi, lv = _to_int_poly(trim(v))
     m, n = len(ui) - 1, len(vi) - 1
@@ -317,16 +361,7 @@ def resultant(u: Poly, v: Poly) -> Fraction:
         if m == 0:
             return Fraction(ui[0], lu) ** n
         return Fraction(vi[0], lv) ** m
-    size = m + n
-    rows: list[list[int]] = []
-    urev = list(reversed(ui))
-    vrev = list(reversed(vi))
-    for i in range(n):
-        rows.append([0] * i + urev + [0] * (size - m - 1 - i))
-    for i in range(m):
-        rows.append([0] * i + vrev + [0] * (size - n - 1 - i))
-    det_int = _bareiss_det(rows)
-    return Fraction(det_int) / (Fraction(lu) ** n * Fraction(lv) ** m)
+    return Fraction(_int_resultant(ui, vi)) / (Fraction(lu) ** n * Fraction(lv) ** m)
 
 
 def discriminant(c: Poly) -> Fraction:
@@ -355,22 +390,17 @@ def _int_poly(c: Poly) -> list[int]:
 
 
 def _prem(u: list[int], v: list[int]) -> list[int]:
-    """The remainder of ``|lc(v)|**k * u`` by ``v``, made primitive.
+    """The primitive part of :func:`_pseudo_remainder` by ``v`` with ``lc(v) > 0``.
 
-    Each elimination step scales the running remainder by ``|lc(v)| > 0``,
-    so the result is a positive multiple of the remainder over the
-    rationals and has the same signs everywhere.
+    Scaling by a power of a positive leading coefficient makes the result
+    a positive multiple of the remainder over the rationals, with the same
+    signs everywhere.
     """
     if v[-1] < 0:
         v = pneg(v)  # the same remainder, by a divisor with lc(v) > 0
-    r = list(u)
-    while len(r) >= len(v) and r != [0]:
-        k, top = len(r) - len(v), r[-1]
-        r = [a * v[-1] for a in r]
-        for i, b in enumerate(v):
-            r[k + i] -= top * b
-        r = trim(r[:-1] or [0])
-    return _int_poly(r)
+    r = _pseudo_remainder(u, v)
+    g = gcd(*r) or 1
+    return [a // g for a in r]
 
 
 def _gcd(u: list[int], v: list[int]) -> list[int]:

@@ -65,6 +65,61 @@ def test_resultant_common_root():
     assert polys.resultant([F(-1), F(1)], q) != 0
 
 
+def _sylvester_resultant(u, v):
+    """The oracle: the Bareiss determinant of the Sylvester matrix of the
+    integer polynomials that scale ``u`` and ``v``, scaled back."""
+    ui, lu = polys._to_int_poly(polys.trim(u))
+    vi, lv = polys._to_int_poly(polys.trim(v))
+    m, n = len(ui) - 1, len(vi) - 1
+    if m == 0 or n == 0:
+        return F(ui[0], lu) ** n if m == 0 else F(vi[0], lv) ** m
+    rows = [[0] * i + ui[::-1] + [0] * (n - 1 - i) for i in range(n)]
+    rows += [[0] * i + vi[::-1] + [0] * (m - 1 - i) for i in range(m)]
+    return F(polys._bareiss_det(rows)) / (F(lu) ** n * F(lv) ** m)
+
+
+@st.composite
+def _rational_polys(draw, degrees=st.integers(0, 16)):
+    """Rational polynomials with a nonzero leading coefficient; about one
+    coefficient in three below it is 0, so remainders drop degree by more
+    than one."""
+    d = draw(degrees)
+    coeff = st.just(F(0)) | st.fractions(-30, 30, max_denominator=7)
+    lead = st.fractions(-30, 30, max_denominator=7).filter(bool)
+    return draw(st.lists(coeff, min_size=d, max_size=d)) + [draw(lead)]
+
+
+@given(u=_rational_polys(), v=_rational_polys())
+# degrees 5, 4, 2, 0 in the remainder sequence: a drop of 2 before the last
+@example(u=[0, 1, 1, 0, 0, 1], v=[1, 0, 0, 0, 1])
+@example(u=[F(3, 2)], v=[1, 0, 0, -2])
+@example(u=[F(-2)], v=[F(5)])
+def test_resultant_matches_the_sylvester_determinant(u, v):
+    # the subresultant sequence gives the determinant's rational in either
+    # order, Res(v, u) = (-1)**(mn) Res(u, v), and c**deg(v) for a constant u
+    res = polys.resultant(u, v)
+    assert res == _sylvester_resultant(u, v)
+    m, n = polys.degree(u), polys.degree(v)
+    assert polys.resultant(v, u) == (-1) ** (m * n) * res
+    if m == 0:
+        assert res == F(u[0]) ** n
+
+
+@given(u=_rational_polys(st.integers(0, 8)), v=_rational_polys(st.integers(0, 8)),
+       w=_rational_polys(st.integers(1, 6)))
+@example(u=[1], v=[1], w=[0, 0, 1])
+def test_resultant_of_a_common_factor_is_zero(u, v, w):
+    # a shared factor of degree >= 1 ends the remainder sequence at 0
+    assert polys.resultant(polys.pmul(u, w), polys.pmul(v, w)) == 0
+
+
+@given(p=st.fractions(-50, 50, max_denominator=9), q=st.fractions(-50, 50, max_denominator=9))
+@example(p=F(-3), q=F(2))  # (x - 1)**2 (x + 2): a double root
+def test_discriminant_cubic_closed_form(p, q):
+    # disc(x^3 + px + q) = -4p^3 - 27q^2
+    assert polys.discriminant([q, p, 0, 1]) == -4 * p**3 - 27 * q**2
+
+
 def test_real_root_isolation_and_refinement():
     # (x-1)(x-2)(x-3), ascending
     p = [F(-6), F(11), F(-6), F(1)]
@@ -262,8 +317,8 @@ def test_isolation_of_a_scaled_closure_factor_starts_near_its_roots():
 
 @given(lead=st.sampled_from([1, -1, 3, -7, F(2, 9)]), roots=_roots, extra=_extra)
 @example(lead=1, roots=[(3, 4, 2), (-5, 1, 1)], extra=(1,))
-# -x**3 + 2x: the zero coefficients skip elimination steps, so a remainder
-# scaled by lc(v) < 0 instead of |lc(v)| would change sign
+# -x**3 + 2x: a remainder scaled by an odd power of lc(v) < 0 instead of
+# |lc(v)| would change sign
 @example(lead=-1, roots=[(0, 1, 1)], extra=(-2, 0, 1))
 def test_sturm_chain_matches_fraction_euclid(lead, roots, extra):
     _assert_chain_matches_reference(_from_roots(lead, roots, extra))
